@@ -8,7 +8,9 @@ reports, which is the data EXPERIMENTS.md records.
 
 from __future__ import annotations
 
+import json
 import os
+from pathlib import Path
 from typing import Mapping
 
 # Wall-clock determinism: pin every BLAS/OpenMP worker pool to one thread
@@ -24,6 +26,27 @@ for _pool in (
     "NUMEXPR_NUM_THREADS",
 ):
     os.environ.setdefault(_pool, "1")
+
+
+#: Where the wall-clock benchmarks record their measured ratios.  The file
+#: is gitignored: a benchmark run never dirties the tree, and CI uploads it
+#: as a build artifact.  ``BENCHMARK.json`` (``perfbench/``) is the
+#: reviewable performance record.
+BENCH_RECORD = Path(__file__).resolve().parent.parent / ".benchmarks" / "BENCH_serving_perf.json"
+
+
+def record_bench(section: str, values: Mapping[str, object]) -> None:
+    """Merge one benchmark's measurements into :data:`BENCH_RECORD`."""
+    record = {}
+    try:
+        record = json.loads(BENCH_RECORD.read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError):
+        pass
+    record[section] = values
+    BENCH_RECORD.parent.mkdir(parents=True, exist_ok=True)
+    BENCH_RECORD.write_text(
+        json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
 
 
 def print_comparison(title: str, rows: Mapping[str, Mapping[str, float]]) -> None:

@@ -10,8 +10,9 @@ sharing: a second identical sweep must beat the cold one by >= 3x, while
 producing byte-identical canonical results (the determinism contract the
 chaos CI gate enforces across processes).
 
-The measured ratio lands in ``BENCH_serving_perf.json`` under ``fleet_*``
-keys alongside the serving and flash rows.
+The measured ratio lands in the gitignored
+``.benchmarks/BENCH_serving_perf.json`` under ``fleet_*`` keys alongside the
+serving and flash rows.
 
 Run directly (also wired into the CI perf-smoke job)::
 
@@ -20,9 +21,8 @@ Run directly (also wired into the CI perf-smoke job)::
 
 import json
 import time
-from pathlib import Path
 
-from conftest import print_comparison
+from conftest import print_comparison, record_bench
 
 from repro.perf import timing_cache
 from repro.workloads import run_fleet
@@ -37,22 +37,6 @@ TRACE = "bursty-gpt"
 FLEET = "trio-virgo"
 FAULTS = "crash:0.6:400000,slow:0.5:2.5:300000"
 FAULT_SEED = 11
-
-BENCH_RECORD = Path(__file__).resolve().parent.parent / "BENCH_serving_perf.json"
-
-
-def _record_bench(section, values):
-    """Merge one benchmark's measurements into ``BENCH_serving_perf.json``."""
-    record = {}
-    try:
-        record = json.loads(BENCH_RECORD.read_text(encoding="utf-8"))
-    except (FileNotFoundError, json.JSONDecodeError, OSError):
-        pass
-    record[section] = values
-    BENCH_RECORD.write_text(
-        json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
 
 def _sweep():
     return [
@@ -82,7 +66,7 @@ def test_bench_fleet_warm_sweep_speedup(benchmark):
             "speedup": {"measured": speedup, "paper": MIN_FLEET_WARM_SPEEDUP},
         },
     )
-    _record_bench(
+    record_bench(
         "fleet_warm_vs_cold",
         {
             "trace": TRACE,

@@ -21,7 +21,7 @@ tracks the *simulator's own* speed so performance regressions fail loudly:
   reads.
 
 The serving, flash and observability ratios are additionally recorded in
-``BENCH_serving_perf.json`` at the repo root.
+the gitignored ``.benchmarks/BENCH_serving_perf.json`` (``record_bench``).
 
 Run directly (also wired into the CI perf-smoke job)::
 
@@ -29,11 +29,9 @@ Run directly (also wired into the CI perf-smoke job)::
 """
 
 import gc
-import json
 import time
-from pathlib import Path
 
-from conftest import print_comparison
+from conftest import print_comparison, record_bench
 
 from repro.config.presets import DesignKind
 from repro.obs import phase, profiling
@@ -75,13 +73,6 @@ MIN_FLASH_COMPRESSION_SPEEDUP = 10.0
 #: extrapolating run so only a broken fast path can trip it.
 MAX_EPOCH_MILLION_SECONDS = 10.0
 
-#: Measured serving/flash ratios land here (repo root).  The file is
-#: committed as the reviewable record of the guarded ratios -- running the
-#: benchmarks refreshes it in place (like regenerating goldens), and the CI
-#: perf-smoke job uploads its copy as a build artifact.
-BENCH_RECORD = Path(__file__).resolve().parent.parent / "BENCH_serving_perf.json"
-
-
 def _best_of(fn, rounds=3):
     best = float("inf")
     for _ in range(rounds):
@@ -89,19 +80,6 @@ def _best_of(fn, rounds=3):
         fn()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def _record_bench(section, values):
-    """Merge one benchmark's measurements into ``BENCH_serving_perf.json``."""
-    record = {}
-    try:
-        record = json.loads(BENCH_RECORD.read_text(encoding="utf-8"))
-    except (FileNotFoundError, json.JSONDecodeError, OSError):
-        pass
-    record[section] = values
-    BENCH_RECORD.write_text(
-        json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
 
 def test_bench_warm_cache_model_speedup(benchmark):
@@ -219,7 +197,7 @@ def test_bench_serving_warm_vs_cold(benchmark, tmp_path):
             "speedup": {"measured": speedup, "paper": MIN_SERVING_WARM_SPEEDUP},
         },
     )
-    _record_bench(
+    record_bench(
         "serving_warm_vs_cold",
         {
             "trace": trace,
@@ -286,7 +264,7 @@ def test_bench_observability_off_overhead(benchmark):
             "warm_overhead_percent": {"measured": warm_percent, "paper": 2.0},
         },
     )
-    _record_bench(
+    record_bench(
         "observability_off_overhead",
         {
             "trace": trace,
@@ -337,7 +315,7 @@ def test_bench_flash_compression_speedup(benchmark):
             },
         },
     )
-    _record_bench(
+    record_bench(
         "flash_compression",
         {
             "design": "virgo",
@@ -397,7 +375,7 @@ def test_bench_epoch_compression_million_requests(benchmark):
             },
         },
     )
-    _record_bench(
+    record_bench(
         "serving_epoch_1m",
         {
             "design": "virgo",

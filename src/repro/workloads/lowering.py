@@ -35,6 +35,15 @@ exactly where the resource model allows) and aggregates cycles, MAC
 utilization and energy per layer, per phase and for the whole model into a
 :class:`ModelRunResult`.
 
+Serving executes the same per-request decode steps over and over, inside
+ever-different batches, so it runs on compiled step programs instead:
+``compile_step_program`` resolves one schedule's kernels once into a
+:class:`StepProgram` of integer arrays and per-layer counter rows, and
+``execute_step_programs`` list-schedules a batch of programs interleaved
+by position on plain ints.  The result equals ``merge_schedules`` followed
+by ``execute_schedule`` exactly, energy bit for bit (``docs/perf-contract.md``
+contract 7), without building the merged schedule.
+
 Causal masks are modelled *exactly*: fused flash kernels carry the mask
 fields (``causal``/``kv_len``/``window``/``seq_lens``) into
 :class:`FlashAttentionWorkload`, whose tile loop visits only the KV tiles
@@ -48,7 +57,9 @@ enforces that it stays gone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.config.presets import DesignKind, make_design
 from repro.config.soc import DataType, DesignConfig, IntegrationStyle
@@ -60,7 +71,8 @@ from repro.kernels.flash_attention import (
 )
 from repro.kernels.gemm import GemmWorkload
 from repro.kernels.heterogeneous import design_with_unit, small_unit_config
-from repro.obs import MetricsRegistry, occupancy_percent, phase, trace_recorder
+from repro.obs import MetricsRegistry, TraceRecorder, occupancy_percent, phase, trace_recorder
+from repro.obs.trace import UNITS_PROCESS
 from repro.perf import timing_cache
 from repro.runner import run_flash_attention, run_gemm
 from repro.sim.resources import Resource
@@ -850,6 +862,298 @@ def execute_schedule(schedule: KernelSchedule, duration_scale: float = 1.0) -> M
         timing_cache=cache_stats,
         metrics=_model_metrics(schedule, placed, durations, cache_stats),
     )
+
+
+# --------------------------------------------------------------------------- #
+# Compiled step programs
+# --------------------------------------------------------------------------- #
+
+#: Resources a step program's integer resource indices refer to.
+PROGRAM_RESOURCES = (MATRIX_RESOURCE, SIMT_RESOURCE, SMALL_MATRIX_RESOURCE)
+_RESOURCE_INDEX = {name: index for index, name in enumerate(PROGRAM_RESOURCES)}
+
+
+@dataclass(frozen=True, eq=False)
+class StepProgram:
+    """One kernel schedule compiled to pre-resolved integer arrays.
+
+    A serving run executes the same per-request decode step -- one (model,
+    bucketed context, unit) schedule -- iteration after iteration, each time
+    inside a different batch.  Compiling resolves once everything that does
+    not depend on the batch: every kernel's timing-cache result, its
+    resource and dependencies as indices, and the per-layer counter sums
+    the energy model folds.  :func:`execute_step_programs` then places a
+    batch of programs on plain ints.
+    """
+
+    schedule: KernelSchedule
+    #: Per kernel: index into :data:`PROGRAM_RESOURCES`.
+    resources: Tuple[int, ...]
+    #: Per kernel: simulated cycles before any duration scaling.
+    cycles: Tuple[int, ...]
+    #: Per kernel: ``_scaled_cycles(cycles, 1.0)``, the unscaled duration.
+    durations: Tuple[int, ...]
+    #: Per kernel: indices of the kernels it waits on, within the step.
+    deps: Tuple[Tuple[int, ...], ...]
+    #: Per kernel: the kernel's ``schedule_stats`` (trace annotations).
+    stats: Tuple[Optional[Dict[str, int]], ...]
+    #: First kernel index of every layer, in layer order.
+    layer_starts: np.ndarray
+    #: Counter keys in first-seen order over the layers, each mapped to
+    #: where it first appears: (first kernel index of the first layer
+    #: holding it, its rank among that layer's keys).
+    keys: Dict[str, Tuple[int, int]]
+    #: (layers x keys) counter sums, each an in-order fold of the layer's
+    #: kernels; 0.0 where a layer lacks the key.
+    layer_rows: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.resources)
+
+
+def compile_step_program(schedule: KernelSchedule) -> StepProgram:
+    """Resolve every kernel of ``schedule`` once, for repeated execution.
+
+    Probes the timing cache exactly as one :func:`execute_schedule` of the
+    schedule does: one lookup per kernel, same kernels, same order.
+    """
+    design = schedule.design
+    index_of: Dict[str, int] = {}
+    resources: List[int] = []
+    cycles: List[int] = []
+    deps: List[Tuple[int, ...]] = []
+    stats: List[Optional[Dict[str, int]]] = []
+    layer_of: Dict[str, int] = {}
+    layer_starts: List[int] = []
+    layer_counters: List[Counters] = []
+    with phase("kernel_sim", model=schedule.model, kernels=len(schedule.invocations)):
+        for position, inv in enumerate(schedule.invocations):
+            kernel_stats = None
+            if inv.kind == "gemm":
+                target = (
+                    schedule.small_design
+                    if inv.resource == SMALL_MATRIX_RESOURCE and schedule.small_design
+                    else design
+                )
+                run = run_gemm(target, inv.workload, inv.workload.dtype)
+                kernel_cycles, counters = run.total_cycles, run.counters
+                kernel_stats = run.kernel.schedule_stats
+            elif inv.kind == "flash":
+                run = run_flash_attention(design, inv.workload)
+                kernel_cycles, counters = run.total_cycles, run.kernel.counters
+                kernel_stats = run.kernel.schedule_stats
+            else:
+                kernel_cycles, counters = _simt_cost(
+                    design, inv.elements, inv.flops_per_element
+                )
+            index_of[inv.name] = position
+            resources.append(_RESOURCE_INDEX[inv.resource])
+            cycles.append(kernel_cycles)
+            deps.append(tuple(index_of[dep] for dep in inv.deps if dep))
+            stats.append(kernel_stats)
+            layer = layer_of.get(inv.layer)
+            if layer is None:
+                layer = layer_of[inv.layer] = len(layer_starts)
+                layer_starts.append(position)
+                layer_counters.append(Counters())
+            layer_counters[layer].merge(counters)
+
+    first_seen: Dict[str, Tuple[int, int]] = {}
+    for start, counters in zip(layer_starts, layer_counters):
+        for rank, key in enumerate(counters):
+            first_seen.setdefault(key, (start, rank))
+    column = {key: index for index, key in enumerate(first_seen)}
+    layer_rows = np.zeros((len(layer_counters), len(column)))
+    for layer, counters in enumerate(layer_counters):
+        for key, value in counters.items():
+            layer_rows[layer, column[key]] = value
+    return StepProgram(
+        schedule=schedule,
+        resources=tuple(resources),
+        cycles=tuple(cycles),
+        durations=tuple(_scaled_cycles(value, 1.0) for value in cycles),
+        deps=tuple(deps),
+        stats=tuple(stats),
+        layer_starts=np.array(layer_starts, dtype=np.int64),
+        keys=first_seen,
+        layer_rows=layer_rows,
+    )
+
+
+class ProgramPlacement(NamedTuple):
+    """One batch of step programs, placed: what serving keeps of an iteration."""
+
+    total_cycles: int
+    #: Per batch row: the latest end cycle of any of the row's kernels.
+    row_ends: Tuple[int, ...]
+    kernel_count: int
+    energy_uj: float
+    resource_busy: Dict[str, int]
+
+
+def execute_step_programs(
+    programs: Sequence[StepProgram],
+    prefixes: Sequence[str],
+    table: EnergyTable,
+    duration_scale: float = 1.0,
+) -> ProgramPlacement:
+    """List-schedule a batch of step programs, interleaved by position.
+
+    Equal to ``execute_schedule(merge_schedules(list(zip(prefixes,
+    schedules))), duration_scale)`` -- the placement, each row's latest
+    kernel end, the kernel count, busy cycles and energy, float for float
+    -- without building a merged schedule.  Every program must come from
+    one design and unit layout.  ``prefixes`` name the rows' kernels in
+    trace spans, recorded only while a trace recorder is active.
+    """
+    if duration_scale == 1.0:
+        durations = [program.durations for program in programs]
+    else:
+        distinct = {id(program): program for program in programs}
+        scaled = {
+            key: tuple(_scaled_cycles(value, duration_scale) for value in program.cycles)
+            for key, program in distinct.items()
+        }
+        durations = [scaled[id(program)] for program in programs]
+    lengths = [len(program.resources) for program in programs]
+    ends = [[0] * length for length in lengths]
+
+    # Merged order is position-major, batch order within a position; a
+    # kernel starts once its dependencies (all in its own row) have ended
+    # and its resource is free.
+    free = [0, 0, 0]
+    busy = [0, 0, 0]
+    live = list(zip(lengths, (program.resources for program in programs), durations,
+                    (program.deps for program in programs), ends))
+    position = 0
+    for depth in sorted(set(lengths)):
+        for position in range(position, depth):
+            for _, resources, row_durations, deps, row_ends in live:
+                ready = 0
+                for dep in deps[position]:
+                    if row_ends[dep] > ready:
+                        ready = row_ends[dep]
+                unit = resources[position]
+                start = free[unit] if free[unit] > ready else ready
+                duration = row_durations[position]
+                free[unit] = row_ends[position] = start + duration
+                busy[unit] += duration
+        position = depth
+        live = [row for row in live if row[0] > depth]
+
+    recorder = trace_recorder()
+    if recorder is not None:
+        _record_programs(recorder, programs, prefixes, durations, ends)
+    row_ends = tuple(max(row) for row in ends)
+    resource_busy = {MATRIX_RESOURCE: busy[0], SIMT_RESOURCE: busy[1]}
+    if programs[0].schedule.heterogeneous:
+        resource_busy[SMALL_MATRIX_RESOURCE] = busy[2]
+    return ProgramPlacement(
+        total_cycles=max(row_ends),
+        row_ends=row_ends,
+        kernel_count=sum(lengths),
+        energy_uj=_programs_energy_uj(programs, table),
+        resource_busy=resource_busy,
+    )
+
+
+def _programs_energy_uj(programs: Sequence[StepProgram], table: EnergyTable) -> float:
+    """The merged schedule's active energy, folded as execute_schedule does.
+
+    The merged layers come in first-appearance order, i.e. by (first
+    kernel position, batch row); every counter key is a sequential float
+    fold over them (``np.add.accumulate``, never a pairwise sum).  Keys,
+    and the energy components they charge, follow first-seen order.
+    """
+    first_row: Dict[int, int] = {}
+    distinct: List[StepProgram] = []
+    for row, program in enumerate(programs):
+        if id(program) not in first_row:
+            first_row[id(program)] = row
+            distinct.append(program)
+    first_seen: Dict[str, Tuple[int, int, int]] = {}
+    for program in distinct:
+        row = first_row[id(program)]
+        for key, (start, rank) in program.keys.items():
+            seen = (start, row, rank)
+            current = first_seen.get(key)
+            if current is None or seen < current:
+                first_seen[key] = seen
+    keys = sorted(first_seen, key=first_seen.__getitem__)
+    column = {key: index for index, key in enumerate(keys)}
+
+    # One table of every distinct program's layer rows over the merged key
+    # columns, then the batch's layers gathered from it in merged order.
+    blocks = []
+    offset_of: Dict[int, int] = {}
+    offset = 0
+    for program in distinct:
+        block = np.zeros((len(program.layer_starts), len(keys)))
+        block[:, [column[key] for key in program.keys]] = program.layer_rows
+        blocks.append(block)
+        offset_of[id(program)] = offset
+        offset += len(block)
+    lengths = np.array([len(program.layer_starts) for program in programs])
+    row_starts = np.cumsum(lengths) - lengths
+    offsets = np.array([offset_of[id(program)] for program in programs])
+    gather = np.arange(lengths.sum()) + np.repeat(offsets - row_starts, lengths)
+    starts = np.concatenate([program.layer_starts for program in distinct])[gather]
+    rows = np.repeat(np.arange(len(programs)), lengths)
+    order = np.argsort(starts * len(programs) + rows)
+    layer_rows = np.concatenate(blocks)[gather[order]]
+    totals = np.add.accumulate(layer_rows, axis=0)[-1].tolist()
+
+    components: Dict[str, float] = {}
+    for key, value in zip(keys, totals):
+        spec = table.spec_for(key)
+        if spec is not None:
+            components[spec.component] = (
+                components.get(spec.component, 0.0) + spec.picojoules * value
+            )
+    return sum(components.values()) / 1e6
+
+
+def _record_programs(
+    recorder: TraceRecorder,
+    programs: Sequence[StepProgram],
+    prefixes: Sequence[str],
+    durations: Sequence[Tuple[int, ...]],
+    ends: Sequence[List[int]],
+) -> None:
+    """Emit the spans and flows ``record_schedule`` emits for the merged
+    schedule: one span per kernel in merged order, then the dependency
+    flows."""
+    spans = [[0] * len(program) for program in programs]
+    placed: List[Tuple[int, int]] = []
+    for position in range(max(len(program) for program in programs)):
+        for row, program in enumerate(programs):
+            if position >= len(program):
+                continue
+            inv = program.schedule.invocations[position]
+            prefix = prefixes[row]
+            args: Dict[str, object] = {"layer": prefix + inv.layer, "phase": inv.phase}
+            stats = program.stats[position]
+            if stats:
+                args["operations"] = stats.get("operation_count", 0)
+                args["executed_operations"] = stats.get("executed_operations", 0)
+                args["compressed"] = stats.get("extrapolated_operations", 0) > 0
+            deps = [prefix + dep for dep in inv.deps if dep]
+            if deps:
+                args["deps"] = deps
+            duration = durations[row][position]
+            spans[row][position] = recorder.add_span(
+                prefix + inv.name,
+                process=UNITS_PROCESS,
+                track=inv.resource,
+                start=ends[row][position] - duration,
+                duration=duration,
+                category=inv.kind or "op",
+                args=args,
+            )
+            placed.append((row, position))
+    for row, position in placed:
+        for dep in programs[row].deps[position]:
+            recorder.add_flow(spans[row][dep], spans[row][position])
 
 
 def run_model(

@@ -13,25 +13,27 @@ continuous batching over it:
    model graph whose KV context is the prompt length plus the steps completed
    so far, rounded up to the trace's ``context_bucket`` (a paged-KV model
    that keeps the kernel-shape working set finite);
-3. the per-request step schedules are merged position-interleaved into one
-   kernel schedule (:func:`repro.workloads.lowering.merge_schedules`) and
-   executed on the taskgraph scheduler, so independent requests overlap
-   across the matrix units and SIMT cores exactly the way MoE expert chains
-   already do within a layer;
+3. the per-request step schedules are interleaved by position and
+   list-scheduled as one kernel schedule -- each step compiled once into a
+   :class:`~repro.workloads.lowering.StepProgram` and run by
+   :func:`~repro.workloads.lowering.execute_step_programs`, exactly as
+   :func:`~repro.workloads.lowering.merge_schedules` plus ``execute_schedule``
+   would -- so independent requests overlap across the matrix units and
+   SIMT cores exactly the way MoE expert chains already do within a layer;
 4. requests that completed their decode budget retire; the clock advances by
    the iteration makespan and the loop repeats until the trace drains.
 
 Every per-kernel simulation flows through the process-wide timing cache and
 the steady-state-compressed kernel schedulers, lowered per-step schedules
-are memoized per (model spec, bucketed context), and whole *iterations* are
-memoized process-wide by their batch composition -- the ordered (model,
-bucketed context, unit) sequence plus the design fingerprint
-(:meth:`ServingScheduler._memo_key`).  KV bucketing makes compositions
-repeat, so after the first few iterations a serving run replays recorded
-outcomes: no merging, no list scheduling, no kernel simulation.
-``ServingRunResult.iteration_memo`` reports the per-run hit/miss split; the
-memo is invalidated whenever the timing cache is cleared and bypassed while
-it is disabled.
+and their compiled programs are memoized per (model, bucketed context,
+unit), and whole *iterations* are memoized process-wide by their batch
+composition -- the ordered (model, bucketed context, unit) sequence plus
+the design fingerprint (:meth:`ServingScheduler._memo_key`).  KV bucketing
+makes compositions repeat, so after the first few iterations a serving run
+replays recorded outcomes: no merging, no list scheduling, no kernel
+simulation.  ``ServingRunResult.iteration_memo`` reports the per-run
+hit/miss split; the memo is invalidated whenever the timing cache is
+cleared and bypassed while it is disabled.
 
 Above the batcher sits a pluggable *control plane*
 (:mod:`repro.workloads.control`): a :class:`SchedulingPolicy` decides at
@@ -67,6 +69,7 @@ import numpy as np
 
 from repro.config.presets import DesignKind, make_design
 from repro.config.soc import DataType, DesignConfig
+from repro.energy.model import EnergyTable
 from repro.faults import FaultInjector, FaultPlan
 from repro.kernels.heterogeneous import small_unit_config
 from repro.workloads.control import (
@@ -98,9 +101,11 @@ from repro.workloads.lowering import (
     MATRIX_RESOURCE,
     SMALL_MATRIX_RESOURCE,
     KernelSchedule,
+    StepProgram,
+    compile_step_program,
     execute_schedule,
+    execute_step_programs,
     lower_graph,
-    merge_schedules,
 )
 from repro.workloads.models import ModelSpec, build_model, resolve_trace, scaled_spec
 
@@ -349,6 +354,14 @@ class _Queued:
     evicted_cycle: Optional[int] = None
 
 
+@dataclass
+class _Step:
+    """A lowered decode step and, once executed, its compiled program."""
+
+    schedule: KernelSchedule
+    program: Optional[StepProgram] = None
+
+
 @dataclass(frozen=True)
 class _IterationOutcome:
     """Everything a continuous-batching iteration contributes to the run.
@@ -565,9 +578,10 @@ class ServingScheduler:
     """Iteration-level continuous batching on one design configuration.
 
     The scheduler is reusable across traces; it memoizes lowered per-step
-    schedules per (model spec, bucketed context), so repeated steps -- and
-    repeated *requests* with the same network -- cost schedule assembly, not
-    lowering, and their kernels resolve from the timing cache.
+    schedules per (request model, bucketed context, unit), each with the
+    step program compiled from it on first execution, so a repeated step --
+    and a repeated *request* with the same network -- costs neither
+    lowering nor kernel lookups.
     """
 
     def __init__(
@@ -589,7 +603,12 @@ class ServingScheduler:
         self.epoch_compression = epoch_compression
         self.policy = resolve_policy(policy, kv_budget)
         self._design_fp: Optional[str] = None
-        self._step_schedules: Dict[Tuple[ModelSpec, str], KernelSchedule] = {}
+        # Built on the first executed iteration: memo replays never need it.
+        self._energy_table: Optional[EnergyTable] = None
+        self._step_schedules: Dict[Tuple[ModelSpec, int, str], _Step] = {}
+        # Timing-cache generation the stored step programs were compiled
+        # under; None while none may be kept (see _step_programs).
+        self._programs_generation: Optional[int] = None
         # The previous iteration's first-fit-decreasing unit packing, reused
         # verbatim while the in-flight composition is unchanged (the common
         # steady-state case between arrivals/retirements/bucket crossings).
@@ -678,9 +697,15 @@ class ServingScheduler:
         unit (requests, not kernels, are the parallelism grain in serving);
         flash/SIMT kernels are unaffected.
         """
-        spec = scaled_spec(request.model, phase="decode", context_len=context)
-        schedule = self._step_schedules.get((spec, unit))
-        if schedule is None:
+        return self._step(request, context, unit).schedule
+
+    def _step(self, request: RequestSpec, context: int, unit: str) -> _Step:
+        # Keyed by the request's own model object: its hash is pinned, so a
+        # hit never rebuilds the decode spec.
+        key = (request.model, context, unit)
+        step = self._step_schedules.get(key)
+        if step is None:
+            spec = scaled_spec(request.model, phase="decode", context_len=context)
             with phase("lower", model=request.model.family, context=context):
                 schedule = lower_graph(
                     build_model(spec),
@@ -699,8 +724,41 @@ class ServingScheduler:
                         for inv in schedule.invocations
                     ],
                 )
-            self._step_schedules[(spec, unit)] = schedule
-        return schedule
+            step = self._step_schedules[key] = _Step(schedule)
+        return step
+
+    def _step_programs(
+        self, active: List[_InFlight], contexts: List[int], units: List[str]
+    ) -> List[StepProgram]:
+        """The batch's compiled step programs, one per row.
+
+        A step compiles on its first execution, probing the timing cache
+        exactly as one execution of that step does; every later use credits
+        its kernel count back as hits, so the run reports the lookups a
+        per-kernel execution would.  Programs derive from cache contents:
+        all are dropped when the cache generation changes, and none is kept
+        while the cache is disabled (every row then compiles afresh).
+        """
+        cache = timing_cache()
+        generation = cache.generation if cache.enabled else None
+        if generation != self._programs_generation:
+            for step in self._step_schedules.values():
+                step.program = None
+            self._programs_generation = generation
+        programs: List[StepProgram] = []
+        credited = 0
+        for state, context, unit in zip(active, contexts, units):
+            step = self._step(state.request, context, unit)
+            program = step.program
+            if program is None:
+                program = compile_step_program(step.schedule)
+                if generation is not None:
+                    step.program = program
+            else:
+                credited += len(program)
+            programs.append(program)
+        cache.credit_hits(credited)
+        return programs
 
     def _memo_key(
         self,
@@ -774,30 +832,29 @@ class ServingScheduler:
         label: str,
         duration_scale: float = 1.0,
     ) -> _IterationOutcome:
-        """Merge, schedule and execute one iteration's batch for real."""
+        """Execute one iteration's batch for real: its step programs,
+        interleaved and list-scheduled as the merged schedule would be."""
+        if self._energy_table is None:
+            self._energy_table = EnergyTable.for_design(self.design.style)
+        cache = timing_cache()
+        hits, misses = cache.hits, cache.misses
         with phase("merge", batch=len(active)):
-            entries = [
-                (state.prefix, self.step_schedule(state.request, context, unit))
-                for state, context, unit in zip(active, contexts, units)
-            ]
-            merged = merge_schedules(entries, model=label)
-        result = execute_schedule(merged, duration_scale=duration_scale)
-        # Per-request completion inside the iteration: the latest end of any
-        # of the request's (prefixed) layers in the merged placement, found
-        # in one pass over the layers instead of one scan per request.
-        ends: Dict[str, int] = {}
-        for layer in result.layers:
-            prefix = layer.layer.split("/", 1)[0] + "/"
-            if layer.end > ends.get(prefix, -1):
-                ends[prefix] = layer.end
+            programs = self._step_programs(active, contexts, units)
+        with phase("list_schedule", model=label):
+            placed = execute_step_programs(
+                programs,
+                [state.prefix for state in active],
+                self._energy_table,
+                duration_scale=duration_scale,
+            )
         return _IterationOutcome(
-            span_cycles=result.total_cycles,
-            entry_end_cycles=tuple(ends[state.prefix] for state in active),
-            kernel_count=result.kernel_count,
-            energy_uj=result.active_energy_uj,
-            resource_busy=tuple(sorted(result.resource_busy.items())),
-            cache_hits=result.timing_cache.get("hits", 0),
-            cache_misses=result.timing_cache.get("misses", 0),
+            span_cycles=placed.total_cycles,
+            entry_end_cycles=placed.row_ends,
+            kernel_count=placed.kernel_count,
+            energy_uj=placed.energy_uj,
+            resource_busy=tuple(sorted(placed.resource_busy.items())),
+            cache_hits=cache.hits - hits,
+            cache_misses=cache.misses - misses,
         )
 
     def _readmission_penalty(self, entry: _Queued, ctx: PolicyContext) -> int:

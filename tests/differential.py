@@ -1,17 +1,21 @@
 """Shared differential-testing helpers.
 
 The repo's exactness claims -- steady-state GEMM/flash compression, the
-serving iteration memo, and epoch-level serving compression -- are all the
-same statement: two execution paths must produce *byte-identical* canonical
-encodings, not merely approximately equal numbers.  This module is the one
-place that statement is implemented, so every differential suite
-(``test_schedule_compression``, ``test_flash_compression``,
-``test_serving_memo``, ``test_faults``, ``test_epochs``) fails with the
-same, pinpointed diagnostics.
+serving iteration memo, epoch-level serving compression and compiled step
+programs -- are all the same statement: two execution paths must produce
+*byte-identical* canonical encodings, not merely approximately equal
+numbers.  This module is the one place that statement is implemented, so
+every differential suite (``test_schedule_compression``,
+``test_flash_compression``, ``test_serving_memo``, ``test_faults``,
+``test_epochs``, ``test_step_programs``) fails with the same, pinpointed
+diagnostics.
 """
 
 import json
 from typing import Iterable, Sequence, Tuple
+
+from repro.workloads.lowering import execute_schedule, merge_schedules
+from repro.workloads.serving import _IterationOutcome
 
 
 def canonical_bytes(payload, ignore_paths: Sequence[str] = ()) -> str:
@@ -79,3 +83,36 @@ def first_divergence(a: str, b: str) -> Tuple[int, str, str]:
     )
     lo, hi = max(0, offset - 60), offset + 60
     return offset, a[lo:hi], b[lo:hi]
+
+
+def merged_iteration(
+    scheduler, trace, active, contexts, units, label, duration_scale=1.0
+) -> _IterationOutcome:
+    """One serving iteration on the reference path: merge the rows' step
+    schedules, execute the merged schedule, read each row's end off its
+    prefixed layers.
+
+    Signature-compatible with ``ServingScheduler._execute_iteration``, so a
+    test can call it directly or monkeypatch it in to run whole serving and
+    fleet runs on the reference path.
+    """
+    entries = [
+        (state.prefix, scheduler.step_schedule(state.request, context, unit))
+        for state, context, unit in zip(active, contexts, units)
+    ]
+    result = execute_schedule(
+        merge_schedules(entries, model=label), duration_scale=duration_scale
+    )
+    ends = {}
+    for layer in result.layers:
+        prefix = layer.layer.split("/", 1)[0] + "/"
+        ends[prefix] = max(ends.get(prefix, -1), layer.end)
+    return _IterationOutcome(
+        span_cycles=result.total_cycles,
+        entry_end_cycles=tuple(ends[state.prefix] for state in active),
+        kernel_count=result.kernel_count,
+        energy_uj=result.active_energy_uj,
+        resource_busy=tuple(sorted(result.resource_busy.items())),
+        cache_hits=result.timing_cache["hits"],
+        cache_misses=result.timing_cache["misses"],
+    )
