@@ -85,7 +85,7 @@ class TightlyCoupledGemmKernel:
         smem_cycles = -(-fragment_bytes // smem.peak_bytes_per_cycle)
         compute_cycles = max(compute_cycles, smem_cycles)
 
-        counters = self._iteration_counters(streams, tiling)
+        counters = self._iteration_counters(streams, execution.counters, tiling)
         instructions = streams.instructions_per_core() * self.design.cluster.cores
         return streams, compute_cycles, dma_cycles, dram_cycles, counters, instructions
 
@@ -93,11 +93,12 @@ class TightlyCoupledGemmKernel:
         dma = DmaEngine(self.design.cluster.dma, self.dram)
         return dma.transfer_cycles(nbytes)
 
-    def _iteration_counters(self, streams, tiling: ThreadBlockTiling) -> Counters:
+    def _iteration_counters(
+        self, streams, core_counters: Counters, tiling: ThreadBlockTiling
+    ) -> Counters:
         counters = Counters()
         # Core-side events for every core in the cluster.
-        core_events = self.core.count_events(streams.programs_for_core())
-        counters.merge(core_events.scaled(self.design.cluster.cores))
+        counters.merge(core_counters.scaled(self.design.cluster.cores))
         # Matrix-unit events for every tile operation in the iteration.
         tile_ops = streams.tile_ops_per_core * self.design.cluster.cores
         per_tile = Counters()

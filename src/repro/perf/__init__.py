@@ -7,7 +7,9 @@ SIMT shapes, so a 24-layer model needs ~3 distinct kernel simulations, not
 (:func:`repro.runner.run_gemm`, :func:`repro.runner.run_flash_attention`)
 and the SIMT cost model in :mod:`repro.workloads.lowering` consult a
 process-wide :class:`TimingCache` before simulating, and publish their
-results into it afterwards.
+results into it afterwards.  Inside a kernel simulation,
+:meth:`repro.simt.core.VortexCore.execute` memoizes each distinct set of
+warp programs in a namespace table of the same cache.
 
 Cache-key contract
 ------------------

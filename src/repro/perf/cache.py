@@ -19,11 +19,13 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, Mapping, TypeVar, Union
 
-from repro.config.soc import DesignConfig
+from repro.config.soc import CoreConfig, DesignConfig
 from repro.obs.phase import phase
 
 #: Bump when a timing model changes shape, so stale entries can never be
 #: confused with fresh ones (relevant when snapshots cross process borders).
+#: That includes the SIMT issue model and its event counting, whose results
+#: the ``VortexCore.execute`` memo stores in a namespace table.
 SCHEMA_VERSION = 1
 
 #: Version of the snapshot *container* (the dict ``snapshot()`` returns and
@@ -58,9 +60,10 @@ def canonical_value(value: Any) -> Any:
 
 
 @lru_cache(maxsize=None)
-def design_fingerprint(design: DesignConfig) -> str:
+def design_fingerprint(design: Union[DesignConfig, CoreConfig]) -> str:
     """Content hash over every field of a design configuration tree.
 
+    Also takes a ``CoreConfig`` subtree (the SIMT execution memo's key).
     Memoized on the (frozen, hashable) config object so repeated kernels on
     the same design pay the canonicalization cost once.
     """
@@ -124,8 +127,9 @@ class TimingCache:
         against concurrent mutation: callers mutate the returned dict
         directly, so mutating a table while another thread snapshots the
         cache is a data race.  The current consumers respect that contract
-        -- the serving scheduler runs single-threaded, and the persistence
-        layer flushes after runs complete.
+        -- the serving scheduler and the kernel models (through the
+        ``VortexCore.execute`` memo) run single-threaded, and the
+        persistence layer flushes after runs complete.
         """
         with self._lock:
             return self._namespaces.setdefault(name, {})

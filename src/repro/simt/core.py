@@ -16,12 +16,14 @@ paper's Figure 10 breakdown:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
 from repro.config.soc import CoreConfig
 from repro.isa.instructions import Instruction, OpClass
 from repro.isa.program import WarpProgram
+from repro.perf import design_fingerprint, timing_cache
 from repro.sim.stats import Counters
 from repro.simt.issue import IssueResult, IssueSimulator
 
@@ -64,6 +66,21 @@ class CoreExecutionResult:
         return self.issue.instructions_issued
 
 
+#: Namespace of the core execution memo inside the timing cache: one entry
+#: per distinct (core config, scheduler, warp instruction sequences).
+_EXECUTION_NAMESPACE = "simt.core_execution"
+
+
+def _encode_instruction(instruction: Instruction) -> bytes:
+    # ``tag`` is left out on purpose: it is a tracing label that neither the
+    # issue model nor the event counters read, so programs differing only in
+    # tags execute identically and share one memo entry.
+    return (
+        f"{instruction.op_class.value},{instruction.reg_reads},"
+        f"{instruction.reg_writes},{instruction.bytes_accessed};"
+    ).encode("ascii")
+
+
 class VortexCore:
     """One Vortex SIMT core: issue timing + per-instruction energy events."""
 
@@ -72,19 +89,53 @@ class VortexCore:
         self._issue_simulator = IssueSimulator(config, scheduler=scheduler)
 
     def execute(self, programs: Sequence[WarpProgram]) -> CoreExecutionResult:
-        """Replay ``programs`` (one per active warp) and collect energy events."""
+        """Replay ``programs`` (one per active warp) and collect energy events.
+
+        Memoized by content in a timing-cache namespace, so kernels that
+        rebuild the same iteration programs simulate them once per cache
+        lifetime.  The result is shared: treat it as immutable.
+        """
+        cache = timing_cache()
+        if not cache.enabled:
+            return self._simulate(programs)
+        table = cache.namespace(_EXECUTION_NAMESPACE)
+        key = self.execution_key(programs)
+        result = table.get(key)
+        if result is None:
+            result = table[key] = self._simulate(programs)
+        return result
+
+    def execution_key(self, programs: Sequence[WarpProgram]) -> bytes:
+        """Content digest of one :meth:`execute` input.
+
+        Covers the core config, the scheduler kind and, per warp in order,
+        each instruction's (op class, register reads, register writes,
+        bytes accessed) -- everything the issue model and the counters
+        read.  The program ``name`` is left out for the same reason as the
+        instruction ``tag``: nothing in the simulation reads it.  Kernels
+        repeat a few ``Instruction`` objects many times, so each object is
+        encoded once per call, looked up by ``id()``; the programs keep the
+        objects alive for the call, and the digest holds content only.
+        """
+        encoded: Dict[int, bytes] = {}
+        core = f"{design_fingerprint(self.config)}:{self._issue_simulator.scheduler_kind}"
+        digest = hashlib.sha256(core.encode("ascii"))
+        for program in programs:
+            codes = []
+            for instruction in program.instructions:
+                code = encoded.get(id(instruction))
+                if code is None:
+                    code = encoded[id(instruction)] = _encode_instruction(instruction)
+                codes.append(code)
+            digest.update(hashlib.sha256(b"".join(codes)).digest())
+        return digest.digest()
+
+    def _simulate(self, programs: Sequence[WarpProgram]) -> CoreExecutionResult:
         issue = self._issue_simulator.simulate(programs)
         counters = Counters()
         for program in programs:
             self._count_program(program, counters)
         return CoreExecutionResult(issue=issue, counters=counters)
-
-    def count_events(self, programs: Sequence[WarpProgram]) -> Counters:
-        """Energy events only (no timing), for analytical replication."""
-        counters = Counters()
-        for program in programs:
-            self._count_program(program, counters)
-        return counters
 
     def _count_program(self, program: WarpProgram, counters: Counters) -> None:
         lanes = self.config.lanes

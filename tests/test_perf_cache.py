@@ -6,10 +6,14 @@ same canonical ``to_dict()`` encoding for every zoo model x design x dtype
 combination; the cache only changes how often the kernel timing models run.
 """
 
+import pickle
+
 import pytest
 
 from repro.config.presets import DesignKind, make_design
-from repro.config.soc import DataType
+from repro.config.soc import CoreConfig, DataType
+from repro.isa.instructions import OpClass
+from repro.isa.program import WarpProgram
 from repro.kernels.flash_attention import FlashAttentionWorkload
 from repro.kernels.gemm import GemmWorkload
 from repro.perf import (
@@ -21,6 +25,8 @@ from repro.perf import (
     timing_cache,
 )
 from repro.runner import run_flash_attention, run_gemm
+from repro.simt.core import _EXECUTION_NAMESPACE, VortexCore
+from repro.simt.issue import IssueSimulator
 from repro.workloads import model_names, run_model
 from repro.workloads.lowering import _simt_cost
 
@@ -224,6 +230,61 @@ class TestTimingCacheMechanics:
         assert key == cache.key("gemm", design, {"workload": GemmWorkload.square(64)})
         assert key != cache.key("flash", design, {"workload": GemmWorkload.square(64)})
         assert key != cache.key("gemm", design, {"workload": GemmWorkload.square(65)})
+
+
+class TestSimtExecutionMemo:
+    """The ``VortexCore.execute`` memo rides the timing cache's lifecycle."""
+
+    @staticmethod
+    def _execute():
+        load = WarpProgram().emit_class(OpClass.LOAD_SHARED, repeat=4, bytes_accessed=32)
+        alu = WarpProgram().emit_class(OpClass.ALU, repeat=2)
+        return VortexCore(CoreConfig()).execute([load, alu])
+
+    @staticmethod
+    def _count_simulations(monkeypatch):
+        calls = []
+        original = IssueSimulator.simulate
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(IssueSimulator, "simulate", counting)
+        return calls
+
+    def test_clear_empties_the_table(self):
+        table = timing_cache().namespace(_EXECUTION_NAMESPACE)
+        self._execute()
+        assert len(table) == 1
+        timing_cache().clear()
+        assert len(table) == 0
+
+    def test_snapshot_serves_execute_in_a_fresh_cache(self, monkeypatch):
+        expected = self._execute()
+        snapshot = pickle.loads(pickle.dumps(timing_cache().snapshot()))
+        timing_cache().clear()
+        timing_cache().load(snapshot)
+        calls = self._count_simulations(monkeypatch)
+        served = self._execute()
+        assert calls == []
+        assert served.issue == expected.issue
+        assert list(served.counters.items()) == list(expected.counters.items())
+
+    def test_stale_schema_snapshot_is_orphaned(self, monkeypatch):
+        self._execute()
+        snapshot = timing_cache().snapshot()
+        timing_cache().clear()
+        timing_cache().load(dict(snapshot, schema=SCHEMA_VERSION + 1))
+        assert timing_cache().namespace(_EXECUTION_NAMESPACE) == {}
+        calls = self._count_simulations(monkeypatch)
+        self._execute()
+        assert calls == [1]
+
+    def test_memo_hits_leave_stats_unchanged(self):
+        self._execute()
+        self._execute()
+        assert timing_cache().stats() == {"hits": 0, "misses": 0, "entries": 0}
 
 
 class TestConcurrentMisses:
