@@ -34,42 +34,68 @@ __all__ = [
 
 @dataclass
 class PhaseRecord:
-    """One completed phase span (wall-clock seconds)."""
+    """One completed phase span (wall-clock seconds).
+
+    ``seconds`` is inclusive; ``self_seconds`` excludes the phases that ran
+    nested inside this one.
+    """
 
     name: str
     seconds: float
     args: Dict[str, object]
+    self_seconds: float
 
 
 class PhaseProfiler:
-    """Accumulates :class:`PhaseRecord` entries across a profiled region."""
+    """Accumulates :class:`PhaseRecord` entries across a profiled region.
+
+    Phases nest (``fleet.iteration`` encloses ``serving.iteration``, which
+    encloses ``merge``), so the profiler keeps a stack holding the child
+    time of each open phase; a closing phase's self time is its wall time
+    minus its children's, and the self times of a phase tree sum to the
+    outermost phase's inclusive time.
+    """
 
     def __init__(self) -> None:
         self.records: List[PhaseRecord] = []
+        self._open: List[float] = []
 
-    def add(self, name: str, seconds: float, args: Dict[str, object]) -> None:
-        self.records.append(PhaseRecord(name=name, seconds=seconds, args=args))
+    def open(self) -> None:
+        """Push a phase that has just started."""
+        self._open.append(0.0)
+
+    def close(self, name: str, seconds: float, args: Dict[str, object]) -> None:
+        """Pop the innermost open phase, which ran for ``seconds``."""
+        children = self._open.pop()
+        if self._open:
+            self._open[-1] += seconds
+        self.records.append(
+            PhaseRecord(name=name, seconds=seconds, args=args, self_seconds=seconds - children)
+        )
 
     def totals(self) -> Dict[str, Dict[str, float]]:
-        """Per-phase aggregate: call count and total wall-clock seconds."""
+        """Per-phase aggregate: call count, inclusive and self wall-clock seconds."""
         summary: Dict[str, Dict[str, float]] = {}
         for record in self.records:
-            entry = summary.setdefault(record.name, {"calls": 0, "seconds": 0.0})
+            entry = summary.setdefault(
+                record.name, {"calls": 0, "seconds": 0.0, "self_seconds": 0.0}
+            )
             entry["calls"] += 1
             entry["seconds"] += record.seconds
+            entry["self_seconds"] += record.self_seconds
         return summary
 
     def format_totals(self) -> str:
-        """Human-readable per-phase totals, slowest first."""
+        """Human-readable per-phase totals, largest self time first."""
         totals = self.totals()
         if not totals:
             return "no phases recorded"
         width = max(len(name) for name in totals)
         lines = [
-            f"{name:<{width}}  {entry['seconds'] * 1e3:9.2f} ms  "
-            f"{int(entry['calls']):5d} calls"
+            f"{name:<{width}}  {entry['self_seconds'] * 1e3:9.2f} ms self  "
+            f"{entry['seconds'] * 1e3:9.2f} ms total  {int(entry['calls']):5d} calls"
             for name, entry in sorted(
-                totals.items(), key=lambda item: -item[1]["seconds"]
+                totals.items(), key=lambda item: -item[1]["self_seconds"]
             )
         ]
         return "\n".join(lines)
@@ -120,6 +146,8 @@ class phase:
         self._profiler = profiler
         self._recorder = recorder
         if profiler is not None or recorder is not None:
+            if profiler is not None:
+                profiler.open()
             self._start = time.perf_counter()
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -127,7 +155,7 @@ class phase:
             return False
         seconds = time.perf_counter() - self._start
         if self._profiler is not None:
-            self._profiler.add(self.name, seconds, self.args)
+            self._profiler.close(self.name, seconds, self.args)
         if self._recorder is not None:
             self._recorder.add_phase_span(
                 self.name, self._start, seconds, self.args or None

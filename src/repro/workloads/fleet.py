@@ -20,13 +20,17 @@ platforms and draw order -- so a fleet run is a pure function of
 ``(trace, fleet, policy, config, fault plan)`` and two runs with the same
 seed are byte-identical.
 
-Scale contract: replicas are stepped *incrementally* between router events
-(arrivals, fault transitions, health-check beliefs, retries) through the
+Scale contract: replicas are stepped *incrementally* through the
 :meth:`ServingScheduler.iteration_outcome` hook, sharing the process-wide
-iteration memo across replicas; on memo hits with a stable composition the
-replica extrapolates whole epochs up to the next fleet event barrier
-(:func:`repro.workloads.epochs.epoch_horizon`), which is what keeps
-million-request fleet sweeps tractable.
+iteration memo across replicas; on memo hits with a stable composition a
+replica extrapolates a whole epoch
+(:func:`repro.workloads.epochs.epoch_horizon`) as one run, which is what
+keeps million-request fleet sweeps tractable.  Router events (arrivals,
+fault transitions, health-check beliefs, retries) are barriers only for
+the replicas they change: a dispatch into a replica, its crash, or a slow
+window edge on it *cuts* its run at the event, and every other event passes
+through runs in flight, because nothing the router reads from a replica
+changes inside a run.
 
 Every request ends in exactly one terminal disposition --
 ``met``/``violated`` (finished, judged against its SLO), ``shed`` (dropped
@@ -201,11 +205,16 @@ class _Replica:
     """One simulated SoC: a stepping wrapper over ServingScheduler hooks.
 
     The replica owns its local clock (``now``), active batch, and pending
-    (dispatched, not yet admitted) queue, and advances iteration by
-    iteration -- or whole epochs on memo hits -- up to an externally
-    supplied fleet-event barrier.  An iteration whose end would cross the
-    barrier is parked as ``inflight`` (iterations are atomic) and retired
-    on the next advance; a crash aborts it with its work discarded.
+    (dispatched, not yet admitted) queue, and steps in *runs*: one
+    iteration outcome applied ``count`` times back to back -- a single
+    iteration, or a whole epoch on a memo hit with a stable composition.
+    The run in flight is ``inflight = (start, outcome, effective, count,
+    replayed)``.  :meth:`advance` retires it only once it ends at or before
+    the fleet-event barrier, so router events that do not touch this
+    replica pass through it; the router calls :meth:`cut` where an event
+    does change the replica, which retires the iterations already ended
+    and keeps the crossing one (iterations are atomic) as a count-1 run.
+    A crash aborts that iteration with its work discarded.
     """
 
     def __init__(
@@ -225,7 +234,7 @@ class _Replica:
         self.active: List[_InFlight] = []
         self.pending: List[Tuple[int, _FleetRequest]] = []
         self.by_id: Dict[str, _FleetRequest] = {}
-        self.inflight: Optional[Tuple[int, object, int]] = None
+        self.inflight: Optional[Tuple[int, object, int, int, bool]] = None
         self.down_depth = 0
         self.partition_depth = 0
         self.slow_scales: List[float] = []
@@ -262,13 +271,15 @@ class _Replica:
     def slow_scale(self) -> float:
         return max(self.slow_scales, default=1.0)
 
+    # The router reads ``outstanding`` and ``resident_kv`` without cutting
+    # the run in flight: both are constant inside a run, because no request
+    # finishes before the run's last iteration (the horizon is at most the
+    # fewest remaining decode steps) and no context leaves its KV bucket
+    # within the horizon (it is at most the smallest bucket headroom).
+
     @property
     def outstanding(self) -> int:
         return len(self.active) + len(self.pending)
-
-    @property
-    def busy(self) -> bool:
-        return bool(self.active or self.pending or self.inflight is not None)
 
     @property
     def resident_kv(self) -> int:
@@ -277,14 +288,19 @@ class _Replica:
         return self.scheduler.resident_kv_bytes(self.trace, self.active)
 
     def advance(self, limit: Union[int, float], recorder) -> None:
-        """Run this replica until its next iteration boundary would cross ``limit``."""
+        """Retire every run that ends at or before ``limit``.
+
+        Each retirement starts the next run at once; the run that crosses
+        ``limit`` stays in flight, untouched, until a later barrier or a
+        :meth:`cut`.
+        """
         while not self.down:
             if self.inflight is not None:
-                end_cycle, outcome, effective = self.inflight
-                if end_cycle > limit:
+                start, outcome, effective, count, replayed = self.inflight
+                if start + count * effective > limit:
                     return
                 self.inflight = None
-                self._apply_iteration(end_cycle - effective, outcome, effective, recorder)
+                self._retire(outcome, effective, count, replayed, recorder)
                 continue
             if not self.active:
                 if not self.pending:
@@ -309,25 +325,23 @@ class _Replica:
                         self.trace, self.active, duration_scale=scale
                     )
             span = outcome.span_cycles
-            penalties = [state.pending_penalty for state in self.active]
             effective = span
             for state, end in zip(self.active, outcome.entry_end_cycles):
                 if state.pending_penalty:
                     effective = max(effective, end + state.pending_penalty)
-
-            horizon = 1
+            count = 1
             if (
                 replayed
                 and self.compress
                 and not self.pending
                 and span > 0
-                and not any(penalties)
+                and not any(state.pending_penalty for state in self.active)
             ):
                 contexts = [
                     self.trace.bucketed_context(s.request.context_at(s.steps_done))
                     for s in self.active
                 ]
-                horizon = epoch_horizon(
+                count = epoch_horizon(
                     [s.request.decode_steps - s.steps_done for s in self.active],
                     [
                         context - s.request.context_at(s.steps_done) + 1
@@ -337,32 +351,24 @@ class _Replica:
                     self.now,
                     None,
                 )
-                if horizon > 1 and limit != _INF:
-                    # Unlike a single-SoC serve (where an arrival waits for
-                    # the boundary), a fleet event must land *between*
-                    # iterations: cap the epoch to iterations that end at or
-                    # before the barrier; the crossing remainder runs solo.
-                    horizon = max(1, min(horizon, int((limit - self.now) // span)))
+            self.inflight = (self.now, outcome, effective, count, replayed)
 
-            cache = timing_cache()
-            if replayed:
-                self.memo_hits += horizon
-                lookups = horizon * outcome.cache_lookups
-                cache.credit_hits(lookups)
-                self.cache_hits += lookups
-            else:
-                self.memo_misses += 1
-                self.cache_hits += outcome.cache_hits
-                self.cache_misses += outcome.cache_misses
+    def cut(self, at: int, recorder) -> None:
+        """Split the run in flight before a router event at ``at`` changes this replica.
 
-            if horizon >= 2:
-                self._apply_epoch(outcome, span, horizon, recorder)
-                continue
-            end_cycle = self.now + effective
-            if end_cycle > limit:
-                self.inflight = (end_cycle, outcome, effective)
-                return
-            self._apply_iteration(self.now, outcome, effective, recorder)
+        The ``(at - start) // effective`` iterations that have ended by
+        ``at`` retire now; the one crossing ``at`` (or starting exactly at
+        it -- it was computed before the event) stays in flight alone.
+        """
+        if self.inflight is None:
+            return
+        start, outcome, effective, count, replayed = self.inflight
+        if count == 1:
+            return
+        done = (at - start) // effective
+        if done:
+            self._retire(outcome, effective, done, replayed, recorder)
+        self.inflight = (start + done * effective, outcome, effective, 1, replayed)
 
     def _admit_ready(self) -> None:
         ready = [(at, fr) for at, fr in self.pending if at <= self.now]
@@ -392,60 +398,71 @@ class _Replica:
             )
             self.by_id[fr.spec.request_id] = fr
 
-    def _apply_iteration(self, start: int, outcome, effective: int, recorder) -> None:
+    def _credit(self, outcome, replayed: bool, count: int) -> None:
+        """Memo/timing-cache stats for ``count`` iterations of one outcome.
+
+        A replayed run skipped ``count`` memo probes and their kernel
+        lookups, so it credits them as hits when it retires (or 1 when its
+        crossing iteration is aborted) -- the same totals an exact run that
+        probes every iteration reports.
+        """
+        if replayed:
+            lookups = count * outcome.cache_lookups
+            timing_cache().credit_hits(lookups)
+            self.memo_hits += count
+            self.cache_hits += lookups
+        else:
+            self.memo_misses += 1
+            self.cache_hits += outcome.cache_hits
+            self.cache_misses += outcome.cache_misses
+
+    def _retire(self, outcome, effective: int, count: int, replayed: bool, recorder) -> None:
+        """Apply ``count`` iterations of ``outcome`` starting at ``now``.
+
+        A count-1 run may carry admission penalties (``effective`` then
+        exceeds the span); a longer run is an epoch, which never does.
+        """
+        self._credit(outcome, replayed, count)
+        start = self.now
         for state, end in zip(self.active, outcome.entry_end_cycles):
-            done_at = start + state.pending_penalty + end
-            state.steps_done += 1
+            first_done = start + state.pending_penalty + end
+            state.steps_done += count
             state.pending_penalty = 0
             if state.first_token_cycle is None:
-                state.first_token_cycle = done_at
+                state.first_token_cycle = first_done
             if state.steps_done == state.request.decode_steps:
-                state.finish_cycle = done_at
+                state.finish_cycle = first_done + (count - 1) * effective
         if recorder is not None:
-            recorder.add_span(
-                f"iteration ({len(self.active)} reqs)",
-                process=self._process,
-                track="iterations",
-                start=start,
-                duration=effective,
-                category="iteration",
-                args={"batch": len(self.active), "scale": self.slow_scale},
-            )
-        self.iterations += 1
-        self.serving_cycles += effective
-        self.kernel_count += outcome.kernel_count
-        self.energy_uj += outcome.energy_uj
+            if count == 1:
+                recorder.add_span(
+                    f"iteration ({len(self.active)} reqs)",
+                    process=self._process,
+                    track="iterations",
+                    start=start,
+                    duration=effective,
+                    category="iteration",
+                    args={"batch": len(self.active), "scale": self.slow_scale},
+                )
+            else:
+                recorder.add_span(
+                    f"epoch x{count}",
+                    process=self._process,
+                    track="iterations",
+                    start=start,
+                    duration=count * effective,
+                    category="epoch",
+                    args={"batch": len(self.active), "iterations": count},
+                )
+        if count > 1:
+            self.epochs += 1
+            self.extrapolated_iterations += count
+        self.iterations += count
+        self.serving_cycles += count * effective
+        self.kernel_count += count * outcome.kernel_count
+        self.energy_uj = accumulate_energy_scalar(self.energy_uj, outcome.energy_uj, count)
         for resource, busy in outcome.resource_busy:
-            self.resource_busy[resource] = self.resource_busy.get(resource, 0) + busy
-        self.now = start + effective
-        self._collect_finished()
-
-    def _apply_epoch(self, outcome, span: int, horizon: int, recorder) -> None:
-        for state, end in zip(self.active, outcome.entry_end_cycles):
-            if state.first_token_cycle is None:
-                state.first_token_cycle = self.now + end
-            state.steps_done += horizon
-            if state.steps_done == state.request.decode_steps:
-                state.finish_cycle = self.now + (horizon - 1) * span + end
-        if recorder is not None:
-            recorder.add_span(
-                f"epoch x{horizon}",
-                process=self._process,
-                track="iterations",
-                start=self.now,
-                duration=horizon * span,
-                category="epoch",
-                args={"batch": len(self.active), "iterations": horizon},
-            )
-        self.iterations += horizon
-        self.epochs += 1
-        self.extrapolated_iterations += horizon
-        self.serving_cycles += horizon * span
-        self.kernel_count += horizon * outcome.kernel_count
-        self.energy_uj = accumulate_energy_scalar(self.energy_uj, outcome.energy_uj, horizon)
-        for resource, busy in outcome.resource_busy:
-            self.resource_busy[resource] = self.resource_busy.get(resource, 0) + horizon * busy
-        self.now += horizon * span
+            self.resource_busy[resource] = self.resource_busy.get(resource, 0) + count * busy
+        self.now = start + count * effective
         self._collect_finished()
 
     def _collect_finished(self) -> None:
@@ -464,7 +481,8 @@ class _Replica:
     def crash(self, at: int) -> List[_FleetRequest]:
         """Take the replica down; return the orphaned requests.
 
-        The in-flight iteration is aborted (its work is discarded, not
+        The router has :meth:`cut` the run in flight, so what remains is
+        one crossing iteration: it is aborted (its work is discarded, not
         accounted), admitted requests keep their decode progress but lose
         KV residency (``needs_reprefill``), and dispatched-but-unadmitted
         requests are simply returned to the router (no KV to lose).
@@ -472,6 +490,8 @@ class _Replica:
         self.crashes += 1
         self.down_depth += 1
         if self.inflight is not None:
+            _, outcome, _, _, replayed = self.inflight
+            self._credit(outcome, replayed, 1)
             self.aborted_iterations += 1
             self.inflight = None
         orphans: List[_FleetRequest] = []
@@ -891,6 +911,7 @@ class _FleetRun:
         rep = self.policy.choose(candidates, fr, now)
         fr.attempts += 1
         if rep.reachable:
+            rep.cut(now, self.recorder)
             rep.pending.append((now, fr))
             rep.dispatched += 1
             fr.replica = rep.index
@@ -986,6 +1007,7 @@ class _FleetRun:
                 args={"scale": event.duration_scale},
             )
         if event.kind == "crash":
+            rep.cut(now, self.recorder)
             orphans = rep.crash(now)
             if not orphans:
                 return
@@ -999,6 +1021,7 @@ class _FleetRun:
                 for fr in orphans:
                     self._finalize(fr, "failed", now)
         elif event.kind == "slow":
+            rep.cut(now, self.recorder)
             rep.slowdowns += 1
             rep.slow_scales.append(event.duration_scale)
         elif event.kind == "partition":
@@ -1010,6 +1033,7 @@ class _FleetRun:
         if event.kind == "crash":
             rep.recover(now)
         elif event.kind == "slow":
+            rep.cut(now, self.recorder)
             rep.slow_scales.remove(event.duration_scale)
         elif event.kind == "partition":
             rep.partition_depth -= 1

@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) for the fleet router's math and chaos.
 
-Two families of invariants:
+Three families of invariants:
 
 1. **Retry/backoff arithmetic** -- for every (base, cap, attempt, seed,
    request) the backoff window grows exponentially until it saturates at
@@ -14,6 +14,11 @@ Two families of invariants:
    policy, each request ends in exactly one of ``FLEET_DISPOSITIONS``, the
    census sums to the request count, and the run is reproducible: the same
    arguments give a byte-identical canonical encoding.
+
+3. **Epoch compression is exact** -- on long-decode traces, where epochs
+   run for tens of iterations and straddle arrivals, dispatches, crashes
+   and slow windows on other replicas, ``epoch_extrapolation`` changes
+   neither the canonical encoding nor the memo and timing-cache totals.
 """
 
 import json
@@ -21,7 +26,10 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from differential import assert_byte_identical
+
 from repro.faults import FleetFaultPlan
+from repro.perf import timing_cache
 from repro.workloads import (
     FLEET_DISPOSITIONS,
     ROUTER_POLICIES,
@@ -58,6 +66,25 @@ def fleet_traces(draw):
         for index, arrival in enumerate(arrivals)
     )
     return ServingTrace(name="prop-fleet", requests=requests, context_bucket=32)
+
+
+@st.composite
+def long_decode_traces(draw):
+    count = draw(st.integers(1, 14))
+    arrivals = sorted(draw(st.integers(0, 600_000)) for _ in range(count))
+    requests = tuple(
+        RequestSpec(
+            request_id=f"l{index:02d}",
+            model=TINY_GPT,
+            arrival_cycle=arrival,
+            prompt_len=draw(st.sampled_from((8, 30, 32, 60))),
+            decode_steps=draw(st.integers(1, 60)),
+            slo=SLOS[draw(st.integers(0, len(SLOS) - 1))],
+        )
+        for index, arrival in enumerate(arrivals)
+    )
+    bucket = draw(st.sampled_from((16, 32)))
+    return ServingTrace(name="prop-long", requests=requests, context_bucket=bucket)
 
 
 @st.composite
@@ -166,3 +193,23 @@ class TestDispositionPartition:
         again = run_fleet(trace, 2, policy=policy, faults=plan)
         assert json.dumps(first.to_dict(), sort_keys=True) == \
             json.dumps(again.to_dict(), sort_keys=True)
+
+
+class TestEpochCompression:
+    @given(trace=long_decode_traces(), plan=fault_plans(),
+           policy=st.sampled_from(sorted(ROUTER_POLICIES)),
+           replicas=st.integers(1, 3),
+           max_outstanding=st.sampled_from((None, 2, 4)))
+    @settings(deadline=None, max_examples=30)
+    def test_compressed_equals_exact(self, trace, plan, policy, replicas,
+                                     max_outstanding):
+        config = RouterConfig(max_outstanding=max_outstanding)
+        runs = []
+        for extrapolate in (False, True):
+            timing_cache().clear()
+            runs.append(run_fleet(trace, replicas, policy=policy, config=config,
+                                  faults=plan, epoch_extrapolation=extrapolate))
+        exact, compressed = runs
+        assert_byte_identical(compressed.to_dict(), exact.to_dict())
+        assert compressed.perf["iteration_memo"] == exact.perf["iteration_memo"]
+        assert compressed.perf["timing_cache"] == exact.perf["timing_cache"]

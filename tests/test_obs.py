@@ -26,6 +26,7 @@ from repro.kernels.gemm import simulate_gemm
 from repro.obs import (
     MetricsRegistry,
     PhaseProfiler,
+    PhaseRecord,
     TraceRecorder,
     occupancy_percent,
     phase,
@@ -153,6 +154,40 @@ class TestPhaseProfiling:
             pass
         assert profiler.records == []
         assert profiler.format_totals() == "no phases recorded"
+
+    def test_self_times_of_nested_phases_sum_to_the_outermost(self):
+        with profiling() as profiler:
+            with phase("outer"):
+                with phase("mid"):
+                    with phase("inner"):
+                        sum(range(5_000))
+                    sum(range(5_000))
+                with phase("inner"):
+                    sum(range(5_000))
+                sum(range(5_000))
+        outer = next(r for r in profiler.records if r.name == "outer")
+        assert sum(r.self_seconds for r in profiler.records) == pytest.approx(
+            outer.seconds, rel=1e-9
+        )
+        assert all(0.0 <= r.self_seconds <= r.seconds for r in profiler.records)
+        mid = next(r for r in profiler.records if r.name == "mid")
+        first_inner = profiler.records[0]
+        assert mid.self_seconds == pytest.approx(mid.seconds - first_inner.seconds, rel=1e-9)
+        totals = profiler.totals()
+        assert totals["inner"]["calls"] == 2
+        assert totals["outer"]["self_seconds"] < totals["outer"]["seconds"]
+
+    def test_format_totals_ranks_by_self_time(self):
+        # An enclosing phase with the largest inclusive time but little of
+        # its own must not top the profile.
+        profiler = PhaseProfiler()
+        profiler.records = [
+            PhaseRecord("fleet.iteration", 3.0, {}, self_seconds=0.5),
+            PhaseRecord("serving.iteration", 2.5, {}, self_seconds=1.0),
+            PhaseRecord("merge", 1.5, {}, self_seconds=1.5),
+        ]
+        names = [line.split()[0] for line in profiler.format_totals().splitlines()]
+        assert names == ["merge", "serving.iteration", "fleet.iteration"]
 
     def test_profiling_contexts_nest_and_restore(self):
         with profiling() as outer:
