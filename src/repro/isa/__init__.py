@@ -9,6 +9,7 @@ and the energy model turns them into per-stage energy events.
 from repro.isa.instructions import (
     OpClass,
     Instruction,
+    shared_instruction,
     latency_of,
     is_memory,
     is_matrix,
@@ -18,6 +19,7 @@ from repro.isa.program import InstructionStream, WarpProgram
 __all__ = [
     "OpClass",
     "Instruction",
+    "shared_instruction",
     "latency_of",
     "is_memory",
     "is_matrix",

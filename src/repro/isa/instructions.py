@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict
 
 
@@ -136,3 +137,20 @@ class Instruction:
     @property
     def is_matrix(self) -> bool:
         return is_matrix(self.op_class)
+
+
+@lru_cache(maxsize=1024, typed=True)
+def shared_instruction(
+    op_class: OpClass, reg_reads: int, reg_writes: int, bytes_accessed: int, tag: str, /
+) -> Instruction:
+    """The one shared :class:`Instruction` with these fields.
+
+    Instructions are immutable, so program builders reuse one object per
+    distinct content instead of building a fresh one per emitted slot.  The
+    SIMT core decodes each distinct object once per execution (by ``id``),
+    so sharing keeps that decode table a handful of entries long.  Every
+    field is a required positional argument, so equal fields always make
+    the same cache key; ``typed`` keeps ``1``, ``1.0`` and ``True`` apart,
+    because they encode differently.
+    """
+    return Instruction(op_class, reg_reads, reg_writes, bytes_accessed, tag)

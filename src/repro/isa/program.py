@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List
 
-from repro.isa.instructions import Instruction, OpClass
+from repro.isa.instructions import Instruction, OpClass, shared_instruction
 
 
 @dataclass
@@ -38,15 +38,12 @@ class WarpProgram:
         bytes_accessed: int = 0,
         tag: str = "",
     ) -> "WarpProgram":
-        """Append ``repeat`` instructions of ``op_class`` with uniform operands."""
+        """Append ``repeat`` instructions of ``op_class`` with uniform operands.
+
+        Equal arguments append the same shared object (:func:`shared_instruction`).
+        """
         return self.emit(
-            Instruction(
-                op_class=op_class,
-                reg_reads=reg_reads,
-                reg_writes=reg_writes,
-                bytes_accessed=bytes_accessed,
-                tag=tag,
-            ),
+            shared_instruction(op_class, reg_reads, reg_writes, bytes_accessed, tag),
             repeat=repeat,
         )
 

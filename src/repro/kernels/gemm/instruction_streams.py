@@ -33,14 +33,17 @@ class IterationStreams:
     warps_per_core: int
 
     def programs_for_core(self) -> list:
-        """The per-warp programs handed to the issue simulator."""
-        programs = []
-        for warp in range(self.warps_per_core):
-            program = WarpProgram(name=f"warp{warp}")
-            program.extend(self.compute_warp)
-            if warp == 0:
-                program.extend(self.leader_extra)
-            programs.append(program)
+        """The per-warp programs handed to the issue simulator.
+
+        Warp 0 runs the compute program followed by the leader's extra work;
+        the other warps share the ``compute_warp`` object itself, so the
+        core decodes it once (programs passed to ``execute`` are read-only).
+        """
+        programs = [self.compute_warp] * self.warps_per_core
+        if programs:
+            programs[0] = WarpProgram(name="warp0").extend(self.compute_warp).extend(
+                self.leader_extra
+            )
         return programs
 
     def instructions_per_core(self) -> int:

@@ -8,10 +8,11 @@ in the active :class:`PhaseProfiler` (activated with :func:`profiling`) and,
 when a trace recorder is active with ``capture_phases`` set, on the trace's
 ``profile`` process as wall-clock spans.
 
-With neither a profiler nor a recorder active, :func:`phase` short-circuits
-before touching the clock: the cost of an inactive site is two module-global
-reads, which keeps instrumentation safe on hot paths (and is what the
-perf-smoke overhead guard measures).
+With neither a profiler nor a phase-capturing recorder active, :func:`phase`
+short-circuits before touching the clock: an inactive site costs two
+module-global reads and returns one shared no-op context manager, which
+keeps instrumentation safe on hot paths (and is what the perf-smoke
+overhead guard measures).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
-from repro.obs.trace import trace_recorder
+from repro.obs.trace import TraceRecorder, trace_recorder
 
 __all__ = [
     "PhaseRecord",
@@ -123,36 +124,29 @@ def profiling(profiler: Optional[PhaseProfiler] = None) -> Iterator[PhaseProfile
         _ACTIVE_PROFILER = previous
 
 
-class phase:
-    """Wall-clock span around one pipeline phase (no-op unless activated).
-
-    A plain slotted context manager rather than ``@contextmanager``: sites
-    sit on hot paths and the inactive case must stay cheap (no generator
-    frame -- just the two global reads plus one small object), which the
-    perf-smoke overhead guard measures.
-    """
+class _Phase:
+    """An active phase span: times its body into the profiler and/or recorder."""
 
     __slots__ = ("name", "args", "_profiler", "_recorder", "_start")
 
-    def __init__(self, name: str, **args: object) -> None:
+    def __init__(
+        self,
+        name: str,
+        args: Dict[str, object],
+        profiler: Optional[PhaseProfiler],
+        recorder: Optional[TraceRecorder],
+    ) -> None:
         self.name = name
         self.args = args
-
-    def __enter__(self) -> None:
-        profiler = _ACTIVE_PROFILER
-        recorder = trace_recorder()
-        if recorder is not None and not recorder.capture_phases:
-            recorder = None
         self._profiler = profiler
         self._recorder = recorder
-        if profiler is not None or recorder is not None:
-            if profiler is not None:
-                profiler.open()
-            self._start = time.perf_counter()
+
+    def __enter__(self) -> None:
+        if self._profiler is not None:
+            self._profiler.open()
+        self._start = time.perf_counter()
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        if self._profiler is None and self._recorder is None:
-            return False
         seconds = time.perf_counter() - self._start
         if self._profiler is not None:
             self._profiler.close(self.name, seconds, self.args)
@@ -161,3 +155,36 @@ class phase:
                 self.name, self._start, seconds, self.args or None
             )
         return False
+
+
+class _InactivePhase:
+    """The shared do-nothing span :func:`phase` returns while nothing listens."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        return False
+
+
+_INACTIVE = _InactivePhase()
+
+
+def phase(name: str, **args: object):
+    """Wall-clock span around one pipeline phase (no-op unless activated).
+
+    Use as ``with phase("lower", model=name): ...``.  Sites sit on hot
+    paths, so the inactive case must stay cheap: with neither a profiler
+    nor a phase-capturing recorder active, it is two global reads and the
+    one shared :class:`_InactivePhase`, with no object built and no clock
+    read -- which the perf-smoke overhead guard measures.
+    """
+    profiler = _ACTIVE_PROFILER
+    recorder = trace_recorder()
+    if recorder is not None and not recorder.capture_phases:
+        recorder = None
+    if profiler is None and recorder is None:
+        return _INACTIVE
+    return _Phase(name, args, profiler, recorder)

@@ -3,28 +3,30 @@
 The package provides two levels of modelling:
 
 * A cycle-level issue-stage simulator (:mod:`repro.simt.issue`) that replays
-  per-warp instruction streams through a warp scheduler with structural and
-  latency hazards.  Kernel models use it to determine how many cycles a core
-  needs to issue one steady-state iteration.
+  per-warp instruction streams through a round-robin or greedy-then-oldest
+  warp scheduler with structural and latency hazards.  Kernel models use it,
+  through :class:`VortexCore`, to determine how many cycles a core needs to
+  issue one steady-state iteration and which energy events it generates.
+  There is one compiled path: a :class:`ProgramSet` decodes each distinct
+  instruction and program object once per call, and the memo key, the issue
+  loop (plain integer lists) and the event tally all read it.
+  Instructions are immutable and may be shared; programs passed in are
+  read-only.
 * Analytical helpers: the register-file capacity model and the occupancy
   calculator used to regenerate Table 1.
 """
 
-from repro.simt.warp import WarpState
-from repro.simt.scheduler import RoundRobinScheduler, GreedyThenOldestScheduler
 from repro.simt.register_file import RegisterFile, TileAllocation
-from repro.simt.issue import IssueResult, IssueSimulator
+from repro.simt.issue import IssueResult, IssueSimulator, ProgramSet
 from repro.simt.core import VortexCore, CoreExecutionResult
 from repro.simt.occupancy import OccupancyCalculator, OccupancyResult, GpuGenerationSpec
 
 __all__ = [
-    "WarpState",
-    "RoundRobinScheduler",
-    "GreedyThenOldestScheduler",
     "RegisterFile",
     "TileAllocation",
     "IssueResult",
     "IssueSimulator",
+    "ProgramSet",
     "VortexCore",
     "CoreExecutionResult",
     "OccupancyCalculator",

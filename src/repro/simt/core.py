@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from repro.config.soc import CoreConfig
 from repro.isa.instructions import Instruction, OpClass
 from repro.isa.program import WarpProgram
 from repro.perf import design_fingerprint, timing_cache
 from repro.sim.stats import Counters
-from repro.simt.issue import IssueResult, IssueSimulator
+from repro.simt.issue import IssueResult, IssueSimulator, ProgramSet
 
 #: Map from instruction class to the Figure 10 component that executes it.
 _EXECUTION_COMPONENT: Dict[OpClass, str] = {
@@ -93,16 +93,20 @@ class VortexCore:
 
         Memoized by content in a timing-cache namespace, so kernels that
         rebuild the same iteration programs simulate them once per cache
-        lifetime.  The result is shared: treat it as immutable.
+        lifetime.  The result is shared: treat it as immutable.  The key,
+        the issue simulation and the event tally all read one
+        :class:`ProgramSet`, which decodes each distinct instruction and
+        program object once per call.
         """
+        program_set = ProgramSet(programs)
         cache = timing_cache()
         if not cache.enabled:
-            return self._simulate(programs)
+            return self._simulate(program_set)
         table = cache.namespace(_EXECUTION_NAMESPACE)
-        key = self.execution_key(programs)
+        key = self._key(program_set)
         result = table.get(key)
         if result is None:
-            result = table[key] = self._simulate(programs)
+            result = table[key] = self._simulate(program_set)
         return result
 
     def execution_key(self, programs: Sequence[WarpProgram]) -> bytes:
@@ -112,61 +116,68 @@ class VortexCore:
         each instruction's (op class, register reads, register writes,
         bytes accessed) -- everything the issue model and the counters
         read.  The program ``name`` is left out for the same reason as the
-        instruction ``tag``: nothing in the simulation reads it.  Kernels
-        repeat a few ``Instruction`` objects many times, so each object is
-        encoded once per call, looked up by ``id()``; the programs keep the
-        objects alive for the call, and the digest holds content only.
+        instruction ``tag``: nothing in the simulation reads it.  The digest
+        holds content only, never an ``id()``.
         """
-        encoded: Dict[int, bytes] = {}
+        return self._key(ProgramSet(programs))
+
+    def _key(self, program_set: ProgramSet) -> bytes:
+        # Each distinct instruction is encoded once and each distinct
+        # program digested once; a warp adds its program's digest, so the
+        # warp boundaries are part of the key.
+        codes = [_encode_instruction(instruction) for instruction in program_set.instructions]
+        digests = [
+            hashlib.sha256(b"".join(map(codes.__getitem__, stream))).digest()
+            for stream in program_set.streams
+        ]
         core = f"{design_fingerprint(self.config)}:{self._issue_simulator.scheduler_kind}"
         digest = hashlib.sha256(core.encode("ascii"))
-        for program in programs:
-            codes = []
-            for instruction in program.instructions:
-                code = encoded.get(id(instruction))
-                if code is None:
-                    code = encoded[id(instruction)] = _encode_instruction(instruction)
-                codes.append(code)
-            digest.update(hashlib.sha256(b"".join(codes)).digest())
+        for slot in program_set.warps:
+            digest.update(digests[slot])
         return digest.digest()
 
-    def _simulate(self, programs: Sequence[WarpProgram]) -> CoreExecutionResult:
-        issue = self._issue_simulator.simulate(programs)
-        counters = Counters()
-        for program in programs:
-            self._count_program(program, counters)
-        return CoreExecutionResult(issue=issue, counters=counters)
+    def _simulate(self, program_set: ProgramSet) -> CoreExecutionResult:
+        issue = self._issue_simulator.simulate(program_set)
+        return CoreExecutionResult(issue=issue, counters=self._counters(program_set))
 
-    def _count_program(self, program: WarpProgram, counters: Counters) -> None:
+    def _counters(self, program_set: ProgramSet) -> Counters:
+        """The energy events of every issued instruction.
+
+        One ``add`` per (distinct instruction, event), scaled by how often
+        the instruction appears.  Walking the distinct instructions in
+        first-seen order adds the event names in the order a one-by-one
+        tally would first see them, and the integer amounts sum exactly.
+        """
         lanes = self.config.lanes
-        for instruction in program.instructions:
-            self._count_instruction(instruction, lanes, counters)
+        counters = Counters()
+        for instruction, count in zip(program_set.instructions, program_set.occurrences()):
+            for name, amount in _events(instruction, lanes):
+                counters.add(name, amount * count)
+        return counters
 
-    def _count_instruction(
-        self, instruction: Instruction, lanes: int, counters: Counters
-    ) -> None:
-        counters.add("core.issue.instructions", 1)
+
+def _events(instruction: Instruction, lanes: int) -> List[Tuple[str, int]]:
+    """The (counter, amount) events one issue of ``instruction`` generates."""
+    events = [
+        ("core.issue.instructions", 1),
         # Operand collection: register reads are per-lane for SIMT operands.
-        counters.add("core.issue.rf_read_words", instruction.reg_reads * lanes)
-        counters.add("core.writeback.rf_write_words", instruction.reg_writes * lanes)
+        ("core.issue.rf_read_words", instruction.reg_reads * lanes),
+        ("core.writeback.rf_write_words", instruction.reg_writes * lanes),
+    ]
+    component = _EXECUTION_COMPONENT[instruction.op_class]
+    if component == "alu":
+        events.append(("core.alu.ops", lanes))
+    elif component == "fpu":
+        events.append(("core.fpu.ops", lanes))
+    elif component == "lsu":
+        events.append(("core.lsu.requests", 1))
+        events.append(("core.lsu.bytes", instruction.bytes_accessed))
+    else:
+        events.append(("core.other.ops", 1))
 
-        component = _EXECUTION_COMPONENT[instruction.op_class]
-        if component == "alu":
-            counters.add("core.alu.ops", lanes)
-        elif component == "fpu":
-            counters.add("core.fpu.ops", lanes)
-        elif component == "lsu":
-            counters.add("core.lsu.requests", 1)
-            counters.add("core.lsu.bytes", instruction.bytes_accessed)
-        else:
-            counters.add("core.other.ops", 1)
-
-        if instruction.op_class in (OpClass.LOAD_SHARED, OpClass.STORE_SHARED):
-            counters.add("smem.core_words", max(1, instruction.bytes_accessed // 4))
-        elif instruction.op_class in (OpClass.LOAD_GLOBAL, OpClass.STORE_GLOBAL):
-            counters.add("l1.requests", 1)
-            counters.add("l1.bytes", instruction.bytes_accessed)
-
-    def issue_cycles(self, programs: Sequence[WarpProgram]) -> int:
-        """Cycles needed to issue ``programs`` on this core."""
-        return self._issue_simulator.simulate(programs).cycles
+    if instruction.op_class in (OpClass.LOAD_SHARED, OpClass.STORE_SHARED):
+        events.append(("smem.core_words", max(1, instruction.bytes_accessed // 4)))
+    elif instruction.op_class in (OpClass.LOAD_GLOBAL, OpClass.STORE_GLOBAL):
+        events.append(("l1.requests", 1))
+        events.append(("l1.bytes", instruction.bytes_accessed))
+    return events

@@ -21,18 +21,22 @@ a long-latency instruction is decided by the instruction class (see
 ``_BLOCKING``), which matches how the kernel models encode dependent
 sequences (a load immediately followed by its consumer is emitted as a
 blocking load; independent prefetches are emitted as non-blocking).
+
+Programs are first decoded into a :class:`ProgramSet`: each distinct
+``Instruction`` object once, each distinct ``WarpProgram`` object once into
+a stream of indices.  The issue loop then steps plain integer lists (per
+warp: pc, blocked-until cycle, issued count; per unit: free-at cycle).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence, Union
 
 from repro.config.soc import CoreConfig
 from repro.isa.instructions import Instruction, OpClass
 from repro.isa.program import WarpProgram
-from repro.simt.scheduler import GreedyThenOldestScheduler, RoundRobinScheduler
-from repro.simt.warp import WarpState
 
 #: Instruction classes whose latency blocks the issuing warp (dependent use).
 _BLOCKING = {
@@ -62,6 +66,11 @@ _UNIT_OCCUPANCY = {
     OpClass.WGMMA_INIT: ("tensor", 1),
 }
 
+#: Execution units, in ``IssueResult.unit_busy_cycles`` order.
+_UNITS = ("alu", "fpu", "lsu", "tensor")
+
+_SCHEDULERS = ("round_robin", "gto")
+
 
 @dataclass
 class IssueResult:
@@ -77,107 +86,187 @@ class IssueResult:
     def ipc(self) -> float:
         return self.instructions_issued / self.cycles if self.cycles else 0.0
 
-    @property
-    def issue_slot_utilization(self) -> float:
-        return min(1.0, self.ipc)
+
+class ProgramSet:
+    """The warp programs of one core execution, each distinct object decoded once.
+
+    ``instructions`` lists every distinct ``Instruction`` object (by ``id``)
+    in first-seen order over the warps.  ``streams`` holds, per distinct
+    ``WarpProgram`` object, its instructions as indices into
+    ``instructions``, and ``warps`` maps each warp to its stream.  The
+    programs are read in place, once, while the set is built, so they must
+    not change during that pass.
+    """
+
+    __slots__ = ("instructions", "streams", "warps")
+
+    def __init__(self, programs: Sequence[WarpProgram]) -> None:
+        index: Dict[int, int] = {}
+        stream_of: Dict[int, int] = {}
+        self.instructions: List[Instruction] = []
+        self.streams: List[List[int]] = []
+        self.warps: List[int] = []
+        for program in programs:
+            slot = stream_of.get(id(program))
+            if slot is None:
+                body = program.instructions
+                ids = list(map(id, body))
+                for ident, instruction in dict(zip(ids, body)).items():
+                    if ident not in index:
+                        index[ident] = len(self.instructions)
+                        self.instructions.append(instruction)
+                slot = stream_of[id(program)] = len(self.streams)
+                self.streams.append(list(map(index.__getitem__, ids)))
+            self.warps.append(slot)
+
+    def occurrences(self) -> List[int]:
+        """How often each distinct instruction appears, over all warps."""
+        totals = [0] * len(self.instructions)
+        for slot, warps in Counter(self.warps).items():
+            for code, count in Counter(self.streams[slot]).items():
+                totals[code] += count * warps
+        return totals
 
 
 class IssueSimulator:
     """Replays warp programs through the issue stage of one SIMT core."""
 
     def __init__(self, core: CoreConfig, scheduler: str = "round_robin") -> None:
+        if core.issue_width != 1:
+            raise ValueError(
+                f"CoreConfig.issue_width={core.issue_width}: the issue model is single-issue"
+            )
+        if scheduler not in _SCHEDULERS:
+            raise ValueError(f"unknown scheduler {scheduler!r}")
         self.core = core
         self.scheduler_kind = scheduler
 
-    def _make_scheduler(self):
-        if self.scheduler_kind == "round_robin":
-            return RoundRobinScheduler()
-        if self.scheduler_kind == "gto":
-            return GreedyThenOldestScheduler()
-        raise ValueError(f"unknown scheduler {self.scheduler_kind!r}")
-
     def simulate(
         self,
-        programs: Sequence[WarpProgram],
+        programs: Union[Sequence[WarpProgram], ProgramSet],
         max_cycles: int = 50_000_000,
     ) -> IssueResult:
         """Simulate one program per warp until every warp has drained.
 
-        ``programs`` holds the stream of each active warp; pass the same
-        program multiple times for warps that execute identical code.
+        ``programs`` holds the stream of each active warp (pass the same
+        program multiple times for warps that execute identical code), or
+        is a :class:`ProgramSet` already decoded from them.
+
+        Each cycle the scheduler scans the eligible warps (instructions
+        left, not blocked): round-robin from the warp after the last one it
+        picked, GTO the last picked warp first, then by (issued count, warp
+        index).  A pick whose unit is still busy is a structural hazard: the
+        pick still moves the scheduler's pointer, and the scan goes on to
+        the next eligible warp.  A cycle with no issuable warp is a stall.
         """
-        if not programs:
+        program_set = programs if isinstance(programs, ProgramSet) else ProgramSet(programs)
+        streams = [program_set.streams[slot] for slot in program_set.warps]
+        if not streams:
             return IssueResult(cycles=0, instructions_issued=0, stall_cycles=0)
-        if len(programs) > self.core.warps:
+        count = len(streams)
+        if count > self.core.warps:
             raise ValueError(
-                f"{len(programs)} warp programs exceed the core's {self.core.warps} warp slots"
+                f"{count} warp programs exceed the core's {self.core.warps} warp slots"
             )
 
-        warps: List[WarpState] = [
-            WarpState(warp_id=index, program=list(program.instructions))
-            for index, program in enumerate(programs)
-        ]
-        scheduler = self._make_scheduler()
-        unit_free_at: Dict[str, int] = {"alu": 0, "fpu": 0, "lsu": 0, "tensor": 0}
-        unit_busy: Dict[str, int] = {"alu": 0, "fpu": 0, "lsu": 0, "tensor": 0}
-        issued_by_class: Dict[OpClass, int] = {}
+        # Per distinct instruction: unit (-1: none), occupancy, blocking
+        # latency (0: does not block).
+        units: List[int] = []
+        occupancies: List[int] = []
+        latencies: List[int] = []
+        for instruction in program_set.instructions:
+            unit = _UNIT_OCCUPANCY.get(instruction.op_class)
+            units.append(_UNITS.index(unit[0]) if unit else -1)
+            occupancies.append(unit[1] if unit else 0)
+            latencies.append(instruction.latency if instruction.op_class in _BLOCKING else 0)
 
+        ends = [len(stream) for stream in streams]
+        pcs = [0] * count
+        blocked = [0] * count
+        issued = [0] * count
+        unit_free = [0] * len(_UNITS)
+        unit_busy = [0] * len(_UNITS)
+        issues = [0] * len(program_set.instructions)
+        first_issued: List[int] = []
+        live = sum(1 for end in ends if end)
+        gto = self.scheduler_kind == "gto"
+        pointer = -1
         cycle = 0
-        issued_total = 0
         stall_cycles = 0
-        while any(not warp.done for warp in warps):
+        while live:
             if cycle > max_cycles:
                 raise RuntimeError("issue simulation exceeded the cycle limit")
-            warp = self._select_issuable(scheduler, warps, unit_free_at, cycle)
-            if warp is None:
+            chosen = -1
+            if gto:
+                hazard = -1
+                if pointer >= 0:
+                    pc = pcs[pointer]
+                    if pc < ends[pointer] and blocked[pointer] <= cycle:
+                        code = streams[pointer][pc]
+                        unit = units[code]
+                        if unit < 0 or unit_free[unit] <= cycle:
+                            chosen = pointer
+                        else:
+                            hazard = pointer
+                if chosen < 0:
+                    eligible = sorted(
+                        (issued[warp], warp)
+                        for warp in range(count)
+                        if warp != hazard and pcs[warp] < ends[warp] and blocked[warp] <= cycle
+                    )
+                    for _, warp in eligible:
+                        pointer = warp
+                        code = streams[warp][pcs[warp]]
+                        unit = units[code]
+                        if unit < 0 or unit_free[unit] <= cycle:
+                            chosen = warp
+                            break
+            else:
+                warp = pointer
+                for _ in range(count):
+                    warp += 1
+                    if warp == count:
+                        warp = 0
+                    pc = pcs[warp]
+                    if pc < ends[warp] and blocked[warp] <= cycle:
+                        pointer = warp
+                        code = streams[warp][pc]
+                        unit = units[code]
+                        if unit < 0 or unit_free[unit] <= cycle:
+                            chosen = warp
+                            break
+            if chosen < 0:
                 stall_cycles += 1
                 cycle += 1
                 continue
 
-            instruction = warp.advance(cycle)
-            issued_total += 1
-            issued_by_class[instruction.op_class] = (
-                issued_by_class.get(instruction.op_class, 0) + 1
-            )
-
-            unit = _UNIT_OCCUPANCY.get(instruction.op_class)
-            if unit is not None:
-                unit_name, occupancy = unit
-                start = max(cycle, unit_free_at[unit_name])
-                unit_free_at[unit_name] = start + occupancy
-                unit_busy[unit_name] += occupancy
-
-            if instruction.op_class in _BLOCKING:
-                warp.block(cycle + instruction.latency)
+            # Issue ``code``, the chosen warp's next instruction.  The unit
+            # was free, so it starts now; the warp was eligible, so a
+            # blocking latency counts from now too.
+            pc = pcs[chosen] + 1
+            pcs[chosen] = pc
+            if pc == ends[chosen]:
+                live -= 1
+            issued[chosen] += 1
+            if not issues[code]:
+                first_issued.append(code)
+            issues[code] += 1
+            unit = units[code]
+            if unit >= 0:
+                unit_free[unit] = cycle + occupancies[code]
+                unit_busy[unit] += occupancies[code]
+            if latencies[code]:
+                blocked[chosen] = cycle + latencies[code]
             cycle += 1
 
+        issued_by_class: Dict[OpClass, int] = {}
+        for code in first_issued:
+            op_class = program_set.instructions[code].op_class
+            issued_by_class[op_class] = issued_by_class.get(op_class, 0) + issues[code]
         return IssueResult(
             cycles=cycle,
-            instructions_issued=issued_total,
+            instructions_issued=sum(issued),
             stall_cycles=stall_cycles,
             issued_by_class=issued_by_class,
-            unit_busy_cycles=unit_busy,
+            unit_busy_cycles=dict(zip(_UNITS, unit_busy)),
         )
-
-    def _select_issuable(
-        self,
-        scheduler,
-        warps: Sequence[WarpState],
-        unit_free_at: Dict[str, int],
-        cycle: int,
-    ) -> Optional[WarpState]:
-        """Pick an eligible warp whose next instruction has no structural hazard."""
-        considered = 0
-        while considered < len(warps):
-            warp = scheduler.select(warps, cycle)
-            if warp is None:
-                return None
-            instruction = warp.peek()
-            unit = _UNIT_OCCUPANCY.get(instruction.op_class)
-            if unit is None or unit_free_at[unit[0]] <= cycle:
-                return warp
-            # Structural hazard: temporarily block this warp for this cycle so
-            # the scheduler considers others, then retry.
-            warp.block(cycle + 1)
-            considered += 1
-        return None

@@ -23,7 +23,7 @@ from typing import List
 import numpy as np
 
 from repro.config.soc import MatrixUnitConfig, SharedMemoryConfig
-from repro.isa.instructions import Instruction, OpClass
+from repro.isa.instructions import Instruction, OpClass, shared_instruction
 from repro.sim.stats import Counters
 from repro.tensorcore.dot_product_unit import DotProductUnit
 from repro.tensorcore.fragments import MatrixFragment
@@ -129,11 +129,9 @@ class HopperTensorCore:
             1, self.config.accumulator_bytes_per_tile // 4 // 32
         )
         return [
-            Instruction(op_class=OpClass.WGMMA_INIT, reg_reads=2, reg_writes=0),
-            Instruction(
-                op_class=OpClass.WGMMA_WAIT,
-                reg_reads=accum_words_per_lane,
-                reg_writes=accum_words_per_lane,
+            shared_instruction(OpClass.WGMMA_INIT, 2, 0, 0, ""),
+            shared_instruction(
+                OpClass.WGMMA_WAIT, accum_words_per_lane, accum_words_per_lane, 0, ""
             ),
         ]
 

@@ -20,7 +20,7 @@ from typing import List
 import numpy as np
 
 from repro.config.soc import MatrixUnitConfig
-from repro.isa.instructions import Instruction, OpClass
+from repro.isa.instructions import Instruction, OpClass, shared_instruction
 from repro.sim.stats import Counters
 from repro.tensorcore.dot_product_unit import DotProductUnit
 from repro.tensorcore.fragments import MatrixFragment
@@ -43,19 +43,12 @@ class HmmaSequence:
         return self.steps * self.cycles_per_step
 
     def as_instructions(self, operand_reg_reads: int = 4, accum_reg_writes: int = 2) -> List[Instruction]:
-        """Expand into :class:`Instruction` objects for the issue simulator."""
-        stream: List[Instruction] = []
-        for _ in range(self.sets):
-            stream.append(Instruction(op_class=OpClass.HMMA_SET, reg_reads=1, reg_writes=0))
-        for _ in range(self.steps):
-            stream.append(
-                Instruction(
-                    op_class=OpClass.HMMA_STEP,
-                    reg_reads=operand_reg_reads,
-                    reg_writes=accum_reg_writes,
-                )
-            )
-        return stream
+        """Expand into (shared) :class:`Instruction` objects for the issue simulator."""
+        hmma_set = shared_instruction(OpClass.HMMA_SET, 1, 0, 0, "")
+        hmma_step = shared_instruction(
+            OpClass.HMMA_STEP, operand_reg_reads, accum_reg_writes, 0, ""
+        )
+        return [hmma_set] * self.sets + [hmma_step] * self.steps
 
 
 class VoltaTensorCore:

@@ -1,4 +1,8 @@
-"""Tests for the SIMT core models: warps, schedulers, issue simulator, core events."""
+"""Tests for the SIMT core models: warps, schedulers, issue simulator, core events.
+
+The warp and scheduler classes are the reference model's
+(``tests/simt_reference.py``), the oracle of the compiled issue loop.
+"""
 
 import pytest
 
@@ -12,8 +16,7 @@ from repro.simt.register_file import (
     RegisterFile,
     max_tile_for_register_space,
 )
-from repro.simt.scheduler import GreedyThenOldestScheduler, RoundRobinScheduler
-from repro.simt.warp import WarpState
+from simt_reference import GreedyThenOldestScheduler, RoundRobinScheduler, WarpState
 
 
 def _program(op_class, count, **kwargs):
@@ -129,6 +132,13 @@ class TestIssueSimulator:
         assert result.issued_by_class[OpClass.ALU] == 3
         assert result.issued_by_class[OpClass.FPU] == 2
 
+    def test_dual_issue_rejected(self):
+        """The model issues one instruction per cycle; a wider core is refused."""
+        with pytest.raises(ValueError, match="issue_width"):
+            IssueSimulator(CoreConfig(issue_width=2))
+        with pytest.raises(ValueError, match="issue_width"):
+            VortexCore(CoreConfig(issue_width=2))
+
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(ValueError):
             IssueSimulator(CoreConfig(), scheduler="magic").simulate([_program(OpClass.ALU, 1)])
@@ -167,10 +177,6 @@ class TestVortexCore:
         ).counters
         assert counters["core.issue.rf_read_words"] == 24
         assert counters["core.writeback.rf_write_words"] == 8
-
-    def test_issue_cycles_helper(self):
-        core = VortexCore(CoreConfig())
-        assert core.issue_cycles([_program(OpClass.ALU, 10)]) == 10
 
 
 class TestRegisterFile:
