@@ -1,7 +1,7 @@
 """Fleet-scale serving: a replica router over N simulated SoCs.
 
-The ROADMAP's top open item made concrete: N :class:`ServingScheduler`
-replicas (homogeneous or mixed design presets) behind a router with
+N :class:`ServingScheduler` replicas (homogeneous or mixed design
+presets) behind a router with
 pluggable load-balancing policies, where fault tolerance is first-class --
 replicas crash and recover, slow down, and partition from the router
 (:class:`repro.faults.FleetFaultPlan`), and the router reacts the way a
@@ -20,12 +20,12 @@ platforms and draw order -- so a fleet run is a pure function of
 ``(trace, fleet, policy, config, fault plan)`` and two runs with the same
 seed are byte-identical.
 
-Scale contract: replicas are stepped *incrementally* through the
-:meth:`ServingScheduler.iteration_outcome` hook, sharing the process-wide
-iteration memo across replicas; on memo hits with a stable composition a
-replica extrapolates a whole epoch
-(:func:`repro.workloads.epochs.epoch_horizon`) as one run, which is what
-keeps million-request fleet sweeps tractable.  Router events (arrivals,
+Scale contract: each replica serves on the same resumable stepper as
+``serve`` (:class:`repro.workloads.serving._Stepper`), advanced between
+router events and sharing the process-wide iteration memo across
+replicas; on memo hits with a stable composition a replica extrapolates a
+whole epoch as one run, which is what keeps million-request fleet sweeps
+tractable.  Router events (arrivals,
 fault transitions, health-check beliefs, retries) are barriers only for
 the replicas they change: a dispatch into a replica, its crash, or a slow
 window edge on it *cuts* its run at the event, and every other event passes
@@ -41,7 +41,6 @@ disabled) -- enforced at result assembly, not just asserted in tests.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -51,12 +50,10 @@ from repro.config.presets import DesignKind
 from repro.config.soc import DataType
 from repro.faults import FleetFaultPlan, ReplicaFaultEvent
 from repro.obs import MetricsRegistry, occupancy_percent, phase, trace_recorder
-from repro.perf import timing_cache
 from repro.workloads.control import evaluate_disposition
-from repro.workloads.epochs import accumulate_energy_scalar, epoch_horizon
 from repro.workloads.graph import RequestSpec, ServingTrace
 from repro.workloads.models import resolve_trace
-from repro.workloads.serving import ServingScheduler, _InFlight
+from repro.workloads.serving import _INF, ServingScheduler, _Queued, _Stepper
 
 __all__ = [
     "FLEET_DISPOSITIONS",
@@ -89,8 +86,6 @@ _ORD_FAILOVER = 4
 _ORD_RETRY = 5
 _ORD_DEADLINE = 6
 _ORD_DRAIN = 7
-
-_INF = math.inf
 
 
 def backoff_cycles(attempt: int, *, base: int, cap: int, seed: int, request_id: str) -> int:
@@ -190,7 +185,6 @@ class _FleetRequest:
     reprefill_cycles: int = 0
     admitted_cycle: Optional[int] = None
     first_token_cycle: Optional[int] = None
-    finish_cycle: Optional[int] = None
     terminal_cycle: Optional[int] = None
     disposition: Optional[str] = None
     replica: Optional[int] = None
@@ -202,61 +196,28 @@ class _FleetRequest:
 
 
 class _Replica:
-    """One simulated SoC: a stepping wrapper over ServingScheduler hooks.
+    """One simulated SoC behind the router: router state around a stepper.
 
-    The replica owns its local clock (``now``), active batch, and pending
-    (dispatched, not yet admitted) queue, and steps in *runs*: one
-    iteration outcome applied ``count`` times back to back -- a single
-    iteration, or a whole epoch on a memo hit with a stable composition.
-    The run in flight is ``inflight = (start, outcome, effective, count,
-    replayed)``.  :meth:`advance` retires it only once it ends at or before
-    the fleet-event barrier, so router events that do not touch this
-    replica pass through it; the router calls :meth:`cut` where an event
-    does change the replica, which retires the iterations already ended
-    and keeps the crossing one (iterations are atomic) as a count-1 run.
-    A crash aborts that iteration with its work discarded.
+    The :class:`~repro.workloads.serving._Stepper` does all of the serving:
+    admission, the run in flight, the fast paths and the accounting.  The
+    replica adds what only the router knows: fault depths (truth), the
+    health belief, the active slow-window scales and dispatch/fault
+    counters.
     """
 
-    def __init__(
-        self,
-        index: int,
-        design_name: str,
-        scheduler: ServingScheduler,
-        trace: ServingTrace,
-        compress: bool,
-    ) -> None:
+    def __init__(self, index: int, design_name: str, stepper: _Stepper) -> None:
         self.index = index
         self.design_name = design_name
-        self.scheduler = scheduler
-        self.trace = trace
-        self.compress = compress
-        self.now = 0
-        self.active: List[_InFlight] = []
-        self.pending: List[Tuple[int, _FleetRequest]] = []
-        self.by_id: Dict[str, _FleetRequest] = {}
-        self.inflight: Optional[Tuple[int, object, int, int, bool]] = None
+        self.stepper = stepper
+        self.process = f"replica{index} ({design_name})"
         self.down_depth = 0
         self.partition_depth = 0
         self.slow_scales: List[float] = []
         self.believed_up = True
-        # Accounting (span/energy/busy only for work that actually retired).
-        self.iterations = 0
-        self.epochs = 0
-        self.extrapolated_iterations = 0
-        self.aborted_iterations = 0
-        self.serving_cycles = 0
-        self.kernel_count = 0
-        self.energy_uj = 0.0
-        self.resource_busy: Dict[str, int] = {}
         self.dispatched = 0
-        self.completed = 0
         self.crashes = 0
         self.slowdowns = 0
         self.partitions = 0
-        self.memo_hits = 0
-        self.memo_misses = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
 
     @property
     def down(self) -> bool:
@@ -267,10 +228,6 @@ class _Replica:
         """Truth: the router can actually deliver a dispatch right now."""
         return self.down_depth == 0 and self.partition_depth == 0
 
-    @property
-    def slow_scale(self) -> float:
-        return max(self.slow_scales, default=1.0)
-
     # The router reads ``outstanding`` and ``resident_kv`` without cutting
     # the run in flight: both are constant inside a run, because no request
     # finishes before the run's last iteration (the horizon is at most the
@@ -279,244 +236,13 @@ class _Replica:
 
     @property
     def outstanding(self) -> int:
-        return len(self.active) + len(self.pending)
+        stepper = self.stepper
+        return len(stepper.active) + len(stepper.queued) + len(stepper.offered)
 
     @property
     def resident_kv(self) -> int:
-        if not self.active:
-            return 0
-        return self.scheduler.resident_kv_bytes(self.trace, self.active)
-
-    def advance(self, limit: Union[int, float], recorder) -> None:
-        """Retire every run that ends at or before ``limit``.
-
-        Each retirement starts the next run at once; the run that crosses
-        ``limit`` stays in flight, untouched, until a later barrier or a
-        :meth:`cut`.
-        """
-        while not self.down:
-            if self.inflight is not None:
-                start, outcome, effective, count, replayed = self.inflight
-                if start + count * effective > limit:
-                    return
-                self.inflight = None
-                self._retire(outcome, effective, count, replayed, recorder)
-                continue
-            if not self.active:
-                if not self.pending:
-                    return
-                boundary = min(at for at, _ in self.pending)
-                if boundary >= limit:
-                    return
-                if boundary > self.now:
-                    self.now = boundary
-            self._admit_ready()
-            if not self.active:
-                continue
-            scale = self.slow_scale
-            with phase("fleet.iteration", replica=self.index, batch=len(self.active)):
-                if recorder is not None:
-                    with recorder.time_offset(self.now):
-                        outcome, replayed = self.scheduler.iteration_outcome(
-                            self.trace, self.active, duration_scale=scale
-                        )
-                else:
-                    outcome, replayed = self.scheduler.iteration_outcome(
-                        self.trace, self.active, duration_scale=scale
-                    )
-            span = outcome.span_cycles
-            effective = span
-            for state, end in zip(self.active, outcome.entry_end_cycles):
-                if state.pending_penalty:
-                    effective = max(effective, end + state.pending_penalty)
-            count = 1
-            if (
-                replayed
-                and self.compress
-                and not self.pending
-                and span > 0
-                and not any(state.pending_penalty for state in self.active)
-            ):
-                contexts = [
-                    self.trace.bucketed_context(s.request.context_at(s.steps_done))
-                    for s in self.active
-                ]
-                count = epoch_horizon(
-                    [s.request.decode_steps - s.steps_done for s in self.active],
-                    [
-                        context - s.request.context_at(s.steps_done) + 1
-                        for s, context in zip(self.active, contexts)
-                    ],
-                    span,
-                    self.now,
-                    None,
-                )
-            self.inflight = (self.now, outcome, effective, count, replayed)
-
-    def cut(self, at: int, recorder) -> None:
-        """Split the run in flight before a router event at ``at`` changes this replica.
-
-        The ``(at - start) // effective`` iterations that have ended by
-        ``at`` retire now; the one crossing ``at`` (or starting exactly at
-        it -- it was computed before the event) stays in flight alone.
-        """
-        if self.inflight is None:
-            return
-        start, outcome, effective, count, replayed = self.inflight
-        if count == 1:
-            return
-        done = (at - start) // effective
-        if done:
-            self._retire(outcome, effective, done, replayed, recorder)
-        self.inflight = (start + done * effective, outcome, effective, 1, replayed)
-
-    def _admit_ready(self) -> None:
-        ready = [(at, fr) for at, fr in self.pending if at <= self.now]
-        if not ready:
-            return
-        ready.sort(key=lambda item: (item[0], item[1].spec.request_id))
-        self.pending = [(at, fr) for at, fr in self.pending if at > self.now]
-        for _, fr in ready:
-            penalty = 0
-            if fr.needs_reprefill:
-                penalty = self.scheduler.kv_reload_penalty(fr.spec, fr.steps_done, self.trace)
-                fr.reprefill_cycles += penalty
-                fr.needs_reprefill = False
-            if fr.admitted_cycle is None:
-                fr.admitted_cycle = self.now
-            fr.replica = self.index
-            self.active.append(
-                _InFlight(
-                    request=fr.spec,
-                    admitted_cycle=fr.admitted_cycle,
-                    steps_done=fr.steps_done,
-                    first_token_cycle=fr.first_token_cycle,
-                    resident_since=self.now,
-                    pending_penalty=penalty,
-                    preemptions=fr.failovers,
-                )
-            )
-            self.by_id[fr.spec.request_id] = fr
-
-    def _credit(self, outcome, replayed: bool, count: int) -> None:
-        """Memo/timing-cache stats for ``count`` iterations of one outcome.
-
-        A replayed run skipped ``count`` memo probes and their kernel
-        lookups, so it credits them as hits when it retires (or 1 when its
-        crossing iteration is aborted) -- the same totals an exact run that
-        probes every iteration reports.
-        """
-        if replayed:
-            lookups = count * outcome.cache_lookups
-            timing_cache().credit_hits(lookups)
-            self.memo_hits += count
-            self.cache_hits += lookups
-        else:
-            self.memo_misses += 1
-            self.cache_hits += outcome.cache_hits
-            self.cache_misses += outcome.cache_misses
-
-    def _retire(self, outcome, effective: int, count: int, replayed: bool, recorder) -> None:
-        """Apply ``count`` iterations of ``outcome`` starting at ``now``.
-
-        A count-1 run may carry admission penalties (``effective`` then
-        exceeds the span); a longer run is an epoch, which never does.
-        """
-        self._credit(outcome, replayed, count)
-        start = self.now
-        for state, end in zip(self.active, outcome.entry_end_cycles):
-            first_done = start + state.pending_penalty + end
-            state.steps_done += count
-            state.pending_penalty = 0
-            if state.first_token_cycle is None:
-                state.first_token_cycle = first_done
-            if state.steps_done == state.request.decode_steps:
-                state.finish_cycle = first_done + (count - 1) * effective
-        if recorder is not None:
-            if count == 1:
-                recorder.add_span(
-                    f"iteration ({len(self.active)} reqs)",
-                    process=self._process,
-                    track="iterations",
-                    start=start,
-                    duration=effective,
-                    category="iteration",
-                    args={"batch": len(self.active), "scale": self.slow_scale},
-                )
-            else:
-                recorder.add_span(
-                    f"epoch x{count}",
-                    process=self._process,
-                    track="iterations",
-                    start=start,
-                    duration=count * effective,
-                    category="epoch",
-                    args={"batch": len(self.active), "iterations": count},
-                )
-        if count > 1:
-            self.epochs += 1
-            self.extrapolated_iterations += count
-        self.iterations += count
-        self.serving_cycles += count * effective
-        self.kernel_count += count * outcome.kernel_count
-        self.energy_uj = accumulate_energy_scalar(self.energy_uj, outcome.energy_uj, count)
-        for resource, busy in outcome.resource_busy:
-            self.resource_busy[resource] = self.resource_busy.get(resource, 0) + count * busy
-        self.now = start + count * effective
-        self._collect_finished()
-
-    def _collect_finished(self) -> None:
-        finished = [state for state in self.active if state.finish_cycle is not None]
-        if not finished:
-            return
-        for state in finished:
-            fr = self.by_id.pop(state.request.request_id)
-            fr.steps_done = state.steps_done
-            fr.first_token_cycle = state.first_token_cycle
-            fr.finish_cycle = state.finish_cycle
-            fr.terminal_cycle = state.finish_cycle
-            self.completed += 1
-        self.active = [state for state in self.active if state.finish_cycle is None]
-
-    def crash(self, at: int) -> List[_FleetRequest]:
-        """Take the replica down; return the orphaned requests.
-
-        The router has :meth:`cut` the run in flight, so what remains is
-        one crossing iteration: it is aborted (its work is discarded, not
-        accounted), admitted requests keep their decode progress but lose
-        KV residency (``needs_reprefill``), and dispatched-but-unadmitted
-        requests are simply returned to the router (no KV to lose).
-        """
-        self.crashes += 1
-        self.down_depth += 1
-        if self.inflight is not None:
-            _, outcome, _, _, replayed = self.inflight
-            self._credit(outcome, replayed, 1)
-            self.aborted_iterations += 1
-            self.inflight = None
-        orphans: List[_FleetRequest] = []
-        for state in self.active:
-            fr = self.by_id.pop(state.request.request_id)
-            fr.steps_done = state.steps_done
-            fr.first_token_cycle = state.first_token_cycle
-            fr.needs_reprefill = True
-            orphans.append(fr)
-        self.active = []
-        for _, fr in self.pending:
-            orphans.append(fr)
-        self.pending = []
-        self.now = max(self.now, at)
-        orphans.sort(key=lambda fr: fr.spec.request_id)
-        return orphans
-
-    def recover(self, at: int) -> None:
-        self.down_depth -= 1
-        if self.down_depth == 0:
-            self.now = max(self.now, at)
-
-    @property
-    def _process(self) -> str:
-        return f"replica{self.index} ({self.design_name})"
+        kv_bytes = self.stepper.ctx.kv_bytes
+        return sum(kv_bytes(state.request, state.steps_done) for state in self.stepper.active)
 
 
 @dataclass
@@ -816,21 +542,24 @@ class _FleetRun:
             _Replica(
                 index,
                 name,
-                ServingScheduler(
-                    design=name,
-                    heterogeneous=heterogeneous,
-                    dtype=dtype,
-                    iteration_memo=iteration_memo,
-                    epoch_compression=epoch_extrapolation,
+                _Stepper(
+                    ServingScheduler(
+                        design=name,
+                        heterogeneous=heterogeneous,
+                        dtype=dtype,
+                        iteration_memo=iteration_memo,
+                        epoch_compression=epoch_extrapolation,
+                    ),
+                    trace,
+                    process=f"replica{index} ({name})",
                 ),
-                trace,
-                compress=epoch_extrapolation,
             )
             for index, name in enumerate(designs)
         ]
         self.arrivals = list(trace.sorted_requests())
         self.queue: List[_FleetRequest] = []
         self.all_requests: List[_FleetRequest] = []
+        self.by_id: Dict[str, _FleetRequest] = {}
         self.events: List[tuple] = []
         self._seq = 0
         self._drain_armed = False
@@ -911,8 +640,19 @@ class _FleetRun:
         rep = self.policy.choose(candidates, fr, now)
         fr.attempts += 1
         if rep.reachable:
-            rep.cut(now, self.recorder)
-            rep.pending.append((now, fr))
+            rep.stepper.cut(now)
+            rep.stepper.offer(
+                _Queued(
+                    request=fr.spec,
+                    enqueued_cycle=now,
+                    steps_done=fr.steps_done,
+                    preempted=fr.needs_reprefill,
+                    admitted_cycle=fr.admitted_cycle,
+                    first_token_cycle=fr.first_token_cycle,
+                    preemptions=fr.failovers,
+                    reload_cycles=fr.reprefill_cycles,
+                )
+            )
             rep.dispatched += 1
             fr.replica = rep.index
             self.dispatch_count += 1
@@ -990,7 +730,37 @@ class _FleetRun:
 
     def _advance_all(self, limit: Union[int, float]) -> None:
         for rep in self.replicas:
-            rep.advance(limit, self.recorder)
+            if not rep.down:
+                rep.stepper.advance(limit)
+
+    def _crash(self, rep: _Replica, at: int) -> List[_FleetRequest]:
+        """Take ``rep`` down at ``at``; return its orphaned requests.
+
+        The stepper aborts the iteration crossing ``at``.  Admitted requests
+        keep their decode progress but lose KV residency
+        (``needs_reprefill``); dispatched-but-unadmitted requests simply
+        return to the router (no KV to lose).
+        """
+        rep.crashes += 1
+        rep.down_depth += 1
+        rep.stepper.cut(at)
+        states, waiting = rep.stepper.abort(at)
+        orphans = [self.by_id[entry.request.request_id] for entry in waiting]
+        for state in states:
+            fr = self.by_id[state.request.request_id]
+            self._collect(fr, state)
+            fr.needs_reprefill = True
+            orphans.append(fr)
+        orphans.sort(key=lambda fr: fr.spec.request_id)
+        return orphans
+
+    @staticmethod
+    def _collect(fr: _FleetRequest, state) -> None:
+        """Read a request's progress back from a replica's in-flight state."""
+        fr.steps_done = state.steps_done
+        fr.admitted_cycle = state.admitted_cycle
+        fr.first_token_cycle = state.first_token_cycle
+        fr.reprefill_cycles = state.reload_cycles
 
     # -- Event handlers --------------------------------------------------
 
@@ -999,7 +769,7 @@ class _FleetRun:
         if self.recorder is not None:
             self.recorder.add_span(
                 event.kind,
-                process=rep._process,
+                process=rep.process,
                 track="faults",
                 start=event.at_cycle,
                 duration=event.duration_cycles,
@@ -1007,8 +777,7 @@ class _FleetRun:
                 args={"scale": event.duration_scale},
             )
         if event.kind == "crash":
-            rep.cut(now, self.recorder)
-            orphans = rep.crash(now)
+            orphans = self._crash(rep, now)
             if not orphans:
                 return
             if self.config.failover:
@@ -1021,9 +790,10 @@ class _FleetRun:
                 for fr in orphans:
                     self._finalize(fr, "failed", now)
         elif event.kind == "slow":
-            rep.cut(now, self.recorder)
+            rep.stepper.cut(now)
             rep.slowdowns += 1
             rep.slow_scales.append(event.duration_scale)
+            rep.stepper.scale = max(rep.slow_scales)
         elif event.kind == "partition":
             rep.partitions += 1
             rep.partition_depth += 1
@@ -1031,10 +801,13 @@ class _FleetRun:
     def _on_fault_end(self, event: ReplicaFaultEvent, now: int) -> None:
         rep = self.replicas[event.replica]
         if event.kind == "crash":
-            rep.recover(now)
+            rep.down_depth -= 1
+            if not rep.down:
+                rep.stepper.now = max(rep.stepper.now, now)
         elif event.kind == "slow":
-            rep.cut(now, self.recorder)
+            rep.stepper.cut(now)
             rep.slow_scales.remove(event.duration_scale)
+            rep.stepper.scale = max(rep.slow_scales, default=1.0)
         elif event.kind == "partition":
             rep.partition_depth -= 1
 
@@ -1093,6 +866,7 @@ class _FleetRun:
                 arrival_index += 1
                 fr = _FleetRequest(spec=spec, priority=_request_priority(spec))
                 self.all_requests.append(fr)
+                self.by_id[spec.request_id] = fr
                 self._dispatch(fr, now)
             self._drain(now)
             if self.queue and not self._drain_armed:
@@ -1106,19 +880,25 @@ class _FleetRun:
         requests: List[FleetRequestResult] = []
         dispositions = {name: 0 for name in FLEET_DISPOSITIONS}
         for fr in self.all_requests:
+            finish = None
             if fr.disposition is None:
-                if fr.finish_cycle is not None:
-                    fr.disposition = evaluate_disposition(
-                        fr.spec,
-                        fr.first_token_cycle - fr.spec.arrival_cycle,
-                        fr.finish_cycle - fr.spec.arrival_cycle,
-                    )
-                    fr.terminal_cycle = fr.finish_cycle
-                else:
+                state = (
+                    self.replicas[fr.replica].stepper.finished.get(fr.spec.request_id)
+                    if fr.replica is not None
+                    else None
+                )
+                if state is None:
                     raise RuntimeError(
                         f"request {fr.spec.request_id} ended the fleet run without a "
                         "terminal disposition -- the router lost it"
                     )
+                self._collect(fr, state)
+                finish = fr.terminal_cycle = state.finish_cycle
+                fr.disposition = evaluate_disposition(
+                    fr.spec,
+                    fr.first_token_cycle - fr.spec.arrival_cycle,
+                    finish - fr.spec.arrival_cycle,
+                )
             dispositions[fr.disposition] += 1
             requests.append(
                 FleetRequestResult(
@@ -1127,7 +907,7 @@ class _FleetRun:
                     arrival_cycle=fr.spec.arrival_cycle,
                     admitted_cycle=fr.admitted_cycle,
                     first_token_cycle=fr.first_token_cycle,
-                    finish_cycle=fr.finish_cycle,
+                    finish_cycle=finish,
                     prompt_len=fr.spec.prompt_len,
                     decode_steps=fr.spec.decode_steps,
                     disposition=fr.disposition,
@@ -1142,7 +922,7 @@ class _FleetRun:
             )
         total_cycles = 0
         for rep in self.replicas:
-            total_cycles = max(total_cycles, rep.now)
+            total_cycles = max(total_cycles, rep.stepper.now)
         for request in requests:
             if request.terminal_cycle is not None:
                 total_cycles = max(total_cycles, request.terminal_cycle)
@@ -1174,48 +954,39 @@ class _FleetRun:
         metrics.counter("fleet.failovers").inc(self.failover_count)
         metrics.gauge("fleet.goodput").set(goodput)
         metrics.gauge("fleet.availability").set(availability)
-        for rep in self.replicas:
-            metrics.counter(f"fleet.replica{rep.index}.completed").inc(rep.completed)
-            metrics.counter(f"fleet.replica{rep.index}.iterations").inc(rep.iterations)
+        steppers = [rep.stepper for rep in self.replicas]
+        for rep, stepper in zip(self.replicas, steppers):
+            metrics.counter(f"fleet.replica{rep.index}.completed").inc(len(stepper.finished))
+            metrics.counter(f"fleet.replica{rep.index}.iterations").inc(stepper.iterations)
 
         reports = [
             ReplicaReport(
                 index=rep.index,
                 design=rep.design_name,
-                iterations=rep.iterations,
-                epochs=rep.epochs,
-                aborted_iterations=rep.aborted_iterations,
-                serving_cycles=rep.serving_cycles,
-                kernel_count=rep.kernel_count,
-                energy_uj=rep.energy_uj,
-                resource_busy=dict(rep.resource_busy),
+                iterations=stepper.iterations,
+                epochs=stepper.epoch_stats["epochs"],
+                aborted_iterations=stepper.aborted,
+                serving_cycles=stepper.serving_cycles,
+                kernel_count=stepper.kernel_count,
+                energy_uj=stepper.energy_uj,
+                resource_busy=dict(stepper.resource_busy),
                 dispatched=rep.dispatched,
-                completed=rep.completed,
+                completed=len(stepper.finished),
                 crashes=rep.crashes,
                 slowdowns=rep.slowdowns,
                 partitions=rep.partitions,
                 unreachable_cycles=unreachable[rep.index],
             )
-            for rep in self.replicas
+            for rep, stepper in zip(self.replicas, steppers)
         ]
         perf = {
-            "iteration_memo": {
-                "hits": sum(rep.memo_hits for rep in self.replicas),
-                "misses": sum(rep.memo_misses for rep in self.replicas),
-            },
-            "timing_cache": {
-                "hits": sum(rep.cache_hits for rep in self.replicas),
-                "misses": sum(rep.cache_misses for rep in self.replicas),
-            },
-            "epochs": {
-                "epochs": sum(rep.epochs for rep in self.replicas),
-                "extrapolated_iterations": sum(
-                    rep.extrapolated_iterations for rep in self.replicas
-                ),
-                "executed_iterations": sum(
-                    rep.iterations - rep.extrapolated_iterations for rep in self.replicas
-                ),
-            },
+            name: {key: sum(getattr(stepper, stats)[key] for stepper in steppers) for key in keys}
+            for name, stats, keys in (
+                ("iteration_memo", "memo_stats", ("hits", "misses")),
+                ("timing_cache", "cache_stats", ("hits", "misses")),
+                ("epochs", "epoch_stats",
+                 ("epochs", "extrapolated_iterations", "executed_iterations")),
+            )
         }
         return FleetRunResult(
             trace=trace_name,

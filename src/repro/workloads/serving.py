@@ -62,6 +62,8 @@ queueing delay, goodput and per-unit occupancy under load.
 from __future__ import annotations
 
 import math
+from bisect import insort
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -109,6 +111,8 @@ from repro.workloads.lowering import (
 )
 from repro.workloads.models import ModelSpec, build_model, resolve_trace, scaled_spec
 
+
+_INF = math.inf
 
 #: Terminal states a request can land in.  Finished requests are judged
 #: against their SLO targets (``met`` / ``violated``); ``shed`` requests were
@@ -214,11 +218,11 @@ class ServingRunResult:
     total_cycles: int
     serving_cycles: int
     requests: List[RequestResult]
-    #: Per-iteration records.  Under epoch compression this is an
+    #: Per-iteration records: an
     #: :class:`~repro.workloads.epochs.IterationTimeline` holding
-    #: extrapolated runs compressed; it behaves exactly like the list it
-    #: replaces (``len``, iteration, indexing), expanding records lazily.
-    iterations: Sequence[IterationRecord]
+    #: extrapolated runs compressed; it behaves exactly like a list of
+    #: records (``len``, iteration, indexing), expanding them lazily.
+    iterations: IterationTimeline
     kernel_count: int
     energy_uj: float
     resource_busy: Dict[str, int] = field(default_factory=dict)
@@ -268,9 +272,7 @@ class ServingRunResult:
 
     @property
     def decode_steps_executed(self) -> int:
-        if isinstance(self.iterations, IterationTimeline):
-            return self.iterations.decode_steps
-        return sum(record.batch for record in self.iterations)
+        return self.iterations.decode_steps
 
     @property
     def mean_batch(self) -> float:
@@ -323,7 +325,8 @@ class _InFlight:
     (re-)admission, the preemption policies' eviction-ordering key.
     ``pending_penalty`` is the KV re-read cost a just-re-admitted request
     pays before its next step completes -- consumed by the first iteration
-    after re-admission.
+    after re-admission.  ``reload_cycles`` sums every such cost the request
+    has paid so far (a fleet reports it as the re-prefill cost of failover).
     """
 
     request: RequestSpec
@@ -334,6 +337,7 @@ class _InFlight:
     resident_since: int = 0
     pending_penalty: int = 0
     preemptions: int = 0
+    reload_cycles: int = 0
 
     @property
     def prefix(self) -> str:
@@ -342,7 +346,11 @@ class _InFlight:
 
 @dataclass
 class _Queued:
-    """A request waiting for admission (fresh arrival or preempted)."""
+    """A request waiting for admission (fresh arrival, preempted or failed over).
+
+    ``preempted`` marks KV state that is not resident (evicted, or lost with
+    a crashed fleet replica): admission charges its reload cost.
+    """
 
     request: RequestSpec
     enqueued_cycle: int
@@ -352,6 +360,7 @@ class _Queued:
     first_token_cycle: Optional[int] = None
     preemptions: int = 0
     evicted_cycle: Optional[int] = None
+    reload_cycles: int = 0
 
 
 @dataclass
@@ -362,9 +371,12 @@ class _Step:
     program: Optional[StepProgram] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _IterationOutcome:
     """Everything a continuous-batching iteration contributes to the run.
+
+    Compared and hashed by identity: a memo hit returns the object the miss
+    stored, which keys captured trace shapes and merges episode segments.
 
     ``entry_end_cycles`` holds, per batch position, the iteration-relative
     cycle at which that request's decode step retires (the latest end of any
@@ -489,19 +501,11 @@ def _episode_run_length(
 
 def _serving_metrics(
     requests: List[RequestResult],
-    iterations: Sequence[IterationRecord],
-    total_cycles: int,
-    serving_cycles: int,
-    kernel_count: int,
-    resource_busy: Dict[str, int],
-    cache_stats: Dict[str, int],
-    memo_stats: Dict[str, int],
-    control_active: bool = False,
-    goodput: Optional[float] = None,
-    dispositions: Optional[Dict[str, int]] = None,
-    preemption_count: int = 0,
-    epoch_stats: Optional[Dict[str, object]] = None,
-    queue_waits: Optional[Tuple[int, List[int]]] = None,
+    stepper: "_Stepper",
+    queue_waits: Tuple[int, List[int]],
+    control_active: bool,
+    goodput: Optional[float],
+    dispositions: Dict[str, int],
 ) -> MetricsRegistry:
     """The unified metrics registry for one serving run.
 
@@ -509,68 +513,55 @@ def _serving_metrics(
     (requests, iterations, busy cycles) and therefore identical whether
     iterations executed or replayed from the memo -- the property that keeps
     ``to_dict`` byte-stable across cache states.  Cache and memo activity is
-    process-dependent and registered diagnostic.
+    process-dependent and registered diagnostic.  ``queue_waits`` is the
+    result merge's bulk count of known-zero waits (episode-replayed requests
+    are admitted on arrival) plus the individually tracked waits.
     """
+    timeline = stepper.timeline
+    resource_busy = stepper.resource_busy
     metrics = MetricsRegistry()
     metrics.counter("serving.requests").inc(len(requests))
-    metrics.counter("serving.iterations").inc(len(iterations))
-    timeline = iterations if isinstance(iterations, IterationTimeline) else None
-    metrics.counter("serving.decode_steps").inc(
-        timeline.decode_steps
-        if timeline is not None
-        else sum(record.batch for record in iterations)
-    )
-    metrics.counter("serving.kernels").inc(kernel_count)
-    metrics.gauge("serving.makespan_cycles").set(total_cycles)
-    metrics.gauge("serving.serving_cycles").set(serving_cycles)
+    metrics.counter("serving.iterations").inc(len(timeline))
+    metrics.counter("serving.decode_steps").inc(timeline.decode_steps)
+    metrics.counter("serving.kernels").inc(stepper.kernel_count)
+    metrics.gauge("serving.makespan_cycles").set(stepper.now)
+    metrics.gauge("serving.serving_cycles").set(stepper.serving_cycles)
     # Histogram snapshots are order-insensitive (count/total/min/max), so
     # bulk observation over compressed segments reproduces the per-record
     # loop's snapshot exactly without expanding extrapolated runs.
     batch = metrics.histogram("serving.batch")
-    if timeline is not None:
-        for value, count in timeline.batch_observations():
-            batch.observe_many(value, count)
-    else:
-        for record in iterations:
-            batch.observe(record.batch)
+    for value, count in timeline.batch_observations():
+        batch.observe_many(value, count)
     queueing = metrics.histogram("serving.queue_wait_cycles")
-    if queue_waits is not None:
-        # Precomputed during the scheduler's result merge: a bulk count of
-        # known-zero waits (episode-replayed requests are admitted on
-        # arrival) plus the individually tracked waits.  Snapshot-identical
-        # to the per-request loop because histograms are order-insensitive.
-        zero_count, waits = queue_waits
-        queueing.observe_many(0, zero_count)
-        for wait in waits:
-            queueing.observe(wait)
-    else:
-        for request in requests:
-            admitted = request.admitted_cycle
-            if admitted is not None:
-                queueing.observe(admitted - request.arrival_cycle)
+    zero_count, waits = queue_waits
+    queueing.observe_many(0, zero_count)
+    for wait in waits:
+        queueing.observe(wait)
     if control_active:
         metrics.gauge("serving.goodput").set(goodput if goodput is not None else 0.0)
         for disposition in DISPOSITIONS:
             metrics.counter(f"serving.dispositions.{disposition}").inc(
-                (dispositions or {}).get(disposition, 0)
+                dispositions.get(disposition, 0)
             )
-        metrics.counter("serving.preemptions").inc(preemption_count)
+        metrics.counter("serving.preemptions").inc(stepper.preemption_count)
     for resource, busy in sorted(resource_busy.items()):
         metrics.counter(f"unit.busy_cycles.{resource}").inc(busy)
-    occupancy = occupancy_percent(resource_busy, serving_cycles)
+    occupancy = occupancy_percent(resource_busy, stepper.serving_cycles)
     for resource, percent in occupancy.items():
         metrics.gauge(f"unit.occupancy_percent.{resource}").set(percent)
+    memo_stats, cache_stats, epoch_stats = (
+        stepper.memo_stats, stepper.cache_stats, stepper.epoch_stats
+    )
     metrics.counter("iteration_memo.hits", diagnostic=True).inc(memo_stats["hits"])
     metrics.counter("iteration_memo.misses", diagnostic=True).inc(memo_stats["misses"])
     metrics.counter("timing_cache.hits", diagnostic=True).inc(cache_stats["hits"])
     metrics.counter("timing_cache.misses", diagnostic=True).inc(cache_stats["misses"])
-    if epoch_stats is not None:
-        metrics.counter("epoch.runs", diagnostic=True).inc(
-            int(epoch_stats["epochs"]) + int(epoch_stats["episode_runs"])
-        )
-        metrics.counter("epoch.extrapolated_iterations", diagnostic=True).inc(
-            int(epoch_stats["extrapolated_iterations"])
-        )
+    metrics.counter("epoch.runs", diagnostic=True).inc(
+        int(epoch_stats["epochs"]) + int(epoch_stats["episode_runs"])
+    )
+    metrics.counter("epoch.extrapolated_iterations", diagnostic=True).inc(
+        int(epoch_stats["extrapolated_iterations"])
+    )
     return metrics
 
 
@@ -631,7 +622,7 @@ class ServingScheduler:
         self,
         trace: ServingTrace,
         active: List[_InFlight],
-        contexts: Optional[List[int]] = None,
+        contexts: List[int],
     ) -> List[str]:
         """Per-iteration matrix-unit assignment for the active batch.
 
@@ -651,14 +642,8 @@ class ServingScheduler:
         context) composition, so when that composition matches the previous
         iteration's exactly -- no arrival, retirement or bucket crossing --
         the previous assignment is reused instead of re-running the repack.
-        ``contexts`` optionally supplies the per-request bucketed contexts
-        the caller already computed.
+        ``contexts`` holds the per-request bucketed contexts.
         """
-        if contexts is None:
-            contexts = [
-                trace.bucketed_context(state.request.context_at(state.steps_done))
-                for state in active
-            ]
         units = [MATRIX_RESOURCE] * len(active)
         if not self._unit_stride or len(active) < 2:
             return units
@@ -857,24 +842,6 @@ class ServingScheduler:
             cache_misses=cache.misses - misses,
         )
 
-    def _readmission_penalty(self, entry: _Queued, ctx: PolicyContext) -> int:
-        """KV re-read cost of re-admitting a preempted request, in cycles.
-
-        Eviction drops the request's KV state from HBM residency; coming
-        back, the state streams in again over the DRAM channel -- capacity
-        bytes over channel bandwidth, plus the channel latency.
-        """
-        return self.kv_reload_penalty(entry.request, entry.steps_done, ctx.trace)
-
-    # -- External-driver hooks -------------------------------------------
-    #
-    # The fleet router (repro.workloads.fleet) steps replicas incrementally
-    # between fleet events instead of calling :meth:`run` once per trace.
-    # These hooks expose the scheduler's building blocks -- one iteration's
-    # outcome with memo replay, the KV reload cost a requeued request pays,
-    # and the batch's resident KV footprint -- without touching the main
-    # loop, so single-SoC serve runs stay byte-identical to their goldens.
-
     def kv_reload_penalty(self, request: RequestSpec, steps_done: int, trace: ServingTrace) -> int:
         """Cycles to stream the request's KV state back into HBM residency.
 
@@ -888,55 +855,50 @@ class ServingScheduler:
         kv_bytes = request_kv_bytes(request.model, context, self.dtype)
         return int(math.ceil(kv_bytes / dram.bandwidth_bytes_per_cycle)) + dram.latency_cycles
 
-    def resident_kv_bytes(self, trace: ServingTrace, active: Sequence[_InFlight]) -> int:
-        """Total KV bytes resident for the active batch (router introspection)."""
-        return sum(
-            request_kv_bytes(
-                state.request.model,
-                trace.bucketed_context(state.request.context_at(state.steps_done)),
-                self.dtype,
-            )
-            for state in active
-        )
-
     def iteration_outcome(
         self,
         trace: ServingTrace,
         active: List[_InFlight],
+        contexts: List[int],
         duration_scale: float = 1.0,
+        start: int = 0,
+        shapes: Optional[Dict[_IterationOutcome, CapturedSpans]] = None,
     ) -> Tuple[_IterationOutcome, bool]:
-        """One continuous-batching iteration for an external driver.
+        """One continuous-batching iteration of ``active``: ``(outcome, replayed)``.
 
-        Computes the batch's contexts, unit packing and pending penalties,
-        consults the process-wide iteration memo, and returns ``(outcome,
-        replayed)``.  A scaled iteration (``duration_scale != 1`` -- the
-        slowdown-fault path) bypasses the memo in *both* directions, the
-        same no-cache-poisoning rule spiked iterations follow in
-        :meth:`run`.  The caller owns stat bookkeeping: on replay it should
-        credit ``outcome.cache_lookups`` back to the timing cache (times the
-        number of extrapolated repeats) so memoized and executing runs
-        report the same lookup totals.
+        The one probe of the process-wide iteration memo: replay the
+        memoized outcome of the batch's composition (``contexts`` holds each
+        request's bucketed KV context), or execute and memoize it.  The memo is bypassed while it is off or the timing cache is
+        disabled (the cold path must measure real work), and in *both*
+        directions for a scaled iteration (a latency spike or a slow
+        replica): a clean replay would dodge the slowdown, and the slowed
+        outcome must not leak into clean iterations.  Under a trace recorder
+        executed kernel spans land at cycle ``start``, and a memoized miss
+        captures them into ``shapes`` for replays of its outcome.
         """
-        contexts = [
-            trace.bucketed_context(state.request.context_at(state.steps_done))
-            for state in active
-        ]
         units = self.iteration_units(trace, active, contexts)
-        penalties = [state.pending_penalty for state in active]
+        cache = timing_cache()
         memo = (
-            _iteration_memo()
-            if self.iteration_memo and timing_cache().enabled and duration_scale == 1.0
+            cache.namespace(_MEMO_NAMESPACE)
+            if self.iteration_memo and duration_scale == 1.0 and cache.enabled
             else None
         )
-        key = self._memo_key(contexts, active, units, penalties) if memo is not None else None
-        outcome = memo.get(key) if memo is not None else None
-        if outcome is not None:
-            return outcome, True
-        label = f"fleet:{trace.name}"
-        with phase("serving.iteration", batch=len(active)):
-            outcome = self._execute_iteration(
-                trace, active, contexts, units, label=label, duration_scale=duration_scale
+        if memo is not None:
+            key = self._memo_key(
+                contexts, active, units, [state.pending_penalty for state in active]
             )
+            outcome = memo.get(key)
+            if outcome is not None:
+                return outcome, True
+        recorder = trace_recorder()
+        with phase("serving.iteration", batch=len(active)):
+            marker = recorder.mark() if recorder is not None else None
+            with recorder.time_offset(start) if recorder is not None else nullcontext():
+                outcome = self._execute_iteration(
+                    trace, active, contexts, units, trace.name, duration_scale
+                )
+            if marker is not None and memo is not None and shapes is not None:
+                shapes[outcome] = recorder.capture(marker, base=start)
         if memo is not None:
             memo[key] = outcome
         return outcome, False
@@ -960,570 +922,13 @@ class ServingScheduler:
             or injector is not None
             or any(request.slo is not None for request in trace.requests)
         )
-        ctx = PolicyContext(
-            design=self.design,
-            dtype=self.dtype,
-            trace=trace,
-            kv_budget_bytes=self.design.soc.dram.hbm_capacity_bytes,
-        )
-        pending: List[RequestSpec] = list(trace.sorted_requests())
-        pend_i = 0
-        n_pending = len(pending)
-        queued: List[_Queued] = []
-        active: List[_InFlight] = []
-        finished: Dict[str, _InFlight] = {}
-        terminated: Dict[str, Tuple[_Queued, str, int]] = {}
-        preemption_count = 0
-
-        now = 0
-        serving_cycles = 0
-        kernel_count = 0
-        energy_uj = 0.0
-        resource_busy: Dict[str, int] = {}
-        cache = timing_cache()
-        cache_stats = {"hits": 0, "misses": 0}
-        memo_stats = {"hits": 0, "misses": 0}
-        memo_table = _iteration_memo() if self.iteration_memo else None
-        iterations = IterationTimeline()
-        recorder = trace_recorder()
-
-        # Epoch compression rides on top of the iteration memo (an epoch is
-        # a proven run of memo hits), so it degrades to exact simulation
-        # whenever the memo is off or the cache disabled.  Episode replay
-        # additionally requires no fault injector: faults are drawn per
-        # iteration *index*, so epochs can probe ahead for a clean run
-        # (clean_fault_run) but whole-request replay cannot skip the draw.
-        compress = self.epoch_compression and memo_table is not None
-        epoch_stats = fresh_epoch_stats(compress)
-        episodes = _episode_templates() if compress and injector is None else None
-        # Episode-template learning state: while exactly one request serves
-        # alone from its arrival boundary, record its (outcome, run length)
-        # segment stream; any deviation -- a second request, a fault, a
-        # pending penalty, a memo bypass -- aborts the recording.
-        learn_key: Optional[tuple] = None
-        learn_rid: Optional[str] = None
-        learn_segments: List[list] = []
-        # Episode replay bookkeeping: (first pending index, request count,
-        # template) per run, merged positionally with the exact results
-        # after the loop (``pending`` preserves trace order).
-        episode_meta: List[Tuple[int, int, EpisodeTemplate]] = []
-        # Numpy views over the pending stream for the episode run-length
-        # walk, built lazily on the first template match.
-        arrivals_np: Optional[np.ndarray] = None
-        gaps_np: Optional[np.ndarray] = None
-        shape_ids: Optional[np.ndarray] = None
-
-        def learn_record(outcome: _IterationOutcome, count: int) -> None:
-            # Consecutive iterations of one composition replay the *same*
-            # memo object, so identity merging recovers the segment runs.
-            if learn_segments and learn_segments[-1][0] is outcome:
-                learn_segments[-1][1] += count
-            else:
-                learn_segments.append([outcome, count])
-
-        def learn_abort() -> None:
-            nonlocal learn_key
-            learn_key = None
-            learn_segments.clear()
-
-        def learn_finalize(state: _InFlight) -> None:
-            nonlocal learn_key
-            # The sum check is a safety net: a recording that survived to
-            # the finish covered every decode step by construction.
-            if sum(count for _, count in learn_segments) == state.request.decode_steps:
-                episodes[learn_key] = build_episode_template(
-                    [
-                        EpisodeSegment(
-                            count=count,
-                            span_cycles=recorded.span_cycles,
-                            end_cycle=recorded.entry_end_cycles[0],
-                            kernel_count=recorded.kernel_count,
-                            energy_uj=recorded.energy_uj,
-                            resource_busy=recorded.resource_busy,
-                            cache_lookups=recorded.cache_lookups,
-                        )
-                        for recorded, count in learn_segments
-                    ]
-                )
-            learn_key = None
-            learn_segments.clear()
-        # Iteration-relative kernel span shapes captured at memo-miss time,
-        # keyed like the memo itself.  The merged placement is a pure
-        # function of the composition, so a memo hit replays the captured
-        # shape shifted to the new iteration start -- the placement the memo
-        # skipped rebuilding.  Compositions warmed before tracing started
-        # have no shape to replay and fall back to synthesized per-unit
-        # epoch spans.
-        span_shapes: Dict[tuple, CapturedSpans] = {}
-
-        while pend_i < n_pending or queued or active:
-            # Episode fast path: the system is idle with no backlog and the
-            # next arrival's whole solo service is already templated --
-            # replay entire requests in closed form, vectorized over the
-            # maximal run of same-shape arrivals spaced at least one
-            # solo-service span apart (so no request in the run can be
-            # disturbed by the next).
-            if (
-                episodes is not None
-                and cache.enabled
-                and not active
-                and not queued
-                and pend_i < n_pending
-                and pending[pend_i].arrival_cycle >= now
-            ):
-                template = episodes.get(self._episode_key(trace, pending[pend_i]))
-                if template is not None:
-                    if shape_ids is None:
-                        # Stream builders stash their arrival/gap/shape
-                        # arrays on the trace; fall back to deriving them.
-                        cached = trace.__dict__.get("_stream_arrays")
-                        if cached is not None and len(cached[0]) == n_pending:
-                            arrivals_np, gaps_np, shape_ids = cached
-                        else:
-                            arrivals_np, gaps_np, shape_ids = _pending_arrays(
-                                pending
-                            )
-                    # Scalar pre-check: the head itself is disturbed when its
-                    # successor lands inside its solo span -- the common
-                    # rejection after an overlap cluster, not worth a walk.
-                    if (
-                        pend_i + 1 < n_pending
-                        and gaps_np[pend_i] < template.total_span
-                    ):
-                        count = 0
-                    else:
-                        count = _episode_run_length(
-                            pend_i, template.total_span, gaps_np, shape_ids
-                        )
-                    if count:
-                        run_arrivals = arrivals_np[pend_i : pend_i + count]
-                        iterations.append(
-                            EpisodeRun(
-                                index=len(iterations),
-                                template=template,
-                                arrivals=run_arrivals,
-                                requests=pending[pend_i : pend_i + count],
-                            )
-                        )
-                        episode_meta.append((pend_i, count, template))
-                        replay_iters = count * template.total_iterations
-                        memo_stats["hits"] += replay_iters
-                        lookups = count * template.total_lookups
-                        cache.credit_hits(lookups)
-                        cache_stats["hits"] += lookups
-                        kernel_count += count * template.total_kernels
-                        serving_cycles += count * template.total_span
-                        for resource, busy in template.busy_totals:
-                            resource_busy[resource] = (
-                                resource_busy.get(resource, 0) + count * busy
-                            )
-                        energy_uj = accumulate_energy(
-                            energy_uj, template.energy_pattern, count
-                        )
-                        now = int(run_arrivals[-1]) + template.total_span
-                        epoch_stats["episode_runs"] += 1
-                        epoch_stats["extrapolated_iterations"] += replay_iters
-                        epoch_stats["extrapolated_requests"] += count
-                        pend_i += count
-                        if recorder is not None:
-                            start = int(run_arrivals[0])
-                            recorder.add_span(
-                                f"episode x{count}",
-                                process=SCHEDULER_PROCESS,
-                                track="iterations",
-                                start=start,
-                                duration=now - start,
-                                category="epoch",
-                                args={
-                                    "requests": count,
-                                    "iterations": replay_iters,
-                                    "memo": "extrapolated",
-                                    "kernels": count * template.total_kernels,
-                                },
-                            )
-                            for resource, busy in template.busy_totals:
-                                recorder.add_span(
-                                    "epoch (extrapolated)",
-                                    process=UNITS_PROCESS,
-                                    track=resource,
-                                    start=start,
-                                    duration=now - start,
-                                    category="epoch",
-                                    args={
-                                        "busy_cycles": count * busy,
-                                        "kernels": count * template.total_kernels,
-                                    },
-                                )
-                        continue
-            # Arrivals: iteration-level continuous batching enqueues every
-            # request whose arrival has passed at the iteration boundary.
-            while pend_i < n_pending and pending[pend_i].arrival_cycle <= now:
-                request = pending[pend_i]
-                pend_i += 1
-                queued.append(_Queued(request=request, enqueued_cycle=request.arrival_cycle))
-
-            # Control plane: shed hopeless waiters, preempt for higher
-            # priorities, admit under the iteration budget.  The default
-            # FCFS policy sheds nothing, evicts nothing and admits the whole
-            # queue, reproducing the historical loop exactly.
-            for entry in self.policy.shed(queued, now, ctx):
-                queued.remove(entry)
-                disposition = "timed_out" if entry.preempted else "shed"
-                terminated[entry.request.request_id] = (entry, disposition, now)
-            if queued and active:
-                for state in self.policy.evict(active, queued, now, ctx):
-                    active.remove(state)
-                    preemption_count += 1
-                    queued.append(
-                        _Queued(
-                            request=state.request,
-                            enqueued_cycle=now,
-                            steps_done=state.steps_done,
-                            preempted=True,
-                            admitted_cycle=state.admitted_cycle,
-                            first_token_cycle=state.first_token_cycle,
-                            preemptions=state.preemptions + 1,
-                            evicted_cycle=now,
-                        )
-                    )
-            if queued:
-                admitted = self.policy.admit(queued, active, now, ctx)
-                if not admitted and not active:
-                    # Progress safety valve: with nothing decoding and
-                    # nothing admissible, force the oldest waiter in even
-                    # over budget -- the scheduler must never deadlock on a
-                    # request too large for the configured budget.
-                    admitted = [
-                        min(queued, key=lambda e: (e.enqueued_cycle, e.request.request_id))
-                    ]
-                for entry in admitted:
-                    queued.remove(entry)
-                    penalty = (
-                        self._readmission_penalty(entry, ctx) if entry.preempted else 0
-                    )
-                    if recorder is not None and entry.evicted_cycle is not None:
-                        recorder.add_span(
-                            "preempted",
-                            process=REQUESTS_PROCESS,
-                            track=entry.request.request_id,
-                            start=entry.evicted_cycle,
-                            duration=now - entry.evicted_cycle,
-                            category="preempted",
-                            args={"readmission_penalty_cycles": penalty},
-                        )
-                    active.append(
-                        _InFlight(
-                            request=entry.request,
-                            admitted_cycle=(
-                                entry.admitted_cycle
-                                if entry.admitted_cycle is not None
-                                else now
-                            ),
-                            steps_done=entry.steps_done,
-                            first_token_cycle=entry.first_token_cycle,
-                            resident_since=now,
-                            pending_penalty=penalty,
-                            preemptions=entry.preemptions,
-                        )
-                    )
-            if not active:
-                if pend_i < n_pending:
-                    now = pending[pend_i].arrival_cycle
-                continue
-
-            contexts = [
-                trace.bucketed_context(state.request.context_at(state.steps_done))
-                for state in active
-            ]
-            units = self.iteration_units(trace, active, contexts)
-            penalties = [state.pending_penalty for state in active]
-
-            # Fault injection: a spiked iteration executes with scaled kernel
-            # durations and bypasses the memo in both directions -- no read
-            # (a clean replay would dodge the spike) and no write (the
-            # poisoned outcome must not leak into clean iterations) -- so
-            # memo on/off runs stay byte-identical under faults.
-            index = len(iterations)
-            spike = injector.iteration_spike(index) if injector is not None else None
-            stall = injector.iteration_stall(index) if injector is not None else 0
-
-            # Iteration memoization: KV bucketing makes batch compositions
-            # repeat within (and across) runs, and the merged schedule is a
-            # pure function of the composition -- so a repeated composition
-            # replays the recorded outcome instead of re-merging and
-            # re-scheduling.  Disabled alongside the timing cache: the cold
-            # path must measure real work.
-            memo = memo_table if cache.enabled and spike is None else None
-            key = (
-                self._memo_key(contexts, active, units, penalties)
-                if memo is not None
-                else None
-            )
-            outcome = memo.get(key) if memo is not None else None
-            replayed = outcome is not None
-            if outcome is None:
-                label = f"serve:{trace.name}#{index}"
-                with phase("serving.iteration", index=index, batch=len(active)):
-                    if recorder is not None:
-                        marker = recorder.mark()
-                        with recorder.time_offset(now):
-                            outcome = self._execute_iteration(
-                                trace, active, contexts, units, label=label,
-                                duration_scale=spike if spike is not None else 1.0,
-                            )
-                        if key is not None:
-                            span_shapes[key] = recorder.capture(marker, base=now)
-                    else:
-                        outcome = self._execute_iteration(
-                            trace, active, contexts, units, label=label,
-                            duration_scale=spike if spike is not None else 1.0,
-                        )
-                if memo is not None:
-                    memo[key] = outcome
-                memo_stats["misses"] += 1
-                cache_stats["hits"] += outcome.cache_hits
-                cache_stats["misses"] += outcome.cache_misses
-                horizon = 1
-            else:
-                # Epoch extrapolation: on a memo hit with an empty queue, no
-                # pending penalties and no stall, the composition provably
-                # recurs -- the control plane is a no-op at every boundary
-                # until the first transient (soonest finish, KV-bucket
-                # crossing, next arrival, or injected fault), and every
-                # per-iteration quantity is constant.  The horizon is the
-                # exact count of such iterations; covering them in one
-                # arithmetic step is what turns steady traffic into O(1)
-                # epochs, mirroring execute_flash_loop's KV-tile
-                # extrapolation one level down.
-                horizon = 1
-                span = outcome.span_cycles
-                if (
-                    compress
-                    and stall == 0
-                    and not queued
-                    and span > 0
-                    and not any(penalties)
-                ):
-                    horizon = epoch_horizon(
-                        [s.request.decode_steps - s.steps_done for s in active],
-                        [
-                            context - s.request.context_at(s.steps_done) + 1
-                            for s, context in zip(active, contexts)
-                        ],
-                        span,
-                        now,
-                        pending[pend_i].arrival_cycle if pend_i < n_pending else None,
-                    )
-                    if injector is not None and horizon > 1:
-                        horizon = 1 + clean_fault_run(injector, index + 1, horizon - 1)
-                memo_stats["hits"] += horizon
-                # Replaying the outcome skips the per-kernel cache probes the
-                # execution would have performed (all hits on a warm cache);
-                # credit them so memoized and non-memoized runs report the
-                # same lookup totals.
-                lookups = horizon * outcome.cache_lookups
-                cache.credit_hits(lookups)
-                cache_stats["hits"] += lookups
-                if horizon == 1 and recorder is not None:
-                    shape = span_shapes.get(key)
-                    if shape is not None:
-                        recorder.replay(shape, base=now)
-                    else:
-                        for resource, busy in outcome.resource_busy:
-                            recorder.add_span(
-                                "epoch (memoized)",
-                                process=UNITS_PROCESS,
-                                track=resource,
-                                start=now,
-                                duration=outcome.span_cycles,
-                                category="epoch",
-                                args={
-                                    "busy_cycles": busy,
-                                    "kernels": outcome.kernel_count,
-                                },
-                            )
-
-            # Episode-template learning: start on the first iteration of a
-            # request serving alone from its arrival boundary, keep
-            # recording while the solo run stays undisturbed, abort on any
-            # deviation.  Epoch hits record their whole run in one segment.
-            if learn_key is not None:
-                if (
-                    len(active) == 1
-                    and active[0].request.request_id == learn_rid
-                    and key is not None
-                    and stall == 0
-                    and not queued
-                    and penalties[0] == 0
-                ):
-                    learn_record(outcome, horizon)
-                else:
-                    learn_abort()
-            elif (
-                episodes is not None
-                and len(active) == 1
-                and not queued
-                and key is not None
-                and stall == 0
-                and penalties[0] == 0
-                and active[0].steps_done == 0
-                and active[0].admitted_cycle == active[0].request.arrival_cycle
-                and now == active[0].request.arrival_cycle
-            ):
-                candidate = self._episode_key(trace, active[0].request)
-                if candidate not in episodes:
-                    learn_key = candidate
-                    learn_rid = active[0].request.request_id
-                    learn_record(outcome, horizon)
-
-            if horizon >= 2:
-                # Whole-epoch bookkeeping, byte-identical to running the
-                # horizon's iterations one by one: integer quantities
-                # advance by exact multiples, energy replays the identical
-                # sequential float sum (accumulate_energy), and the record
-                # stays compressed in the timeline.
-                for state, end in zip(active, outcome.entry_end_cycles):
-                    if state.first_token_cycle is None:
-                        state.first_token_cycle = now + end
-                    state.steps_done += horizon
-                    if state.steps_done == state.request.decode_steps:
-                        state.finish_cycle = now + (horizon - 1) * span + end
-                        finished[state.request.request_id] = state
-                if learn_key is not None and active[0].finish_cycle is not None:
-                    learn_finalize(active[0])
-                if recorder is not None:
-                    recorder.add_span(
-                        f"epoch x{horizon}",
-                        process=SCHEDULER_PROCESS,
-                        track="iterations",
-                        start=now,
-                        duration=horizon * span,
-                        category="epoch",
-                        args={
-                            "batch": len(active),
-                            "requests": [s.request.request_id for s in active],
-                            "iterations": horizon,
-                            "span_cycles": span,
-                            "memo": "extrapolated",
-                            "kernels": horizon * outcome.kernel_count,
-                        },
-                    )
-                    for resource, busy in outcome.resource_busy:
-                        recorder.add_span(
-                            "epoch (extrapolated)",
-                            process=UNITS_PROCESS,
-                            track=resource,
-                            start=now,
-                            duration=horizon * span,
-                            category="epoch",
-                            args={
-                                "busy_cycles": horizon * busy,
-                                "kernels": horizon * outcome.kernel_count,
-                            },
-                        )
-                iterations.append(
-                    EpochRecord(
-                        index=index,
-                        start_cycle=now,
-                        span_cycles=span,
-                        count=horizon,
-                        request_ids=[s.request.request_id for s in active],
-                    )
-                )
-                serving_cycles += horizon * span
-                kernel_count += horizon * outcome.kernel_count
-                energy_uj = accumulate_energy_scalar(
-                    energy_uj, outcome.energy_uj, horizon
-                )
-                for resource, busy in outcome.resource_busy:
-                    resource_busy[resource] = (
-                        resource_busy.get(resource, 0) + horizon * busy
-                    )
-                epoch_stats["epochs"] += 1
-                epoch_stats["extrapolated_iterations"] += horizon
-                now += horizon * span
-                active = [state for state in active if state.finish_cycle is None]
-                continue
-
-            # The iteration's effective span: the merged schedule's makespan,
-            # stretched by any re-admission penalty serialized in front of a
-            # request's step, plus an injected stall.  All zero on the
-            # default path, where effective == outcome.span_cycles exactly.
-            effective_span = outcome.span_cycles
-            for state, end in zip(active, outcome.entry_end_cycles):
-                if state.pending_penalty:
-                    effective_span = max(effective_span, end + state.pending_penalty)
-            effective_span += stall
-
-            for state, end in zip(active, outcome.entry_end_cycles):
-                done_at = now + state.pending_penalty + end
-                if recorder is not None:
-                    recorder.add_span(
-                        f"step {state.steps_done}",
-                        process=REQUESTS_PROCESS,
-                        track=state.request.request_id,
-                        start=now,
-                        duration=state.pending_penalty + end,
-                        category="decode_step",
-                        args={"iteration": index},
-                    )
-                state.steps_done += 1
-                state.pending_penalty = 0
-                if state.first_token_cycle is None:
-                    state.first_token_cycle = done_at
-                if state.steps_done == state.request.decode_steps:
-                    state.finish_cycle = done_at
-                    finished[state.request.request_id] = state
-            # A surviving recording implies the learner is active[0] (any
-            # batch growth or identity change aborted it above).
-            if learn_key is not None and active[0].finish_cycle is not None:
-                learn_finalize(active[0])
-
-            if recorder is not None:
-                recorder.add_span(
-                    f"iteration {index}",
-                    process=SCHEDULER_PROCESS,
-                    track="iterations",
-                    start=now,
-                    duration=effective_span,
-                    category="iteration",
-                    args={
-                        "batch": len(active),
-                        "requests": [state.request.request_id for state in active],
-                        "memo": "replay" if replayed else ("miss" if memo is not None else "off"),
-                        "kernels": outcome.kernel_count,
-                    },
-                )
-                if stall:
-                    recorder.add_span(
-                        "stall (fault)",
-                        process=SCHEDULER_PROCESS,
-                        track="iterations",
-                        start=now + effective_span - stall,
-                        duration=stall,
-                        category="fault",
-                        args={"iteration": index},
-                    )
-            iterations.append(
-                IterationRecord(
-                    index=index,
-                    start_cycle=now,
-                    span_cycles=effective_span,
-                    batch=len(active),
-                    request_ids=[state.request.request_id for state in active],
-                )
-            )
-            epoch_stats["executed_iterations"] += 1
-            serving_cycles += effective_span
-            kernel_count += outcome.kernel_count
-            energy_uj += outcome.energy_uj
-            for resource, busy in outcome.resource_busy:
-                resource_busy[resource] = resource_busy.get(resource, 0) + busy
-
-            now += effective_span
-            active = [state for state in active if state.finish_cycle is None]
-
         specs = trace.sorted_requests()
+        stepper = _Stepper(
+            self, trace, arrivals=specs, injector=injector, timeline=IterationTimeline()
+        )
+        stepper.advance(_INF)
+        episode_meta = stepper.episode_meta
+        recorder = stepper.recorder
         requests: List[RequestResult] = []
         zero_wait = 0
         queue_waits: List[int] = []
@@ -1532,9 +937,9 @@ class ServingScheduler:
         total_requests = len(specs)
         while position < total_requests:
             if meta_pos < len(episode_meta) and episode_meta[meta_pos][0] == position:
-                # Episode-replayed requests: ``pending`` preserved trace
-                # order, so each run covers a contiguous span of the sorted
-                # stream and its stamps are pure offsets from the arrival.
+                # Episode-replayed requests: each run covers a contiguous
+                # span of the sorted stream, and its stamps are pure offsets
+                # from the arrival.
                 start, count, template = episode_meta[meta_pos]
                 meta_pos += 1
                 ttft = template.first_token_end
@@ -1594,56 +999,43 @@ class ServingScheduler:
             request = specs[position]
             position += 1
             rid = request.request_id
-            slo_name = request.slo.name if request.slo is not None else None
-            if rid in finished:
-                state = finished[rid]
-                if state.admitted_cycle is not None:
-                    queue_waits.append(state.admitted_cycle - request.arrival_cycle)
-                disposition = (
-                    evaluate_disposition(
+            state = stepper.finished.get(rid)
+            if state is not None:
+                finish = terminal = state.finish_cycle
+                disposition = None
+                if control_active:
+                    disposition = evaluate_disposition(
                         request,
                         state.first_token_cycle - request.arrival_cycle,
-                        state.finish_cycle - request.arrival_cycle,
+                        finish - request.arrival_cycle,
                     )
-                    if control_active
-                    else None
-                )
-                requests.append(
-                    RequestResult(
-                        request_id=rid,
-                        arrival_cycle=request.arrival_cycle,
-                        admitted_cycle=state.admitted_cycle,
-                        first_token_cycle=state.first_token_cycle,
-                        finish_cycle=state.finish_cycle,
-                        prompt_len=request.prompt_len,
-                        decode_steps=request.decode_steps,
-                        model_family=request.model.family,
-                        disposition=disposition,
-                        slo_class=slo_name if control_active else None,
-                        preemptions=state.preemptions,
-                        terminal_cycle=state.finish_cycle if control_active else None,
-                    )
-                )
+                else:
+                    terminal = None
             else:
-                entry, disposition, cycle = terminated[rid]
-                if entry.admitted_cycle is not None:
-                    queue_waits.append(entry.admitted_cycle - request.arrival_cycle)
-                requests.append(
-                    RequestResult(
-                        request_id=rid,
-                        arrival_cycle=request.arrival_cycle,
-                        admitted_cycle=entry.admitted_cycle,
-                        first_token_cycle=entry.first_token_cycle,
-                        finish_cycle=None,
-                        prompt_len=request.prompt_len,
-                        decode_steps=request.decode_steps,
-                        model_family=request.model.family,
-                        disposition=disposition,
-                        slo_class=slo_name,
-                        preemptions=entry.preemptions,
-                        terminal_cycle=cycle,
-                    )
+                state, disposition, terminal = stepper.terminated[rid]
+                finish = None
+            if state.admitted_cycle is not None:
+                queue_waits.append(state.admitted_cycle - request.arrival_cycle)
+            requests.append(
+                RequestResult(
+                    request_id=rid,
+                    arrival_cycle=request.arrival_cycle,
+                    admitted_cycle=state.admitted_cycle,
+                    first_token_cycle=state.first_token_cycle,
+                    finish_cycle=finish,
+                    prompt_len=request.prompt_len,
+                    decode_steps=request.decode_steps,
+                    model_family=request.model.family,
+                    disposition=disposition,
+                    slo_class=(
+                        request.slo.name
+                        if disposition is not None and request.slo is not None
+                        else None
+                    ),
+                    preemptions=state.preemptions,
+                    terminal_cycle=terminal,
                 )
+            )
         goodput: Optional[float] = None
         dispositions: Dict[str, int] = {}
         if control_active:
@@ -1695,31 +1087,27 @@ class ServingScheduler:
             design=self.design,
             heterogeneous=self.heterogeneous,
             context_bucket=trace.context_bucket,
-            total_cycles=now,
-            serving_cycles=serving_cycles,
+            total_cycles=stepper.now,
+            serving_cycles=stepper.serving_cycles,
             requests=requests,
-            iterations=iterations,
-            kernel_count=kernel_count,
-            energy_uj=energy_uj,
-            resource_busy=resource_busy,
-            timing_cache=cache_stats,
-            iteration_memo=memo_stats,
-            epochs=epoch_stats,
+            iterations=stepper.timeline,
+            kernel_count=stepper.kernel_count,
+            energy_uj=stepper.energy_uj,
+            resource_busy=stepper.resource_busy,
+            timing_cache=stepper.cache_stats,
+            iteration_memo=stepper.memo_stats,
+            epochs=stepper.epoch_stats,
             metrics=_serving_metrics(
-                requests, iterations, now, serving_cycles, kernel_count,
-                resource_busy, cache_stats, memo_stats,
+                requests, stepper, (zero_wait, queue_waits),
                 control_active=control_active,
                 goodput=goodput,
                 dispositions=dispositions,
-                preemption_count=preemption_count,
-                epoch_stats=epoch_stats,
-                queue_waits=(zero_wait, queue_waits),
             ),
             policy=self.policy.name,
             control_active=control_active,
             goodput=goodput,
             dispositions=dispositions,
-            preemption_count=preemption_count,
+            preemption_count=stepper.preemption_count,
             fault_plan=faults if injector is not None else None,
         )
 
@@ -1748,6 +1136,663 @@ class ServingScheduler:
     def isolated_cycles(self, request: RequestSpec, context_bucket: int) -> int:
         """The request's isolated end-to-end decode latency (sum of step spans)."""
         return sum(self.isolated_step_spans(request, context_bucket))
+
+
+@dataclass(slots=True)
+class _Run:
+    """One iteration outcome applied ``count`` times back to back from ``start``.
+
+    ``effective`` is the span each of those iterations occupies: the
+    outcome's span, stretched by admission penalties and an injected
+    ``stall`` -- which only a count-1 run can carry, so an epoch's
+    iterations all span exactly the outcome's span.
+    """
+
+    start: int
+    outcome: _IterationOutcome
+    effective: int
+    count: int
+    replayed: bool
+    stall: int
+
+
+class _Stepper:
+    """The one continuous-batching engine behind ``serve`` and each fleet replica.
+
+    A stepper owns a clock (``now``), the admission queue its scheduler's
+    :class:`SchedulingPolicy` hooks manage, the in-flight batch and the
+    :class:`_Run` in flight.  Requests reach it as a known arrival stream
+    (``serve``) or one :meth:`offer` at a time (a fleet replica) -- never
+    both.  Each run comes from the first fast path that applies: episode
+    replay (arrival streams only), an epoch on a memo hit, a memo replay,
+    or exact execution.  :meth:`_apply` is the one place a run lands on
+    request stamps and the accounting sink.  :meth:`advance` retires the
+    runs that end by a barrier and starts the next; :meth:`cut` splits the
+    run in flight before a router event changes the stepper; :meth:`abort`
+    discards it when the replica crashes.
+    """
+
+    def __init__(
+        self,
+        scheduler: ServingScheduler,
+        trace: ServingTrace,
+        *,
+        arrivals: Sequence[RequestSpec] = (),
+        injector: Optional[FaultInjector] = None,
+        process: str = SCHEDULER_PROCESS,
+        timeline: Optional[IterationTimeline] = None,
+    ) -> None:
+        self.scheduler = scheduler
+        self.trace = trace
+        self.ctx = PolicyContext(
+            design=scheduler.design,
+            dtype=scheduler.dtype,
+            trace=trace,
+            kv_budget_bytes=scheduler.design.soc.dram.hbm_capacity_bytes,
+        )
+        self.injector = injector
+        #: Trace process of the iteration spans ("scheduler", or a replica's).
+        self.process = process
+        #: Per-iteration records, kept only when a result needs them.
+        self.timeline = timeline
+        self.recorder = trace_recorder()
+        self.cache = timing_cache()
+        self.arrivals = arrivals
+        self.arrived = 0
+        self.offered: List[_Queued] = []
+        self.queued: List[_Queued] = []
+        self.active: List[_InFlight] = []
+        self.finished: Dict[str, _InFlight] = {}
+        self.terminated: Dict[str, Tuple[_Queued, str, int]] = {}
+        self.run: Optional[_Run] = None
+        #: Whether a request admitted at the current boundary pays a KV
+        #: reload penalty (the next iteration is then never an epoch).
+        self.penalized = False
+        self.now = 0
+        #: Duration multiplier of every iteration: a fleet replica's slow
+        #: window.  A scaled iteration bypasses the memo, so never an epoch.
+        self.scale = 1.0
+        # The accounting sink.  ``iterations`` also indexes fault draws, so
+        # it counts episode-replayed iterations too.
+        self.iterations = 0
+        self.aborted = 0
+        self.serving_cycles = 0
+        self.kernel_count = 0
+        self.energy_uj = 0.0
+        self.resource_busy: Dict[str, int] = {}
+        self.preemption_count = 0
+        self.memo_stats = {"hits": 0, "misses": 0}
+        self.cache_stats = {"hits": 0, "misses": 0}
+        # Epoch compression rides on the iteration memo (an epoch is a proven
+        # run of memo hits).  Episode replay also needs the whole arrival
+        # stream ahead and no fault injector: faults are drawn per iteration
+        # index, so an epoch can probe ahead for a clean run
+        # (clean_fault_run) but whole-request replay cannot skip the draw.
+        # With episodes on, every iteration probes the memo.
+        self.compress = scheduler.epoch_compression and scheduler.iteration_memo
+        self.epoch_stats = fresh_epoch_stats(self.compress)
+        self.episodes = (
+            _episode_templates()
+            if self.compress and injector is None and arrivals and self.cache.enabled
+            else None
+        )
+        # Episode replay bookkeeping: (first arrival index, request count,
+        # template) per run, merged positionally with the exact results.
+        self.episode_meta: List[Tuple[int, int, EpisodeTemplate]] = []
+        # Numpy (arrivals, gaps, shape ids) over the stream, built lazily.
+        self._stream: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        # Episode-template learning: while exactly one request serves alone
+        # from its arrival boundary, record its (outcome, run length)
+        # segments; any deviation aborts the recording.
+        self._learn_key: Optional[tuple] = None
+        self._learn_rid: Optional[str] = None
+        self._learn_segments: List[list] = []
+        # Iteration-relative kernel span shapes captured at memo-miss time,
+        # keyed by the outcome.  The merged placement is a pure function of
+        # the composition, so a memo hit replays the captured shape shifted
+        # to its start.  Compositions warmed before tracing started have no
+        # shape and fall back to synthesized per-unit spans.
+        self.shapes: Dict[_IterationOutcome, CapturedSpans] = {}
+
+    # -- Driving ---------------------------------------------------------
+
+    def offer(self, entry: _Queued) -> None:
+        """Hand the stepper one request from outside (a fleet dispatch).
+
+        It joins at the first iteration boundary at or after its
+        ``enqueued_cycle``; same-cycle offers join in request-id order.
+        """
+        insort(self.offered, entry, key=lambda e: (e.enqueued_cycle, e.request.request_id))
+
+    def advance(self, limit: Union[int, float]) -> None:
+        """Retire every run that ends by ``limit`` and start the runs after it.
+
+        The run crossing ``limit`` stays in flight, untouched, until a later
+        call or a :meth:`cut`.
+        """
+        while True:
+            run = self.run
+            if run is not None:
+                if run.start + run.count * run.effective > limit:
+                    return
+                self.run = None
+                self._apply(run, run.count)
+                continue
+            if not self.active and not self.queued:
+                arrival = self._next_arrival()
+                if arrival is None or arrival >= limit:
+                    return
+                if (
+                    self.episodes is not None
+                    and arrival >= self.now
+                    and self._replay_episodes()
+                ):
+                    continue
+                if arrival > self.now:
+                    self.now = arrival
+            self._admit()
+            if self.active:
+                self._start_run()
+
+    def cut(self, at: int) -> None:
+        """Split the run in flight before a router event at ``at`` changes this stepper.
+
+        The ``(at - start) // effective`` iterations that have ended by
+        ``at`` retire now; the one crossing ``at`` (or starting exactly at
+        it -- it was computed before the event) stays in flight alone.
+        """
+        run = self.run
+        if run is None or run.count == 1:
+            return
+        done = (at - run.start) // run.effective
+        if done:
+            self._apply(run, done)
+            run.start += done * run.effective
+        run.count = 1
+
+    def abort(self, at: int) -> Tuple[List[_InFlight], List[_Queued]]:
+        """A crash at ``at``: discard the run in flight and hand back every request.
+
+        The caller has :meth:`cut` the run, so at most one crossing iteration
+        is lost: its work is not accounted, only its memo probe, as the one
+        iteration it was.  Returns the in-flight states (their KV state is
+        gone with the replica) and the requests still waiting to join.
+        """
+        run = self.run
+        if run is not None:
+            self.run = None
+            self._credit(run.outcome, run.replayed, 1)
+            self.aborted += 1
+        states = self.active
+        waiting = self.queued + self.offered
+        self.active, self.queued, self.offered = [], [], []
+        self.now = max(self.now, at)
+        return states, waiting
+
+    # -- One boundary ----------------------------------------------------
+
+    def _next_arrival(self) -> Optional[int]:
+        """Cycle of the next request known to reach this stepper, if any."""
+        if self.arrived < len(self.arrivals):
+            return self.arrivals[self.arrived].arrival_cycle
+        if self.offered:
+            return self.offered[0].enqueued_cycle
+        return None
+
+    def _admit(self) -> None:
+        """Enqueue every request that has arrived, then shed, evict and admit.
+
+        The default FCFS policy sheds nothing, evicts nothing and admits the
+        whole queue in order.
+        """
+        now = self.now
+        queued = self.queued
+        self.penalized = False
+        arrivals = self.arrivals
+        arrived = self.arrived
+        total = len(arrivals)
+        while arrived < total and arrivals[arrived].arrival_cycle <= now:
+            request = arrivals[arrived]
+            arrived += 1
+            queued.append(_Queued(request=request, enqueued_cycle=request.arrival_cycle))
+        self.arrived = arrived
+        offered = self.offered
+        while offered and offered[0].enqueued_cycle <= now:
+            queued.append(offered.pop(0))
+        if not queued:
+            return
+        policy = self.scheduler.policy
+        ctx = self.ctx
+        active = self.active
+        for entry in policy.shed(queued, now, ctx):
+            queued.remove(entry)
+            disposition = "timed_out" if entry.preempted else "shed"
+            self.terminated[entry.request.request_id] = (entry, disposition, now)
+        if queued and active:
+            for state in policy.evict(active, queued, now, ctx):
+                active.remove(state)
+                self.preemption_count += 1
+                queued.append(
+                    _Queued(
+                        request=state.request,
+                        enqueued_cycle=now,
+                        steps_done=state.steps_done,
+                        preempted=True,
+                        admitted_cycle=state.admitted_cycle,
+                        first_token_cycle=state.first_token_cycle,
+                        preemptions=state.preemptions + 1,
+                        evicted_cycle=now,
+                        reload_cycles=state.reload_cycles,
+                    )
+                )
+        if not queued:
+            return
+        admitted = policy.admit(queued, active, now, ctx)
+        if not admitted and not active:
+            # Progress safety valve: with nothing decoding and nothing
+            # admissible, force the oldest waiter in even over budget -- the
+            # scheduler must never deadlock on a request too large for the
+            # configured budget.
+            admitted = [min(queued, key=lambda e: (e.enqueued_cycle, e.request.request_id))]
+        recorder = self.recorder
+        for entry in admitted:
+            queued.remove(entry)
+            # A request whose KV state is not resident streams it back in
+            # before its next step completes.
+            penalty = 0
+            if entry.preempted:
+                penalty = self.scheduler.kv_reload_penalty(
+                    entry.request, entry.steps_done, self.trace
+                )
+                self.penalized = True
+            if recorder is not None and entry.evicted_cycle is not None:
+                recorder.add_span(
+                    "preempted",
+                    process=REQUESTS_PROCESS,
+                    track=entry.request.request_id,
+                    start=entry.evicted_cycle,
+                    duration=now - entry.evicted_cycle,
+                    category="preempted",
+                    args={"readmission_penalty_cycles": penalty},
+                )
+            active.append(
+                _InFlight(
+                    request=entry.request,
+                    admitted_cycle=(
+                        entry.admitted_cycle if entry.admitted_cycle is not None else now
+                    ),
+                    steps_done=entry.steps_done,
+                    first_token_cycle=entry.first_token_cycle,
+                    resident_since=now,
+                    pending_penalty=penalty,
+                    preemptions=entry.preemptions,
+                    reload_cycles=entry.reload_cycles + penalty,
+                )
+            )
+
+    def _start_run(self) -> None:
+        """Probe the iteration at ``now`` and put it in flight as a run.
+
+        A memo hit that nothing can disturb -- no waiting request, admission
+        penalty or stall -- becomes an epoch: the composition recurs, every
+        per-iteration quantity constant, until the first transient (soonest
+        finish, KV-bucket crossing, next arrival, or injected fault).
+        """
+        active = self.active
+        now = self.now
+        injector = self.injector
+        index = self.iterations
+        scale = self.scale
+        stall = 0
+        if injector is not None:
+            spike = injector.iteration_spike(index)
+            if spike is not None:
+                scale = spike
+            stall = injector.iteration_stall(index)
+        trace = self.trace
+        contexts = [
+            trace.bucketed_context(state.request.context_at(state.steps_done))
+            for state in active
+        ]
+        outcome, replayed = self.scheduler.iteration_outcome(
+            trace, active, contexts, scale, now, self.shapes if self.recorder else None
+        )
+        span = outcome.span_cycles
+        effective = span
+        if self.penalized:
+            for state, end in zip(active, outcome.entry_end_cycles):
+                if state.pending_penalty:
+                    effective = max(effective, end + state.pending_penalty)
+        count = 1
+        if stall:
+            effective += stall
+        elif replayed and self.compress and not self.penalized and not self.queued and span > 0:
+            count = epoch_horizon(
+                [state.request.decode_steps - state.steps_done for state in active],
+                [
+                    context - state.request.context_at(state.steps_done) + 1
+                    for state, context in zip(active, contexts)
+                ],
+                span,
+                now,
+                self._next_arrival(),
+            )
+            if injector is not None and count > 1:
+                count = 1 + clean_fault_run(injector, index + 1, count - 1)
+        self.run = _Run(now, outcome, effective, count, replayed, stall)
+
+    # -- The accounting sink ---------------------------------------------
+
+    def _credit(self, outcome: _IterationOutcome, replayed: bool, count: int) -> None:
+        """Memo and timing-cache stats for ``count`` iterations of one outcome.
+
+        A replay credits the ``count`` memo probes and kernel lookups (all
+        hits on a warm cache) it skipped, so every path reports equal totals.
+        """
+        if replayed:
+            lookups = count * outcome.cache_lookups
+            self.cache.credit_hits(lookups)
+            self.memo_stats["hits"] += count
+            self.cache_stats["hits"] += lookups
+        else:
+            self.memo_stats["misses"] += 1
+            self.cache_stats["hits"] += outcome.cache_hits
+            self.cache_stats["misses"] += outcome.cache_misses
+
+    def _apply(self, run: _Run, count: int) -> None:
+        """Land the first ``count`` iterations of ``run`` on stamps and totals.
+
+        Byte-identical to applying them one by one: integers advance by exact
+        multiples, energy by the same sequential float sum.
+        """
+        outcome = run.outcome
+        start = run.start
+        effective = run.effective
+        active = self.active
+        recorder = self.recorder
+        index = self.iterations
+        self._credit(outcome, run.replayed, count)
+        if self.episodes is not None:
+            self._learn(run, count)
+        if recorder is not None and count == 1 and run.replayed:
+            self._replay_shape(outcome, start)
+        finished = False
+        for state, end in zip(active, outcome.entry_end_cycles):
+            # A reload penalty is serialized in front of the request's step.
+            if state.pending_penalty:
+                end += state.pending_penalty
+                state.pending_penalty = 0
+            if recorder is not None and count == 1:
+                recorder.add_span(
+                    f"step {state.steps_done}",
+                    process=REQUESTS_PROCESS,
+                    track=state.request.request_id,
+                    start=start,
+                    duration=end,
+                    category="decode_step",
+                    args={"iteration": index},
+                )
+            state.steps_done += count
+            if state.first_token_cycle is None:
+                state.first_token_cycle = start + end
+            if state.steps_done == state.request.decode_steps:
+                state.finish_cycle = start + end + (count - 1) * effective
+                self.finished[state.request.request_id] = state
+                finished = True
+        # A surviving recording implies the learner is active[0] (any batch
+        # growth or identity change aborted it above).
+        if self._learn_key is not None and active[0].finish_cycle is not None:
+            self._learn_finalize(active[0])
+        if recorder is not None:
+            self._record_run(run, count, index)
+        if self.timeline is not None:
+            ids = [state.request.request_id for state in active]
+            self.timeline.append(
+                IterationRecord(index, start, effective, len(active), ids)
+                if count == 1
+                else EpochRecord(index, start, effective, count, ids)
+            )
+        self.iterations += count
+        self.serving_cycles += count * effective
+        self.kernel_count += count * outcome.kernel_count
+        busy_totals = self.resource_busy
+        for resource, busy in outcome.resource_busy:
+            busy_totals[resource] = busy_totals.get(resource, 0) + count * busy
+        if count == 1:
+            self.epoch_stats["executed_iterations"] += 1
+            self.energy_uj += outcome.energy_uj
+        else:
+            self.epoch_stats["epochs"] += 1
+            self.epoch_stats["extrapolated_iterations"] += count
+            self.energy_uj = accumulate_energy_scalar(self.energy_uj, outcome.energy_uj, count)
+        self.now = start + count * effective
+        if finished:
+            self.active = [state for state in active if state.finish_cycle is None]
+
+    # -- Trace spans -----------------------------------------------------
+
+    def _replay_shape(self, outcome: _IterationOutcome, start: int) -> None:
+        """Kernel spans of a memo replay: the captured shape, or per-unit stand-ins."""
+        recorder = self.recorder
+        shape = self.shapes.get(outcome)
+        if shape is not None:
+            recorder.replay(shape, base=start)
+        else:
+            self._unit_spans(
+                "epoch (memoized)", start, outcome.span_cycles, outcome.resource_busy, 1,
+                outcome.kernel_count,
+            )
+
+    def _unit_spans(
+        self,
+        name: str,
+        start: int,
+        duration: int,
+        busy: Sequence[Tuple[str, int]],
+        repeats: int,
+        kernels: int,
+    ) -> None:
+        """One span per unit, standing in for kernel spans never placed."""
+        for resource, cycles in busy:
+            self.recorder.add_span(
+                name,
+                process=UNITS_PROCESS,
+                track=resource,
+                start=start,
+                duration=duration,
+                category="epoch",
+                args={"busy_cycles": repeats * cycles, "kernels": kernels},
+            )
+
+    def _record_run(self, run: _Run, count: int, index: int) -> None:
+        recorder = self.recorder
+        outcome = run.outcome
+        start = run.start
+        batch = len(self.active)
+        ids = [state.request.request_id for state in self.active]
+        if count == 1:
+            memo = "replay" if run.replayed else ("miss" if outcome in self.shapes else "off")
+            recorder.add_span(
+                f"iteration {index}",
+                process=self.process,
+                track="iterations",
+                start=start,
+                duration=run.effective,
+                category="iteration",
+                args={"batch": batch, "requests": ids, "memo": memo,
+                      "kernels": outcome.kernel_count},
+            )
+            if run.stall:
+                recorder.add_span(
+                    "stall (fault)",
+                    process=self.process,
+                    track="iterations",
+                    start=start + run.effective - run.stall,
+                    duration=run.stall,
+                    category="fault",
+                    args={"iteration": index},
+                )
+            return
+        span = outcome.span_cycles
+        recorder.add_span(
+            f"epoch x{count}",
+            process=self.process,
+            track="iterations",
+            start=start,
+            duration=count * span,
+            category="epoch",
+            args={"batch": batch, "requests": ids, "iterations": count,
+                  "span_cycles": span, "memo": "extrapolated",
+                  "kernels": count * outcome.kernel_count},
+        )
+        self._unit_spans(
+            "epoch (extrapolated)", start, count * span, outcome.resource_busy, count,
+            count * outcome.kernel_count,
+        )
+
+    # -- Episodes --------------------------------------------------------
+
+    def _learn(self, run: _Run, count: int) -> None:
+        """Start, extend or abort the episode-template recording.
+
+        Starts on the first iteration of a request serving alone from its
+        arrival boundary and records while the solo run stays undisturbed;
+        an epoch records its whole run as one segment.
+        """
+        active = self.active
+        solo = (
+            len(active) == 1
+            and not run.stall
+            and not self.queued
+            and not active[0].pending_penalty
+        )
+        if self._learn_key is not None:
+            if solo and active[0].request.request_id == self._learn_rid:
+                self._learn_record(run.outcome, count)
+            else:
+                self._learn_key = None
+                self._learn_segments.clear()
+            return
+        state = active[0]
+        arrival = state.request.arrival_cycle
+        if (
+            solo
+            and state.steps_done == 0
+            and state.admitted_cycle == arrival
+            and run.start == arrival
+        ):
+            candidate = self.scheduler._episode_key(self.trace, state.request)
+            if candidate not in self.episodes:
+                self._learn_key = candidate
+                self._learn_rid = state.request.request_id
+                self._learn_record(run.outcome, count)
+
+    def _learn_record(self, outcome: _IterationOutcome, count: int) -> None:
+        # Consecutive iterations of one composition replay the *same* memo
+        # object, so identity merging recovers the segment runs.
+        segments = self._learn_segments
+        if segments and segments[-1][0] is outcome:
+            segments[-1][1] += count
+        else:
+            segments.append([outcome, count])
+
+    def _learn_finalize(self, state: _InFlight) -> None:
+        segments = self._learn_segments
+        # The sum check is a safety net: a recording that survived to the
+        # finish covered every decode step by construction.
+        if sum(count for _, count in segments) == state.request.decode_steps:
+            self.episodes[self._learn_key] = build_episode_template(
+                [
+                    EpisodeSegment(
+                        count=count,
+                        span_cycles=recorded.span_cycles,
+                        end_cycle=recorded.entry_end_cycles[0],
+                        kernel_count=recorded.kernel_count,
+                        energy_uj=recorded.energy_uj,
+                        resource_busy=recorded.resource_busy,
+                        cache_lookups=recorded.cache_lookups,
+                    )
+                    for recorded, count in segments
+                ]
+            )
+        self._learn_key = None
+        segments.clear()
+
+    def _replay_episodes(self) -> bool:
+        """Replay whole requests from the next arrival in closed form.
+
+        The stepper is idle with no backlog: if the next arrival's whole solo
+        service is templated, replay the maximal run of same-shape arrivals
+        spaced at least one solo-service span apart (so no request in the
+        run can be disturbed by the next), vectorized over the run.
+        """
+        arrivals = self.arrivals
+        head = self.arrived
+        template = self.episodes.get(self.scheduler._episode_key(self.trace, arrivals[head]))
+        if template is None:
+            return False
+        if self._stream is None:
+            # Stream builders stash their arrival/gap/shape arrays on the
+            # trace; fall back to deriving them.
+            cached = self.trace.__dict__.get("_stream_arrays")
+            if cached is not None and len(cached[0]) == len(arrivals):
+                self._stream = cached
+            else:
+                self._stream = _pending_arrays(arrivals)
+        arrival_cycles, gaps, shape_ids = self._stream
+        # Scalar pre-check: the head itself is disturbed when its successor
+        # lands inside its solo span -- the common rejection after an
+        # overlap cluster, not worth a walk.
+        if head + 1 < len(arrivals) and gaps[head] < template.total_span:
+            return False
+        count = _episode_run_length(head, template.total_span, gaps, shape_ids)
+        if not count:
+            return False
+        run_arrivals = arrival_cycles[head : head + count]
+        replay_iters = count * template.total_iterations
+        self.timeline.append(
+            EpisodeRun(
+                index=self.iterations,
+                template=template,
+                arrivals=run_arrivals,
+                requests=arrivals[head : head + count],
+            )
+        )
+        self.episode_meta.append((head, count, template))
+        self.arrived = head + count
+        self.iterations += replay_iters
+        self.memo_stats["hits"] += replay_iters
+        lookups = count * template.total_lookups
+        self.cache.credit_hits(lookups)
+        self.cache_stats["hits"] += lookups
+        kernels = count * template.total_kernels
+        self.kernel_count += kernels
+        self.serving_cycles += count * template.total_span
+        for resource, busy in template.busy_totals:
+            self.resource_busy[resource] = self.resource_busy.get(resource, 0) + count * busy
+        self.energy_uj = accumulate_energy(self.energy_uj, template.energy_pattern, count)
+        self.now = int(run_arrivals[-1]) + template.total_span
+        self.epoch_stats["episode_runs"] += 1
+        self.epoch_stats["extrapolated_iterations"] += replay_iters
+        self.epoch_stats["extrapolated_requests"] += count
+        recorder = self.recorder
+        if recorder is not None:
+            start = int(run_arrivals[0])
+            recorder.add_span(
+                f"episode x{count}",
+                process=self.process,
+                track="iterations",
+                start=start,
+                duration=self.now - start,
+                category="epoch",
+                args={"requests": count, "iterations": replay_iters,
+                      "memo": "extrapolated", "kernels": kernels},
+            )
+            self._unit_spans(
+                "epoch (extrapolated)", start, self.now - start, template.busy_totals,
+                count, kernels,
+            )
+        return True
 
 
 def run_serving(
