@@ -30,7 +30,8 @@ fault transitions, health-check beliefs, retries) are barriers only for
 the replicas they change: a dispatch into a replica, its crash, or a slow
 window edge on it *cuts* its run at the event, and every other event passes
 through runs in flight, because nothing the router reads from a replica
-changes inside a run.
+changes inside a run.  An iteration that starts at cycle ``t`` is computed
+after every router event at ``t``.
 
 Every request ends in exactly one terminal disposition --
 ``met``/``violated`` (finished, judged against its SLO), ``shed`` (dropped
@@ -209,7 +210,6 @@ class _Replica:
         self.index = index
         self.design_name = design_name
         self.stepper = stepper
-        self.process = f"replica{index} ({design_name})"
         self.down_depth = 0
         self.partition_depth = 0
         self.slow_scales: List[float] = []
@@ -736,10 +736,8 @@ class _FleetRun:
     def _crash(self, rep: _Replica, at: int) -> List[_FleetRequest]:
         """Take ``rep`` down at ``at``; return its orphaned requests.
 
-        The stepper aborts the iteration crossing ``at``.  Admitted requests
-        keep their decode progress but lose KV residency
-        (``needs_reprefill``); dispatched-but-unadmitted requests simply
-        return to the router (no KV to lose).
+        Admitted requests keep their decode progress but lose KV residency
+        (``needs_reprefill``); unadmitted ones have no KV to lose.
         """
         rep.crashes += 1
         rep.down_depth += 1
@@ -769,7 +767,7 @@ class _FleetRun:
         if self.recorder is not None:
             self.recorder.add_span(
                 event.kind,
-                process=rep.process,
+                process=rep.stepper.process,
                 track="faults",
                 start=event.at_cycle,
                 duration=event.duration_cycles,

@@ -1265,8 +1265,10 @@ class _Stepper:
         insort(self.offered, entry, key=lambda e: (e.enqueued_cycle, e.request.request_id))
 
     def advance(self, limit: Union[int, float]) -> None:
-        """Retire every run that ends by ``limit`` and start the runs after it.
+        """Retire every run that ends by ``limit`` and start those before it.
 
+        Runs start only at boundaries before ``limit``: an iteration that
+        starts at cycle ``t`` is computed after every router event at ``t``.
         The run crossing ``limit`` stays in flight, untouched, until a later
         call or a :meth:`cut`.
         """
@@ -1278,6 +1280,8 @@ class _Stepper:
                 self.run = None
                 self._apply(run, run.count)
                 continue
+            if self.now >= limit:
+                return
             if not self.active and not self.queued:
                 arrival = self._next_arrival()
                 if arrival is None or arrival >= limit:
@@ -1298,8 +1302,9 @@ class _Stepper:
         """Split the run in flight before a router event at ``at`` changes this stepper.
 
         The ``(at - start) // effective`` iterations that have ended by
-        ``at`` retire now; the one crossing ``at`` (or starting exactly at
-        it -- it was computed before the event) stays in flight alone.
+        ``at`` retire now.  The one crossing ``at`` stays in flight alone
+        (iterations are atomic); one that would start exactly at ``at`` is
+        dropped, to be computed after the event.
         """
         run = self.run
         if run is None or run.count == 1:
@@ -1309,14 +1314,15 @@ class _Stepper:
             self._apply(run, done)
             run.start += done * run.effective
         run.count = 1
+        if run.start == at:
+            self.run = None
 
     def abort(self, at: int) -> Tuple[List[_InFlight], List[_Queued]]:
         """A crash at ``at``: discard the run in flight and hand back every request.
 
-        The caller has :meth:`cut` the run, so at most one crossing iteration
-        is lost: its work is not accounted, only its memo probe, as the one
-        iteration it was.  Returns the in-flight states (their KV state is
-        gone with the replica) and the requests still waiting to join.
+        After a :meth:`cut`, at most the crossing iteration is lost: only its
+        memo probe is accounted.  Returns the in-flight states and the
+        requests still waiting to join.
         """
         run = self.run
         if run is not None:
