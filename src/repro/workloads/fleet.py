@@ -174,18 +174,20 @@ def _request_priority(request: RequestSpec) -> int:
 
 @dataclass
 class _FleetRequest:
-    """Router-side lifecycle state of one request across replicas."""
+    """Router-side lifecycle state of one request across replicas.
+
+    ``progress`` carries the request's serving state between replicas in the
+    stepper's queue format: decode steps done, first admission, first token,
+    KV reload cycles paid, and whether the next replica must re-prefill its
+    KV state (``preempted``).
+    """
 
     spec: RequestSpec
     priority: int
+    progress: _Queued
     attempts: int = 0
     retries: int = 0
     failovers: int = 0
-    steps_done: int = 0
-    needs_reprefill: bool = False
-    reprefill_cycles: int = 0
-    admitted_cycle: Optional[int] = None
-    first_token_cycle: Optional[int] = None
     terminal_cycle: Optional[int] = None
     disposition: Optional[str] = None
     replica: Optional[int] = None
@@ -641,18 +643,8 @@ class _FleetRun:
         fr.attempts += 1
         if rep.reachable:
             rep.stepper.cut(now)
-            rep.stepper.offer(
-                _Queued(
-                    request=fr.spec,
-                    enqueued_cycle=now,
-                    steps_done=fr.steps_done,
-                    preempted=fr.needs_reprefill,
-                    admitted_cycle=fr.admitted_cycle,
-                    first_token_cycle=fr.first_token_cycle,
-                    preemptions=fr.failovers,
-                    reload_cycles=fr.reprefill_cycles,
-                )
-            )
+            fr.progress.enqueued_cycle = now
+            rep.stepper.offer(fr.progress)
             rep.dispatched += 1
             fr.replica = rep.index
             self.dispatch_count += 1
@@ -736,29 +728,29 @@ class _FleetRun:
     def _crash(self, rep: _Replica, at: int) -> List[_FleetRequest]:
         """Take ``rep`` down at ``at``; return its orphaned requests.
 
-        Admitted requests keep their decode progress but lose KV residency
-        (``needs_reprefill``); unadmitted ones have no KV to lose.
+        Admitted requests keep their decode progress but lose KV residency,
+        so the next replica re-prefills it; unadmitted ones have none to lose.
         """
         rep.crashes += 1
         rep.down_depth += 1
         rep.stepper.cut(at)
         states, waiting = rep.stepper.abort(at)
-        orphans = [self.by_id[entry.request.request_id] for entry in waiting]
+        for entry in waiting:
+            self.by_id[entry.request.request_id].progress = entry
         for state in states:
-            fr = self.by_id[state.request.request_id]
-            self._collect(fr, state)
-            fr.needs_reprefill = True
-            orphans.append(fr)
-        orphans.sort(key=lambda fr: fr.spec.request_id)
-        return orphans
-
-    @staticmethod
-    def _collect(fr: _FleetRequest, state) -> None:
-        """Read a request's progress back from a replica's in-flight state."""
-        fr.steps_done = state.steps_done
-        fr.admitted_cycle = state.admitted_cycle
-        fr.first_token_cycle = state.first_token_cycle
-        fr.reprefill_cycles = state.reload_cycles
+            self.by_id[state.request.request_id].progress = _Queued(
+                request=state.request,
+                enqueued_cycle=at,
+                steps_done=state.steps_done,
+                preempted=True,
+                admitted_cycle=state.admitted_cycle,
+                first_token_cycle=state.first_token_cycle,
+                reload_cycles=state.reload_cycles,
+            )
+        return sorted(
+            (self.by_id[entry.request.request_id] for entry in [*waiting, *states]),
+            key=lambda fr: fr.spec.request_id,
+        )
 
     # -- Event handlers --------------------------------------------------
 
@@ -862,7 +854,11 @@ class _FleetRun:
             ):
                 spec = self.arrivals[arrival_index]
                 arrival_index += 1
-                fr = _FleetRequest(spec=spec, priority=_request_priority(spec))
+                fr = _FleetRequest(
+                    spec=spec,
+                    priority=_request_priority(spec),
+                    progress=_Queued(request=spec, enqueued_cycle=now),
+                )
                 self.all_requests.append(fr)
                 self.by_id[spec.request_id] = fr
                 self._dispatch(fr, now)
@@ -878,23 +874,22 @@ class _FleetRun:
         requests: List[FleetRequestResult] = []
         dispositions = {name: 0 for name in FLEET_DISPOSITIONS}
         for fr in self.all_requests:
-            finish = None
+            served, finish = fr.progress, None
             if fr.disposition is None:
-                state = (
+                served = (
                     self.replicas[fr.replica].stepper.finished.get(fr.spec.request_id)
                     if fr.replica is not None
                     else None
                 )
-                if state is None:
+                if served is None:
                     raise RuntimeError(
                         f"request {fr.spec.request_id} ended the fleet run without a "
                         "terminal disposition -- the router lost it"
                     )
-                self._collect(fr, state)
-                finish = fr.terminal_cycle = state.finish_cycle
+                finish = fr.terminal_cycle = served.finish_cycle
                 fr.disposition = evaluate_disposition(
                     fr.spec,
-                    fr.first_token_cycle - fr.spec.arrival_cycle,
+                    served.first_token_cycle - fr.spec.arrival_cycle,
                     finish - fr.spec.arrival_cycle,
                 )
             dispositions[fr.disposition] += 1
@@ -903,8 +898,8 @@ class _FleetRun:
                     request_id=fr.spec.request_id,
                     model_family=fr.spec.model.family,
                     arrival_cycle=fr.spec.arrival_cycle,
-                    admitted_cycle=fr.admitted_cycle,
-                    first_token_cycle=fr.first_token_cycle,
+                    admitted_cycle=served.admitted_cycle,
+                    first_token_cycle=served.first_token_cycle,
                     finish_cycle=finish,
                     prompt_len=fr.spec.prompt_len,
                     decode_steps=fr.spec.decode_steps,
@@ -915,7 +910,7 @@ class _FleetRun:
                     attempts=fr.attempts,
                     retries=fr.retries,
                     failovers=fr.failovers,
-                    reprefill_cycles=fr.reprefill_cycles,
+                    reprefill_cycles=served.reload_cycles,
                 )
             )
         total_cycles = 0
@@ -978,13 +973,18 @@ class _FleetRun:
             for rep, stepper in zip(self.replicas, steppers)
         ]
         perf = {
-            name: {key: sum(getattr(stepper, stats)[key] for stepper in steppers) for key in keys}
-            for name, stats, keys in (
-                ("iteration_memo", "memo_stats", ("hits", "misses")),
-                ("timing_cache", "cache_stats", ("hits", "misses")),
-                ("epochs", "epoch_stats",
-                 ("epochs", "extrapolated_iterations", "executed_iterations")),
-            )
+            "iteration_memo": {
+                key: sum(stepper.memo_stats[key] for stepper in steppers)
+                for key in ("hits", "misses")
+            },
+            "timing_cache": {
+                key: sum(stepper.cache_stats[key] for stepper in steppers)
+                for key in ("hits", "misses")
+            },
+            "epochs": {
+                key: sum(stepper.epoch_stats[key] for stepper in steppers)
+                for key in ("epochs", "extrapolated_iterations", "executed_iterations")
+            },
         }
         return FleetRunResult(
             trace=trace_name,

@@ -15,7 +15,8 @@
 * **the tie rule, pinned** -- an iteration that starts at cycle ``t`` is
   computed after every router event at ``t``: a dispatch at a busy
   replica's boundary joins that iteration, a crash there aborts nothing,
-  and a slow window starting there slows the iteration that starts there.
+  and a slow window starting there slows the iteration that starts there;
+  same-cycle offers join a replica in request-id order.
 """
 
 from functools import lru_cache
@@ -32,10 +33,12 @@ from repro.workloads import (
     REQUEST_MODELS,
     TRACE_ZOO,
     RequestSpec,
+    ServingScheduler,
     ServingTrace,
     run_fleet,
     run_serving,
 )
+from repro.workloads.serving import _Queued, _Stepper
 
 CELLS = [(design.value, False) for design in DesignKind] + [("virgo", True)]
 
@@ -205,3 +208,16 @@ def test_slow_window_at_a_boundary_slows_the_iteration_there(boundary):
             slowed.replicas[0].serving_cycles - clean.replicas[0].serving_cycles
         )
         assert slowed.replicas[0].serving_cycles - clean.replicas[0].serving_cycles < 3 * span
+
+
+def test_same_cycle_offers_join_in_request_id_order():
+    """A replica's queue keeps (dispatch cycle, request id) order, however
+    the router's same-cycle events happened to offer the requests."""
+    trace = _boundary_trace(10**9)
+    first, second = trace.requests
+    stepper = _Stepper(ServingScheduler("virgo"), trace)
+    stepper.offer(_Queued(request=second, enqueued_cycle=5))
+    stepper.offer(_Queued(request=first, enqueued_cycle=5))
+    stepper.advance(6)
+    assert [state.request.request_id for state in stepper.active] == ["A", "B"]
+    assert stepper.run is not None and stepper.run.start == 5
