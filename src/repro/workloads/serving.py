@@ -1460,8 +1460,9 @@ class _Stepper:
             trace.bucketed_context(state.request.context_at(state.steps_done))
             for state in active
         ]
+        shapes = self.shapes if self.recorder is not None else None
         outcome, replayed = self.scheduler.iteration_outcome(
-            trace, active, contexts, scale, now, self.shapes if self.recorder else None
+            trace, active, contexts, scale, now, shapes
         )
         span = outcome.span_cycles
         effective = span
