@@ -271,6 +271,25 @@ class DesignConfig:
     style: IntegrationStyle
     soc: SoCConfig
 
+    def __hash__(self) -> int:
+        """The generated field-tuple hash, computed once and pinned.
+
+        Timing-cache keys hash the design on every kernel lookup, and the
+        generated hash walks the whole nested config tree each time.  The
+        instance is frozen, so the pinned value is the generated one.
+        """
+        cached = self.__dict__.get("_design_hash")
+        if cached is None:
+            cached = hash((self.name, self.style, self.soc))
+            object.__setattr__(self, "_design_hash", cached)
+        return cached
+
+    def __setstate__(self, state: dict) -> None:
+        # Unpickle without the pin: string hashes differ between processes
+        # (``PYTHONHASHSEED``), so a pin written by another process is wrong.
+        self.__dict__.update(state)
+        self.__dict__.pop("_design_hash", None)
+
     @property
     def cluster(self) -> ClusterConfig:
         return self.soc.cluster

@@ -26,6 +26,7 @@ Counter naming convention (dotted hierarchy):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, Mapping, Tuple
 
 from repro.config.soc import IntegrationStyle
@@ -143,13 +144,11 @@ class EnergyTable:
         more energy efficient than the tensor core's separate multiplier and
         adder trees (Section 6.1.2, Figure 11); its operand staging happens in
         the mesh's edge registers rather than per-core operand buffers.
+
+        Returns one shared table per style, built on first use; a table
+        never changes after construction.
         """
-        if style is IntegrationStyle.DISAGGREGATED:
-            overrides = {
-                "matrix_unit.pe.macs": EnergyEventSpec("matrix_unit.pe", 0.68),
-            }
-            return cls(overrides)
-        return cls()
+        return _design_table(style)
 
     def spec_for(self, counter: str) -> EnergyEventSpec | None:
         return self._table.get(counter)
@@ -178,3 +177,13 @@ class EnergyTable:
     def unknown_counters(self, counters: Counters) -> Tuple[str, ...]:
         """Counter keys with no energy assignment (should be empty in tests)."""
         return tuple(sorted(key for key in counters if key not in self._table))
+
+
+@lru_cache(maxsize=None)
+def _design_table(style: IntegrationStyle) -> EnergyTable:
+    if style is IntegrationStyle.DISAGGREGATED:
+        overrides = {
+            "matrix_unit.pe.macs": EnergyEventSpec("matrix_unit.pe", 0.68),
+        }
+        return EnergyTable(overrides)
+    return EnergyTable()

@@ -25,6 +25,7 @@ from repro.config.presets import DesignKind, ampere_style, make_design, virgo
 from repro.core.gemmini import GemminiMatrixUnit
 from repro.isa.instructions import OpClass
 from repro.isa.program import WarpProgram
+from repro.kernels.gemm.base import memoized_iteration
 from repro.kernels.gemm.instruction_streams import _fragment_loads
 from repro.kernels.gemm.schedule_loops import (
     FlashLoopSpec,
@@ -453,13 +454,24 @@ class AmpereFlashAttentionKernel:
         self.dram = DramChannel(self.design.soc.dram)
         self.dma = DmaEngine(self.design.cluster.dma, self.dram)
 
-    def _iteration_programs(self, workload: FlashAttentionWorkload):
+    def _iteration(self, bq: int, bkv: int, d: int):
+        """Core cycles and event counters of one KV-tile iteration.
+
+        Reads only the design and the three tile dims, the key
+        :meth:`simulate` memoizes it by: every sequence length and mask
+        runs the same iteration.
+        """
+        programs, tile_ops_per_core = self._iteration_programs(bq, bkv, d)
+        execution = self.core.execute(programs)
+        counters = self._iteration_counters(bkv, d, execution.counters, tile_ops_per_core)
+        return execution.cycles, counters
+
+    def _iteration_programs(self, bq: int, bkv: int, d: int):
         """Warp programs of one core for one KV-tile iteration."""
         design = self.design
         cluster = design.cluster
         unit = design.matrix_unit
         lanes = cluster.core.lanes
-        bq, bkv, d = workload.block_q, workload.block_kv, workload.head_dim
 
         gemm_macs = bq * bkv * d + bq * d * bkv
         tile_ops_total = gemm_macs // unit.tile_macs
@@ -517,10 +529,10 @@ class AmpereFlashAttentionKernel:
     def simulate(
         self, workload: FlashAttentionWorkload, full_expansion: bool = False
     ) -> FlashAttentionResult:
-        programs, tile_ops_per_core = self._iteration_programs(workload)
-        execution = self.core.execute(programs)
-
-        bkv, d = workload.block_kv, workload.head_dim
+        bq, bkv, d = workload.block_q, workload.block_kv, workload.head_dim
+        core_cycles, per_iteration = memoized_iteration(
+            "flash.ampere", self.design, (bq, bkv, d), lambda: self._iteration(bq, bkv, d)
+        )
         kv_bytes = 2 * bkv * d * 4
         dma_cycles = self.dma.transfer_cycles(kv_bytes)
 
@@ -534,17 +546,17 @@ class AmpereFlashAttentionKernel:
                 FlashPipe(
                     kind="core",
                     resource="core",
-                    cycles=execution.cycles + self.BARRIER_CYCLES,
+                    cycles=core_cycles + self.BARRIER_CYCLES,
                 ),
                 FlashPipe(kind="dma", resource="dma", cycles=dma_cycles),
             ),
-            prologue_cycles=self.dma.transfer_cycles(3 * workload.block_q * d * 4),
+            prologue_cycles=self.dma.transfer_cycles(3 * bq * d * 4),
             trip_profile=workload.flash_segments(),
             profile_repeats=workload.heads if workload.causal else 1,
         )
         schedule = execute_flash_loop(spec, full_expansion=full_expansion)
 
-        counters = self._counters(workload, execution.counters, tile_ops_per_core)
+        counters = per_iteration.scaled(workload.iterations)
         ideal = workload.gemm_macs / float(self.design.cluster.total_macs_per_cycle)
         return FlashAttentionResult(
             design=self.design,
@@ -556,13 +568,10 @@ class AmpereFlashAttentionKernel:
             schedule_stats=schedule.stats(),
         )
 
-    def _counters(
-        self, workload: FlashAttentionWorkload, core_counters: Counters, tile_ops_per_core: int
+    def _iteration_counters(
+        self, bkv: int, d: int, core_counters: Counters, tile_ops_per_core: int
     ) -> Counters:
-        counters = Counters()
         cluster = self.design.cluster
-        iterations = workload.iterations
-
         per_iter = Counters()
         per_iter.merge(core_counters.scaled(cluster.cores))
         tile_ops = tile_ops_per_core * cluster.cores
@@ -571,15 +580,13 @@ class AmpereFlashAttentionKernel:
         per_iter.merge(per_tile.scaled(tile_ops))
         per_iter.add("matrix_unit.pe.macs", tile_ops * self.design.matrix_unit.tile_macs)
 
-        kv_bytes = 2 * workload.block_kv * workload.head_dim * 4
+        kv_bytes = 2 * bkv * d * 4
         per_iter.add("dma.bytes", kv_bytes)
         per_iter.add("dma.descriptors", 2)
         per_iter.add("l2.bytes", kv_bytes)
         per_iter.add("dram.bytes", kv_bytes)
         per_iter.add("smem.dma.write_words", kv_bytes // 4)
-
-        counters.merge(per_iter.scaled(iterations))
-        return counters
+        return per_iter
 
 
 # --------------------------------------------------------------------------- #

@@ -3,10 +3,34 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Callable, Dict, Tuple, TypeVar
 
 from repro.config.soc import DataType, DesignConfig
+from repro.perf import design_fingerprint, memoized
 from repro.sim.stats import Counters
+
+T = TypeVar("T")
+
+#: Namespace of the steady-state iteration memo inside the timing cache.
+ITERATION_NAMESPACE = "kernels.iteration"
+
+
+def memoized_iteration(
+    model: str, design: DesignConfig, shape: Tuple, compute: Callable[[], T]
+) -> T:
+    """One kernel model's steady-state iteration, computed once per shape.
+
+    Many kernels share an iteration: a GEMM's M, N and K set only its trip
+    counts, and every FlashAttention sequence length runs the same KV-tile
+    iteration.  The entry is keyed by the ``model`` name, the design's
+    content fingerprint and ``shape``, which must hold everything else the
+    iteration reads (block dims, dtype, ...).  The value must be plain data
+    (cycles, counts, per-iteration ``Counters``), never warp programs; it
+    is shared, so callers scale it and never mutate it.
+    """
+    return memoized(
+        ITERATION_NAMESPACE, lambda: (model, design_fingerprint(design), *shape), compute
+    )
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,12 @@ tile is stored from the register file to global memory by SIMT stores.
 from __future__ import annotations
 
 from repro.config.soc import DesignConfig, IntegrationStyle
-from repro.kernels.gemm.base import GemmKernelResult, GemmWorkload, ideal_mac_cycles
+from repro.kernels.gemm.base import (
+    GemmKernelResult,
+    GemmWorkload,
+    ideal_mac_cycles,
+    memoized_iteration,
+)
 from repro.kernels.gemm.instruction_streams import hopper_iteration_streams
 from repro.kernels.gemm.schedule_loops import GemmLoopSpec, execute_gemm_loop
 from repro.kernels.gemm.tiling import ThreadBlockTiling, tiling_for_design
@@ -51,6 +56,11 @@ class OperandDecoupledGemmKernel:
     # ------------------------------------------------------------------ #
 
     def _iteration(self, tiling: ThreadBlockTiling):
+        """One K iteration: cycles, per-iteration counters, instructions.
+
+        Reads the design and ``tiling.iteration_shape`` only, so
+        :meth:`simulate` memoizes it by that shape.
+        """
         streams = hopper_iteration_streams(self.design, tiling, self.tensor_core)
         execution = self.core.execute(streams.programs_for_core())
 
@@ -69,7 +79,7 @@ class OperandDecoupledGemmKernel:
 
         counters = self._iteration_counters(streams, execution.counters, tiling)
         instructions = streams.instructions_per_core() * self.design.cluster.cores
-        return streams, compute_cycles, max(dma_cycles, dram_cycles), counters, instructions
+        return compute_cycles, max(dma_cycles, dram_cycles), counters, instructions
 
     def _iteration_counters(self, streams, core_counters: Counters, tiling) -> Counters:
         counters = Counters()
@@ -124,8 +134,11 @@ class OperandDecoupledGemmKernel:
 
     def simulate(self, workload: GemmWorkload, full_expansion: bool = False) -> GemmKernelResult:
         tiling = tiling_for_design(self.design, workload)
-        streams, compute_cycles, dma_cycles, iter_counters, iter_instructions = self._iteration(
-            tiling
+        compute_cycles, dma_cycles, iter_counters, iter_instructions = memoized_iteration(
+            "gemm.operand_decoupled",
+            self.design,
+            tiling.iteration_shape,
+            lambda: self._iteration(tiling),
         )
         epilogue_cycles, epilogue_counters, epilogue_instructions = self._epilogue(tiling)
 

@@ -10,6 +10,7 @@ each design's matrix unit consumes them in its own operation granularity
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from repro.config.soc import DesignConfig, IntegrationStyle
 from repro.kernels.gemm.base import GemmWorkload
@@ -55,6 +56,15 @@ class ThreadBlockTiling:
         if clusters <= 0:
             raise ValueError("the SoC must have at least one cluster")
         return -(-self.output_tiles // clusters)
+
+    @property
+    def iteration_shape(self) -> Tuple[int, int, int, str]:
+        """What one K iteration reads of the tiling: block dims and dtype.
+
+        The workload's M, N and K only set trip counts, so they are absent:
+        GEMMs that share this shape share one iteration memo entry.
+        """
+        return (self.block_m, self.block_n, self.block_k, self.workload.dtype.value)
 
     @property
     def macs_per_iteration(self) -> int:

@@ -16,7 +16,12 @@ output tile's first loads.
 from __future__ import annotations
 
 from repro.config.soc import DesignConfig, IntegrationStyle
-from repro.kernels.gemm.base import GemmKernelResult, GemmWorkload, ideal_mac_cycles
+from repro.kernels.gemm.base import (
+    GemmKernelResult,
+    GemmWorkload,
+    ideal_mac_cycles,
+    memoized_iteration,
+)
 from repro.kernels.gemm.instruction_streams import virgo_iteration_streams
 from repro.kernels.gemm.schedule_loops import GemmLoopSpec, execute_gemm_loop
 from repro.kernels.gemm.tiling import ThreadBlockTiling, tiling_for_design
@@ -50,6 +55,11 @@ class VirgoGemmKernel:
     # ------------------------------------------------------------------ #
 
     def _iteration(self, tiling: ThreadBlockTiling):
+        """One K iteration: cycles, per-iteration counters, instructions.
+
+        Reads the design and ``tiling.iteration_shape`` only, so
+        :meth:`simulate` memoizes it by that shape.
+        """
         streams = virgo_iteration_streams(self.design, tiling)
         # Only core 0's warp 0 leads; the other cores run the worker program.
         leader_programs = streams.programs_for_core()
@@ -77,7 +87,6 @@ class VirgoGemmKernel:
             + len(streams.leader_extra)
         )
         return (
-            streams,
             max(matrix_cycles, issue_cycles),
             max(dma_cycles, dram_cycles),
             counters,
@@ -137,8 +146,11 @@ class VirgoGemmKernel:
 
     def simulate(self, workload: GemmWorkload, full_expansion: bool = False) -> GemmKernelResult:
         tiling = tiling_for_design(self.design, workload)
-        streams, compute_cycles, dma_cycles, iter_counters, iter_instructions = self._iteration(
-            tiling
+        compute_cycles, dma_cycles, iter_counters, iter_instructions = memoized_iteration(
+            "gemm.virgo",
+            self.design,
+            tiling.iteration_shape,
+            lambda: self._iteration(tiling),
         )
         epilogue_cycles, epilogue_counters, epilogue_instructions = self._epilogue(tiling)
 

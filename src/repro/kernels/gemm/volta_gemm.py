@@ -22,7 +22,12 @@ captured.
 from __future__ import annotations
 
 from repro.config.soc import DesignConfig, IntegrationStyle
-from repro.kernels.gemm.base import GemmKernelResult, GemmWorkload, ideal_mac_cycles
+from repro.kernels.gemm.base import (
+    GemmKernelResult,
+    GemmWorkload,
+    ideal_mac_cycles,
+    memoized_iteration,
+)
 from repro.kernels.gemm.instruction_streams import volta_iteration_streams
 from repro.kernels.gemm.schedule_loops import GemmLoopSpec, execute_gemm_loop
 from repro.kernels.gemm.tiling import ThreadBlockTiling, tiling_for_design
@@ -53,6 +58,11 @@ class TightlyCoupledGemmKernel:
     # ------------------------------------------------------------------ #
 
     def _iteration(self, tiling: ThreadBlockTiling):
+        """One K iteration: cycles, per-iteration counters, instructions.
+
+        Reads the design and ``tiling.iteration_shape`` only, so
+        :meth:`simulate` memoizes it by that shape.
+        """
         streams = volta_iteration_streams(
             self.design, tiling, self.tensor_core, include_copy=not self.has_dma
         )
@@ -87,7 +97,7 @@ class TightlyCoupledGemmKernel:
 
         counters = self._iteration_counters(streams, execution.counters, tiling)
         instructions = streams.instructions_per_core() * self.design.cluster.cores
-        return streams, compute_cycles, dma_cycles, dram_cycles, counters, instructions
+        return compute_cycles, dma_cycles, dram_cycles, counters, instructions
 
     def _dma_cycles(self, nbytes: int) -> int:
         dma = DmaEngine(self.design.cluster.dma, self.dram)
@@ -153,13 +163,17 @@ class TightlyCoupledGemmKernel:
     def simulate(self, workload: GemmWorkload, full_expansion: bool = False) -> GemmKernelResult:
         tiling = tiling_for_design(self.design, workload)
         (
-            streams,
             compute_cycles,
             dma_cycles,
             dram_cycles,
             iter_counters,
             iter_instructions,
-        ) = self._iteration(tiling)
+        ) = memoized_iteration(
+            "gemm.tightly_coupled",
+            self.design,
+            tiling.iteration_shape,
+            lambda: self._iteration(tiling),
+        )
         epilogue_cycles, epilogue_counters, epilogue_instructions = self._epilogue(tiling)
 
         prologue = self._dma_cycles(tiling.input_bytes_per_iteration) if self.has_dma else max(

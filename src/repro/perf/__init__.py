@@ -7,9 +7,11 @@ SIMT shapes, so a 24-layer model needs ~3 distinct kernel simulations, not
 (:func:`repro.runner.run_gemm`, :func:`repro.runner.run_flash_attention`)
 and the SIMT cost model in :mod:`repro.workloads.lowering` consult a
 process-wide :class:`TimingCache` before simulating, and publish their
-results into it afterwards.  Inside a kernel simulation,
-:meth:`repro.simt.core.VortexCore.execute` memoizes each distinct set of
-warp programs in a namespace table of the same cache.
+results into it afterwards.  Inside a kernel simulation, each kernel
+model memoizes its steady-state iteration per (model, design, block shape)
+and :meth:`repro.simt.core.VortexCore.execute` each distinct set of warp
+programs, both in namespace tables of the same cache through
+:func:`memoized`.
 
 Cache-key contract
 ------------------
@@ -75,6 +77,7 @@ from repro.perf.cache import (
     canonical_value,
     design_fingerprint,
     load_snapshot,
+    memoized,
     persistent_timing_cache,
     save_snapshot,
     snapshot_path,
@@ -90,6 +93,7 @@ __all__ = [
     "canonical_value",
     "design_fingerprint",
     "load_snapshot",
+    "memoized",
     "persistent_timing_cache",
     "save_snapshot",
     "snapshot_path",

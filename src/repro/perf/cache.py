@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, Mapping, TypeVar, Union
+from typing import Any, Callable, Dict, Hashable, Iterator, Mapping, TypeVar, Union
 
 from repro.config.soc import CoreConfig, DesignConfig
 from repro.obs.phase import phase
@@ -299,6 +299,29 @@ def cache_disabled() -> Iterator[None]:
         yield
     finally:
         cache.enabled = previous
+
+
+def memoized(namespace: str, key: Callable[[], Hashable], compute: Callable[[], T]) -> T:
+    """Get-or-store one entry of a process-wide namespace table.
+
+    The front of the memos inside a kernel simulation (the
+    ``VortexCore.execute`` memo, the steady-state iteration memo).  While
+    the cache is disabled it returns ``compute()`` without deriving the key,
+    reading or writing, so the cold path measures real work.  Otherwise a
+    miss stores ``compute()`` under ``key()`` in
+    ``timing_cache().namespace(namespace)``.  Neither case touches the
+    cache's hit, miss or entry counts.  The stored value is shared: treat it
+    as immutable.
+    """
+    cache = timing_cache()
+    if not cache.enabled:
+        return compute()
+    table = cache.namespace(namespace)
+    entry_key = key()
+    result = table.get(entry_key)
+    if result is None:
+        result = table[entry_key] = compute()
+    return result
 
 
 # --------------------------------------------------------------------------- #

@@ -23,7 +23,7 @@ from typing import Dict, List, Sequence, Tuple
 from repro.config.soc import CoreConfig
 from repro.isa.instructions import Instruction, OpClass
 from repro.isa.program import WarpProgram
-from repro.perf import design_fingerprint, timing_cache
+from repro.perf import design_fingerprint, memoized
 from repro.sim.stats import Counters
 from repro.simt.issue import IssueResult, IssueSimulator, ProgramSet
 
@@ -99,15 +99,11 @@ class VortexCore:
         program object once per call.
         """
         program_set = ProgramSet(programs)
-        cache = timing_cache()
-        if not cache.enabled:
-            return self._simulate(program_set)
-        table = cache.namespace(_EXECUTION_NAMESPACE)
-        key = self._key(program_set)
-        result = table.get(key)
-        if result is None:
-            result = table[key] = self._simulate(program_set)
-        return result
+        return memoized(
+            _EXECUTION_NAMESPACE,
+            lambda: self._key(program_set),
+            lambda: self._simulate(program_set),
+        )
 
     def execution_key(self, programs: Sequence[WarpProgram]) -> bytes:
         """Content digest of one :meth:`execute` input.

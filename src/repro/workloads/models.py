@@ -147,6 +147,13 @@ class ModelSpec:
             object.__setattr__(self, "_spec_hash", cached)
         return cached
 
+    def __setstate__(self, state: dict) -> None:
+        # Unpickle without the pin: string hashes differ between processes
+        # (``PYTHONHASHSEED``), so a pin written by another process would
+        # make equal specs hash apart and persisted memo keys never match.
+        self.__dict__.update(state)
+        self.__dict__.pop("_spec_hash", None)
+
     @property
     def head_dim(self) -> int:
         return self.hidden // self.heads

@@ -6,7 +6,7 @@ from repro.config.soc import IntegrationStyle, SoCConfig
 from repro.config.presets import DesignKind, make_design
 from repro.energy.area import AreaModel, soc_area_breakdown
 from repro.energy.breakdown import core_breakdown, matrix_unit_breakdown, soc_breakdown
-from repro.energy.model import EnergyTable
+from repro.energy.model import EnergyEventSpec, EnergyTable
 from repro.energy.power import active_energy_uj, active_power_mw, make_power_report
 from repro.sim.stats import Counters
 
@@ -49,6 +49,30 @@ class TestEnergyTable:
     def test_dram_energy_excluded_from_soc(self):
         table = EnergyTable()
         assert table.spec_for("dram.bytes").picojoules == 0.0
+
+    def test_for_design_shares_one_table_per_style(self):
+        for style in IntegrationStyle:
+            assert EnergyTable.for_design(style) is EnergyTable.for_design(style)
+        assert EnergyTable.for_design(IntegrationStyle.DISAGGREGATED) is not (
+            EnergyTable.for_design(IntegrationStyle.TIGHTLY_COUPLED)
+        )
+
+    def test_overrides_never_reach_a_shared_table(self):
+        """Each style keeps its own PE price, and an ``overrides`` instance
+        (the accumulator ablation builds one) changes only itself."""
+        overrides = {
+            "matrix_unit.pe.macs": EnergyEventSpec("matrix_unit.pe", 9.0),
+            "accum.read_words": EnergyEventSpec("accumulator", 9.0),
+        }
+        custom = EnergyTable(overrides)
+        assert custom.spec_for("accum.read_words").picojoules == 9.0
+        expected = {style: 0.75 for style in IntegrationStyle}
+        expected[IntegrationStyle.DISAGGREGATED] = 0.68
+        for style in (*IntegrationStyle, *reversed(IntegrationStyle)):
+            table = EnergyTable.for_design(style)
+            assert table.spec_for("matrix_unit.pe.macs").picojoules == expected[style]
+            assert table.spec_for("accum.read_words").picojoules == 0.55
+        assert EnergyTable().spec_for("matrix_unit.pe.macs").picojoules == 0.75
 
     def test_all_kernel_counters_have_energy_assignments(self):
         """Every counter a GEMM kernel produces must be in the energy table."""

@@ -6,11 +6,17 @@ while missing, corrupt or stale-schema files degrade to a cold start
 instead of erroring or (worse) being misread.
 """
 
+import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.config.presets import DesignKind
+import repro
+from repro.config.presets import DesignKind, make_design
 from repro.perf import (
     SCHEMA_VERSION,
     SNAPSHOT_FILENAME,
@@ -217,3 +223,54 @@ class TestPersistentContext:
         assert second.computed == 1
         assert timing_cache().misses == 0
         assert second.results() == first.results()
+
+
+def _namespace_sizes(path):
+    snapshot = pickle.loads(path.read_bytes())
+    return {name: len(table) for name, table in snapshot["namespaces"].items()}
+
+
+class TestPinnedHashesStayInProcess:
+    """A pinned hash never crosses a process border.
+
+    ``ModelSpec`` and ``DesignConfig`` pin their field-tuple hash in the
+    instance ``__dict__``.  String hashes differ between processes
+    (``PYTHONHASHSEED``), so an unpickled instance must hash afresh, or
+    memo keys loaded from a snapshot never match equal fresh keys.
+    """
+
+    def test_unpickled_spec_hashes_like_a_fresh_one(self):
+        spec = ModelSpec(family="gpt", phase="decode", seq_len=48)
+        object.__setattr__(spec, "_spec_hash", hash(spec) + 1)  # another process's pin
+        loaded = pickle.loads(pickle.dumps(spec))
+        fresh = ModelSpec(family="gpt", phase="decode", seq_len=48)
+        assert hash(loaded) == hash(fresh)
+        assert {fresh: "entry"}.get(loaded) == "entry"
+
+    def test_unpickled_design_hashes_like_a_fresh_one(self):
+        design = make_design(DesignKind.VIRGO)
+        object.__setattr__(design, "_design_hash", hash(design) + 1)
+        loaded = pickle.loads(pickle.dumps(design))
+        fresh = make_design(DesignKind.VIRGO)
+        assert hash(loaded) == hash(fresh)
+        assert {fresh: "entry"}.get(loaded) == "entry"
+
+    def test_serve_snapshot_replays_under_another_hash_seed(self, tmp_path):
+        src = Path(repro.__file__).resolve().parents[1]
+
+        def serve(seed):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=str(src))
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro", "serve", "--trace", "poisson-mixed",
+                 "--cache-dir", str(tmp_path), "--json"],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            return json.loads(completed.stdout)
+
+        first = serve(1)
+        sizes = _namespace_sizes(snapshot_path(tmp_path))
+        second = serve(2)
+        assert second["perf"]["iteration_memo"]["misses"] == 0
+        assert _namespace_sizes(snapshot_path(tmp_path)) == sizes
+        first.pop("perf"), second.pop("perf")
+        assert second == first
