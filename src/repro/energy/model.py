@@ -137,6 +137,7 @@ class EnergyTable:
             self._table.update(overrides)
 
     @classmethod
+    @lru_cache(maxsize=None)
     def for_design(cls, style: IntegrationStyle) -> "EnergyTable":
         """Energy table adjusted for the matrix unit flavour of ``style``.
 
@@ -148,7 +149,12 @@ class EnergyTable:
         Returns one shared table per style, built on first use; a table
         never changes after construction.
         """
-        return _design_table(style)
+        if style is IntegrationStyle.DISAGGREGATED:
+            overrides = {
+                "matrix_unit.pe.macs": EnergyEventSpec("matrix_unit.pe", 0.68),
+            }
+            return cls(overrides)
+        return cls()
 
     def spec_for(self, counter: str) -> EnergyEventSpec | None:
         return self._table.get(counter)
@@ -177,13 +183,3 @@ class EnergyTable:
     def unknown_counters(self, counters: Counters) -> Tuple[str, ...]:
         """Counter keys with no energy assignment (should be empty in tests)."""
         return tuple(sorted(key for key in counters if key not in self._table))
-
-
-@lru_cache(maxsize=None)
-def _design_table(style: IntegrationStyle) -> EnergyTable:
-    if style is IntegrationStyle.DISAGGREGATED:
-        overrides = {
-            "matrix_unit.pe.macs": EnergyEventSpec("matrix_unit.pe", 0.68),
-        }
-        return EnergyTable(overrides)
-    return EnergyTable()
