@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import ExitStack, nullcontext
+from pathlib import Path
 from typing import Sequence
 
 from repro.analysis.figures import (
@@ -524,15 +526,54 @@ def _cmd_trace_report(args: argparse.Namespace) -> None:
     print(format_trace_summary(summary, title=str(args.input)))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad input in one line, before any command runs."""
+
+    def error(self, message: str) -> None:
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _at_least(minimum: int):
+    """An argument type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value"
+    return parse
+
+
+def _writable(directory: bool):
+    """An argument type: a path the run can write -- a directory it creates
+    with its parents, or a file in an existing directory."""
+
+    def parse(text: str) -> str:
+        path = Path(text)
+        if path.exists() and path.is_dir() != directory:
+            raise argparse.ArgumentTypeError(f"{text} is {'not ' if directory else ''}a directory")
+        base = next(p for p in (path, *path.parents) if p.exists()) if directory else path.parent
+        if not base.is_dir() or not os.access(base, os.W_OK):
+            raise argparse.ArgumentTypeError(f"{base} is not a writable directory")
+        return text
+
+    return parse
+
+
+_OUTPUT_DIR, _OUTPUT_FILE = _writable(directory=True), _writable(directory=False)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro", description="Virgo (ASPLOS 2025) reproduction experiments"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     gemm = sub.add_parser("gemm", help="simulate a square GEMM")
     gemm.add_argument("--design", default="virgo", help="volta | ampere | hopper | virgo")
-    gemm.add_argument("--size", type=int, default=512)
+    gemm.add_argument("--size", type=_at_least(1), default=512)
     gemm.add_argument("--all-designs", action="store_true")
     gemm.set_defaults(func=_cmd_gemm)
 
@@ -580,12 +621,12 @@ def build_parser() -> argparse.ArgumentParser:
     model.add_argument("--batch", action="store_true", help="run a (models x designs) sweep")
     model.add_argument("--names", default="", help="comma-separated models for --batch")
     model.add_argument("--designs", default="", help="comma-separated designs for --batch")
-    model.add_argument("--cache-dir", default=None,
+    model.add_argument("--cache-dir", type=_OUTPUT_DIR, default=None,
                        help="on-disk cache directory (batch results + "
                             "persistent kernel-timing snapshot)")
-    model.add_argument("--workers", type=int, default=None,
+    model.add_argument("--workers", type=_at_least(0), default=None,
                        help="process-pool size for --batch (default: cpu count)")
-    model.add_argument("--trace-out", metavar="FILE", default=None,
+    model.add_argument("--trace-out", metavar="FILE", type=_OUTPUT_FILE, default=None,
                        help="write the kernel schedule as Chrome trace-event "
                             "JSON (open in ui.perfetto.dev)")
     model.add_argument("--metrics", action="store_true",
@@ -617,7 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit the full JSON serving report")
     serve.add_argument("--list", action="store_true",
                        help="list the serving-trace zoo and exit")
-    serve.add_argument("--cache-dir", default=None,
+    serve.add_argument("--cache-dir", type=_OUTPUT_DIR, default=None,
                        help="persist the kernel-timing cache here so repeat "
                             "invocations start warm")
     serve.add_argument("--no-iteration-memo", action="store_true",
@@ -632,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "per-iteration loop)")
     serve.add_argument("--policy", default="fcfs",
                        help="scheduling policy: fcfs | kv-budget | preemptive-slo")
-    serve.add_argument("--kv-budget", type=int, default=None, metavar="BYTES",
+    serve.add_argument("--kv-budget", type=_at_least(1), default=None, metavar="BYTES",
                        help="resident-KV HBM budget for the budgeted policies "
                             "(default: the design's hbm_capacity_bytes)")
     serve.add_argument("--inject", default=None, metavar="SPEC",
@@ -642,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--fault-seed", type=int, default=0,
                        help="seed for the --inject fault plan (same seed => "
                             "byte-identical run)")
-    serve.add_argument("--trace-out", metavar="FILE", default=None,
+    serve.add_argument("--trace-out", metavar="FILE", type=_OUTPUT_FILE, default=None,
                        help="write the serving schedule (request lifecycles, "
                             "iterations, per-unit kernels) as Chrome "
                             "trace-event JSON (open in ui.perfetto.dev)")
@@ -681,7 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit the full JSON fleet report")
     fleet.add_argument("--list", action="store_true",
                        help="list traces, fleet presets and router policies; exit")
-    fleet.add_argument("--cache-dir", default=None,
+    fleet.add_argument("--cache-dir", type=_OUTPUT_DIR, default=None,
                        help="persist the kernel-timing cache here so repeat "
                             "invocations start warm")
     fleet.add_argument("--no-iteration-memo", action="store_true",
@@ -706,13 +747,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="do not fail over in-flight work from a crashed "
                             "replica; its requests are lost (disposition "
                             "'failed')")
-    fleet.add_argument("--max-retries", type=int, default=4,
+    fleet.add_argument("--max-retries", type=_at_least(0), default=4,
                        help="dispatch retry budget per request before it "
                             "times out")
     fleet.add_argument("--router-seed", type=int, default=0,
                        help="seed for the router's jittered backoff and "
                             "power-of-two sampling")
-    fleet.add_argument("--trace-out", metavar="FILE", default=None,
+    fleet.add_argument("--trace-out", metavar="FILE", type=_OUTPUT_FILE, default=None,
                        help="write the fleet schedule (router decisions plus "
                             "one track per replica) as Chrome trace-event "
                             "JSON (open in ui.perfetto.dev)")
@@ -735,7 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_report.add_argument("--input", required=True, metavar="FILE",
                               help="trace-event JSON file to read")
-    trace_report.add_argument("--top", type=int, default=10,
+    trace_report.add_argument("--top", type=_at_least(0), default=10,
                               help="how many of the longest spans to list")
     trace_report.add_argument("--json", action="store_true",
                               help="emit the summary as JSON")

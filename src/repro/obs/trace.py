@@ -1,8 +1,8 @@
 """Schedule trace recording and Chrome trace-event export.
 
 A :class:`TraceRecorder` collects :class:`TraceSpan` records from every
-execution layer -- per-kernel placements out of
-:class:`repro.sim.taskgraph.ScheduleResult`, serving iterations and request
+execution layer -- per-kernel placements out of the step-program executor
+(:mod:`repro.workloads.lowering`), serving iterations and request
 lifecycles out of :class:`repro.workloads.serving.ServingScheduler`, and
 (wall-clock) phase spans out of :mod:`repro.obs.phase` -- and exports them
 as Chrome trace-event JSON, loadable in Perfetto (https://ui.perfetto.dev)
@@ -43,9 +43,8 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.sim.taskgraph import ScheduleResult
 
 __all__ = [
     "TraceSpan",
@@ -178,47 +177,6 @@ class TraceRecorder:
                 args=args or None,
             )
         )
-
-    def record_schedule(
-        self,
-        placed: ScheduleResult,
-        *,
-        extra_args: Optional[Mapping[str, Mapping[str, object]]] = None,
-        flows: bool = True,
-    ) -> Tuple[int, int]:
-        """Record every operation of a :class:`ScheduleResult` placement.
-
-        One span per scheduled operation on the ``units`` process (track =
-        the operation's resource, category = its kind), in placement order;
-        dependency edges become flow events when ``flows`` is set.
-        ``extra_args`` optionally enriches spans by operation name (the
-        lowering layer passes layer/phase/compression annotations through
-        it).  Returns the recorded ``(first, last + 1)`` span index range.
-        """
-        first = len(self.spans)
-        index_of: Dict[str, int] = {}
-        for name, item in placed.scheduled.items():
-            operation = item.operation
-            args: Dict[str, object] = {}
-            if extra_args and name in extra_args:
-                args.update(extra_args[name])
-            if operation.deps:
-                args["deps"] = list(operation.deps)
-            index_of[name] = self.add_span(
-                name,
-                process=UNITS_PROCESS,
-                track=operation.resource,
-                start=item.start,
-                duration=item.end - item.start,
-                category=operation.kind or "op",
-                args=args or None,
-            )
-        if flows:
-            for name, item in placed.scheduled.items():
-                for dep in item.operation.deps:
-                    if dep in index_of:
-                        self.add_flow(index_of[dep], index_of[name])
-        return first, len(self.spans)
 
     # ------------------------------------------------------------------ #
     # Capture / replay (memoized serving iterations)

@@ -11,7 +11,8 @@ results into it afterwards.  Inside a kernel simulation, each kernel
 model memoizes its steady-state iteration per (model, design, block shape)
 and :meth:`repro.simt.core.VortexCore.execute` each distinct set of warp
 programs, both in namespace tables of the same cache through
-:func:`memoized`.
+:func:`memoized`.  Above the kernels, :func:`repro.workloads.run_model`
+keeps each compiled model program in a namespace table too.
 
 Cache-key contract
 ------------------

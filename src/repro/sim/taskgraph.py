@@ -17,7 +17,7 @@ from the same warps, so both compete for the same issue resource).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.sim.resources import Resource, ResourcePool
 
@@ -73,11 +73,8 @@ class ScheduleResult:
     """The outcome of scheduling an :class:`OperationGraph`.
 
     The derived views (:meth:`finish_times`, :meth:`critical_kind_cycles`)
-    are computed once on first access and cached: consumers such as the
-    serving scheduler probe finish times for every operation of every
-    iteration, and rebuilding the aggregates per probe was measurable on the
-    serving hot path.  The cached dicts are shared -- treat them as
-    read-only.
+    are computed once on first access and cached.  The cached dicts are
+    shared -- treat them as read-only.
     """
 
     total_cycles: int
@@ -110,21 +107,6 @@ class ScheduleResult:
                 totals[kind] = totals.get(kind, 0) + (item.end - item.start)
             self._kind_cycles = totals
         return self._kind_cycles
-
-    def spans(self) -> List[Tuple[str, str, str, int, int]]:
-        """``(name, resource, kind, start, end)`` per operation, in placement
-        order -- the flat view trace recorders and timeline reports consume
-        (see :meth:`repro.obs.TraceRecorder.record_schedule`)."""
-        return [
-            (
-                item.operation.name,
-                item.operation.resource,
-                item.operation.kind or "op",
-                item.start,
-                item.end,
-            )
-            for item in self.scheduled.values()
-        ]
 
 
 class OperationGraph:

@@ -14,14 +14,16 @@ Pipeline
    expert-parallel FFN blocks, BERT-style encoders and a GEMM-chain baseline
    from a :class:`~repro.workloads.models.ModelSpec`;
 3. :mod:`repro.workloads.lowering` -- lowers each layer onto the existing
-   GEMM / FlashAttention / SIMT kernel models, schedules the resulting
-   dependency graph on the cluster's resources, and aggregates a
+   GEMM / FlashAttention / SIMT kernel models, compiles the resulting
+   dependency graph into a step program (memoized per model and design),
+   list-schedules it on the cluster's resources, and aggregates a
    :class:`~repro.workloads.lowering.ModelRunResult`;
 4. :mod:`repro.workloads.serving` -- iteration-level continuous batching
    over :class:`~repro.workloads.graph.ServingTrace` request streams: every
-   in-flight request's next decode step is merged into one kernel schedule
-   per iteration, so independent requests overlap on the matrix/SIMT units
-   and per-request latency percentiles fall out of the placement;
+   in-flight request's next decode step joins one list schedule per
+   iteration, on the same executor, so independent requests overlap on the
+   matrix/SIMT units and per-request latency percentiles fall out of the
+   placement;
 5. :mod:`repro.workloads.batch` -- fans (model, design) and (trace, design)
    sweeps over a process pool with a content-hashed on-disk JSON result
    cache (:func:`~repro.workloads.batch.moe_sweep_jobs` crosses the MoE
@@ -130,9 +132,7 @@ from repro.workloads.lowering import (
     KernelSchedule,
     LayerRunResult,
     ModelRunResult,
-    execute_schedule,
     lower_graph,
-    merge_schedules,
     run_model,
 )
 from repro.workloads.serving import (
@@ -223,9 +223,7 @@ __all__ = [
     "KernelSchedule",
     "LayerRunResult",
     "ModelRunResult",
-    "execute_schedule",
     "lower_graph",
-    "merge_schedules",
     "run_model",
     "DISPOSITIONS",
     "RequestResult",

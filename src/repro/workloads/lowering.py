@@ -1,4 +1,4 @@
-"""Lowering: map a layer graph onto kernel invocations and execute them.
+"""Lowering: map a layer graph onto kernel invocations, compile and run them.
 
 ``lower_graph`` walks a :class:`~repro.workloads.graph.LayerGraph` in
 topological order and emits a :class:`KernelSchedule` -- a dependency-ordered
@@ -26,23 +26,22 @@ Independent MoE expert GEMMs are instead *spread* across the two units in
 proportion to their throughput (see :func:`_moe_expert_resource`), so both
 matrix units draw down the expert pool concurrently.
 
-``execute_schedule`` then runs every invocation through :mod:`repro.runner`
-(every per-kernel simulation is memoized in the process-wide timing cache,
-see :mod:`repro.perf`; the hit/miss counts attributable to the run land in
-``ModelRunResult.timing_cache``), places the resulting durations on an
-:class:`repro.sim.taskgraph.OperationGraph` (so independent kernels overlap
-exactly where the resource model allows) and aggregates cycles, MAC
-utilization and energy per layer, per phase and for the whole model into a
-:class:`ModelRunResult`.
+Whole models and serving batches run on one executor.
+``compile_step_program`` resolves a schedule once into a plain-data
+:class:`StepProgram`: kernel cycles from the process-wide timing cache
+(:mod:`repro.perf`), resources and dependencies as indices, and per-layer
+energy, MACs and counter rows.  One list-scheduling loop places programs
+on plain ints: ``execute_step_programs`` a serving batch, ``run_model``
+one model, assembled into a :class:`ModelRunResult`.  Both equal the
+``OperationGraph`` executor they replaced float for float, traces
+included (``docs/perf-contract.md`` contract 7); ``tests/differential.py``
+keeps that executor as the oracle.
 
-Serving executes the same per-request decode steps over and over, inside
-ever-different batches, so it runs on compiled step programs instead:
-``compile_step_program`` resolves one schedule's kernels once into a
-:class:`StepProgram` of integer arrays and per-layer counter rows, and
-``execute_step_programs`` list-schedules a batch of programs interleaved
-by position on plain ints.  The result equals ``merge_schedules`` followed
-by ``execute_schedule`` exactly, energy bit for bit (``docs/perf-contract.md``
-contract 7), without building the merged schedule.
+``run_model`` memoizes compiled programs in the timing cache's
+:data:`MODEL_PROGRAMS` namespace by (:class:`ModelSpec`, design
+fingerprint, ``heterogeneous``, dtype) (contract 11): a repeated (model,
+design) pair skips building, lowering and kernel probes, and credits the
+probes as timing-cache hits.
 
 Causal masks are modelled *exactly*: fused flash kernels carry the mask
 fields (``causal``/``kv_len``/``window``/``seq_lens``) into
@@ -56,7 +55,7 @@ enforces that it stays gone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -73,25 +72,21 @@ from repro.kernels.gemm import GemmWorkload
 from repro.kernels.heterogeneous import design_with_unit, small_unit_config
 from repro.obs import MetricsRegistry, TraceRecorder, occupancy_percent, phase, trace_recorder
 from repro.obs.trace import UNITS_PROCESS
-from repro.perf import timing_cache
+from repro.perf import design_fingerprint, timing_cache
 from repro.runner import run_flash_attention, run_gemm
-from repro.sim.resources import Resource
 from repro.sim.stats import Counters
-from repro.sim.taskgraph import OperationGraph
 from repro.workloads.graph import (
     AttentionLayer,
     ElementwiseLayer,
-    Layer,
     LayerGraph,
-    LayerKind,
     LinearLayer,
     MoeBlock,
     MoeFfnLayer,
     NormLayer,
 )
-from repro.workloads.models import ModelSpec, build_model
+from repro.workloads.models import ModelSpec, build_model, resolve_spec
 
-#: Resource names kernels contend for during schedule execution.
+#: Resource names kernels contend for during execution.
 MATRIX_RESOURCE = "matrix"
 SMALL_MATRIX_RESOURCE = "matrix.small"
 SIMT_RESOURCE = "simt"
@@ -141,9 +136,6 @@ class KernelSchedule:
 
     def __len__(self) -> int:
         return len(self.invocations)
-
-    def kernels_of(self, layer: str) -> List[KernelInvocation]:
-        return [inv for inv in self.invocations if inv.layer == layer]
 
 
 def _supports_fused_attention(design: DesignConfig) -> bool:
@@ -492,71 +484,8 @@ def lower_graph(
         ideal_mac_cycles=ideal,
     )
 
-
-def _prefixed_invocation(inv: KernelInvocation, prefix: str) -> KernelInvocation:
-    """``inv`` renamed into ``prefix``'s namespace (name, layer and deps)."""
-    return replace(
-        inv,
-        name=prefix + inv.name,
-        layer=prefix + inv.layer,
-        deps=tuple(prefix + dep for dep in inv.deps if dep),
-    )
-
-
-def merge_schedules(
-    entries: Sequence[Tuple[str, KernelSchedule]],
-    model: str,
-) -> KernelSchedule:
-    """Merge independent per-request schedules into one iteration schedule.
-
-    ``entries`` pairs a namespace prefix (e.g. ``"r3/"``) with each request's
-    kernel schedule; prefixes must be distinct and every schedule must target
-    the same design configuration and unit layout.  No cross-request edges
-    are added -- the requests stay mutually independent, which is exactly
-    what lets the list scheduler co-run them on the matrix / small-matrix /
-    SIMT resources.
-
-    Invocations are interleaved round-robin by position rather than
-    concatenated: the list scheduler reserves resources in insertion order,
-    so position-aligned interleaving lets request j's SIMT kernels run under
-    request j+1's matrix-unit GEMMs instead of queueing whole requests back
-    to back (the same trick the MoE lowering plays with expert chains).
-    """
-    if not entries:
-        raise ValueError("merge_schedules needs at least one schedule")
-    prefixes = [prefix for prefix, _ in entries]
-    if len(set(prefixes)) != len(prefixes):
-        raise ValueError(f"merge prefixes must be distinct, got {prefixes}")
-    first = entries[0][1]
-    for _, schedule in entries[1:]:
-        if schedule.design != first.design:
-            raise ValueError("merged schedules must share one design configuration")
-        if (
-            schedule.heterogeneous != first.heterogeneous
-            or schedule.small_design != first.small_design
-        ):
-            raise ValueError("merged schedules must share the unit layout")
-
-    invocations: List[KernelInvocation] = []
-    depth = max(len(schedule.invocations) for _, schedule in entries)
-    for position in range(depth):
-        for prefix, schedule in entries:
-            if position < len(schedule.invocations):
-                invocations.append(
-                    _prefixed_invocation(schedule.invocations[position], prefix)
-                )
-    return KernelSchedule(
-        model=model,
-        design=first.design,
-        invocations=invocations,
-        heterogeneous=first.heterogeneous,
-        small_design=first.small_design,
-        ideal_mac_cycles=sum(schedule.ideal_mac_cycles for _, schedule in entries),
-    )
-
-
 # --------------------------------------------------------------------------- #
-# Execution
+# Results
 # --------------------------------------------------------------------------- #
 
 
@@ -669,201 +598,6 @@ def _scaled_cycles(cycles: int, scale: float) -> int:
     return max(1, int(round(cycles * scale)))
 
 
-def _trace_span_args(
-    schedule: KernelSchedule, kernel_stats: Dict[str, Dict[str, int]]
-) -> Dict[str, Dict[str, object]]:
-    """Per-kernel span annotations for the trace recorder.
-
-    Compressed steady-state kernels (flash/GEMM loop compression, see
-    :mod:`repro.sim.steady_state`) stay single spans -- the span *is* the
-    synthesized epoch covering every executed and extrapolated inner
-    operation -- annotated with ``compressed`` and the operation counts so a
-    timeline never forces full expansion.
-    """
-    extra: Dict[str, Dict[str, object]] = {}
-    for inv in schedule.invocations:
-        args: Dict[str, object] = {"layer": inv.layer, "phase": inv.phase}
-        stats = kernel_stats.get(inv.name)
-        if stats:
-            args["operations"] = stats.get("operation_count", 0)
-            args["executed_operations"] = stats.get("executed_operations", 0)
-            args["compressed"] = stats.get("extrapolated_operations", 0) > 0
-        extra[inv.name] = args
-    return extra
-
-
-def _model_metrics(
-    schedule: KernelSchedule,
-    placed,
-    durations: Dict[str, int],
-    cache_stats: Dict[str, int],
-) -> MetricsRegistry:
-    """The unified metrics registry for one executed kernel schedule."""
-    metrics = MetricsRegistry()
-    metrics.counter("schedule.kernels").inc(len(schedule.invocations))
-    metrics.gauge("schedule.makespan_cycles").set(placed.total_cycles)
-    kind_cycles: Dict[str, int] = {}
-    for inv in schedule.invocations:
-        kind_cycles[inv.kind] = kind_cycles.get(inv.kind, 0) + durations[inv.name]
-    for kind, cycles in sorted(kind_cycles.items()):
-        metrics.counter(f"schedule.kind_cycles.{kind}").inc(cycles)
-    for resource, busy in sorted(placed.resource_busy.items()):
-        metrics.counter(f"unit.busy_cycles.{resource}").inc(busy)
-    occupancy = occupancy_percent(placed.resource_busy, placed.total_cycles)
-    for resource, percent in occupancy.items():
-        metrics.gauge(f"unit.occupancy_percent.{resource}").set(percent)
-    metrics.counter("timing_cache.hits", diagnostic=True).inc(cache_stats["hits"])
-    metrics.counter("timing_cache.misses", diagnostic=True).inc(cache_stats["misses"])
-    return metrics
-
-
-def execute_schedule(schedule: KernelSchedule, duration_scale: float = 1.0) -> ModelRunResult:
-    """Run every kernel of ``schedule`` and assemble the model-level result.
-
-    ``duration_scale`` multiplies every kernel's simulated duration (after
-    timing-cache retrieval, so cached entries are never poisoned) without
-    touching counters or energy -- the fault-injection hook for transient
-    latency spikes (:mod:`repro.faults`).
-    """
-    design = schedule.design
-    table = EnergyTable.for_design(design.style)
-    recorder = trace_recorder()
-
-    # Phase 1: per-kernel simulation through the existing runner entry
-    # points.  The runner memoizes per distinct kernel content, so a model
-    # with L layers of ~3 distinct shapes simulates ~3 kernels, not ~3L.
-    cache = timing_cache()
-    hits_before, misses_before = cache.hits, cache.misses
-    durations: Dict[str, int] = {}
-    kernel_counters: Dict[str, Counters] = {}
-    kernel_util: Dict[str, float] = {}
-    kernel_macs: Dict[str, int] = {}
-    kernel_stats: Dict[str, Dict[str, int]] = {}
-    with phase("kernel_sim", model=schedule.model, kernels=len(schedule.invocations)):
-        for inv in schedule.invocations:
-            if inv.kind == "gemm":
-                target = (
-                    schedule.small_design
-                    if inv.resource == SMALL_MATRIX_RESOURCE and schedule.small_design
-                    else design
-                )
-                run = run_gemm(target, inv.workload, inv.workload.dtype)
-                cycles, counters = run.total_cycles, run.counters
-                kernel_util[inv.name] = run.kernel.mac_utilization
-                kernel_macs[inv.name] = (
-                    inv.reported_macs if inv.reported_macs is not None
-                    else inv.workload.macs
-                )
-                if recorder is not None:
-                    kernel_stats[inv.name] = run.kernel.schedule_stats
-            elif inv.kind == "flash":
-                run = run_flash_attention(design, inv.workload)
-                cycles, counters = run.total_cycles, run.kernel.counters
-                kernel_util[inv.name] = run.kernel.mac_utilization
-                kernel_macs[inv.name] = inv.workload.gemm_macs
-                if recorder is not None:
-                    kernel_stats[inv.name] = run.kernel.schedule_stats
-            else:
-                cycles, counters = _simt_cost(design, inv.elements, inv.flops_per_element)
-                kernel_util[inv.name] = 0.0
-                kernel_macs[inv.name] = 0
-            durations[inv.name] = _scaled_cycles(cycles, duration_scale)
-            kernel_counters[inv.name] = counters
-    cache_stats = {
-        "hits": cache.hits - hits_before,
-        "misses": cache.misses - misses_before,
-    }
-
-    # Phase 2: place the kernels on the cluster's resources; independent
-    # kernels (e.g. SIMT elementwise vs the next layer's GEMM, or small-unit
-    # vs large-unit GEMMs in heterogeneous mode) overlap.
-    with phase("list_schedule", model=schedule.model):
-        op_graph = OperationGraph()
-        op_graph.add_resource(Resource(MATRIX_RESOURCE))
-        op_graph.add_resource(Resource(SIMT_RESOURCE))
-        if schedule.heterogeneous:
-            op_graph.add_resource(Resource(SMALL_MATRIX_RESOURCE))
-        for inv in schedule.invocations:
-            op_graph.add_operation(
-                inv.name,
-                inv.resource,
-                durations[inv.name],
-                deps=[dep for dep in inv.deps if dep],
-                kind=inv.kind,
-            )
-        placed = op_graph.schedule()
-    if recorder is not None:
-        recorder.record_schedule(
-            placed, extra_args=_trace_span_args(schedule, kernel_stats)
-        )
-
-    # Phase 3: aggregate per layer, per phase and model-wide.
-    layer_order: List[str] = []
-    by_layer: Dict[str, List[KernelInvocation]] = {}
-    for inv in schedule.invocations:
-        if inv.layer not in by_layer:
-            layer_order.append(inv.layer)
-            by_layer[inv.layer] = []
-        by_layer[inv.layer].append(inv)
-
-    total_counters = Counters()
-    layers: List[LayerRunResult] = []
-    phase_cycles: Dict[str, int] = {}
-    phase_energy: Dict[str, float] = {}
-    for layer_name in layer_order:
-        invs = by_layer[layer_name]
-        layer_counters = Counters()
-        for inv in invs:
-            layer_counters.merge(kernel_counters[inv.name])
-        energy_uj = table.energy_picojoules(layer_counters) / 1e6
-        cycles = sum(durations[inv.name] for inv in invs)
-        start = min(placed.scheduled[inv.name].start for inv in invs)
-        end = max(placed.scheduled[inv.name].end for inv in invs)
-        macs = sum(kernel_macs[inv.name] for inv in invs)
-        # MAC-weighted utilization across the layer's matrix kernels.
-        weighted = sum(
-            kernel_util[inv.name] * kernel_macs[inv.name] for inv in invs
-        )
-        utilization = 100.0 * weighted / macs if macs else 0.0
-        layer_phase = invs[0].phase
-        layers.append(
-            LayerRunResult(
-                layer=layer_name,
-                phase=layer_phase,
-                kinds=tuple(dict.fromkeys(inv.kind for inv in invs)),
-                kernels=tuple(inv.name for inv in invs),
-                cycles=cycles,
-                start=start,
-                end=end,
-                energy_uj=energy_uj,
-                mac_utilization_percent=utilization,
-                macs=macs,
-            )
-        )
-        phase_cycles[layer_phase] = phase_cycles.get(layer_phase, 0) + cycles
-        phase_energy[layer_phase] = phase_energy.get(layer_phase, 0.0) + energy_uj
-        total_counters.merge(layer_counters)
-
-    power = make_power_report(
-        design.name, total_counters, table, placed.total_cycles, design.soc
-    )
-    return ModelRunResult(
-        model=schedule.model,
-        design=design,
-        total_cycles=placed.total_cycles,
-        layers=layers,
-        power=power,
-        counters=total_counters,
-        ideal_mac_cycles=schedule.ideal_mac_cycles,
-        heterogeneous=schedule.heterogeneous,
-        phase_cycles=phase_cycles,
-        phase_energy_uj=phase_energy,
-        resource_busy=placed.resource_busy,
-        timing_cache=cache_stats,
-        metrics=_model_metrics(schedule, placed, durations, cache_stats),
-    )
-
-
 # --------------------------------------------------------------------------- #
 # Compiled step programs
 # --------------------------------------------------------------------------- #
@@ -873,20 +607,40 @@ PROGRAM_RESOURCES = (MATRIX_RESOURCE, SIMT_RESOURCE, SMALL_MATRIX_RESOURCE)
 _RESOURCE_INDEX = {name: index for index, name in enumerate(PROGRAM_RESOURCES)}
 
 
-@dataclass(frozen=True, eq=False)
-class StepProgram:
-    """One kernel schedule compiled to pre-resolved integer arrays.
+class ProgramLayer(NamedTuple):
+    """One layer of a :class:`StepProgram`: what its layer result keeps.
 
-    A serving run executes the same per-request decode step -- one (model,
-    bucketed context, unit) schedule -- iteration after iteration, each time
-    inside a different batch.  Compiling resolves once everything that does
-    not depend on the batch: every kernel's timing-cache result, its
-    resource and dependencies as indices, and the per-layer counter sums
-    the energy model folds.  :func:`execute_step_programs` then places a
-    batch of programs on plain ints.
+    ``phase`` is the first kernel's, ``kinds`` are in first-seen order,
+    ``members`` index the layer's kernels in schedule order, ``energy_uj``
+    prices the layer's counters folded kernel by kernel in order, and the
+    utilization is MAC-weighted over the layer's matrix kernels.
     """
 
-    schedule: KernelSchedule
+    name: str
+    phase: str
+    kinds: Tuple[str, ...]
+    members: Tuple[int, ...]
+    energy_uj: float
+    macs: int
+    mac_utilization_percent: float
+
+
+@dataclass(frozen=True, eq=False)
+class StepProgram:
+    """One kernel schedule compiled to plain data: everything that does not
+    depend on what runs alongside, resolved once.  It holds no schedule,
+    invocation, workload or design object, so the model-program memo can
+    keep and persist it (``docs/perf-contract.md`` contract 11).
+    """
+
+    model: str
+    heterogeneous: bool
+    ideal_mac_cycles: float
+    #: Per kernel: name, kind, phase and the index of its layer.
+    names: Tuple[str, ...]
+    kinds: Tuple[str, ...]
+    phases: Tuple[str, ...]
+    layer_of: Tuple[int, ...]
     #: Per kernel: index into :data:`PROGRAM_RESOURCES`.
     resources: Tuple[int, ...]
     #: Per kernel: simulated cycles before any duration scaling.
@@ -897,6 +651,8 @@ class StepProgram:
     deps: Tuple[Tuple[int, ...], ...]
     #: Per kernel: the kernel's ``schedule_stats`` (trace annotations).
     stats: Tuple[Optional[Dict[str, int]], ...]
+    #: Per layer, in first-appearance order.
+    layers: Tuple[ProgramLayer, ...]
     #: First kernel index of every layer, in layer order.
     layer_starts: np.ndarray
     #: Counter keys in first-seen order over the layers, each mapped to
@@ -914,70 +670,138 @@ class StepProgram:
 def compile_step_program(schedule: KernelSchedule) -> StepProgram:
     """Resolve every kernel of ``schedule`` once, for repeated execution.
 
-    Probes the timing cache exactly as one :func:`execute_schedule` of the
-    schedule does: one lookup per kernel, same kernels, same order.
+    Probes the timing cache once per kernel, in schedule order.
     """
     design = schedule.design
+    invocations = schedule.invocations
     index_of: Dict[str, int] = {}
-    resources: List[int] = []
-    cycles: List[int] = []
-    deps: List[Tuple[int, ...]] = []
-    stats: List[Optional[Dict[str, int]]] = []
-    layer_of: Dict[str, int] = {}
-    layer_starts: List[int] = []
+    layer_index: Dict[str, int] = {}
+    resources, cycles, deps, stats, macs, utilization, layer_of = [], [], [], [], [], [], []
+    members: List[List[int]] = []
     layer_counters: List[Counters] = []
-    with phase("kernel_sim", model=schedule.model, kernels=len(schedule.invocations)):
-        for position, inv in enumerate(schedule.invocations):
-            kernel_stats = None
+    with phase("kernel_sim", model=schedule.model, kernels=len(invocations)):
+        for position, inv in enumerate(invocations):
+            kernel, kernel_macs = None, 0
             if inv.kind == "gemm":
                 target = (
                     schedule.small_design
                     if inv.resource == SMALL_MATRIX_RESOURCE and schedule.small_design
                     else design
                 )
-                run = run_gemm(target, inv.workload, inv.workload.dtype)
-                kernel_cycles, counters = run.total_cycles, run.counters
-                kernel_stats = run.kernel.schedule_stats
-            elif inv.kind == "flash":
-                run = run_flash_attention(design, inv.workload)
-                kernel_cycles, counters = run.total_cycles, run.kernel.counters
-                kernel_stats = run.kernel.schedule_stats
-            else:
-                kernel_cycles, counters = _simt_cost(
-                    design, inv.elements, inv.flops_per_element
+                kernel = run_gemm(target, inv.workload, inv.workload.dtype).kernel
+                kernel_macs = (
+                    inv.reported_macs if inv.reported_macs is not None else inv.workload.macs
                 )
+            elif inv.kind == "flash":
+                kernel = run_flash_attention(design, inv.workload).kernel
+                kernel_macs = inv.workload.gemm_macs
+            if kernel is None:
+                kernel_cycles, counters = _simt_cost(design, inv.elements, inv.flops_per_element)
+            else:
+                kernel_cycles, counters = kernel.total_cycles, kernel.counters
             index_of[inv.name] = position
             resources.append(_RESOURCE_INDEX[inv.resource])
             cycles.append(kernel_cycles)
             deps.append(tuple(index_of[dep] for dep in inv.deps if dep))
-            stats.append(kernel_stats)
-            layer = layer_of.get(inv.layer)
-            if layer is None:
-                layer = layer_of[inv.layer] = len(layer_starts)
-                layer_starts.append(position)
+            stats.append(None if kernel is None else kernel.schedule_stats)
+            macs.append(kernel_macs)
+            utilization.append(0.0 if kernel is None else kernel.mac_utilization)
+            layer = layer_index.setdefault(inv.layer, len(members))
+            if layer == len(members):
+                members.append([])
                 layer_counters.append(Counters())
+            layer_of.append(layer)
+            members[layer].append(position)
             layer_counters[layer].merge(counters)
 
+    table = EnergyTable.for_design(design.style)
+    layers = []
+    for name, indices, counters in zip(layer_index, members, layer_counters):
+        layer_macs = sum(macs[k] for k in indices)
+        weighted = sum(utilization[k] * macs[k] for k in indices)
+        layers.append(
+            ProgramLayer(
+                name=name,
+                phase=invocations[indices[0]].phase,
+                kinds=tuple(dict.fromkeys(invocations[k].kind for k in indices)),
+                members=tuple(indices),
+                energy_uj=table.energy_picojoules(counters) / 1e6,
+                macs=layer_macs,
+                mac_utilization_percent=100.0 * weighted / layer_macs if layer_macs else 0.0,
+            )
+        )
+    layer_starts = [indices[0] for indices in members]
     first_seen: Dict[str, Tuple[int, int]] = {}
     for start, counters in zip(layer_starts, layer_counters):
         for rank, key in enumerate(counters):
             first_seen.setdefault(key, (start, rank))
     column = {key: index for index, key in enumerate(first_seen)}
-    layer_rows = np.zeros((len(layer_counters), len(column)))
-    for layer, counters in enumerate(layer_counters):
+    rows = []
+    for counters in layer_counters:
+        row = [0.0] * len(column)
         for key, value in counters.items():
-            layer_rows[layer, column[key]] = value
+            row[column[key]] = value
+        rows.append(row)
     return StepProgram(
-        schedule=schedule,
+        model=schedule.model,
+        heterogeneous=schedule.heterogeneous,
+        ideal_mac_cycles=schedule.ideal_mac_cycles,
+        names=tuple(inv.name for inv in invocations),
+        kinds=tuple(inv.kind for inv in invocations),
+        phases=tuple(inv.phase for inv in invocations),
+        layer_of=tuple(layer_of),
         resources=tuple(resources),
         cycles=tuple(cycles),
         durations=tuple(_scaled_cycles(value, 1.0) for value in cycles),
         deps=tuple(deps),
         stats=tuple(stats),
+        layers=tuple(layers),
         layer_starts=np.array(layer_starts, dtype=np.int64),
         keys=first_seen,
-        layer_rows=layer_rows,
+        layer_rows=np.array(rows).reshape(len(rows), len(column)),
     )
+
+
+def _place(
+    programs: Sequence[StepProgram], durations: Sequence[Tuple[int, ...]]
+) -> Tuple[List[List[int]], List[int]]:
+    """The one placement loop, for a serving batch or a one-row model run.
+
+    Kernels go position-major, batch order within a position (the merged
+    schedule's order); each starts once its dependencies (all in its own
+    row) have ended and its resource is free.  Returns every kernel's end
+    cycle per row, and the busy cycles of each of :data:`PROGRAM_RESOURCES`.
+    """
+    lengths = [len(program.resources) for program in programs]
+    ends = [[0] * length for length in lengths]
+    free = [0, 0, 0]
+    busy = [0, 0, 0]
+    live = list(zip(lengths, (program.resources for program in programs), durations,
+                    (program.deps for program in programs), ends))
+    position = 0
+    for depth in sorted(set(lengths)):
+        for position in range(position, depth):
+            for _, resources, row_durations, deps, row_ends in live:
+                ready = 0
+                for dep in deps[position]:
+                    if row_ends[dep] > ready:
+                        ready = row_ends[dep]
+                unit = resources[position]
+                start = free[unit] if free[unit] > ready else ready
+                duration = row_durations[position]
+                free[unit] = row_ends[position] = start + duration
+                busy[unit] += duration
+        position = depth
+        live = [row for row in live if row[0] > depth]
+    return ends, busy
+
+
+def _resource_busy(program: StepProgram, busy: List[int]) -> Dict[str, int]:
+    """Busy cycles by resource name: the small unit only when heterogeneous."""
+    resource_busy = {MATRIX_RESOURCE: busy[0], SIMT_RESOURCE: busy[1]}
+    if program.heterogeneous:
+        resource_busy[SMALL_MATRIX_RESOURCE] = busy[2]
+    return resource_busy
 
 
 class ProgramPlacement(NamedTuple):
@@ -999,12 +823,12 @@ def execute_step_programs(
 ) -> ProgramPlacement:
     """List-schedule a batch of step programs, interleaved by position.
 
-    Equal to ``execute_schedule(merge_schedules(list(zip(prefixes,
-    schedules))), duration_scale)`` -- the placement, each row's latest
-    kernel end, the kernel count, busy cycles and energy, float for float
-    -- without building a merged schedule.  Every program must come from
-    one design and unit layout.  ``prefixes`` name the rows' kernels in
-    trace spans, recorded only while a trace recorder is active.
+    Equal to the merged schedule of the rows' kernel schedules run on an
+    ``OperationGraph`` (the oracle in ``tests/differential.py``): the
+    placement, each row's latest kernel end, the kernel count, busy cycles
+    and energy, float for float.  Every program must come from one design
+    and unit layout.  ``prefixes`` name the rows' kernels in trace spans,
+    recorded only while a trace recorder is active.
     """
     if duration_scale == 1.0:
         durations = [program.durations for program in programs]
@@ -1015,50 +839,22 @@ def execute_step_programs(
             for key, program in distinct.items()
         }
         durations = [scaled[id(program)] for program in programs]
-    lengths = [len(program.resources) for program in programs]
-    ends = [[0] * length for length in lengths]
-
-    # Merged order is position-major, batch order within a position; a
-    # kernel starts once its dependencies (all in its own row) have ended
-    # and its resource is free.
-    free = [0, 0, 0]
-    busy = [0, 0, 0]
-    live = list(zip(lengths, (program.resources for program in programs), durations,
-                    (program.deps for program in programs), ends))
-    position = 0
-    for depth in sorted(set(lengths)):
-        for position in range(position, depth):
-            for _, resources, row_durations, deps, row_ends in live:
-                ready = 0
-                for dep in deps[position]:
-                    if row_ends[dep] > ready:
-                        ready = row_ends[dep]
-                unit = resources[position]
-                start = free[unit] if free[unit] > ready else ready
-                duration = row_durations[position]
-                free[unit] = row_ends[position] = start + duration
-                busy[unit] += duration
-        position = depth
-        live = [row for row in live if row[0] > depth]
-
+    ends, busy = _place(programs, durations)
     recorder = trace_recorder()
     if recorder is not None:
         _record_programs(recorder, programs, prefixes, durations, ends)
     row_ends = tuple(max(row) for row in ends)
-    resource_busy = {MATRIX_RESOURCE: busy[0], SIMT_RESOURCE: busy[1]}
-    if programs[0].schedule.heterogeneous:
-        resource_busy[SMALL_MATRIX_RESOURCE] = busy[2]
     return ProgramPlacement(
         total_cycles=max(row_ends),
         row_ends=row_ends,
-        kernel_count=sum(lengths),
+        kernel_count=sum(map(len, ends)),
         energy_uj=_programs_energy_uj(programs, table),
-        resource_busy=resource_busy,
+        resource_busy=_resource_busy(programs[0], busy),
     )
 
 
 def _programs_energy_uj(programs: Sequence[StepProgram], table: EnergyTable) -> float:
-    """The merged schedule's active energy, folded as execute_schedule does.
+    """The merged schedule's active energy, folded as the oracle folds it.
 
     The merged layers come in first-appearance order, i.e. by (first
     kernel position, batch row); every counter key is a sequential float
@@ -1120,34 +916,36 @@ def _record_programs(
     durations: Sequence[Tuple[int, ...]],
     ends: Sequence[List[int]],
 ) -> None:
-    """Emit the spans and flows ``record_schedule`` emits for the merged
-    schedule: one span per kernel in merged order, then the dependency
-    flows."""
+    """Emit the spans and flows ``TraceRecorder.record_schedule`` emits for
+    the merged schedule: one span per kernel in merged order, then the
+    dependency flows."""
     spans = [[0] * len(program) for program in programs]
     placed: List[Tuple[int, int]] = []
     for position in range(max(len(program) for program in programs)):
         for row, program in enumerate(programs):
             if position >= len(program):
                 continue
-            inv = program.schedule.invocations[position]
             prefix = prefixes[row]
-            args: Dict[str, object] = {"layer": prefix + inv.layer, "phase": inv.phase}
+            args: Dict[str, object] = {
+                "layer": prefix + program.layers[program.layer_of[position]].name,
+                "phase": program.phases[position],
+            }
             stats = program.stats[position]
             if stats:
                 args["operations"] = stats.get("operation_count", 0)
                 args["executed_operations"] = stats.get("executed_operations", 0)
                 args["compressed"] = stats.get("extrapolated_operations", 0) > 0
-            deps = [prefix + dep for dep in inv.deps if dep]
+            deps = program.deps[position]
             if deps:
-                args["deps"] = deps
+                args["deps"] = [prefix + program.names[dep] for dep in deps]
             duration = durations[row][position]
             spans[row][position] = recorder.add_span(
-                prefix + inv.name,
+                prefix + program.names[position],
                 process=UNITS_PROCESS,
-                track=inv.resource,
+                track=PROGRAM_RESOURCES[program.resources[position]],
                 start=ends[row][position] - duration,
                 duration=duration,
-                category=inv.kind or "op",
+                category=program.kinds[position] or "op",
                 args=args,
             )
             placed.append((row, position))
@@ -1156,20 +954,139 @@ def _record_programs(
             recorder.add_flow(spans[row][dep], spans[row][position])
 
 
+# --------------------------------------------------------------------------- #
+# Whole models
+# --------------------------------------------------------------------------- #
+
+#: Timing-cache namespace of compiled model programs (contract 11).
+MODEL_PROGRAMS = "lowering.model_programs"
+
+
+def _model_program(
+    model: Union[str, ModelSpec, LayerGraph],
+    design: DesignConfig,
+    heterogeneous: bool,
+    dtype: DataType,
+) -> StepProgram:
+    """``model``'s compiled program on ``design``, memoized by content.
+
+    A zoo name or :class:`ModelSpec` is kept in the :data:`MODEL_PROGRAMS`
+    namespace under (spec, design fingerprint, ``heterogeneous``, dtype),
+    and a hit credits the program's kernel probes as timing-cache hits.  A
+    :class:`LayerGraph` has no content key and compiles on every call, as
+    does everything while the cache is disabled.
+    """
+    cache = timing_cache()
+    key = None
+    if not isinstance(model, LayerGraph):
+        model = resolve_spec(model) if isinstance(model, str) else model
+        if cache.enabled:
+            key = (model, design_fingerprint(design), heterogeneous, dtype)
+            program = cache.namespace(MODEL_PROGRAMS).get(key)
+            if program is not None:
+                cache.credit_hits(len(program))
+                return program
+    graph = model if isinstance(model, LayerGraph) else build_model(model)
+    with phase("lower", model=graph.name):
+        schedule = lower_graph(graph, design, heterogeneous=heterogeneous, dtype=dtype)
+    program = compile_step_program(schedule)
+    if key is not None:
+        cache.namespace(MODEL_PROGRAMS)[key] = program
+    return program
+
+
+def _model_result(
+    program: StepProgram, design: DesignConfig, cache_stats: Dict[str, int]
+) -> ModelRunResult:
+    """Place one model program; aggregate per layer, per phase and model-wide.
+    Everything mutable in the result is built fresh on every call."""
+    durations = program.durations
+    (ends,), busy = _place([program], [durations])
+    recorder = trace_recorder()
+    if recorder is not None:
+        _record_programs(recorder, [program], ("",), [durations], [ends])
+    total_cycles = max(ends, default=0)
+
+    layers: List[LayerRunResult] = []
+    phase_cycles: Dict[str, int] = {}
+    phase_energy: Dict[str, float] = {}
+    for layer in program.layers:
+        members = layer.members
+        cycles = sum(durations[k] for k in members)
+        layers.append(
+            LayerRunResult(
+                layer=layer.name,
+                phase=layer.phase,
+                kinds=layer.kinds,
+                kernels=tuple(program.names[k] for k in members),
+                cycles=cycles,
+                start=min(ends[k] - durations[k] for k in members),
+                end=max(ends[k] for k in members),
+                energy_uj=layer.energy_uj,
+                mac_utilization_percent=layer.mac_utilization_percent,
+                macs=layer.macs,
+            )
+        )
+        phase_cycles[layer.phase] = phase_cycles.get(layer.phase, 0) + cycles
+        phase_energy[layer.phase] = phase_energy.get(layer.phase, 0.0) + layer.energy_uj
+    # The model's counters fold the layer rows in layer order, as merging
+    # each layer's counters into one bag does.
+    totals = np.add.accumulate(program.layer_rows, axis=0)[-1].tolist() if layers else []
+    counters = Counters(dict(zip(program.keys, totals)))
+    resource_busy = _resource_busy(program, busy)
+
+    metrics = MetricsRegistry()
+    metrics.counter("schedule.kernels").inc(len(program))
+    metrics.gauge("schedule.makespan_cycles").set(total_cycles)
+    kind_cycles: Dict[str, int] = {}
+    for kind, duration in zip(program.kinds, durations):
+        kind_cycles[kind] = kind_cycles.get(kind, 0) + duration
+    for kind, cycles in sorted(kind_cycles.items()):
+        metrics.counter(f"schedule.kind_cycles.{kind}").inc(cycles)
+    for resource, cycles in sorted(resource_busy.items()):
+        metrics.counter(f"unit.busy_cycles.{resource}").inc(cycles)
+    for resource, percent in occupancy_percent(resource_busy, total_cycles).items():
+        metrics.gauge(f"unit.occupancy_percent.{resource}").set(percent)
+    metrics.counter("timing_cache.hits", diagnostic=True).inc(cache_stats["hits"])
+    metrics.counter("timing_cache.misses", diagnostic=True).inc(cache_stats["misses"])
+    return ModelRunResult(
+        model=program.model,
+        design=design,
+        total_cycles=total_cycles,
+        layers=layers,
+        power=make_power_report(
+            design.name, counters, EnergyTable.for_design(design.style), total_cycles,
+            design.soc,
+        ),
+        counters=counters,
+        ideal_mac_cycles=program.ideal_mac_cycles,
+        heterogeneous=program.heterogeneous,
+        phase_cycles=phase_cycles,
+        phase_energy_uj=phase_energy,
+        resource_busy=resource_busy,
+        timing_cache=cache_stats,
+        metrics=metrics,
+    )
+
+
 def run_model(
     model: Union[str, ModelSpec, LayerGraph],
     design: Union[str, DesignKind, DesignConfig] = DesignKind.VIRGO,
     heterogeneous: bool = False,
     dtype: DataType = DataType.FP16,
 ) -> ModelRunResult:
-    """Lower and execute a full model workload on one design.
+    """Lower, compile and execute a full model workload on one design.
 
     ``model`` may be a zoo name (``"gpt-prefill"``), an explicit
-    :class:`ModelSpec`, or an already-built :class:`LayerGraph`.
+    :class:`ModelSpec`, or an already-built :class:`LayerGraph`.  The
+    compiled program of a name or spec is memoized (:func:`_model_program`).
     """
-    graph = model if isinstance(model, LayerGraph) else build_model(model)
     if isinstance(design, str):
         design = DesignKind(design.lower())
-    with phase("lower", model=graph.name):
-        schedule = lower_graph(graph, design, heterogeneous=heterogeneous, dtype=dtype)
-    return execute_schedule(schedule)
+    config = make_design(design, dtype) if isinstance(design, DesignKind) else design
+    cache = timing_cache()
+    hits, misses = cache.hits, cache.misses
+    program = _model_program(model, config, heterogeneous, dtype)
+    cache_stats = {"hits": cache.hits - hits, "misses": cache.misses - misses}
+    with phase("list_schedule", model=program.model):
+        return _model_result(program, config, cache_stats)

@@ -13,13 +13,13 @@ continuous batching over it:
    model graph whose KV context is the prompt length plus the steps completed
    so far, rounded up to the trace's ``context_bucket`` (a paged-KV model
    that keeps the kernel-shape working set finite);
-3. the per-request step schedules are interleaved by position and
-   list-scheduled as one kernel schedule -- each step compiled once into a
+3. the per-request steps are interleaved by position and list-scheduled
+   as one kernel schedule -- each step compiled once into a
    :class:`~repro.workloads.lowering.StepProgram` and run by
-   :func:`~repro.workloads.lowering.execute_step_programs`, exactly as
-   :func:`~repro.workloads.lowering.merge_schedules` plus ``execute_schedule``
-   would -- so independent requests overlap across the matrix units and
-   SIMT cores exactly the way MoE expert chains already do within a layer;
+   :func:`~repro.workloads.lowering.execute_step_programs`, the executor
+   ``run_model`` runs whole models on -- so independent requests overlap
+   across the matrix units and SIMT cores exactly the way MoE expert
+   chains already do within a layer;
 4. requests that completed their decode budget retire; the clock advances by
    the iteration makespan and the loop repeats until the trace drains.
 
@@ -105,7 +105,6 @@ from repro.workloads.lowering import (
     KernelSchedule,
     StepProgram,
     compile_step_program,
-    execute_schedule,
     execute_step_programs,
     lower_graph,
 )
@@ -594,8 +593,6 @@ class ServingScheduler:
         self.epoch_compression = epoch_compression
         self.policy = resolve_policy(policy, kv_budget)
         self._design_fp: Optional[str] = None
-        # Built on the first executed iteration: memo replays never need it.
-        self._energy_table: Optional[EnergyTable] = None
         self._step_schedules: Dict[Tuple[ModelSpec, int, str], _Step] = {}
         # Timing-cache generation the stored step programs were compiled
         # under; None while none may be kept (see _step_programs).
@@ -713,7 +710,7 @@ class ServingScheduler:
         return step
 
     def _step_programs(
-        self, active: List[_InFlight], contexts: List[int], units: List[str]
+        self, requests: Sequence[RequestSpec], contexts: List[int], units: List[str]
     ) -> List[StepProgram]:
         """The batch's compiled step programs, one per row.
 
@@ -732,8 +729,8 @@ class ServingScheduler:
             self._programs_generation = generation
         programs: List[StepProgram] = []
         credited = 0
-        for state, context, unit in zip(active, contexts, units):
-            step = self._step(state.request, context, unit)
+        for request, context, unit in zip(requests, contexts, units):
+            step = self._step(request, context, unit)
             program = step.program
             if program is None:
                 program = compile_step_program(step.schedule)
@@ -819,17 +816,17 @@ class ServingScheduler:
     ) -> _IterationOutcome:
         """Execute one iteration's batch for real: its step programs,
         interleaved and list-scheduled as the merged schedule would be."""
-        if self._energy_table is None:
-            self._energy_table = EnergyTable.for_design(self.design.style)
         cache = timing_cache()
         hits, misses = cache.hits, cache.misses
         with phase("merge", batch=len(active)):
-            programs = self._step_programs(active, contexts, units)
+            programs = self._step_programs(
+                [state.request for state in active], contexts, units
+            )
         with phase("list_schedule", model=label):
             placed = execute_step_programs(
                 programs,
                 [state.prefix for state in active],
-                self._energy_table,
+                EnergyTable.for_design(self.design.style),
                 duration_scale=duration_scale,
             )
         return _IterationOutcome(
@@ -1121,16 +1118,18 @@ class ServingScheduler:
         differing kernel shapes.  The sum of the spans is the request's
         isolated latency; it lower-bounds the latency any batched run can
         give the request, and summing across requests upper-bounds the
-        merged serving span (both enforced by the property suite).
+        merged serving span (both enforced by the property suite).  Each step
+        runs as a one-row batch of its compiled program.
         """
+        table = EnergyTable.for_design(self.design.style)
         spans = []
         for step in range(request.decode_steps):
             context = bucket_context(request.context_at(step), context_bucket)
             # Alone, a request always gets the full-size unit: the isolated
             # baseline is best-effort single-request serving, not a replay of
             # whatever unit the batched run happened to pin it to.
-            schedule = self.step_schedule(request, context, MATRIX_RESOURCE)
-            spans.append(execute_schedule(schedule).total_cycles)
+            programs = self._step_programs([request], [context], [MATRIX_RESOURCE])
+            spans.append(execute_step_programs(programs, ("",), table).total_cycles)
         return spans
 
     def isolated_cycles(self, request: RequestSpec, context_bucket: int) -> int:

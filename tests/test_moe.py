@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from differential import execute_schedule
 from repro.analysis.model_breakdown import format_overlap_report, model_overlap_report
 from repro.config.presets import DesignKind
 from repro.workloads import (
@@ -23,7 +24,6 @@ from repro.workloads.lowering import (
     MATRIX_RESOURCE,
     SIMT_RESOURCE,
     SMALL_MATRIX_RESOURCE,
-    execute_schedule,
 )
 from repro.workloads.models import ModelSpec
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from differential import merge_schedules
 from repro.__main__ import main
 from repro.config.presets import DesignKind
 from repro.analysis.serving import (
@@ -19,7 +20,6 @@ from repro.workloads import (
     ServingTrace,
     lower_graph,
     build_model,
-    merge_schedules,
     resolve_trace,
     run_serving,
     scaled_spec,

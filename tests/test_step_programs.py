@@ -18,7 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from differential import assert_byte_identical, merged_iteration
+from differential import (
+    assert_byte_identical,
+    execute_schedule,
+    merge_schedules,
+    merged_iteration,
+)
 from repro.__main__ import main
 from repro.config.presets import DesignKind, make_design
 from repro.energy.model import EnergyTable
@@ -34,9 +39,7 @@ from repro.workloads.lowering import (
     KernelInvocation,
     KernelSchedule,
     compile_step_program,
-    execute_schedule,
     execute_step_programs,
-    merge_schedules,
 )
 from repro.workloads.models import REQUEST_MODELS
 from repro.workloads.serving import ServingScheduler, _InFlight

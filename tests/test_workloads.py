@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from differential import execute_schedule
 from repro.config.presets import DesignKind, make_design
 from repro.config.soc import DataType
 from repro.runner import run_flash_attention, run_gemm, to_json
@@ -27,7 +28,6 @@ from repro.workloads.lowering import (
     MATRIX_RESOURCE,
     SIMT_RESOURCE,
     SMALL_MATRIX_RESOURCE,
-    execute_schedule,
 )
 
 
