@@ -62,15 +62,9 @@ def model_phase_summary(result: ModelRunResult) -> Dict[str, Dict[str, float]]:
 
 
 def model_kind_cycles(result: ModelRunResult) -> Dict[str, int]:
-    """Busy cycles grouped by kernel kind (gemm / flash / simt)."""
-    totals: Dict[str, int] = {}
-    for layer in result.layers:
-        # Split the layer's cycles evenly when it mixes kinds; kernels of one
-        # layer are lowered from the same operator so this stays indicative.
-        share = layer.cycles // max(1, len(layer.kinds))
-        for kind in layer.kinds:
-            totals[kind] = totals.get(kind, 0) + share
-    return totals
+    """Busy cycles grouped by kernel kind (gemm / flash / simt): each kind's
+    kernel durations summed, kinds in first-seen order."""
+    return dict(result.kind_cycles)
 
 
 def _expert_width(kernels: Sequence[str]) -> int:

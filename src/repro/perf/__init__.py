@@ -12,14 +12,15 @@ model memoizes its steady-state iteration per (model, design, block shape)
 and :meth:`repro.simt.core.VortexCore.execute` each distinct set of warp
 programs, both in namespace tables of the same cache through
 :func:`memoized`.  Above the kernels, :func:`repro.workloads.run_model`
-keeps each compiled model program in a namespace table too.
+keeps each model program, compiled and placed, in a namespace table too.
 
 Cache-key contract
 ------------------
 An entry is keyed by a SHA-256 over the canonical JSON encoding of:
 
 * ``SCHEMA_VERSION`` -- bump it whenever a timing model changes behaviour,
-  so snapshots from older code can never satisfy newer lookups;
+  or a namespace memo's values change shape, so snapshots from older code
+  can never satisfy newer lookups;
 * the kernel *kind* (``"gemm"``, ``"flash"``, ``"simt"``, ...);
 * the **full design configuration content** -- every field of the
   :class:`~repro.config.soc.DesignConfig` tree, via

@@ -25,8 +25,11 @@ from repro.obs.phase import phase
 #: Bump when a timing model changes shape, so stale entries can never be
 #: confused with fresh ones (relevant when snapshots cross process borders).
 #: That includes the SIMT issue model and its event counting, whose results
-#: the ``VortexCore.execute`` memo stores in a namespace table.
-SCHEMA_VERSION = 1
+#: the ``VortexCore.execute`` memo stores in a namespace table, and the shape
+#: of any namespace memo's values.  Version 2 orphans snapshots whose
+#: ``lowering.model_programs`` values are compiled step programs rather
+#: than the placed models ``run_model`` reads.
+SCHEMA_VERSION = 2
 
 #: Version of the snapshot *container* (the dict ``snapshot()`` returns and
 #: ``save_snapshot`` pickles).  Bump when the container shape changes, so an

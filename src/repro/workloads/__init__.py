@@ -15,8 +15,9 @@ Pipeline
    from a :class:`~repro.workloads.models.ModelSpec`;
 3. :mod:`repro.workloads.lowering` -- lowers each layer onto the existing
    GEMM / FlashAttention / SIMT kernel models, compiles the resulting
-   dependency graph into a step program (memoized per model and design),
-   list-schedules it on the cluster's resources, and aggregates a
+   dependency graph into a step program, list-schedules it on the
+   cluster's resources and aggregates it once (the placed model is
+   memoized per model and design), and assembles a
    :class:`~repro.workloads.lowering.ModelRunResult`;
 4. :mod:`repro.workloads.serving` -- iteration-level continuous batching
    over :class:`~repro.workloads.graph.ServingTrace` request streams: every

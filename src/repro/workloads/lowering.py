@@ -37,11 +37,12 @@ one model, assembled into a :class:`ModelRunResult`.  Both equal the
 included (``docs/perf-contract.md`` contract 7); ``tests/differential.py``
 keeps that executor as the oracle.
 
-``run_model`` memoizes compiled programs in the timing cache's
+``run_model`` places each compiled model program once, into a plain-data
+:class:`PlacedModel`, and memoizes that in the timing cache's
 :data:`MODEL_PROGRAMS` namespace by (:class:`ModelSpec`, design
 fingerprint, ``heterogeneous``, dtype) (contract 11): a repeated (model,
-design) pair skips building, lowering and kernel probes, and credits the
-probes as timing-cache hits.
+design) pair skips building, lowering, kernel probes and placement,
+credits the probes as timing-cache hits, and only assembles its result.
 
 Causal masks are modelled *exactly*: fused flash kernels carry the mask
 fields (``causal``/``kv_len``/``window``/``seq_lens``) into
@@ -55,6 +56,7 @@ enforces that it stays gone.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -540,6 +542,10 @@ class ModelRunResult:
     phase_cycles: Dict[str, int] = field(default_factory=dict)
     phase_energy_uj: Dict[str, float] = field(default_factory=dict)
     resource_busy: Dict[str, int] = field(default_factory=dict)
+    #: Busy cycles by kernel kind (each kind's kernel durations summed),
+    #: kinds in first-seen order; ``to_dict`` carries them as the
+    #: ``schedule.kind_cycles.*`` metrics.
+    kind_cycles: Dict[str, int] = field(default_factory=dict)
     #: Timing-cache activity attributable to this run ("hits"/"misses");
     #: diagnostic only and deliberately excluded from :meth:`to_dict` so the
     #: canonical encoding stays byte-stable across cache states.
@@ -629,8 +635,9 @@ class ProgramLayer(NamedTuple):
 class StepProgram:
     """One kernel schedule compiled to plain data: everything that does not
     depend on what runs alongside, resolved once.  It holds no schedule,
-    invocation, workload or design object, so the model-program memo can
-    keep and persist it (``docs/perf-contract.md`` contract 11).
+    invocation, workload or design object (``docs/perf-contract.md``
+    contract 7).  A model run places its program once, into the
+    :class:`PlacedModel` the model-program memo keeps (contract 11).
     """
 
     model: str
@@ -911,14 +918,15 @@ def _programs_energy_uj(programs: Sequence[StepProgram], table: EnergyTable) -> 
 
 def _record_programs(
     recorder: TraceRecorder,
-    programs: Sequence[StepProgram],
+    programs: Sequence[Union[StepProgram, PlacedModel]],
     prefixes: Sequence[str],
     durations: Sequence[Tuple[int, ...]],
-    ends: Sequence[List[int]],
+    ends: Sequence[Sequence[int]],
 ) -> None:
     """Emit the spans and flows ``TraceRecorder.record_schedule`` emits for
     the merged schedule: one span per kernel in merged order, then the
-    dependency flows."""
+    dependency flows.  A :class:`PlacedModel` carries the per-kernel fields
+    read here, so a model run traces through this too."""
     spans = [[0] * len(program) for program in programs]
     placed: List[Tuple[int, int]] = []
     for position in range(max(len(program) for program in programs)):
@@ -958,8 +966,133 @@ def _record_programs(
 # Whole models
 # --------------------------------------------------------------------------- #
 
-#: Timing-cache namespace of compiled model programs (contract 11).
+#: Timing-cache namespace of placed model programs (contract 11).
 MODEL_PROGRAMS = "lowering.model_programs"
+
+
+class PlacedLayer(NamedTuple):
+    """One layer of a :class:`PlacedModel`: the fields of its
+    :class:`LayerRunResult`, in that class's order."""
+
+    name: str
+    phase: str
+    kinds: Tuple[str, ...]
+    kernels: Tuple[str, ...]
+    cycles: int
+    start: int
+    end: int
+    energy_uj: float
+    mac_utilization_percent: float
+    macs: int
+
+
+@dataclass(frozen=True, eq=False)
+class PlacedModel:
+    """A model program placed once, as plain data: what a
+    :class:`ModelRunResult` and its trace read, and nothing else.
+
+    A one-row placement at scale 1.0 is a function of the program alone, so
+    the model-program memo keeps this (``docs/perf-contract.md``
+    contract 11).  The per-kernel fields are the :class:`StepProgram`'s that
+    :func:`_record_programs` reads, plus each kernel's end cycle.
+    """
+
+    model: str
+    heterogeneous: bool
+    ideal_mac_cycles: float
+    #: Per kernel: name, kind, phase, layer index, resource index, duration,
+    #: dependency indices, ``schedule_stats`` and end cycle.
+    names: Tuple[str, ...]
+    kinds: Tuple[str, ...]
+    phases: Tuple[str, ...]
+    layer_of: Tuple[int, ...]
+    resources: Tuple[int, ...]
+    durations: Tuple[int, ...]
+    deps: Tuple[Tuple[int, ...], ...]
+    stats: Tuple[Optional[Dict[str, int]], ...]
+    ends: Tuple[int, ...]
+    total_cycles: int
+    #: Busy cycles by resource name: the small unit only when heterogeneous.
+    resource_busy: Dict[str, int]
+    #: Per layer, in first-appearance order.
+    layers: Tuple[PlacedLayer, ...]
+    phase_cycles: Dict[str, int]
+    phase_energy_uj: Dict[str, float]
+    #: Busy cycles by kernel kind, in first-seen order.
+    kind_cycles: Dict[str, int]
+    #: The model's counter totals, keys in first-seen order.
+    counters: Dict[str, float]
+
+    def __len__(self) -> int:
+        return len(self.resources)
+
+
+def _place_model(schedule: KernelSchedule) -> PlacedModel:
+    """Compile ``schedule`` and place it as one row at scale 1.0; aggregate
+    per layer, per phase, per kind and model-wide."""
+    program = compile_step_program(schedule)
+    durations = program.durations
+    # Most kernel and layer names recur across models and designs
+    # ("block0.qkv.gemm"); interned, each is one object, pickled once.
+    names = tuple(map(sys.intern, program.names))
+    with phase("list_schedule", model=program.model):
+        (ends,), busy = _place([program], [durations])
+        total_cycles = max(ends, default=0)
+        # One pass over the kernels: busy cycles per layer and per kind, and
+        # each layer's first start and last end.
+        count = len(program.layers)
+        layer_cycles, starts, last_ends = [0] * count, [total_cycles] * count, [0] * count
+        kind_cycles: Dict[str, int] = {}
+        for kind, layer, duration, end in zip(program.kinds, program.layer_of, durations, ends):
+            layer_cycles[layer] += duration
+            starts[layer] = min(starts[layer], end - duration)
+            last_ends[layer] = max(last_ends[layer], end)
+            kind_cycles[kind] = kind_cycles.get(kind, 0) + duration
+        layers: List[PlacedLayer] = []
+        phase_cycles: Dict[str, int] = {}
+        phase_energy: Dict[str, float] = {}
+        for index, layer in enumerate(program.layers):
+            cycles = layer_cycles[index]
+            layers.append(
+                PlacedLayer(
+                    name=sys.intern(layer.name),
+                    phase=layer.phase,
+                    kinds=layer.kinds,
+                    kernels=tuple([names[k] for k in layer.members]),
+                    cycles=cycles,
+                    start=starts[index],
+                    end=last_ends[index],
+                    energy_uj=layer.energy_uj,
+                    mac_utilization_percent=layer.mac_utilization_percent,
+                    macs=layer.macs,
+                )
+            )
+            phase_cycles[layer.phase] = phase_cycles.get(layer.phase, 0) + cycles
+            phase_energy[layer.phase] = phase_energy.get(layer.phase, 0.0) + layer.energy_uj
+        # The model's counters fold the layer rows in layer order, as merging
+        # each layer's counters into one bag does.
+        totals = np.add.accumulate(program.layer_rows, axis=0)[-1].tolist() if layers else []
+        return PlacedModel(
+            model=program.model,
+            heterogeneous=program.heterogeneous,
+            ideal_mac_cycles=program.ideal_mac_cycles,
+            names=names,
+            kinds=program.kinds,
+            phases=program.phases,
+            layer_of=program.layer_of,
+            resources=program.resources,
+            durations=durations,
+            deps=program.deps,
+            stats=program.stats,
+            ends=tuple(ends),
+            total_cycles=total_cycles,
+            resource_busy=_resource_busy(program, busy),
+            layers=tuple(layers),
+            phase_cycles=phase_cycles,
+            phase_energy_uj=phase_energy,
+            kind_cycles=kind_cycles,
+            counters=dict(zip(program.keys, totals)),
+        )
 
 
 def _model_program(
@@ -967,14 +1100,15 @@ def _model_program(
     design: DesignConfig,
     heterogeneous: bool,
     dtype: DataType,
-) -> StepProgram:
-    """``model``'s compiled program on ``design``, memoized by content.
+) -> PlacedModel:
+    """``model``'s program on ``design``, compiled and placed, memoized by
+    content.
 
     A zoo name or :class:`ModelSpec` is kept in the :data:`MODEL_PROGRAMS`
     namespace under (spec, design fingerprint, ``heterogeneous``, dtype),
     and a hit credits the program's kernel probes as timing-cache hits.  A
-    :class:`LayerGraph` has no content key and compiles on every call, as
-    does everything while the cache is disabled.
+    :class:`LayerGraph` has no content key and compiles and places on every
+    call, as does everything while the cache is disabled.
     """
     cache = timing_cache()
     key = None
@@ -982,66 +1116,35 @@ def _model_program(
         model = resolve_spec(model) if isinstance(model, str) else model
         if cache.enabled:
             key = (model, design_fingerprint(design), heterogeneous, dtype)
-            program = cache.namespace(MODEL_PROGRAMS).get(key)
-            if program is not None:
-                cache.credit_hits(len(program))
-                return program
+            placed = cache.namespace(MODEL_PROGRAMS).get(key)
+            if placed is not None:
+                cache.credit_hits(len(placed))
+                return placed
     graph = model if isinstance(model, LayerGraph) else build_model(model)
     with phase("lower", model=graph.name):
         schedule = lower_graph(graph, design, heterogeneous=heterogeneous, dtype=dtype)
-    program = compile_step_program(schedule)
+    placed = _place_model(schedule)
     if key is not None:
-        cache.namespace(MODEL_PROGRAMS)[key] = program
-    return program
+        cache.namespace(MODEL_PROGRAMS)[key] = placed
+    return placed
 
 
 def _model_result(
-    program: StepProgram, design: DesignConfig, cache_stats: Dict[str, int]
+    placed: PlacedModel, design: DesignConfig, cache_stats: Dict[str, int]
 ) -> ModelRunResult:
-    """Place one model program; aggregate per layer, per phase and model-wide.
-    Everything mutable in the result is built fresh on every call."""
-    durations = program.durations
-    (ends,), busy = _place([program], [durations])
+    """Assemble a placed model's result, and its trace while a recorder is
+    active.  Everything mutable in the result is built fresh on every call."""
     recorder = trace_recorder()
     if recorder is not None:
-        _record_programs(recorder, [program], ("",), [durations], [ends])
-    total_cycles = max(ends, default=0)
-
-    layers: List[LayerRunResult] = []
-    phase_cycles: Dict[str, int] = {}
-    phase_energy: Dict[str, float] = {}
-    for layer in program.layers:
-        members = layer.members
-        cycles = sum(durations[k] for k in members)
-        layers.append(
-            LayerRunResult(
-                layer=layer.name,
-                phase=layer.phase,
-                kinds=layer.kinds,
-                kernels=tuple(program.names[k] for k in members),
-                cycles=cycles,
-                start=min(ends[k] - durations[k] for k in members),
-                end=max(ends[k] for k in members),
-                energy_uj=layer.energy_uj,
-                mac_utilization_percent=layer.mac_utilization_percent,
-                macs=layer.macs,
-            )
-        )
-        phase_cycles[layer.phase] = phase_cycles.get(layer.phase, 0) + cycles
-        phase_energy[layer.phase] = phase_energy.get(layer.phase, 0.0) + layer.energy_uj
-    # The model's counters fold the layer rows in layer order, as merging
-    # each layer's counters into one bag does.
-    totals = np.add.accumulate(program.layer_rows, axis=0)[-1].tolist() if layers else []
-    counters = Counters(dict(zip(program.keys, totals)))
-    resource_busy = _resource_busy(program, busy)
+        _record_programs(recorder, [placed], ("",), [placed.durations], [placed.ends])
+    total_cycles = placed.total_cycles
+    counters = Counters(placed.counters)
+    resource_busy = dict(placed.resource_busy)
 
     metrics = MetricsRegistry()
-    metrics.counter("schedule.kernels").inc(len(program))
+    metrics.counter("schedule.kernels").inc(len(placed))
     metrics.gauge("schedule.makespan_cycles").set(total_cycles)
-    kind_cycles: Dict[str, int] = {}
-    for kind, duration in zip(program.kinds, durations):
-        kind_cycles[kind] = kind_cycles.get(kind, 0) + duration
-    for kind, cycles in sorted(kind_cycles.items()):
+    for kind, cycles in sorted(placed.kind_cycles.items()):
         metrics.counter(f"schedule.kind_cycles.{kind}").inc(cycles)
     for resource, cycles in sorted(resource_busy.items()):
         metrics.counter(f"unit.busy_cycles.{resource}").inc(cycles)
@@ -1050,20 +1153,21 @@ def _model_result(
     metrics.counter("timing_cache.hits", diagnostic=True).inc(cache_stats["hits"])
     metrics.counter("timing_cache.misses", diagnostic=True).inc(cache_stats["misses"])
     return ModelRunResult(
-        model=program.model,
+        model=placed.model,
         design=design,
         total_cycles=total_cycles,
-        layers=layers,
+        layers=[LayerRunResult(*layer) for layer in placed.layers],
         power=make_power_report(
             design.name, counters, EnergyTable.for_design(design.style), total_cycles,
             design.soc,
         ),
         counters=counters,
-        ideal_mac_cycles=program.ideal_mac_cycles,
-        heterogeneous=program.heterogeneous,
-        phase_cycles=phase_cycles,
-        phase_energy_uj=phase_energy,
+        ideal_mac_cycles=placed.ideal_mac_cycles,
+        heterogeneous=placed.heterogeneous,
+        phase_cycles=dict(placed.phase_cycles),
+        phase_energy_uj=dict(placed.phase_energy_uj),
         resource_busy=resource_busy,
+        kind_cycles=dict(placed.kind_cycles),
         timing_cache=cache_stats,
         metrics=metrics,
     )
@@ -1079,14 +1183,14 @@ def run_model(
 
     ``model`` may be a zoo name (``"gpt-prefill"``), an explicit
     :class:`ModelSpec`, or an already-built :class:`LayerGraph`.  The
-    compiled program of a name or spec is memoized (:func:`_model_program`).
+    placed program of a name or spec is memoized (:func:`_model_program`).
     """
     if isinstance(design, str):
         design = DesignKind(design.lower())
     config = make_design(design, dtype) if isinstance(design, DesignKind) else design
     cache = timing_cache()
     hits, misses = cache.hits, cache.misses
-    program = _model_program(model, config, heterogeneous, dtype)
+    placed = _model_program(model, config, heterogeneous, dtype)
     cache_stats = {"hits": cache.hits - hits, "misses": cache.misses - misses}
-    with phase("list_schedule", model=program.model):
-        return _model_result(program, config, cache_stats)
+    with phase("list_schedule", model=placed.model):
+        return _model_result(placed, config, cache_stats)

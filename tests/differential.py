@@ -313,16 +313,13 @@ def _trace_span_args(
 def _model_metrics(
     schedule: KernelSchedule,
     placed,
-    durations: Dict[str, int],
+    kind_cycles: Dict[str, int],
     cache_stats: Dict[str, int],
 ) -> MetricsRegistry:
     """The unified metrics registry for one executed kernel schedule."""
     metrics = MetricsRegistry()
     metrics.counter("schedule.kernels").inc(len(schedule.invocations))
     metrics.gauge("schedule.makespan_cycles").set(placed.total_cycles)
-    kind_cycles: Dict[str, int] = {}
-    for inv in schedule.invocations:
-        kind_cycles[inv.kind] = kind_cycles.get(inv.kind, 0) + durations[inv.name]
     for kind, cycles in sorted(kind_cycles.items()):
         metrics.counter(f"schedule.kind_cycles.{kind}").inc(cycles)
     for resource, busy in sorted(placed.resource_busy.items()):
@@ -465,6 +462,9 @@ def execute_schedule(schedule: KernelSchedule, duration_scale: float = 1.0) -> M
     power = make_power_report(
         design.name, total_counters, table, placed.total_cycles, design.soc
     )
+    kind_cycles: Dict[str, int] = {}
+    for inv in schedule.invocations:
+        kind_cycles[inv.kind] = kind_cycles.get(inv.kind, 0) + durations[inv.name]
     return ModelRunResult(
         model=schedule.model,
         design=design,
@@ -477,6 +477,7 @@ def execute_schedule(schedule: KernelSchedule, duration_scale: float = 1.0) -> M
         phase_cycles=phase_cycles,
         phase_energy_uj=phase_energy,
         resource_busy=placed.resource_busy,
+        kind_cycles=kind_cycles,
         timing_cache=cache_stats,
-        metrics=_model_metrics(schedule, placed, durations, cache_stats),
+        metrics=_model_metrics(schedule, placed, kind_cycles, cache_stats),
     )

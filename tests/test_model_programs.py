@@ -6,10 +6,12 @@ reference is the ``OperationGraph`` executor it replaced
 (``differential.oracle_run_model``).  Every run must match it on the
 canonical ``to_dict()``, the counters item for item in first-seen key
 order, power, timing-cache stats, diagnostic metrics, and trace spans and
-flows.  Compiled programs of zoo names and ``ModelSpec``s are memoized in
-the ``lowering.model_programs`` timing-cache namespace
+flows.  Programs of zoo names and ``ModelSpec``s are placed once and
+memoized, as plain-data ``PlacedModel``s, in the
+``lowering.model_programs`` timing-cache namespace
 (``docs/perf-contract.md`` contract 11); the memo must stay invisible in
-all of those, over its whole lifecycle.
+all of those, over its whole lifecycle, and a hit must only assemble its
+result.
 """
 
 import dataclasses
@@ -50,6 +52,7 @@ from repro.workloads.lowering import (
     KernelInvocation,
     KernelSchedule,
     compile_step_program,
+    lower_graph,
 )
 from repro.workloads.models import REQUEST_MODELS
 from test_kernel_iteration_memo import DESIGN_LEAVES, _get_leaf, _perturbed, _replace_leaf
@@ -227,7 +230,7 @@ def test_model_execution_folds_as_the_oracle_on_synthetic_schedules(schedule):
     with mock.patch.object(lowering, "_simt_cost", _fake_simt_cost):
         result, view = _view(
             lambda: lowering._model_result(
-                compile_step_program(schedule), schedule.design, dict(stats)
+                lowering._place_model(schedule), schedule.design, dict(stats)
             )
         )
         reference, reference_view = _view(lambda: execute_schedule(schedule))
@@ -369,6 +372,32 @@ def _front_end_calls(monkeypatch):
     ]
 
 
+#: What the zoo x 4 designs table pickled to when it held compiled programs.
+FORMER_ZOO_TABLE_KIB = 380
+
+
+def _zoo_lap():
+    """``run_model`` over every zoo model on each of the four designs."""
+    for name in model_names():
+        for kind in gemm_design_kinds():
+            run_model(name, make_design(kind, DataType.FP16))
+
+
+def _arrays(value):
+    """Every numpy array inside ``value``."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _arrays(getattr(value, f.name))
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays(item)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+
+
 def _plain(value):
     """True if ``value`` holds no schedule, invocation, workload or design."""
     if isinstance(value, (KernelSchedule, KernelInvocation, GemmWorkload,
@@ -403,6 +432,30 @@ class TestLifecycle:
             result.to_dict() for result, _ in again
         ]
 
+    def test_a_hit_neither_compiles_nor_places(self, monkeypatch):
+        """A lap of the zoo x 4 designs places each pair once, a repeat none."""
+        placements = _count_calls(monkeypatch, lowering, "_place")
+        compiles = _count_calls(monkeypatch, lowering, "compile_step_program")
+        _zoo_lap()
+        pairs = len(model_names()) * len(gemm_design_kinds())
+        assert (len(placements), len(compiles)) == (pairs, pairs)
+        placements.clear()
+        compiles.clear()
+        _zoo_lap()
+        assert (len(placements), len(compiles)) == (0, 0)
+
+    def test_a_traced_hit_emits_the_oracle_spans_and_flows(self, monkeypatch):
+        _run_mix()
+        placements = _count_calls(monkeypatch, lowering, "_place")
+        hits = _run_mix()
+        assert not placements
+        warm = [_view(lambda m=m, d=d, h=h: oracle_run_model(m, make_design(d), heterogeneous=h))
+                for m, d, h in MIX]
+        for (_, view), (_, reference_view) in zip(hits, warm):
+            spans, flows = view[4:]
+            assert spans and flows
+            assert (spans, flows) == reference_view[4:]
+
     def test_clear_empties_the_table(self):
         _run_mix()
         assert len(_table()) == len(MIX)
@@ -412,6 +465,23 @@ class TestLifecycle:
     def test_values_are_plain_data(self):
         _run_mix()
         assert all(_plain(value) for value in _table().values())
+
+    def test_no_value_holds_a_dense_array(self):
+        _zoo_lap()
+        _run_mix()
+        assert not [
+            array.shape
+            for value in _table().values()
+            for array in _arrays(value)
+            if array.ndim >= 2
+        ]
+
+    def test_the_zoo_table_pickles_to_under_half_its_former_size(self):
+        """Compiled programs with dense (layers x keys) counter rows pickled
+        to 380 KiB over the zoo x 4 designs; placed models hold none."""
+        _zoo_lap()
+        size = len(pickle.dumps(_table(), pickle.HIGHEST_PROTOCOL))
+        assert size < FORMER_ZOO_TABLE_KIB * 1024 / 2
 
     def test_layer_graphs_compile_on_every_call(self, monkeypatch):
         graph = build_model("gpt-decode")
@@ -448,6 +518,27 @@ class TestLifecycle:
             return [(result, view[:2], view[4:]) for result, view in runs]
 
         assert outputs(_comparable(replayed)) == outputs(expected)
+
+    def test_a_schema_1_snapshot_of_step_programs_is_orphaned(self, monkeypatch):
+        """Schema 1 memoized compiled ``StepProgram``s: load none of it."""
+        spec, design = resolve_spec("gpt-decode"), make_design(DesignKind.VIRGO)
+        run_model(spec, design)
+        snapshot = timing_cache().snapshot()
+        (key,) = snapshot["namespaces"][MODEL_PROGRAMS]
+        program = compile_step_program(lower_graph(build_model(spec), design))
+        written = pickle.dumps(
+            dict(snapshot, schema=1, namespaces={MODEL_PROGRAMS: {key: program}})
+        )
+        timing_cache().clear()
+        assert timing_cache().load(pickle.loads(written)) == 0
+        assert (len(timing_cache()), len(_table())) == (0, 0)
+        compiles = _count_calls(monkeypatch, lowering, "compile_step_program")
+        result, view = _view(lambda: run_model(spec, design))
+        assert len(compiles) == 1 and len(_table()) == 1
+        timing_cache().clear()
+        reference, reference_view = _view(lambda: oracle_run_model(spec, design))
+        assert_byte_identical(result, reference)
+        assert view == reference_view
 
     def test_stale_schema_snapshot_is_orphaned(self, monkeypatch):
         _run_mix()
