@@ -12,8 +12,12 @@ Run with:  python examples/occupancy_explorer.py
 from __future__ import annotations
 
 from repro.analysis.tables import format_table
-from repro.simt.occupancy import GENERATIONS, TABLE1_REGISTER_USAGE, OccupancyCalculator
-from repro.simt.register_file import max_tile_for_register_space
+from repro.simt.occupancy import (
+    GENERATIONS,
+    TABLE1_REGISTER_USAGE,
+    OccupancyCalculator,
+    max_tile_for_register_space,
+)
 from repro.config.soc import DataType
 
 

@@ -3,8 +3,8 @@
 The package models four GPU cluster designs that differ in how their matrix
 unit is integrated (Volta-style, Ampere-style, Hopper-style, and Virgo's
 cluster-level disaggregated unit), together with the substrates they run on:
-a Vortex-like SIMT core, a banked shared memory, caches, DRAM, a DMA engine,
-and an event-based energy/power/area model.
+a Vortex-like SIMT core, a banked shared memory, DRAM, a DMA engine, and an
+event-based energy/power/area model.
 
 Typical entry points:
 

@@ -57,7 +57,11 @@ class RegisterFileConfig:
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """A simple set-associative cache."""
+    """A set-associative cache's parameters (Table 2).
+
+    No cache is simulated: the area model reads ``size_bytes``, and every
+    field feeds the design fingerprint.
+    """
 
     size_bytes: int
     line_bytes: int = 64
@@ -65,10 +69,6 @@ class CacheConfig:
     hit_latency: int = 4
     miss_penalty: int = 30
     mshrs: int = 8
-
-    @property
-    def sets(self) -> int:
-        return max(1, self.size_bytes // (self.line_bytes * self.ways))
 
 
 @dataclass(frozen=True)
@@ -204,11 +204,6 @@ class CoreConfig:
     def threads(self) -> int:
         return self.warps * self.lanes
 
-    @property
-    def simt_flops_per_cycle(self) -> int:
-        """Peak FP32 FLOPs per cycle from the SIMD units (1 FMA = 2 FLOPs)."""
-        return 2 * self.lanes * self.fpus_per_lane
-
 
 @dataclass(frozen=True)
 class ClusterConfig:
@@ -228,14 +223,6 @@ class ClusterConfig:
     @property
     def total_macs_per_cycle(self) -> int:
         return self.matrix_units * self.matrix_unit.macs_per_cycle
-
-    @property
-    def total_warps(self) -> int:
-        return self.cores * self.core.warps
-
-    @property
-    def total_lanes(self) -> int:
-        return self.cores * self.core.lanes
 
 
 @dataclass(frozen=True)

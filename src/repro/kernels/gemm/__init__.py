@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Union
+from typing import Union
 
 from repro.config.soc import DataType, DesignConfig, IntegrationStyle
 from repro.config.presets import DesignKind, make_design
@@ -80,12 +80,3 @@ def simulate_gemm(
     workload = size if isinstance(size, GemmWorkload) else GemmWorkload.square(size, dtype)
     kernel = kernel_for_design(design)
     return kernel.simulate(workload, full_expansion=full_expansion)
-
-
-def simulate_gemm_suite(
-    design: Union[DesignKind, DesignConfig],
-    sizes=GEMM_SIZES,
-    dtype: DataType = DataType.FP16,
-) -> Dict[int, GemmKernelResult]:
-    """Simulate the paper's three GEMM sizes on one design."""
-    return {size: simulate_gemm(design, size, dtype) for size in sizes}

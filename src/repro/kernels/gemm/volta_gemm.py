@@ -5,9 +5,10 @@ instruction sequences and stage every operand and accumulator fragment
 through the register file.  They differ only in data delivery:
 
 * **Volta-style** -- the SIMT warps themselves copy the next K tile from
-  global memory into shared memory with load/store instructions (relying on
-  the memory coalescer), and the copy serializes with compute at the
-  inter-iteration barrier.
+  global memory into shared memory with load/store instructions (each warp
+  access assumed coalesced into one 32-byte request, see
+  ``instruction_streams._copy_loop``), and the copy serializes with compute
+  at the inter-iteration barrier.
 * **Ampere-style** -- a cluster DMA engine performs the copy asynchronously,
   overlapping it with compute (double buffering), and the copy instructions
   disappear from the warps' streams.

@@ -1,24 +1,13 @@
-"""Memory system substrates: DRAM, caches, coalescer, shared memory, DMA."""
+"""Memory system substrates: DRAM, banked shared memory, its interconnect, DMA."""
 
-from repro.memory.address import MatrixLayout, TileSpec, tile_addresses
 from repro.memory.dram import DramChannel
-from repro.memory.cache import Cache, CacheStats
-from repro.memory.coalescer import Coalescer, CoalesceResult
-from repro.memory.shared_memory import BankedSharedMemory, AccessResult
+from repro.memory.shared_memory import BankedSharedMemory
 from repro.memory.dma import DmaEngine, DmaTransfer
 from repro.memory.interconnect import SharedMemoryInterconnect, RequestBundle
 
 __all__ = [
-    "MatrixLayout",
-    "TileSpec",
-    "tile_addresses",
     "DramChannel",
-    "Cache",
-    "CacheStats",
-    "Coalescer",
-    "CoalesceResult",
     "BankedSharedMemory",
-    "AccessResult",
     "DmaEngine",
     "DmaTransfer",
     "SharedMemoryInterconnect",

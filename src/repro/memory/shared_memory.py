@@ -7,28 +7,18 @@ one bank in a single cycle, while the narrow 4-byte accesses of SIMT lanes
 spread across subbanks.  Wide requests are prioritized when both arrive at
 the same bank (Section 3.2.1, "unified request sizes").
 
-The model provides both functional word storage (used by the functional
-kernels and tests) and the timing/conflict analysis used by the kernel
-schedulers, plus energy-event recording per word access.
+The model holds no data: the functional kernels keep theirs in numpy arrays.
+It maps addresses to banks (for the interconnect's arbitration), times bulk
+streams (for the DMA engine) and counts word accesses per requester for the
+energy model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Tuple
 
 from repro.config.soc import SharedMemoryConfig
 from repro.sim.stats import Counters
-
-
-@dataclass
-class AccessResult:
-    """Timing outcome of presenting a batch of requests in one interconnect round."""
-
-    cycles: int
-    word_accesses: int
-    bank_conflicts: int
-    serialized_unaligned: int = 0
 
 
 class BankConflictError(Exception):
@@ -36,11 +26,10 @@ class BankConflictError(Exception):
 
 
 class BankedSharedMemory:
-    """Functional + timing model of the banked cluster shared memory."""
+    """Address-mapping and timing model of the banked cluster shared memory."""
 
     def __init__(self, config: SharedMemoryConfig) -> None:
         self.config = config
-        self._words: Dict[int, int] = {}
         self.counters = Counters()
 
     # ------------------------------------------------------------------ #
@@ -72,68 +61,8 @@ class BankedSharedMemory:
         return bank, subbank
 
     # ------------------------------------------------------------------ #
-    # Functional storage
-    # ------------------------------------------------------------------ #
-
-    def write_word(self, address: int, value: int) -> None:
-        self._check(address)
-        if address % self.config.word_bytes != 0:
-            raise ValueError("functional word writes must be word-aligned")
-        self._words[address] = value & 0xFFFFFFFF
-
-    def read_word(self, address: int) -> int:
-        self._check(address)
-        if address % self.config.word_bytes != 0:
-            raise ValueError("functional word reads must be word-aligned")
-        return self._words.get(address, 0)
-
-    # ------------------------------------------------------------------ #
     # Timing
     # ------------------------------------------------------------------ #
-
-    def simt_access(self, lane_addresses: Sequence[int], is_write: bool = False) -> AccessResult:
-        """One warp-wide narrow access: each lane presents a 4-byte request.
-
-        Lanes mapping to distinct subbanks proceed in parallel; lanes that
-        collide on the same (bank, subbank) serialize.  Unaligned lanes are
-        filtered into a single serialized lane (the area optimization of
-        Section 3.2.1) and cost one extra cycle each.
-        """
-        aligned: Dict[Tuple[int, int], int] = {}
-        unaligned = 0
-        for address in lane_addresses:
-            if address % self.config.word_bytes != 0:
-                unaligned += 1
-                address = (address // self.config.word_bytes) * self.config.word_bytes
-            key = self.bank_and_subbank(address)
-            aligned[key] = aligned.get(key, 0) + 1
-
-        conflicts = sum(count - 1 for count in aligned.values())
-        cycles = self.config.access_latency + (max(aligned.values()) - 1 if aligned else 0)
-        cycles += unaligned  # serialized through the single unaligned lane
-        words = len(lane_addresses)
-        self._record(words, is_write, requester="core")
-        return AccessResult(
-            cycles=cycles,
-            word_accesses=words,
-            bank_conflicts=conflicts,
-            serialized_unaligned=unaligned,
-        )
-
-    def wide_access(self, address: int, nbytes: int, is_write: bool = False) -> AccessResult:
-        """One matrix-unit wide access: ``nbytes`` split across one bank's subbanks.
-
-        A request of ``subbanks * word_bytes`` bytes completes in a single
-        bank cycle; larger requests occupy the bank for multiple cycles.
-        """
-        if nbytes <= 0:
-            raise ValueError("wide access must move at least one byte")
-        self._check(address)
-        words = -(-nbytes // self.config.word_bytes)
-        per_cycle = self.config.subbanks
-        cycles = self.config.access_latency + (-(-words // per_cycle)) - 1
-        self._record(words, is_write, requester="matrix")
-        return AccessResult(cycles=cycles, word_accesses=words, bank_conflicts=0)
 
     def streaming_cycles(self, nbytes: int, ports: int = 1) -> int:
         """Cycles to stream ``nbytes`` using ``ports`` banks concurrently."""
@@ -145,31 +74,16 @@ class BankedSharedMemory:
         bytes_per_cycle = ports * self.config.bank_width_bytes
         return max(1, int(-(-nbytes // bytes_per_cycle)))
 
-    def contention_factor(self, concurrent_streams: int) -> float:
-        """Slowdown when ``concurrent_streams`` independent streams share the banks.
-
-        With as many banks as streams there is no slowdown (they occupy
-        different banks thanks to double buffering); beyond that, streams
-        time-multiplex.
-        """
-        if concurrent_streams <= 0:
-            raise ValueError("need at least one stream")
-        return max(1.0, concurrent_streams / float(self.config.banks))
-
     # ------------------------------------------------------------------ #
     # Energy accounting
     # ------------------------------------------------------------------ #
 
-    def _record(self, words: int, is_write: bool, requester: str) -> None:
+    def record_bulk(self, nbytes: int, is_write: bool, requester: str) -> None:
+        """Account a bulk transfer (DMA or matrix-unit streaming) without timing."""
+        words = -(-nbytes // self.config.word_bytes)
         direction = "write" if is_write else "read"
         self.counters.add(f"smem.{requester}.{direction}_words", words)
         self.counters.add("smem.total_words", words)
 
-    def record_bulk(self, nbytes: int, is_write: bool, requester: str) -> None:
-        """Account a bulk transfer (DMA or matrix-unit streaming) without timing."""
-        words = -(-nbytes // self.config.word_bytes)
-        self._record(words, is_write, requester)
-
     def reset(self) -> None:
-        self._words.clear()
         self.counters = Counters()

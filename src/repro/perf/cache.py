@@ -243,34 +243,23 @@ class TimingCache:
     def load(self, snapshot: Mapping[str, Any]) -> int:
         """Merge a :meth:`snapshot` into the cache; returns entries merged.
 
-        Snapshots stamped with a different schema or container format are
-        *orphaned* -- skipped wholesale, never partially loaded -- because a
-        timing-model change makes old results wrong for new lookups even
-        when the keys happen to collide.  A bare ``{key: entry}`` mapping
-        (the pre-versioned snapshot shape) is accepted for compatibility and
-        treated as current-schema.  The count returned covers timing entries
-        only; namespace tables merge alongside.
+        A mapping whose ``schema`` or ``format`` stamp differs from the
+        running code's, or is missing, is *orphaned* -- skipped wholesale,
+        never partially loaded -- because a timing-model change makes old
+        results wrong for new lookups even when the keys happen to collide.
+        The count returned covers timing entries only; namespace tables
+        merge alongside.
         """
-        entries: Mapping[str, Any] = snapshot
-        namespaces: Mapping[str, Mapping[Any, Any]] = {}
-        if "format" in snapshot or "schema" in snapshot:
-            # A stamped container.  The stamps are checked *before* the
-            # payload shape: a future format that restructures "entries"
-            # must be orphaned by its stamp, never fall through to the
-            # legacy branch and have its container keys merged as entries.
-            # (Legacy bare mappings can't collide -- their keys are SHA-256
-            # hex digests, never "format"/"schema".)
-            if snapshot.get("schema") != SCHEMA_VERSION:
-                return 0
-            if snapshot.get("format") != SNAPSHOT_FORMAT_VERSION:
-                return 0
-            stamped = snapshot.get("entries")
-            if not isinstance(stamped, Mapping):
-                return 0
-            entries = stamped
-            loaded = snapshot.get("namespaces")
-            if isinstance(loaded, Mapping):
-                namespaces = loaded
+        if snapshot.get("schema") != SCHEMA_VERSION:
+            return 0
+        if snapshot.get("format") != SNAPSHOT_FORMAT_VERSION:
+            return 0
+        entries = snapshot.get("entries")
+        if not isinstance(entries, Mapping):
+            return 0
+        namespaces = snapshot.get("namespaces")
+        if not isinstance(namespaces, Mapping):
+            namespaces = {}
         merged = 0
         with self._lock:
             for key, value in entries.items():

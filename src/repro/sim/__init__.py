@@ -1,18 +1,13 @@
-"""Simulation substrate: event queue, contended resources, operation graphs, stats."""
+"""Simulation substrate: contended resources, operation graphs, loop compression, stats."""
 
 from repro.sim.stats import Counters
-from repro.sim.engine import Event, EventQueue, Simulator
-from repro.sim.resources import Resource, ThroughputResource
+from repro.sim.resources import Resource
 from repro.sim.steady_state import LoopStep, SteadyStateEngine
 from repro.sim.taskgraph import Operation, OperationGraph, ScheduleResult, schedule_graph
 
 __all__ = [
     "Counters",
-    "Event",
-    "EventQueue",
-    "Simulator",
     "Resource",
-    "ThroughputResource",
     "LoopStep",
     "SteadyStateEngine",
     "Operation",

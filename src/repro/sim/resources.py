@@ -1,14 +1,9 @@
 """Contended hardware resources used by the operation-graph scheduler.
 
-Two flavours are provided:
-
-* :class:`Resource` -- an exclusive unit (a DMA engine, a matrix unit, the
-  SIMT issue slots of a core group).  Operations occupy it back-to-back; the
-  resource remembers when it becomes free and accumulates busy cycles so that
-  utilization can be reported afterwards.
-* :class:`ThroughputResource` -- a bandwidth-style resource (shared-memory
-  bytes/cycle, DRAM bytes/cycle).  Demands are expressed in "work units"
-  (typically bytes); the resource converts them to cycles of occupancy.
+A :class:`Resource` is an exclusive unit (a DMA engine, a matrix unit, the
+SIMT issue slots of a core group).  Operations occupy it back-to-back; the
+resource remembers when it becomes free and accumulates busy cycles so that
+utilization can be reported afterwards.
 """
 
 from __future__ import annotations
@@ -49,10 +44,6 @@ class Resource:
         self.busy_cycles = 0
         self.reservations: List[Reservation] = []
 
-    def earliest_start(self, ready: int) -> int:
-        """Earliest cycle an operation ready at ``ready`` could begin."""
-        return max(ready, min(self._free_at))
-
     def reserve(self, ready: int, duration: int, label: str = "") -> Tuple[int, int]:
         """Grant ``duration`` cycles on the least-loaded instance.
 
@@ -84,43 +75,6 @@ class Resource:
         return f"Resource({self.name!r}, count={self.count}, busy={self.busy_cycles})"
 
 
-class ThroughputResource(Resource):
-    """A bandwidth-limited resource; demand is expressed in work units.
-
-    ``units_per_cycle`` converts demand into cycles of occupancy, rounded up.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        units_per_cycle: float,
-        count: int = 1,
-        record_reservations: bool = False,
-    ) -> None:
-        super().__init__(name, count=count, record_reservations=record_reservations)
-        if units_per_cycle <= 0:
-            raise ValueError("units_per_cycle must be positive")
-        self.units_per_cycle = units_per_cycle
-        self.units_served = 0.0
-
-    def cycles_for(self, units: float) -> int:
-        """Cycles needed to move ``units`` of work at peak bandwidth."""
-        if units < 0:
-            raise ValueError("work units must be non-negative")
-        if units == 0:
-            return 0
-        return max(1, int(-(-units // self.units_per_cycle)))
-
-    def reserve_units(self, ready: int, units: float, label: str = "") -> Tuple[int, int]:
-        """Reserve enough cycles to serve ``units`` of demand."""
-        self.units_served += units
-        return self.reserve(ready, self.cycles_for(units), label=label)
-
-    def reset(self) -> None:
-        super().reset()
-        self.units_served = 0.0
-
-
 @dataclass
 class ResourcePool:
     """A named collection of resources shared by an operation graph."""
@@ -142,9 +96,3 @@ class ResourcePool:
     def reset(self) -> None:
         for resource in self.resources.values():
             resource.reset()
-
-    def utilizations(self, total_cycles: int) -> Dict[str, float]:
-        return {
-            name: resource.utilization(total_cycles)
-            for name, resource in self.resources.items()
-        }

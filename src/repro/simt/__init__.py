@@ -12,18 +12,16 @@ The package provides two levels of modelling:
   loop (plain integer lists) and the event tally all read it.
   Instructions are immutable and may be shared; programs passed in are
   read-only.
-* Analytical helpers: the register-file capacity model and the occupancy
-  calculator used to regenerate Table 1.
+* Analytical helpers: the occupancy calculator used to regenerate Table 1,
+  and the Section 5.1 derivation of the largest tile a warp's register
+  slice holds.
 """
 
-from repro.simt.register_file import RegisterFile, TileAllocation
 from repro.simt.issue import IssueResult, IssueSimulator, ProgramSet
 from repro.simt.core import VortexCore, CoreExecutionResult
 from repro.simt.occupancy import OccupancyCalculator, OccupancyResult, GpuGenerationSpec
 
 __all__ = [
-    "RegisterFile",
-    "TileAllocation",
     "IssueResult",
     "IssueSimulator",
     "ProgramSet",

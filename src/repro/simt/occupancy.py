@@ -6,12 +6,17 @@ here we implement the standard CUDA occupancy calculation -- warps resident
 per SM limited by the register file, shared memory and the warp slot count --
 and feed it the paper's reported per-thread register usage to regenerate the
 occupancy column analytically.
+
+It also holds the Section 5.1 tile derivation: the largest matrix-unit tile
+whose operands and accumulator fit in one warp's register slice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
+
+from repro.config.soc import DataType
 
 
 @dataclass(frozen=True)
@@ -151,3 +156,50 @@ def table1_occupancies() -> Dict[str, OccupancyResult]:
             threads_per_block=TABLE1_THREADS_PER_BLOCK[gpu],
         )
     return results
+
+
+class RegisterAllocationError(Exception):
+    """Raised when an allocation does not fit in the per-warp register space."""
+
+
+def max_tile_for_register_space(
+    bytes_per_warp: int,
+    dtype: DataType,
+    operands_in_register_file: bool,
+    accumulator_in_register_file: bool,
+    square_k_factor: int = 2,
+) -> Tuple[int, int, int]:
+    """Largest square-ish (m, n, k) tile that fits in a warp's register slice.
+
+    This reproduces the paper's tile-size derivations (Section 5.1): with 1 KiB
+    of per-warp FP register space, a tightly-coupled unit fits two 8x16 FP16
+    operands plus an 8x8 FP32 accumulator (tile 8x8x16); an operand-decoupled
+    unit, which only keeps the accumulator in registers, fits a 16x16 FP32
+    accumulator (tile 16x16x32 with k = ``square_k_factor`` * m).
+
+    The search assumes m == n and k == square_k_factor * m, doubling m until
+    the footprint no longer fits.
+    """
+    if bytes_per_warp <= 0:
+        raise ValueError("bytes_per_warp must be positive")
+    accum_bytes_per_elem = 4  # accumulators are FP32 in all designs
+    best = (0, 0, 0)
+    m = 1
+    while m <= 1024:
+        n = m
+        k = square_k_factor * m
+        footprint = 0
+        if operands_in_register_file:
+            footprint += dtype.bytes * (m * k + k * n)
+        if accumulator_in_register_file:
+            footprint += accum_bytes_per_elem * m * n
+        if footprint <= bytes_per_warp:
+            best = (m, n, k)
+            m *= 2
+        else:
+            break
+    if best == (0, 0, 0):
+        raise RegisterAllocationError(
+            f"no tile fits in {bytes_per_warp} B of per-warp register space"
+        )
+    return best

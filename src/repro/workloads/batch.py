@@ -360,9 +360,9 @@ def _execute_job(
     return result.to_dict()
 
 
-def _seed_worker_cache(entries: Mapping[str, Any]) -> None:
-    """Pool initializer: pre-load the parent's warm timing cache entries."""
-    timing_cache().load(entries)
+def _seed_worker_cache(snapshot: Mapping[str, Any]) -> None:
+    """Pool initializer: pre-load the parent's warm timing-cache snapshot."""
+    timing_cache().load(snapshot)
 
 
 def run_batch(

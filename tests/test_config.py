@@ -4,7 +4,6 @@ import pytest
 
 from repro.config.presets import DesignKind, all_designs, gemm_design_kinds, make_design
 from repro.config.soc import (
-    CacheConfig,
     DataType,
     DesignConfig,
     DmaConfig,
@@ -51,12 +50,6 @@ class TestSharedMemoryConfig:
     def test_scaled_banking_doubles_subbanks(self):
         config = SharedMemoryConfig(subbanks=8)
         assert config.scaled_banking(2).subbanks == 16
-
-
-class TestCacheConfig:
-    def test_sets_computation(self):
-        config = CacheConfig(size_bytes=16 * 1024, line_bytes=64, ways=4)
-        assert config.sets == 64
 
 
 class TestMatrixUnitConfig:

@@ -1,52 +1,13 @@
-"""Tests for the memory system: addresses, DRAM, caches, coalescer, shared memory, DMA."""
+"""Tests for the memory system: DRAM, shared memory, its interconnect, DMA."""
 
 import pytest
 
-from repro.config.soc import CacheConfig, DmaConfig, DramConfig, SharedMemoryConfig
-from repro.memory.address import MatrixLayout, TileSpec, tile_addresses
-from repro.memory.cache import Cache, CacheHierarchy
-from repro.memory.coalescer import Coalescer
+from repro.config.soc import DmaConfig, DramConfig, SharedMemoryConfig
 from repro.memory.dma import DmaDirection, DmaEngine
 from repro.memory.dram import DramChannel
 from repro.memory.interconnect import RequestBundle, SharedMemoryInterconnect
 from repro.memory.shared_memory import BankConflictError, BankedSharedMemory
 from repro.sim.stats import Counters
-
-
-class TestTileSpec:
-    def test_row_major_addressing(self):
-        tile = TileSpec(base=0, rows=4, cols=8, leading_dim=128, elem_bytes=2)
-        assert tile.element_address(0, 0) == 0
-        assert tile.element_address(0, 1) == 2
-        assert tile.element_address(1, 0) == 256
-
-    def test_col_major_addressing(self):
-        tile = TileSpec(
-            base=0, rows=4, cols=8, leading_dim=64, elem_bytes=4, layout=MatrixLayout.COL_MAJOR
-        )
-        assert tile.element_address(1, 0) == 4
-        assert tile.element_address(0, 1) == 256
-
-    def test_out_of_bounds_rejected(self):
-        tile = TileSpec(base=0, rows=2, cols=2, leading_dim=2)
-        with pytest.raises(IndexError):
-            tile.element_address(2, 0)
-
-    def test_invalid_leading_dim(self):
-        with pytest.raises(ValueError):
-            TileSpec(base=0, rows=2, cols=8, leading_dim=4)
-
-    def test_bytes_and_runs(self):
-        tile = TileSpec(base=0, rows=4, cols=8, leading_dim=16, elem_bytes=2)
-        assert tile.bytes == 64
-        assert tile.runs == 4
-        assert tile.contiguous_run_bytes == 16
-
-    def test_tile_addresses_cover_all_words(self):
-        tile = TileSpec(base=0, rows=2, cols=8, leading_dim=8, elem_bytes=2)
-        addresses = tile_addresses(tile, word_bytes=4)
-        assert len(addresses) == 2 * (16 // 4)
-        assert addresses[0] == 0
 
 
 class TestDram:
@@ -71,87 +32,6 @@ class TestDram:
         assert dram.bytes_transferred == 1024
 
 
-class TestCache:
-    def test_miss_then_hit(self):
-        cache = Cache("l1", CacheConfig(size_bytes=16 * 1024))
-        assert cache.access(0x100) is False
-        assert cache.access(0x100) is True
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
-
-    def test_same_line_hits(self):
-        cache = Cache("l1", CacheConfig(size_bytes=16 * 1024, line_bytes=64))
-        cache.access(0)
-        assert cache.access(60) is True
-
-    def test_lru_eviction(self):
-        config = CacheConfig(size_bytes=256, line_bytes=64, ways=2)  # 2 sets x 2 ways
-        cache = Cache("tiny", config)
-        addresses = [0, 128, 256]  # all map to set 0
-        for address in addresses:
-            cache.access(address)
-        assert cache.lookup(0) is False  # evicted
-        assert cache.lookup(256) is True
-
-    def test_dirty_writeback(self):
-        config = CacheConfig(size_bytes=256, line_bytes=64, ways=1)  # 4 sets x 1 way
-        cache = Cache("tiny", config)
-        cache.access(0, is_write=True)
-        cache.access(256)  # same set (line 4 -> set 0), evicts the dirty line
-        assert cache.stats.writebacks == 1
-
-    def test_access_stream(self):
-        cache = Cache("l1", CacheConfig(size_bytes=16 * 1024))
-        hits, misses = cache.access_stream([0, 0, 64, 64])
-        assert hits == 2 and misses == 2
-
-    def test_access_cycles(self):
-        cache = Cache("l1", CacheConfig(size_bytes=16 * 1024, hit_latency=4, miss_penalty=30, mshrs=8))
-        assert cache.access_cycles(hits=2, misses=0) == 8
-        assert cache.access_cycles(hits=0, misses=8) == 30 + 8
-
-    def test_hierarchy_latency_ordering(self):
-        l1 = Cache("l1", CacheConfig(size_bytes=1024))
-        l2 = Cache("l2", CacheConfig(size_bytes=64 * 1024))
-        hierarchy = CacheHierarchy(l1=l1, l2=l2)
-        cold = hierarchy.load(0x4000)
-        warm = hierarchy.load(0x4000)
-        assert cold > warm
-
-    def test_record_counters(self):
-        cache = Cache("l1", CacheConfig(size_bytes=16 * 1024))
-        cache.access(0)
-        counters = Counters()
-        cache.record(counters, "l1")
-        assert counters["l1.misses"] == 1
-
-
-class TestCoalescer:
-    def test_contiguous_warp_access_fully_coalesces(self):
-        coalescer = Coalescer(line_bytes=64)
-        addresses = [lane * 4 for lane in range(8)]
-        result = coalescer.coalesce(addresses)
-        assert result.merged_requests == 1
-        assert result.efficiency == pytest.approx(1.0)
-
-    def test_strided_access_does_not_coalesce(self):
-        coalescer = Coalescer(line_bytes=64)
-        addresses = [lane * 256 for lane in range(8)]
-        result = coalescer.coalesce(addresses)
-        assert result.merged_requests == 8
-
-    def test_unaligned_detection(self):
-        coalescer = Coalescer(line_bytes=64)
-        result = coalescer.coalesce([2, 6, 10])
-        assert result.unaligned_lanes == 3
-
-    def test_requests_for_contiguous(self):
-        assert Coalescer(line_bytes=64).requests_for_contiguous(130) == 3
-
-    def test_invalid_line_size(self):
-        with pytest.raises(ValueError):
-            Coalescer(line_bytes=30)
-
-
 class TestBankedSharedMemory:
     def _smem(self, subbanks=8):
         return BankedSharedMemory(SharedMemoryConfig(subbanks=subbanks))
@@ -173,41 +53,6 @@ class TestBankedSharedMemory:
         with pytest.raises(BankConflictError):
             self._smem().bank_and_subbank(0x20000)
 
-    def test_functional_read_write(self):
-        smem = self._smem()
-        smem.write_word(0x40, 0xDEADBEEF)
-        assert smem.read_word(0x40) == 0xDEADBEEF
-        assert smem.read_word(0x44) == 0
-
-    def test_conflict_free_simt_access(self):
-        smem = self._smem()
-        result = smem.simt_access([lane * 4 for lane in range(8)])
-        assert result.bank_conflicts == 0
-        assert result.cycles == smem.config.access_latency
-
-    def test_conflicting_simt_access_serializes(self):
-        smem = self._smem()
-        stride = smem.config.subbanks * 4
-        result = smem.simt_access([lane * stride for lane in range(4)])
-        assert result.bank_conflicts > 0
-        assert result.cycles > smem.config.access_latency
-
-    def test_unaligned_accesses_serialized(self):
-        smem = self._smem()
-        result = smem.simt_access([1, 5])
-        assert result.serialized_unaligned == 2
-
-    def test_wide_access_single_bank_cycle(self):
-        smem = self._smem()
-        result = smem.wide_access(0, nbytes=32)
-        assert result.cycles == smem.config.access_latency
-        assert result.word_accesses == 8
-
-    def test_wide_access_larger_than_bank_width(self):
-        smem = self._smem()
-        result = smem.wide_access(0, nbytes=64)
-        assert result.cycles == smem.config.access_latency + 1
-
     def test_streaming_cycles(self):
         smem = self._smem()
         assert smem.streaming_cycles(128, ports=4) == 1
@@ -215,16 +60,11 @@ class TestBankedSharedMemory:
 
     def test_counters_track_requesters(self):
         smem = self._smem()
-        smem.simt_access([0, 4])
-        smem.wide_access(0x8000, 32)
+        smem.record_bulk(8, is_write=False, requester="core")
+        smem.record_bulk(32, is_write=False, requester="matrix")
         assert smem.counters["smem.core.read_words"] == 2
         assert smem.counters["smem.matrix.read_words"] == 8
-
-    def test_contention_factor(self):
-        smem = self._smem()
-        assert smem.contention_factor(2) == 1.0
-        assert smem.contention_factor(8) == 2.0
-
+        assert smem.counters["smem.total_words"] == 10
 
 class TestInterconnect:
     def test_matrix_request_priority(self):

@@ -22,6 +22,8 @@ from repro.perf import (
     cache_disabled,
     canonical_value,
     design_fingerprint,
+    persistent_timing_cache,
+    snapshot_path,
     timing_cache,
 )
 from repro.runner import run_flash_attention, run_gemm
@@ -154,14 +156,27 @@ class TestTimingCacheMechanics:
         # payload) rejected the stale variants.
         assert other.load(snapshot) == len(snapshot["entries"])
 
-    def test_load_accepts_legacy_bare_mapping(self):
-        """Pre-versioned snapshots (bare key->entry mappings, as still used
-        for same-process seeding in older call sites) keep working."""
+    def test_load_orphans_unstamped_mapping(self, tmp_path):
+        """A bare key->entry mapping carries no schema or format stamp, so
+        nothing vouches for its entries: it loads nothing, whether handed
+        to ``load`` or found as the snapshot pickle of a cache directory,
+        and the next flush writes none of it back."""
         run_gemm(DesignKind.VIRGO, 256)
         entries = timing_cache().snapshot()["entries"]
+        assert entries
         other = TimingCache()
-        assert other.load(entries) == len(entries)
-        assert len(other) == len(entries)
+        assert other.load(entries) == 0
+        assert len(other) == 0
+
+        snapshot_path(tmp_path).write_bytes(pickle.dumps(entries))
+        timing_cache().clear()
+        with persistent_timing_cache(tmp_path) as path:
+            assert len(timing_cache()) == 0
+            run_gemm(DesignKind.VIRGO, 128)
+        flushed = pickle.loads(path.read_bytes())
+        assert flushed["schema"] == SCHEMA_VERSION
+        assert set(flushed["entries"]) == set(timing_cache().snapshot()["entries"])
+        assert not set(flushed["entries"]) & set(entries)
 
     def test_namespace_rides_snapshot_and_clear(self):
         """Auxiliary memo tables share the cache lifecycle: cleared with it,

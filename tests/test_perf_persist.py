@@ -118,8 +118,8 @@ class TestSnapshotRoundTrip:
 
     def test_future_format_with_restructured_entries_is_orphaned(self, tmp_path):
         """A stamped container whose payload shape changed must be rejected
-        by its stamp -- never fall through to the legacy branch and merge
-        container keys as timing entries."""
+        by its stamp -- never have its container keys merged as timing
+        entries."""
         path = tmp_path / SNAPSHOT_FILENAME
         path.write_bytes(pickle.dumps({
             "format": SCHEMA_VERSION + 99,

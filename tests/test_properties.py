@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.config.soc import DataType, SharedMemoryConfig
 from repro.core.accumulator import AccumulatorMemory
 from repro.core.systolic_array import SystolicArray
-from repro.memory.coalescer import Coalescer
 from repro.memory.shared_memory import BankedSharedMemory
 from repro.sim.resources import Resource
 from repro.sim.stats import Counters
@@ -104,13 +103,6 @@ def test_shared_memory_mapping_in_range(addresses):
         bank, subbank = smem.bank_and_subbank(address)
         assert 0 <= bank < smem.config.banks
         assert 0 <= subbank < smem.config.subbanks
-
-
-@given(st.lists(st.integers(0, 1 << 20), min_size=1, max_size=32))
-def test_coalescer_merged_requests_bounded(addresses):
-    coalescer = Coalescer(line_bytes=64)
-    result = coalescer.coalesce(addresses)
-    assert 1 <= result.merged_requests <= len(addresses)
 
 
 @given(st.integers(1, 64), st.integers(1, 64))

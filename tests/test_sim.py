@@ -1,9 +1,8 @@
-"""Tests for the simulation substrate: counters, event engine, resources, task graphs."""
+"""Tests for the simulation substrate: counters, resources, task graphs."""
 
 import pytest
 
-from repro.sim.engine import EventQueue, Simulator
-from repro.sim.resources import Resource, ResourcePool, ThroughputResource
+from repro.sim.resources import Resource, ResourcePool
 from repro.sim.stats import Counters
 from repro.sim.taskgraph import Operation, OperationGraph
 
@@ -58,85 +57,6 @@ class TestCounters:
         assert len(counters) == 2
 
 
-class TestEventQueue:
-    def test_orders_by_time(self):
-        queue = EventQueue()
-        queue.push(5, lambda: None)
-        queue.push(2, lambda: None)
-        assert queue.pop().time == 2
-
-    def test_fifo_within_same_time(self):
-        queue = EventQueue()
-        order = []
-        queue.push(3, lambda: order.append("first"))
-        queue.push(3, lambda: order.append("second"))
-        queue.pop().callback()
-        queue.pop().callback()
-        assert order == ["first", "second"]
-
-    def test_cancel(self):
-        queue = EventQueue()
-        event = queue.push(1, lambda: None)
-        event.cancel()
-        assert queue.pop() is None
-
-    def test_len_skips_cancelled(self):
-        queue = EventQueue()
-        event = queue.push(1, lambda: None)
-        queue.push(2, lambda: None)
-        event.cancel()
-        assert len(queue) == 1
-
-
-class TestSimulator:
-    def test_runs_in_time_order(self):
-        simulator = Simulator()
-        seen = []
-        simulator.schedule(10, lambda: seen.append(simulator.now))
-        simulator.schedule(5, lambda: seen.append(simulator.now))
-        simulator.run()
-        assert seen == [5, 10]
-
-    def test_chained_events(self):
-        simulator = Simulator()
-        seen = []
-
-        def first():
-            seen.append(simulator.now)
-            simulator.schedule(7, lambda: seen.append(simulator.now))
-
-        simulator.schedule(3, first)
-        simulator.run()
-        assert seen == [3, 10]
-
-    def test_cannot_schedule_in_past(self):
-        simulator = Simulator()
-        with pytest.raises(ValueError):
-            simulator.schedule(-1, lambda: None)
-
-    def test_run_until(self):
-        simulator = Simulator()
-        simulator.schedule(100, lambda: None)
-        simulator.run(until=50)
-        assert simulator.now == 50
-
-    def test_max_cycles_guard(self):
-        simulator = Simulator(max_cycles=10)
-
-        def reschedule():
-            simulator.schedule(5, reschedule)
-
-        simulator.schedule(5, reschedule)
-        with pytest.raises(RuntimeError):
-            simulator.run()
-
-    def test_step(self):
-        simulator = Simulator()
-        simulator.schedule(2, lambda: None)
-        assert simulator.step() is True
-        assert simulator.step() is False
-
-
 class TestResource:
     def test_back_to_back_reservations(self):
         resource = Resource("unit")
@@ -161,20 +81,6 @@ class TestResource:
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
             Resource("unit").reserve(0, -1)
-
-
-class TestThroughputResource:
-    def test_cycles_for_units(self):
-        resource = ThroughputResource("bw", units_per_cycle=32)
-        assert resource.cycles_for(64) == 2
-        assert resource.cycles_for(65) == 3
-        assert resource.cycles_for(0) == 0
-
-    def test_reserve_units_tracks_totals(self):
-        resource = ThroughputResource("bw", units_per_cycle=16)
-        resource.reserve_units(0, 160)
-        assert resource.units_served == 160
-        assert resource.busy_cycles == 10
 
 
 class TestResourcePool:
@@ -272,62 +178,3 @@ class TestReservationRecording:
             (10, 15, "b"),
         ]
 
-    def test_throughput_resource_passes_flag_through(self):
-        resource = ThroughputResource("bw", units_per_cycle=4, record_reservations=True)
-        resource.reserve_units(0, 16, label="xfer")
-        assert len(resource.reservations) == 1
-        assert resource.reservations[0].duration == 4
-
-
-class TestEventQueueLiveCount:
-    """len()/truthiness are tracked incrementally, not by rescanning the heap."""
-
-    def test_push_pop_cancel_keep_count_consistent(self):
-        queue = EventQueue()
-        events = [queue.push(i, lambda: None) for i in range(5)]
-        assert len(queue) == 5
-        events[0].cancel()
-        events[0].cancel()  # idempotent: counted once
-        assert len(queue) == 4
-        assert queue.pop() is events[1]
-        assert len(queue) == 3
-        for event in events[2:]:
-            event.cancel()
-        assert len(queue) == 0
-        assert not queue
-        assert queue.pop() is None
-
-    def test_simulator_drains_with_many_cancellations(self):
-        simulator = Simulator()
-        fired = []
-        keepers = [simulator.schedule(i, lambda i=i: fired.append(i)) for i in range(0, 100, 2)]
-        victims = [simulator.schedule(i, lambda: fired.append(-1)) for i in range(1, 100, 2)]
-        for victim in victims:
-            victim.cancel()
-        simulator.run()
-        assert fired == list(range(0, 100, 2))
-        assert simulator.events_processed == len(keepers)
-
-    def test_cancel_after_pop_does_not_corrupt_live_count(self):
-        queue = EventQueue()
-        first = queue.push(0, lambda: None)
-        queue.push(1, lambda: None)
-        popped = queue.pop()
-        assert popped is first
-        popped.cancel()  # late cancel of a dequeued event must be a no-op
-        assert len(queue) == 1
-        assert queue
-
-    def test_callback_cancelling_its_own_event_keeps_simulator_running(self):
-        simulator = Simulator()
-        fired = []
-        holder = {}
-
-        def self_cancelling():
-            fired.append("first")
-            holder["event"].cancel()
-
-        holder["event"] = simulator.schedule(1, self_cancelling)
-        simulator.schedule(2, lambda: fired.append("second"))
-        simulator.run()
-        assert fired == ["first", "second"]

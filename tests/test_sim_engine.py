@@ -1,133 +1,12 @@
-"""Edge-case coverage for the discrete-event engine and the taskgraph scheduler.
+"""Edge-case coverage for the taskgraph scheduler.
 
 Complements ``tests/test_sim.py`` with the corners the kernel models lean on:
-``Event.cancel()`` semantics end to end through the simulator, deterministic
-same-cycle ordering by sequence number, and diamond-shaped dependency
-patterns in the operation-graph scheduler.
+diamond-shaped dependency patterns in the operation-graph scheduler, and
+deterministic placement of zero-duration and wide fan-out operations.
 """
 
-import pytest
-
-from repro.sim.engine import EventQueue, Simulator
 from repro.sim.resources import Resource
 from repro.sim.taskgraph import OperationGraph
-
-
-class TestEventCancel:
-    def test_cancelled_event_never_runs(self):
-        simulator = Simulator()
-        fired = []
-        event = simulator.schedule(5, lambda: fired.append("cancelled"))
-        simulator.schedule(10, lambda: fired.append("kept"))
-        event.cancel()
-        simulator.run()
-        assert fired == ["kept"]
-
-    def test_cancel_mid_run_from_earlier_callback(self):
-        """A callback may cancel a later event that is already enqueued."""
-        simulator = Simulator()
-        fired = []
-        victim = simulator.schedule(20, lambda: fired.append("victim"))
-        simulator.schedule(10, victim.cancel)
-        simulator.run()
-        assert fired == []
-        assert simulator.now == 10  # time never advances to the cancelled event
-
-    def test_cancel_same_cycle_later_event(self):
-        """Cancelling a same-cycle event that is behind in sequence order works."""
-        simulator = Simulator()
-        fired = []
-        first_holder = {}
-
-        def canceller():
-            fired.append("canceller")
-            first_holder["victim"].cancel()
-
-        simulator.schedule(5, canceller)
-        first_holder["victim"] = simulator.schedule(5, lambda: fired.append("victim"))
-        simulator.run()
-        assert fired == ["canceller"]
-
-    def test_cancelled_events_not_counted_as_processed(self):
-        simulator = Simulator()
-        event = simulator.schedule(1, lambda: None)
-        simulator.schedule(2, lambda: None)
-        event.cancel()
-        simulator.run()
-        assert simulator.events_processed == 1
-
-    def test_cancel_is_idempotent(self):
-        queue = EventQueue()
-        event = queue.push(1, lambda: None)
-        event.cancel()
-        event.cancel()
-        assert queue.pop() is None
-
-    def test_peek_time_skips_cancelled_head(self):
-        queue = EventQueue()
-        head = queue.push(1, lambda: None)
-        queue.push(7, lambda: None)
-        head.cancel()
-        assert queue.peek_time() == 7
-
-    def test_peek_time_empty_after_all_cancelled(self):
-        queue = EventQueue()
-        only = queue.push(3, lambda: None)
-        only.cancel()
-        assert queue.peek_time() is None
-        assert not queue
-
-    def test_run_until_with_cancelled_tail(self):
-        """``run(until=...)`` still lands on ``until`` when the tail is cancelled."""
-        simulator = Simulator()
-        tail = simulator.schedule(100, lambda: None)
-        tail.cancel()
-        simulator.run(until=50)
-        assert simulator.now == 50
-
-
-class TestSameCycleOrdering:
-    def test_sequence_breaks_time_ties_fifo(self):
-        simulator = Simulator()
-        order = []
-        for index in range(5):
-            simulator.schedule(10, lambda index=index: order.append(index))
-        simulator.run()
-        assert order == [0, 1, 2, 3, 4]
-
-    def test_zero_delay_event_runs_after_current_same_cycle_events(self):
-        """An event scheduled at the current cycle runs this cycle, after
-        already-enqueued same-cycle events (its sequence number is larger)."""
-        simulator = Simulator()
-        order = []
-
-        def first():
-            order.append("first")
-            simulator.schedule(0, lambda: order.append("chained"))
-
-        simulator.schedule(5, first)
-        simulator.schedule(5, lambda: order.append("second"))
-        simulator.run()
-        assert order == ["first", "second", "chained"]
-        assert simulator.now == 5
-
-    def test_interleaved_times_still_sequence_ordered_within_cycle(self):
-        simulator = Simulator()
-        order = []
-        simulator.schedule(2, lambda: order.append("t2.a"))
-        simulator.schedule(1, lambda: order.append("t1.a"))
-        simulator.schedule(2, lambda: order.append("t2.b"))
-        simulator.schedule(1, lambda: order.append("t1.b"))
-        simulator.run()
-        assert order == ["t1.a", "t1.b", "t2.a", "t2.b"]
-
-    def test_queue_pop_orders_by_sequence_at_same_time(self):
-        queue = EventQueue()
-        first = queue.push(4, lambda: None)
-        second = queue.push(4, lambda: None)
-        assert first.sequence < second.sequence
-        assert queue.pop() is first
-        assert queue.pop() is second
 
 
 class TestDiamondDependencies:

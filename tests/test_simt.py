@@ -6,16 +6,12 @@ The warp and scheduler classes are the reference model's
 
 import pytest
 
-from repro.config.soc import CoreConfig, DataType, RegisterFileConfig
+from repro.config.soc import CoreConfig, DataType
 from repro.isa.instructions import Instruction, OpClass
 from repro.isa.program import WarpProgram
 from repro.simt.core import VortexCore
 from repro.simt.issue import IssueSimulator
-from repro.simt.register_file import (
-    RegisterAllocationError,
-    RegisterFile,
-    max_tile_for_register_space,
-)
+from repro.simt.occupancy import max_tile_for_register_space
 from simt_reference import GreedyThenOldestScheduler, RoundRobinScheduler, WarpState
 
 
@@ -177,35 +173,6 @@ class TestVortexCore:
         ).counters
         assert counters["core.issue.rf_read_words"] == 24
         assert counters["core.writeback.rf_write_words"] == 8
-
-
-class TestRegisterFile:
-    def test_allocation_within_budget(self):
-        rf = RegisterFile(RegisterFileConfig(), warps=8)
-        rf.allocate(0, "a_frag", 256)
-        rf.allocate(0, "b_frag", 256)
-        assert rf.free_bytes(0) == 1024 - 512
-
-    def test_over_allocation_raises(self):
-        rf = RegisterFile(RegisterFileConfig(), warps=8)
-        with pytest.raises(RegisterAllocationError):
-            rf.allocate(0, "too_big", 2048)
-
-    def test_warps_are_isolated(self):
-        rf = RegisterFile(RegisterFileConfig(), warps=8)
-        rf.allocate(0, "x", 1024)
-        rf.allocate(1, "x", 1024)  # a different warp's slice
-
-    def test_release(self):
-        rf = RegisterFile(RegisterFileConfig(), warps=8)
-        rf.allocate(0, "x", 512)
-        rf.release(0, "x")
-        assert rf.free_bytes(0) == 1024
-
-    def test_release_missing_raises(self):
-        rf = RegisterFile(RegisterFileConfig(), warps=8)
-        with pytest.raises(KeyError):
-            rf.release(0, "missing")
 
 
 class TestMaxTileDerivation:

@@ -13,6 +13,12 @@ every fenced code block whose info string is ``bash`` or ``python``:
 * an info string of ``python no-run`` (or any other tag) marks a block as
   illustrative-only and skips it.
 
+Each Markdown file's blocks share one fresh temporary working directory,
+removed afterwards: the files a block writes under relative names (traces,
+cache directories) are seen by the file's later blocks and by nothing else,
+so no run starts from another run's leftovers.  A script path such as
+``tools/check_reachability.py`` resolves against the checkout.
+
 Any non-zero exit status fails the check, so the quickstart commands in the
 README can never drift away from the CLI they document.
 """
@@ -24,6 +30,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from typing import Iterator, List, Tuple
 
@@ -55,7 +62,7 @@ def code_blocks(path: Path) -> Iterator[Tuple[str, int, str]]:
             body.append(line)
 
 
-def run(command: List[str], label: str, stdin: str = "") -> bool:
+def run(command: List[str], label: str, cwd: Path, stdin: str = "") -> bool:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
@@ -64,7 +71,7 @@ def run(command: List[str], label: str, stdin: str = "") -> bool:
         result = subprocess.run(
             command,
             input=stdin or None,
-            cwd=REPO_ROOT,
+            cwd=cwd,
             env=env,
             capture_output=True,
             text=True,
@@ -82,14 +89,14 @@ def run(command: List[str], label: str, stdin: str = "") -> bool:
     return True
 
 
-def check_file(path: Path) -> Tuple[int, int]:
-    """Run a file's blocks; returns (executed, failed) counts."""
+def check_file(path: Path, cwd: Path) -> Tuple[int, int]:
+    """Run a file's blocks in ``cwd``; returns (executed, failed) counts."""
     executed = failed = 0
     for info, line, body in code_blocks(path):
         label_base = f"{path.relative_to(REPO_ROOT)}:{line}"
         if info == "python":
             executed += 1
-            if not run([sys.executable, "-"], f"{label_base} [python]", stdin=body):
+            if not run([sys.executable, "-"], f"{label_base} [python]", cwd, stdin=body):
                 failed += 1
         elif info == "bash":
             for command_line in body.splitlines():
@@ -100,9 +107,10 @@ def check_file(path: Path) -> Tuple[int, int]:
                 if SELF_REFERENTIAL.search(command_line):
                     continue
                 executed += 1
-                if not run(
-                    shlex.split(command_line), f"{label_base} [{command_line}]"
-                ):
+                command = shlex.split(command_line, comments=True)
+                if (REPO_ROOT / command[1]).is_file():
+                    command[1] = str(REPO_ROOT / command[1])
+                if not run(command, f"{label_base} [{command_line}]", cwd):
                     failed += 1
     return executed, failed
 
@@ -114,7 +122,8 @@ def main(argv: List[str]) -> int:
     ]
     executed = failed = 0
     for target in targets:
-        ran, bad = check_file(target)
+        with tempfile.TemporaryDirectory(prefix="check_docs-") as cwd:
+            ran, bad = check_file(target, Path(cwd))
         executed += ran
         failed += bad
     print(f"\n{executed} doc blocks executed, {failed} failed")
