@@ -16,6 +16,7 @@ from repro.config.presets import DesignKind, make_design, virgo
 from repro.config.soc import DataType
 from repro.kernels.gemm import simulate_gemm
 from repro.runner import run_gemm
+from repro.workloads import model_names
 
 
 class TestAblations:
@@ -109,6 +110,19 @@ class TestCli:
         main(["table", "--number", "4"])
         data = json.loads(capsys.readouterr().out)
         assert "Disaggregated" in data
+
+    @pytest.mark.parametrize("number, key", [(1, "H100"), (2, "Virgo")])
+    def test_static_table_commands(self, capsys, number, key):
+        main(["table", "--number", str(number)])
+        data = json.loads(capsys.readouterr().out)
+        assert key in data
+
+    def test_model_list_names_every_zoo_entry(self, capsys):
+        main(["model", "--list"])
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == model_names()
+        moe = next(line for line in lines if " family=moe " in line)
+        assert "experts=" in moe and "top_k=" in moe
 
     def test_invalid_table_rejected(self):
         with pytest.raises(SystemExit):

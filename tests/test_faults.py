@@ -75,6 +75,19 @@ class TestFaultPlanParsing:
         with pytest.raises(ValueError, match="is not an integer"):
             FaultPlan.parse("stall:0.5:soon")
 
+    @pytest.mark.parametrize("spec, message", [
+        ("spike:0.5:big", "spike multiplier 'big' is not a number"),
+        ("burst:0.5:soon", "burst pull 'soon' is not an integer"),
+        ("burst:0.5:1.5", "burst pull '1.5' is not an integer"),
+    ])
+    def test_bad_magnitude_names_the_field(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            FaultPlan.parse(spec)
+
+    def test_negative_burst_pull_rejected(self):
+        with pytest.raises(ValueError, match="burst_pull_cycles must be non-negative"):
+            FaultPlan(burst_pull_cycles=-1)
+
     def test_empty_spec(self):
         with pytest.raises(ValueError, match="empty fault spec"):
             FaultPlan.parse("  ,  ")

@@ -76,6 +76,21 @@ class TestWorkload:
     def test_softmax_elements(self):
         assert FlashAttentionWorkload(seq_len=256).softmax_elements == 256 * 256
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"seq_len": 0}, "dimensions must be positive"),
+        ({"heads": 0}, "dimensions must be positive"),
+        ({"block_kv": 0}, "tile sizes must be positive"),
+        ({"window": 64}, "set causal=True"),
+        ({"causal": True, "seq_len": 128, "kv_len": 64}, r"kv_len \(64\) must be >= seq_len"),
+        ({"causal": True, "seq_len": 128, "kv_len": 256, "seq_lens": (64, 64)},
+         "no prior context"),
+        ({"causal": True, "seq_len": 128, "seq_lens": (128, 0)}, "seq_lens must be positive"),
+        ({"causal": True, "seq_len": 128, "seq_lens": (64, 32)}, "must sum to seq_len 128"),
+    ])
+    def test_invalid_workload_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            FlashAttentionWorkload(**fields)
+
 
 class TestMappings:
     @pytest.fixture(scope="class")

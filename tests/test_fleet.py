@@ -207,6 +207,39 @@ class TestFleetFaultPlan:
         with pytest.raises(ValueError):
             FleetFaultPlan.parse(spec, 0)
 
+    @pytest.mark.parametrize("spec, message", [
+        ("slow@0:0:2.0", "malformed fault token 'slow@0:0:2.0'"),
+        ("crash@1:0", "malformed fault token 'crash@1:0'"),
+        ("reboot@0:0:100", "unknown fleet fault kind 'reboot'"),
+        ("slow:0.5:2.0", "malformed fault token 'slow:0.5:2.0'"),
+        ("partition:0.5", "malformed fault token 'partition:0.5'"),
+        ("crash@x:0:100", "replica index 'x' is not an integer"),
+        ("partition:often:100", "rate 'often' is not a number"),
+    ])
+    def test_invalid_token_is_named(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            FleetFaultPlan.parse(spec, 0)
+
+    def test_event_kind_and_duration_validated(self):
+        with pytest.raises(ValueError, match="unknown fleet fault kind 'reboot'"):
+            ReplicaFaultEvent(kind="reboot", replica=0, at_cycle=0, duration_cycles=10)
+        with pytest.raises(ValueError, match="duration_cycles must be > 0"):
+            ReplicaFaultEvent(kind="partition", replica=0, at_cycle=0, duration_cycles=0)
+
+    def test_negative_window_rejected(self):
+        with pytest.raises(ValueError, match="partition_cycles must be non-negative"):
+            FleetFaultPlan(partition_cycles=-1)
+
+    def test_active_when_any_rate_or_event_is_set(self):
+        assert not FleetFaultPlan().active
+        assert FleetFaultPlan(partition_rate=0.5, partition_cycles=100).active
+        assert FleetFaultPlan.parse("partition@0:10:100", 0).active
+        assert FleetFaultPlan.parse("partition@0:10:100", 0).partition_rate == 0.0
+
+    def test_materialize_needs_a_replica(self):
+        with pytest.raises(ValueError, match="at least one replica, got 0"):
+            FleetFaultPlan().materialize(0, 1000)
+
     def test_event_validation(self):
         with pytest.raises(ValueError, match="duration_scale"):
             ReplicaFaultEvent(kind="slow", replica=0, at_cycle=0,

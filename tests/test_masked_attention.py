@@ -159,6 +159,19 @@ class TestMaskCountsMatchOracle:
         with pytest.raises(ValueError, match="kv >= seq"):
             masked_elements(8, 4)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: masked_elements(0, 4), "seq must be positive, got 0"),
+        (lambda: masked_elements(4, 4, window=-1), "window must be non-negative"),
+        (lambda: allowed_keys(4, 4, 8), r"row 4 outside 0\.\.3"),
+        (lambda: masked_elements_varlen(()), "at least one sequence length"),
+        (lambda: tile_trips(8, 8, 0, 4), "tile sizes must be positive"),
+        (lambda: tile_trips_varlen((), 4, 4), "at least one sequence length"),
+        (lambda: trip_segments([2, 0]), "trip counts must be positive, got 0"),
+    ])
+    def test_invalid_arguments_rejected(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
 
 # --------------------------------------------------------------------------- #
 # AttentionLayer: exact fractions, no silent 1.0, no float truncation

@@ -66,6 +66,24 @@ class TestBankedSharedMemory:
         assert smem.counters["smem.matrix.read_words"] == 8
         assert smem.counters["smem.total_words"] == 10
 
+    def test_streaming_rejects_negative_size(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            self._smem().streaming_cycles(-1)
+
+    def test_streaming_ports_capped_at_bank_count(self):
+        smem = self._smem()
+        banks = smem.config.banks
+        assert smem.streaming_cycles(4096, ports=64) == smem.streaming_cycles(4096, ports=banks)
+        assert smem.streaming_cycles(4096, ports=0) == smem.streaming_cycles(4096, ports=1)
+
+    def test_reset_clears_counters(self):
+        smem = self._smem()
+        smem.record_bulk(64, is_write=True, requester="dma")
+        smem.reset()
+        assert smem.counters["smem.dma.write_words"] == 0
+        assert len(smem.counters) == 0
+
+
 class TestInterconnect:
     def test_matrix_request_priority(self):
         smem = BankedSharedMemory(SharedMemoryConfig())
@@ -97,6 +115,56 @@ class TestInterconnect:
         )
         result = interconnect.arbitrate(bundle)
         assert result.simt_retries == 0  # writes use a separate path
+
+    def test_consecutive_lane_words_are_conflict_free(self):
+        """Eight lanes on consecutive words hit eight subbanks in one access."""
+        smem = BankedSharedMemory(SharedMemoryConfig())
+        result = SharedMemoryInterconnect(smem).arbitrate(
+            RequestBundle(simt_read_addresses=[lane * 4 for lane in range(8)])
+        )
+        assert result.simt_words_served == 8 and result.simt_retries == 0
+        assert result.cycles == smem.config.access_latency
+        assert smem.counters["smem.core.read_words"] == 8
+
+    def test_same_subbank_lanes_serialize(self):
+        smem = BankedSharedMemory(SharedMemoryConfig())
+        stride = smem.config.subbanks * smem.config.word_bytes
+        result = SharedMemoryInterconnect(smem).arbitrate(
+            RequestBundle(simt_read_addresses=[lane * stride for lane in range(4)])
+        )
+        assert result.simt_retries == 0
+        assert result.cycles == smem.config.access_latency + 3
+
+    def test_wide_read_of_one_bank_width_takes_one_access(self):
+        smem = BankedSharedMemory(SharedMemoryConfig())
+        result = SharedMemoryInterconnect(smem).arbitrate(
+            RequestBundle(matrix_reads=[(0x0, smem.config.bank_width_bytes)])
+        )
+        assert result.cycles == smem.config.access_latency
+        assert smem.counters["smem.matrix.read_words"] == smem.config.subbanks
+
+    def test_wide_read_beyond_bank_width_takes_another_cycle(self):
+        smem = BankedSharedMemory(SharedMemoryConfig())
+        result = SharedMemoryInterconnect(smem).arbitrate(
+            RequestBundle(matrix_writes=[(0x0, 2 * smem.config.bank_width_bytes)])
+        )
+        assert result.cycles == smem.config.access_latency + 1
+        assert smem.counters["smem.matrix.write_words"] == 2 * smem.config.subbanks
+
+    def test_retried_lanes_add_rounds_and_accumulate(self):
+        smem = BankedSharedMemory(SharedMemoryConfig())
+        interconnect = SharedMemoryInterconnect(smem)
+        bundle = RequestBundle(
+            simt_read_addresses=[lane * 4 for lane in range(9)],
+            matrix_reads=[(0x0, 32)],
+        )
+        result = interconnect.arbitrate(bundle)
+        assert result.simt_retries == 9 and result.simt_words_served == 0
+        # Nine retried lanes need two extra rounds over eight subbanks.
+        assert result.cycles == smem.config.access_latency + 2
+        interconnect.arbitrate(bundle)
+        assert interconnect.total_rounds == 2
+        assert interconnect.total_retries == 18
 
     def test_empty_bundle(self):
         smem = BankedSharedMemory(SharedMemoryConfig())

@@ -56,6 +56,17 @@ class TestCounters:
         assert set(counters) == {"a", "b"}
         assert len(counters) == 2
 
+    def test_setitem_overwrites_and_contains(self):
+        counters = Counters({"a": 1})
+        counters["a"] = 7
+        counters["b"] = 2
+        assert counters["a"] == 7.0 and "b" in counters
+        assert "c" not in counters
+
+    def test_repr_previews_largest_counts(self):
+        counters = Counters({"small": 1, "large": 9})
+        assert repr(counters) == "Counters(2 keys: large=9, small=1)"
+
 
 class TestResource:
     def test_back_to_back_reservations(self):
@@ -82,6 +93,33 @@ class TestResource:
         with pytest.raises(ValueError):
             Resource("unit").reserve(0, -1)
 
+    def test_zero_instances_rejected(self):
+        with pytest.raises(ValueError, match="at least one instance"):
+            Resource("unit", count=0)
+
+    def test_utilization_of_empty_window_is_zero(self):
+        resource = Resource("unit")
+        resource.reserve(0, 10)
+        assert resource.utilization(0) == 0.0
+
+    def test_utilization_counts_every_instance(self):
+        resource = Resource("unit", count=2)
+        resource.reserve(0, 50)
+        assert resource.utilization(100) == pytest.approx(0.25)
+
+    def test_reset_frees_every_instance(self):
+        resource = Resource("unit", count=2, record_reservations=True)
+        resource.reserve(0, 10)
+        resource.reserve(0, 10)
+        resource.reset()
+        assert resource.busy_cycles == 0 and resource.reservations == []
+        assert resource.reserve(0, 4) == (0, 4)
+
+    def test_repr_names_resource(self):
+        resource = Resource("dma", count=2)
+        resource.reserve(0, 3)
+        assert repr(resource) == "Resource('dma', count=2, busy=3)"
+
 
 class TestResourcePool:
     def test_duplicate_rejected(self):
@@ -95,6 +133,16 @@ class TestResourcePool:
         resource = pool.add(Resource("a"))
         assert "a" in pool
         assert pool["a"] is resource
+
+    def test_reset_resets_every_member(self):
+        pool = ResourcePool()
+        first = pool.add(Resource("a"))
+        second = pool.add(Resource("b"))
+        first.reserve(0, 5)
+        second.reserve(0, 7)
+        pool.reset()
+        assert first.busy_cycles == 0 and second.busy_cycles == 0
+        assert first.reserve(0, 1) == (0, 1)
 
 
 class TestOperationGraph:
@@ -145,6 +193,15 @@ class TestOperationGraph:
         with pytest.raises(ValueError):
             graph.add_operation("x", "dma", 10)
 
+    def test_scheduled_entries_name_their_operation(self):
+        graph = self._graph()
+        graph.add_operation("load", "dma", 10)
+        graph.add_operation("compute", "matrix", 20, deps=["load"])
+        assert "load" in graph and "store" not in graph
+        scheduled = graph.schedule().scheduled
+        assert [entry.name for entry in scheduled.values()] == ["load", "compute"]
+        assert (scheduled["compute"].start, scheduled["compute"].end) == (10, 30)
+
     def test_ready_after(self):
         graph = self._graph()
         graph.add_operation("x", "dma", 10, ready_after=50)
@@ -177,4 +234,5 @@ class TestReservationRecording:
             (0, 10, "a"),
             (10, 15, "b"),
         ]
+        assert [r.duration for r in resource.reservations] == [10, 5]
 

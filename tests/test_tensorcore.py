@@ -98,6 +98,26 @@ class TestVoltaTensorCore:
         with pytest.raises(ValueError):
             unit.mma(a, b, np.zeros((8, 8), dtype=np.float32))
 
+    def test_wrong_b_fragment_shape_rejected(self, volta_design, rng):
+        unit = self._unit(volta_design)
+        a = load_fragment(rng.standard_normal((8, 16)), 0, 0, 8, 16)
+        b = load_fragment(rng.standard_normal((16, 16)), 0, 0, 16, 16)
+        with pytest.raises(ValueError, match=r"B fragment must be \(16, 8\), got \(16, 16\)"):
+            unit.mma(a, b, np.zeros((8, 8), dtype=np.float32))
+        assert unit.tile_ops == 0
+
+    def test_mma_with_counters_records_tile_events(self, volta_design, rng):
+        unit = self._unit(volta_design)
+        a = load_fragment(rng.standard_normal((8, 16)), 0, 0, 8, 16)
+        b = load_fragment(rng.standard_normal((16, 8)), 0, 0, 16, 8)
+        expected = Counters()
+        unit.record_tile_events(expected)
+        counters = Counters()
+        unit.mma(a, b, np.zeros((8, 8), dtype=np.float32), counters)
+        for name, value in expected.items():
+            assert counters[name] >= value
+        assert counters.total() > expected.total()  # plus the dot-product MACs
+
     def test_hmma_sequence_matches_paper_timing(self, volta_design):
         """16 steps x 2 cycles = 32 busy cycles per 8x8x16 tile (1024 MACs at 32/cycle)."""
         unit = self._unit(volta_design)
@@ -139,6 +159,18 @@ class TestHopperTensorCore:
         result = unit.wgmma(a, b, c)
         expected = a.as_float32() @ b.as_float32() + c
         np.testing.assert_allclose(result, expected, rtol=1e-3, atol=1e-3)
+
+    @pytest.mark.parametrize("a_shape, b_shape, message", [
+        ((16, 16), (32, 16), r"A fragment must be \(16, 32\), got \(16, 16\)"),
+        ((16, 32), (32, 8), r"B fragment must be \(32, 16\), got \(32, 8\)"),
+    ])
+    def test_wrong_fragment_shape_rejected(self, hopper_design, rng, a_shape, b_shape, message):
+        unit = self._unit(hopper_design)
+        a = load_fragment(rng.standard_normal(a_shape), 0, 0, *a_shape, location="shared")
+        b = load_fragment(rng.standard_normal(b_shape), 0, 0, *b_shape, location="shared")
+        with pytest.raises(ValueError, match=message):
+            unit.wgmma(a, b, np.zeros((16, 16), dtype=np.float32))
+        assert unit.tile_ops == 0
 
     def test_tile_operation_overlaps_operand_fetch(self, hopper_design):
         unit = self._unit(hopper_design)

@@ -23,7 +23,16 @@ from repro.workloads import (
     run_model,
     scaled_spec,
 )
-from repro.workloads.models import MODEL_ZOO
+from repro.workloads.graph import (
+    LayerKind,
+    MoeBlock,
+    MoeFfnLayer,
+    RequestSpec,
+    ServingTrace,
+    build_request_stream,
+    build_stream_trace,
+)
+from repro.workloads.models import MODEL_ZOO, resolve_trace, varlen_trace
 from repro.workloads.lowering import (
     MATRIX_RESOURCE,
     SIMT_RESOURCE,
@@ -87,6 +96,126 @@ class TestLayerGraphIR:
         graph.add(AttentionLayer(name="attn", deps=("fc",), heads=2, head_dim=64))
         expected = 64 * 128 * 128 + 2 * 2 * 64 * 64 * 64
         assert graph.total_macs() == expected
+
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: TensorShape(batch=0, seq=4, features=8), "dimensions must be positive"),
+        (lambda: LinearLayer(name="fc", in_features=0, out_features=8), "positive feature dims"),
+        (lambda: AttentionLayer(name="attn", heads=0), "positive heads/head_dim"),
+        (lambda: AttentionLayer(name="attn", causal=True, window=-1), "window must be >= 0"),
+        (lambda: AttentionLayer(name="attn", causal=True, seq_lens=(4, 4), kv_seq=16),
+         "no prior context"),
+        (lambda: AttentionLayer(name="attn", causal=True, seq_lens=(4, 0)),
+         "seq_lens must be positive"),
+        (lambda: MoeBlock(name="moe", in_features=8, expert_hidden=16, shared_experts=-1),
+         "shared_experts >= 0"),
+    ])
+    def test_invalid_layer_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    def test_attention_width_must_match_input(self):
+        graph = LayerGraph("attn", TensorShape(batch=1, seq=16, features=96))
+        with pytest.raises(ValueError, match="expects 128 features"):
+            graph.add(AttentionLayer(name="attn", heads=2, head_dim=64))
+
+    def test_varlen_attention_needs_packed_batch(self):
+        layer = AttentionLayer(name="attn", heads=2, head_dim=64, causal=True, seq_lens=(8, 8))
+        graph = LayerGraph("varlen", TensorShape(batch=2, seq=16, features=128))
+        with pytest.raises(ValueError, match="into batch 1, got batch 2"):
+            graph.add(layer)
+        packed = LayerGraph("varlen", TensorShape(batch=1, seq=16, features=128))
+        assert packed.add(layer) is layer
+
+    def test_moe_input_width_must_match(self):
+        graph = LayerGraph("moe", TensorShape(batch=1, seq=8, features=32))
+        with pytest.raises(ValueError, match="expects 16 input features, got 32"):
+            graph.add(MoeFfnLayer(name="moe", in_features=16, expert_hidden=64))
+
+    def test_each_layer_reports_its_kind(self):
+        layers = {
+            LinearLayer(name="fc", in_features=8, out_features=8): LayerKind.LINEAR,
+            AttentionLayer(name="attn", heads=2, head_dim=4): LayerKind.ATTENTION,
+            MoeFfnLayer(name="moe", in_features=8, expert_hidden=16): LayerKind.MOE_FFN,
+            ElementwiseLayer(name="add"): LayerKind.ELEMENTWISE,
+            NormLayer(name="ln"): LayerKind.NORM,
+        }
+        for layer, kind in layers.items():
+            assert layer.kind is kind
+
+    def test_kv_heads_default_to_query_heads(self):
+        assert AttentionLayer(name="mha", heads=4, head_dim=8).effective_kv_heads == 4
+        assert AttentionLayer(name="mqa", heads=4, head_dim=8, kv_heads=1).effective_kv_heads == 1
+
+    def test_graph_phases_membership_and_repr(self):
+        graph = LayerGraph("phased", TensorShape(batch=2, seq=4, features=8))
+        graph.add(NormLayer(name="ln", phase="encode"))
+        graph.add(LinearLayer(name="fc", deps=("ln",), in_features=8, out_features=8))
+        graph.add(NormLayer(name="ln2", deps=("fc",), phase="encode"))
+        assert graph.phases() == ["encode", "default"]
+        assert "fc" in graph and "ghost" not in graph
+        assert [layer.name for layer in graph] == ["ln", "fc", "ln2"]
+        assert repr(graph) == "LayerGraph('phased', 3 layers, input=2x4x8)"
+
+
+class TestModelSpecValidation:
+    @pytest.mark.parametrize("fields, message", [
+        ({"batch": 0}, "must be positive"),
+        ({"family": "moe", "experts": 4, "top_k": 5}, r"top_k \(5\) must be in 1..experts \(4\)"),
+        ({"window": -1}, r"window \(-1\) must be >= 0"),
+        ({"seq_len": 64, "context_len": 32}, "needs context_len"),
+        ({"phase": "decode", "seq_len": 8, "seq_lens": (4, 4)}, "ragged prefill batch"),
+        ({"batch": 2, "seq_len": 8, "seq_lens": (4, 4)}, "use batch=1"),
+        ({"seq_len": 8, "context_len": 16, "seq_lens": (4, 4)}, "no prior context"),
+        ({"seq_len": 8, "seq_lens": (4, 3)}, "must sum to seq_len 8"),
+    ])
+    def test_invalid_spec_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            ModelSpec(**fields)
+
+    def test_unknown_family_lists_builders(self):
+        with pytest.raises(ValueError, match="unknown model family 'rnn'; one of: bert"):
+            build_model(ModelSpec(family="rnn"))
+
+    def test_mask_fields_encoded_only_when_set(self):
+        assert "seq_lens" not in ModelSpec().to_dict()
+        assert "window" not in ModelSpec().to_dict()
+        encoded = ModelSpec(seq_len=8, seq_lens=(5, 3), window=2).to_dict()
+        assert encoded["seq_lens"] == [5, 3] and encoded["window"] == 2
+
+
+class TestServingTraceValidation:
+    def _request(self, request_id="r0", arrival=0):
+        return RequestSpec(request_id=request_id, model=ModelSpec(phase="decode"),
+                           arrival_cycle=arrival)
+
+    def test_trace_needs_requests_and_bucket(self):
+        with pytest.raises(ValueError, match="at least one request"):
+            ServingTrace(name="empty", requests=())
+        with pytest.raises(ValueError, match="positive context bucket"):
+            ServingTrace(name="bad", requests=(self._request(),), context_bucket=0)
+
+    @pytest.mark.parametrize("arrivals, message", [
+        ([], "at least one arrival"),
+        ([-1, 5], "arrival_cycle >= 0"),
+        ([10, 5], "sorted by arrival_cycle"),
+    ])
+    def test_invalid_request_stream_rejected(self, arrivals, message):
+        with pytest.raises(ValueError, match=message):
+            build_request_stream(ModelSpec(phase="decode"), arrivals)
+
+    def test_stream_trace_needs_requests_and_bucket(self):
+        stream = build_request_stream(ModelSpec(phase="decode"), [0, 10])
+        with pytest.raises(ValueError, match="positive context bucket"):
+            build_stream_trace("bad", stream, context_bucket=0)
+        with pytest.raises(ValueError, match="at least one request"):
+            build_stream_trace("empty", ())
+        assert build_stream_trace("ok", stream).requests == stream
+
+    def test_varlen_trace_from_zoo_name(self):
+        trace = varlen_trace("exact", "bursty-gpt")
+        assert trace.context_bucket == 1 and trace.name == "exact"
+        assert trace.requests == resolve_trace("bursty-gpt").requests
 
 
 class TestModelZoo:
