@@ -29,8 +29,9 @@ matrix units draw down the expert pool concurrently.
 Whole models and serving batches run on one executor.
 ``compile_step_program`` resolves a schedule once into a plain-data
 :class:`StepProgram`: kernel cycles from the process-wide timing cache
-(:mod:`repro.perf`), resources and dependencies as indices, and per-layer
-energy, MACs and counter rows.  One list-scheduling loop places programs
+(:mod:`repro.perf`), probed once per distinct kernel, resources and
+dependencies as indices, and per-layer energy, MACs and counter rows,
+folded once per distinct layer.  One list-scheduling loop places programs
 on plain ints: ``execute_step_programs`` a serving batch, ``run_model``
 one model, assembled into a :class:`ModelRunResult`.  Both equal the
 ``OperationGraph`` executor they replaced float for float, traces
@@ -674,81 +675,149 @@ class StepProgram:
         return len(self.resources)
 
 
-def compile_step_program(schedule: KernelSchedule) -> StepProgram:
-    """Resolve every kernel of ``schedule`` once, for repeated execution.
+class _KernelRecord(NamedTuple):
+    """One distinct kernel of a compile: what its timing-cache probe gave."""
 
-    Probes the timing cache once per kernel, in schedule order.
-    """
+    kind: str
+    cycles: int
+    duration: int
+    counters: Counters
+    stats: Optional[Dict[str, int]]
+    utilization: float
+    macs: int
+
+
+def _probe_kernel(schedule: KernelSchedule, inv: KernelInvocation) -> _KernelRecord:
+    """Probe the timing cache for ``inv``: one lookup, as a record."""
     design = schedule.design
+    kernel, macs = None, 0
+    if inv.kind == "gemm":
+        target = (
+            schedule.small_design
+            if inv.resource == SMALL_MATRIX_RESOURCE and schedule.small_design
+            else design
+        )
+        kernel = run_gemm(target, inv.workload, inv.workload.dtype).kernel
+        macs = inv.reported_macs if inv.reported_macs is not None else inv.workload.macs
+    elif inv.kind == "flash":
+        kernel = run_flash_attention(design, inv.workload).kernel
+        macs = inv.workload.gemm_macs
+    if kernel is None:
+        cycles, counters = _simt_cost(design, inv.elements, inv.flops_per_element)
+        stats, utilization = None, 0.0
+    else:
+        cycles, counters = kernel.total_cycles, kernel.counters
+        stats, utilization = kernel.schedule_stats, kernel.mac_utilization
+    return _KernelRecord(
+        inv.kind, cycles, _scaled_cycles(cycles, 1.0), counters, stats, utilization, macs
+    )
+
+
+class _LayerFold(NamedTuple):
+    """What a layer's sequence of kernel records folds to."""
+
+    kinds: Tuple[str, ...]
+    counters: Counters
+    energy_uj: float
+    macs: int
+    mac_utilization_percent: float
+
+
+def _fold_layer(kernels: Sequence[_KernelRecord], table: EnergyTable) -> _LayerFold:
+    """Fold a layer's kernels in order: counters kernel by kernel, priced in
+    the fold's own key order, and MAC-weighted utilization."""
+    counters = Counters()
+    for kernel in kernels:
+        counters.merge(kernel.counters)
+    macs = sum(kernel.macs for kernel in kernels)
+    weighted = sum(kernel.utilization * kernel.macs for kernel in kernels)
+    return _LayerFold(
+        kinds=tuple(dict.fromkeys(kernel.kind for kernel in kernels)),
+        counters=counters,
+        energy_uj=table.energy_picojoules(counters) / 1e6,
+        macs=macs,
+        mac_utilization_percent=100.0 * weighted / macs if macs else 0.0,
+    )
+
+
+def compile_step_program(schedule: KernelSchedule) -> StepProgram:
+    """Resolve ``schedule`` once, for repeated execution.
+
+    A kernel is identified by its kind, unit, workload and reported MACs; a
+    SIMT kernel by its elements and FLOPs per element.  Each distinct kernel
+    probes the timing cache once, in first-appearance order, into a record
+    its repeats read, and one ``credit_hits`` call counts the repeats as the
+    hits their probes would have been.  A layer whose sequence of records
+    was seen before reuses that sequence's fold.
+    """
     invocations = schedule.invocations
+    slots: Dict[object, int] = {}
+    records: List[_KernelRecord] = []
     index_of: Dict[str, int] = {}
     layer_index: Dict[str, int] = {}
-    resources, cycles, deps, stats, macs, utilization, layer_of = [], [], [], [], [], [], []
+    kernels, deps, layer_of = [], [], []
     members: List[List[int]] = []
-    layer_counters: List[Counters] = []
     with phase("kernel_sim", model=schedule.model, kernels=len(invocations)):
         for position, inv in enumerate(invocations):
-            kernel, kernel_macs = None, 0
-            if inv.kind == "gemm":
-                target = (
-                    schedule.small_design
-                    if inv.resource == SMALL_MATRIX_RESOURCE and schedule.small_design
-                    else design
-                )
-                kernel = run_gemm(target, inv.workload, inv.workload.dtype).kernel
-                kernel_macs = (
-                    inv.reported_macs if inv.reported_macs is not None else inv.workload.macs
-                )
-            elif inv.kind == "flash":
-                kernel = run_flash_attention(design, inv.workload).kernel
-                kernel_macs = inv.workload.gemm_macs
-            if kernel is None:
-                kernel_cycles, counters = _simt_cost(design, inv.elements, inv.flops_per_element)
+            if inv.kind == "gemm" or inv.kind == "flash":
+                key = (inv.kind, inv.resource, inv.workload, inv.reported_macs)
             else:
-                kernel_cycles, counters = kernel.total_cycles, kernel.counters
+                key = (inv.kind, inv.elements, inv.flops_per_element)
+            try:
+                slot = slots.get(key)
+            except TypeError:  # an unhashable workload is a kernel of its own
+                key, slot = position, None
+            if slot is None:
+                slot = slots[key] = len(records)
+                records.append(_probe_kernel(schedule, inv))
+            kernels.append(slot)
             index_of[inv.name] = position
-            resources.append(_RESOURCE_INDEX[inv.resource])
-            cycles.append(kernel_cycles)
             deps.append(tuple(index_of[dep] for dep in inv.deps if dep))
-            stats.append(None if kernel is None else kernel.schedule_stats)
-            macs.append(kernel_macs)
-            utilization.append(0.0 if kernel is None else kernel.mac_utilization)
             layer = layer_index.setdefault(inv.layer, len(members))
             if layer == len(members):
                 members.append([])
-                layer_counters.append(Counters())
             layer_of.append(layer)
             members[layer].append(position)
-            layer_counters[layer].merge(counters)
+        timing_cache().credit_hits(len(invocations) - len(records))
 
-    table = EnergyTable.for_design(design.style)
-    layers = []
-    for name, indices, counters in zip(layer_index, members, layer_counters):
-        layer_macs = sum(macs[k] for k in indices)
-        weighted = sum(utilization[k] * macs[k] for k in indices)
+    # Fold each distinct sequence of records once; ``folds`` keeps them in
+    # first-appearance order, each with the first kernel of its first layer.
+    table = EnergyTable.for_design(schedule.design.style)
+    fold_index: Dict[Tuple[int, ...], int] = {}
+    folds: List[Tuple[int, _LayerFold]] = []
+    layers, layer_folds = [], []
+    for name, indices in zip(layer_index, members):
+        sequence = tuple([kernels[k] for k in indices])
+        index = fold_index.get(sequence)
+        if index is None:
+            index = fold_index[sequence] = len(folds)
+            folds.append((indices[0], _fold_layer([records[slot] for slot in sequence], table)))
+        fold = folds[index][1]
+        layer_folds.append(index)
         layers.append(
             ProgramLayer(
                 name=name,
                 phase=invocations[indices[0]].phase,
-                kinds=tuple(dict.fromkeys(invocations[k].kind for k in indices)),
+                kinds=fold.kinds,
                 members=tuple(indices),
-                energy_uj=table.energy_picojoules(counters) / 1e6,
-                macs=layer_macs,
-                mac_utilization_percent=100.0 * weighted / layer_macs if layer_macs else 0.0,
+                energy_uj=fold.energy_uj,
+                macs=fold.macs,
+                mac_utilization_percent=fold.mac_utilization_percent,
             )
         )
-    layer_starts = [indices[0] for indices in members]
+    # A repeated fold's keys were all seen at its first layer.
     first_seen: Dict[str, Tuple[int, int]] = {}
-    for start, counters in zip(layer_starts, layer_counters):
-        for rank, key in enumerate(counters):
+    for start, fold in folds:
+        for rank, key in enumerate(fold.counters):
             first_seen.setdefault(key, (start, rank))
     column = {key: index for index, key in enumerate(first_seen)}
     rows = []
-    for counters in layer_counters:
+    for _, fold in folds:
         row = [0.0] * len(column)
-        for key, value in counters.items():
+        for key, value in fold.counters.items():
             row[column[key]] = value
         rows.append(row)
+    kernel_records = [records[slot] for slot in kernels]
     return StepProgram(
         model=schedule.model,
         heterogeneous=schedule.heterogeneous,
@@ -757,15 +826,15 @@ def compile_step_program(schedule: KernelSchedule) -> StepProgram:
         kinds=tuple(inv.kind for inv in invocations),
         phases=tuple(inv.phase for inv in invocations),
         layer_of=tuple(layer_of),
-        resources=tuple(resources),
-        cycles=tuple(cycles),
-        durations=tuple(_scaled_cycles(value, 1.0) for value in cycles),
+        resources=tuple(_RESOURCE_INDEX[inv.resource] for inv in invocations),
+        cycles=tuple(record.cycles for record in kernel_records),
+        durations=tuple(record.duration for record in kernel_records),
         deps=tuple(deps),
-        stats=tuple(stats),
+        stats=tuple(record.stats for record in kernel_records),
         layers=tuple(layers),
-        layer_starts=np.array(layer_starts, dtype=np.int64),
+        layer_starts=np.array([indices[0] for indices in members], dtype=np.int64),
         keys=first_seen,
-        layer_rows=np.array(rows).reshape(len(rows), len(column)),
+        layer_rows=np.array(rows).reshape(len(rows), len(column))[layer_folds],
     )
 
 

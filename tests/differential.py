@@ -18,12 +18,16 @@ kernels on an ``OperationGraph``, traces them with :func:`record_schedule`
 and folds ``Counters`` layer by layer.
 :func:`oracle_run_model`, :func:`merged_iteration` and
 :func:`oracle_isolated_step_spans` run ``run_model``, a serving iteration
-and ``isolated_step_spans`` on it.
+and ``isolated_step_spans`` on it.  :func:`oracle_compile_step_program` is
+the step-program compiler that probed the timing cache once per kernel
+instance, the reference for the one that probes once per distinct kernel.
 """
 
 import json
 from dataclasses import replace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.config.presets import DesignKind
 from repro.config.soc import DataType
@@ -46,6 +50,9 @@ from repro.workloads.lowering import (
     KernelSchedule,
     LayerRunResult,
     ModelRunResult,
+    ProgramLayer,
+    StepProgram,
+    _RESOURCE_INDEX,
     _scaled_cycles,
     lower_graph,
 )
@@ -480,4 +487,109 @@ def execute_schedule(schedule: KernelSchedule, duration_scale: float = 1.0) -> M
         kind_cycles=kind_cycles,
         timing_cache=cache_stats,
         metrics=_model_metrics(schedule, placed, kind_cycles, cache_stats),
+    )
+
+
+# --------------------------------------------------------------------------- #
+# The reference compiler
+# --------------------------------------------------------------------------- #
+
+
+def oracle_compile_step_program(schedule: KernelSchedule) -> StepProgram:
+    """``lowering.compile_step_program`` probing every kernel instance.
+
+    Probes the timing cache once per kernel, in schedule order, and folds
+    and prices every layer on its own.  It reaches ``run_gemm``,
+    ``run_flash_attention`` and ``_simt_cost`` through the lowering module,
+    so a test's stand-ins serve both compilers.
+    """
+    design = schedule.design
+    invocations = schedule.invocations
+    index_of: Dict[str, int] = {}
+    layer_index: Dict[str, int] = {}
+    resources, cycles, deps, stats, macs, utilization, layer_of = [], [], [], [], [], [], []
+    members: List[List[int]] = []
+    layer_counters: List[Counters] = []
+    with phase("kernel_sim", model=schedule.model, kernels=len(invocations)):
+        for position, inv in enumerate(invocations):
+            kernel, kernel_macs = None, 0
+            if inv.kind == "gemm":
+                target = (
+                    schedule.small_design
+                    if inv.resource == SMALL_MATRIX_RESOURCE and schedule.small_design
+                    else design
+                )
+                kernel = lowering.run_gemm(target, inv.workload, inv.workload.dtype).kernel
+                kernel_macs = (
+                    inv.reported_macs if inv.reported_macs is not None else inv.workload.macs
+                )
+            elif inv.kind == "flash":
+                kernel = lowering.run_flash_attention(design, inv.workload).kernel
+                kernel_macs = inv.workload.gemm_macs
+            if kernel is None:
+                kernel_cycles, counters = lowering._simt_cost(
+                    design, inv.elements, inv.flops_per_element
+                )
+            else:
+                kernel_cycles, counters = kernel.total_cycles, kernel.counters
+            index_of[inv.name] = position
+            resources.append(_RESOURCE_INDEX[inv.resource])
+            cycles.append(kernel_cycles)
+            deps.append(tuple(index_of[dep] for dep in inv.deps if dep))
+            stats.append(None if kernel is None else kernel.schedule_stats)
+            macs.append(kernel_macs)
+            utilization.append(0.0 if kernel is None else kernel.mac_utilization)
+            layer = layer_index.setdefault(inv.layer, len(members))
+            if layer == len(members):
+                members.append([])
+                layer_counters.append(Counters())
+            layer_of.append(layer)
+            members[layer].append(position)
+            layer_counters[layer].merge(counters)
+
+    table = EnergyTable.for_design(design.style)
+    layers = []
+    for name, indices, counters in zip(layer_index, members, layer_counters):
+        layer_macs = sum(macs[k] for k in indices)
+        weighted = sum(utilization[k] * macs[k] for k in indices)
+        layers.append(
+            ProgramLayer(
+                name=name,
+                phase=invocations[indices[0]].phase,
+                kinds=tuple(dict.fromkeys(invocations[k].kind for k in indices)),
+                members=tuple(indices),
+                energy_uj=table.energy_picojoules(counters) / 1e6,
+                macs=layer_macs,
+                mac_utilization_percent=100.0 * weighted / layer_macs if layer_macs else 0.0,
+            )
+        )
+    layer_starts = [indices[0] for indices in members]
+    first_seen: Dict[str, Tuple[int, int]] = {}
+    for start, counters in zip(layer_starts, layer_counters):
+        for rank, key in enumerate(counters):
+            first_seen.setdefault(key, (start, rank))
+    column = {key: index for index, key in enumerate(first_seen)}
+    rows = []
+    for counters in layer_counters:
+        row = [0.0] * len(column)
+        for key, value in counters.items():
+            row[column[key]] = value
+        rows.append(row)
+    return StepProgram(
+        model=schedule.model,
+        heterogeneous=schedule.heterogeneous,
+        ideal_mac_cycles=schedule.ideal_mac_cycles,
+        names=tuple(inv.name for inv in invocations),
+        kinds=tuple(inv.kind for inv in invocations),
+        phases=tuple(inv.phase for inv in invocations),
+        layer_of=tuple(layer_of),
+        resources=tuple(resources),
+        cycles=tuple(cycles),
+        durations=tuple(_scaled_cycles(value, 1.0) for value in cycles),
+        deps=tuple(deps),
+        stats=tuple(stats),
+        layers=tuple(layers),
+        layer_starts=np.array(layer_starts, dtype=np.int64),
+        keys=first_seen,
+        layer_rows=np.array(rows).reshape(len(rows), len(column)),
     )
