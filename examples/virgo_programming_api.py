@@ -60,7 +60,10 @@ def main() -> None:
         context.virgo_fence()
         context.threadblock_barrier()
 
+    # The store is asynchronous too: fence it, so the clock runs to the end
+    # of the accumulator drain.
     context.virgo_dma_store("acc", "C")
+    context.virgo_fence()
 
     expected = a.astype(np.float32) @ b.astype(np.float32)
     error = np.abs(context.global_load("C") - expected).max()

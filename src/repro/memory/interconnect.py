@@ -2,7 +2,7 @@
 
 The interconnect arbitrates between the narrow per-lane SIMT requests and the
 wide matrix-unit requests arriving at the shared-memory banks each cycle.  It
-implements the paper's three design choices:
+models two of the paper's three design choices:
 
 * **Unified request sizes** -- wide requests are split into word-sized
   sub-requests distributed across the subbanks of one bank and served in a
@@ -11,8 +11,13 @@ implements the paper's three design choices:
   throughput) and the SIMT request retries next round.
 * **Separate read and write paths** -- reads and writes to different banks do
   not conflict, supporting producer/consumer double buffering.
-* **Unaligned SIMT filtering** -- unaligned lanes are serialized through one
-  port before the crossbar.
+
+The third, the paper's **unaligned SIMT filter** that serializes unaligned
+lanes through one port before the crossbar, is not modelled:
+:meth:`SharedMemoryInterconnect.arbitrate` rounds each lane's address down
+to its word, so lanes at bytes 1, 5, 9, 13 arbitrate exactly as lanes at 0,
+4, 8, 12 do.  Modelling the filter belongs with wiring this module into the
+kernels' timing (the fidelity item in ``ROADMAP.md``).
 """
 
 from __future__ import annotations

@@ -90,10 +90,16 @@ def run(command: List[str], label: str, cwd: Path, stdin: str = "") -> bool:
 
 
 def check_file(path: Path, cwd: Path) -> Tuple[int, int]:
-    """Run a file's blocks in ``cwd``; returns (executed, failed) counts."""
+    """Run a file's blocks in ``cwd``; returns (executed, failed) counts.
+
+    Blocks are labelled by the file's path relative to the checkout when it
+    lies inside it, and by ``path`` as given otherwise.
+    """
+    source = path.resolve()
+    name = source.relative_to(REPO_ROOT) if source.is_relative_to(REPO_ROOT) else path
     executed = failed = 0
-    for info, line, body in code_blocks(path):
-        label_base = f"{path.relative_to(REPO_ROOT)}:{line}"
+    for info, line, body in code_blocks(source):
+        label_base = f"{name}:{line}"
         if info == "python":
             executed += 1
             if not run([sys.executable, "-"], f"{label_base} [python]", cwd, stdin=body):
