@@ -18,7 +18,7 @@ from repro.simt.occupancy import (
     OccupancyCalculator,
     max_tile_for_register_space,
 )
-from repro.config.soc import DataType
+from repro.config.soc import CoreConfig, DataType, RegisterFileConfig
 
 
 def table1() -> None:
@@ -52,13 +52,18 @@ def sweep() -> None:
 
 
 def tile_limits() -> None:
-    print("\n== Largest matrix tile a 1 KiB per-warp register slice supports ==")
+    # The default core's FP register file, privatized across its warps.
+    slice_bytes = RegisterFileConfig().bytes_per_warp(CoreConfig().warps)
+    print(
+        f"\n== Largest matrix tile a {slice_bytes // 1024} KiB per-warp register "
+        "slice supports =="
+    )
     headers = ["integration style", "operands in RF", "accumulator in RF", "max tile (m,n,k)"]
     rows = [
         ["Tightly-coupled (Volta/Ampere)", "yes", "yes",
-         str(max_tile_for_register_space(1024, DataType.FP16, True, True))],
+         str(max_tile_for_register_space(slice_bytes, DataType.FP16, True, True))],
         ["Operand-decoupled (Hopper)", "no", "yes",
-         str(max_tile_for_register_space(1024, DataType.FP16, False, True))],
+         str(max_tile_for_register_space(slice_bytes, DataType.FP16, False, True))],
         ["Disaggregated (Virgo)", "no", "no", "limited only by shared/accumulator memory"],
     ]
     print(format_table(headers, rows))

@@ -31,8 +31,6 @@ from repro.runner import (
 
 __version__ = "1.0.0"
 
-# Imported after __version__: the batch runner folds the package version
-# into its cache keys, so it must see the attribute during partial init.
 from repro.workloads import (
     ModelRunResult,
     ModelSpec,

@@ -104,6 +104,14 @@ def _maybe_persistent_cache(cache_dir):
     return persistent_timing_cache(cache_dir)
 
 
+def _timing_cache_line(stats) -> str:
+    """One run's timing-cache hits and misses, and the process's entries."""
+    return (
+        f"timing cache: {stats.get('hits', 0)} hits, {stats.get('misses', 0)} misses "
+        f"({len(timing_cache())} entries in process)"
+    )
+
+
 def _observed_run(args: argparse.Namespace, label: str, runner):
     """Run ``runner()`` under the observability contexts the flags ask for.
 
@@ -252,8 +260,8 @@ def _cmd_model(args: argparse.Namespace) -> None:
     if args.batch:
         if args.trace_out or args.metrics:
             raise SystemExit(
-                "--trace-out/--metrics need a single in-process run; "
-                "they are not available with --batch (worker processes)"
+                "--trace-out/--metrics describe a single model run; "
+                "they are not available with --batch"
             )
         names = [name.strip() for name in args.names.split(",") if name.strip()]
         designs = [name.strip() for name in args.designs.split(",") if name.strip()]
@@ -266,25 +274,28 @@ def _cmd_model(args: argparse.Namespace) -> None:
                 resolve_spec(name)
             except KeyError as error:
                 raise SystemExit(error.args[0]) from error
+        cache = timing_cache()
+        hits, misses = cache.hits, cache.misses
         try:
             jobs = sweep_jobs(names, designs, heterogeneous=args.hetero)
-            report = run_batch(jobs, cache_dir=args.cache_dir, max_workers=args.workers)
+            with _maybe_persistent_cache(args.cache_dir):
+                report = run_batch(jobs)
         except (KeyError, ValueError) as error:
             message = error.args[0] if error.args else str(error)
             raise SystemExit(message) from error
-        headers = ["job", "total cycles", "MAC util %", "energy uJ", "cached"]
+        headers = ["job", "total cycles", "MAC util %", "energy uJ"]
         rows = [
             [
                 outcome.job.label,
                 f"{outcome.result['total_cycles']:,}",
                 f"{outcome.result['mac_utilization_percent']:.1f}",
                 f"{outcome.result['active_energy_uj']:.1f}",
-                "yes" if outcome.from_cache else "no",
             ]
             for outcome in report.outcomes
         ]
         print(format_table(headers, rows))
-        print(f"\n{report.computed} computed, {report.cached} from cache")
+        stats = {"hits": cache.hits - hits, "misses": cache.misses - misses}
+        print(f"\n{_timing_cache_line(stats)}")
         return
 
     kind = _design_from_name(args.design)
@@ -326,11 +337,7 @@ def _cmd_model(args: argparse.Namespace) -> None:
     headers, rows = compare_models([result])
     print()
     print(format_table(headers, rows))
-    stats = result.timing_cache
-    print(
-        f"\ntiming cache: {stats.get('hits', 0)} hits, {stats.get('misses', 0)} misses "
-        f"({len(timing_cache())} entries in process)"
-    )
+    print(f"\n{_timing_cache_line(result.timing_cache)}")
     _report_observability(args, result, recorder, profiler)
 
 
@@ -372,8 +379,8 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         report = result.to_dict()
         report["latency_report"] = serving_latency_report(result)
         # Run-local perf diagnostics ride outside to_dict(): the canonical
-        # encoding (and the goldens/result caches pinning it) must stay
-        # byte-stable across cache and memo states.
+        # encoding (and the goldens pinning it) must stay byte-stable across
+        # cache and memo states.
         report["perf"] = serving_perf_stats(result)
         print(json.dumps(report, indent=2))
         _report_observability(args, result, recorder, profiler)
@@ -408,12 +415,10 @@ def _cmd_serve(args: argparse.Namespace) -> None:
             f"{result.tokens_per_kilocycle:.2f} tokens/kcycle, "
             f"{result.energy_uj:.1f} uJ"
         )
-    stats = result.timing_cache
     memo = result.iteration_memo
     print(
         f"iteration memo: {memo.get('hits', 0)} hits, {memo.get('misses', 0)} misses; "
-        f"timing cache: {stats.get('hits', 0)} hits, {stats.get('misses', 0)} misses "
-        f"({len(timing_cache())} entries in process)"
+        f"{_timing_cache_line(result.timing_cache)}"
     )
     epochs = result.epochs
     if epochs.get("enabled"):
@@ -470,8 +475,7 @@ def _cmd_fleet(args: argparse.Namespace) -> None:
         report = result.to_dict()
         report["latency_report"] = fleet_report(result)
         # Run-local perf diagnostics ride outside to_dict(): the canonical
-        # encoding (and the result caches pinning it) must stay byte-stable
-        # across cache and memo states.
+        # encoding must stay byte-stable across cache and memo states.
         report["perf"] = fleet_perf_stats(result)
         print(json.dumps(report, indent=2))
         _report_observability(args, result, recorder, profiler)
@@ -604,9 +608,10 @@ def build_parser() -> argparse.ArgumentParser:
             "layer-graph IR, the model zoo and the batch runner in detail."
         ),
         epilog=(
-            "batch mode: --batch --names a,b --designs x,y fans the cross "
-            "product over a process pool; --cache-dir makes re-runs free via "
-            "a content-hashed on-disk result cache."
+            "batch mode: --batch --names a,b --designs x,y runs the cross "
+            "product in this process; --cache-dir persists the timing-cache "
+            "snapshot (kernel timings and placed model programs), so a "
+            "re-run replays every cell from it."
         ),
     )
     model.add_argument("--name", default="gpt-prefill", help="model zoo entry (see --list)")
@@ -622,10 +627,8 @@ def build_parser() -> argparse.ArgumentParser:
     model.add_argument("--names", default="", help="comma-separated models for --batch")
     model.add_argument("--designs", default="", help="comma-separated designs for --batch")
     model.add_argument("--cache-dir", type=_OUTPUT_DIR, default=None,
-                       help="on-disk cache directory (batch results + "
-                            "persistent kernel-timing snapshot)")
-    model.add_argument("--workers", type=_at_least(0), default=None,
-                       help="process-pool size for --batch (default: cpu count)")
+                       help="directory of the persistent timing-cache snapshot "
+                            "(kernel timings and placed model programs)")
     model.add_argument("--trace-out", metavar="FILE", type=_OUTPUT_FILE, default=None,
                        help="write the kernel schedule as Chrome trace-event "
                             "JSON (open in ui.perfetto.dev)")

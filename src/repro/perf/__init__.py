@@ -39,7 +39,7 @@ immutable.
 Persistence
 -----------
 Entries live for the process lifetime by default, but a snapshot of the
-cache can be persisted next to the batch runner's on-disk result cache:
+cache, namespace tables included, can be persisted in a cache directory:
 :func:`persistent_timing_cache` loads ``<dir>/timing-cache.pkl`` on entry
 and atomically merges/flushes it on exit (temp-file + rename, union with
 whatever another process flushed in the meantime).  The snapshot container
@@ -48,7 +48,9 @@ is stamped with ``SCHEMA_VERSION`` and ``SNAPSHOT_FORMAT_VERSION``;
 schema or container format, so stale entries can never satisfy fresh
 lookups -- per-entry invalidation still rides the key contract above
 (design fingerprint + workload content + schema version inside every key).
-The CLI ``serve`` and ``model`` subcommands opt in via ``--cache-dir``.
+The CLI ``model`` (single runs and ``--batch`` sweeps), ``serve`` and
+``fleet`` subcommands opt in via ``--cache-dir``; it is the only on-disk
+cache.
 
 Registering a new kernel kind
 -----------------------------
@@ -61,13 +63,6 @@ A new timing model opts in by wrapping its entry point::
 where the payload dict contains every workload parameter the result depends
 on.  ``canonical_value`` handles dataclasses and enums, so passing the
 workload object itself is usually enough.
-
-Worker seeding
---------------
-The batch runner (:mod:`repro.workloads.batch`) serializes a
-:meth:`TimingCache.snapshot` of the parent's warm cache into each process
-pool worker via the executor initializer, so sweeps start warm instead of
-re-simulating shared shapes per worker.
 """
 
 from repro.perf.cache import (

@@ -36,8 +36,7 @@ SCHEMA_VERSION = 2
 #: old on-disk file is orphaned instead of misread.
 SNAPSHOT_FORMAT_VERSION = 1
 
-#: File name of the on-disk snapshot, stored next to the batch runner's
-#: result cache when one is configured.
+#: File name of the on-disk snapshot inside a ``--cache-dir`` directory.
 SNAPSHOT_FILENAME = "timing-cache.pkl"
 
 T = TypeVar("T")
@@ -221,10 +220,9 @@ class TimingCache:
         """A picklable, schema-stamped copy of the entries.
 
         The snapshot is a versioned container --
-        ``{"format", "schema", "entries", "namespaces"}`` -- so consumers
-        (worker seeding, the on-disk persistence layer) can tell which code
-        generation wrote it and orphan stale entries instead of misreading
-        them.  Namespace memo tables (see :meth:`namespace`) ride along so
+        ``{"format", "schema", "entries", "namespaces"}`` -- so the on-disk
+        persistence layer can tell which code generation wrote it and orphan
+        stale entries instead of misreading them.  Namespace memo tables (see :meth:`namespace`) ride along so
         derived memos survive process borders together with the entries
         they were computed from.
         """
@@ -394,12 +392,12 @@ def persistent_timing_cache(
 ) -> Iterator[Path]:
     """Load the snapshot in ``directory`` on entry, flush back on exit.
 
-    The CLI entry points (``python -m repro serve/model --cache-dir ...``)
-    and the batch runner wrap their runs in this context so repeat
-    invocations start from a warm kernel-timing cache: the first process
-    pays every distinct kernel simulation once, every later process replays
-    them as cache hits.  Flushing is skipped when the run added no entries
-    (pure-hit runs leave the file untouched).
+    The CLI entry points (``python -m repro model/serve/fleet --cache-dir
+    ...``, ``model --batch`` sweeps included) wrap their runs in this context
+    so repeat invocations start from a warm kernel-timing cache: the first
+    process pays every distinct kernel simulation once, every later process
+    replays them as cache hits.  Flushing is skipped when the run added no
+    entries (pure-hit runs leave the file untouched).
     """
     cache = cache if cache is not None else timing_cache()
     path = snapshot_path(directory)

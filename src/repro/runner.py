@@ -86,7 +86,7 @@ class GemmRunResult:
         return EnergyTable.for_design(self.design.style)
 
     def to_dict(self) -> Dict[str, object]:
-        """Canonical JSON-ready encoding shared by the CLI and result caches."""
+        """Canonical JSON-ready encoding, as the CLI prints it."""
         return {
             "kind": "gemm",
             "design": self.design_name,
@@ -133,7 +133,7 @@ class FlashAttentionRunResult:
         return soc_breakdown(self.design.name, self.kernel.counters, table)
 
     def to_dict(self) -> Dict[str, object]:
-        """Canonical JSON-ready encoding shared by the CLI and result caches."""
+        """Canonical JSON-ready encoding, as the CLI prints it."""
         workload = self.kernel.workload
         return {
             "kind": "flash_attention",

@@ -25,11 +25,11 @@ Pipeline
    iteration, on the same executor, so independent requests overlap on the
    matrix/SIMT units and per-request latency percentiles fall out of the
    placement;
-5. :mod:`repro.workloads.batch` -- fans (model, design) and (trace, design)
-   sweeps over a process pool with a content-hashed on-disk JSON result
-   cache (:func:`~repro.workloads.batch.moe_sweep_jobs` crosses the MoE
-   routing knobs, :func:`~repro.workloads.batch.serving_sweep_jobs` the
-   serving batch mixes).
+5. :mod:`repro.workloads.batch` -- builds (model, design), (trace, design)
+   and fleet chaos sweeps and runs their cells in the calling process
+   (:func:`~repro.workloads.batch.moe_sweep_jobs` crosses the MoE routing
+   knobs, :func:`~repro.workloads.batch.serving_sweep_jobs` the serving
+   batch mixes); ``--cache-dir`` persists the timing cache they share.
 
 Per-kernel timings flow through the process-wide timing cache
 (:mod:`repro.perf`; per-run hit/miss stats land in
@@ -148,7 +148,6 @@ from repro.workloads.batch import (
     BatchOutcome,
     BatchReport,
     FleetJob,
-    ResultCache,
     ServingJob,
     fleet_sweep_jobs,
     moe_sweep_jobs,
@@ -235,7 +234,6 @@ __all__ = [
     "BatchOutcome",
     "BatchReport",
     "FleetJob",
-    "ResultCache",
     "ServingJob",
     "fleet_names",
     "fleet_sweep_jobs",

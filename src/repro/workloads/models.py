@@ -16,8 +16,8 @@ Four families cover the scenario space the evaluation cares about:
 
 All builders take a :class:`ModelSpec` so a design-space sweep can vary
 hidden size, depth, head layout (including GQA/MQA via ``kv_heads``),
-sequence length and batch from one record -- and so the batch runner can
-content-hash the exact workload it ran.
+sequence length and batch from one record -- and so the sweep builders can
+compare the exact workload of two cells.
 
 The serving-trace zoo at the bottom of the module builds request *streams*
 for the continuous-batching scheduler (:mod:`repro.workloads.serving`):
@@ -586,7 +586,7 @@ def poisson_trace(
 
     Prompt lengths and decode budgets rotate deterministically through the
     given menus so the trace content is a pure function of its arguments --
-    the batch runner content-hashes traces, so builders must be reproducible.
+    sweeps compare traces by content, so builders must be reproducible.
     """
     rng = random.Random(seed)
     arrival = 0
@@ -680,8 +680,8 @@ def poisson_stream_trace(
     keeps every decode step of a request inside one KV bucket, so a solo
     request's whole service is a single invariant composition -- the shape
     the episode templates compress best.  Content is a pure function of the
-    arguments (seeded numpy RNG), matching the batch runner's
-    content-hashing requirement.
+    arguments (seeded numpy RNG), as sweeps that compare traces by content
+    require.
     """
     rng = np.random.default_rng(seed)
     gaps = rng.exponential(mean_interarrival, requests).astype(np.int64)
@@ -716,7 +716,7 @@ def slo_trace(
     ``classes`` accepts :class:`~repro.workloads.control.SloClass` instances
     or built-in class names (:data:`~repro.workloads.control.SLO_CLASSES`).
     Round-robin over the request tuple keeps the assignment a pure function
-    of the trace content, so the batch runner's content hashing still holds.
+    of the trace content, so comparing traces by content still holds.
     """
     if isinstance(base, str):
         base = resolve_trace(base)

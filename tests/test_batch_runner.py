@@ -1,15 +1,19 @@
-"""Tests for the cached parallel batch runner."""
+"""Tests for the in-process sweep runner and its persisted timing cache."""
 
-import json
+import dataclasses
+import pickle
+import re
 
 import pytest
 
+import repro.perf.cache as cache_module
 import repro.workloads.batch as batch_module
+import repro.workloads.lowering as lowering
+from repro.perf import persistent_timing_cache, timing_cache
 from repro.workloads import (
     BatchJob,
     ModelSpec,
     RequestSpec,
-    ResultCache,
     ServingJob,
     ServingTrace,
     run_batch,
@@ -18,6 +22,7 @@ from repro.workloads import (
     serving_sweep_jobs,
     sweep_jobs,
 )
+from repro.workloads.lowering import MODEL_PROGRAMS
 
 #: A deliberately tiny spec so batch tests stay fast.
 TINY = scaled_spec(resolve_spec("gpt-decode"), blocks=1, hidden=128, heads=4, context_len=64)
@@ -43,93 +48,84 @@ TINY_TRACE = ServingTrace(
 )
 
 
-class TestCacheKeys:
-    def test_key_is_deterministic(self):
-        assert BatchJob(TINY, "virgo").key() == BatchJob(TINY, "virgo").key()
+@pytest.fixture(autouse=True)
+def fresh_cache():
+    timing_cache().clear()
+    yield
+    timing_cache().clear()
 
-    def test_key_depends_on_design_and_flags(self):
+
+def _in_a_fresh_process(directory, jobs):
+    """Run ``jobs`` the way a new ``--cache-dir`` process would: an empty
+    in-process cache, warmed only by the snapshot in ``directory``.
+    Returns the results and the sweep's timing-cache misses."""
+    timing_cache().clear()
+    with persistent_timing_cache(directory):
+        misses = timing_cache().misses
+        results = run_batch(jobs).results()
+        return results, timing_cache().misses - misses
+
+
+class TestCellContent:
+    def test_content_depends_on_design_and_flags(self):
         base = BatchJob(TINY, "virgo")
-        assert base.key() != BatchJob(TINY, "ampere").key()
-        assert base.key() != BatchJob(TINY, "virgo", heterogeneous=True).key()
+        assert base.content != BatchJob(TINY, "ampere").content
+        assert base.content != BatchJob(TINY, "virgo", heterogeneous=True).content
 
-    def test_key_depends_on_spec_content(self):
+    def test_content_depends_on_spec(self):
         other = scaled_spec(TINY, context_len=128)
-        assert BatchJob(TINY, "virgo").key() != BatchJob(other, "virgo").key()
+        assert BatchJob(TINY, "virgo").content != BatchJob(other, "virgo").content
 
-    def test_name_and_spec_spellings_share_a_key(self):
+    def test_name_and_spec_spellings_share_content(self):
         by_name = BatchJob("gpt-decode", "virgo")
-        by_spec = BatchJob(resolve_spec("gpt-decode"), "virgo")
-        assert by_name.key() == by_spec.key()
-
-
-class TestResultCache:
-    def test_missing_entry_is_none(self, tmp_path):
-        assert ResultCache(tmp_path).get("deadbeef") is None
-
-    def test_round_trip(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put("k", {"total_cycles": 42})
-        assert cache.get("k") == {"total_cycles": 42}
-        assert len(cache) == 1
-
-    def test_corrupted_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.path_for("bad").write_text("{not json", encoding="utf-8")
-        assert cache.get("bad") is None
+        by_spec = BatchJob(resolve_spec("gpt-decode"), "Virgo")
+        assert by_name.content == by_spec.content
 
 
 class TestRunBatch:
     def test_second_run_hits_cache_without_recomputation(self, tmp_path, monkeypatch):
         jobs = [BatchJob(TINY, "virgo"), BatchJob(TINY, "ampere")]
+        with persistent_timing_cache(tmp_path):
+            first = run_batch(jobs).results()
 
-        first = run_batch(jobs, cache_dir=tmp_path, max_workers=1)
-        assert first.computed == 2 and first.cached == 0
+        # Lowering a model again would mean the snapshot did not serve it.
+        def explode(*args, **kwargs):
+            raise AssertionError("model lowered again despite a warm snapshot")
 
-        # Any recomputation on the second run would call the worker; poison it.
-        def explode(job):
-            raise AssertionError(f"job {job.label} recomputed despite warm cache")
+        monkeypatch.setattr(lowering, "lower_graph", explode)
+        second, misses = _in_a_fresh_process(tmp_path, jobs)
+        assert misses == 0
+        assert second == first
 
-        monkeypatch.setattr(batch_module, "_execute_job", explode)
-        second = run_batch(jobs, cache_dir=tmp_path, max_workers=1)
-        assert second.computed == 0 and second.cached == 2
-        assert [o.result for o in second.outcomes] == [o.result for o in first.outcomes]
-
-    def test_results_match_direct_run(self, tmp_path):
-        job = BatchJob(TINY, "virgo")
-        report = run_batch([job], cache_dir=tmp_path, max_workers=1)
+    def test_results_match_direct_run(self):
+        report = run_batch([BatchJob(TINY, "virgo")])
         direct = batch_module.run_model(TINY, "virgo").to_dict()
         assert report.outcomes[0].result == direct
 
-    def test_no_cache_dir_disables_caching(self):
-        report = run_batch([BatchJob(TINY, "virgo")], cache_dir=None, max_workers=1)
-        assert report.computed == 1
-        report_again = run_batch([BatchJob(TINY, "virgo")], cache_dir=None, max_workers=1)
-        assert report_again.computed == 1
+    def test_sweep_leaves_every_program_in_the_snapshot(self, tmp_path):
+        """Every cell runs in the calling process, so a sweep with default
+        arguments persists each cell's placed model program."""
+        with persistent_timing_cache(tmp_path) as path:
+            run_batch(sweep_jobs([TINY], ["virgo", "ampere"]))
+        snapshot = pickle.loads(path.read_bytes())
+        assert len(snapshot["namespaces"][MODEL_PROGRAMS]) == 2
 
-    def test_spec_change_invalidates_only_affected_entries(self, tmp_path):
-        job_a = BatchJob(TINY, "virgo")
-        run_batch([job_a], cache_dir=tmp_path, max_workers=1)
-        job_b = BatchJob(scaled_spec(TINY, context_len=128), "virgo")
-        report = run_batch([job_a, job_b], cache_dir=tmp_path, max_workers=1)
-        assert report.cached == 1 and report.computed == 1
+    def test_cli_rerun_replays_from_the_snapshot(self, tmp_path, capsys):
+        from repro.__main__ import main
 
-    def test_process_pool_path(self, tmp_path):
-        """Misses fan out over worker processes and still land in the cache."""
-        jobs = [BatchJob(TINY, "virgo"), BatchJob(TINY, "ampere")]
-        report = run_batch(jobs, cache_dir=tmp_path, max_workers=2)
-        assert report.computed == 2
-        assert len(ResultCache(tmp_path)) == 2
-        for outcome in report.outcomes:
-            json.dumps(outcome.result)
-
-    def test_cached_entries_are_canonical_json_files(self, tmp_path):
-        job = BatchJob(TINY, "virgo")
-        run_batch([job], cache_dir=tmp_path, max_workers=1)
-        path = ResultCache(tmp_path).path_for(job.key())
-        assert path.exists()
-        on_disk = json.loads(path.read_text(encoding="utf-8"))
-        assert on_disk["kind"] == "model"
-        assert on_disk["design"] == "Virgo"
+        argv = ["model", "--batch", "--names", "gpt-decode", "--designs",
+                "virgo,ampere", "--cache-dir", str(tmp_path)]
+        outputs = []
+        for _ in range(2):
+            timing_cache().clear()
+            main(argv)
+            table, line = capsys.readouterr().out.rstrip().rsplit("\n", 1)
+            stats = re.fullmatch(r"timing cache: \d+ hits, (\d+) misses \(.*\)", line)
+            assert stats, line
+            outputs.append((table, int(stats.group(1))))
+        (first, cold_misses), (second, warm_misses) = outputs
+        assert second == first
+        assert cold_misses > 0 and warm_misses == 0
 
 
 class TestSweepJobs:
@@ -143,9 +139,11 @@ class TestSweepJobs:
             "gpt-decode@ampere",
         }
 
-    def test_unknown_model_fails_at_key_time(self):
+    def test_unknown_names_fail_at_sweep_build(self):
         with pytest.raises(KeyError):
-            BatchJob("not-a-model", "virgo").key()
+            sweep_jobs(["not-a-model"], ["virgo"])
+        with pytest.raises(KeyError):
+            serving_sweep_jobs(["not-a-trace"], ["virgo"])
 
     def test_heterogeneous_sequence_crosses_into_jobs(self):
         jobs = sweep_jobs(["gpt-decode"], ["virgo"], heterogeneous=(False, True))
@@ -158,81 +156,34 @@ class TestSweepJobs:
         assert [job.heterogeneous for job in jobs] == [True]
 
 
+def _poison_model_programs(path):
+    """Add one cycle to every placed program in the snapshot at ``path``."""
+    snapshot = pickle.loads(path.read_bytes())
+    table = snapshot["namespaces"][MODEL_PROGRAMS]
+    for key, placed in table.items():
+        table[key] = dataclasses.replace(placed, total_cycles=placed.total_cycles + 1)
+    path.write_bytes(pickle.dumps(snapshot))
+
+
 class TestCacheSchemaBump:
     def test_old_schema_entries_are_ignored_not_misread(self, tmp_path, monkeypatch):
-        """A schema bump must orphan old entries entirely: a result cached
-        under the previous schema version is never returned for the same
-        job content under the current one."""
-        job = BatchJob(TINY, "virgo")
-        monkeypatch.setattr(batch_module, "CACHE_SCHEMA_VERSION", 2)
-        old_key = job.key()
-        poisoned = {"kind": "model", "total_cycles": -1, "schema": "stale"}
-        ResultCache(tmp_path).put(old_key, poisoned)
-        monkeypatch.undo()
+        """A ``SCHEMA_VERSION`` bump orphans the whole snapshot: a sweep
+        re-run under the same cache directory recomputes every cell and
+        never returns what the pre-bump snapshot held."""
+        jobs = sweep_jobs([TINY], ["virgo", "ampere"])
+        with persistent_timing_cache(tmp_path) as path:
+            fresh = run_batch(jobs).results()
+        _poison_model_programs(path)
 
-        assert job.key() != old_key  # the bump moved the key namespace
-        report = run_batch([job], cache_dir=tmp_path, max_workers=1)
-        assert report.computed == 1 and report.cached == 0
-        assert report.outcomes[0].result != poisoned
-        assert report.outcomes[0].result["total_cycles"] > 0
+        # Under the schema that wrote it, the snapshot is what a re-run reads.
+        stale, misses = _in_a_fresh_process(tmp_path, jobs)
+        assert misses == 0
+        assert [r["total_cycles"] for r in stale] == [r["total_cycles"] + 1 for r in fresh]
 
-    def test_schema_version_is_part_of_every_key(self, monkeypatch):
-        model_key = BatchJob(TINY, "virgo").key()
-        serving_key = ServingJob(TINY_TRACE, "virgo").key()
-        monkeypatch.setattr(batch_module, "CACHE_SCHEMA_VERSION", 999)
-        assert BatchJob(TINY, "virgo").key() != model_key
-        assert ServingJob(TINY_TRACE, "virgo").key() != serving_key
-
-    def test_model_and_serving_keys_never_collide(self):
-        # The "kind" discriminator keeps the two job namespaces disjoint
-        # even if a trace payload ever mirrored a spec payload.
-        assert BatchJob(TINY, "virgo").key() != ServingJob(TINY_TRACE, "virgo").key()
-
-
-class TestTimingCacheSnapshotAcrossProcesses:
-    def test_snapshot_round_trips_deterministically_across_processes(self, tmp_path):
-        """Worker processes seeded from the parent's warm timing cache must
-        produce byte-identical results to an inline run: the snapshot is a
-        faithful, deterministic transport of the parent's entries."""
-        from repro.perf import timing_cache
-
-        timing_cache().clear()
-        try:
-            inline = run_batch(
-                [BatchJob(TINY, "virgo"), BatchJob(TINY, "ampere")],
-                cache_dir=None, max_workers=1,
-            )
-            assert timing_cache().snapshot()  # the parent cache is warm now
-            pooled = run_batch(
-                [BatchJob(TINY, "virgo"), BatchJob(TINY, "ampere")],
-                cache_dir=None, max_workers=2,
-            )
-        finally:
-            timing_cache().clear()
-        inline_results = [outcome.result for outcome in inline.outcomes]
-        pooled_results = [outcome.result for outcome in pooled.outcomes]
-        assert json.dumps(pooled_results, sort_keys=True) == json.dumps(
-            inline_results, sort_keys=True
-        )
-
-    def test_seeded_worker_result_matches_unseeded(self):
-        """Seeding is a pure accelerator: loading a snapshot into a fresh
-        cache changes hit/miss accounting, never results."""
-        from repro.perf import timing_cache
-
-        timing_cache().clear()
-        try:
-            cold = batch_module._execute_job(BatchJob(TINY, "virgo"))
-            snapshot = timing_cache().snapshot()
-            timing_cache().clear()
-            batch_module._seed_worker_cache(snapshot)
-            hits_before = timing_cache().hits
-            warm = batch_module._execute_job(BatchJob(TINY, "virgo"))
-            assert timing_cache().hits > hits_before
-            assert timing_cache().misses == 0
-            assert warm == cold
-        finally:
-            timing_cache().clear()
+        monkeypatch.setattr(cache_module, "SCHEMA_VERSION", cache_module.SCHEMA_VERSION + 1)
+        rerun, misses = _in_a_fresh_process(tmp_path, jobs)
+        assert misses > 0
+        assert rerun == fresh
 
 
 class TestDuplicateSweepCells:
@@ -241,8 +192,14 @@ class TestDuplicateSweepCells:
             sweep_jobs(["gpt-decode", "gpt-decode"], ["virgo"])
 
     def test_sweep_jobs_rejects_name_and_spec_spelling_the_same_content(self):
-        with pytest.raises(ValueError, match="duplicate sweep cell"):
-            sweep_jobs(["gpt-decode", resolve_spec("gpt-decode")], ["virgo"])
+        for models, designs, labels in (
+            (["gpt-decode", resolve_spec("gpt-decode")], ["virgo"],
+             ("gpt-decode@virgo", "gpt@virgo")),
+            (["gpt-decode"], ["virgo", "Virgo"], ("gpt-decode@virgo", "gpt-decode@Virgo")),
+        ):
+            with pytest.raises(ValueError, match="duplicate sweep cell") as excinfo:
+                sweep_jobs(models, designs)
+            assert all(repr(label) in str(excinfo.value) for label in labels)
 
     def test_moe_sweep_rejects_repeated_knob_value(self):
         with pytest.raises(ValueError, match="duplicate sweep cell"):
@@ -265,20 +222,18 @@ class TestDuplicateSweepCells:
 
 
 class TestServingJobs:
-    def test_key_is_deterministic_and_content_addressed(self):
-        assert ServingJob(TINY_TRACE, "virgo").key() == ServingJob(TINY_TRACE, "virgo").key()
+    def test_content_depends_on_design_and_units(self):
+        assert ServingJob(TINY_TRACE, "virgo").content == ServingJob(TINY_TRACE, "virgo").content
         assert (
-            ServingJob(TINY_TRACE, "virgo").key()
-            != ServingJob(TINY_TRACE, "ampere").key()
+            ServingJob(TINY_TRACE, "virgo").content
+            != ServingJob(TINY_TRACE, "ampere").content
         )
         assert (
-            ServingJob(TINY_TRACE, "virgo").key()
-            != ServingJob(TINY_TRACE, "virgo", heterogeneous=True).key()
+            ServingJob(TINY_TRACE, "virgo").content
+            != ServingJob(TINY_TRACE, "virgo", heterogeneous=True).content
         )
 
-    def test_trace_content_changes_key(self):
-        import dataclasses
-
+    def test_trace_edit_changes_content(self):
         shifted = dataclasses.replace(
             TINY_TRACE,
             requests=(
@@ -286,12 +241,12 @@ class TestServingJobs:
                 dataclasses.replace(TINY_TRACE.requests[1], arrival_cycle=999),
             ),
         )
-        assert ServingJob(TINY_TRACE, "virgo").key() != ServingJob(shifted, "virgo").key()
+        assert ServingJob(TINY_TRACE, "virgo").content != ServingJob(shifted, "virgo").content
 
-    def test_name_and_trace_spellings_share_a_key(self):
+    def test_name_and_trace_spellings_share_content(self):
         by_name = ServingJob("poisson-mixed", "virgo")
         by_trace = ServingJob(batch_module.resolve_trace("poisson-mixed"), "virgo")
-        assert by_name.key() == by_trace.key()
+        assert by_name.content == by_trace.content
 
     def test_label_names_trace_design_and_units(self):
         assert ServingJob(TINY_TRACE, "virgo").label == "serve:batch-tiny@virgo"
@@ -304,25 +259,19 @@ class TestServingJobs:
         jobs = serving_sweep_jobs([TINY_TRACE], ["virgo"], heterogeneous=(False, True))
         assert [job.heterogeneous for job in jobs] == [False, True]
 
-    def test_run_batch_executes_and_caches_serving_jobs(self, tmp_path, monkeypatch):
+    def test_run_batch_executes_and_caches_serving_jobs(self, tmp_path):
         job = ServingJob(TINY_TRACE, "virgo")
-        first = run_batch([job], cache_dir=tmp_path, max_workers=1)
-        assert first.computed == 1
-        result = first.outcomes[0].result
+        with persistent_timing_cache(tmp_path):
+            (result,) = run_batch([job]).results()
         assert result["kind"] == "serving"
         assert result["decode_steps_executed"] == TINY_TRACE.total_decode_steps
 
-        def explode(job):
-            raise AssertionError("serving job recomputed despite warm cache")
+        replayed, misses = _in_a_fresh_process(tmp_path, [job])
+        assert misses == 0
+        assert replayed == [result]
 
-        monkeypatch.setattr(batch_module, "_execute_job", explode)
-        second = run_batch([job], cache_dir=tmp_path, max_workers=1)
-        assert second.cached == 1
-        assert second.outcomes[0].result == result
-
-    def test_serving_result_matches_direct_run(self, tmp_path):
-        report = run_batch([ServingJob(TINY_TRACE, "virgo")], cache_dir=tmp_path,
-                           max_workers=1)
+    def test_serving_result_matches_direct_run(self):
+        report = run_batch([ServingJob(TINY_TRACE, "virgo")])
         direct = batch_module.run_serving(TINY_TRACE, "virgo").to_dict()
         assert report.outcomes[0].result == direct
 
@@ -338,8 +287,8 @@ class TestSpecResolution:
 
         monkeypatch.setattr(batch_module, "resolve_spec", counting)
         job = BatchJob("gpt-decode", "virgo")
-        job.key()
-        job.key()
+        job.content
+        job.content
         assert job.spec is job.spec
         assert calls == ["gpt-decode"]
 
@@ -348,40 +297,3 @@ class TestSpecResolution:
             batch_module, "resolve_spec", lambda name: pytest.fail("resolved a ModelSpec job")
         )
         assert BatchJob(TINY, "virgo").spec is TINY
-
-
-class TestWorkerCacheSeeding:
-    def test_seed_worker_cache_loads_entries(self):
-        from repro.perf import timing_cache
-        from repro.runner import run_gemm
-        from repro.config.presets import DesignKind
-
-        timing_cache().clear()
-        try:
-            run_gemm(DesignKind.VIRGO, 128)
-            snapshot = timing_cache().snapshot()
-            assert snapshot
-            timing_cache().clear()
-            batch_module._seed_worker_cache(snapshot)
-            assert len(timing_cache()) == len(snapshot["entries"])
-            # A seeded lookup is a hit, not a recomputation.
-            run_gemm(DesignKind.VIRGO, 128)
-            assert timing_cache().hits == 1 and timing_cache().misses == 0
-        finally:
-            timing_cache().clear()
-
-    def test_snapshot_is_picklable_for_pool_initargs(self):
-        import pickle
-
-        from repro.perf import timing_cache
-        from repro.runner import run_flash_attention, run_gemm
-        from repro.config.presets import DesignKind
-
-        timing_cache().clear()
-        try:
-            run_gemm(DesignKind.VIRGO, 128)
-            run_flash_attention(DesignKind.VIRGO)
-            restored = pickle.loads(pickle.dumps(timing_cache().snapshot()))
-            assert len(restored["entries"]) == 2
-        finally:
-            timing_cache().clear()

@@ -29,7 +29,6 @@ def _bad_inputs(tmp):
         (["model", "--cache-dir", blocker], "is not a directory"),
         (["model", "--batch", "--names", "gpt-decode", "--designs", "virgo",
           "--cache-dir", below], "is not a writable directory"),
-        (["model", "--batch", "--workers", "-1"], "--workers: must be >= 0"),
         (["model", "--trace-out", below + ".json"], "is not a writable directory"),
         (["model", "--trace-out", str(tmp)], "is a directory"),
         (["model", "--trace-out", missing], "is not a writable directory"),
@@ -75,7 +74,7 @@ def test_bad_input_fails_in_one_line_before_any_simulation(scratch, capsys):
     "argv",
     [
         ["gemm", "--size", "1"],
-        ["model", "--workers", "0", "--cache-dir", "new/nested/dir", "--trace-out", "t.json"],
+        ["model", "--cache-dir", "new/nested/dir", "--trace-out", "t.json"],
         ["serve", "--kv-budget", "1", "--fault-seed", "-3"],
         ["fleet", "--max-retries", "0", "--router-seed", "-1"],
         ["trace-report", "--input", "t.json", "--top", "0"],

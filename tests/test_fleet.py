@@ -20,6 +20,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.faults import FleetFaultPlan, ReplicaFaultEvent
+from repro.perf import persistent_timing_cache, timing_cache
 from repro.workloads import (
     FLEET_DISPOSITIONS,
     FLEET_ZOO,
@@ -473,14 +474,14 @@ class TestFleetBatch:
     def test_job_key_ignores_spelling(self):
         by_name = FleetJob(trace=tiny_trace(), fleet="duo-virgo")
         by_list = FleetJob(trace=tiny_trace(), fleet=("virgo", "virgo"))
-        assert by_name.key() == by_list.key()
+        assert by_name.content == by_list.content
 
     def test_job_key_tracks_fault_plan_and_seed(self):
         base = FleetJob(trace=tiny_trace())
         chaotic = FleetJob(trace=tiny_trace(), faults="crash:0.5:100000")
         reseeded = FleetJob(trace=tiny_trace(), faults="crash:0.5:100000",
                             fault_seed=1)
-        assert len({base.key(), chaotic.key(), reseeded.key()}) == 3
+        assert len({base.content, chaotic.content, reseeded.content}) == 3
 
     def test_sweep_crosses_and_rejects_duplicates(self):
         jobs = fleet_sweep_jobs(
@@ -499,15 +500,24 @@ class TestFleetBatch:
                              fault_plans=("crash:5:100",))
         with pytest.raises(ValueError, match="invalid fleet sweep cell"):
             fleet_sweep_jobs(traces=(tiny_trace(),), fleets=("no-such-zoo",))
+        with pytest.raises(ValueError, match="invalid fleet sweep cell"):
+            fleet_sweep_jobs(traces=(tiny_trace(),), policies=("no-such-policy",))
+        with pytest.raises(ValueError, match="invalid fleet sweep cell"):
+            fleet_sweep_jobs(traces=("no-such-trace",))
 
     def test_run_batch_caches_fleet_results(self, tmp_path):
         jobs = fleet_sweep_jobs(traces=(tiny_trace(),), fleets=(2,),
                                 policies=("round-robin",),
                                 fault_plans=("crash@0:1:5000000",),
                                 failover=(True, False))
-        cold = run_batch(jobs, cache_dir=tmp_path, max_workers=1)
-        warm = run_batch(jobs, cache_dir=tmp_path, max_workers=1)
-        assert cold.computed == 2 and warm.cached == 2
+        timing_cache().clear()
+        with persistent_timing_cache(tmp_path):
+            cold = run_batch(jobs)
+        # A later process replays both cells from the snapshot alone.
+        timing_cache().clear()
+        with persistent_timing_cache(tmp_path):
+            warm = run_batch(jobs)
+            assert timing_cache().misses == 0
         assert cold.results() == warm.results()
         goodput = {out.job.label: out.result["goodput"] for out in cold.outcomes}
         with_failover, = [v for k, v in goodput.items() if "nofailover" not in k]

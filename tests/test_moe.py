@@ -237,7 +237,7 @@ class TestMoeSweeps:
             capacity_factors=(1.0, 1.5), heterogeneous=(False, True),
         )
         assert len(jobs) == 2 * 2 * 2 * 2
-        assert len({job.key() for job in jobs}) == len(jobs)
+        assert len({job.content for job in jobs}) == len(jobs)
 
     def test_moe_sweep_skips_infeasible_cells(self):
         jobs = moe_sweep_jobs(experts=(1, 8), top_ks=(2,), heterogeneous=False)

@@ -139,7 +139,7 @@ class TestTimingCacheMechanics:
     def test_load_orphans_stale_schema_snapshots(self):
         """A snapshot stamped with a different schema (or container format)
         is skipped wholesale -- stale timing entries must never satisfy
-        fresh lookups, mirroring the batch-cache schema-bump behaviour."""
+        fresh lookups."""
         run_gemm(DesignKind.VIRGO, 256)
         snapshot = timing_cache().snapshot()
 

@@ -30,7 +30,6 @@ from repro.perf import (
 )
 from repro.runner import run_gemm
 from repro.workloads import ModelSpec, RequestSpec, ServingTrace, run_serving
-from repro.workloads.batch import BatchJob, run_batch
 
 TINY_GPT = ModelSpec(family="gpt", phase="decode", batch=1, seq_len=32,
                      hidden=128, blocks=1, heads=4)
@@ -207,22 +206,6 @@ class TestPersistentContext:
         with persistent_timing_cache(tmp_path):
             run_gemm(DesignKind.VIRGO, 128)
         assert path.stat().st_mtime_ns == stamp
-
-    def test_run_batch_persists_alongside_result_cache(self, tmp_path):
-        job = BatchJob(model="gpt-decode", design="virgo")
-        first = run_batch([job], cache_dir=tmp_path, max_workers=1)
-        assert snapshot_path(tmp_path).exists()
-        assert first.computed == 1
-
-        # Fresh process simulation: result cache dropped, timing cache kept
-        # on disk -- recomputing the job is all timing-cache hits.
-        for entry in tmp_path.glob("*.json"):
-            entry.unlink()
-        timing_cache().clear()
-        second = run_batch([job], cache_dir=tmp_path, max_workers=1)
-        assert second.computed == 1
-        assert timing_cache().misses == 0
-        assert second.results() == first.results()
 
 
 def _namespace_sizes(path):
