@@ -1,6 +1,7 @@
 """Tests for the in-process sweep runner and its persisted timing cache."""
 
 import dataclasses
+import json
 import pickle
 import re
 
@@ -67,6 +68,16 @@ def _in_a_fresh_process(directory, jobs):
 
 
 class TestCellContent:
+    def test_content_is_deterministic(self):
+        """Duplicate rejection keys a dict on content, so two jobs built
+        apart must compare and hash equal."""
+        first, second = BatchJob(TINY, "virgo"), BatchJob(TINY, "virgo")
+        assert first.content == second.content
+        assert hash(first.content) == hash(second.content)
+
+    def test_model_and_serving_cells_never_collide(self):
+        assert BatchJob(TINY, "virgo").content != ServingJob(TINY_TRACE, "virgo").content
+
     def test_content_depends_on_design_and_flags(self):
         base = BatchJob(TINY, "virgo")
         assert base.content != BatchJob(TINY, "ampere").content
@@ -102,6 +113,56 @@ class TestRunBatch:
         direct = batch_module.run_model(TINY, "virgo").to_dict()
         assert report.outcomes[0].result == direct
 
+    def test_mixed_kinds_run_in_job_order(self):
+        jobs = [ServingJob(TINY_TRACE, "virgo"), BatchJob(TINY, "ampere"),
+                BatchJob(TINY, "virgo")]
+        report = run_batch(jobs)
+        assert [outcome.job for outcome in report.outcomes] == jobs
+        assert [(r["kind"], r["design"]) for r in report.results()] == [
+            ("serving", "Virgo"), ("model", "Ampere-style"), ("model", "Virgo"),
+        ]
+
+    def test_results_are_canonical_json(self):
+        """Each result is the plain JSON encoding the CLI prints."""
+        results = run_batch([BatchJob(TINY, "virgo"), ServingJob(TINY_TRACE, "virgo")]).results()
+        for result in results:
+            assert json.loads(json.dumps(result)) == result
+
+    def test_later_cells_reuse_earlier_cells_kernels(self):
+        """Cells share the process-wide timing cache: kernel shapes an
+        earlier cell simulated are hits for every later cell."""
+        jobs = [BatchJob(TINY, "virgo"), BatchJob(scaled_spec(TINY, context_len=128), "virgo")]
+        alone, alone_misses = [], 0
+        for job in jobs:
+            timing_cache().clear()
+            alone += run_batch([job]).results()
+            alone_misses += timing_cache().misses
+        timing_cache().clear()
+        assert run_batch(jobs).results() == alone
+        assert timing_cache().misses < alone_misses
+
+    def test_without_a_cache_dir_nothing_is_written(self, tmp_path, monkeypatch):
+        """Outside ``persistent_timing_cache`` a sweep reuses the in-process
+        cache only and leaves no file behind."""
+        monkeypatch.chdir(tmp_path)
+        jobs = sweep_jobs([TINY], ["virgo", "ampere"])
+        first = run_batch(jobs).results()
+        misses = timing_cache().misses
+        assert run_batch(jobs).results() == first
+        assert timing_cache().misses == misses
+        assert list(tmp_path.iterdir()) == []
+
+    def test_spec_change_invalidates_only_affected_entries(self, tmp_path):
+        job_a = BatchJob(TINY, "virgo")
+        job_b = BatchJob(scaled_spec(TINY, context_len=128), "virgo")
+        with persistent_timing_cache(tmp_path) as path:
+            run_batch([job_a])
+        _, misses_a = _in_a_fresh_process(tmp_path, [job_a])
+        _, misses_b = _in_a_fresh_process(tmp_path, [job_b])
+        assert misses_a == 0 and misses_b > 0
+        snapshot = pickle.loads(path.read_bytes())
+        assert len(snapshot["namespaces"][MODEL_PROGRAMS]) == 2
+
     def test_sweep_leaves_every_program_in_the_snapshot(self, tmp_path):
         """Every cell runs in the calling process, so a sweep with default
         arguments persists each cell's placed model program."""
@@ -126,6 +187,31 @@ class TestRunBatch:
         (first, cold_misses), (second, warm_misses) = outputs
         assert second == first
         assert cold_misses > 0 and warm_misses == 0
+
+    def test_cli_batch_rejects_single_run_outputs(self, tmp_path):
+        from repro.__main__ import main
+
+        argv = ["model", "--batch", "--names", "gpt-decode", "--designs", "virgo"]
+        trace = tmp_path / "trace.json"
+        for extra in (["--trace-out", str(trace)], ["--metrics"]):
+            with pytest.raises(SystemExit, match="not available with --batch"):
+                main(argv + extra)
+        assert not trace.exists()
+
+
+class TestTimingCacheSnapshot:
+    def test_seeded_result_matches_unseeded(self):
+        """Loading a snapshot into an empty cache changes hit/miss
+        accounting, never results."""
+        jobs = sweep_jobs([TINY], ["virgo", "ampere"])
+        cold = run_batch(jobs).results()
+        snapshot = timing_cache().snapshot()
+        timing_cache().clear()
+        timing_cache().load(snapshot)
+        warm = run_batch(jobs).results()
+        assert timing_cache().hits > 0
+        assert timing_cache().misses == 0
+        assert warm == cold
 
 
 class TestSweepJobs:
@@ -185,6 +271,20 @@ class TestCacheSchemaBump:
         assert misses > 0
         assert rerun == fresh
 
+    def test_schema_bump_reaches_serving_cells(self, tmp_path, monkeypatch):
+        """After a bump a serving cell starts as cold as it first ran."""
+        jobs = [ServingJob(TINY_TRACE, "virgo")]
+        with persistent_timing_cache(tmp_path):
+            fresh = run_batch(jobs).results()
+            cold_misses = timing_cache().misses
+        _, misses = _in_a_fresh_process(tmp_path, jobs)
+        assert misses == 0
+
+        monkeypatch.setattr(cache_module, "SCHEMA_VERSION", cache_module.SCHEMA_VERSION + 1)
+        rerun, misses = _in_a_fresh_process(tmp_path, jobs)
+        assert misses == cold_misses > 0
+        assert rerun == fresh
+
 
 class TestDuplicateSweepCells:
     def test_sweep_jobs_rejects_repeated_model(self):
@@ -208,6 +308,12 @@ class TestDuplicateSweepCells:
     def test_serving_sweep_rejects_repeated_trace(self):
         with pytest.raises(ValueError, match="duplicate sweep cell"):
             serving_sweep_jobs([TINY_TRACE, TINY_TRACE], ["virgo"], heterogeneous=False)
+
+    def test_serving_sweep_rejects_name_and_trace_spelling_the_same_content(self):
+        traces = ["poisson-mixed", batch_module.resolve_trace("poisson-mixed")]
+        with pytest.raises(ValueError, match="duplicate sweep cell") as excinfo:
+            serving_sweep_jobs(traces, ["virgo"], heterogeneous=False)
+        assert repr("serve:poisson-mixed@virgo") in str(excinfo.value)
 
     def test_distinct_cells_still_pass(self):
         jobs = sweep_jobs(["gpt-decode"], ["virgo", "ampere"], heterogeneous=False)
@@ -258,6 +364,13 @@ class TestServingJobs:
     def test_serving_sweep_cross_product(self):
         jobs = serving_sweep_jobs([TINY_TRACE], ["virgo"], heterogeneous=(False, True))
         assert [job.heterogeneous for job in jobs] == [False, True]
+
+    def test_fcfs_cells_ignore_the_kv_budget(self):
+        fcfs, budgeted = serving_sweep_jobs([TINY_TRACE], ["virgo"], heterogeneous=False,
+                                            policies=("fcfs", "kv-budget"), kv_budget=4096)
+        assert fcfs.kv_budget is None and budgeted.kv_budget == 4096
+        assert fcfs.content == ServingJob(TINY_TRACE, "virgo").content
+        assert budgeted.label == "serve:batch-tiny@virgo+kv-budget+kv4096"
 
     def test_run_batch_executes_and_caches_serving_jobs(self, tmp_path):
         job = ServingJob(TINY_TRACE, "virgo")

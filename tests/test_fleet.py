@@ -18,6 +18,7 @@ import json
 
 import pytest
 
+import repro.perf.cache as cache_module
 from repro.__main__ import main
 from repro.faults import FleetFaultPlan, ReplicaFaultEvent
 from repro.perf import persistent_timing_cache, timing_cache
@@ -494,6 +495,14 @@ class TestFleetBatch:
             fleet_sweep_jobs(traces=(tiny_trace(),), fleets=("duo-virgo",),
                              policies=("round-robin", "round-robin"))
 
+    def test_sweep_rejects_the_same_fleet_spelled_twice(self):
+        with pytest.raises(ValueError, match="duplicate sweep cell") as excinfo:
+            fleet_sweep_jobs(traces=(tiny_trace(),), fleets=("duo-virgo", ("virgo", "virgo")),
+                             policies=("round-robin",))
+        for label in ("fleet:tiny-fleet@duo-virgo/round-robin",
+                      "fleet:tiny-fleet@virgoxvirgo/round-robin"):
+            assert repr(label) in str(excinfo.value)
+
     def test_sweep_rejects_invalid_cells_at_build_time(self):
         with pytest.raises(ValueError, match="invalid fleet sweep cell"):
             fleet_sweep_jobs(traces=(tiny_trace(),),
@@ -523,6 +532,23 @@ class TestFleetBatch:
         with_failover, = [v for k, v in goodput.items() if "nofailover" not in k]
         without, = [v for k, v in goodput.items() if "nofailover" in k]
         assert with_failover > without
+
+    def test_schema_bump_recomputes_fleet_cells(self, tmp_path, monkeypatch):
+        """A ``SCHEMA_VERSION`` bump orphans the snapshot: a chaos cell
+        re-run under the same directory starts as cold as it first ran."""
+        jobs = fleet_sweep_jobs(traces=(tiny_trace(),), fleets=(2,),
+                                policies=("round-robin",),
+                                fault_plans=("crash@0:1:5000000",))
+        timing_cache().clear()
+        with persistent_timing_cache(tmp_path):
+            fresh = run_batch(jobs).results()
+            cold_misses = timing_cache().misses
+        monkeypatch.setattr(cache_module, "SCHEMA_VERSION", cache_module.SCHEMA_VERSION + 1)
+        timing_cache().clear()
+        with persistent_timing_cache(tmp_path):
+            rerun = run_batch(jobs).results()
+            assert timing_cache().misses == cold_misses > 0
+        assert rerun == fresh
 
 
 class TestFleetCli:

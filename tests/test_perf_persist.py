@@ -29,7 +29,15 @@ from repro.perf import (
     timing_cache,
 )
 from repro.runner import run_gemm
-from repro.workloads import ModelSpec, RequestSpec, ServingTrace, run_serving
+from repro.workloads import (
+    ModelSpec,
+    RequestSpec,
+    ServingTrace,
+    run_batch,
+    run_serving,
+    sweep_jobs,
+)
+from repro.workloads.lowering import MODEL_PROGRAMS
 
 TINY_GPT = ModelSpec(family="gpt", phase="decode", batch=1, seq_len=32,
                      hidden=128, blocks=1, heads=4)
@@ -207,6 +215,20 @@ class TestPersistentContext:
             run_gemm(DesignKind.VIRGO, 128)
         assert path.stat().st_mtime_ns == stamp
 
+    def test_warm_sweep_does_not_rewrite_the_file(self, tmp_path):
+        """Replaying placed model programs adds nothing, so a warm sweep
+        leaves the snapshot file as it found it."""
+        jobs = sweep_jobs([TINY_GPT], ["virgo", "ampere"])
+        with persistent_timing_cache(tmp_path) as path:
+            run_batch(jobs)
+        before = path.stat()
+
+        timing_cache().clear()
+        with persistent_timing_cache(tmp_path):
+            run_batch(jobs)
+        after = path.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
 
 def _namespace_sizes(path):
     snapshot = pickle.loads(path.read_bytes())
@@ -257,3 +279,25 @@ class TestPinnedHashesStayInProcess:
         assert _namespace_sizes(snapshot_path(tmp_path)) == sizes
         first.pop("perf"), second.pop("perf")
         assert second == first
+
+    def test_model_sweep_snapshot_replays_under_another_hash_seed(self, tmp_path):
+        src = Path(repro.__file__).resolve().parents[1]
+
+        def sweep(seed):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=str(src))
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro", "model", "--batch",
+                 "--names", "gpt-decode,moe-decode", "--designs", "virgo,ampere",
+                 "--cache-dir", str(tmp_path)],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            table, _, stats = completed.stdout.rstrip().rpartition("\n")
+            return table, stats
+
+        first, _ = sweep(1)
+        sizes = _namespace_sizes(snapshot_path(tmp_path))
+        assert sizes[MODEL_PROGRAMS] == 4
+        second, stats = sweep(2)
+        assert ", 0 misses" in stats
+        assert second == first
+        assert _namespace_sizes(snapshot_path(tmp_path)) == sizes
