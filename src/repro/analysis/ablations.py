@@ -74,15 +74,15 @@ def accumulator_placement_ablation(size: int = 512) -> Dict[str, float]:
     sram_table = EnergyTable.for_design(result.design.style)
     rf_priced = EnergyTable(
         overrides={
-            "accum.read_words": EnergyEventSpec("accumulator", 1.2),
-            "accum.write_words": EnergyEventSpec("accumulator", 1.5),
+            "accum.read_words": EnergyEventSpec("accumulator", 1200),
+            "accum.write_words": EnergyEventSpec("accumulator", 1500),
         }
     )
-    sram_energy = sram_table.energy_picojoules(result.counters)
-    rf_energy = rf_priced.energy_picojoules(result.counters)
+    sram_energy = sram_table.energy_femtojoules(result.counters)
+    rf_energy = rf_priced.energy_femtojoules(result.counters)
     return {
-        "accumulator_in_sram_uj": sram_energy / 1e6,
-        "accumulator_in_rf_class_storage_uj": rf_energy / 1e6,
+        "accumulator_in_sram_uj": sram_energy / 1e9,
+        "accumulator_in_rf_class_storage_uj": rf_energy / 1e9,
         "energy_increase_percent": 100.0 * (rf_energy / sram_energy - 1.0),
     }
 

@@ -49,13 +49,13 @@ def model_layer_rows(result: ModelRunResult) -> List[List[str]]:
 
 def model_phase_summary(result: ModelRunResult) -> Dict[str, Dict[str, float]]:
     """Per-phase totals: busy cycles, energy, and share of total energy."""
-    total_energy = sum(result.phase_energy_uj.values()) or 1.0
+    total_energy = sum(result.phase_energy_fj.values()) or 1
     summary: Dict[str, Dict[str, float]] = {}
     for phase, cycles in result.phase_cycles.items():
-        energy = result.phase_energy_uj.get(phase, 0.0)
+        energy = result.phase_energy_fj.get(phase, 0)
         summary[phase] = {
             "busy_cycles": cycles,
-            "energy_uj": energy,
+            "energy_uj": energy / 1e9,
             "energy_share_percent": 100.0 * energy / total_energy,
         }
     return summary

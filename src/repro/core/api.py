@@ -20,6 +20,7 @@ and energy statistics the evaluation needs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -261,8 +262,9 @@ class VirgoContext:
         flops = elements * flops_per_element
         throughput = cluster.cores * cluster.core.lanes  # FP ops per cycle
         duration = max(1, int(flops / throughput))
-        self.counters.add("core.fpu.ops", flops)
-        self.counters.add("core.issue.instructions", flops / cluster.core.lanes)
+        # Events are whole: a partly used FLOP or instruction counts as one.
+        self.counters.add("core.fpu.ops", math.ceil(flops))
+        self.counters.add("core.issue.instructions", math.ceil(flops / cluster.core.lanes))
         handle = AsyncHandle(
             kind="simt", start_cycle=self.now, end_cycle=self.now + duration, description=name
         )

@@ -21,28 +21,32 @@ from repro.sim.stats import Counters
 
 @dataclass
 class EnergyBreakdown:
-    """A labelled energy decomposition in picojoules."""
+    """A labelled energy decomposition in whole femtojoules."""
 
     label: str
-    parts_pj: Dict[str, float]
+    parts_fj: Dict[str, int]
 
     @property
-    def total_pj(self) -> float:
-        return sum(self.parts_pj.values())
+    def total_fj(self) -> int:
+        return sum(self.parts_fj.values())
+
+    @property
+    def parts_pj(self) -> Dict[str, float]:
+        return {key: value / 1e3 for key, value in self.parts_fj.items()}
 
     def fractions(self) -> Dict[str, float]:
-        total = self.total_pj
+        total = self.total_fj
         if total == 0:
-            return {key: 0.0 for key in self.parts_pj}
-        return {key: value / total for key, value in self.parts_pj.items()}
+            return {key: 0.0 for key in self.parts_fj}
+        return {key: value / total for key, value in self.parts_fj.items()}
 
     def parts_uj(self) -> Dict[str, float]:
-        return {key: value / 1e6 for key, value in self.parts_pj.items()}
+        return {key: value / 1e9 for key, value in self.parts_fj.items()}
 
     def dominant_component(self) -> str:
-        if not self.parts_pj:
+        if not self.parts_fj:
             return ""
-        return max(self.parts_pj, key=lambda key: self.parts_pj[key])
+        return max(self.parts_fj, key=lambda key: self.parts_fj[key])
 
 
 #: Figure 9 component order.
@@ -76,14 +80,10 @@ MATRIX_GROUPS = {
 }
 
 
-def _component_energy(counters: Counters, table: EnergyTable) -> Dict[str, float]:
-    return table.energy_by_component(counters)
-
-
 def soc_breakdown(label: str, counters: Counters, table: EnergyTable) -> EnergyBreakdown:
     """SoC-level breakdown (Figure 9): core sub-groups fold into "Vortex Core"."""
-    energy = _component_energy(counters, table)
-    parts: Dict[str, float] = {name: 0.0 for name in SOC_GROUPS.values()}
+    energy = table.energy_by_component(counters)
+    parts: Dict[str, int] = {name: 0 for name in SOC_GROUPS.values()}
     for component, value in energy.items():
         if component.startswith("core."):
             parts[SOC_GROUPS["core"]] += value
@@ -95,15 +95,15 @@ def soc_breakdown(label: str, counters: Counters, table: EnergyTable) -> EnergyB
             continue  # off-chip
         else:
             parts[SOC_GROUPS["dma_other"]] += value
-    return EnergyBreakdown(label=label, parts_pj=parts)
+    return EnergyBreakdown(label=label, parts_fj=parts)
 
 
 def core_breakdown(label: str, counters: Counters, table: EnergyTable) -> EnergyBreakdown:
     """Core-level breakdown (Figure 10), with accumulator/matrix unit appended."""
-    energy = _component_energy(counters, table)
-    parts: Dict[str, float] = {name: 0.0 for name in CORE_GROUPS.values()}
-    parts["Accum Mem"] = 0.0
-    parts["Matrix Unit"] = 0.0
+    energy = table.energy_by_component(counters)
+    parts: Dict[str, int] = {name: 0 for name in CORE_GROUPS.values()}
+    parts["Accum Mem"] = 0
+    parts["Matrix Unit"] = 0
     for component, value in energy.items():
         if component in CORE_GROUPS:
             parts[CORE_GROUPS[component]] += value
@@ -111,17 +111,17 @@ def core_breakdown(label: str, counters: Counters, table: EnergyTable) -> Energy
             parts["Accum Mem"] += value
         elif component.startswith("matrix_unit."):
             parts["Matrix Unit"] += value
-    return EnergyBreakdown(label=label, parts_pj=parts)
+    return EnergyBreakdown(label=label, parts_fj=parts)
 
 
 def matrix_unit_breakdown(label: str, counters: Counters, table: EnergyTable) -> EnergyBreakdown:
     """Matrix-unit internal breakdown (Figure 11)."""
-    energy = _component_energy(counters, table)
-    parts: Dict[str, float] = {name: 0.0 for name in MATRIX_GROUPS.values()}
-    parts["Accum Mem"] = 0.0
+    energy = table.energy_by_component(counters)
+    parts: Dict[str, int] = {name: 0 for name in MATRIX_GROUPS.values()}
+    parts["Accum Mem"] = 0
     for component, value in energy.items():
         if component in MATRIX_GROUPS:
             parts[MATRIX_GROUPS[component]] += value
         elif component == "accumulator":
             parts["Accum Mem"] += value
-    return EnergyBreakdown(label=label, parts_pj=parts)
+    return EnergyBreakdown(label=label, parts_fj=parts)

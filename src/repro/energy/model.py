@@ -2,7 +2,10 @@
 
 Every counter the simulation produces maps to an :class:`EnergyEventSpec`:
 the SoC component group it belongs to (following the paper's breakdown
-figures) and an energy cost in picojoules per event.  The absolute values are
+figures) and an energy cost in whole femtojoules (fJ) per event.  Pricing
+multiplies whole counts by whole costs, so every energy total is an exact
+Python ``int`` that no addition order can change; reports convert it to
+pJ, uJ or mW once, at the end.  The absolute values are
 representative of a commercial 16 nm process -- they are *not* the paper's
 proprietary PDK numbers -- so absolute mW/mJ differ from the paper while the
 relative structure (register files and instruction processing dominating the
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 from repro.config.soc import IntegrationStyle
 from repro.sim.stats import Counters
@@ -35,10 +38,19 @@ from repro.sim.stats import Counters
 
 @dataclass(frozen=True)
 class EnergyEventSpec:
-    """Energy cost and component attribution of one counter key."""
+    """Energy cost, in whole femtojoules, and component attribution of one
+    counter key."""
 
     component: str
-    picojoules: float
+    femtojoules: int
+
+
+def _whole(key: str, count: float) -> int:
+    """``count`` as an ``int``; a fractional count of events has no price."""
+    whole = int(count)
+    if whole != count:
+        raise ValueError(f"counter {key!r} holds a fractional count {count!r}")
+    return whole
 
 
 #: Component groups used by the SoC-level breakdown (Figure 9).
@@ -77,54 +89,54 @@ def _base_table() -> Dict[str, EnergyEventSpec]:
     """The default event-energy assignments shared by all designs."""
     return {
         # --- Vortex SIMT core ------------------------------------------------
-        "core.issue.instructions": EnergyEventSpec("core.issue", 7.0),
-        "core.issue.rf_read_words": EnergyEventSpec("core.issue", 1.2),
-        "core.writeback.rf_write_words": EnergyEventSpec("core.writeback", 1.5),
-        "core.alu.ops": EnergyEventSpec("core.alu", 0.6),
-        "core.fpu.ops": EnergyEventSpec("core.fpu", 1.6),
-        "core.lsu.requests": EnergyEventSpec("core.lsu", 2.2),
-        "core.lsu.bytes": EnergyEventSpec("core.lsu", 0.02),
-        "core.other.ops": EnergyEventSpec("core.other", 1.0),
+        "core.issue.instructions": EnergyEventSpec("core.issue", 7000),
+        "core.issue.rf_read_words": EnergyEventSpec("core.issue", 1200),
+        "core.writeback.rf_write_words": EnergyEventSpec("core.writeback", 1500),
+        "core.alu.ops": EnergyEventSpec("core.alu", 600),
+        "core.fpu.ops": EnergyEventSpec("core.fpu", 1600),
+        "core.lsu.requests": EnergyEventSpec("core.lsu", 2200),
+        "core.lsu.bytes": EnergyEventSpec("core.lsu", 20),
+        "core.other.ops": EnergyEventSpec("core.other", 1000),
         # --- Shared memory ----------------------------------------------------
-        "smem.core.read_words": EnergyEventSpec("shared_memory", 1.1),
-        "smem.core.write_words": EnergyEventSpec("shared_memory", 1.25),
-        "smem.matrix.read_words": EnergyEventSpec("shared_memory", 1.1),
-        "smem.matrix.write_words": EnergyEventSpec("shared_memory", 1.25),
-        "smem.dma.read_words": EnergyEventSpec("shared_memory", 1.1),
-        "smem.dma.write_words": EnergyEventSpec("shared_memory", 1.25),
-        "smem.core_words": EnergyEventSpec("shared_memory", 1.1),
+        "smem.core.read_words": EnergyEventSpec("shared_memory", 1100),
+        "smem.core.write_words": EnergyEventSpec("shared_memory", 1250),
+        "smem.matrix.read_words": EnergyEventSpec("shared_memory", 1100),
+        "smem.matrix.write_words": EnergyEventSpec("shared_memory", 1250),
+        "smem.dma.read_words": EnergyEventSpec("shared_memory", 1100),
+        "smem.dma.write_words": EnergyEventSpec("shared_memory", 1250),
+        "smem.core_words": EnergyEventSpec("shared_memory", 1100),
         # --- Accumulator SRAM (Virgo) ------------------------------------------
-        "accum.read_words": EnergyEventSpec("accumulator", 0.55),
-        "accum.write_words": EnergyEventSpec("accumulator", 0.65),
+        "accum.read_words": EnergyEventSpec("accumulator", 550),
+        "accum.write_words": EnergyEventSpec("accumulator", 650),
         # --- Matrix unit internals ---------------------------------------------
-        "matrix_unit.pe.macs": EnergyEventSpec("matrix_unit.pe", 0.75),
-        "matrix_unit.pe.in_mesh_accumulations": EnergyEventSpec("matrix_unit.pe", 0.0),
-        "matrix_unit.operand_buffer_words": EnergyEventSpec("matrix_unit.operand_buffer", 0.9),
-        "matrix_unit.result_buffer_words": EnergyEventSpec("matrix_unit.result_buffer", 0.9),
-        "matrix_unit.smem_interface_words": EnergyEventSpec("matrix_unit.smem_interface", 0.35),
-        "matrix_unit.control_events": EnergyEventSpec("matrix_unit.control", 1.5),
+        "matrix_unit.pe.macs": EnergyEventSpec("matrix_unit.pe", 750),
+        "matrix_unit.pe.in_mesh_accumulations": EnergyEventSpec("matrix_unit.pe", 0),
+        "matrix_unit.operand_buffer_words": EnergyEventSpec("matrix_unit.operand_buffer", 900),
+        "matrix_unit.result_buffer_words": EnergyEventSpec("matrix_unit.result_buffer", 900),
+        "matrix_unit.smem_interface_words": EnergyEventSpec("matrix_unit.smem_interface", 350),
+        "matrix_unit.control_events": EnergyEventSpec("matrix_unit.control", 1500),
         # --- Caches and DRAM ----------------------------------------------------
-        "l1.requests": EnergyEventSpec("l1", 3.0),
-        "l1.bytes": EnergyEventSpec("l1", 0.12),
-        "l1.hits": EnergyEventSpec("l1", 3.0),
-        "l1.misses": EnergyEventSpec("l1", 6.0),
-        "l2.bytes": EnergyEventSpec("l2", 0.22),
-        "l2.accesses": EnergyEventSpec("l2", 8.0),
-        "dram.bytes": EnergyEventSpec("dram", 0.0),   # off-chip: excluded from SoC power
-        "dram.transfers": EnergyEventSpec("dram", 0.0),
+        "l1.requests": EnergyEventSpec("l1", 3000),
+        "l1.bytes": EnergyEventSpec("l1", 120),
+        "l1.hits": EnergyEventSpec("l1", 3000),
+        "l1.misses": EnergyEventSpec("l1", 6000),
+        "l2.bytes": EnergyEventSpec("l2", 220),
+        "l2.accesses": EnergyEventSpec("l2", 8000),
+        "dram.bytes": EnergyEventSpec("dram", 0),   # off-chip: excluded from SoC power
+        "dram.transfers": EnergyEventSpec("dram", 0),
         # --- DMA, MMIO, synchronizer -------------------------------------------
-        "dma.bytes": EnergyEventSpec("dma_other", 0.12),
-        "dma.descriptors": EnergyEventSpec("dma_other", 40.0),
-        "mmio.stores": EnergyEventSpec("dma_other", 2.0),
-        "mmio.loads": EnergyEventSpec("dma_other", 2.0),
-        "mmio.commands": EnergyEventSpec("dma_other", 4.0),
-        "mmio.poll_cycles": EnergyEventSpec("dma_other", 0.0),
-        "sync.barrier_requests": EnergyEventSpec("dma_other", 3.0),
-        "sync.barriers_released": EnergyEventSpec("dma_other", 3.0),
-        "sync.stall_cycles": EnergyEventSpec("dma_other", 0.0),
+        "dma.bytes": EnergyEventSpec("dma_other", 120),
+        "dma.descriptors": EnergyEventSpec("dma_other", 40_000),
+        "mmio.stores": EnergyEventSpec("dma_other", 2000),
+        "mmio.loads": EnergyEventSpec("dma_other", 2000),
+        "mmio.commands": EnergyEventSpec("dma_other", 4000),
+        "mmio.poll_cycles": EnergyEventSpec("dma_other", 0),
+        "sync.barrier_requests": EnergyEventSpec("dma_other", 3000),
+        "sync.barriers_released": EnergyEventSpec("dma_other", 3000),
+        "sync.stall_cycles": EnergyEventSpec("dma_other", 0),
         # Bookkeeping counters that must not be double charged.
-        "smem.total_words": EnergyEventSpec("shared_memory", 0.0),
-        "l1.accesses": EnergyEventSpec("l1", 0.0),
+        "smem.total_words": EnergyEventSpec("shared_memory", 0),
+        "l1.accesses": EnergyEventSpec("l1", 0),
     }
 
 
@@ -151,33 +163,28 @@ class EnergyTable:
         """
         if style is IntegrationStyle.DISAGGREGATED:
             overrides = {
-                "matrix_unit.pe.macs": EnergyEventSpec("matrix_unit.pe", 0.68),
+                "matrix_unit.pe.macs": EnergyEventSpec("matrix_unit.pe", 680),
             }
             return cls(overrides)
         return cls()
 
-    def spec_for(self, counter: str) -> EnergyEventSpec | None:
-        return self._table.get(counter)
+    def energy_femtojoules(self, counters: Counters) -> int:
+        """Total active energy of all counted events, in femtojoules."""
+        return sum(self.energy_by_component(counters).values())
 
-    def keys(self) -> Iterable[str]:
-        return self._table.keys()
+    def energy_by_component(self, counters: Counters) -> Dict[str, int]:
+        """Energy per component group in femtojoules, components in
+        first-seen key order.
 
-    def energy_picojoules(self, counters: Counters) -> float:
-        """Total active energy of all counted events, in picojoules."""
-        return sum(
-            self._table[key].picojoules * value
-            for key, value in counters.items()
-            if key in self._table
-        )
-
-    def energy_by_component(self, counters: Counters) -> Dict[str, float]:
-        """Energy per component group in picojoules."""
-        totals: Dict[str, float] = {}
+        Raises ``ValueError`` naming the key when a priced count is not whole.
+        """
+        totals: Dict[str, int] = {}
         for key, value in counters.items():
             spec = self._table.get(key)
-            if spec is None:
-                continue
-            totals[spec.component] = totals.get(spec.component, 0.0) + spec.picojoules * value
+            if spec is not None:
+                totals[spec.component] = (
+                    totals.get(spec.component, 0) + spec.femtojoules * _whole(key, value)
+                )
         return totals
 
     def unknown_counters(self, counters: Counters) -> Tuple[str, ...]:

@@ -18,12 +18,16 @@ from repro.sim.stats import Counters
 
 @dataclass
 class PowerReport:
-    """Active power/energy of one kernel run on one design."""
+    """Active power/energy of one kernel run on one design.
+
+    Energy is held in whole femtojoules; the properties and :meth:`to_dict`
+    convert it once, at the report boundary.
+    """
 
     design_name: str
     cycles: int
     clock_mhz: float
-    energy_by_component_pj: Dict[str, float]
+    energy_by_component_fj: Dict[str, int]
 
     @property
     def runtime_seconds(self) -> float:
@@ -32,32 +36,37 @@ class PowerReport:
         return self.cycles / (self.clock_mhz * 1e6)
 
     @property
+    def total_energy_fj(self) -> int:
+        return sum(self.energy_by_component_fj.values())
+
+    @property
     def total_energy_pj(self) -> float:
-        return sum(self.energy_by_component_pj.values())
+        return self.total_energy_fj / 1e3
 
     @property
     def total_energy_uj(self) -> float:
-        return self.total_energy_pj / 1e6
+        return self.total_energy_fj / 1e9
 
     @property
     def total_energy_mj(self) -> float:
-        return self.total_energy_pj / 1e9
+        return self.total_energy_fj / 1e12
 
     @property
     def active_power_mw(self) -> float:
         if self.cycles == 0:
             return 0.0
-        # pJ / s = 1e-12 W; report mW.
-        return self.total_energy_pj / self.runtime_seconds * 1e-12 * 1e3
+        return _milliwatts(self.total_energy_fj, self.runtime_seconds)
 
     def power_by_component_mw(self) -> Dict[str, float]:
         if self.cycles == 0:
-            return {key: 0.0 for key in self.energy_by_component_pj}
-        scale = 1e-12 * 1e3 / self.runtime_seconds
-        return {key: value * scale for key, value in self.energy_by_component_pj.items()}
+            return {key: 0.0 for key in self.energy_by_component_fj}
+        seconds = self.runtime_seconds
+        return {
+            key: _milliwatts(value, seconds) for key, value in self.energy_by_component_fj.items()
+        }
 
     def energy_by_component_uj(self) -> Dict[str, float]:
-        return {key: value / 1e6 for key, value in self.energy_by_component_pj.items()}
+        return {key: value / 1e9 for key, value in self.energy_by_component_fj.items()}
 
     def to_dict(self) -> Dict[str, object]:
         """Canonical JSON-ready encoding of the power/energy report."""
@@ -71,9 +80,15 @@ class PowerReport:
         }
 
 
+def _milliwatts(femtojoules: int, seconds: float) -> float:
+    """Average power in mW of ``femtojoules`` spent over ``seconds``."""
+    # pJ / s = 1e-12 W; report mW.
+    return femtojoules / 1e3 / seconds * 1e-12 * 1e3
+
+
 def active_energy_uj(counters: Counters, table: EnergyTable) -> float:
     """Total active energy in microjoules for a counted event stream."""
-    return table.energy_picojoules(counters) / 1e6
+    return table.energy_femtojoules(counters) / 1e9
 
 
 def active_power_mw(
@@ -86,7 +101,7 @@ def active_power_mw(
     if cycles <= 0:
         raise ValueError("cycles must be positive to compute power")
     seconds = cycles / (soc.clock_mhz * 1e6)
-    return table.energy_picojoules(counters) * 1e-12 / seconds * 1e3
+    return _milliwatts(table.energy_femtojoules(counters), seconds)
 
 
 def make_power_report(
@@ -102,5 +117,5 @@ def make_power_report(
         design_name=design_name,
         cycles=cycles,
         clock_mhz=soc.clock_mhz,
-        energy_by_component_pj=by_component,
+        energy_by_component_fj=by_component,
     )

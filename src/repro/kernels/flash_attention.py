@@ -15,6 +15,7 @@ that (and its accuracy impact) as well.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
@@ -304,16 +305,22 @@ def _softmax_cycles(design: DesignConfig, elements: int, cores_share: float = 1.
 
 
 def _softmax_counters(design: DesignConfig, elements: int) -> Counters:
+    """Softmax activity over ``elements`` scores; a partly used per-lane
+    instruction counts as one, so every count is whole."""
     counters = Counters()
     flops = elements * SOFTMAX_FLOPS_PER_ELEMENT
     lanes = design.cluster.core.lanes
     fpu_instructions = flops / lanes
     overhead_instructions = fpu_instructions * SOFTMAX_OVERHEAD_INSTRUCTION_RATIO
     counters.add("core.fpu.ops", flops)
-    counters.add("core.issue.instructions", fpu_instructions + overhead_instructions)
-    counters.add("core.alu.ops", overhead_instructions * lanes / 2)
-    counters.add("core.lsu.requests", overhead_instructions / 2)
-    counters.add("core.issue.rf_read_words", 2 * (flops + overhead_instructions * lanes))
+    counters.add(
+        "core.issue.instructions", math.ceil(fpu_instructions + overhead_instructions)
+    )
+    counters.add("core.alu.ops", math.ceil(overhead_instructions * lanes / 2))
+    counters.add("core.lsu.requests", math.ceil(overhead_instructions / 2))
+    counters.add(
+        "core.issue.rf_read_words", math.ceil(2 * (flops + overhead_instructions * lanes))
+    )
     counters.add("core.writeback.rf_write_words", flops)
     counters.add("smem.core.read_words", 3 * elements)
     counters.add("smem.core.write_words", 2 * elements)

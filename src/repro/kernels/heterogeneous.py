@@ -11,6 +11,7 @@ FLOP -- i.e. the shared memory system absorbs the concurrent streams.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict
 
@@ -56,8 +57,8 @@ class HeterogeneousResult:
     parallel_cycles: int
     total_macs_per_cycle: int
     small_macs_per_cycle: int
-    serial_energy_pj: float
-    parallel_energy_pj: float
+    serial_energy_fj: int
+    parallel_energy_fj: int
 
     @property
     def total_macs(self) -> int:
@@ -95,9 +96,9 @@ class HeterogeneousResult:
         parallel-to-serial energy ratio; the interconnect contention events
         added in the parallel case are what make it exceed 1.
         """
-        if self.serial_energy_pj == 0:
+        if self.serial_energy_fj == 0:
             return 0.0
-        return self.parallel_energy_pj / self.serial_energy_pj - 1.0
+        return self.parallel_energy_fj / self.serial_energy_fj - 1.0
 
 
 def simulate_heterogeneous(
@@ -152,8 +153,8 @@ def simulate_heterogeneous(
         parallel_cycles=parallel_cycles,
         total_macs_per_cycle=large_unit.macs_per_cycle + small_unit.macs_per_cycle,
         small_macs_per_cycle=small_unit.macs_per_cycle,
-        serial_energy_pj=serial_energy,
-        parallel_energy_pj=parallel_energy,
+        serial_energy_fj=serial_energy,
+        parallel_energy_fj=parallel_energy,
     )
 
 
@@ -179,17 +180,18 @@ def _energies(
     """Serial and parallel energy; contention adds interconnect retry traffic."""
     table = EnergyTable.for_design(design.style)
     combined = large_counters + small_counters
-    serial_energy = table.energy_picojoules(combined)
+    serial_energy = table.energy_femtojoules(combined)
 
     parallel_counters = combined.copy()
     # Bank conflicts in the parallel case re-issue a fraction of the matrix
     # units' shared-memory reads and add arbitration activity in the
     # interconnect, which is what the paper's 4.3% power/FLOP increase covers.
+    # A retry re-reads whole words and re-issues whole descriptors.
     retry_fraction = min(0.25, max(0.0, contention - 1.0) + 0.03)
-    extra_words = combined.get("smem.matrix.read_words") * retry_fraction
+    extra_words = math.ceil(combined.get("smem.matrix.read_words") * retry_fraction)
     parallel_counters.add("smem.matrix.read_words", extra_words)
-    parallel_counters.add("dma.descriptors", combined.get("dma.descriptors") * 0.05)
-    parallel_energy = table.energy_picojoules(parallel_counters)
+    parallel_counters.add("dma.descriptors", math.ceil(combined.get("dma.descriptors") * 0.05))
+    parallel_energy = table.energy_femtojoules(parallel_counters)
     return serial_energy, parallel_energy
 
 

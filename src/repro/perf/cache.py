@@ -28,8 +28,10 @@ from repro.obs.phase import phase
 #: the ``VortexCore.execute`` memo stores in a namespace table, and the shape
 #: of any namespace memo's values.  Version 2 orphans snapshots whose
 #: ``lowering.model_programs`` values are compiled step programs rather
-#: than the placed models ``run_model`` reads.
-SCHEMA_VERSION = 2
+#: than the placed models ``run_model`` reads; version 3 those whose placed
+#: models, iteration outcomes and episode templates carry float energy
+#: rather than whole femtojoules.
+SCHEMA_VERSION = 3
 
 #: Version of the snapshot *container* (the dict ``snapshot()`` returns and
 #: ``save_snapshot`` pickles).  Bump when the container shape changes, so an

@@ -32,11 +32,9 @@ Two granularities compose (both consumed by
   per-request stamp is one numpy add over the arrival vector.
 
 Exactness is the whole point: every extrapolated quantity is an integer
-advanced by ``n * delta`` (exact), except energy, which the exact loop
-accumulates as a sequential float sum -- :func:`accumulate_energy`
-reproduces that bit-for-bit via ``np.cumsum`` (strictly sequential, no
-pairwise reassociation), so compressed and exact runs serialize
-byte-identically (``tests/test_epochs.py``, the differential harness).
+advanced by ``n * delta`` -- energy too, which is counted in whole
+femtojoules -- so compressed and exact runs serialize byte-identically
+(``tests/test_epochs.py``, the differential harness).
 
 :class:`IterationTimeline` keeps the result surface honest without forcing
 expansion: it is a lazy ``Sequence`` of
@@ -61,7 +59,6 @@ __all__ = [
     "EpochRecord",
     "IterationRecord",
     "IterationTimeline",
-    "accumulate_energy",
     "build_episode_template",
     "clean_fault_run",
     "epoch_horizon",
@@ -148,7 +145,8 @@ class EpisodeSegment:
     span_cycles: int
     end_cycle: int
     kernel_count: int
-    energy_uj: float
+    #: One iteration's active energy, in whole femtojoules.
+    energy_fj: int
     resource_busy: Tuple[Tuple[str, int], ...]
     cache_lookups: int
 
@@ -176,9 +174,8 @@ class EpisodeTemplate:
     total_kernels: int
     total_lookups: int
     busy_totals: Tuple[Tuple[str, int], ...]
-    #: Per-iteration energy sequence (float64, ``total_iterations`` long) --
-    #: the exact addend order the sequential loop would accumulate.
-    energy_pattern: np.ndarray
+    #: One request's active energy, in whole femtojoules.
+    energy_fj: int
 
 
 def build_episode_template(segments: Sequence[EpisodeSegment]) -> EpisodeTemplate:
@@ -202,10 +199,7 @@ def build_episode_template(segments: Sequence[EpisodeSegment]) -> EpisodeTemplat
         total_kernels=sum(segment.count * segment.kernel_count for segment in segs),
         total_lookups=sum(segment.count * segment.cache_lookups for segment in segs),
         busy_totals=tuple(sorted(busy.items())),
-        energy_pattern=np.repeat(
-            np.array([segment.energy_uj for segment in segs], dtype=np.float64),
-            [segment.count for segment in segs],
-        ),
+        energy_fj=sum(segment.count * segment.energy_fj for segment in segs),
     )
 
 
@@ -354,56 +348,6 @@ class IterationTimeline(Sequence):
                 return segment.record_at(index)
             index -= segment.iteration_count
         raise IndexError(index)  # pragma: no cover - guarded above
-
-
-#: Addends per np.cumsum chunk: bounds peak memory while keeping the
-#: accumulation one C-speed pass per ~2MB of float64s.
-_ENERGY_CHUNK = 1 << 18
-
-
-def accumulate_energy(total: float, pattern: np.ndarray, repeats: int = 1) -> float:
-    """``total`` after sequentially adding ``pattern`` ``repeats`` times.
-
-    Bit-identical to the Python loop ``for value in pattern * repeats:
-    total += value``: ``np.cumsum`` over float64 is a strictly sequential
-    left fold (no pairwise reassociation), and chunking carries the running
-    total as the first addend of the next chunk -- the same dependence
-    chain, evaluated at C speed.  This is what lets epoch extrapolation
-    reproduce the exact loop's float energy accumulation byte-for-byte.
-    """
-    if repeats <= 0 or pattern.size == 0:
-        return total
-    # Short accumulations (an epoch's repeated scalar, a small episode run)
-    # are cheaper as a plain Python fold than as array setup + cumsum; the
-    # result is the same sequential left fold either way.
-    if pattern.size * repeats <= 1024:
-        for value in pattern.tolist() * repeats:
-            total += value
-        return total
-    per_chunk = max(1, _ENERGY_CHUNK // pattern.size)
-    done = 0
-    while done < repeats:
-        chunk = min(per_chunk, repeats - done)
-        addends = np.empty(1 + chunk * pattern.size, dtype=np.float64)
-        addends[0] = total
-        addends[1:] = np.tile(pattern, chunk)
-        total = float(np.cumsum(addends)[-1])
-        done += chunk
-    return total
-
-
-def accumulate_energy_scalar(total: float, value: float, repeats: int) -> float:
-    """:func:`accumulate_energy` for a single repeated addend.
-
-    An epoch repeats one iteration outcome, so the common case is a short
-    fold of one float -- not worth building a one-element array for.  The
-    addend sequence is identical either way, so this stays bit-exact.
-    """
-    if repeats <= 1024:
-        for _ in range(repeats):
-            total += value
-        return total
-    return accumulate_energy(total, np.array([value], dtype=np.float64), repeats)
 
 
 def epoch_horizon(

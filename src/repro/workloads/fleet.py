@@ -325,7 +325,8 @@ class ReplicaReport:
     aborted_iterations: int
     serving_cycles: int
     kernel_count: int
-    energy_uj: float
+    #: Active energy in whole femtojoules.
+    energy_fj: int
     resource_busy: Dict[str, int]
     dispatched: int
     completed: int
@@ -333,6 +334,10 @@ class ReplicaReport:
     slowdowns: int
     partitions: int
     unreachable_cycles: int
+
+    @property
+    def energy_uj(self) -> float:
+        return self.energy_fj / 1e9
 
     def to_dict(self) -> Dict[str, object]:
         # ``epochs`` is deliberately absent: how many iterations were
@@ -961,7 +966,7 @@ class _FleetRun:
                 aborted_iterations=stepper.aborted,
                 serving_cycles=stepper.serving_cycles,
                 kernel_count=stepper.kernel_count,
-                energy_uj=stepper.energy_uj,
+                energy_fj=stepper.energy_fj,
                 resource_busy=dict(stepper.resource_busy),
                 dispatched=rep.dispatched,
                 completed=len(stepper.finished),

@@ -30,13 +30,14 @@ Whole models and serving batches run on one executor.
 ``compile_step_program`` resolves a schedule once into a plain-data
 :class:`StepProgram`: kernel cycles from the process-wide timing cache
 (:mod:`repro.perf`), probed once per distinct kernel, resources and
-dependencies as indices, and per-layer energy, MACs and counter rows,
-folded once per distinct layer.  One list-scheduling loop places programs
-on plain ints: ``execute_step_programs`` a serving batch, ``run_model``
-one model, assembled into a :class:`ModelRunResult`.  Both equal the
-``OperationGraph`` executor they replaced float for float, traces
-included (``docs/perf-contract.md`` contract 7); ``tests/differential.py``
-keeps that executor as the oracle.
+dependencies as indices, per-layer MACs and energy in whole femtojoules,
+folded once per distinct layer, and the program's counter and energy
+totals.  One list-scheduling loop places programs on plain ints:
+``execute_step_programs`` a serving batch, ``run_model`` one model,
+assembled into a :class:`ModelRunResult`.  Both equal the
+``OperationGraph`` executor they replaced exactly, traces included
+(``docs/perf-contract.md`` contract 7); ``tests/differential.py`` keeps
+that executor as the oracle.
 
 ``run_model`` places each compiled model program once, into a plain-data
 :class:`PlacedModel`, and memoizes that in the timing cache's
@@ -57,16 +58,15 @@ enforces that it stays gone.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from repro.config.presets import DesignKind, make_design
 from repro.config.soc import DataType, DesignConfig, IntegrationStyle
 from repro.energy.model import EnergyTable
-from repro.energy.power import PowerReport, make_power_report
+from repro.energy.power import PowerReport
 from repro.kernels.flash_attention import (
     SOFTMAX_FLOPS_PER_ELEMENT,
     FlashAttentionWorkload,
@@ -175,15 +175,19 @@ def _simt_cost_uncached(
     issue_cycles = fpu_cycles * (1.0 + SIMT_OVERHEAD_RATIO)
     cycles = max(1, int(max(fpu_cycles, issue_cycles / cluster.core.issue_width)))
 
+    # Events are whole: a partly used FLOP or per-lane instruction counts as
+    # one.  The cycles above keep the unrounded rate.
     counters = Counters()
     per_lane = flops / max(1, cluster.core.lanes)
     overhead = per_lane * SIMT_OVERHEAD_RATIO
-    counters.add("core.fpu.ops", flops)
-    counters.add("core.issue.instructions", per_lane + overhead)
-    counters.add("core.alu.ops", overhead * cluster.core.lanes / 2)
-    counters.add("core.lsu.requests", overhead / 2)
-    counters.add("core.issue.rf_read_words", 2 * (flops + overhead * cluster.core.lanes))
-    counters.add("core.writeback.rf_write_words", flops)
+    counters.add("core.fpu.ops", math.ceil(flops))
+    counters.add("core.issue.instructions", math.ceil(per_lane + overhead))
+    counters.add("core.alu.ops", math.ceil(overhead * cluster.core.lanes / 2))
+    counters.add("core.lsu.requests", math.ceil(overhead / 2))
+    counters.add(
+        "core.issue.rf_read_words", math.ceil(2 * (flops + overhead * cluster.core.lanes))
+    )
+    counters.add("core.writeback.rf_write_words", math.ceil(flops))
     counters.add("smem.core.read_words", elements)
     counters.add("smem.core.write_words", elements)
     return cycles, counters
@@ -494,7 +498,8 @@ def lower_graph(
 
 @dataclass
 class LayerRunResult:
-    """Aggregated metrics of all kernels lowered from one layer."""
+    """Aggregated metrics of all kernels lowered from one layer; energy in
+    whole femtojoules."""
 
     layer: str
     phase: str
@@ -503,9 +508,13 @@ class LayerRunResult:
     cycles: int
     start: int
     end: int
-    energy_uj: float
+    energy_fj: int
     mac_utilization_percent: float
     macs: int = 0
+
+    @property
+    def energy_uj(self) -> float:
+        return self.energy_fj / 1e9
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -541,7 +550,8 @@ class ModelRunResult:
     ideal_mac_cycles: float
     heterogeneous: bool = False
     phase_cycles: Dict[str, int] = field(default_factory=dict)
-    phase_energy_uj: Dict[str, float] = field(default_factory=dict)
+    #: Energy by phase, in whole femtojoules.
+    phase_energy_fj: Dict[str, int] = field(default_factory=dict)
     resource_busy: Dict[str, int] = field(default_factory=dict)
     #: Busy cycles by kernel kind (each kind's kernel durations summed),
     #: kinds in first-seen order; ``to_dict`` carries them as the
@@ -579,6 +589,10 @@ class ModelRunResult:
         return self.power.total_energy_uj
 
     @property
+    def phase_energy_uj(self) -> Dict[str, float]:
+        return {phase: energy / 1e9 for phase, energy in self.phase_energy_fj.items()}
+
+    @property
     def kernel_count(self) -> int:
         return sum(len(layer.kernels) for layer in self.layers)
 
@@ -594,7 +608,7 @@ class ModelRunResult:
             "active_power_mw": self.active_power_mw,
             "active_energy_uj": self.active_energy_uj,
             "phase_cycles": dict(self.phase_cycles),
-            "phase_energy_uj": dict(self.phase_energy_uj),
+            "phase_energy_uj": self.phase_energy_uj,
             "resource_busy_cycles": dict(self.resource_busy),
             "layers": [layer.to_dict() for layer in self.layers],
             "metrics": self.metrics.snapshot(),
@@ -618,16 +632,16 @@ class ProgramLayer(NamedTuple):
     """One layer of a :class:`StepProgram`: what its layer result keeps.
 
     ``phase`` is the first kernel's, ``kinds`` are in first-seen order,
-    ``members`` index the layer's kernels in schedule order, ``energy_uj``
-    prices the layer's counters folded kernel by kernel in order, and the
-    utilization is MAC-weighted over the layer's matrix kernels.
+    ``members`` index the layer's kernels in schedule order, ``energy_fj``
+    prices the layer's counters in whole femtojoules, and the utilization
+    is MAC-weighted over the layer's matrix kernels.
     """
 
     name: str
     phase: str
     kinds: Tuple[str, ...]
     members: Tuple[int, ...]
-    energy_uj: float
+    energy_fj: int
     macs: int
     mac_utilization_percent: float
 
@@ -661,15 +675,10 @@ class StepProgram:
     stats: Tuple[Optional[Dict[str, int]], ...]
     #: Per layer, in first-appearance order.
     layers: Tuple[ProgramLayer, ...]
-    #: First kernel index of every layer, in layer order.
-    layer_starts: np.ndarray
-    #: Counter keys in first-seen order over the layers, each mapped to
-    #: where it first appears: (first kernel index of the first layer
-    #: holding it, its rank among that layer's keys).
-    keys: Dict[str, Tuple[int, int]]
-    #: (layers x keys) counter sums, each an in-order fold of the layer's
-    #: kernels; 0.0 where a layer lacks the key.
-    layer_rows: np.ndarray
+    #: Counter totals over every kernel, keys in first-seen order.
+    counters: Dict[str, float]
+    #: Active energy of every kernel, in whole femtojoules.
+    energy_fj: int
 
     def __len__(self) -> int:
         return len(self.resources)
@@ -718,14 +727,14 @@ class _LayerFold(NamedTuple):
 
     kinds: Tuple[str, ...]
     counters: Counters
-    energy_uj: float
+    energy_fj: int
     macs: int
     mac_utilization_percent: float
 
 
 def _fold_layer(kernels: Sequence[_KernelRecord], table: EnergyTable) -> _LayerFold:
-    """Fold a layer's kernels in order: counters kernel by kernel, priced in
-    the fold's own key order, and MAC-weighted utilization."""
+    """Fold a layer's kernels in order: counters kernel by kernel, their
+    energy, and MAC-weighted utilization."""
     counters = Counters()
     for kernel in kernels:
         counters.merge(kernel.counters)
@@ -734,7 +743,7 @@ def _fold_layer(kernels: Sequence[_KernelRecord], table: EnergyTable) -> _LayerF
     return _LayerFold(
         kinds=tuple(dict.fromkeys(kernel.kind for kernel in kernels)),
         counters=counters,
-        energy_uj=table.energy_picojoules(counters) / 1e6,
+        energy_fj=table.energy_femtojoules(counters),
         macs=macs,
         mac_utilization_percent=100.0 * weighted / macs if macs else 0.0,
     )
@@ -748,7 +757,9 @@ def compile_step_program(schedule: KernelSchedule) -> StepProgram:
     probes the timing cache once, in first-appearance order, into a record
     its repeats read, and one ``credit_hits`` call counts the repeats as the
     hits their probes would have been.  A layer whose sequence of records
-    was seen before reuses that sequence's fold.
+    was seen before reuses that sequence's fold.  The program's totals add
+    each distinct fold times the layers that use it: counts and energy are
+    whole, so the order of the additions does not matter.
     """
     invocations = schedule.invocations
     slots: Dict[object, int] = {}
@@ -780,43 +791,38 @@ def compile_step_program(schedule: KernelSchedule) -> StepProgram:
             members[layer].append(position)
         timing_cache().credit_hits(len(invocations) - len(records))
 
-    # Fold each distinct sequence of records once; ``folds`` keeps them in
-    # first-appearance order, each with the first kernel of its first layer.
+    # Fold each distinct sequence of records once, in first-appearance order.
     table = EnergyTable.for_design(schedule.design.style)
     fold_index: Dict[Tuple[int, ...], int] = {}
-    folds: List[Tuple[int, _LayerFold]] = []
-    layers, layer_folds = [], []
+    folds: List[_LayerFold] = []
+    uses: List[int] = []
+    layers = []
     for name, indices in zip(layer_index, members):
         sequence = tuple([kernels[k] for k in indices])
         index = fold_index.get(sequence)
         if index is None:
             index = fold_index[sequence] = len(folds)
-            folds.append((indices[0], _fold_layer([records[slot] for slot in sequence], table)))
-        fold = folds[index][1]
-        layer_folds.append(index)
+            folds.append(_fold_layer([records[slot] for slot in sequence], table))
+            uses.append(0)
+        uses[index] += 1
+        fold = folds[index]
         layers.append(
             ProgramLayer(
                 name=name,
                 phase=invocations[indices[0]].phase,
                 kinds=fold.kinds,
                 members=tuple(indices),
-                energy_uj=fold.energy_uj,
+                energy_fj=fold.energy_fj,
                 macs=fold.macs,
                 mac_utilization_percent=fold.mac_utilization_percent,
             )
         )
-    # A repeated fold's keys were all seen at its first layer.
-    first_seen: Dict[str, Tuple[int, int]] = {}
-    for start, fold in folds:
-        for rank, key in enumerate(fold.counters):
-            first_seen.setdefault(key, (start, rank))
-    column = {key: index for index, key in enumerate(first_seen)}
-    rows = []
-    for _, fold in folds:
-        row = [0.0] * len(column)
+    # A repeated fold's keys were all seen at its first layer, so the folds
+    # in first-appearance order give the keys in first-seen order.
+    counters: Dict[str, float] = {}
+    for fold, count in zip(folds, uses):
         for key, value in fold.counters.items():
-            row[column[key]] = value
-        rows.append(row)
+            counters[key] = counters.get(key, 0.0) + count * value
     kernel_records = [records[slot] for slot in kernels]
     return StepProgram(
         model=schedule.model,
@@ -832,9 +838,8 @@ def compile_step_program(schedule: KernelSchedule) -> StepProgram:
         deps=tuple(deps),
         stats=tuple(record.stats for record in kernel_records),
         layers=tuple(layers),
-        layer_starts=np.array([indices[0] for indices in members], dtype=np.int64),
-        keys=first_seen,
-        layer_rows=np.array(rows).reshape(len(rows), len(column))[layer_folds],
+        counters=counters,
+        energy_fj=sum(fold.energy_fj * count for fold, count in zip(folds, uses)),
     )
 
 
@@ -887,14 +892,14 @@ class ProgramPlacement(NamedTuple):
     #: Per batch row: the latest end cycle of any of the row's kernels.
     row_ends: Tuple[int, ...]
     kernel_count: int
-    energy_uj: float
+    #: Active energy of every row, in whole femtojoules.
+    energy_fj: int
     resource_busy: Dict[str, int]
 
 
 def execute_step_programs(
     programs: Sequence[StepProgram],
     prefixes: Sequence[str],
-    table: EnergyTable,
     duration_scale: float = 1.0,
 ) -> ProgramPlacement:
     """List-schedule a batch of step programs, interleaved by position.
@@ -902,9 +907,10 @@ def execute_step_programs(
     Equal to the merged schedule of the rows' kernel schedules run on an
     ``OperationGraph`` (the oracle in ``tests/differential.py``): the
     placement, each row's latest kernel end, the kernel count, busy cycles
-    and energy, float for float.  Every program must come from one design
-    and unit layout.  ``prefixes`` name the rows' kernels in trace spans,
-    recorded only while a trace recorder is active.
+    and energy, exactly; the energy is the sum of the rows' program
+    energies.  Every program must come from one design and unit layout.
+    ``prefixes`` name the rows' kernels in trace spans, recorded only while
+    a trace recorder is active.
     """
     if duration_scale == 1.0:
         durations = [program.durations for program in programs]
@@ -924,65 +930,9 @@ def execute_step_programs(
         total_cycles=max(row_ends),
         row_ends=row_ends,
         kernel_count=sum(map(len, ends)),
-        energy_uj=_programs_energy_uj(programs, table),
+        energy_fj=sum(program.energy_fj for program in programs),
         resource_busy=_resource_busy(programs[0], busy),
     )
-
-
-def _programs_energy_uj(programs: Sequence[StepProgram], table: EnergyTable) -> float:
-    """The merged schedule's active energy, folded as the oracle folds it.
-
-    The merged layers come in first-appearance order, i.e. by (first
-    kernel position, batch row); every counter key is a sequential float
-    fold over them (``np.add.accumulate``, never a pairwise sum).  Keys,
-    and the energy components they charge, follow first-seen order.
-    """
-    first_row: Dict[int, int] = {}
-    distinct: List[StepProgram] = []
-    for row, program in enumerate(programs):
-        if id(program) not in first_row:
-            first_row[id(program)] = row
-            distinct.append(program)
-    first_seen: Dict[str, Tuple[int, int, int]] = {}
-    for program in distinct:
-        row = first_row[id(program)]
-        for key, (start, rank) in program.keys.items():
-            seen = (start, row, rank)
-            current = first_seen.get(key)
-            if current is None or seen < current:
-                first_seen[key] = seen
-    keys = sorted(first_seen, key=first_seen.__getitem__)
-    column = {key: index for index, key in enumerate(keys)}
-
-    # One table of every distinct program's layer rows over the merged key
-    # columns, then the batch's layers gathered from it in merged order.
-    blocks = []
-    offset_of: Dict[int, int] = {}
-    offset = 0
-    for program in distinct:
-        block = np.zeros((len(program.layer_starts), len(keys)))
-        block[:, [column[key] for key in program.keys]] = program.layer_rows
-        blocks.append(block)
-        offset_of[id(program)] = offset
-        offset += len(block)
-    lengths = np.array([len(program.layer_starts) for program in programs])
-    row_starts = np.cumsum(lengths) - lengths
-    offsets = np.array([offset_of[id(program)] for program in programs])
-    gather = np.arange(lengths.sum()) + np.repeat(offsets - row_starts, lengths)
-    starts = np.concatenate([program.layer_starts for program in distinct])[gather]
-    rows = np.repeat(np.arange(len(programs)), lengths)
-    order = np.argsort(starts * len(programs) + rows)
-    layer_rows = np.concatenate(blocks)[gather[order]]
-    totals = np.add.accumulate(layer_rows, axis=0)[-1].tolist()
-
-    components: Dict[str, float] = {}
-    for key, value in zip(keys, totals):
-        spec = table.spec_for(key)
-        if spec is not None:
-            components[spec.component] = (
-                components.get(spec.component, 0.0) + spec.picojoules * value
-            )
-    return sum(components.values()) / 1e6
 
 
 def _record_programs(
@@ -1050,7 +1000,7 @@ class PlacedLayer(NamedTuple):
     cycles: int
     start: int
     end: int
-    energy_uj: float
+    energy_fj: int
     mac_utilization_percent: float
     macs: int
 
@@ -1086,11 +1036,14 @@ class PlacedModel:
     #: Per layer, in first-appearance order.
     layers: Tuple[PlacedLayer, ...]
     phase_cycles: Dict[str, int]
-    phase_energy_uj: Dict[str, float]
+    #: Energy by phase, in whole femtojoules.
+    phase_energy_fj: Dict[str, int]
     #: Busy cycles by kernel kind, in first-seen order.
     kind_cycles: Dict[str, int]
     #: The model's counter totals, keys in first-seen order.
     counters: Dict[str, float]
+    #: Their energy by component, in whole femtojoules: the power report's.
+    energy_by_component_fj: Dict[str, int]
 
     def __len__(self) -> int:
         return len(self.resources)
@@ -1119,7 +1072,7 @@ def _place_model(schedule: KernelSchedule) -> PlacedModel:
             kind_cycles[kind] = kind_cycles.get(kind, 0) + duration
         layers: List[PlacedLayer] = []
         phase_cycles: Dict[str, int] = {}
-        phase_energy: Dict[str, float] = {}
+        phase_energy: Dict[str, int] = {}
         for index, layer in enumerate(program.layers):
             cycles = layer_cycles[index]
             layers.append(
@@ -1131,16 +1084,13 @@ def _place_model(schedule: KernelSchedule) -> PlacedModel:
                     cycles=cycles,
                     start=starts[index],
                     end=last_ends[index],
-                    energy_uj=layer.energy_uj,
+                    energy_fj=layer.energy_fj,
                     mac_utilization_percent=layer.mac_utilization_percent,
                     macs=layer.macs,
                 )
             )
             phase_cycles[layer.phase] = phase_cycles.get(layer.phase, 0) + cycles
-            phase_energy[layer.phase] = phase_energy.get(layer.phase, 0.0) + layer.energy_uj
-        # The model's counters fold the layer rows in layer order, as merging
-        # each layer's counters into one bag does.
-        totals = np.add.accumulate(program.layer_rows, axis=0)[-1].tolist() if layers else []
+            phase_energy[layer.phase] = phase_energy.get(layer.phase, 0) + layer.energy_fj
         return PlacedModel(
             model=program.model,
             heterogeneous=program.heterogeneous,
@@ -1158,9 +1108,12 @@ def _place_model(schedule: KernelSchedule) -> PlacedModel:
             resource_busy=_resource_busy(program, busy),
             layers=tuple(layers),
             phase_cycles=phase_cycles,
-            phase_energy_uj=phase_energy,
+            phase_energy_fj=phase_energy,
             kind_cycles=kind_cycles,
-            counters=dict(zip(program.keys, totals)),
+            counters=program.counters,
+            energy_by_component_fj=EnergyTable.for_design(
+                schedule.design.style
+            ).energy_by_component(program.counters),
         )
 
 
@@ -1226,15 +1179,14 @@ def _model_result(
         design=design,
         total_cycles=total_cycles,
         layers=[LayerRunResult(*layer) for layer in placed.layers],
-        power=make_power_report(
-            design.name, counters, EnergyTable.for_design(design.style), total_cycles,
-            design.soc,
+        power=PowerReport(
+            design.name, total_cycles, design.soc.clock_mhz, dict(placed.energy_by_component_fj)
         ),
         counters=counters,
         ideal_mac_cycles=placed.ideal_mac_cycles,
         heterogeneous=placed.heterogeneous,
         phase_cycles=dict(placed.phase_cycles),
-        phase_energy_uj=dict(placed.phase_energy_uj),
+        phase_energy_fj=dict(placed.phase_energy_fj),
         resource_busy=resource_busy,
         kind_cycles=dict(placed.kind_cycles),
         timing_cache=cache_stats,

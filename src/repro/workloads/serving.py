@@ -71,7 +71,6 @@ import numpy as np
 
 from repro.config.presets import DesignKind, make_design
 from repro.config.soc import DataType, DesignConfig
-from repro.energy.model import EnergyTable
 from repro.faults import FaultInjector, FaultPlan
 from repro.kernels.heterogeneous import small_unit_config
 from repro.workloads.control import (
@@ -91,8 +90,6 @@ from repro.workloads.epochs import (
     EpochRecord,
     IterationRecord,
     IterationTimeline,
-    accumulate_energy,
-    accumulate_energy_scalar,
     build_episode_template,
     clean_fault_run,
     epoch_horizon,
@@ -223,7 +220,8 @@ class ServingRunResult:
     #: records (``len``, iteration, indexing), expanding them lazily.
     iterations: IterationTimeline
     kernel_count: int
-    energy_uj: float
+    #: Active energy of every iteration, in whole femtojoules.
+    energy_fj: int
     resource_busy: Dict[str, int] = field(default_factory=dict)
     #: Timing-cache activity attributable to this run; diagnostic only and
     #: excluded from :meth:`to_dict` so the canonical encoding stays
@@ -264,6 +262,10 @@ class ServingRunResult:
     @property
     def design_name(self) -> str:
         return self.design.name
+
+    @property
+    def energy_uj(self) -> float:
+        return self.energy_fj / 1e9
 
     @property
     def iteration_count(self) -> int:
@@ -388,7 +390,8 @@ class _IterationOutcome:
     span_cycles: int
     entry_end_cycles: Tuple[int, ...]
     kernel_count: int
-    energy_uj: float
+    #: Active energy in whole femtojoules.
+    energy_fj: int
     resource_busy: Tuple[Tuple[str, int], ...]
     cache_hits: int
     cache_misses: int
@@ -824,16 +827,13 @@ class ServingScheduler:
             )
         with phase("list_schedule", model=label):
             placed = execute_step_programs(
-                programs,
-                [state.prefix for state in active],
-                EnergyTable.for_design(self.design.style),
-                duration_scale=duration_scale,
+                programs, [state.prefix for state in active], duration_scale=duration_scale
             )
         return _IterationOutcome(
             span_cycles=placed.total_cycles,
             entry_end_cycles=placed.row_ends,
             kernel_count=placed.kernel_count,
-            energy_uj=placed.energy_uj,
+            energy_fj=placed.energy_fj,
             resource_busy=tuple(sorted(placed.resource_busy.items())),
             cache_hits=cache.hits - hits,
             cache_misses=cache.misses - misses,
@@ -1089,7 +1089,7 @@ class ServingScheduler:
             requests=requests,
             iterations=stepper.timeline,
             kernel_count=stepper.kernel_count,
-            energy_uj=stepper.energy_uj,
+            energy_fj=stepper.energy_fj,
             resource_busy=stepper.resource_busy,
             timing_cache=stepper.cache_stats,
             iteration_memo=stepper.memo_stats,
@@ -1121,7 +1121,6 @@ class ServingScheduler:
         merged serving span (both enforced by the property suite).  Each step
         runs as a one-row batch of its compiled program.
         """
-        table = EnergyTable.for_design(self.design.style)
         spans = []
         for step in range(request.decode_steps):
             context = bucket_context(request.context_at(step), context_bucket)
@@ -1129,7 +1128,7 @@ class ServingScheduler:
             # baseline is best-effort single-request serving, not a replay of
             # whatever unit the batched run happened to pin it to.
             programs = self._step_programs([request], [context], [MATRIX_RESOURCE])
-            spans.append(execute_step_programs(programs, ("",), table).total_cycles)
+            spans.append(execute_step_programs(programs, ("",)).total_cycles)
         return spans
 
     def isolated_cycles(self, request: RequestSpec, context_bucket: int) -> int:
@@ -1217,7 +1216,8 @@ class _Stepper:
         self.aborted = 0
         self.serving_cycles = 0
         self.kernel_count = 0
-        self.energy_uj = 0.0
+        #: Active energy in whole femtojoules.
+        self.energy_fj = 0
         self.resource_busy: Dict[str, int] = {}
         self.preemption_count = 0
         self.memo_stats = {"hits": 0, "misses": 0}
@@ -1508,8 +1508,9 @@ class _Stepper:
     def _apply(self, run: _Run, count: int) -> None:
         """Land the first ``count`` iterations of ``run`` on stamps and totals.
 
-        Byte-identical to applying them one by one: integers advance by exact
-        multiples, energy by the same sequential float sum.
+        Byte-identical to applying them one by one: every total, energy in
+        whole femtojoules included, is an integer advanced by an exact
+        multiple.
         """
         outcome = run.outcome
         start = run.start
@@ -1561,16 +1562,15 @@ class _Stepper:
         self.iterations += count
         self.serving_cycles += count * effective
         self.kernel_count += count * outcome.kernel_count
+        self.energy_fj += count * outcome.energy_fj
         busy_totals = self.resource_busy
         for resource, busy in outcome.resource_busy:
             busy_totals[resource] = busy_totals.get(resource, 0) + count * busy
         if count == 1:
             self.epoch_stats["executed_iterations"] += 1
-            self.energy_uj += outcome.energy_uj
         else:
             self.epoch_stats["epochs"] += 1
             self.epoch_stats["extrapolated_iterations"] += count
-            self.energy_uj = accumulate_energy_scalar(self.energy_uj, outcome.energy_uj, count)
         self.now = start + count * effective
         if finished:
             self.active = [state for state in active if state.finish_cycle is None]
@@ -1714,7 +1714,7 @@ class _Stepper:
                         span_cycles=recorded.span_cycles,
                         end_cycle=recorded.entry_end_cycles[0],
                         kernel_count=recorded.kernel_count,
-                        energy_uj=recorded.energy_uj,
+                        energy_fj=recorded.energy_fj,
                         resource_busy=recorded.resource_busy,
                         cache_lookups=recorded.cache_lookups,
                     )
@@ -1774,9 +1774,9 @@ class _Stepper:
         kernels = count * template.total_kernels
         self.kernel_count += kernels
         self.serving_cycles += count * template.total_span
+        self.energy_fj += count * template.energy_fj
         for resource, busy in template.busy_totals:
             self.resource_busy[resource] = self.resource_busy.get(resource, 0) + count * busy
-        self.energy_uj = accumulate_energy(self.energy_uj, template.energy_pattern, count)
         self.now = int(run_arrivals[-1]) + template.total_span
         self.epoch_stats["episode_runs"] += 1
         self.epoch_stats["extrapolated_iterations"] += replay_iters

@@ -27,8 +27,6 @@ import json
 from dataclasses import replace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.config.presets import DesignKind
 from repro.config.soc import DataType
 from repro.energy.model import EnergyTable
@@ -153,7 +151,7 @@ def merged_iteration(
         span_cycles=result.total_cycles,
         entry_end_cycles=tuple(ends[state.prefix] for state in active),
         kernel_count=result.kernel_count,
-        energy_uj=result.active_energy_uj,
+        energy_fj=result.power.total_energy_fj,
         resource_busy=tuple(sorted(result.resource_busy.items())),
         cache_hits=result.timing_cache["hits"],
         cache_misses=result.timing_cache["misses"],
@@ -431,13 +429,13 @@ def execute_schedule(schedule: KernelSchedule, duration_scale: float = 1.0) -> M
     total_counters = Counters()
     layers: List[LayerRunResult] = []
     phase_cycles: Dict[str, int] = {}
-    phase_energy: Dict[str, float] = {}
+    phase_energy: Dict[str, int] = {}
     for layer_name in layer_order:
         invs = by_layer[layer_name]
         layer_counters = Counters()
         for inv in invs:
             layer_counters.merge(kernel_counters[inv.name])
-        energy_uj = table.energy_picojoules(layer_counters) / 1e6
+        energy_fj = table.energy_femtojoules(layer_counters)
         cycles = sum(durations[inv.name] for inv in invs)
         start = min(placed.scheduled[inv.name].start for inv in invs)
         end = max(placed.scheduled[inv.name].end for inv in invs)
@@ -457,13 +455,13 @@ def execute_schedule(schedule: KernelSchedule, duration_scale: float = 1.0) -> M
                 cycles=cycles,
                 start=start,
                 end=end,
-                energy_uj=energy_uj,
+                energy_fj=energy_fj,
                 mac_utilization_percent=utilization,
                 macs=macs,
             )
         )
         phase_cycles[layer_phase] = phase_cycles.get(layer_phase, 0) + cycles
-        phase_energy[layer_phase] = phase_energy.get(layer_phase, 0.0) + energy_uj
+        phase_energy[layer_phase] = phase_energy.get(layer_phase, 0) + energy_fj
         total_counters.merge(layer_counters)
 
     power = make_power_report(
@@ -482,7 +480,7 @@ def execute_schedule(schedule: KernelSchedule, duration_scale: float = 1.0) -> M
         ideal_mac_cycles=schedule.ideal_mac_cycles,
         heterogeneous=schedule.heterogeneous,
         phase_cycles=phase_cycles,
-        phase_energy_uj=phase_energy,
+        phase_energy_fj=phase_energy,
         resource_busy=placed.resource_busy,
         kind_cycles=kind_cycles,
         timing_cache=cache_stats,
@@ -558,23 +556,14 @@ def oracle_compile_step_program(schedule: KernelSchedule) -> StepProgram:
                 phase=invocations[indices[0]].phase,
                 kinds=tuple(dict.fromkeys(invocations[k].kind for k in indices)),
                 members=tuple(indices),
-                energy_uj=table.energy_picojoules(counters) / 1e6,
+                energy_fj=table.energy_femtojoules(counters),
                 macs=layer_macs,
                 mac_utilization_percent=100.0 * weighted / layer_macs if layer_macs else 0.0,
             )
         )
-    layer_starts = [indices[0] for indices in members]
-    first_seen: Dict[str, Tuple[int, int]] = {}
-    for start, counters in zip(layer_starts, layer_counters):
-        for rank, key in enumerate(counters):
-            first_seen.setdefault(key, (start, rank))
-    column = {key: index for index, key in enumerate(first_seen)}
-    rows = []
+    totals = Counters()
     for counters in layer_counters:
-        row = [0.0] * len(column)
-        for key, value in counters.items():
-            row[column[key]] = value
-        rows.append(row)
+        totals.merge(counters)
     return StepProgram(
         model=schedule.model,
         heterogeneous=schedule.heterogeneous,
@@ -589,7 +578,6 @@ def oracle_compile_step_program(schedule: KernelSchedule) -> StepProgram:
         deps=tuple(deps),
         stats=tuple(stats),
         layers=tuple(layers),
-        layer_starts=np.array(layer_starts, dtype=np.int64),
-        keys=first_seen,
-        layer_rows=np.array(rows).reshape(len(rows), len(column)),
+        counters=totals.as_dict(),
+        energy_fj=table.energy_femtojoules(totals),
     )

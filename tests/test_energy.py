@@ -11,16 +11,21 @@ from repro.energy.power import active_energy_uj, active_power_mw, make_power_rep
 from repro.sim.stats import Counters
 
 
+def _price(table: EnergyTable, key: str) -> int:
+    """The femtojoules one event of ``key`` costs under ``table``."""
+    return table.energy_femtojoules(Counters({key: 1}))
+
+
 class TestEnergyTable:
     def test_energy_accumulates(self):
         table = EnergyTable()
         counters = Counters({"core.issue.instructions": 100})
-        assert table.energy_picojoules(counters) == pytest.approx(700.0)
+        assert table.energy_femtojoules(counters) == 700_000
 
     def test_unknown_counters_ignored_but_reported(self):
         table = EnergyTable()
         counters = Counters({"made.up.counter": 5})
-        assert table.energy_picojoules(counters) == 0.0
+        assert table.energy_femtojoules(counters) == 0
         assert table.unknown_counters(counters) == ("made.up.counter",)
 
     def test_component_attribution(self):
@@ -33,22 +38,17 @@ class TestEnergyTable:
     def test_accumulator_cheaper_than_register_file(self):
         """The single-banked accumulator SRAM costs less per word than the RF."""
         table = EnergyTable()
-        accum = table.spec_for("accum.read_words").picojoules
-        rf = table.spec_for("core.issue.rf_read_words").picojoules
-        assert accum < rf
+        assert _price(table, "accum.read_words") < _price(table, "core.issue.rf_read_words")
 
     def test_virgo_pe_macs_cheaper_than_tensor_core(self):
         """Fused multiply-add systolic PEs are slightly cheaper (Figure 11)."""
         tensor = EnergyTable.for_design(IntegrationStyle.TIGHTLY_COUPLED)
         systolic = EnergyTable.for_design(IntegrationStyle.DISAGGREGATED)
-        assert (
-            systolic.spec_for("matrix_unit.pe.macs").picojoules
-            < tensor.spec_for("matrix_unit.pe.macs").picojoules
-        )
+        assert _price(systolic, "matrix_unit.pe.macs") < _price(tensor, "matrix_unit.pe.macs")
 
     def test_dram_energy_excluded_from_soc(self):
         table = EnergyTable()
-        assert table.spec_for("dram.bytes").picojoules == 0.0
+        assert _price(table, "dram.bytes") == 0
 
     def test_for_design_shares_one_table_per_style(self):
         for style in IntegrationStyle:
@@ -61,18 +61,18 @@ class TestEnergyTable:
         """Each style keeps its own PE price, and an ``overrides`` instance
         (the accumulator ablation builds one) changes only itself."""
         overrides = {
-            "matrix_unit.pe.macs": EnergyEventSpec("matrix_unit.pe", 9.0),
-            "accum.read_words": EnergyEventSpec("accumulator", 9.0),
+            "matrix_unit.pe.macs": EnergyEventSpec("matrix_unit.pe", 9000),
+            "accum.read_words": EnergyEventSpec("accumulator", 9000),
         }
         custom = EnergyTable(overrides)
-        assert custom.spec_for("accum.read_words").picojoules == 9.0
-        expected = {style: 0.75 for style in IntegrationStyle}
-        expected[IntegrationStyle.DISAGGREGATED] = 0.68
+        assert _price(custom, "accum.read_words") == 9000
+        expected = {style: 750 for style in IntegrationStyle}
+        expected[IntegrationStyle.DISAGGREGATED] = 680
         for style in (*IntegrationStyle, *reversed(IntegrationStyle)):
             table = EnergyTable.for_design(style)
-            assert table.spec_for("matrix_unit.pe.macs").picojoules == expected[style]
-            assert table.spec_for("accum.read_words").picojoules == 0.55
-        assert EnergyTable().spec_for("matrix_unit.pe.macs").picojoules == 0.75
+            assert _price(table, "matrix_unit.pe.macs") == expected[style]
+            assert _price(table, "accum.read_words") == 550
+        assert _price(EnergyTable(), "matrix_unit.pe.macs") == 750
 
     def test_all_kernel_counters_have_energy_assignments(self):
         """Every counter a GEMM kernel produces must be in the energy table."""
@@ -102,9 +102,7 @@ class TestPower:
         table = EnergyTable()
         counters = Counters({"core.fpu.ops": 1000, "smem.core.read_words": 500})
         report = make_power_report("test", counters, table, cycles=4000, soc=SoCConfig())
-        assert report.total_energy_pj == pytest.approx(
-            sum(report.energy_by_component_pj.values())
-        )
+        assert report.total_energy_fj == sum(report.energy_by_component_fj.values())
         assert report.active_power_mw > 0
         assert sum(report.power_by_component_mw().values()) == pytest.approx(
             report.active_power_mw
@@ -142,7 +140,7 @@ class TestBreakdowns:
             "DMA & Other",
         }
         assert breakdown.parts_pj["Vortex Core"] > 0
-        assert breakdown.total_pj > 0
+        assert breakdown.total_fj > 0
 
     def test_core_breakdown_components(self):
         breakdown = core_breakdown("test", self._counters(), EnergyTable())

@@ -15,8 +15,8 @@ arrival pattern.  This suite is that proof, from four directions:
   mid-epoch, fault-forced epoch breaks, and the accounting invariant
   ``executed + extrapolated == iterations``;
 * **primitive unit tests**: :class:`IterationTimeline` sequence semantics,
-  bit-exact :func:`accumulate_energy`, :func:`epoch_horizon` and
-  :func:`clean_fault_run` edge cases, episode template learning/replay.
+  :func:`epoch_horizon` and :func:`clean_fault_run` edge cases, episode
+  template learning/replay.
 """
 
 import json
@@ -49,8 +49,6 @@ from repro.workloads.epochs import (
     EpochRecord,
     IterationRecord,
     IterationTimeline,
-    accumulate_energy,
-    accumulate_energy_scalar,
     build_episode_template,
     clean_fault_run,
     epoch_horizon,
@@ -337,10 +335,10 @@ def record(index, start=0, span=10, batch=1, ids=("r0",)):
 def sample_template():
     return build_episode_template([
         EpisodeSegment(count=2, span_cycles=10, end_cycle=7, kernel_count=3,
-                       energy_uj=1.5, resource_busy=(("matrix", 6),),
+                       energy_fj=1500, resource_busy=(("matrix", 6),),
                        cache_lookups=2),
         EpisodeSegment(count=1, span_cycles=12, end_cycle=9, kernel_count=4,
-                       energy_uj=2.25, resource_busy=(("matrix", 8), ("simt", 2)),
+                       energy_fj=2250, resource_busy=(("matrix", 8), ("simt", 2)),
                        cache_lookups=3),
     ])
 
@@ -430,49 +428,8 @@ class TestIterationTimeline:
 
 
 # --------------------------------------------------------------------------- #
-# Primitives: energy folds, horizons, fault probes, templates.
+# Primitives: horizons, fault probes, templates.
 # --------------------------------------------------------------------------- #
-
-
-def python_fold(total, pattern, repeats):
-    for value in list(pattern) * repeats:
-        total += value
-    return total
-
-
-class TestAccumulateEnergy:
-    def test_bit_exact_small(self):
-        pattern = np.array([0.1, 0.37, 2.25, 1e-7], dtype=np.float64)
-        assert accumulate_energy(3.7, pattern, 5) == python_fold(3.7, pattern, 5)
-
-    def test_bit_exact_numpy_path(self):
-        rng = np.random.default_rng(7)
-        pattern = rng.random(7)
-        # 7 * 200 = 1400 addends: past the small-fold threshold.
-        assert accumulate_energy(0.9, pattern, 200) == python_fold(0.9, pattern, 200)
-
-    def test_bit_exact_across_chunks(self):
-        from repro.workloads.epochs import _ENERGY_CHUNK
-
-        pattern = np.array([1e-9, 2.0], dtype=np.float64)
-        repeats = _ENERGY_CHUNK // 2 + 3  # spans two cumsum chunks
-        assert accumulate_energy(1.0, pattern, repeats) == python_fold(
-            1.0, pattern, repeats
-        )
-
-    def test_scalar_variant_bit_exact(self):
-        assert accumulate_energy_scalar(0.3, 0.7, 9) == python_fold(
-            0.3, np.array([0.7]), 9
-        )
-        assert accumulate_energy_scalar(0.3, 1e-8, 5000) == python_fold(
-            0.3, np.array([1e-8]), 5000
-        )
-
-    def test_degenerate_inputs(self):
-        pattern = np.array([1.0])
-        assert accumulate_energy(2.5, pattern, 0) == 2.5
-        assert accumulate_energy(2.5, np.array([], dtype=np.float64), 3) == 2.5
-        assert accumulate_energy_scalar(2.5, 1.0, 0) == 2.5
 
 
 class TestEpochHorizon:
@@ -523,7 +480,7 @@ class TestEpisodeTemplate:
         assert template.total_kernels == 2 * 3 + 4
         assert template.total_lookups == 2 * 2 + 3
         assert template.busy_totals == (("matrix", 2 * 6 + 8), ("simt", 2))
-        assert template.energy_pattern.tolist() == [1.5, 1.5, 2.25]
+        assert template.energy_fj == 2 * 1500 + 2250
 
     def test_empty_segments_rejected(self):
         with pytest.raises(ValueError):

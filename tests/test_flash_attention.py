@@ -119,10 +119,10 @@ class TestMappings:
         """Figure 12: Virgo reduces FlashAttention energy (paper: 50.6%)."""
         from repro.energy.model import EnergyTable
 
-        virgo_energy = EnergyTable.for_design(virgo_result.design.style).energy_picojoules(
+        virgo_energy = EnergyTable.for_design(virgo_result.design.style).energy_femtojoules(
             virgo_result.counters
         )
-        ampere_energy = EnergyTable.for_design(ampere_result.design.style).energy_picojoules(
+        ampere_energy = EnergyTable.for_design(ampere_result.design.style).energy_femtojoules(
             ampere_result.counters
         )
         reduction = 1.0 - virgo_energy / ampere_energy

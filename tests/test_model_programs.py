@@ -15,6 +15,7 @@ result.
 """
 
 import dataclasses
+import math
 import pickle
 from unittest import mock
 
@@ -155,7 +156,7 @@ class TestOracleDifferential:
 
 
 # --------------------------------------------------------------------------- #
-# Float fold order
+# Synthetic schedules: counter key order
 # --------------------------------------------------------------------------- #
 
 #: Counter keys the fake SIMT cost model draws from, all priced by the table.
@@ -173,17 +174,16 @@ FOLD_KEYS = (
 
 
 def _fake_simt_cost(design, elements, flops_per_element):
-    """Cycles and counters whose key order and values vary per kernel.
+    """Cycles and whole counts whose key order and values vary per kernel.
 
-    Values are non-dyadic, so every float fold is order-sensitive, and
-    kernels list their keys in different orders, so a layer's own key order
+    Kernels list their keys in different orders, so a layer's own key order
     differs from the first-seen order across layers.
     """
     counters = Counters()
     offset = elements % len(FOLD_KEYS)
     for rank in range(1 + elements % 5):
         key = FOLD_KEYS[(offset + 3 * rank) % len(FOLD_KEYS)]
-        counters.add(key, elements * flops_per_element / (rank + 3))
+        counters.add(key, math.ceil(elements * flops_per_element / (rank + 3)))
     return max(1, int(elements * flops_per_element / 7)), counters
 
 
@@ -191,9 +191,7 @@ def _fake_simt_cost(design, elements, flops_per_element):
 def fold_schedules(draw):
     """A random dependency-ordered schedule with non-contiguous layers.
 
-    Half the kernels open a new layer, so a schedule often has more than
-    the eight layers past which numpy's pairwise summation would regroup a
-    column sum.
+    Half the kernels open a new layer, so a schedule often has many layers.
     """
     heterogeneous = draw(st.booleans())
     resources = PROGRAM_RESOURCES if heterogeneous else PROGRAM_RESOURCES[:2]
@@ -556,11 +554,11 @@ class TestLifecycle:
         expected = (pristine.to_dict(), pristine_view)
         result = run_model("gpt-decode", "virgo")
         result.counters.add("core.fpu.ops", 1e9)
-        result.power.energy_by_component_pj["core"] = 0.0
+        result.power.energy_by_component_fj["core"] = 0
         result.layers[0].cycles += 1
         result.layers.pop()
         result.phase_cycles["decode"] = -1
-        result.phase_energy_uj.clear()
+        result.phase_energy_fj.clear()
         result.resource_busy["matrix"] = 0
         result.timing_cache["hits"] = -1
         result.metrics.counter("schedule.kernels").inc(5)

@@ -7,17 +7,17 @@ first-appearance order, credits every repeat as the hit its probe would
 have been, and folds each distinct sequence of kernel records once.  The
 reference is the compiler that probed and folded every instance
 (``differential.oracle_compile_step_program``).  Both must build the same
-``StepProgram`` field for field -- ``layer_rows`` bytes and ``keys`` order
+``StepProgram`` field for field -- the counter totals' key order
 included -- and move the timing cache's hits, misses and entries alike on a
 cold, a warm and a cleared cache; with the cache disabled the programs must
 still agree.
 """
 
 import dataclasses
+import math
 from types import SimpleNamespace
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,14 +59,11 @@ def fresh_cache():
 
 
 def assert_same_program(program: StepProgram, reference: StepProgram, context: str = "") -> None:
-    """Every field equal: arrays by dtype, shape and bytes, dicts in order."""
+    """Every field equal, dicts in order."""
     for f in dataclasses.fields(StepProgram):
         value, expected = getattr(program, f.name), getattr(reference, f.name)
         label = f"{context} {f.name}"
-        if isinstance(expected, np.ndarray):
-            assert (value.dtype, value.shape) == (expected.dtype, expected.shape), label
-            assert value.tobytes() == expected.tobytes(), label
-        elif isinstance(expected, dict):
+        if isinstance(expected, dict):
             assert list(value.items()) == list(expected.items()), label
         else:
             assert value == expected, label
@@ -134,7 +131,7 @@ def test_a_cold_compile_probes_each_distinct_kernel_and_prices_each_distinct_lay
         name: _count_calls(monkeypatch, lowering, name)
         for name in ("run_gemm", "run_flash_attention", "_simt_cost")
     }
-    pricings = _count_calls(monkeypatch, EnergyTable, "energy_picojoules")
+    pricings = _count_calls(monkeypatch, EnergyTable, "energy_femtojoules")
     for name in model_names():
         schedule = lower_graph(build_model(name), design, heterogeneous=heterogeneous)
         distinct = {_kernel_key(inv): inv.kind for inv in schedule.invocations}
@@ -203,12 +200,13 @@ def _tilt(design) -> int:
 
 
 def _stand_in_counters(work: int, scale: float) -> Counters:
-    """Non-dyadic values in a per-kernel key order: every float fold and
-    every energy sum is order-sensitive."""
+    """Whole counts in a per-kernel key order."""
     counters = Counters()
     offset = work % len(FOLD_KEYS)
     for rank in range(1 + work % 5):
-        counters.add(FOLD_KEYS[(offset + 3 * rank) % len(FOLD_KEYS)], work * scale / (rank + 3))
+        counters.add(
+            FOLD_KEYS[(offset + 3 * rank) % len(FOLD_KEYS)], math.ceil(work * scale / (rank + 3))
+        )
     return counters
 
 

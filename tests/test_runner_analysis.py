@@ -65,9 +65,9 @@ class TestRunner:
 
     def test_breakdowns_available(self, runs):
         run = runs[DesignKind.VIRGO]
-        assert run.soc_breakdown().total_pj > 0
-        assert run.core_breakdown().total_pj > 0
-        assert run.matrix_unit_breakdown().total_pj > 0
+        assert run.soc_breakdown().total_fj > 0
+        assert run.core_breakdown().total_fj > 0
+        assert run.matrix_unit_breakdown().total_fj > 0
 
     def test_core_power_reduced_in_virgo(self, runs):
         """Figure 10: the core (issue/RF) power collapses in Virgo."""

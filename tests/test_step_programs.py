@@ -6,10 +6,9 @@ per-request decode step is resolved once into integer arrays, and a batch
 is list-scheduled position-interleaved on plain ints.  The reference is the
 path it replaced -- ``merge_schedules`` + ``execute_schedule`` over the
 rows' kernel schedules (``differential.merged_iteration``).  The two must
-agree on the span, every row's end cycle, the kernel count, busy cycles and
-timing-cache hits/misses exactly, and on energy with ``==``: the compiled
-fold must add the same floats in the same order.  Traces must match span
-for span, flows included.
+agree on the span, every row's end cycle, the kernel count, busy cycles,
+timing-cache hits/misses and energy, in whole femtojoules, exactly.  Traces
+must match span for span, flows included.
 """
 
 import json
@@ -26,7 +25,6 @@ from differential import (
 )
 from repro.__main__ import main
 from repro.config.presets import DesignKind, make_design
-from repro.energy.model import EnergyTable
 from repro.obs import TraceRecorder, tracing
 from repro.perf import cache_disabled, timing_cache
 from repro.sim.stats import Counters
@@ -96,7 +94,7 @@ def _assert_equal(compiled, merged):
         merged.cache_hits,
         merged.cache_misses,
     )
-    assert compiled.energy_uj == merged.energy_uj  # bit-exact, not approx
+    assert compiled.energy_fj == merged.energy_fj
 
 
 @pytest.mark.parametrize("cache_state", ["cold", "warm", "cleared"])
@@ -145,10 +143,9 @@ def test_compiled_iteration_equals_merged_schedule_with_cache_disabled(batch):
 def simt_schedules(draw, resources):
     """A random dependency-ordered SIMT-kernel schedule.
 
-    The zoo's counter values are small dyadic rationals, whose float sums
-    are exact in any order; non-dyadic FLOP counts here make every float
-    fold order-sensitive, so a wrongly ordered fold cannot pass.  Layers
-    may be non-contiguous, and kernels land on any resource.
+    Fractional FLOPs per element exercise the SIMT cost model's rounding to
+    whole events.  Layers may be non-contiguous, and kernels land on any
+    resource.
     """
     invocations = []
     layers = 0
@@ -196,10 +193,7 @@ def test_executor_equals_merged_schedule_on_synthetic_schedules(data, heterogene
         )
     with tracing(TraceRecorder(capture_phases=False)) as compiled_trace:
         placed = execute_step_programs(
-            [programs[j] for j in rows],
-            prefixes,
-            EnergyTable.for_design(design.style),
-            duration_scale=scale,
+            [programs[j] for j in rows], prefixes, duration_scale=scale
         )
     ends = {}
     for layer in merged.layers:
@@ -209,7 +203,7 @@ def test_executor_equals_merged_schedule_on_synthetic_schedules(data, heterogene
     assert placed.row_ends == tuple(ends[prefix] for prefix in prefixes)
     assert placed.kernel_count == merged.kernel_count
     assert placed.resource_busy == merged.resource_busy
-    assert placed.energy_uj == merged.active_energy_uj
+    assert placed.energy_fj == merged.power.total_energy_fj
     assert compiled_trace.spans == merged_trace.spans
     assert compiled_trace.flows == merged_trace.flows
 
@@ -227,13 +221,9 @@ def test_zero_cycle_kernels_cost_one_cycle(monkeypatch):
         ],
     )
     merged = execute_schedule(merge_schedules([("a/", schedule), ("b/", schedule)], "m"))
-    placed = execute_step_programs(
-        [compile_step_program(schedule)] * 2,
-        ["a/", "b/"],
-        EnergyTable.for_design(schedule.design.style),
-    )
+    placed = execute_step_programs([compile_step_program(schedule)] * 2, ["a/", "b/"])
     assert placed.total_cycles == merged.total_cycles == 4
-    assert placed.energy_uj == merged.active_energy_uj == 0.0
+    assert placed.energy_fj == merged.power.total_energy_fj == 0
 
 
 def test_programs_compile_once_per_step_and_generation():
