@@ -398,16 +398,20 @@ def persistent_timing_cache(
     ...``, ``model --batch`` sweeps included) wrap their runs in this context
     so repeat invocations start from a warm kernel-timing cache: the first
     process pays every distinct kernel simulation once, every later process
-    replays them as cache hits.  Flushing is skipped when the run added no
-    entries (pure-hit runs leave the file untouched).
+    replays them as cache hits.  Flushing is skipped when the file already
+    holds as many entries as the process in every store, so a pure-hit run
+    leaves the file untouched, while a process warm from earlier runs still
+    writes its entries into a new or smaller snapshot.
     """
     cache = cache if cache is not None else timing_cache()
     path = snapshot_path(directory)
-    load_snapshot(path, cache)
-    before = cache.size_signature()
+    on_disk = TimingCache()
+    load_snapshot(path, on_disk)
+    stored = on_disk.size_signature()
+    cache.load(on_disk.snapshot())
+    del on_disk
     try:
         yield path
     finally:
-        after = cache.size_signature()
-        if any(count > before.get(name, 0) for name, count in after.items()):
+        if any(count > stored.get(name, 0) for name, count in cache.size_signature().items()):
             save_snapshot(path, cache)

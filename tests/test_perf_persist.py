@@ -229,6 +229,25 @@ class TestPersistentContext:
         after = path.stat()
         assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
+    def test_a_warm_process_writes_into_a_new_directory(self, tmp_path):
+        """The block adds no entry, but the file is missing: it is written."""
+        jobs = sweep_jobs([TINY_GPT], ["virgo", "ampere"])
+        run_batch(jobs)
+        with persistent_timing_cache(tmp_path / "new") as path:
+            run_batch(jobs)
+        assert path.exists()
+        assert _namespace_sizes(path)[MODEL_PROGRAMS] == 2
+
+    def test_a_warm_process_tops_up_a_smaller_snapshot(self, tmp_path):
+        """The process holds a cell the file lacks: the file gains it."""
+        with persistent_timing_cache(tmp_path) as path:
+            run_batch(sweep_jobs([TINY_GPT], ["virgo"]))
+        assert _namespace_sizes(path)[MODEL_PROGRAMS] == 1
+        run_batch(sweep_jobs([TINY_GPT], ["ampere"]))
+        with persistent_timing_cache(tmp_path):
+            run_batch(sweep_jobs([TINY_GPT], ["virgo"]))
+        assert _namespace_sizes(path)[MODEL_PROGRAMS] == 2
+
 
 def _namespace_sizes(path):
     snapshot = pickle.loads(path.read_bytes())
