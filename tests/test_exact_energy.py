@@ -7,8 +7,9 @@ a stepper's -- is a Python ``int`` that no addition order can change.
 Properties here pin that down: pricing rejects a fractional count, the
 totals are ``int``s and their encodings floats, a batch's energy is the sum
 of its rows' in any order, an epoch and an episode run add exact multiples,
-and the two sources of fractional counts (the SIMT cost model's per-lane
-counts and the heterogeneous retry traffic) round up to whole events.
+and the sources of fractional counts (the SIMT cost model's and the flash
+softmax's per-lane counts, and the heterogeneous retry traffic) round up
+to whole events.
 """
 
 import dataclasses
@@ -223,7 +224,7 @@ def test_simt_cost_counts_are_whole(kind, lanes, elements, flops_per_element):
 def test_hetero_parallel_counts_are_whole(large, small):
     """The parallel case's retry traffic rounds up to whole words and
     descriptors: pricing it, which raises on a fractional count, gives an
-    ``int`` at least the serial energy."""
+    ``int`` above the serial energy."""
     result = simulate_heterogeneous(large, small)
     assert type(result.parallel_energy_fj) is int and type(result.serial_energy_fj) is int
     assert result.parallel_energy_fj > result.serial_energy_fj

@@ -140,7 +140,8 @@ def _rel(a: float, b: float) -> float:
 def _leaf(tally: Tally, path: str, a, b, allowed: bool) -> None:
     if json.dumps(a) == json.dumps(b):
         return
-    numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+    # An int that became a float (or back) is a change of type, not rounding.
+    numeric = type(a) is type(b) and isinstance(a, (int, float)) and not isinstance(a, bool)
     if numeric and ENERGY_PATH.search(path):
         rel = _rel(a, b)
         if rel <= RTOL:
