@@ -1,0 +1,73 @@
+"""Tests for ``tools/compare_outputs.py``'s JSON comparison and ``--allow``."""
+
+import importlib.util
+from pathlib import Path
+
+_TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
+_spec = importlib.util.spec_from_file_location("compare_outputs", _TOOL)
+compare_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_outputs)
+
+SURFACE = "cli:serve"
+
+
+def compare(a, b, *allow):
+    tally = compare_outputs.Tally()
+    patterns = compare_outputs.allow_patterns(f"{SURFACE}:{entry}" for entry in allow)
+    compare_outputs.compare_json(tally, "", a, b, patterns, SURFACE)
+    return tally
+
+
+def test_identical_documents_have_no_difference():
+    document = {"trace": "t", "requests": [{"id": "r0", "finish": 5}]}
+    tally = compare(document, dict(document))
+    assert (tally.diffs, tally.allowed) == ([], [])
+
+
+def test_added_and_removed_keys_are_listed_and_shared_keys_still_compared():
+    base = {"trace": "t", "cycles": 10, "gone": 1}
+    head = {"trace": "t", "cycles": 11, "policy": "fcfs"}
+    assert compare(base, head).diffs == [
+        "gone: removed 1",
+        'policy: added "fcfs"',
+        "cycles: 10 -> 11",
+    ]
+
+
+def test_reordered_shared_keys_are_a_difference():
+    tally = compare({"report": {"a": 1, "b": 2}}, {"report": {"b": 2, "a": 1, "c": 3}},
+                    "report.c")
+    assert tally.diffs == ["report: shared keys ['a', 'b'] -> ['b', 'a']"]
+    assert tally.allowed == ["report.c: added 3"]
+
+
+def test_a_star_allows_an_added_key_at_every_list_index():
+    base = {"requests": [{"id": "r0"}, {"id": "r1"}]}
+    head = {"requests": [{"id": "r0", "disposition": "met"}, {"id": "r1", "disposition": "met"}]}
+    tally = compare(base, head, "requests.*.disposition")
+    assert tally.diffs == []
+    assert tally.allowed == [
+        'requests.0.disposition: added "met"',
+        'requests.1.disposition: added "met"',
+    ]
+
+
+def test_a_star_stands_for_an_index_only():
+    base = {"requests": {"first": {"id": "r0"}}}
+    head = {"requests": {"first": {"id": "r0", "disposition": "met"}}}
+    tally = compare(base, head, "requests.*.disposition")
+    assert tally.diffs == ['requests.first.disposition: added "met"']
+
+
+def test_an_allowed_path_does_not_cover_its_neighbours():
+    base = {"requests": [{"id": "r0", "finish": 5}]}
+    head = {"requests": [{"id": "r0", "finish": 6, "disposition": "met"}]}
+    tally = compare(base, head, "requests.*.disposition")
+    assert tally.diffs == ["requests.0.finish: 5 -> 6"]
+
+
+def test_long_added_values_are_shortened():
+    tally = compare({}, {"faults": {"seed": 7, "spikes": list(range(40))}})
+    (line,) = tally.diffs
+    assert line.startswith('faults: added {"seed": 7') and line.endswith("...")
+    assert len(line) < 80

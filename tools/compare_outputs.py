@@ -12,7 +12,9 @@ values by float rounding, or differ otherwise:
 * the serve, fleet, gemm, flash and hetero runs the CI workflow makes.
 
 An output that ends in a JSON document (after any prose) is compared as
-JSON; the prose before it, line by line.
+JSON; the prose before it, line by line.  A JSON object that gained or lost
+keys reports each added or removed key and goes on comparing the keys both
+sides share; a change in the order of the shared keys is a difference.
 
 Usage::
 
@@ -26,9 +28,10 @@ energy or power (``energy``, ``power``, ``_uj``, ``_mj``, ``_mw``,
 ``per_flop``); a text line, when it mentions energy, power or one of their
 units.  Such a value may move by at most :data:`RTOL` relative, float
 rounding only; every other value must be byte-identical.  ``--allow``
-(repeatable) names a field allowed to move further, as
-``surface:dotted.path`` (``surface:line`` for prose).  Exits non-zero if
-any surface has a difference that is not allowed.
+(repeatable) names a field allowed to move further, be added or be
+removed, as ``surface:dotted.path`` (``surface:line`` for prose); a ``*``
+in the path stands for any list index (``requests.*.disposition``).
+Exits non-zero if any surface has a difference that is not allowed.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Pattern, Tuple
 
 DESIGNS = ("volta", "ampere", "hopper", "virgo")
 #: How far, relative, an energy or power value may move.
@@ -137,6 +140,20 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / scale if scale else 0.0
 
 
+def allow_patterns(entries: Iterable[str]) -> List[Pattern[str]]:
+    """``--allow`` entries as patterns over ``surface:path``; ``*`` matches
+    one list index."""
+    return [re.compile(re.escape(entry).replace(r"\*", r"\d+")) for entry in entries]
+
+
+def _allowed(allow: List[Pattern[str]], surface: str, path: str) -> bool:
+    return any(pattern.fullmatch(f"{surface}:{path}") for pattern in allow)
+
+
+def _note(tally: Tally, line: str, allowed: bool) -> None:
+    (tally.allowed if allowed else tally.diffs).append(line)
+
+
 def _leaf(tally: Tally, path: str, a, b, allowed: bool) -> None:
     if json.dumps(a) == json.dumps(b):
         return
@@ -148,18 +165,27 @@ def _leaf(tally: Tally, path: str, a, b, allowed: bool) -> None:
             tally.energy += 1
             tally.max_rel = max(tally.max_rel, rel)
             return
-    if allowed:
-        tally.allowed.append(f"{path}: {a!r} -> {b!r}")
-        return
-    tally.diffs.append(f"{path}: {a!r} -> {b!r}")
+    _note(tally, f"{path}: {a!r} -> {b!r}", allowed)
 
 
-def compare_json(tally: Tally, path: str, a, b, allow: set, surface: str) -> None:
+def _brief(value) -> str:
+    text = json.dumps(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def compare_json(tally: Tally, path: str, a, b, allow: List[Pattern[str]], surface: str) -> None:
     if isinstance(a, dict) and isinstance(b, dict):
-        if list(a) != list(b):
-            tally.diffs.append(f"{path}: keys {list(a)} -> {list(b)}")
-            return
-        for key in a:
+        shared = [key for key in a if key in b]
+        order = [key for key in b if key in a]
+        if shared != order:
+            tally.diffs.append(f"{path}: shared keys {shared} -> {order}")
+        for side, this, other in (("removed", a, b), ("added", b, a)):
+            for key in this:
+                if key not in other:
+                    child = f"{path}.{key}" if path else key
+                    _note(tally, f"{child}: {side} {_brief(this[key])}",
+                          _allowed(allow, surface, child))
+        for key in shared:
             compare_json(tally, f"{path}.{key}" if path else key, a[key], b[key], allow, surface)
         return
     if isinstance(a, list) and isinstance(b, list):
@@ -169,10 +195,10 @@ def compare_json(tally: Tally, path: str, a, b, allow: set, surface: str) -> Non
         for index, (x, y) in enumerate(zip(a, b)):
             compare_json(tally, f"{path}.{index}", x, y, allow, surface)
         return
-    _leaf(tally, path, a, b, f"{surface}:{path}" in allow)
+    _leaf(tally, path, a, b, _allowed(allow, surface, path))
 
 
-def compare_text(tally: Tally, a: str, b: str, allow: set, surface: str) -> None:
+def compare_text(tally: Tally, a: str, b: str, allow: List[Pattern[str]], surface: str) -> None:
     left, right = a.splitlines(), b.splitlines()
     if len(left) != len(right):
         tally.diffs.append(f"line count {len(left)} -> {len(right)}")
@@ -180,12 +206,9 @@ def compare_text(tally: Tally, a: str, b: str, allow: set, surface: str) -> None
     for number, (x, y) in enumerate(zip(left, right), 1):
         if x == y:
             continue
-        allowed = f"{surface}:{number}" in allow
+        allowed = _allowed(allow, surface, str(number))
         if NUMBER.sub("#", x) != NUMBER.sub("#", y) or not ENERGY_LINE.search(x):
-            if allowed:
-                tally.allowed.append(f"line {number}: {x!r} -> {y!r}")
-            else:
-                tally.diffs.append(f"line {number}: {x!r} -> {y!r}")
+            _note(tally, f"line {number}: {x!r} -> {y!r}", allowed)
             continue
         for p, q in zip(NUMBER.findall(x), NUMBER.findall(y)):
             if p != q:
@@ -217,10 +240,11 @@ def main(argv=None) -> int:
     parser.add_argument("base", type=Path)
     parser.add_argument("head", type=Path)
     parser.add_argument("--allow", action="append", default=[],
-                        help="surface:dotted.path (or surface:line) allowed to move further")
+                        help="surface:dotted.path (or surface:line) allowed to move further, "
+                             "be added or be removed; * stands for a list index")
     args = parser.parse_args(argv)
     base, head = args.base.resolve(), args.head.resolve()
-    allow = set(args.allow)
+    allow = allow_patterns(args.allow)
     todo = list(surfaces(base))
 
     def one(surface):
