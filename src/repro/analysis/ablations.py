@@ -68,12 +68,13 @@ def accumulator_placement_ablation(size: int = 512) -> Dict[str, float]:
     The counters of a Virgo GEMM run are re-priced with the accumulator
     accesses charged at register-file energy (multi-banked, SIMT-ported)
     instead of the single-banked SRAM, which is exactly the difference the
-    dedicated accumulator memory makes.
+    dedicated accumulator memory makes.  The variant is Virgo's own table
+    with those two prices replaced, so every other event costs the same.
     """
     result = VirgoGemmKernel(virgo()).simulate(GemmWorkload.square(size))
     sram_table = EnergyTable.for_design(result.design.style)
-    rf_priced = EnergyTable(
-        overrides={
+    rf_priced = sram_table.with_prices(
+        {
             "accum.read_words": EnergyEventSpec("accumulator", 1200),
             "accum.write_words": EnergyEventSpec("accumulator", 1500),
         }

@@ -28,6 +28,7 @@ Counter naming convention (dotted hierarchy):
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Mapping, Tuple
@@ -167,6 +168,12 @@ class EnergyTable:
             }
             return cls(overrides)
         return cls()
+
+    def with_prices(self, overrides: Mapping[str, EnergyEventSpec]) -> "EnergyTable":
+        """A copy of this table with ``overrides`` replacing its entries."""
+        table = copy(self)
+        table._table = {**self._table, **overrides}
+        return table
 
     def energy_femtojoules(self, counters: Counters) -> int:
         """Total active energy of all counted events, in femtojoules."""

@@ -14,8 +14,10 @@ from repro.analysis.ablations import (
 )
 from repro.config.presets import DesignKind, make_design, virgo
 from repro.config.soc import DataType
-from repro.kernels.gemm import simulate_gemm
+from repro.energy.model import EnergyTable
+from repro.kernels.gemm import GemmWorkload, VirgoGemmKernel, simulate_gemm
 from repro.runner import run_gemm
+from repro.sim.stats import Counters
 from repro.workloads import model_names
 
 
@@ -31,6 +33,26 @@ class TestAblations:
         result = accumulator_placement_ablation(size=256)
         assert result["accumulator_in_rf_class_storage_uj"] > result["accumulator_in_sram_uj"]
         assert 0 < result["energy_increase_percent"] < 50
+
+    def test_accumulator_placement_reprices_only_the_accumulator(self):
+        # Moving the accumulator to RF-class storage (1200 / 1500 fJ per
+        # word read / written) changes nothing but the accumulator's words.
+        result = accumulator_placement_ablation(size=256)
+        counters = VirgoGemmKernel(virgo()).simulate(GemmWorkload.square(256)).counters
+        table = EnergyTable.for_design(virgo().style)
+
+        def per_word(key):
+            return table.energy_femtojoules(Counters({key: 1}))
+
+        expected_fj = (
+            counters.get("accum.read_words") * (1200 - per_word("accum.read_words"))
+            + counters.get("accum.write_words") * (1500 - per_word("accum.write_words"))
+        )
+        increase_uj = (
+            result["accumulator_in_rf_class_storage_uj"] - result["accumulator_in_sram_uj"]
+        )
+        assert expected_fj > 0
+        assert increase_uj == pytest.approx(expected_fj / 1e9, rel=1e-9)
 
     def test_unified_unit_reduces_footprint(self):
         result = unified_unit_ablation()
