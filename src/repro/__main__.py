@@ -60,6 +60,7 @@ from repro.analysis.fleet import (
 from repro.analysis.serving import (
     REQUEST_HEADERS,
     format_latency_report,
+    policy_line,
     serving_latency_report,
     serving_perf_stats,
     serving_request_rows,
@@ -392,23 +393,15 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         + f": {len(result.requests)} requests, {result.iteration_count} iterations, "
         f"KV bucket {result.context_bucket}\n"
     )
-    headers = REQUEST_HEADERS + ["disposition"] if result.control_active else REQUEST_HEADERS
-    print(format_table(headers, serving_request_rows(result)))
+    print(format_table(REQUEST_HEADERS, serving_request_rows(result)))
     print()
-    if result.control_active and not args.latency_report:
-        dispositions = "  ".join(
-            f"{name} {count}" for name, count in result.dispositions.items()
-        )
-        print(
-            f"policy {result.policy}: goodput {result.goodput:.3f} "
-            f"({dispositions}; {result.preemption_count} preemptions)"
-        )
     if args.latency_report:
         # The report's header line already carries makespan/batch/throughput.
         print(format_latency_report(result))
         print()
         print(f"energy: {result.energy_uj:.1f} uJ")
     else:
+        print(policy_line(result))
         print(
             f"makespan {result.total_cycles:,} cycles "
             f"({result.serving_cycles:,} serving), mean batch {result.mean_batch:.2f}, "

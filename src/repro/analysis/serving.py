@@ -29,6 +29,7 @@ REQUEST_HEADERS = [
     "TTFT",
     "latency",
     "steps",
+    "disposition",
 ]
 
 #: The percentiles every latency summary reports.
@@ -110,7 +111,7 @@ def serving_latency_report(result: ServingRunResult) -> Dict[str, object]:
         for request in result.requests
         if request.queueing_cycles is not None
     ]
-    report: Dict[str, object] = {
+    return {
         "kind": "serving_latency",
         "trace": result.trace,
         "design": result.design_name,
@@ -128,15 +129,11 @@ def serving_latency_report(result: ServingRunResult) -> Dict[str, object]:
         "unit_occupancy_percent": occupancy_percent(
             result.resource_busy, result.serving_cycles
         ),
+        "policy": result.policy,
+        "goodput": result.goodput,
+        "dispositions": dict(result.dispositions),
+        "preemption_count": result.preemption_count,
     }
-    # Control-plane keys ride along only when the control plane was active,
-    # keeping the default report byte-identical to its golden.
-    if result.control_active:
-        report["policy"] = result.policy
-        report["goodput"] = result.goodput
-        report["dispositions"] = dict(result.dispositions)
-        report["preemption_count"] = result.preemption_count
-    return report
 
 
 def serving_perf_stats(result: ServingRunResult) -> Dict[str, Dict[str, int]]:
@@ -162,13 +159,10 @@ def serving_request_rows(result: ServingRunResult) -> List[List[str]]:
     """One formatted row per request for the CLI table.
 
     Shed / timed-out requests have no TTFT or latency; their cells render as
-    ``-``.  A disposition column is appended only on control-plane runs so
-    the default table layout is unchanged.
+    ``-``.
     """
-    control = result.control_active
-    rows = []
-    for request in result.requests:
-        row = [
+    return [
+        [
             request.request_id,
             request.model_family,
             f"{request.arrival_cycle:,}",
@@ -176,11 +170,19 @@ def serving_request_rows(result: ServingRunResult) -> List[List[str]]:
             _cycles_cell(request.ttft_cycles),
             _cycles_cell(request.latency_cycles),
             str(request.decode_steps),
+            request.disposition,
         ]
-        if control:
-            row.append(request.disposition or "-")
-        rows.append(row)
-    return rows
+        for request in result.requests
+    ]
+
+
+def policy_line(result: ServingRunResult) -> str:
+    """The run's policy, goodput, disposition counts and preemptions."""
+    dispositions = "  ".join(f"{name} {count}" for name, count in result.dispositions.items())
+    return (
+        f"policy {result.policy}: goodput {result.goodput:.3f} "
+        f"({dispositions}; {result.preemption_count} preemptions)"
+    )
 
 
 def format_latency_report(result: ServingRunResult) -> str:
@@ -222,17 +224,7 @@ def format_latency_report(result: ServingRunResult) -> str:
             "no request finished (all shed or timed out): latency and ttft "
             "percentiles are empty, zeros below are placeholders",
         )
-    if result.control_active:
-        dispositions = "  ".join(
-            f"{name} {count}" for name, count in report["dispositions"].items()
-        )
-        lines.insert(
-            1,
-            (
-                f"policy {report['policy']}: goodput {report['goodput']:.3f} "
-                f"({dispositions}; {report['preemption_count']} preemptions)"
-            ),
-        )
+    lines.insert(1, policy_line(result))
     lines.append(
         f"iteration memo: {memo.get('hits', 0)} hits, "
         f"{memo.get('misses', 0)} misses; timing cache: "

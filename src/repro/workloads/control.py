@@ -16,8 +16,8 @@ arbitrarily:
   decision points every iteration boundary: which queued requests to *shed*
   (give up on), which in-flight requests to *evict* (preempt), and which
   queued requests to *admit* under the iteration budget.
-* Three shipped policies: :class:`FcfsPolicy` (admit everything -- exactly
-  the historical behaviour, and the default), :class:`KvBudgetPolicy`
+* Three shipped policies: :class:`FcfsPolicy` (admit everything in arrival
+  order, the default), :class:`KvBudgetPolicy`
   (bound resident bucketed-KV bytes against an HBM budget; over-budget
   arrivals queue and past-deadline requests are shed), and
   :class:`PreemptiveSloPolicy` (additionally lets late high-priority
@@ -160,8 +160,7 @@ class SchedulingPolicy:
     ``.steps_done`` and (queued) ``.enqueued_cycle`` / (active)
     ``.resident_since`` -- and must not be mutated; hooks return subsets of
     the lists they were given.  The base class is FCFS: shed nothing, evict
-    nothing, admit everything -- byte-identical to the pre-control-plane
-    scheduler.
+    nothing, admit everything.
     """
 
     name = "fcfs"

@@ -573,19 +573,14 @@ class RequestSpec:
         return self.prompt_len + steps_done
 
     def to_dict(self) -> Dict[str, object]:
-        # The "slo" key is emitted only when a class is attached: SLO-free
-        # requests keep the exact pre-control-plane encoding, which is what
-        # pins the serving goldens byte-identical under the default policy.
-        encoded: Dict[str, object] = {
+        return {
             "request_id": self.request_id,
             "arrival_cycle": self.arrival_cycle,
             "prompt_len": self.prompt_len,
             "decode_steps": self.decode_steps,
             "model": self.model.to_dict(),
+            "slo": self.slo.to_dict() if self.slo is not None else None,
         }
-        if self.slo is not None:
-            encoded["slo"] = self.slo.to_dict()
-        return encoded
 
 
 @dataclass(frozen=True)

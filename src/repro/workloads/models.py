@@ -172,9 +172,10 @@ class ModelSpec:
         return (self.heads + 2 * self.effective_kv_heads) * self.head_dim
 
     def to_dict(self) -> Dict[str, object]:
-        # The mask fields are emitted only when set: every pre-existing spec
-        # encodes byte-identically, so unmasked goldens and content-hashed
-        # cache keys stay stable (same pattern as ``RequestSpec.slo``).
+        # The mask fields are emitted only when set, so
+        # ``ModelSpec(**spec.to_dict())`` rebuilds a hashable spec from any
+        # encoding without ``seq_lens``; an always-present ``seq_lens`` list
+        # would make every rebuilt spec unhashable.
         encoded = asdict(self)
         if not self.window:
             del encoded["window"]

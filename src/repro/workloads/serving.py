@@ -39,13 +39,13 @@ Above the batcher sits a pluggable *control plane*
 (:mod:`repro.workloads.control`): a :class:`SchedulingPolicy` decides at
 every iteration boundary which queued requests to shed, which in-flight
 requests to preempt, and which to admit under a KV-budget.  The default
-``fcfs`` policy admits everything unconditionally -- byte-identical to the
-scheduler before the control plane existed -- while ``kv-budget`` and
+``fcfs`` policy admits everything unconditionally, while ``kv-budget`` and
 ``preemptive-slo`` trade per-request SLO classes
 (:class:`~repro.workloads.control.SloClass`) against an HBM budget.  Every
-request then lands in exactly one disposition -- ``met`` / ``violated`` /
-``shed`` / ``timed_out`` -- and the fraction of arrivals meeting their SLO
-is the run's goodput.  A seeded :class:`~repro.faults.FaultPlan` can
+request lands in exactly one disposition -- ``met`` / ``violated`` /
+``shed`` / ``timed_out``; a finished request without an SLO class is
+``met`` -- and the fraction of arrivals meeting their SLO is the run's
+goodput.  A seeded :class:`~repro.faults.FaultPlan` can
 additionally inject kernel latency spikes, iteration stalls and arrival
 bursts, deterministically, to measure how gracefully each policy degrades.
 
@@ -124,12 +124,9 @@ class RequestResult:
 
     All cycle stamps are absolute simulation cycles; derived metrics
     (latency, TTFT, queueing delay) are properties so they can never drift
-    from the stamps they are defined by.  Under a non-default policy stamps
-    can be ``None`` -- a shed request was never admitted and has no finish --
-    and ``disposition`` records the terminal state; under the default FCFS
-    policy with no SLOs every stamp is set and ``disposition`` stays
-    ``None``, keeping the encoding byte-identical to the pre-control-plane
-    scheduler.
+    from the stamps they are defined by.  Stamps can be ``None`` -- a shed
+    request was never admitted and has no finish -- and ``disposition``
+    records the terminal state of every request.
     """
 
     request_id: str
@@ -140,11 +137,13 @@ class RequestResult:
     prompt_len: int
     decode_steps: int
     model_family: str
-    disposition: Optional[str] = None
-    slo_class: Optional[str] = None
-    preemptions: int = 0
-    #: Cycle at which a shed/timed-out request left the system.
-    terminal_cycle: Optional[int] = None
+    #: One of :data:`DISPOSITIONS`.
+    disposition: str
+    slo_class: Optional[str]
+    preemptions: int
+    #: Cycle at which the request left the system: its finish, or when it
+    #: was shed or timed out.
+    terminal_cycle: int
 
     @property
     def latency_cycles(self) -> Optional[int]:
@@ -172,7 +171,7 @@ class RequestResult:
         return self.finish_cycle is not None
 
     def to_dict(self) -> Dict[str, object]:
-        encoded: Dict[str, object] = {
+        return {
             "request_id": self.request_id,
             "model_family": self.model_family,
             "arrival_cycle": self.arrival_cycle,
@@ -184,17 +183,11 @@ class RequestResult:
             "latency_cycles": self.latency_cycles,
             "ttft_cycles": self.ttft_cycles,
             "queueing_cycles": self.queueing_cycles,
+            "disposition": self.disposition,
+            "slo_class": self.slo_class,
+            "preemptions": self.preemptions,
+            "terminal_cycle": self.terminal_cycle,
         }
-        # Control-plane keys appear only when a disposition was assigned
-        # (non-default policy, SLO-classed trace, or fault injection), so the
-        # default path keeps the exact historical encoding -- the serving
-        # goldens pin this.
-        if self.disposition is not None:
-            encoded["disposition"] = self.disposition
-            encoded["slo_class"] = self.slo_class
-            encoded["preemptions"] = self.preemptions
-            encoded["terminal_cycle"] = self.terminal_cycle
-        return encoded
 
 
 @dataclass
@@ -245,13 +238,8 @@ class ServingRunResult:
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry, compare=False)
     #: Scheduling policy the run used ("fcfs" unless overridden).
     policy: str = "fcfs"
-    #: True when the control plane could alter behaviour (non-default policy,
-    #: SLO-classed trace, or fault injection).  Gates every new ``to_dict``
-    #: key so default runs stay byte-identical to the pre-control-plane
-    #: encoding.
-    control_active: bool = False
-    #: Fraction of arrivals whose SLO was met (``None`` on default runs).
-    goodput: Optional[float] = None
+    #: Fraction of arrivals whose SLO was met.
+    goodput: float = 0.0
     #: Disposition histogram: every arrival lands in exactly one bucket.
     dispositions: Dict[str, int] = field(default_factory=dict)
     #: Total evictions performed by the policy across the run.
@@ -289,7 +277,7 @@ class ServingRunResult:
         return 1000.0 * self.decode_steps_executed / self.serving_cycles
 
     def to_dict(self) -> Dict[str, object]:
-        encoded: Dict[str, object] = {
+        return {
             "kind": "serving",
             "trace": self.trace,
             "design": self.design_name,
@@ -307,14 +295,12 @@ class ServingRunResult:
             "requests": [request.to_dict() for request in self.requests],
             "iterations": [record.to_dict() for record in self.iterations],
             "metrics": self.metrics.snapshot(),
+            "policy": self.policy,
+            "goodput": self.goodput,
+            "dispositions": dict(self.dispositions),
+            "preemption_count": self.preemption_count,
+            "faults": self.fault_plan.to_dict() if self.fault_plan else None,
         }
-        if self.control_active:
-            encoded["policy"] = self.policy
-            encoded["goodput"] = self.goodput
-            encoded["dispositions"] = dict(self.dispositions)
-            encoded["preemption_count"] = self.preemption_count
-            encoded["faults"] = self.fault_plan.to_dict() if self.fault_plan else None
-        return encoded
 
 
 @dataclass
@@ -505,8 +491,7 @@ def _serving_metrics(
     requests: List[RequestResult],
     stepper: "_Stepper",
     queue_waits: Tuple[int, List[int]],
-    control_active: bool,
-    goodput: Optional[float],
+    goodput: float,
     dispositions: Dict[str, int],
 ) -> MetricsRegistry:
     """The unified metrics registry for one serving run.
@@ -539,13 +524,10 @@ def _serving_metrics(
     queueing.observe_many(0, zero_count)
     for wait in waits:
         queueing.observe(wait)
-    if control_active:
-        metrics.gauge("serving.goodput").set(goodput if goodput is not None else 0.0)
-        for disposition in DISPOSITIONS:
-            metrics.counter(f"serving.dispositions.{disposition}").inc(
-                dispositions.get(disposition, 0)
-            )
-        metrics.counter("serving.preemptions").inc(stepper.preemption_count)
+    metrics.gauge("serving.goodput").set(goodput)
+    for disposition in DISPOSITIONS:
+        metrics.counter(f"serving.dispositions.{disposition}").inc(dispositions[disposition])
+    metrics.counter("serving.preemptions").inc(stepper.preemption_count)
     for resource, busy in sorted(resource_busy.items()):
         metrics.counter(f"unit.busy_cycles.{resource}").inc(busy)
     occupancy = occupancy_percent(resource_busy, stepper.serving_cycles)
@@ -910,15 +892,6 @@ class ServingScheduler:
         injector = FaultInjector(faults) if faults is not None and faults.active else None
         if injector is not None:
             trace = injector.perturb_trace(trace)
-        # The control plane is "active" -- and its extra result fields are
-        # populated -- only when something can deviate from historical
-        # behaviour.  Default FCFS runs over SLO-free traces without faults
-        # take the exact pre-control-plane path, which pins the goldens.
-        control_active = (
-            self.policy.name != "fcfs"
-            or injector is not None
-            or any(request.slo is not None for request in trace.requests)
-        )
         specs = trace.sorted_requests()
         stepper = _Stepper(
             self, trace, arrivals=specs, injector=injector, timeline=IterationTimeline()
@@ -927,6 +900,7 @@ class ServingScheduler:
         episode_meta = stepper.episode_meta
         recorder = stepper.recorder
         requests: List[RequestResult] = []
+        dispositions = {name: 0 for name in DISPOSITIONS}
         zero_wait = 0
         queue_waits: List[int] = []
         meta_pos = 0
@@ -944,53 +918,51 @@ class ServingScheduler:
                 zero_wait += count
                 run_specs = specs[start : start + count]
                 head = run_specs[0]
-                # Prototype with every run-constant field resolved; the
-                # per-request loop below only patches the five that vary.
-                # This is the per-request hot path of a compressed
+                # One prototype per SLO class with every run-constant field
+                # resolved: ttft/latency (and decode budget) are constant
+                # across the run, so the verdict only varies with the class.
+                # The per-request loop below only patches the fields that
+                # vary.  This is the per-request hot path of a compressed
                 # million-request run, hence the dataclass-__init__ bypass.
-                proto = {
-                    "request_id": "",
-                    "arrival_cycle": 0,
-                    "admitted_cycle": 0,
-                    "first_token_cycle": 0,
-                    "finish_cycle": 0,
-                    "prompt_len": head.prompt_len,
-                    "decode_steps": head.decode_steps,
-                    "model_family": head.model.family,
-                    "disposition": None,
-                    "slo_class": None,
-                    "preemptions": 0,
-                    "terminal_cycle": None,
-                }
-                disposition_for: Dict[object, Optional[str]] = {}
+                protos: Dict[object, Dict[str, object]] = {}
                 new_result = RequestResult.__new__
                 append = requests.append
                 for request in run_specs:
                     arrival = request.arrival_cycle
                     finish = arrival + latency
+                    proto = protos.get(request.slo)
+                    if proto is None:
+                        slo = request.slo
+                        proto = protos[slo] = {
+                            "request_id": "",
+                            "arrival_cycle": 0,
+                            "admitted_cycle": 0,
+                            "first_token_cycle": 0,
+                            "finish_cycle": 0,
+                            "prompt_len": head.prompt_len,
+                            "decode_steps": head.decode_steps,
+                            "model_family": head.model.family,
+                            "disposition": evaluate_disposition(request, ttft, latency),
+                            "slo_class": slo.name if slo is not None else None,
+                            "preemptions": 0,
+                            "terminal_cycle": 0,
+                        }
                     fields = dict(proto)
                     fields["request_id"] = request.request_id
                     fields["arrival_cycle"] = arrival
                     fields["admitted_cycle"] = arrival
                     fields["first_token_cycle"] = arrival + ttft
                     fields["finish_cycle"] = finish
-                    if control_active:
-                        # ttft/latency (and decode budget) are constant
-                        # across the run, so the verdict only varies with
-                        # the SLO class.
-                        if request.slo in disposition_for:
-                            disposition = disposition_for[request.slo]
-                        else:
-                            disposition = evaluate_disposition(request, ttft, latency)
-                            disposition_for[request.slo] = disposition
-                        fields["disposition"] = disposition
-                        fields["slo_class"] = (
-                            request.slo.name if request.slo is not None else None
-                        )
-                        fields["terminal_cycle"] = finish
+                    fields["terminal_cycle"] = finish
                     result = new_result(RequestResult)
                     result.__dict__ = fields
                     append(result)
+                if len(protos) == 1:
+                    # One class: the whole run shares one verdict.
+                    dispositions[proto["disposition"]] += count
+                else:
+                    for result in requests[-count:]:
+                        dispositions[result.disposition] += 1
                 position += count
                 continue
             request = specs[position]
@@ -999,20 +971,17 @@ class ServingScheduler:
             state = stepper.finished.get(rid)
             if state is not None:
                 finish = terminal = state.finish_cycle
-                disposition = None
-                if control_active:
-                    disposition = evaluate_disposition(
-                        request,
-                        state.first_token_cycle - request.arrival_cycle,
-                        finish - request.arrival_cycle,
-                    )
-                else:
-                    terminal = None
+                disposition = evaluate_disposition(
+                    request,
+                    state.first_token_cycle - request.arrival_cycle,
+                    finish - request.arrival_cycle,
+                )
             else:
                 state, disposition, terminal = stepper.terminated[rid]
                 finish = None
             if state.admitted_cycle is not None:
                 queue_waits.append(state.admitted_cycle - request.arrival_cycle)
+            dispositions[disposition] += 1
             requests.append(
                 RequestResult(
                     request_id=rid,
@@ -1024,22 +993,12 @@ class ServingScheduler:
                     decode_steps=request.decode_steps,
                     model_family=request.model.family,
                     disposition=disposition,
-                    slo_class=(
-                        request.slo.name
-                        if disposition is not None and request.slo is not None
-                        else None
-                    ),
+                    slo_class=request.slo.name if request.slo is not None else None,
                     preemptions=state.preemptions,
                     terminal_cycle=terminal,
                 )
             )
-        goodput: Optional[float] = None
-        dispositions: Dict[str, int] = {}
-        if control_active:
-            dispositions = {name: 0 for name in DISPOSITIONS}
-            for result in requests:
-                dispositions[result.disposition] += 1
-            goodput = dispositions["met"] / len(requests) if requests else 0.0
+        goodput = dispositions["met"] / len(requests) if requests else 0.0
         if recorder is not None:
             # Request lifecycle timeline: a queue span (arrival to admission)
             # followed by a decode span (admission to finish) that nests the
@@ -1095,13 +1054,9 @@ class ServingScheduler:
             iteration_memo=stepper.memo_stats,
             epochs=stepper.epoch_stats,
             metrics=_serving_metrics(
-                requests, stepper, (zero_wait, queue_waits),
-                control_active=control_active,
-                goodput=goodput,
-                dispositions=dispositions,
+                requests, stepper, (zero_wait, queue_waits), goodput, dispositions
             ),
             policy=self.policy.name,
-            control_active=control_active,
             goodput=goodput,
             dispositions=dispositions,
             preemption_count=stepper.preemption_count,

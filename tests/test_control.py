@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from differential import assert_byte_identical
 
 from repro.__main__ import main
+from repro.analysis.serving import serving_latency_report
 from repro.config.presets import DesignKind
 from repro.config.soc import DataType
 from repro.workloads import (
@@ -31,10 +32,13 @@ from repro.workloads import (
     ServingScheduler,
     ServingTrace,
     SloClass,
+    TRACE_ZOO,
+    poisson_stream_trace,
     policy_names,
     request_kv_bytes,
     resolve_policy,
     resolve_slo,
+    resolve_trace,
     run_serving,
     slo_trace,
 )
@@ -265,18 +269,53 @@ class TestEvaluateDisposition:
         assert evaluate_disposition(request("r", slo=slo, decode_steps=1), 5, 5) == "met"
 
 
-class TestSchedulerIntegration:
-    def test_fcfs_run_has_inactive_control_plane(self):
-        result = run_serving(trace_of(request("a"), request("b")))
-        assert result.control_active is False
-        encoded = result.to_dict()
-        assert "policy" not in encoded and "goodput" not in encoded
-        for req in encoded["requests"]:
-            assert "disposition" not in req
+def assert_default_control_plane(encoded):
+    """A default run (fcfs, no SLOs, no faults): every request met, nothing evicted."""
+    assert encoded["policy"] == "fcfs"
+    assert encoded["goodput"] == 1.0
+    assert encoded["dispositions"] == {
+        "met": len(encoded["requests"]), "violated": 0, "shed": 0, "timed_out": 0
+    }
+    assert encoded["preemption_count"] == 0
+    assert encoded["faults"] is None
+    for req in encoded["requests"]:
+        assert req["disposition"] == "met"
+        assert req["slo_class"] is None
+        assert req["preemptions"] == 0
+        assert req["terminal_cycle"] == req["finish_cycle"]
 
-    def test_slo_trace_activates_control_plane(self):
+
+class TestSchedulerIntegration:
+    def test_fcfs_run_reports_the_default_control_plane(self):
+        result = run_serving(trace_of(request("a"), request("b")))
+        assert_default_control_plane(result.to_dict())
+
+    def test_episode_replayed_requests_report_the_default_control_plane(self):
+        result = run_serving(poisson_stream_trace("sparse", requests=200, seed=5))
+        assert result.epochs["extrapolated_requests"] > 0
+        assert_default_control_plane(result.to_dict())
+
+    def test_episode_replayed_requests_are_judged_per_slo_class(self):
+        # One episode run mixes two classes; each request gets its own
+        # class's verdict, exactly as the uncompressed loop judges it.
+        tight = SloClass("tight", ttft_target_cycles=1)
+        trace = slo_trace(
+            "sparse-slo",
+            poisson_stream_trace("sparse", requests=200, seed=5),
+            classes=(tight, SloClass("loose")),
+        )
+        compressed = run_serving(trace)
+        exact = run_serving(trace, epoch_compression=False)
+        assert compressed.epochs["extrapolated_requests"] > 0
+        assert_byte_identical(compressed, exact, context="per-class verdicts")
+        assert compressed.dispositions == {
+            "met": 100, "violated": 100, "shed": 0, "timed_out": 0
+        }
+        for req in compressed.requests:
+            assert req.disposition == ("violated" if req.slo_class == "tight" else "met")
+
+    def test_slo_trace_reports_dispositions(self):
         result = run_serving(trace_of(request("a", slo=BATCH)))
-        assert result.control_active is True
         assert result.policy == "fcfs"
         assert result.goodput == 1.0
         assert result.to_dict()["dispositions"] == {
@@ -323,10 +362,6 @@ def slo_traces(draw):
     classes = (INTERACTIVE, STANDARD, BATCH, None)
     requests = []
     for index in range(count):
-        # The first request always carries a class: an all-None draw under
-        # fcfs leaves the control plane inactive, which is a different
-        # regime (pinned elsewhere) than the disposition partition here.
-        upper = len(classes) - (2 if index == 0 else 1)
         requests.append(
             RequestSpec(
                 request_id=f"p{index}",
@@ -334,7 +369,7 @@ def slo_traces(draw):
                 arrival_cycle=draw(st.integers(0, 400_000)),
                 prompt_len=draw(st.integers(1, 96)),
                 decode_steps=draw(st.integers(1, 3)),
-                slo=classes[draw(st.integers(0, upper))],
+                slo=draw(st.sampled_from(classes)),
             )
         )
     requests.sort(key=lambda r: (r.arrival_cycle, r.request_id))
@@ -347,7 +382,6 @@ class TestDispositionPartition:
     def test_every_request_in_exactly_one_disposition(self, trace, policy):
         kv_budget = 2 * UNIT if policy != "fcfs" else None
         result = run_serving(trace, policy=policy, kv_budget=kv_budget)
-        assert result.control_active is True
         assert set(result.dispositions) == set(DISPOSITIONS)
         assert sum(result.dispositions.values()) == len(trace.requests)
         assert len(result.requests) == len(trace.requests)
@@ -358,6 +392,56 @@ class TestDispositionPartition:
             counted[req.disposition] += 1
         assert counted == dict(result.dispositions)
         assert result.goodput == counted["met"] / len(trace.requests)
+
+
+#: The one key list of every serving result, request and latency report,
+#: whatever the policy, SLO classes and faults.
+RESULT_KEYS = [
+    "kind", "trace", "design", "heterogeneous", "context_bucket", "total_cycles",
+    "serving_cycles", "iteration_count", "decode_steps_executed", "mean_batch",
+    "tokens_per_kilocycle", "kernel_count", "energy_uj", "resource_busy_cycles",
+    "requests", "iterations", "metrics", "policy", "goodput", "dispositions",
+    "preemption_count", "faults",
+]
+REQUEST_KEYS = [
+    "request_id", "model_family", "arrival_cycle", "admitted_cycle",
+    "first_token_cycle", "finish_cycle", "prompt_len", "decode_steps",
+    "latency_cycles", "ttft_cycles", "queueing_cycles", "disposition",
+    "slo_class", "preemptions", "terminal_cycle",
+]
+LATENCY_KEYS = [
+    "kind", "trace", "design", "heterogeneous", "requests", "iterations",
+    "makespan_cycles", "serving_cycles", "decode_steps", "mean_batch",
+    "tokens_per_kilocycle", "latency_cycles", "ttft_cycles", "queueing_cycles",
+    "unit_occupancy_percent", "policy", "goodput", "dispositions", "preemption_count",
+]
+SPEC_KEYS = ["request_id", "arrival_cycle", "prompt_len", "decode_steps", "model", "slo"]
+
+
+class TestOneEncoding:
+    @settings(deadline=None, max_examples=25)
+    @given(
+        name=st.sampled_from(sorted(TRACE_ZOO)),
+        with_slo=st.booleans(),
+        policy=st.sampled_from(policy_names()),
+        fault_seed=st.none() | st.integers(0, 1_000),
+    )
+    def test_every_run_encodes_one_key_list(self, name, with_slo, policy, fault_seed):
+        trace = slo_trace(f"{name}-slo", name) if with_slo else resolve_trace(name)
+        result = run_serving(
+            trace,
+            policy=policy,
+            kv_budget=300_000 if policy != "fcfs" else None,
+            faults="spike:0.35:3.0,stall:0.25:60000" if fault_seed is not None else None,
+            fault_seed=fault_seed or 0,
+        )
+        encoded = result.to_dict()
+        assert list(encoded) == RESULT_KEYS
+        for req in encoded["requests"]:
+            assert list(req) == REQUEST_KEYS
+        assert list(serving_latency_report(result)) == LATENCY_KEYS
+        for spec in trace.requests:
+            assert list(spec.to_dict()) == SPEC_KEYS
 
 
 class TestControlCli:
@@ -389,10 +473,17 @@ class TestControlCli:
         with pytest.raises(SystemExit, match="no KV budget"):
             main(["serve", "--trace", "bursty-slo", "--kv-budget", "1024"])
 
-    def test_default_serve_output_unchanged(self, capsys):
-        # No policy, no SLOs, no faults: the historical table layout, with
-        # no disposition column and no goodput line.
+    def test_default_serve_prints_dispositions_and_policy(self, capsys):
+        # No policy, no SLOs, no faults: the one table layout, with every
+        # request met and the default policy line.
         assert main(["serve", "--trace", "uniform-moe"]) == 0
         out = capsys.readouterr().out
-        assert "goodput" not in out
-        assert "disposition" not in out
+        header = next(line for line in out.splitlines() if line.startswith("request "))
+        assert header.split()[-1] == "disposition"
+        ids = {f"u{index}" for index in range(6)}
+        rows = [line.split() for line in out.splitlines() if line.split(" ", 1)[0] in ids]
+        assert len(rows) == 6 and all(row[-1] == "met" for row in rows)
+        assert (
+            "policy fcfs: goodput 1.000 "
+            "(met 6  violated 0  shed 0  timed_out 0; 0 preemptions)"
+        ) in out

@@ -108,8 +108,8 @@ class TestTraceLayer:
             assert trace.name == name
 
     def test_zoo_traces_are_deterministic(self):
-        # Builders must be pure functions of their arguments: the batch
-        # runner content-hashes traces, so re-imports may not drift.
+        # Builders must be pure functions of their arguments: a trace name
+        # must mean the same requests in every process and on every call.
         first = resolve_trace("poisson-mixed").to_dict()
         from repro.workloads.models import poisson_trace, _mixed_models
 

@@ -4,9 +4,9 @@
 ``_Stepper``; the router only adds barriers.  These tests pin that seam:
 
 * **zoo matrix** -- every trace-zoo entry on all four designs (plus the
-  heterogeneous Virgo): the same request stamps and dispositions, iteration
-  count, serving cycles, kernel count, energy, busy cycles and memo /
-  timing-cache totals.  The cache is cleared before every run, because
+  heterogeneous Virgo): the same request stamps, dispositions, SLO classes
+  and terminal cycles, goodput, iteration count, serving cycles, kernel
+  count, energy, busy cycles and memo / timing-cache totals.  The cache is cleared before every run, because
   memo totals are process state;
 * **tie-heavy property** -- short traces whose arrivals land exactly on a
   solo request's iteration boundaries (inside its epochs and between them):
@@ -58,9 +58,9 @@ def _stamps(requests):
             request.admitted_cycle,
             request.first_token_cycle,
             request.finish_cycle,
-            # An SLO-free serve run leaves dispositions unset; every finished
-            # request without an SLO is "met" by definition.
-            request.disposition or "met",
+            request.disposition,
+            request.slo_class,
+            request.terminal_cycle,
         )
         for request in requests
     ]
@@ -72,6 +72,7 @@ def test_fleet_of_one_equals_serve_on_the_zoo(name, design, heterogeneous):
     served, fleet = _serve_and_fleet_of_one(TRACE_ZOO[name], design, heterogeneous)
     (replica,) = fleet.replicas
     assert _stamps(fleet.requests) == _stamps(served.requests)
+    assert fleet.goodput == served.goodput
     assert (replica.iterations, replica.serving_cycles, replica.kernel_count) == (
         served.iteration_count,
         served.serving_cycles,
