@@ -28,7 +28,6 @@ Counter naming convention (dotted hierarchy):
 
 from __future__ import annotations
 
-from copy import copy
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Mapping, Tuple
@@ -171,9 +170,7 @@ class EnergyTable:
 
     def with_prices(self, overrides: Mapping[str, EnergyEventSpec]) -> "EnergyTable":
         """A copy of this table with ``overrides`` replacing its entries."""
-        table = copy(self)
-        table._table = {**self._table, **overrides}
-        return table
+        return EnergyTable({**self._table, **overrides})
 
     def energy_femtojoules(self, counters: Counters) -> int:
         """Total active energy of all counted events, in femtojoules."""
