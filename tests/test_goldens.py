@@ -152,6 +152,18 @@ def test_epoch_trace_summary_golden(golden):
     golden("trace_summary_epochs", trace_summary(recorder.chrome_trace(), top=5))
 
 
+def test_epoch_trace_golden(golden):
+    """The full trace of a cold compressed serve: the first request's exact
+    iteration and epoch, the other three as one episode run, the per-unit
+    stand-in spans and every request's lifecycle."""
+    timing_cache().clear()
+    recorder = TraceRecorder(capture_phases=False)
+    with tracing(recorder):
+        result = run_serving(EPOCH_TRACE, DesignKind.VIRGO)
+    assert (result.epochs["epochs"], result.epochs["episode_runs"]) == (1, 1)
+    golden("trace_serving_epochs", recorder.chrome_trace())
+
+
 def test_to_json_matches_to_dict_encoding():
     """``to_json`` is the sorted-keys JSON of ``to_dict`` -- the exact bytes
     the result cache stores (modulo indentation)."""
