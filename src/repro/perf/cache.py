@@ -30,8 +30,10 @@ from repro.obs.phase import phase
 #: ``lowering.model_programs`` values are compiled step programs rather
 #: than the placed models ``run_model`` reads; version 3 those whose placed
 #: models, iteration outcomes and episode templates carry float energy
-#: rather than whole femtojoules.
-SCHEMA_VERSION = 3
+#: rather than whole femtojoules; version 4 those whose episode templates
+#: name their per-request totals ``total_*`` rather than after the
+#: iteration outcome's fields.
+SCHEMA_VERSION = 4
 
 #: Version of the snapshot *container* (the dict ``snapshot()`` returns and
 #: ``save_snapshot`` pickles).  Bump when the container shape changes, so an

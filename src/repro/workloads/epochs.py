@@ -160,20 +160,24 @@ class EpisodeTemplate:
     system to a clean finish; every later same-shape request whose arrival
     spacing guarantees solo service replays it arithmetically.  All derived
     totals are precomputed once (:func:`build_episode_template`) so a run of
-    R requests costs O(R) numpy work, not O(R x iterations).
+    R requests costs O(R) numpy work, not O(R x iterations).  The totals are
+    one request's and carry the names of
+    :class:`~repro.workloads.serving._IterationOutcome`'s per-iteration
+    ones, so the stepper lands an episode run of R requests as it lands an
+    epoch of R iterations.
     """
 
     segments: Tuple[EpisodeSegment, ...]
-    total_iterations: int
-    total_span: int
+    iterations: int
+    span_cycles: int
     #: First-token offset: the first segment's first iteration end.
     first_token_end: int
     #: Finish offset from the request's start: full span minus the last
     #: iteration's span plus that iteration's step-end cycle.
     finish_offset: int
-    total_kernels: int
-    total_lookups: int
-    busy_totals: Tuple[Tuple[str, int], ...]
+    kernel_count: int
+    cache_lookups: int
+    resource_busy: Tuple[Tuple[str, int], ...]
     #: One request's active energy, in whole femtojoules.
     energy_fj: int
 
@@ -183,8 +187,7 @@ def build_episode_template(segments: Sequence[EpisodeSegment]) -> EpisodeTemplat
     if not segments:
         raise ValueError("an episode template needs at least one segment")
     segs = tuple(segments)
-    total_iterations = sum(segment.count for segment in segs)
-    total_span = sum(segment.count * segment.span_cycles for segment in segs)
+    span = sum(segment.count * segment.span_cycles for segment in segs)
     busy: Dict[str, int] = {}
     for segment in segs:
         for resource, cycles in segment.resource_busy:
@@ -192,13 +195,13 @@ def build_episode_template(segments: Sequence[EpisodeSegment]) -> EpisodeTemplat
     last = segs[-1]
     return EpisodeTemplate(
         segments=segs,
-        total_iterations=total_iterations,
-        total_span=total_span,
+        iterations=sum(segment.count for segment in segs),
+        span_cycles=span,
         first_token_end=segs[0].end_cycle,
-        finish_offset=total_span - last.span_cycles + last.end_cycle,
-        total_kernels=sum(segment.count * segment.kernel_count for segment in segs),
-        total_lookups=sum(segment.count * segment.cache_lookups for segment in segs),
-        busy_totals=tuple(sorted(busy.items())),
+        finish_offset=span - last.span_cycles + last.end_cycle,
+        kernel_count=sum(segment.count * segment.kernel_count for segment in segs),
+        cache_lookups=sum(segment.count * segment.cache_lookups for segment in segs),
+        resource_busy=tuple(sorted(busy.items())),
         energy_fj=sum(segment.count * segment.energy_fj for segment in segs),
     )
 
@@ -224,7 +227,7 @@ class EpisodeRun:
 
     @property
     def iteration_count(self) -> int:
-        return len(self.requests) * self.template.total_iterations
+        return len(self.requests) * self.template.iterations
 
     @property
     def decode_steps(self) -> int:
@@ -232,7 +235,7 @@ class EpisodeRun:
         return self.iteration_count
 
     def record_at(self, offset: int) -> IterationRecord:
-        per_request = self.template.total_iterations
+        per_request = self.template.iterations
         which, within = divmod(offset, per_request)
         start = int(self.arrivals[which])
         index = self.index + which * per_request

@@ -54,7 +54,7 @@ from repro.obs import MetricsRegistry, occupancy_percent, phase, trace_recorder
 from repro.workloads.control import evaluate_disposition
 from repro.workloads.graph import RequestSpec, ServingTrace
 from repro.workloads.models import resolve_trace
-from repro.workloads.serving import _INF, ServingScheduler, _Queued, _Stepper
+from repro.workloads.serving import _INF, ServingScheduler, _InFlight, _Stepper
 
 __all__ = [
     "FLEET_DISPOSITIONS",
@@ -176,15 +176,15 @@ def _request_priority(request: RequestSpec) -> int:
 class _FleetRequest:
     """Router-side lifecycle state of one request across replicas.
 
-    ``progress`` carries the request's serving state between replicas in the
-    stepper's queue format: decode steps done, first admission, first token,
-    KV reload cycles paid, and whether the next replica must re-prefill its
-    KV state (``preempted``).
+    ``progress`` is the request's one live serving record, the object each
+    replica's stepper queues, decodes and finishes: decode steps done, first
+    admission, first token, finish, KV reload cycles paid, and whether the
+    next replica must re-prefill its KV state (``preempted``).
     """
 
     spec: RequestSpec
     priority: int
-    progress: _Queued
+    progress: _InFlight
     attempts: int = 0
     retries: int = 0
     failovers: int = 0
@@ -740,18 +740,8 @@ class _FleetRun:
         rep.down_depth += 1
         rep.stepper.cut(at)
         states, waiting = rep.stepper.abort(at)
-        for entry in waiting:
-            self.by_id[entry.request.request_id].progress = entry
         for state in states:
-            self.by_id[state.request.request_id].progress = _Queued(
-                request=state.request,
-                enqueued_cycle=at,
-                steps_done=state.steps_done,
-                preempted=True,
-                admitted_cycle=state.admitted_cycle,
-                first_token_cycle=state.first_token_cycle,
-                reload_cycles=state.reload_cycles,
-            )
+            state.preempted = True
         return sorted(
             (self.by_id[entry.request.request_id] for entry in [*waiting, *states]),
             key=lambda fr: fr.spec.request_id,
@@ -862,7 +852,7 @@ class _FleetRun:
                 fr = _FleetRequest(
                     spec=spec,
                     priority=_request_priority(spec),
-                    progress=_Queued(request=spec, enqueued_cycle=now),
+                    progress=_InFlight(request=spec, enqueued_cycle=now),
                 )
                 self.all_requests.append(fr)
                 self.by_id[spec.request_id] = fr
@@ -881,12 +871,7 @@ class _FleetRun:
         for fr in self.all_requests:
             served, finish = fr.progress, None
             if fr.disposition is None:
-                served = (
-                    self.replicas[fr.replica].stepper.finished.get(fr.spec.request_id)
-                    if fr.replica is not None
-                    else None
-                )
-                if served is None:
+                if served.finish_cycle is None:
                     raise RuntimeError(
                         f"request {fr.spec.request_id} ended the fleet run without a "
                         "terminal disposition -- the router lost it"

@@ -305,10 +305,16 @@ class ServingRunResult:
 
 @dataclass
 class _InFlight:
-    """Mutable per-request state while the request is in the batch.
+    """One request's serving state, from arrival to its terminal state.
 
-    ``admitted_cycle`` is the *first* admission (queueing delay measures the
-    initial wait, not re-admissions); ``resident_since`` is the latest
+    The same record waits in the admission queue, decodes, is evicted and
+    is re-admitted; in a fleet it travels between replicas as
+    ``_FleetRequest.progress``.  ``enqueued_cycle`` is when it last joined
+    a queue.  ``preempted`` marks KV state that is not resident (evicted,
+    or lost with a crashed fleet replica): admission charges its reload
+    cost.  ``evicted_cycle`` is the latest eviction, until re-admission.
+    ``admitted_cycle`` is the *first* admission (queueing delay measures
+    the initial wait, not re-admissions); ``resident_since`` is the latest
     (re-)admission, the preemption policies' eviction-ordering key.
     ``pending_penalty`` is the KV re-read cost a just-re-admitted request
     pays before its next step completes -- consumed by the first iteration
@@ -317,37 +323,21 @@ class _InFlight:
     """
 
     request: RequestSpec
-    admitted_cycle: int
+    admitted_cycle: Optional[int] = None
+    enqueued_cycle: int = 0
     steps_done: int = 0
     first_token_cycle: Optional[int] = None
     finish_cycle: Optional[int] = None
     resident_since: int = 0
     pending_penalty: int = 0
+    preempted: bool = False
+    evicted_cycle: Optional[int] = None
     preemptions: int = 0
     reload_cycles: int = 0
 
     @property
     def prefix(self) -> str:
         return f"{self.request.request_id}/"
-
-
-@dataclass
-class _Queued:
-    """A request waiting for admission (fresh arrival, preempted or failed over).
-
-    ``preempted`` marks KV state that is not resident (evicted, or lost with
-    a crashed fleet replica): admission charges its reload cost.
-    """
-
-    request: RequestSpec
-    enqueued_cycle: int
-    steps_done: int = 0
-    preempted: bool = False
-    admitted_cycle: Optional[int] = None
-    first_token_cycle: Optional[int] = None
-    preemptions: int = 0
-    evicted_cycle: Optional[int] = None
-    reload_cycles: int = 0
 
 
 @dataclass
@@ -381,6 +371,9 @@ class _IterationOutcome:
     resource_busy: Tuple[Tuple[str, int], ...]
     cache_hits: int
     cache_misses: int
+    #: One iteration; an :class:`EpisodeTemplate` spans ``iterations`` of
+    #: them.  A class constant, not a field, so pickles do not change.
+    iterations = 1
 
     @property
     def cache_lookups(self) -> int:
@@ -1093,20 +1086,25 @@ class ServingScheduler:
 
 @dataclass(slots=True)
 class _Run:
-    """One iteration outcome applied ``count`` times back to back from ``start``.
+    """One outcome applied ``count`` times back to back from ``start``.
 
-    ``effective`` is the span each of those iterations occupies: the
-    outcome's span, stretched by admission penalties and an injected
-    ``stall`` -- which only a count-1 run can carry, so an epoch's
-    iterations all span exactly the outcome's span.
+    An iteration run's ``outcome`` is an :class:`_IterationOutcome` and
+    ``effective`` the span each of its iterations occupies: the outcome's
+    span, stretched by admission penalties and an injected ``stall`` --
+    which only a count-1 run can carry, so an epoch's iterations all span
+    exactly the outcome's span.  An episode run's ``outcome`` is an
+    :class:`EpisodeTemplate`, ``count`` its requests, ``effective`` the
+    template's span and ``arrivals`` the requests' arrival cycles, which
+    is ``None`` for an iteration run.
     """
 
     start: int
-    outcome: _IterationOutcome
+    outcome: Union[_IterationOutcome, EpisodeTemplate]
     effective: int
     count: int
     replayed: bool
     stall: int
+    arrivals: Optional[np.ndarray] = None
 
 
 class _Stepper:
@@ -1118,11 +1116,13 @@ class _Stepper:
     (``serve``) or one :meth:`offer` at a time (a fleet replica) -- never
     both.  Each run comes from the first fast path that applies: episode
     replay (arrival streams only), an epoch on a memo hit, a memo replay,
-    or exact execution.  :meth:`_apply` is the one place a run lands on
-    request stamps and the accounting sink.  :meth:`advance` retires the
-    runs that end by a barrier and starts the next; :meth:`cut` splits the
-    run in flight before a router event changes the stepper; :meth:`abort`
-    discards it when the replica crashes.
+    or exact execution.  :meth:`_apply` lands every run, an episode run
+    included, and is the only code that adds to the run totals.
+    :meth:`advance` retires the runs that end by a barrier and starts the
+    next; :meth:`cut` splits the run in flight before a router event
+    changes the stepper; :meth:`abort` discards it when the replica
+    crashes.  Each request has one :class:`_InFlight` record from arrival
+    to its terminal state.
     """
 
     def __init__(
@@ -1152,11 +1152,11 @@ class _Stepper:
         self.cache = timing_cache()
         self.arrivals = arrivals
         self.arrived = 0
-        self.offered: List[_Queued] = []
-        self.queued: List[_Queued] = []
+        self.offered: List[_InFlight] = []
+        self.queued: List[_InFlight] = []
         self.active: List[_InFlight] = []
         self.finished: Dict[str, _InFlight] = {}
-        self.terminated: Dict[str, Tuple[_Queued, str, int]] = {}
+        self.terminated: Dict[str, Tuple[_InFlight, str, int]] = {}
         self.run: Optional[_Run] = None
         #: Whether a request admitted at the current boundary pays a KV
         #: reload penalty (the next iteration is then never an epoch).
@@ -1210,7 +1210,7 @@ class _Stepper:
 
     # -- Driving ---------------------------------------------------------
 
-    def offer(self, entry: _Queued) -> None:
+    def offer(self, entry: _InFlight) -> None:
         """Hand the stepper one request from outside (a fleet dispatch).
 
         It joins at the first iteration boundary at or after its
@@ -1240,12 +1240,11 @@ class _Stepper:
                 arrival = self._next_arrival()
                 if arrival is None or arrival >= limit:
                     return
-                if (
-                    self.episodes is not None
-                    and arrival >= self.now
-                    and self._replay_episodes()
-                ):
-                    continue
+                if self.episodes is not None and arrival >= self.now:
+                    run = self._episode_run()
+                    if run is not None:
+                        self._apply(run, run.count)
+                        continue
                 if arrival > self.now:
                     self.now = arrival
             self._admit()
@@ -1271,12 +1270,12 @@ class _Stepper:
         if run.start == at:
             self.run = None
 
-    def abort(self, at: int) -> Tuple[List[_InFlight], List[_Queued]]:
+    def abort(self, at: int) -> Tuple[List[_InFlight], List[_InFlight]]:
         """A crash at ``at``: discard the run in flight and hand back every request.
 
         After a :meth:`cut`, at most the crossing iteration is lost: only its
         memo probe is accounted.  Returns the in-flight states and the
-        requests still waiting to join.
+        requests still waiting to join, each the request's one live record.
         """
         run = self.run
         if run is not None:
@@ -1314,7 +1313,7 @@ class _Stepper:
         while arrived < total and arrivals[arrived].arrival_cycle <= now:
             request = arrivals[arrived]
             arrived += 1
-            queued.append(_Queued(request=request, enqueued_cycle=request.arrival_cycle))
+            queued.append(_InFlight(request=request, enqueued_cycle=request.arrival_cycle))
         self.arrived = arrived
         offered = self.offered
         while offered and offered[0].enqueued_cycle <= now:
@@ -1332,19 +1331,10 @@ class _Stepper:
             for state in policy.evict(active, queued, now, ctx):
                 active.remove(state)
                 self.preemption_count += 1
-                queued.append(
-                    _Queued(
-                        request=state.request,
-                        enqueued_cycle=now,
-                        steps_done=state.steps_done,
-                        preempted=True,
-                        admitted_cycle=state.admitted_cycle,
-                        first_token_cycle=state.first_token_cycle,
-                        preemptions=state.preemptions + 1,
-                        evicted_cycle=now,
-                        reload_cycles=state.reload_cycles,
-                    )
-                )
+                state.preemptions += 1
+                state.preempted = True
+                state.enqueued_cycle = state.evicted_cycle = now
+                queued.append(state)
         if not queued:
             return
         admitted = policy.admit(queued, active, now, ctx)
@@ -1355,40 +1345,34 @@ class _Stepper:
             # configured budget.
             admitted = [min(queued, key=lambda e: (e.enqueued_cycle, e.request.request_id))]
         recorder = self.recorder
-        for entry in admitted:
-            queued.remove(entry)
+        for state in admitted:
+            queued.remove(state)
             # A request whose KV state is not resident streams it back in
             # before its next step completes.
             penalty = 0
-            if entry.preempted:
+            if state.preempted:
                 penalty = self.scheduler.kv_reload_penalty(
-                    entry.request, entry.steps_done, self.trace
+                    state.request, state.steps_done, self.trace
                 )
                 self.penalized = True
-            if recorder is not None and entry.evicted_cycle is not None:
+            if recorder is not None and state.evicted_cycle is not None:
                 recorder.add_span(
                     "preempted",
                     process=REQUESTS_PROCESS,
-                    track=entry.request.request_id,
-                    start=entry.evicted_cycle,
-                    duration=now - entry.evicted_cycle,
+                    track=state.request.request_id,
+                    start=state.evicted_cycle,
+                    duration=now - state.evicted_cycle,
                     category="preempted",
                     args={"readmission_penalty_cycles": penalty},
                 )
-            active.append(
-                _InFlight(
-                    request=entry.request,
-                    admitted_cycle=(
-                        entry.admitted_cycle if entry.admitted_cycle is not None else now
-                    ),
-                    steps_done=entry.steps_done,
-                    first_token_cycle=entry.first_token_cycle,
-                    resident_since=now,
-                    pending_penalty=penalty,
-                    preemptions=entry.preemptions,
-                    reload_cycles=entry.reload_cycles + penalty,
-                )
-            )
+            if state.admitted_cycle is None:
+                state.admitted_cycle = now
+            state.resident_since = now
+            state.pending_penalty = penalty
+            state.reload_cycles += penalty
+            state.preempted = False
+            state.evicted_cycle = None
+            active.append(state)
 
     def _start_run(self) -> None:
         """Probe the iteration at ``now`` and put it in flight as a run.
@@ -1444,16 +1428,19 @@ class _Stepper:
 
     # -- The accounting sink ---------------------------------------------
 
-    def _credit(self, outcome: _IterationOutcome, replayed: bool, count: int) -> None:
-        """Memo and timing-cache stats for ``count`` iterations of one outcome.
+    def _credit(
+        self, outcome: Union[_IterationOutcome, EpisodeTemplate], replayed: bool, count: int
+    ) -> None:
+        """Memo and timing-cache stats for ``count`` repeats of one outcome.
 
-        A replay credits the ``count`` memo probes and kernel lookups (all
-        hits on a warm cache) it skipped, so every path reports equal totals.
+        A replay credits the memo probes and kernel lookups (all hits on a
+        warm cache) it skipped, one probe per iteration, so every path
+        reports equal totals.
         """
         if replayed:
             lookups = count * outcome.cache_lookups
             self.cache.credit_hits(lookups)
-            self.memo_stats["hits"] += count
+            self.memo_stats["hits"] += count * outcome.iterations
             self.cache_stats["hits"] += lookups
         else:
             self.memo_stats["misses"] += 1
@@ -1461,74 +1448,117 @@ class _Stepper:
             self.cache_stats["misses"] += outcome.cache_misses
 
     def _apply(self, run: _Run, count: int) -> None:
-        """Land the first ``count`` iterations of ``run`` on stamps and totals.
+        """Land the first ``count`` repeats of ``run`` on stamps and totals.
 
-        Byte-identical to applying them one by one: every total, energy in
-        whole femtojoules included, is an integer advanced by an exact
-        multiple.
+        The one code that adds to the run totals, for iteration and episode
+        runs alike.  Byte-identical to applying the iterations one by one:
+        every total, energy in whole femtojoules included, is an integer
+        advanced by an exact multiple.
         """
         outcome = run.outcome
         start = run.start
         effective = run.effective
-        active = self.active
-        recorder = self.recorder
         index = self.iterations
         self._credit(outcome, run.replayed, count)
-        if self.episodes is not None:
-            self._learn(run, count)
-        if recorder is not None and count == 1 and run.replayed:
-            self._replay_shape(outcome, start)
         finished = False
-        for state, end in zip(active, outcome.entry_end_cycles):
-            # A reload penalty is serialized in front of the request's step.
-            if state.pending_penalty:
-                end += state.pending_penalty
-                state.pending_penalty = 0
-            if recorder is not None and count == 1:
-                recorder.add_span(
-                    f"step {state.steps_done}",
-                    process=REQUESTS_PROCESS,
-                    track=state.request.request_id,
-                    start=start,
-                    duration=end,
-                    category="decode_step",
-                    args={"iteration": index},
+        if run.arrivals is not None:
+            self._land_episode(run, index)
+        else:
+            active = self.active
+            recorder = self.recorder
+            if self.episodes is not None:
+                self._learn(run, count)
+            if recorder is not None and count == 1 and run.replayed:
+                self._replay_shape(outcome, start)
+            for state, end in zip(active, outcome.entry_end_cycles):
+                # A reload penalty is serialized in front of the request's step.
+                if state.pending_penalty:
+                    end += state.pending_penalty
+                    state.pending_penalty = 0
+                if recorder is not None and count == 1:
+                    recorder.add_span(
+                        f"step {state.steps_done}",
+                        process=REQUESTS_PROCESS,
+                        track=state.request.request_id,
+                        start=start,
+                        duration=end,
+                        category="decode_step",
+                        args={"iteration": index},
+                    )
+                state.steps_done += count
+                if state.first_token_cycle is None:
+                    state.first_token_cycle = start + end
+                if state.steps_done == state.request.decode_steps:
+                    state.finish_cycle = start + end + (count - 1) * effective
+                    self.finished[state.request.request_id] = state
+                    finished = True
+            # A surviving recording implies the learner is active[0] (any
+            # batch growth or identity change aborted it above).
+            if self._learn_key is not None and active[0].finish_cycle is not None:
+                self._learn_finalize(active[0])
+            if recorder is not None:
+                self._record_run(run, count, index)
+            if self.timeline is not None:
+                ids = [state.request.request_id for state in active]
+                self.timeline.append(
+                    IterationRecord(index, start, effective, len(active), ids)
+                    if count == 1
+                    else EpochRecord(index, start, effective, count, ids)
                 )
-            state.steps_done += count
-            if state.first_token_cycle is None:
-                state.first_token_cycle = start + end
-            if state.steps_done == state.request.decode_steps:
-                state.finish_cycle = start + end + (count - 1) * effective
-                self.finished[state.request.request_id] = state
-                finished = True
-        # A surviving recording implies the learner is active[0] (any batch
-        # growth or identity change aborted it above).
-        if self._learn_key is not None and active[0].finish_cycle is not None:
-            self._learn_finalize(active[0])
-        if recorder is not None:
-            self._record_run(run, count, index)
-        if self.timeline is not None:
-            ids = [state.request.request_id for state in active]
-            self.timeline.append(
-                IterationRecord(index, start, effective, len(active), ids)
-                if count == 1
-                else EpochRecord(index, start, effective, count, ids)
-            )
-        self.iterations += count
+            if count == 1:
+                self.epoch_stats["executed_iterations"] += 1
+            else:
+                self.epoch_stats["epochs"] += 1
+                self.epoch_stats["extrapolated_iterations"] += count
+            self.now = start + count * effective
+        self.iterations += count * outcome.iterations
         self.serving_cycles += count * effective
         self.kernel_count += count * outcome.kernel_count
         self.energy_fj += count * outcome.energy_fj
         busy_totals = self.resource_busy
         for resource, busy in outcome.resource_busy:
             busy_totals[resource] = busy_totals.get(resource, 0) + count * busy
-        if count == 1:
-            self.epoch_stats["executed_iterations"] += 1
-        else:
-            self.epoch_stats["epochs"] += 1
-            self.epoch_stats["extrapolated_iterations"] += count
-        self.now = start + count * effective
         if finished:
-            self.active = [state for state in active if state.finish_cycle is None]
+            self.active = [state for state in self.active if state.finish_cycle is None]
+
+    def _land_episode(self, run: _Run, index: int) -> None:
+        """What only an episode run lands: its record, the arrivals it
+        consumed, the clock, its epoch stats and its spans."""
+        template = run.outcome
+        count = run.count
+        arrivals = run.arrivals
+        head = self.arrived
+        self.timeline.append(
+            EpisodeRun(
+                index=index,
+                template=template,
+                arrivals=arrivals,
+                requests=self.arrivals[head : head + count],
+            )
+        )
+        self.episode_meta.append((head, count, template))
+        self.arrived = head + count
+        self.now = int(arrivals[-1]) + template.span_cycles
+        iterations = count * template.iterations
+        self.epoch_stats["episode_runs"] += 1
+        self.epoch_stats["extrapolated_iterations"] += iterations
+        self.epoch_stats["extrapolated_requests"] += count
+        if self.recorder is not None:
+            kernels = count * template.kernel_count
+            self.recorder.add_span(
+                f"episode x{count}",
+                process=self.process,
+                track="iterations",
+                start=run.start,
+                duration=self.now - run.start,
+                category="epoch",
+                args={"requests": count, "iterations": iterations,
+                      "memo": "extrapolated", "kernels": kernels},
+            )
+            self._unit_spans(
+                "epoch (extrapolated)", run.start, self.now - run.start,
+                template.resource_busy, count, kernels,
+            )
 
     # -- Trace spans -----------------------------------------------------
 
@@ -1679,19 +1709,20 @@ class _Stepper:
         self._learn_key = None
         segments.clear()
 
-    def _replay_episodes(self) -> bool:
-        """Replay whole requests from the next arrival in closed form.
+    def _episode_run(self) -> Optional[_Run]:
+        """Whole requests from the next arrival, as one run in closed form.
 
         The stepper is idle with no backlog: if the next arrival's whole solo
-        service is templated, replay the maximal run of same-shape arrivals
-        spaced at least one solo-service span apart (so no request in the
-        run can be disturbed by the next), vectorized over the run.
+        service is templated, the run covers the maximal run of same-shape
+        arrivals spaced at least one solo-service span apart (so no request
+        in the run can be disturbed by the next).  Changes no state but the
+        cached stream arrays; :meth:`_apply` lands the run.
         """
         arrivals = self.arrivals
         head = self.arrived
         template = self.episodes.get(self.scheduler._episode_key(self.trace, arrivals[head]))
         if template is None:
-            return False
+            return None
         if self._stream is None:
             # Stream builders stash their arrival/gap/shape arrays on the
             # trace; fall back to deriving them.
@@ -1704,56 +1735,15 @@ class _Stepper:
         # Scalar pre-check: the head itself is disturbed when its successor
         # lands inside its solo span -- the common rejection after an
         # overlap cluster, not worth a walk.
-        if head + 1 < len(arrivals) and gaps[head] < template.total_span:
-            return False
-        count = _episode_run_length(head, template.total_span, gaps, shape_ids)
+        if head + 1 < len(arrivals) and gaps[head] < template.span_cycles:
+            return None
+        count = _episode_run_length(head, template.span_cycles, gaps, shape_ids)
         if not count:
-            return False
+            return None
         run_arrivals = arrival_cycles[head : head + count]
-        replay_iters = count * template.total_iterations
-        self.timeline.append(
-            EpisodeRun(
-                index=self.iterations,
-                template=template,
-                arrivals=run_arrivals,
-                requests=arrivals[head : head + count],
-            )
+        return _Run(
+            int(run_arrivals[0]), template, template.span_cycles, count, True, 0, run_arrivals
         )
-        self.episode_meta.append((head, count, template))
-        self.arrived = head + count
-        self.iterations += replay_iters
-        self.memo_stats["hits"] += replay_iters
-        lookups = count * template.total_lookups
-        self.cache.credit_hits(lookups)
-        self.cache_stats["hits"] += lookups
-        kernels = count * template.total_kernels
-        self.kernel_count += kernels
-        self.serving_cycles += count * template.total_span
-        self.energy_fj += count * template.energy_fj
-        for resource, busy in template.busy_totals:
-            self.resource_busy[resource] = self.resource_busy.get(resource, 0) + count * busy
-        self.now = int(run_arrivals[-1]) + template.total_span
-        self.epoch_stats["episode_runs"] += 1
-        self.epoch_stats["extrapolated_iterations"] += replay_iters
-        self.epoch_stats["extrapolated_requests"] += count
-        recorder = self.recorder
-        if recorder is not None:
-            start = int(run_arrivals[0])
-            recorder.add_span(
-                f"episode x{count}",
-                process=self.process,
-                track="iterations",
-                start=start,
-                duration=self.now - start,
-                category="epoch",
-                args={"requests": count, "iterations": replay_iters,
-                      "memo": "extrapolated", "kernels": kernels},
-            )
-            self._unit_spans(
-                "epoch (extrapolated)", start, self.now - start, template.busy_totals,
-                count, kernels,
-            )
-        return True
 
 
 def run_serving(

@@ -473,13 +473,13 @@ class TestCleanFaultRun:
 class TestEpisodeTemplate:
     def test_build_totals(self):
         template = sample_template()
-        assert template.total_iterations == 3
-        assert template.total_span == 2 * 10 + 12
+        assert template.iterations == 3
+        assert template.span_cycles == 2 * 10 + 12
         assert template.first_token_end == 7
         assert template.finish_offset == 32 - 12 + 9
-        assert template.total_kernels == 2 * 3 + 4
-        assert template.total_lookups == 2 * 2 + 3
-        assert template.busy_totals == (("matrix", 2 * 6 + 8), ("simt", 2))
+        assert template.kernel_count == 2 * 3 + 4
+        assert template.cache_lookups == 2 * 2 + 3
+        assert template.resource_busy == (("matrix", 2 * 6 + 8), ("simt", 2))
         assert template.energy_fj == 2 * 1500 + 2250
 
     def test_empty_segments_rejected(self):

@@ -178,17 +178,15 @@ def test_an_epoch_adds_n_times_its_iterations_energy(monkeypatch):
 def test_an_episode_run_adds_n_times_its_templates_energy(monkeypatch):
     run_serving(EPISODE_TRACE, DesignKind.VIRGO)  # learns the template
     residues = []
-    original = _Stepper._replay_episodes
+    original = _Stepper._apply
 
-    def replay(self):
+    def apply(self, run, count):
         before = self.energy_fj
-        replayed = original(self)
-        if replayed:
-            _, count, template = self.episode_meta[-1]
-            residues.append(self.energy_fj - before - count * template.energy_fj)
-        return replayed
+        original(self, run, count)
+        if run.arrivals is not None:
+            residues.append(self.energy_fj - before - count * run.outcome.energy_fj)
 
-    monkeypatch.setattr(_Stepper, "_replay_episodes", replay)
+    monkeypatch.setattr(_Stepper, "_apply", apply)
     result = run_serving(EPISODE_TRACE, DesignKind.VIRGO)
     assert len(residues) == result.epochs["episode_runs"] >= 1
     assert residues == [0] * len(residues)
