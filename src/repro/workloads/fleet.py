@@ -51,7 +51,7 @@ from repro.config.presets import DesignKind
 from repro.config.soc import DataType
 from repro.faults import FleetFaultPlan, ReplicaFaultEvent
 from repro.obs import MetricsRegistry, occupancy_percent, phase, trace_recorder
-from repro.workloads.control import evaluate_disposition
+from repro.workloads.control import _priority, evaluate_disposition
 from repro.workloads.graph import RequestSpec, ServingTrace
 from repro.workloads.models import resolve_trace
 from repro.workloads.serving import _INF, ServingScheduler, _InFlight, _Stepper
@@ -166,10 +166,6 @@ class RouterConfig:
             "max_outstanding": self.max_outstanding,
             "seed": self.seed,
         }
-
-
-def _request_priority(request: RequestSpec) -> int:
-    return request.slo.priority if request.slo is not None else 0
 
 
 @dataclass
@@ -851,7 +847,7 @@ class _FleetRun:
                 arrival_index += 1
                 fr = _FleetRequest(
                     spec=spec,
-                    priority=_request_priority(spec),
+                    priority=_priority(spec),
                     progress=_InFlight(request=spec, enqueued_cycle=now),
                 )
                 self.all_requests.append(fr)
