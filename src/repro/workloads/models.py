@@ -97,6 +97,9 @@ class ModelSpec:
             )
         if self.window < 0:
             raise ValueError(f"window ({self.window}) must be >= 0")
+        # An encoding carries ``seq_lens`` as a list: a tuple keeps a rebuilt
+        # spec equal to the original, and hashable.
+        object.__setattr__(self, "seq_lens", tuple(self.seq_lens))
         if self.phase == "prefill" and self.context_len:
             if self.context_len < self.seq_len:
                 raise ValueError(
@@ -172,10 +175,10 @@ class ModelSpec:
         return (self.heads + 2 * self.effective_kv_heads) * self.head_dim
 
     def to_dict(self) -> Dict[str, object]:
-        # The mask fields are emitted only when set, so
-        # ``ModelSpec(**spec.to_dict())`` rebuilds a hashable spec from any
-        # encoding without ``seq_lens``; an always-present ``seq_lens`` list
-        # would make every rebuilt spec unhashable.
+        # The mask fields are emitted only when set, so an unmasked spec
+        # encodes as it did before they existed: emitting them always would
+        # add two keys to every spec in every serving, fleet and model
+        # encoding, goldens included.
         encoded = asdict(self)
         if not self.window:
             del encoded["window"]

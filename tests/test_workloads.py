@@ -32,7 +32,7 @@ from repro.workloads.graph import (
     build_request_stream,
     build_stream_trace,
 )
-from repro.workloads.models import MODEL_ZOO, resolve_trace, varlen_trace
+from repro.workloads.models import MODEL_ZOO, REQUEST_MODELS, resolve_trace, varlen_trace
 from repro.workloads.lowering import (
     MATRIX_RESOURCE,
     SIMT_RESOURCE,
@@ -182,6 +182,16 @@ class TestModelSpecValidation:
         assert "window" not in ModelSpec().to_dict()
         encoded = ModelSpec(seq_len=8, seq_lens=(5, 3), window=2).to_dict()
         assert encoded["seq_lens"] == [5, 3] and encoded["window"] == 2
+
+    @pytest.mark.parametrize(
+        "spec",
+        [*MODEL_ZOO.values(), *REQUEST_MODELS.values()],
+        ids=[*MODEL_ZOO, *REQUEST_MODELS],
+    )
+    def test_every_zoo_and_request_spec_rebuilds_from_its_encoding(self, spec):
+        rebuilt = ModelSpec(**json.loads(json.dumps(spec.to_dict())))
+        assert rebuilt == spec
+        assert hash(rebuilt) == hash(spec)
 
 
 class TestServingTraceValidation:
