@@ -1,6 +1,8 @@
-"""Tests for ``tools/compare_outputs.py``'s JSON comparison and ``--allow``."""
+"""Tests for ``tools/compare_outputs.py``'s JSON and line comparisons and ``--allow``."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 _TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
@@ -71,3 +73,49 @@ def test_long_added_values_are_shortened():
     (line,) = tally.diffs
     assert line.startswith('faults: added {"seed": 7') and line.endswith("...")
     assert len(line) < 80
+
+
+def compare_lines(a, b, *allow):
+    tally = compare_outputs.Tally()
+    patterns = compare_outputs.allow_patterns(f"{SURFACE}:{entry}" for entry in allow)
+    compare_outputs.compare_text(tally, "\n".join(a), "\n".join(b), patterns, SURFACE)
+    return tally
+
+
+def test_an_inserted_line_does_not_hide_a_changed_line_elsewhere():
+    base = ["policy fcfs", "r0  5 cycles", "r1  7 cycles", "done"]
+    head = ["policy fcfs", "preemptions 0", "r0  5 cycles", "r1  8 cycles", "done"]
+    assert compare_lines(base, head).diffs == [
+        "line 2: added 'preemptions 0'",
+        "line 4: 'r1  7 cycles' -> 'r1  8 cycles'",
+    ]
+
+
+def test_removed_lines_are_numbered_in_the_base_and_allowed_per_line():
+    base = ["a", "b", "c", "d"]
+    head = ["a", "c", "D"]
+    tally = compare_lines(base, head, "2")
+    assert tally.diffs == ["line 3: 'd' -> 'D'"]
+    assert tally.allowed == ["line 2: removed 'b'"]
+
+
+def test_an_energy_line_whose_numbers_round_pairs_up_after_an_insert():
+    base = ["energy 1.000000000000 uJ"]
+    head = ["new line", "energy 1.000000000001 uJ"]
+    tally = compare_lines(base, head)
+    assert tally.diffs == ["line 1: added 'new line'"]
+    assert tally.energy == 1
+
+
+def test_a_trace_surface_drops_the_wall_clock_phase_spans(tmp_path, monkeypatch):
+    trace = {"traceEvents": [{"cat": "phase", "ts": 7}, {"cat": "iteration", "ts": 0}]}
+
+    def fake_run(argv, cwd, **kwargs):
+        (Path(cwd) / compare_outputs.TRACE_FILE).write_text(json.dumps(trace))
+        return subprocess.CompletedProcess(argv, 0, stdout="table\n", stderr="")
+
+    monkeypatch.setattr(compare_outputs.subprocess, "run", fake_run)
+    output = compare_outputs._run(tmp_path, ["--trace-out", compare_outputs.TRACE_FILE])
+    prose, document = compare_outputs._split(output)
+    assert prose == "table\n"
+    assert document == {"traceEvents": [{"cat": "iteration", "ts": 0}]}

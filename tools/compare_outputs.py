@@ -9,12 +9,18 @@ values by float rounding, or differ otherwise:
 * ``repro compare`` and every script in ``examples/``;
 * ``repro model --json`` over the model zoo x the four designs, plus
   heterogeneous Virgo;
-* the serve, fleet, gemm, flash and hetero runs the CI workflow makes.
+* the serve, fleet, gemm, flash and hetero runs the CI workflow makes;
+* the CI chaos serve and fleet runs with ``--trace-out``: each trace file
+  is compared as JSON after the run's printed output, with the wall-clock
+  ``phase`` spans dropped.
 
 An output that ends in a JSON document (after any prose) is compared as
 JSON; the prose before it, line by line.  A JSON object that gained or lost
 keys reports each added or removed key and goes on comparing the keys both
 sides share; a change in the order of the shared keys is a difference.
+Prose is matched line by line with ``difflib`` on the lines' text with
+numbers masked: each added or removed line is reported, and the lines that
+pair up are still compared.
 
 Usage::
 
@@ -29,14 +35,16 @@ energy or power (``energy``, ``power``, ``_uj``, ``_mj``, ``_mw``,
 units.  Such a value may move by at most :data:`RTOL` relative, float
 rounding only; every other value must be byte-identical.  ``--allow``
 (repeatable) names a field allowed to move further, be added or be
-removed, as ``surface:dotted.path`` (``surface:line`` for prose); a ``*``
-in the path stands for any list index (``requests.*.disposition``).
-Exits non-zero if any surface has a difference that is not allowed.
+removed, as ``surface:dotted.path`` (``surface:N`` for prose line ``N``,
+numbered in BASE for a removed line and in HEAD otherwise); a ``*`` in the
+path stands for any list index (``requests.*.disposition``).  Exits
+non-zero if any surface has a difference that is not allowed.
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
 import os
 import re
@@ -78,20 +86,37 @@ CI_RUNS: Tuple[Tuple[str, ...], ...] = (
     ("model", "--batch", "--names", "gpt-decode,moe-decode", "--designs", "virgo,ampere"),
 )
 
+#: The CI chaos serve and fleet runs, traced: each writes :data:`TRACE_FILE`.
+TRACED_RUNS: Tuple[Tuple[str, ...], ...] = (
+    ("serve", "--trace", "bursty-slo", "--policy", "preemptive-slo", "--kv-budget", "300000",
+     "--inject", "spike:0.35:3.0,stall:0.25:60000", "--fault-seed", "7"),
+    ("fleet", "--trace", "bursty-slo", "--fleet", "trio-virgo", "--inject",
+     "crash:0.6:400000,slow:0.5:2.5:300000,partition:0.4:250000", "--fault-seed", "11"),
+)
+TRACE_FILE = "trace.json"
+
 ENERGY_PATH = re.compile(r"energy|power|_uj\b|_mj\b|_mw\b|per_flop", re.IGNORECASE)
 ENERGY_LINE = re.compile(r"energy|power|\b[umpf]J\b|\bmW\b", re.IGNORECASE)
 NUMBER = re.compile(r"-?\d[\d,]*(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 
 def _run(checkout: Path, argv: List[str]) -> str:
+    """The command's output; for a run that writes :data:`TRACE_FILE`, with
+    the trace appended as JSON, its wall-clock ``phase`` spans dropped."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONHASHSEED="0")
     with tempfile.TemporaryDirectory() as workdir:
         done = subprocess.run(
             [sys.executable, *argv], cwd=workdir, env=env, capture_output=True, text=True
         )
-    if done.returncode:
-        raise RuntimeError(f"{' '.join(argv)} failed in {checkout}:\n{done.stderr[-2000:]}")
-    return done.stdout
+        if done.returncode:
+            raise RuntimeError(f"{' '.join(argv)} failed in {checkout}:\n{done.stderr[-2000:]}")
+        if TRACE_FILE not in argv:
+            return done.stdout
+        trace = json.loads((Path(workdir) / TRACE_FILE).read_text())
+    trace["traceEvents"] = [
+        event for event in trace["traceEvents"] if event.get("cat") != "phase"
+    ]
+    return done.stdout + json.dumps(trace, indent=1) + "\n"
 
 
 def _zoo(checkout: Path) -> List[str]:
@@ -115,6 +140,9 @@ def surfaces(base: Path) -> Iterator[Tuple[str, Optional[List[str]], Optional[st
                ["-m", "repro", "model", "--name", name, "--design", "virgo", "--hetero",
                 "--json"], None)
     for argv in CI_RUNS:
+        yield "cli:" + " ".join(argv), ["-m", "repro", *argv], None
+    for argv in TRACED_RUNS:
+        argv = (*argv, "--trace-out", TRACE_FILE)
         yield "cli:" + " ".join(argv), ["-m", "repro", *argv], None
 
 
@@ -198,22 +226,37 @@ def compare_json(tally: Tally, path: str, a, b, allow: List[Pattern[str]], surfa
     _leaf(tally, path, a, b, _allowed(allow, surface, path))
 
 
-def compare_text(tally: Tally, a: str, b: str, allow: List[Pattern[str]], surface: str) -> None:
-    left, right = a.splitlines(), b.splitlines()
-    if len(left) != len(right):
-        tally.diffs.append(f"line count {len(left)} -> {len(right)}")
+def _compare_line(tally: Tally, x: str, y: str, number: int, allowed: bool) -> None:
+    if x == y:
         return
-    for number, (x, y) in enumerate(zip(left, right), 1):
-        if x == y:
-            continue
-        allowed = _allowed(allow, surface, str(number))
-        if NUMBER.sub("#", x) != NUMBER.sub("#", y) or not ENERGY_LINE.search(x):
-            _note(tally, f"line {number}: {x!r} -> {y!r}", allowed)
-            continue
-        for p, q in zip(NUMBER.findall(x), NUMBER.findall(y)):
-            if p != q:
-                _leaf(tally, f"line {number} energy", float(p.replace(",", "")),
-                      float(q.replace(",", "")), allowed)
+    if NUMBER.sub("#", x) != NUMBER.sub("#", y) or not ENERGY_LINE.search(x):
+        _note(tally, f"line {number}: {x!r} -> {y!r}", allowed)
+        return
+    for p, q in zip(NUMBER.findall(x), NUMBER.findall(y)):
+        if p != q:
+            _leaf(tally, f"line {number} energy", float(p.replace(",", "")),
+                  float(q.replace(",", "")), allowed)
+
+
+def compare_text(tally: Tally, a: str, b: str, allow: List[Pattern[str]], surface: str) -> None:
+    """Report each removed, added and changed line.  Lines are matched on
+    their text with numbers masked, so a line whose numbers moved pairs up
+    with its counterpart and is compared value by value."""
+    left, right = a.splitlines(), b.splitlines()
+    masked = difflib.SequenceMatcher(
+        None, [NUMBER.sub("#", x) for x in left], [NUMBER.sub("#", y) for y in right],
+        autojunk=False,
+    )
+    for _, i1, i2, j1, j2 in masked.get_opcodes():
+        paired = min(i2 - i1, j2 - j1)
+        for i, j in zip(range(i1, i1 + paired), range(j1, j1 + paired)):
+            _compare_line(tally, left[i], right[j], j + 1, _allowed(allow, surface, str(j + 1)))
+        for i in range(i1 + paired, i2):
+            _note(tally, f"line {i + 1}: removed {left[i]!r}",
+                  _allowed(allow, surface, str(i + 1)))
+        for j in range(j1 + paired, j2):
+            _note(tally, f"line {j + 1}: added {right[j]!r}",
+                  _allowed(allow, surface, str(j + 1)))
 
 
 def _parse(text: str):
