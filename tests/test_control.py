@@ -354,6 +354,16 @@ class TestSchedulerIntegration:
         assert warm.preemption_count >= 1
         assert_byte_identical(warm, cold, context="memo on vs off under preemption")
 
+    def test_each_eviction_counts_one_preemption_of_its_request(self):
+        trace = trace_of(
+            request("bulk0", slo=BATCH, decode_steps=4),
+            request("bulk1", slo=BATCH, decode_steps=4),
+            request("vip", slo=INTERACTIVE, arrival=1, decode_steps=2),
+        )
+        result = run_serving(trace, policy="preemptive-slo", kv_budget=2 * UNIT)
+        assert result.preemption_count >= 1
+        assert sum(r.preemptions for r in result.requests) == result.preemption_count
+
 
 #: Hypothesis strategy: small SLO-annotated traces over one tiny model.
 @st.composite
