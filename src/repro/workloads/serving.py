@@ -308,11 +308,11 @@ class _InFlight:
     """One request's serving state, from arrival to its terminal state.
 
     The same record waits in the admission queue, decodes, is evicted and
-    is re-admitted; in a fleet it travels between replicas as
-    ``_FleetRequest.progress``.  ``enqueued_cycle`` is when it last joined
-    a queue.  ``preempted`` marks KV state that is not resident (evicted,
-    or lost with a crashed fleet replica): admission charges its reload
-    cost.  ``evicted_cycle`` is the latest eviction, until re-admission.
+    re-admitted, and in a fleet travels between replicas as
+    ``_FleetRequest.progress``.  ``enqueued_cycle`` is its latest entry into
+    a queue and ``evicted_cycle`` its latest eviction, until re-admission.
+    ``preempted`` marks KV state that is not resident (evicted, or lost with
+    a crashed fleet replica): admission charges its reload cost.
     ``admitted_cycle`` is the *first* admission (queueing delay measures
     the initial wait, not re-admissions); ``resident_since`` is the latest
     (re-)admission, the preemption policies' eviction-ordering key.
@@ -1088,14 +1088,13 @@ class ServingScheduler:
 class _Run:
     """One outcome applied ``count`` times back to back from ``start``.
 
-    An iteration run's ``outcome`` is an :class:`_IterationOutcome` and
-    ``effective`` the span each of its iterations occupies: the outcome's
-    span, stretched by admission penalties and an injected ``stall`` --
-    which only a count-1 run can carry, so an epoch's iterations all span
-    exactly the outcome's span.  An episode run's ``outcome`` is an
-    :class:`EpisodeTemplate`, ``count`` its requests, ``effective`` the
-    template's span and ``arrivals`` the requests' arrival cycles, which
-    is ``None`` for an iteration run.
+    An iteration run repeats an :class:`_IterationOutcome`; ``effective`` is
+    the span each iteration occupies: the outcome's span, stretched by
+    admission penalties and an injected ``stall`` -- which only a count-1
+    run can carry, so an epoch's iterations all span exactly the outcome's
+    span.  An episode run repeats an :class:`EpisodeTemplate` once for each
+    of ``count`` requests arriving at ``arrivals`` (``None`` for an
+    iteration run); ``effective`` is the template's span.
     """
 
     start: int
@@ -1121,8 +1120,7 @@ class _Stepper:
     :meth:`advance` retires the runs that end by a barrier and starts the
     next; :meth:`cut` splits the run in flight before a router event
     changes the stepper; :meth:`abort` discards it when the replica
-    crashes.  Each request has one :class:`_InFlight` record from arrival
-    to its terminal state.
+    crashes.
     """
 
     def __init__(
@@ -1460,57 +1458,6 @@ class _Stepper:
         effective = run.effective
         index = self.iterations
         self._credit(outcome, run.replayed, count)
-        finished = False
-        if run.arrivals is not None:
-            self._land_episode(run, index)
-        else:
-            active = self.active
-            recorder = self.recorder
-            if self.episodes is not None:
-                self._learn(run, count)
-            if recorder is not None and count == 1 and run.replayed:
-                self._replay_shape(outcome, start)
-            for state, end in zip(active, outcome.entry_end_cycles):
-                # A reload penalty is serialized in front of the request's step.
-                if state.pending_penalty:
-                    end += state.pending_penalty
-                    state.pending_penalty = 0
-                if recorder is not None and count == 1:
-                    recorder.add_span(
-                        f"step {state.steps_done}",
-                        process=REQUESTS_PROCESS,
-                        track=state.request.request_id,
-                        start=start,
-                        duration=end,
-                        category="decode_step",
-                        args={"iteration": index},
-                    )
-                state.steps_done += count
-                if state.first_token_cycle is None:
-                    state.first_token_cycle = start + end
-                if state.steps_done == state.request.decode_steps:
-                    state.finish_cycle = start + end + (count - 1) * effective
-                    self.finished[state.request.request_id] = state
-                    finished = True
-            # A surviving recording implies the learner is active[0] (any
-            # batch growth or identity change aborted it above).
-            if self._learn_key is not None and active[0].finish_cycle is not None:
-                self._learn_finalize(active[0])
-            if recorder is not None:
-                self._record_run(run, count, index)
-            if self.timeline is not None:
-                ids = [state.request.request_id for state in active]
-                self.timeline.append(
-                    IterationRecord(index, start, effective, len(active), ids)
-                    if count == 1
-                    else EpochRecord(index, start, effective, count, ids)
-                )
-            if count == 1:
-                self.epoch_stats["executed_iterations"] += 1
-            else:
-                self.epoch_stats["epochs"] += 1
-                self.epoch_stats["extrapolated_iterations"] += count
-            self.now = start + count * effective
         self.iterations += count * outcome.iterations
         self.serving_cycles += count * effective
         self.kernel_count += count * outcome.kernel_count
@@ -1518,8 +1465,59 @@ class _Stepper:
         busy_totals = self.resource_busy
         for resource, busy in outcome.resource_busy:
             busy_totals[resource] = busy_totals.get(resource, 0) + count * busy
+        if run.arrivals is not None:
+            self._land_episode(run, index)
+            return
+        active = self.active
+        recorder = self.recorder
+        if self.episodes is not None:
+            self._learn(run, count)
+        if recorder is not None and count == 1 and run.replayed:
+            self._replay_shape(outcome, start)
+        finished = False
+        for state, end in zip(active, outcome.entry_end_cycles):
+            # A reload penalty is serialized in front of the request's step.
+            if state.pending_penalty:
+                end += state.pending_penalty
+                state.pending_penalty = 0
+            if recorder is not None and count == 1:
+                recorder.add_span(
+                    f"step {state.steps_done}",
+                    process=REQUESTS_PROCESS,
+                    track=state.request.request_id,
+                    start=start,
+                    duration=end,
+                    category="decode_step",
+                    args={"iteration": index},
+                )
+            state.steps_done += count
+            if state.first_token_cycle is None:
+                state.first_token_cycle = start + end
+            if state.steps_done == state.request.decode_steps:
+                state.finish_cycle = start + end + (count - 1) * effective
+                self.finished[state.request.request_id] = state
+                finished = True
+        # A surviving recording implies the learner is active[0] (any batch
+        # growth or identity change aborted it above).
+        if self._learn_key is not None and active[0].finish_cycle is not None:
+            self._learn_finalize(active[0])
+        if recorder is not None:
+            self._record_run(run, count, index)
+        if self.timeline is not None:
+            ids = [state.request.request_id for state in active]
+            self.timeline.append(
+                IterationRecord(index, start, effective, len(active), ids)
+                if count == 1
+                else EpochRecord(index, start, effective, count, ids)
+            )
+        if count == 1:
+            self.epoch_stats["executed_iterations"] += 1
+        else:
+            self.epoch_stats["epochs"] += 1
+            self.epoch_stats["extrapolated_iterations"] += count
+        self.now = start + count * effective
         if finished:
-            self.active = [state for state in self.active if state.finish_cycle is None]
+            self.active = [state for state in active if state.finish_cycle is None]
 
     def _land_episode(self, run: _Run, index: int) -> None:
         """What only an episode run lands: its record, the arrivals it
