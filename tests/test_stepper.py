@@ -38,7 +38,7 @@ from repro.workloads import (
     run_fleet,
     run_serving,
 )
-from repro.workloads.serving import _InFlight, _Stepper
+from repro.workloads.serving import _InFlight as _Queued, _Stepper
 
 CELLS = [(design.value, False) for design in DesignKind] + [("virgo", True)]
 
@@ -217,8 +217,8 @@ def test_same_cycle_offers_join_in_request_id_order():
     trace = _boundary_trace(10**9)
     first, second = trace.requests
     stepper = _Stepper(ServingScheduler("virgo"), trace)
-    stepper.offer(_InFlight(request=second, enqueued_cycle=5))
-    stepper.offer(_InFlight(request=first, enqueued_cycle=5))
+    stepper.offer(_Queued(request=second, enqueued_cycle=5))
+    stepper.offer(_Queued(request=first, enqueued_cycle=5))
     stepper.advance(6)
     assert [state.request.request_id for state in stepper.active] == ["A", "B"]
     assert stepper.run is not None and stepper.run.start == 5
