@@ -58,8 +58,8 @@ def _text(value) -> str:
     return "\n".join(value) if isinstance(value, list) else value
 
 
-def load(path: Path = DATA) -> List[Mutant]:
-    """The mutants in ``path``, in file order."""
+def load() -> List[Mutant]:
+    """The committed mutants, in file order."""
     return [
         Mutant(
             id=entry["id"],
@@ -70,7 +70,7 @@ def load(path: Path = DATA) -> List[Mutant]:
             contract=entry["contract"],
             survives=entry.get("survives"),
         )
-        for entry in json.loads(path.read_text(encoding="utf-8"))
+        for entry in json.loads(DATA.read_text(encoding="utf-8"))
     ]
 
 
