@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, Sequence
 
 from repro.config.soc import DataType
 from repro.config.presets import DesignKind, all_designs, gemm_design_kinds, make_design
@@ -103,12 +103,3 @@ def table4_smem_footprint(size: int = 256) -> Dict[str, Dict[str, float]]:
     }
     workload = GemmWorkload.square(size, DataType.FP16)
     return smem_footprint_table(designs, workload)
-
-
-def table3_rows(table: Dict[str, Dict[int, float]]) -> List[List[str]]:
-    """Format the Table 3 dict for :func:`format_table`."""
-    sizes = sorted(next(iter(table.values())).keys())
-    rows = []
-    for design, row in table.items():
-        rows.append([design] + [f"{row[size]:.1f}" for size in sizes])
-    return rows

@@ -9,8 +9,7 @@ by constructing a modified :class:`DesignConfig`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
-from typing import Tuple
+from dataclasses import dataclass, field
 
 
 class DataType(enum.Enum):
@@ -104,14 +103,6 @@ class SharedMemoryConfig:
         """Aggregate read bandwidth across all banks."""
         return self.banks * self.bank_width_bytes
 
-    def scaled_banking(self, factor: int) -> "SharedMemoryConfig":
-        """Return a copy with ``factor``-times more aggressive subbanking.
-
-        This models the 2x bandwidth scaling the paper applies to the Volta
-        and Ampere-style designs (Section 6.1.3).
-        """
-        return replace(self, subbanks=self.subbanks * factor)
-
 
 @dataclass(frozen=True)
 class DmaConfig:
@@ -147,10 +138,6 @@ class MatrixUnitConfig:
     cycles_per_step: int = 2
 
     @property
-    def tile_shape(self) -> Tuple[int, int, int]:
-        return (self.tile_m, self.tile_n, self.tile_k)
-
-    @property
     def hmma_steps_per_tile(self) -> int:
         """HMMA step instructions needed per tile operation (Volta/Ampere).
 
@@ -164,11 +151,6 @@ class MatrixUnitConfig:
     def tile_macs(self) -> int:
         """MAC operations in one tile-granular operation."""
         return self.tile_m * self.tile_n * self.tile_k
-
-    @property
-    def tile_cycles_ideal(self) -> float:
-        """Ideal cycles to compute one tile at full MAC throughput."""
-        return self.tile_macs / float(self.macs_per_cycle)
 
     @property
     def operand_bytes_per_tile(self) -> int:
@@ -199,10 +181,6 @@ class CoreConfig:
     register_file: RegisterFileConfig = field(default_factory=RegisterFileConfig)
     l1i: CacheConfig = field(default_factory=lambda: CacheConfig(size_bytes=16 * 1024))
     l1d: CacheConfig = field(default_factory=lambda: CacheConfig(size_bytes=16 * 1024))
-
-    @property
-    def threads(self) -> int:
-        return self.warps * self.lanes
 
 
 @dataclass(frozen=True)
@@ -238,16 +216,8 @@ class SoCConfig:
     clock_mhz: float = 400.0
 
     @property
-    def clock_period_ns(self) -> float:
-        return 1000.0 / self.clock_mhz
-
-    @property
     def total_macs_per_cycle(self) -> int:
         return self.clusters * self.cluster.total_macs_per_cycle
-
-    def peak_matrix_tflops(self) -> float:
-        """Peak matrix throughput in TFLOP/s (1 MAC = 2 FLOPs)."""
-        return 2.0 * self.total_macs_per_cycle * self.clock_mhz * 1e6 / 1e12
 
 
 @dataclass(frozen=True)
@@ -288,14 +258,6 @@ class DesignConfig:
     @property
     def has_dma(self) -> bool:
         return self.style is not IntegrationStyle.TIGHTLY_COUPLED
-
-    @property
-    def operands_from_shared_memory(self) -> bool:
-        """True when the matrix unit reads operands directly from shared memory."""
-        return self.style in (
-            IntegrationStyle.OPERAND_DECOUPLED,
-            IntegrationStyle.DISAGGREGATED,
-        )
 
     @property
     def accumulator_in_register_file(self) -> bool:

@@ -6,7 +6,7 @@ cores drive it through, the cluster-wide synchronizer, the cluster assembly,
 and the ``virgo_*`` programming API of Section 4.3.
 """
 
-from repro.core.systolic_array import SystolicArray, SubtilePass
+from repro.core.systolic_array import SystolicArray
 from repro.core.accumulator import AccumulatorMemory
 from repro.core.mmio import MmioInterface, MmioRegister, CommandStatus
 from repro.core.gemmini import GemminiMatrixUnit, MatrixOperation
@@ -16,7 +16,6 @@ from repro.core.api import VirgoContext, AsyncHandle
 
 __all__ = [
     "SystolicArray",
-    "SubtilePass",
     "AccumulatorMemory",
     "MmioInterface",
     "MmioRegister",

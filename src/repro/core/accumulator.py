@@ -72,16 +72,6 @@ class AccumulatorMemory:
         if not self._allocations:
             self._next_offset = 0
 
-    def allocated_bytes(self) -> int:
-        return sum(
-            alloc.shape[0] * alloc.shape[1] * self.ELEM_BYTES
-            for alloc in self._allocations.values()
-        )
-
-    @property
-    def free_bytes(self) -> int:
-        return self.size_bytes - self._next_offset
-
     def tile_names(self):
         return list(self._allocations)
 

@@ -15,32 +15,12 @@ numerical verification of the Virgo GEMM and FlashAttention kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.config.soc import DataType
 from repro.sim.stats import Counters
 
 _OPERAND_DTYPES = {DataType.FP16: np.float16, DataType.FP32: np.float32}
-
-
-@dataclass(frozen=True)
-class SubtilePass:
-    """Timing of one pass of a (rows x cols) output subtile over depth K."""
-
-    rows: int
-    cols: int
-    depth: int
-    fill_drain: int
-
-    @property
-    def cycles(self) -> int:
-        return self.depth + self.fill_drain
-
-    @property
-    def macs(self) -> int:
-        return self.rows * self.cols * self.depth
 
 
 class SystolicArray:
@@ -106,17 +86,6 @@ class SystolicArray:
     # Timing
     # ------------------------------------------------------------------ #
 
-    def subtile_pass(self, depth: int) -> SubtilePass:
-        """Timing of streaming a depth-``depth`` operand pair through the mesh."""
-        if depth <= 0:
-            raise ValueError("depth must be positive")
-        return SubtilePass(
-            rows=self.rows,
-            cols=self.cols,
-            depth=depth,
-            fill_drain=self.rows + self.cols - 2,
-        )
-
     def tile_cycles(self, m: int, n: int, k: int, pipelined: bool = True) -> int:
         """Cycles to compute an (m, n, k) operation tile on the mesh.
 
@@ -143,7 +112,3 @@ class SystolicArray:
     def ideal_tile_cycles(self, m: int, n: int, k: int) -> float:
         """Lower bound: tile MACs at full mesh throughput."""
         return (m * n * k) / float(self.macs_per_cycle)
-
-    def utilization_for_tile(self, m: int, n: int, k: int) -> float:
-        """Mesh utilization achieved on an isolated (m, n, k) tile."""
-        return self.ideal_tile_cycles(m, n, k) / self.tile_cycles(m, n, k)

@@ -34,12 +34,6 @@ class EnergyBreakdown:
     def parts_pj(self) -> Dict[str, float]:
         return {key: value / 1e3 for key, value in self.parts_fj.items()}
 
-    def fractions(self) -> Dict[str, float]:
-        total = self.total_fj
-        if total == 0:
-            return {key: 0.0 for key in self.parts_fj}
-        return {key: value / total for key, value in self.parts_fj.items()}
-
     def parts_uj(self) -> Dict[str, float]:
         return {key: value / 1e9 for key, value in self.parts_fj.items()}
 

@@ -57,14 +57,6 @@ class PowerReport:
             return 0.0
         return _milliwatts(self.total_energy_fj, self.runtime_seconds)
 
-    def power_by_component_mw(self) -> Dict[str, float]:
-        if self.cycles == 0:
-            return {key: 0.0 for key in self.energy_by_component_fj}
-        seconds = self.runtime_seconds
-        return {
-            key: _milliwatts(value, seconds) for key, value in self.energy_by_component_fj.items()
-        }
-
     def energy_by_component_uj(self) -> Dict[str, float]:
         return {key: value / 1e9 for key, value in self.energy_by_component_fj.items()}
 

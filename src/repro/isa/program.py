@@ -62,12 +62,6 @@ class WarpProgram:
             counts[instruction.op_class] = counts.get(instruction.op_class, 0) + 1
         return counts
 
-    def total_reg_reads(self) -> int:
-        return sum(instruction.reg_reads for instruction in self.instructions)
-
-    def total_reg_writes(self) -> int:
-        return sum(instruction.reg_writes for instruction in self.instructions)
-
     def total_bytes(self, op_classes: Iterable[OpClass] | None = None) -> int:
         """Total bytes accessed, optionally restricted to certain classes."""
         selected = set(op_classes) if op_classes is not None else None
@@ -95,13 +89,6 @@ class InstructionStream:
         self.programs.append(program)
         return self
 
-    def instructions_per_warp(self) -> int:
-        return sum(len(program) for program in self.programs)
-
-    def total_instructions(self) -> int:
-        """Total dynamic instructions across all warps and iterations."""
-        return self.instructions_per_warp() * self.warps * self.iterations
-
     def count_by_class(self) -> Dict[OpClass, int]:
         """Dynamic instruction counts per class across all warps/iterations."""
         counts: Dict[OpClass, int] = {}
@@ -110,10 +97,3 @@ class InstructionStream:
                 counts[op_class] = counts.get(op_class, 0) + count
         scale = self.warps * self.iterations
         return {op_class: count * scale for op_class, count in counts.items()}
-
-    def merged_program(self) -> WarpProgram:
-        """Concatenate all programs into one per-warp stream (single iteration)."""
-        merged = WarpProgram(name="merged")
-        for program in self.programs:
-            merged.extend(program)
-        return merged

@@ -55,14 +55,6 @@ class GemmWorkload:
         return 2 * self.macs
 
     @property
-    def input_bytes(self) -> int:
-        return self.dtype.bytes * (self.m * self.k + self.k * self.n)
-
-    @property
-    def output_bytes(self) -> int:
-        return 4 * self.m * self.n
-
-    @property
     def name(self) -> str:
         return f"{self.m}x{self.n}x{self.k}"
 

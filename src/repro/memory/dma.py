@@ -56,7 +56,6 @@ class DmaEngine:
         self.config = config
         self.dram = dram
         self.shared_memory = shared_memory
-        self.transfers: list[DmaTransfer] = []
 
     def transfer_cycles(self, nbytes: int, touches_dram: bool = True) -> int:
         """Cycles for one descriptor of ``nbytes``."""
@@ -100,12 +99,4 @@ class DmaEngine:
             words = -(-nbytes // 4)
             counters.add("accum.read_words" if direction is DmaDirection.ACCUM_TO_GLOBAL
                          else "accum.write_words", words)
-        transfer = DmaTransfer(direction=direction, nbytes=nbytes, cycles=cycles)
-        self.transfers.append(transfer)
-        return transfer
-
-    def effective_bandwidth(self) -> float:
-        """Average bytes/cycle across all executed descriptors."""
-        total_bytes = sum(transfer.nbytes for transfer in self.transfers)
-        total_cycles = sum(transfer.cycles for transfer in self.transfers)
-        return total_bytes / total_cycles if total_cycles else 0.0
+        return DmaTransfer(direction=direction, nbytes=nbytes, cycles=cycles)

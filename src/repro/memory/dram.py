@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.config.soc import DramConfig
-from repro.sim.stats import Counters
 
 
 @dataclass
@@ -18,10 +17,6 @@ class DramChannel:
     """Bandwidth/latency model of the main-memory channel."""
 
     config: DramConfig
-
-    def __post_init__(self) -> None:
-        self.bytes_transferred = 0
-        self.busy_cycles = 0
 
     def transfer_cycles(self, nbytes: int, include_latency: bool = True) -> int:
         """Cycles to move ``nbytes`` across the channel.
@@ -37,15 +32,6 @@ class DramChannel:
         streaming = int(-(-nbytes // self.config.bandwidth_bytes_per_cycle))
         latency = self.config.latency_cycles if include_latency else 0
         return latency + streaming
-
-    def record_transfer(self, nbytes: int, counters: Counters, include_latency: bool = True) -> int:
-        """Account a transfer in both the local stats and ``counters``."""
-        cycles = self.transfer_cycles(nbytes, include_latency=include_latency)
-        self.bytes_transferred += nbytes
-        self.busy_cycles += cycles
-        counters.add("dram.bytes", nbytes)
-        counters.add("dram.transfers", 1)
-        return cycles
 
     @property
     def peak_bytes_per_cycle(self) -> float:

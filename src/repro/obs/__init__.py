@@ -26,7 +26,6 @@ from repro.obs.phase import (
     PhaseProfiler,
     PhaseRecord,
     phase,
-    phase_profiler,
     profiling,
 )
 from repro.obs.trace import (
@@ -49,7 +48,6 @@ __all__ = [
     "TraceSpan",
     "occupancy_percent",
     "phase",
-    "phase_profiler",
     "profiling",
     "trace_recorder",
     "tracing",

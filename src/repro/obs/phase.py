@@ -28,7 +28,6 @@ __all__ = [
     "PhaseRecord",
     "PhaseProfiler",
     "phase",
-    "phase_profiler",
     "profiling",
 ]
 
@@ -104,11 +103,6 @@ class PhaseProfiler:
 
 #: The process-wide active profiler (None = profiling off).
 _ACTIVE_PROFILER: Optional[PhaseProfiler] = None
-
-
-def phase_profiler() -> Optional[PhaseProfiler]:
-    """The active profiler, or ``None`` when phase profiling is off."""
-    return _ACTIVE_PROFILER
 
 
 @contextmanager

@@ -50,14 +50,6 @@ class Counters:
         """Sum of all counters whose name starts with ``prefix``."""
         return sum(value for key, value in self._counts.items() if key.startswith(prefix))
 
-    def group_by_prefix(self, depth: int = 1) -> Dict[str, float]:
-        """Aggregate counters by the first ``depth`` dotted name components."""
-        grouped: Dict[str, float] = defaultdict(float)
-        for key, value in self._counts.items():
-            parts = key.split(".")
-            grouped[".".join(parts[:depth])] += value
-        return dict(grouped)
-
     def items(self) -> Iterable[Tuple[str, float]]:
         return self._counts.items()
 

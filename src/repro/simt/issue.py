@@ -82,10 +82,6 @@ class IssueResult:
     issued_by_class: Dict[OpClass, int] = field(default_factory=dict)
     unit_busy_cycles: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def ipc(self) -> float:
-        return self.instructions_issued / self.cycles if self.cycles else 0.0
-
 
 class ProgramSet:
     """The warp programs of one core execution, each distinct object decoded once.

@@ -44,11 +44,6 @@ class MatrixFragment:
     def bytes(self) -> int:
         return self.data.size * self.dtype.bytes
 
-    @property
-    def register_words(self) -> int:
-        """32-bit register words the fragment occupies when held in the RF."""
-        return -(-self.bytes // 4)
-
     def as_float32(self) -> np.ndarray:
         return self.data.astype(np.float32)
 
@@ -73,11 +68,3 @@ def load_fragment(
         dtype=dtype,
         location=location,
     )
-
-
-def store_fragment(matrix: np.ndarray, fragment: MatrixFragment, row: int, col: int) -> None:
-    """Write ``fragment`` back into ``matrix`` at (row, col)."""
-    rows, cols = fragment.rows, fragment.cols
-    if row + rows > matrix.shape[0] or col + cols > matrix.shape[1]:
-        raise IndexError("fragment store exceeds matrix bounds")
-    matrix[row : row + rows, col : col + cols] = fragment.data.astype(matrix.dtype)

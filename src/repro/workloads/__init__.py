@@ -27,8 +27,7 @@ Pipeline
    placement;
 5. :mod:`repro.workloads.batch` -- builds (model, design), (trace, design)
    and fleet chaos sweeps and runs their cells in the calling process
-   (:func:`~repro.workloads.batch.moe_sweep_jobs` crosses the MoE routing
-   knobs, :func:`~repro.workloads.batch.serving_sweep_jobs` the serving
+   (:func:`~repro.workloads.batch.serving_sweep_jobs` crosses the serving
    batch mixes); ``--cache-dir`` persists the timing cache they share.
 
 Per-kernel timings flow through the process-wide timing cache
@@ -150,7 +149,6 @@ from repro.workloads.batch import (
     FleetJob,
     ServingJob,
     fleet_sweep_jobs,
-    moe_sweep_jobs,
     run_batch,
     serving_sweep_jobs,
     sweep_jobs,
@@ -237,7 +235,6 @@ __all__ = [
     "ServingJob",
     "fleet_names",
     "fleet_sweep_jobs",
-    "moe_sweep_jobs",
     "resolve_fleet",
     "run_batch",
     "serving_sweep_jobs",

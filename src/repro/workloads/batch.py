@@ -2,7 +2,7 @@
 
 Design-space sweeps over whole models multiply quickly: models x designs x
 phases x hyperparameter variants.  The sweep builders (:func:`sweep_jobs`,
-:func:`moe_sweep_jobs`, :func:`serving_sweep_jobs`, :func:`fleet_sweep_jobs`)
+:func:`serving_sweep_jobs`, :func:`fleet_sweep_jobs`)
 cross them into job lists, resolve every name and fault spec at build time
 and reject two cells with the same resolved content.  :func:`run_batch`
 runs the cells one after another and returns each one's canonical
@@ -34,7 +34,7 @@ from repro.workloads.fleet import (
     run_fleet,
 )
 from repro.workloads.graph import ServingTrace
-from repro.workloads.models import ModelSpec, resolve_spec, resolve_trace, scaled_spec
+from repro.workloads.models import ModelSpec, resolve_spec, resolve_trace
 from repro.workloads.lowering import run_model
 from repro.workloads.serving import run_serving
 
@@ -379,49 +379,3 @@ def fleet_sweep_jobs(
         except (KeyError, ValueError) as error:
             raise ValueError(f"invalid fleet sweep cell: {error}") from error
     return _reject_duplicate_cells(jobs)
-
-
-def moe_sweep_jobs(
-    base: Union[str, ModelSpec] = "moe-decode",
-    experts: Sequence[int] = (4, 8, 16),
-    top_ks: Sequence[int] = (1, 2),
-    designs: Sequence[str] = ("virgo",),
-    capacity_factors: Sequence[float] = (1.0,),
-    heterogeneous: Union[bool, Sequence[bool]] = (False, True),
-) -> List[BatchJob]:
-    """The (experts x top_k x capacity x design x unit-config) MoE sweep.
-
-    ``base`` supplies every non-MoE hyperparameter (zoo name or explicit
-    spec) and must be a ``family="moe"`` model -- other families silently
-    ignore the routing knobs, which would make every cell identical.  Each
-    cell overrides the knobs via :func:`scaled_spec`, so every combination
-    is a distinct cell.  Infeasible cells
-    (``top_k > experts``) are skipped rather than raised, which lets callers
-    pass rectangular ranges; cells with identical content (e.g. a repeated
-    value in a knob range) raise ``ValueError`` instead of silently
-    shrinking the measured sweep.
-    """
-    base_spec = resolve_spec(base) if isinstance(base, str) else base
-    if base_spec.family != "moe":
-        raise ValueError(
-            f"moe_sweep_jobs needs a family='moe' base spec, got "
-            f"family={base_spec.family!r} (the MoE knobs would be ignored)"
-        )
-    flags = [heterogeneous] if isinstance(heterogeneous, bool) else list(heterogeneous)
-    return _reject_duplicate_cells(
-        [
-            BatchJob(
-                model=scaled_spec(
-                    base_spec, experts=count, top_k=top_k, capacity_factor=factor
-                ),
-                design=design,
-                heterogeneous=flag,
-            )
-            for count in experts
-            for top_k in top_ks
-            if top_k <= count
-            for factor in capacity_factors
-            for design in designs
-            for flag in flags
-        ]
-    )

@@ -222,10 +222,6 @@ class EpisodeRun:
     requests: List[RequestSpec]
 
     @property
-    def request_count(self) -> int:
-        return len(self.requests)
-
-    @property
     def iteration_count(self) -> int:
         return len(self.requests) * self.template.iterations
 

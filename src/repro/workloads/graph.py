@@ -238,9 +238,8 @@ class AttentionLayer(Layer):
         """Score elements surviving the mask, across heads and batch.
 
         Exact integer mask counts from :mod:`repro.kernels.masking` -- the
-        single source of truth for :meth:`score_macs`,
-        :meth:`causal_work_fraction` and the lowering pass, so reported MAC
-        utilization always matches the mask-count oracle.
+        single source of truth for :meth:`score_macs` and the lowering pass,
+        so reported MAC utilization always matches the mask-count oracle.
         """
         from repro.kernels.masking import masked_elements, masked_elements_varlen
 
@@ -253,18 +252,6 @@ class AttentionLayer(Layer):
         else:
             per_head = masked_elements(shape.seq, kv, self.window)
         return shape.batch * self.heads * per_head
-
-    def causal_work_fraction(self, shape: TensorShape) -> float:
-        """Fraction of score work surviving the mask -- exact, not 0.5.
-
-        A full triangle keeps ``(seq+1)/(2*seq)`` of the rectangle; causal
-        prefill over prior context keeps the trapezoid
-        ``(kv - (seq-1)/2)/kv`` (this used to return a silent 1.0);
-        single-query decode keeps everything unless a window caps it.
-        """
-        kv = self.kv_length(shape)
-        total = shape.batch * self.heads * shape.seq * kv
-        return self.masked_score_elements(shape) / total
 
     def score_macs(self, shape: TensorShape) -> int:
         """MACs of the two score GEMMs (QK^T and PV) across heads and batch.

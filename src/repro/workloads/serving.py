@@ -392,10 +392,6 @@ class _IterationOutcome:
 _MEMO_NAMESPACE = "serving.iteration_memo"
 
 
-def _iteration_memo() -> Dict[tuple, _IterationOutcome]:
-    return timing_cache().namespace(_MEMO_NAMESPACE)
-
-
 #: Namespace of the learned episode templates (epoch compression's
 #: request-granular tier).  A template is the solo-service segment list of
 #: one request shape -- (design fingerprint, unit layout, dtype, context

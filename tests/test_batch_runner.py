@@ -301,10 +301,6 @@ class TestDuplicateSweepCells:
                 sweep_jobs(models, designs)
             assert all(repr(label) in str(excinfo.value) for label in labels)
 
-    def test_moe_sweep_rejects_repeated_knob_value(self):
-        with pytest.raises(ValueError, match="duplicate sweep cell"):
-            batch_module.moe_sweep_jobs(experts=(8, 8), top_ks=(2,), heterogeneous=False)
-
     def test_serving_sweep_rejects_repeated_trace(self):
         with pytest.raises(ValueError, match="duplicate sweep cell"):
             serving_sweep_jobs([TINY_TRACE, TINY_TRACE], ["virgo"], heterogeneous=False)

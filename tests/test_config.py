@@ -11,7 +11,6 @@ from repro.config.soc import (
     MatrixUnitConfig,
     RegisterFileConfig,
     SharedMemoryConfig,
-    SoCConfig,
 )
 
 
@@ -47,10 +46,6 @@ class TestSharedMemoryConfig:
         config = SharedMemoryConfig(banks=4, subbanks=8)
         assert config.peak_bytes_per_cycle == 128
 
-    def test_scaled_banking_doubles_subbanks(self):
-        config = SharedMemoryConfig(subbanks=8)
-        assert config.scaled_banking(2).subbanks == 16
-
 
 class TestMatrixUnitConfig:
     def test_volta_tile_macs(self):
@@ -69,10 +64,6 @@ class TestMatrixUnitConfig:
     def test_accumulator_bytes_are_fp32(self):
         unit = make_design(DesignKind.VOLTA).matrix_unit
         assert unit.accumulator_bytes_per_tile == 4 * 8 * 8
-
-    def test_tile_cycles_ideal(self):
-        unit = make_design(DesignKind.HOPPER).matrix_unit
-        assert unit.tile_cycles_ideal == unit.tile_macs / unit.macs_per_cycle
 
 
 class TestPresets:
@@ -97,11 +88,11 @@ class TestPresets:
         assert ampere_design.has_dma
 
     def test_hopper_reads_operands_from_shared_memory(self, hopper_design):
-        assert hopper_design.operands_from_shared_memory
+        assert hopper_design.style is IntegrationStyle.OPERAND_DECOUPLED
         assert hopper_design.accumulator_in_register_file
 
     def test_virgo_is_fully_disaggregated(self, virgo_design):
-        assert virgo_design.operands_from_shared_memory
+        assert virgo_design.style is IntegrationStyle.DISAGGREGATED
         assert not virgo_design.accumulator_in_register_file
 
     def test_virgo_single_unit_per_cluster(self, virgo_design):
@@ -113,7 +104,8 @@ class TestPresets:
 
     def test_tile_sizes_match_paper(self, all_design_configs):
         tiles = {
-            kind: config.matrix_unit.tile_shape for kind, config in all_design_configs.items()
+            kind: (config.matrix_unit.tile_m, config.matrix_unit.tile_n, config.matrix_unit.tile_k)
+            for kind, config in all_design_configs.items()
         }
         assert tiles[DesignKind.VOLTA] == (8, 8, 16)
         assert tiles[DesignKind.AMPERE] == (8, 8, 16)
@@ -170,13 +162,3 @@ class TestValidation:
         bad = replace(hopper_design, soc=replace(hopper_design.soc, cluster=bad_cluster))
         with pytest.raises(ValueError):
             bad.validate()
-
-
-class TestSoCConfig:
-    def test_clock_period(self):
-        soc = SoCConfig(clock_mhz=400.0)
-        assert soc.clock_period_ns == pytest.approx(2.5)
-
-    def test_peak_matrix_tflops(self, virgo_design):
-        # 256 MACs * 2 FLOP * 400 MHz = 0.2048 TFLOP/s
-        assert virgo_design.soc.peak_matrix_tflops() == pytest.approx(0.2048)

@@ -417,7 +417,7 @@ class TestIterationTimeline:
     def test_episode_run_record_at_matches_records(self):
         run = self.build().segments[2]
         assert isinstance(run, EpisodeRun)
-        assert run.request_count == 2
+        assert len(run.requests) == 2
         assert run.iteration_count == 6
         walked = [r.to_dict() for r in run.records()]
         direct = [run.record_at(i).to_dict() for i in range(run.iteration_count)]

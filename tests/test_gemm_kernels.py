@@ -30,11 +30,6 @@ class TestWorkload:
         with pytest.raises(ValueError):
             GemmWorkload(m=0, n=1, k=1)
 
-    def test_byte_accounting(self):
-        workload = GemmWorkload(m=128, n=64, k=32)
-        assert workload.input_bytes == 2 * (128 * 32 + 32 * 64)
-        assert workload.output_bytes == 4 * 128 * 64
-
 
 class TestTiling:
     def test_virgo_tiling_matches_operation_tile(self, virgo_design):

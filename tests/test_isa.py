@@ -56,12 +56,6 @@ class TestWarpProgram:
         outer = WarpProgram().extend(inner, repeat=3)
         assert len(outer) == 6
 
-    def test_register_traffic_totals(self):
-        program = WarpProgram()
-        program.emit_class(OpClass.ALU, repeat=4, reg_reads=2, reg_writes=1)
-        assert program.total_reg_reads() == 8
-        assert program.total_reg_writes() == 4
-
     def test_total_bytes_filtered(self):
         program = WarpProgram()
         program.emit_class(OpClass.LOAD_GLOBAL, repeat=2, bytes_accessed=32)
@@ -71,19 +65,7 @@ class TestWarpProgram:
 
 
 class TestInstructionStream:
-    def test_total_instructions_scales_with_warps_and_iterations(self):
-        program = WarpProgram().emit_class(OpClass.ALU, repeat=10)
-        stream = InstructionStream(programs=[program], warps=8, iterations=4)
-        assert stream.instructions_per_warp() == 10
-        assert stream.total_instructions() == 320
-
     def test_count_by_class_scaled(self):
         program = WarpProgram().emit_class(OpClass.FPU, repeat=3)
         stream = InstructionStream(programs=[program], warps=2, iterations=2)
         assert stream.count_by_class()[OpClass.FPU] == 12
-
-    def test_merged_program(self):
-        stream = InstructionStream()
-        stream.add(WarpProgram().emit_class(OpClass.ALU, repeat=1))
-        stream.add(WarpProgram().emit_class(OpClass.FPU, repeat=2))
-        assert len(stream.merged_program()) == 3

@@ -187,7 +187,7 @@ class TestAttentionLayerExactness:
         layer = AttentionLayer(
             name="attn", heads=4, head_dim=64, causal=True, kv_seq=384
         )
-        fraction = layer.causal_work_fraction(shape)
+        fraction = layer.masked_score_elements(shape) / (4 * 128 * 384)
         assert fraction == (384 - (128 - 1) / 2) / 384
         assert fraction < 1.0
         assert layer.masked_score_elements(shape) == 4 * int(
@@ -197,7 +197,7 @@ class TestAttentionLayerExactness:
     def test_full_triangle_fraction(self):
         shape = TensorShape(batch=2, seq=63, features=256)
         layer = AttentionLayer(name="attn", heads=4, head_dim=64, causal=True)
-        assert layer.causal_work_fraction(shape) == (63 + 1) / (2 * 63)
+        assert layer.masked_score_elements(shape) / (2 * 4 * 63 * 63) == (63 + 1) / (2 * 63)
 
     def test_score_macs_integer_exact_odd_shapes(self):
         """MACs accumulate in integer mask counts: for an odd triangle the

@@ -24,13 +24,6 @@ class TestDram:
         with pytest.raises(ValueError):
             DramChannel(DramConfig()).transfer_cycles(-1)
 
-    def test_record_transfer_counts(self):
-        dram = DramChannel(DramConfig())
-        counters = Counters()
-        dram.record_transfer(1024, counters)
-        assert counters["dram.bytes"] == 1024
-        assert dram.bytes_transferred == 1024
-
 
 class TestBankedSharedMemory:
     def _smem(self, subbanks=8):
@@ -211,6 +204,5 @@ class TestDmaEngine:
 
     def test_effective_bandwidth(self):
         dma = self._dma()
-        counters = Counters()
-        dma.execute(DmaDirection.GLOBAL_TO_SHARED, 32 * 1024, counters)
-        assert 0 < dma.effective_bandwidth() <= dma.config.bytes_per_cycle
+        transfer = dma.execute(DmaDirection.GLOBAL_TO_SHARED, 32 * 1024, Counters())
+        assert 0 < transfer.bytes_per_cycle <= dma.config.bytes_per_cycle

@@ -14,7 +14,6 @@ from repro.workloads import (
     TensorShape,
     build_model,
     lower_graph,
-    moe_sweep_jobs,
     resolve_spec,
     run_model,
     scaled_spec,
@@ -231,31 +230,6 @@ class TestMoeOverlap:
 
 
 class TestMoeSweeps:
-    def test_moe_sweep_crosses_all_knobs(self):
-        jobs = moe_sweep_jobs(
-            experts=(4, 8), top_ks=(1, 2), designs=("virgo",),
-            capacity_factors=(1.0, 1.5), heterogeneous=(False, True),
-        )
-        assert len(jobs) == 2 * 2 * 2 * 2
-        assert len({job.content for job in jobs}) == len(jobs)
-
-    def test_moe_sweep_skips_infeasible_cells(self):
-        jobs = moe_sweep_jobs(experts=(1, 8), top_ks=(2,), heterogeneous=False)
-        assert all(job.spec.top_k <= job.spec.experts for job in jobs)
-        assert {job.spec.experts for job in jobs} == {8}
-
-    def test_moe_sweep_rejects_dense_base(self):
-        with pytest.raises(ValueError, match="family='moe'"):
-            moe_sweep_jobs(base="gpt-prefill")
-
-    def test_moe_sweep_labels_distinguish_cells(self):
-        jobs = moe_sweep_jobs(
-            experts=(4, 8), top_ks=(1, 2), capacity_factors=(1.0, 1.5),
-            heterogeneous=(False, True),
-        )
-        labels = [job.label for job in jobs]
-        assert len(set(labels)) == len(labels)
-
     def test_moe_cli_breakdown(self, capsys):
         from repro.__main__ import main
 

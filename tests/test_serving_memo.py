@@ -138,9 +138,9 @@ def test_memo_invalidated_by_timing_cache_clear():
     timing_cache().clear()
     trace = steady_trace()
     run_serving(trace, DesignKind.VIRGO)
-    assert serving_module._iteration_memo()
+    assert timing_cache().namespace("serving.iteration_memo")
     timing_cache().clear()
-    assert not serving_module._iteration_memo()
+    assert not timing_cache().namespace("serving.iteration_memo")
     # The next run re-executes from scratch.
     result = run_serving(trace, DesignKind.VIRGO)
     assert result.iteration_memo["misses"] > 0
@@ -155,7 +155,7 @@ def test_memo_bypassed_while_cache_disabled():
     with cache_disabled():
         result = run_serving(trace, DesignKind.VIRGO)
     assert result.iteration_memo == {"hits": 0, "misses": result.iteration_count}
-    assert not serving_module._iteration_memo()
+    assert not timing_cache().namespace("serving.iteration_memo")
     assert result.timing_cache == {"hits": 0, "misses": 0}
     timing_cache().clear()
 

@@ -42,11 +42,6 @@ class TestCounters:
         assert counters.total("core.") == 8
         assert counters.total() == 10
 
-    def test_group_by_prefix(self):
-        counters = Counters({"core.issue.x": 1, "core.alu.y": 2, "smem.z": 4})
-        grouped = counters.group_by_prefix(1)
-        assert grouped == {"core": 3, "smem": 4}
-
     def test_add_operator(self):
         total = Counters({"x": 1}) + Counters({"x": 2})
         assert total["x"] == 3

@@ -109,7 +109,7 @@ class TestIssueSimulator:
 
     def test_ipc_bounded_by_one(self):
         result = IssueSimulator(CoreConfig()).simulate([_program(OpClass.ALU, 50)] * 4)
-        assert result.ipc <= 1.0 + 1e-9
+        assert result.instructions_issued <= result.cycles
 
     def test_too_many_warps_rejected(self):
         core = CoreConfig(warps=2)

@@ -81,7 +81,6 @@ class TestLayerGraphIR:
         triangle = 64 * 65 // 2
         assert masked.score_macs(shape) == 2 * 2 * triangle * 64
         assert masked.score_macs(shape) * (2 * 64) == full.score_macs(shape) * 65
-        assert masked.causal_work_fraction(shape) == 65 / 128
 
     def test_elementwise_mismatched_inputs_rejected(self):
         graph = LayerGraph("ew", TensorShape(batch=1, seq=4, features=8))
