@@ -1,4 +1,5 @@
-"""Tests for ``tools/check_reachability.py``: every module is on a ``repro`` path."""
+"""Tests for ``tools/check_reachability.py``: every module and definition is on a
+``repro`` path."""
 
 import importlib.util
 from pathlib import Path
@@ -28,7 +29,10 @@ def src(tmp_path):
         tmp_path,
         {
             "__init__.py": "",
-            "__main__.py": "def main():\n    from repro.pkg import helper\n    helper()\n",
+            "__main__.py": (
+                "def main():\n    from repro.pkg import helper\n    helper()\n\n\n"
+                "if __name__ == '__main__':\n    main()\n"
+            ),
             "pkg/__init__.py": (
                 "from repro.pkg.used import helper\n"
                 "from repro.pkg.unused import spare\n"
@@ -68,7 +72,7 @@ def test_reexport_reaches_only_the_defining_submodule(src):
 
 
 def test_orphan_module_is_named(src, capsys):
-    assert check_reachability.main(src, {}) == 1
+    assert check_reachability.main(src, {}, {}) == 1
     out = capsys.readouterr().out
     assert "repro.pkg.unused is imported on no path" in out
     assert "repro.pkg.used " not in out
@@ -76,10 +80,10 @@ def test_orphan_module_is_named(src, capsys):
 
 def test_added_orphan_fails_until_allowlisted(src, capsys):
     (src / "repro" / "stray.py").write_text("VALUE = 1\n")
-    assert check_reachability.main(src, {"repro.pkg.unused": "kept"}) == 1
+    assert check_reachability.main(src, {"repro.pkg.unused": "kept"}, {}) == 1
     assert "repro.stray is imported on no path" in capsys.readouterr().out
     allowlist = {"repro.pkg.unused": "kept", "repro.stray": "kept"}
-    assert check_reachability.main(src, allowlist) == 0
+    assert check_reachability.main(src, allowlist, {}) == 0
 
 
 def test_name_defined_in_init_follows_its_imports(src):
@@ -97,7 +101,7 @@ def test_name_defined_in_init_follows_its_imports(src):
 
 def test_reached_allowlist_entry_is_rejected(src):
     problems = check_reachability.find_problems(
-        src, {"repro.pkg.unused": "kept", "repro.pkg.used": "stale"}
+        src, {"repro.pkg.unused": "kept", "repro.pkg.used": "stale"}, {}
     )
     assert problems == [
         "allowlist entry repro.pkg.used is reached from repro.__main__: drop the entry"
@@ -106,7 +110,111 @@ def test_reached_allowlist_entry_is_rejected(src):
 
 def test_missing_allowlist_entry_is_rejected(src):
     problems = check_reachability.find_problems(
-        src, {"repro.pkg.unused": "kept", "repro.pkg.gone": "deleted"}
+        src, {"repro.pkg.unused": "kept", "repro.pkg.gone": "deleted"}, {}
     )
     assert len(problems) == 1
     assert problems[0].startswith("allowlist entry repro.pkg.gone names no module")
+
+
+def _unused(key):
+    return (
+        f"{key} is named nowhere in src/repro or examples/: give it a caller, "
+        f"delete it, or allowlist it with a reason"
+    )
+
+
+def test_definition_allowlist_entries_have_reasons():
+    assert set(check_reachability.DEFINITION_ALLOWLIST) == {
+        "repro.analysis.serving:percentile",
+        "repro.core.systolic_array:SystolicArray.ideal_tile_cycles",
+        "repro.energy.area:AreaModel.total_um2",
+        "repro.energy.breakdown:EnergyBreakdown.total_fj",
+        "repro.energy.model:EnergyTable.unknown_counters",
+        "repro.kernels.gemm.functional:gemm_functional",
+        "repro.kernels.gemm.functional:reference_gemm",
+        "repro.kernels.gemm.tiling:ThreadBlockTiling.fits_in_shared_memory",
+        "repro.perf.cache:cache_disabled",
+        "repro.sim.stats:Counters.as_dict",
+        "repro.sim.taskgraph:ScheduleResult.finish_time",
+        "repro.simt.core:VortexCore.execution_key",
+        "repro.tensorcore.hopper:HopperTensorCore.gemm_tile_count",
+        "repro.tensorcore.volta:VoltaTensorCore.gemm_tile_count",
+        "repro.workloads.batch:fleet_sweep_jobs",
+        "repro.workloads.batch:serving_sweep_jobs",
+        "repro.workloads.models:poisson_stream_trace",
+        "repro.workloads.serving:ServingScheduler.isolated_cycles",
+    }
+    assert all(reason.strip() for reason in check_reachability.DEFINITION_ALLOWLIST.values())
+
+
+def test_unused_method_in_reached_module_is_named(src, capsys):
+    """A planted method nothing calls fails the check until allowlisted; the
+    unreached module's ``spare`` and the dunder methods are out of scope."""
+    (src / "repro" / "pkg" / "used.py").write_text(
+        "def helper():\n    return Widget()\n\n\n"
+        "class Widget:\n"
+        "    def __repr__(self):\n        return 'Widget()'\n\n"
+        "    def spin(self):\n        pass\n"
+    )
+    allowlist = {"repro.pkg.unused": "kept"}
+    assert check_reachability.find_problems(src, allowlist, {}) == [
+        _unused("repro.pkg.used:Widget.spin")
+    ]
+    assert check_reachability.main(src, allowlist, {}) == 1
+    assert "repro.pkg.used:Widget.spin is named nowhere" in capsys.readouterr().out
+    assert check_reachability.main(src, allowlist, {"repro.pkg.used:Widget.spin": "kept"}) == 0
+
+
+def test_attribute_string_and_example_uses_count(src):
+    (src / "repro" / "pkg" / "used.py").write_text(
+        "def helper():\n    return Widget()\n\n\n"
+        "class Widget:\n"
+        "    def spin(self):\n        pass\n\n"
+        "    def tilt(self):\n        pass\n\n"
+        "    def wobble(self):\n        pass\n"
+    )
+    (src / "repro" / "__main__.py").write_text(
+        "from repro.pkg import helper\n\n"
+        "helper().spin()\n"
+        "getattr(helper(), 'wobble')()\n"
+    )
+    examples = src.parent / "examples"
+    examples.mkdir()
+    (examples / "demo.py").write_text("from repro.pkg.used import helper\n\nhelper().tilt()\n")
+    assert check_reachability.find_problems(src, {"repro.pkg.unused": "kept"}, {}) == []
+
+
+def test_import_and_all_entry_are_not_uses(src):
+    (src / "repro" / "pkg" / "used.py").write_text(
+        "def helper():\n    pass\n\n\ndef extra():\n    pass\n"
+    )
+    (src / "repro" / "pkg" / "__init__.py").write_text(
+        "from repro.pkg.used import extra, helper\n"
+        "from repro.pkg.unused import spare\n"
+        "__all__ = ['extra', 'helper', 'spare']\n"
+    )
+    examples = src.parent / "examples"
+    examples.mkdir()
+    (examples / "demo.py").write_text("from repro.pkg.used import extra\n")
+    assert check_reachability.find_problems(src, {"repro.pkg.unused": "kept"}, {}) == [
+        _unused("repro.pkg.used:extra")
+    ]
+
+
+def test_stale_definition_entries_are_rejected(src):
+    problems = check_reachability.find_problems(
+        src,
+        {"repro.pkg.unused": "kept"},
+        {
+            "repro.pkg.used:helper": "stale",
+            "repro.pkg.used:gone": "deleted",
+            "repro.pkg.unused:spare": "in an unreached module",
+        },
+    )
+    assert problems == [
+        "definition allowlist entry repro.pkg.unused:spare names no definition "
+        "in a module reached from repro.__main__",
+        "definition allowlist entry repro.pkg.used:gone names no definition "
+        "in a module reached from repro.__main__",
+        "definition allowlist entry repro.pkg.used:helper is used: drop the entry",
+    ]

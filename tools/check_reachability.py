@@ -1,17 +1,31 @@
 #!/usr/bin/env python3
-"""Module reachability: every ``src/repro`` module is on a ``python -m repro`` path.
+"""Reachability: every ``src/repro`` module and definition is on a ``python -m repro`` path.
 
-Starts at ``repro.__main__`` and follows every import statement in the
-package, function-level imports included.  ``from pkg import name``, where
-``pkg/__init__.py`` only re-exports ``name``, reaches the submodule that
-defines ``name``; a name the ``__init__`` defines itself reaches the
+Modules.  Starts at ``repro.__main__`` and follows every import statement
+in the package, function-level imports included.  ``from pkg import name``,
+where ``pkg/__init__.py`` only re-exports ``name``, reaches the submodule
+that defines ``name``; a name the ``__init__`` defines itself reaches the
 ``__init__``, whose imports are then followed like any module's.  A package
 also counts as reached when a module inside it is, since importing that
 module runs the package's ``__init__``; its re-exports are not followed then.
 
-The check fails on a module that is not reached and not on the allowlist
-below, and on an allowlist entry that is reached or names no module, so a
-component model stays on the timing path or leaves ``src/`` with its tests.
+Definitions.  In every reached module, each top-level function and class
+and each method of a top-level class must be used somewhere: its name
+appears as a name, as an attribute or as a string constant (for
+``getattr``) in a module under ``src/repro`` (allowlisted modules included)
+or in a script under ``examples/``.  Import aliases, ``__all__`` entries
+and the definition's own ``def`` or ``class`` line are not uses.  Dunder
+methods are exempt, and so are the modules on the module allowlist, which
+are not reached.  The check matches on names, not on what a name refers to:
+a name used anywhere counts as a use, so the check can miss dead code (a
+method that shares its name with a live one passes) but never flags live
+code that is called by its name.
+
+The check fails on a module that is not reached or a definition that is not
+used, unless its allowlist below gives a reason, and on an allowlist entry
+that is stale: it names no module or definition, or what it names is reached
+or used.  So a component model stays on the timing path or leaves ``src/``
+with its tests.
 
 No third-party deps; runs standalone in the docs CI job:
 
@@ -55,6 +69,66 @@ ALLOWLIST: Dict[str, str] = {
     ),
 }
 
+#: ``module:Qualname`` of definitions nothing names, each with the reason it stays.
+DEFINITION_ALLOWLIST: Dict[str, str] = {
+    "repro.analysis.serving:percentile": (
+        "nearest-rank reference that tests/test_serving.py pins and compares "
+        "the vectorized latency summary against"
+    ),
+    "repro.core.systolic_array:SystolicArray.ideal_tile_cycles": (
+        "full-throughput lower bound that tests/test_properties.py holds "
+        "tile_cycles to"
+    ),
+    "repro.energy.area:AreaModel.total_um2": (
+        "area total tests/test_energy.py checks the per-design breakdowns with"
+    ),
+    "repro.energy.breakdown:EnergyBreakdown.total_fj": (
+        "breakdown total tests/test_runner_analysis.py checks on live runs"
+    ),
+    "repro.energy.model:EnergyTable.unknown_counters": (
+        "tests/test_energy.py and tests/test_flash_attention.py check that "
+        "every counter a live run emits is priced"
+    ),
+    "repro.kernels.gemm.functional:gemm_functional": (
+        "functional GEMM that tests/test_gemm_kernels.py checks the tile "
+        "blocking of each design with"
+    ),
+    "repro.kernels.gemm.functional:reference_gemm": (
+        "numpy reference tests/test_gemm_kernels.py compares gemm_functional to"
+    ),
+    "repro.kernels.gemm.tiling:ThreadBlockTiling.fits_in_shared_memory": (
+        "tests/test_gemm_kernels.py checks every design's live tiling with it"
+    ),
+    "repro.perf.cache:cache_disabled": (
+        "public API docs/perf-contract.md names; the cold-path tests and "
+        "benchmarks run under it"
+    ),
+    "repro.sim.stats:Counters.as_dict": "perfbench/suite.py reads counters through it",
+    "repro.sim.taskgraph:ScheduleResult.finish_time": (
+        "query on the full-expansion oracle that tests/test_sim_engine.py reads"
+    ),
+    "repro.simt.core:VortexCore.execution_key": (
+        "test seam: tests/test_simt_memo.py checks the memo key's content on it"
+    ),
+    "repro.tensorcore.hopper:HopperTensorCore.gemm_tile_count": (
+        "the tile-accounting item (ROADMAP) makes it the stream builders' tile count"
+    ),
+    "repro.tensorcore.volta:VoltaTensorCore.gemm_tile_count": (
+        "the tile-accounting item (ROADMAP) makes it the stream builders' tile count"
+    ),
+    "repro.workloads.batch:fleet_sweep_jobs": "public API docs/fleet.md runs",
+    "repro.workloads.batch:serving_sweep_jobs": "public API docs/serving.md names",
+    "repro.workloads.models:poisson_stream_trace": (
+        "public API docs/serving.md runs and perfbench/suite.py calls"
+    ),
+    "repro.workloads.serving:ServingScheduler.isolated_cycles": (
+        "isolated-latency bound that tests/test_serving.py and "
+        "tests/test_serving_properties.py compare served latencies against"
+    ),
+}
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
 
 def discover(src: Path) -> Dict[str, Path]:
     """Map every module name under ``src/repro`` to its file."""
@@ -65,6 +139,10 @@ def discover(src: Path) -> Dict[str, Path]:
             parts = parts[:-1]
         modules[".".join(parts)] = path
     return modules
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
 def _is_package(path: Path) -> bool:
@@ -139,13 +217,8 @@ def _edges(
                     yield _defining_module(modules, reexports, source, alias.name)
 
 
-def reachable(src: Path) -> Tuple[Set[str], Dict[str, Path]]:
-    """(modules reached from ``repro.__main__``, every module under ``src``)."""
-    modules = discover(src)
-    trees = {
-        name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for name, path in modules.items()
-    }
+def _reached(modules: Dict[str, Path], trees: Dict[str, ast.Module]) -> Set[str]:
+    """Modules reached from ``repro.__main__``, given every module's tree."""
     reexports = _reexports(modules, trees)
     reached: Set[str] = set()
     pending = [ENTRY]
@@ -159,12 +232,84 @@ def reachable(src: Path) -> Tuple[Set[str], Dict[str, Path]]:
         while "." in module:
             module = module.rpartition(".")[0]
             reached.add(module)
-    return reached, modules
+    return reached
 
 
-def find_problems(src: Path, allowlist: Dict[str, str]) -> List[str]:
-    """One message per unreached module and per stale allowlist entry."""
-    reached, modules = reachable(src)
+def reachable(src: Path) -> Tuple[Set[str], Dict[str, Path]]:
+    """(modules reached from ``repro.__main__``, every module under ``src``)."""
+    modules = discover(src)
+    return _reached(modules, {name: _parse(path) for name, path in modules.items()}), modules
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(module: str, tree: ast.Module) -> Iterator[Tuple[str, str]]:
+    """(``module:Qualname``, name) of each definition the check covers."""
+    for node in tree.body:
+        if not isinstance(node, _FUNCTIONS + (ast.ClassDef,)) or _is_dunder(node.name):
+            continue
+        yield f"{module}:{node.name}", node.name
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, _FUNCTIONS) and not _is_dunder(member.name):
+                    yield f"{module}:{node.name}.{member.name}", member.name
+
+
+def _binds_all(node: ast.AST) -> bool:
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return False
+    return any(isinstance(target, ast.Name) and target.id == "__all__" for target in targets)
+
+
+def _used_names(tree: ast.Module) -> Set[str]:
+    """Names, attributes and string constants in ``tree``, ``__all__`` aside."""
+    exports = {
+        id(node)
+        for statement in ast.walk(tree)
+        if _binds_all(statement)
+        for node in ast.walk(statement)
+    }
+    used: Set[str] = set()
+    for node in ast.walk(tree):
+        if id(node) in exports:
+            continue
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return used
+
+
+def _definition_uses(
+    src: Path, trees: Dict[str, ast.Module], reached: Set[str]
+) -> Dict[str, bool]:
+    """``module:Qualname`` -> used, for each definition in a reached module."""
+    scripts = sorted((src.parent / "examples").rglob("*.py"))
+    used: Set[str] = set()
+    for tree in list(trees.values()) + [_parse(path) for path in scripts]:
+        used |= _used_names(tree)
+    return {
+        key: name in used
+        for module in sorted(reached & set(trees))
+        for key, name in _definitions(module, trees[module])
+    }
+
+
+def find_problems(
+    src: Path, allowlist: Dict[str, str], definition_allowlist: Dict[str, str]
+) -> List[str]:
+    """One message per unreached module, unused definition and stale allowlist entry."""
+    modules = discover(src)
+    trees = {name: _parse(path) for name, path in modules.items()}
+    reached = _reached(modules, trees)
     problems = [
         f"{name} is imported on no path from {ENTRY}: wire it into a timing "
         f"path, delete it, or allowlist it with a reason"
@@ -175,17 +320,39 @@ def find_problems(src: Path, allowlist: Dict[str, str]) -> List[str]:
             problems.append(f"allowlist entry {name} names no module under {src}")
         elif name in reached:
             problems.append(f"allowlist entry {name} is reached from {ENTRY}: drop the entry")
+    used = _definition_uses(src, trees, reached)
+    problems += [
+        f"{key} is named nowhere in src/{PACKAGE} or examples/: give it a "
+        f"caller, delete it, or allowlist it with a reason"
+        for key, is_used in used.items()
+        if not is_used and key not in definition_allowlist
+    ]
+    for key in sorted(definition_allowlist):
+        if key not in used:
+            problems.append(
+                f"definition allowlist entry {key} names no definition in a "
+                f"module reached from {ENTRY}"
+            )
+        elif used[key]:
+            problems.append(f"definition allowlist entry {key} is used: drop the entry")
     return problems
 
 
-def main(src: Path = SRC, allowlist: Dict[str, str] = ALLOWLIST) -> int:
-    problems = find_problems(src, allowlist)
+def main(
+    src: Path = SRC,
+    allowlist: Dict[str, str] = ALLOWLIST,
+    definition_allowlist: Dict[str, str] = DEFINITION_ALLOWLIST,
+) -> int:
+    problems = find_problems(src, allowlist, definition_allowlist)
     for problem in problems:
         print(f"check_reachability: {problem}")
     if problems:
         print(f"check_reachability: FAILED ({len(problems)} finding(s))")
         return 1
-    print(f"check_reachability: OK ({len(discover(src))} modules, {len(allowlist)} allowlisted)")
+    print(
+        f"check_reachability: OK ({len(discover(src))} modules, {len(allowlist)} "
+        f"allowlisted; {len(definition_allowlist)} definitions allowlisted)"
+    )
     return 0
 
 
