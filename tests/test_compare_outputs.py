@@ -119,3 +119,42 @@ def test_a_trace_surface_drops_the_wall_clock_phase_spans(tmp_path, monkeypatch)
     prose, document = compare_outputs._split(output)
     assert prose == "table\n"
     assert document == {"traceEvents": [{"cat": "iteration", "ts": 0}]}
+
+
+def test_a_surface_only_one_side_has_is_added_or_removed(tmp_path, monkeypatch, capsys):
+    """Goldens, examples and zoo models are listed from both checkouts: one
+    that only HEAD has is added, one that only BASE has is removed, and each
+    is a difference unless ``--allow SURFACE`` names it."""
+    for side, goldens, examples, zoo in (
+        ("base", ("kept.json", "gone.json"), ("demo.py",), "gpt old-moe"),
+        ("head", ("kept.json", "new.json"), ("demo.py", "extra.py"), "gpt"),
+    ):
+        for name in goldens:
+            path = tmp_path / side / "tests" / "goldens" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("{}\n")
+        for name in examples:
+            path = tmp_path / side / "examples" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("")
+        (tmp_path / side / "zoo").write_text(zoo)
+    monkeypatch.setattr(compare_outputs, "_zoo", lambda root: (root / "zoo").read_text().split())
+    monkeypatch.setattr(compare_outputs, "_run", lambda checkout, argv: "same\n")
+    base, head = str(tmp_path / "base"), str(tmp_path / "head")
+    removed = ["golden:gone.json"] + [
+        f"model:old-moe/{design}" for design in (*compare_outputs.DESIGNS, "virgo-hetero")
+    ]
+    added = ["golden:new.json", "example:extra.py"]
+
+    assert compare_outputs.main([base, head]) == 1
+    out = capsys.readouterr().out
+    for surface in removed:
+        assert f"DIFF  {surface}\n        removed: only BASE has it\n" in out
+    for surface in added:
+        assert f"DIFF  {surface}\n        added: only HEAD has it\n" in out
+    assert "same  golden:kept.json" in out and "same  example:demo.py" in out
+    assert f"{len(removed) + len(added)} differ otherwise" in out
+
+    allow = [arg for surface in removed + added for arg in ("--allow", surface)]
+    assert compare_outputs.main([base, head, *allow]) == 0
+    assert "allowed added: only HEAD has it" in capsys.readouterr().out

@@ -3,7 +3,9 @@
 
 Runs the same set of surfaces in both checkouts and reports, per surface,
 whether the outputs are byte-identical, differ only in energy or power
-values by float rounding, or differ otherwise:
+values by float rounding, or differ otherwise.  The surfaces are those
+either checkout has; one that only HEAD has is reported as added, one that
+only BASE has as removed:
 
 * the committed goldens (``tests/goldens/*.json``);
 * ``repro compare`` and every script in ``examples/``;
@@ -37,8 +39,9 @@ rounding only; every other value must be byte-identical.  ``--allow``
 (repeatable) names a field allowed to move further, be added or be
 removed, as ``surface:dotted.path`` (``surface:N`` for prose line ``N``,
 numbered in BASE for a removed line and in HEAD otherwise); a ``*`` in the
-path stands for any list index (``requests.*.disposition``).  Exits
-non-zero if any surface has a difference that is not allowed.
+path stands for any list index (``requests.*.disposition``).  ``--allow
+SURFACE`` lets a whole surface be added or removed.  Exits non-zero if any
+surface has a difference that is not allowed.
 """
 
 from __future__ import annotations
@@ -125,25 +128,43 @@ def _zoo(checkout: Path) -> List[str]:
     return listing.split()
 
 
-def surfaces(base: Path) -> Iterator[Tuple[str, Optional[List[str]], Optional[str]]]:
-    """(name, argv or None, golden file name or None) for every surface."""
-    for golden in sorted((base / "tests" / "goldens").glob("*.json")):
-        yield f"golden:{golden.name}", None, golden.name
-    yield "compare", ["-m", "repro", "compare"], None
-    for example in sorted((base / "examples").glob("*.py")):
-        yield f"example:{example.name}", [str(Path("examples") / example.name)], None
-    for name in _zoo(base):
+Surface = Tuple[str, Optional[List[str]], Optional[str], Tuple[bool, bool]]
+BOTH = (True, True)
+
+
+def _union(in_base: List[str], in_head: List[str]) -> Iterator[Tuple[str, Tuple[bool, bool]]]:
+    """Each item either side lists, BASE's order first, with (in BASE, in HEAD)."""
+    for item in in_base + [item for item in in_head if item not in in_base]:
+        yield item, (item in in_base, item in in_head)
+
+
+def _names(directory: Path, pattern: str) -> List[str]:
+    return sorted(path.name for path in directory.glob(pattern))
+
+
+def surfaces(base: Path, head: Path) -> Iterator[Surface]:
+    """(name, argv or None, golden file name or None, (in BASE, in HEAD)) for
+    every surface either checkout has."""
+    goldens = [_names(checkout / "tests" / "goldens", "*.json") for checkout in (base, head)]
+    for golden, sides in _union(*goldens):
+        yield f"golden:{golden}", None, golden, sides
+    yield "compare", ["-m", "repro", "compare"], None, BOTH
+    examples = [_names(checkout / "examples", "*.py") for checkout in (base, head)]
+    for example, sides in _union(*examples):
+        yield f"example:{example}", [str(Path("examples") / example)], None, sides
+    for name, sides in _union(_zoo(base), _zoo(head)):
         for design in DESIGNS:
             yield (f"model:{name}/{design}",
-                   ["-m", "repro", "model", "--name", name, "--design", design, "--json"], None)
+                   ["-m", "repro", "model", "--name", name, "--design", design, "--json"], None,
+                   sides)
         yield (f"model:{name}/virgo-hetero",
                ["-m", "repro", "model", "--name", name, "--design", "virgo", "--hetero",
-                "--json"], None)
+                "--json"], None, sides)
     for argv in CI_RUNS:
-        yield "cli:" + " ".join(argv), ["-m", "repro", *argv], None
+        yield "cli:" + " ".join(argv), ["-m", "repro", *argv], None, BOTH
     for argv in TRACED_RUNS:
         argv = (*argv, "--trace-out", TRACE_FILE)
-        yield "cli:" + " ".join(argv), ["-m", "repro", *argv], None
+        yield "cli:" + " ".join(argv), ["-m", "repro", *argv], None, BOTH
 
 
 def _output(checkout: Path, argv: Optional[List[str]], golden: Optional[str]) -> str:
@@ -284,16 +305,21 @@ def main(argv=None) -> int:
     parser.add_argument("head", type=Path)
     parser.add_argument("--allow", action="append", default=[],
                         help="surface:dotted.path (or surface:line) allowed to move further, "
-                             "be added or be removed; * stands for a list index")
+                             "be added or be removed; * stands for a list index; a bare "
+                             "surface may be added or removed")
     args = parser.parse_args(argv)
     base, head = args.base.resolve(), args.head.resolve()
     allow = allow_patterns(args.allow)
-    todo = list(surfaces(base))
+    todo = list(surfaces(base, head))
 
     def one(surface):
-        name, command, golden = surface
-        a, b = _output(base, command, golden), _output(head, command, golden)
+        name, command, golden, sides = surface
         tally = Tally()
+        if sides != BOTH:
+            side = "added: only HEAD has it" if sides[1] else "removed: only BASE has it"
+            _note(tally, side, any(pattern.fullmatch(name) for pattern in allow))
+            return name, tally
+        a, b = _output(base, command, golden), _output(head, command, golden)
         (ta, ja), (tb, jb) = _split(a), _split(b)
         compare_text(tally, ta, tb, allow, name)
         if (ja is None) != (jb is None):
