@@ -396,7 +396,8 @@ def _cmd_serve(args: argparse.Namespace) -> None:
     print(format_table(REQUEST_HEADERS, serving_request_rows(result)))
     print()
     if args.latency_report:
-        # The report's header line already carries makespan/batch/throughput.
+        # The report carries the makespan/batch/throughput header and ends
+        # with the iteration memo and epoch compression lines.
         print(format_latency_report(result))
         print()
         print(f"energy: {result.energy_uj:.1f} uJ")
@@ -408,20 +409,20 @@ def _cmd_serve(args: argparse.Namespace) -> None:
             f"{result.tokens_per_kilocycle:.2f} tokens/kcycle, "
             f"{result.energy_uj:.1f} uJ"
         )
-    memo = result.iteration_memo
-    print(
-        f"iteration memo: {memo.get('hits', 0)} hits, {memo.get('misses', 0)} misses; "
-        f"{_timing_cache_line(result.timing_cache)}"
-    )
-    epochs = result.epochs
-    if epochs.get("enabled"):
-        executed = int(epochs.get("executed_iterations", 0))
-        extrapolated = int(epochs.get("extrapolated_iterations", 0))
+        memo = result.iteration_memo
         print(
-            f"epoch compression: {epochs.get('epochs', 0)} epochs, "
-            f"{epochs.get('episode_runs', 0)} episode runs; "
-            f"{extrapolated}/{executed + extrapolated} iterations extrapolated"
+            f"iteration memo: {memo.get('hits', 0)} hits, {memo.get('misses', 0)} misses; "
+            f"{_timing_cache_line(result.timing_cache)}"
         )
+        epochs = result.epochs
+        if epochs.get("enabled"):
+            executed = int(epochs.get("executed_iterations", 0))
+            extrapolated = int(epochs.get("extrapolated_iterations", 0))
+            print(
+                f"epoch compression: {epochs.get('epochs', 0)} epochs, "
+                f"{epochs.get('episode_runs', 0)} episode runs; "
+                f"{extrapolated}/{executed + extrapolated} iterations extrapolated"
+            )
     _report_observability(args, result, recorder, profiler)
 
 

@@ -339,6 +339,9 @@ class TestServeCli:
         out = capsys.readouterr().out
         assert "latency: p50" in out and "p95" in out and "p99" in out
         assert "ttft: p50" in out
+        # The report ends with the memo and epoch lines; they print once.
+        assert out.count("iteration memo:") == 1
+        assert out.count("epoch compression:") == 1
 
     def test_json_report(self, capsys):
         assert main(["serve", "--trace", "uniform-moe", "--json"]) == 0
