@@ -122,37 +122,18 @@ class FaultPlan:
             if len(parts) != 3:
                 raise ValueError(f"malformed fault token {token!r}; {_SPEC_HELP}")
             kind, rate_text, magnitude_text = (part.strip() for part in parts)
-            try:
-                rate = float(rate_text)
-            except ValueError:
-                raise ValueError(f"fault token {token!r}: rate {rate_text!r} is not a number") from None
+            rate = _float_field(token, "rate", rate_text)
             if kind == "spike":
-                try:
-                    multiplier = float(magnitude_text)
-                except ValueError:
-                    raise ValueError(
-                        f"fault token {token!r}: spike multiplier {magnitude_text!r} is not a number"
-                    ) from None
                 fields["spike_rate"] = rate
-                fields["spike_multiplier"] = multiplier
+                fields["spike_multiplier"] = _float_field(
+                    token, "spike multiplier", magnitude_text
+                )
             elif kind == "stall":
-                try:
-                    cycles = int(magnitude_text)
-                except ValueError:
-                    raise ValueError(
-                        f"fault token {token!r}: stall cycles {magnitude_text!r} is not an integer"
-                    ) from None
                 fields["stall_rate"] = rate
-                fields["stall_cycles"] = cycles
+                fields["stall_cycles"] = _int_field(token, "stall cycles", magnitude_text)
             elif kind == "burst":
-                try:
-                    pull = int(magnitude_text)
-                except ValueError:
-                    raise ValueError(
-                        f"fault token {token!r}: burst pull {magnitude_text!r} is not an integer"
-                    ) from None
                 fields["burst_rate"] = rate
-                fields["burst_pull_cycles"] = pull
+                fields["burst_pull_cycles"] = _int_field(token, "burst pull", magnitude_text)
             else:
                 raise ValueError(f"unknown fault kind {kind!r} in {token!r}; {_SPEC_HELP}")
         if len(fields) == 1:
