@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.analysis.serving import latency_summary
+from repro.analysis.serving import cycles_cell, latency_summary, summary_line
 from repro.workloads.fleet import FleetRunResult
 
 FLEET_REQUEST_HEADERS = [
@@ -87,10 +87,6 @@ def fleet_perf_stats(result: FleetRunResult) -> Dict[str, Dict[str, int]]:
     return {key: dict(value) for key, value in result.perf.items()}
 
 
-def _cell(value) -> str:
-    return f"{value:,}" if value is not None else "-"
-
-
 def fleet_request_rows(result: FleetRunResult) -> List[List[str]]:
     """One formatted row per request for the CLI table."""
     rows = []
@@ -104,8 +100,8 @@ def fleet_request_rows(result: FleetRunResult) -> List[List[str]]:
                 request.disposition,
                 str(request.failovers),
                 str(request.retries),
-                _cell(request.ttft_cycles),
-                _cell(request.latency_cycles),
+                cycles_cell(request.ttft_cycles),
+                cycles_cell(request.latency_cycles),
             ]
         )
     return rows
@@ -114,14 +110,6 @@ def fleet_request_rows(result: FleetRunResult) -> List[List[str]]:
 def format_fleet_report(result: FleetRunResult) -> str:
     """Human-readable fleet report for the CLI ``--latency-report`` flag."""
     report = fleet_report(result)
-
-    def line(metric: str, summary: Dict[str, float]) -> str:
-        return (
-            f"{metric}: p50 {summary['p50']:,.0f}  p95 {summary['p95']:,.0f}  "
-            f"p99 {summary['p99']:,.0f}  mean {summary['mean']:,.0f}  "
-            f"max {summary['max']:,.0f} cycles"
-        )
-
     dispositions = "  ".join(
         f"{name} {count}" for name, count in report["dispositions"].items()
     )
@@ -147,9 +135,9 @@ def format_fleet_report(result: FleetRunResult) -> str:
             "no request finished (all shed, timed out or failed): latency and "
             "ttft percentiles are empty, zeros below are placeholders"
         )
-    lines.append(line("latency", report["latency_cycles"]))
-    lines.append(line("ttft", report["ttft_cycles"]))
-    lines.append(line("queueing", report["queueing_cycles"]))
+    lines.append(summary_line("latency", report["latency_cycles"]))
+    lines.append(summary_line("ttft", report["ttft_cycles"]))
+    lines.append(summary_line("queueing", report["queueing_cycles"]))
     for replica in result.replicas:
         occupancy = "  ".join(
             f"{resource} {percent:.1f}%"

@@ -151,7 +151,8 @@ def serving_perf_stats(result: ServingRunResult) -> Dict[str, Dict[str, int]]:
     }
 
 
-def _cycles_cell(value) -> str:
+def cycles_cell(value) -> str:
+    """A cycle count as a table cell: ``-`` when the request has none."""
     return f"{value:,}" if value is not None else "-"
 
 
@@ -166,9 +167,9 @@ def serving_request_rows(result: ServingRunResult) -> List[List[str]]:
             request.request_id,
             request.model_family,
             f"{request.arrival_cycle:,}",
-            _cycles_cell(request.queueing_cycles),
-            _cycles_cell(request.ttft_cycles),
-            _cycles_cell(request.latency_cycles),
+            cycles_cell(request.queueing_cycles),
+            cycles_cell(request.ttft_cycles),
+            cycles_cell(request.latency_cycles),
             str(request.decode_steps),
             request.disposition,
         ]
@@ -185,17 +186,18 @@ def policy_line(result: ServingRunResult) -> str:
     )
 
 
+def summary_line(metric: str, summary: Dict[str, float]) -> str:
+    """One :func:`latency_summary` as a report line."""
+    return (
+        f"{metric}: p50 {summary['p50']:,.0f}  p95 {summary['p95']:,.0f}  "
+        f"p99 {summary['p99']:,.0f}  mean {summary['mean']:,.0f}  "
+        f"max {summary['max']:,.0f} cycles"
+    )
+
+
 def format_latency_report(result: ServingRunResult) -> str:
     """Human-readable latency report for the CLI ``--latency-report`` flag."""
     report = serving_latency_report(result)
-
-    def line(metric: str, summary: Dict[str, float]) -> str:
-        return (
-            f"{metric}: p50 {summary['p50']:,.0f}  p95 {summary['p95']:,.0f}  "
-            f"p99 {summary['p99']:,.0f}  mean {summary['mean']:,.0f}  "
-            f"max {summary['max']:,.0f} cycles"
-        )
-
     occupancy = "  ".join(
         f"{resource} {percent:.1f}%"
         for resource, percent in report["unit_occupancy_percent"].items()
@@ -210,9 +212,9 @@ def format_latency_report(result: ServingRunResult) -> str:
             f"mean batch {report['mean_batch']:.2f}, "
             f"{report['tokens_per_kilocycle']:.2f} tokens/kcycle"
         ),
-        line("latency", report["latency_cycles"]),
-        line("ttft", report["ttft_cycles"]),
-        line("queueing", report["queueing_cycles"]),
+        summary_line("latency", report["latency_cycles"]),
+        summary_line("ttft", report["ttft_cycles"]),
+        summary_line("queueing", report["queueing_cycles"]),
         f"unit occupancy (serving span): {occupancy}",
     ]
     # Total degradation (every request shed / timed out) leaves the latency
