@@ -205,4 +205,4 @@ class TestDmaEngine:
     def test_effective_bandwidth(self):
         dma = self._dma()
         transfer = dma.execute(DmaDirection.GLOBAL_TO_SHARED, 32 * 1024, Counters())
-        assert 0 < transfer.bytes_per_cycle <= dma.config.bytes_per_cycle
+        assert 0 < transfer.nbytes / transfer.cycles <= dma.config.bytes_per_cycle
