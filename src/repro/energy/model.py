@@ -123,7 +123,6 @@ def _base_table() -> Dict[str, EnergyEventSpec]:
         "l2.bytes": EnergyEventSpec("l2", 220),
         "l2.accesses": EnergyEventSpec("l2", 8000),
         "dram.bytes": EnergyEventSpec("dram", 0),   # off-chip: excluded from SoC power
-        "dram.transfers": EnergyEventSpec("dram", 0),
         # --- DMA, MMIO, synchronizer -------------------------------------------
         "dma.bytes": EnergyEventSpec("dma_other", 120),
         "dma.descriptors": EnergyEventSpec("dma_other", 40_000),
