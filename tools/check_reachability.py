@@ -15,8 +15,8 @@ appears as a name, as an attribute or as a string constant (for
 ``getattr``) in a module under ``src/repro`` (allowlisted modules included)
 or in a script under ``examples/``.  Import aliases, ``__all__`` entries
 and the definition's own ``def`` or ``class`` line are not uses.  Dunder
-methods are exempt, and so are the modules on the module allowlist, which
-are not reached.  The check matches on names, not on what a name refers to:
+names are exempt, and so are the modules on the module allowlist, which are
+not reached.  The check matches on names, not on what a name refers to:
 a name used anywhere counts as a use, so the check can miss dead code (a
 method that shares its name with a live one passes) but never flags live
 code that is called by its name.
