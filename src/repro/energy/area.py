@@ -79,6 +79,7 @@ class AreaModel:
     def total_um2(self) -> float:
         return sum(self.breakdown_um2().values())
 
+
 def soc_area_breakdown(design: DesignConfig) -> Dict[str, float]:
     """Convenience wrapper returning the Figure 7 breakdown for ``design``."""
     return AreaModel(design).breakdown_um2()

@@ -301,6 +301,12 @@ class TestDuplicateSweepCells:
                 sweep_jobs(models, designs)
             assert all(repr(label) in str(excinfo.value) for label in labels)
 
+    def test_moe_sweep_rejects_repeated_knob_value(self):
+        base = resolve_spec("moe-decode")
+        cells = [scaled_spec(base, experts=count, top_k=2) for count in (8, 8)]
+        with pytest.raises(ValueError, match="duplicate sweep cell 'moe-8x2@virgo'"):
+            sweep_jobs(cells, ["virgo"])
+
     def test_serving_sweep_rejects_repeated_trace(self):
         with pytest.raises(ValueError, match="duplicate sweep cell"):
             serving_sweep_jobs([TINY_TRACE, TINY_TRACE], ["virgo"], heterogeneous=False)

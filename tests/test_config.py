@@ -11,7 +11,10 @@ from repro.config.soc import (
     MatrixUnitConfig,
     RegisterFileConfig,
     SharedMemoryConfig,
+    SoCConfig,
 )
+from repro.energy.power import PowerReport
+from repro.tensorcore.dot_product_unit import DotProductUnit
 
 
 class TestDataType:
@@ -46,6 +49,15 @@ class TestSharedMemoryConfig:
         config = SharedMemoryConfig(banks=4, subbanks=8)
         assert config.peak_bytes_per_cycle == 128
 
+    def test_scaled_banking_doubles_subbanks(self, all_design_configs):
+        """Volta and Ampere get the paper's 2x subbanking (Section 6.1.3)."""
+        smem = {kind: d.cluster.shared_memory for kind, d in all_design_configs.items()}
+        base = smem[DesignKind.VIRGO]
+        assert smem[DesignKind.HOPPER] == base
+        for kind in (DesignKind.VOLTA, DesignKind.AMPERE):
+            assert smem[kind].subbanks == 2 * base.subbanks
+            assert smem[kind].peak_bytes_per_cycle == 2 * base.peak_bytes_per_cycle
+
 
 class TestMatrixUnitConfig:
     def test_volta_tile_macs(self):
@@ -64,6 +76,13 @@ class TestMatrixUnitConfig:
     def test_accumulator_bytes_are_fp32(self):
         unit = make_design(DesignKind.VOLTA).matrix_unit
         assert unit.accumulator_bytes_per_tile == 4 * 8 * 8
+
+    def test_tile_cycles_ideal(self):
+        """Hopper's dot-product units finish a tile at full MAC throughput."""
+        unit = make_design(DesignKind.HOPPER).matrix_unit
+        dpu = DotProductUnit(macs_per_cycle=unit.macs_per_cycle, dtype=unit.dtype)
+        cycles = dpu.cycles_for_tile(unit.tile_m, unit.tile_n, unit.tile_k)
+        assert cycles == unit.tile_macs / unit.macs_per_cycle == 128
 
 
 class TestPresets:
@@ -162,3 +181,17 @@ class TestValidation:
         bad = replace(hopper_design, soc=replace(hopper_design.soc, cluster=bad_cluster))
         with pytest.raises(ValueError):
             bad.validate()
+
+
+class TestSoCConfig:
+    def test_clock_period(self):
+        """A cycle of the 400 MHz SoC clock lasts 2.5 ns in the power report."""
+        soc = SoCConfig(clock_mhz=400.0)
+        report = PowerReport("test", cycles=4000, clock_mhz=soc.clock_mhz,
+                             energy_by_component_fj={})
+        assert report.runtime_seconds == pytest.approx(4000 * 2.5e-9)
+
+    def test_peak_matrix_tflops(self, virgo_design):
+        # 256 MACs * 2 FLOP * 400 MHz = 0.2048 TFLOP/s
+        soc = virgo_design.soc
+        assert 2 * soc.total_macs_per_cycle * soc.clock_mhz * 1e6 / 1e12 == pytest.approx(0.2048)

@@ -148,6 +148,14 @@ class TestBreakdowns:
         breakdown = matrix_unit_breakdown("test", self._counters(), EnergyTable())
         assert breakdown.parts_pj["PEs"] > 0
 
+    def test_fractions_sum_to_one(self):
+        """The Figure 9 groups split all on-chip energy; DRAM is off-chip."""
+        counters = self._counters() + Counters({"dram.bytes": 4096})
+        table = EnergyTable()
+        on_chip = table.energy_femtojoules(counters) - table.energy_by_component(counters)["dram"]
+        parts = soc_breakdown("test", counters, table).parts_fj
+        assert sum(value / on_chip for value in parts.values()) == pytest.approx(1.0)
+
     def test_dominant_component(self):
         counters = Counters({"core.issue.instructions": 1_000_000})
         breakdown = soc_breakdown("test", counters, EnergyTable())

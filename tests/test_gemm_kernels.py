@@ -30,6 +30,13 @@ class TestWorkload:
         with pytest.raises(ValueError):
             GemmWorkload(m=0, n=1, k=1)
 
+    def test_byte_accounting(self, all_design_configs):
+        """A one-block GEMM reads its FP16 operands and writes its FP32 result once."""
+        workload = GemmWorkload(m=128, n=64, k=32)
+        for design in all_design_configs.values():
+            counters = simulate_gemm(design, workload).counters
+            assert counters["dram.bytes"] == 2 * (128 * 32 + 32 * 64) + 4 * 128 * 64
+
 
 class TestTiling:
     def test_virgo_tiling_matches_operation_tile(self, virgo_design):

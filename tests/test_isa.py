@@ -56,6 +56,12 @@ class TestWarpProgram:
         outer = WarpProgram().extend(inner, repeat=3)
         assert len(outer) == 6
 
+    def test_register_traffic_totals(self):
+        program = WarpProgram()
+        program.emit_class(OpClass.ALU, repeat=4, reg_reads=2, reg_writes=1)
+        assert sum(instruction.reg_reads for instruction in program.instructions) == 8
+        assert sum(instruction.reg_writes for instruction in program.instructions) == 4
+
     def test_total_bytes_filtered(self):
         program = WarpProgram()
         program.emit_class(OpClass.LOAD_GLOBAL, repeat=2, bytes_accessed=32)
@@ -65,7 +71,23 @@ class TestWarpProgram:
 
 
 class TestInstructionStream:
+    def test_total_instructions_scales_with_warps_and_iterations(self):
+        program = WarpProgram().emit_class(OpClass.ALU, repeat=10)
+        stream = InstructionStream(programs=[program], warps=8, iterations=4)
+        assert sum(stream.count_by_class().values()) == 10 * 8 * 4
+
     def test_count_by_class_scaled(self):
         program = WarpProgram().emit_class(OpClass.FPU, repeat=3)
         stream = InstructionStream(programs=[program], warps=2, iterations=2)
         assert stream.count_by_class()[OpClass.FPU] == 12
+
+    def test_merged_program(self):
+        """A stream counts its programs as their concatenation would."""
+        stream = InstructionStream()
+        stream.add(WarpProgram().emit_class(OpClass.ALU, repeat=1))
+        stream.add(WarpProgram().emit_class(OpClass.FPU, repeat=2))
+        merged = WarpProgram()
+        for program in stream.programs:
+            merged.extend(program)
+        assert len(merged) == 3
+        assert stream.count_by_class() == merged.count_by_class()

@@ -192,6 +192,13 @@ class TestDmaEngine:
         assert counters["dram.bytes"] == 4096
         assert dma.shared_memory.counters["smem.dma.write_words"] == 1024
 
+    def test_execute_returns_the_timed_descriptor(self):
+        dma = self._dma()
+        transfer = dma.execute(DmaDirection.ACCUM_TO_GLOBAL, 4096, Counters())
+        assert transfer.direction is DmaDirection.ACCUM_TO_GLOBAL
+        assert transfer.nbytes == 4096
+        assert transfer.cycles == dma.transfer_cycles(4096)
+
     def test_accumulator_store_direction(self):
         dma = self._dma()
         counters = Counters()

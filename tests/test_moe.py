@@ -17,6 +17,7 @@ from repro.workloads import (
     resolve_spec,
     run_model,
     scaled_spec,
+    sweep_jobs,
 )
 from repro.workloads.graph import LayerGraph
 from repro.workloads.lowering import (
@@ -229,7 +230,31 @@ class TestMoeOverlap:
         assert padded.total_cycles > base.total_cycles
 
 
+def moe_cells(shared=(0,)):
+    """moe-decode at each (experts, top_k, capacity factor, shared experts) cell."""
+    base = resolve_spec("moe-decode")
+    return [
+        scaled_spec(base, experts=count, top_k=top_k, capacity_factor=factor,
+                    shared_experts=shared_count)
+        for count in (4, 8)
+        for top_k in (1, 2)
+        for factor in (1.0, 1.5)
+        for shared_count in shared
+    ]
+
+
 class TestMoeSweeps:
+    def test_moe_sweep_crosses_all_knobs(self):
+        jobs = sweep_jobs(moe_cells(), ["virgo"], heterogeneous=(False, True))
+        assert len(jobs) == 2 * 2 * 2 * 2
+        assert len({job.content for job in jobs}) == len(jobs)
+
+    def test_moe_sweep_labels_distinguish_cells(self):
+        jobs = sweep_jobs(moe_cells(shared=(0, 1)), ["virgo"], heterogeneous=(False, True))
+        labels = [job.label for job in jobs]
+        assert len(set(labels)) == len(labels)
+        assert "moe-8x2-cap1.5-s1@virgo+hetero" in labels
+
     def test_moe_cli_breakdown(self, capsys):
         from repro.__main__ import main
 

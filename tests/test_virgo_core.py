@@ -47,6 +47,12 @@ class TestSystolicArray:
         expected = a.astype(np.float16).astype(np.float32) @ b.astype(np.float16).astype(np.float32)
         np.testing.assert_allclose(result, expected, rtol=1e-6)
 
+    def test_subtile_pass_timing(self):
+        """One 16x16 output subtile streams K=128 and pays the 30-cycle fill/drain skew."""
+        array = SystolicArray(16, 16)
+        assert array.tile_cycles(16, 16, 128) == 128 + 16 // 2 + 30
+        assert array.tile_cycles(16, 16, 128, pipelined=False) == 128 + (128 // 16) * 30
+
     def test_tile_cycles_above_ideal(self):
         array = SystolicArray(16, 16)
         assert array.tile_cycles(128, 64, 128) >= array.ideal_tile_cycles(128, 64, 128)
