@@ -63,15 +63,23 @@ def test_copy_equals_the_running_interpreters_sum(items, start):
     assert (type(got), repr(got)) == (type(expected), repr(expected))
 
 
-GOLDEN_TESTS = [
-    function
-    for name, function in inspect.getmembers(test_goldens, inspect.isfunction)
-    if name.startswith("test_")
-]
+def _golden_cases():
+    """Each golden test with each of its parameter sets, as keyword arguments."""
+    for name, function in inspect.getmembers(test_goldens, inspect.isfunction):
+        if not name.startswith("test_"):
+            continue
+        marks = [mark for mark in getattr(function, "pytestmark", []) if mark.name == "parametrize"]
+        if not marks:
+            yield pytest.param(function, {}, id=name)
+        for mark in marks:
+            argname, values = mark.args
+            for value in values:
+                label = mark.kwargs["ids"](value)
+                yield pytest.param(function, {argname: value}, id=f"{name}[{label}]")
 
 
-@pytest.mark.parametrize("golden_test", GOLDEN_TESTS, ids=lambda function: function.__name__)
-def test_golden_holds_under_the_compensated_sum(golden_test, golden, monkeypatch, request):
+@pytest.mark.parametrize("golden_test, params", _golden_cases())
+def test_golden_holds_under_the_compensated_sum(golden_test, params, golden, monkeypatch, request):
     if request.config.getoption("--update-goldens"):
         pytest.skip("goldens are being rewritten")
     timing_cache().clear()
@@ -79,8 +87,8 @@ def test_golden_holds_under_the_compensated_sum(golden_test, golden, monkeypatch
         with monkeypatch.context() as patch:
             patch.setattr(builtins, "sum", sum_312)
             if "golden" in inspect.signature(golden_test).parameters:
-                golden_test(golden)
+                golden_test(golden, **params)
             else:
-                golden_test()
+                golden_test(**params)
     finally:
         timing_cache().clear()

@@ -18,6 +18,8 @@ which ``test_goldens_are_reproducible`` enforces directly.
 
 import json
 
+import pytest
+
 from repro.analysis.model_breakdown import model_overlap_report
 from repro.analysis.serving import serving_latency_report, serving_perf_stats
 from repro.config.presets import DesignKind
@@ -55,16 +57,30 @@ SERVING_TRACE = ServingTrace(
 )
 
 
-def test_gemm_run_result_golden(golden):
-    golden("gemm_virgo_128", run_gemm(DesignKind.VIRGO, 128).to_dict())
+#: Every GEMM kernel at 128^3: one block covers the output on each design,
+#: so each kernel issues exactly the tile operations it needs.
+GEMM_KINDS = pytest.mark.parametrize(
+    "kind",
+    [DesignKind.VIRGO, DesignKind.VOLTA, DesignKind.AMPERE, DesignKind.HOPPER],
+    ids=lambda kind: kind.value,
+)
 
 
-def test_gemm_power_report_golden(golden):
-    golden("gemm_virgo_128_power", run_gemm(DesignKind.VIRGO, 128).power.to_dict())
+@GEMM_KINDS
+def test_gemm_run_result_golden(golden, kind):
+    golden(f"gemm_{kind.value}_128", run_gemm(kind, 128).to_dict())
 
 
-def test_flash_run_result_golden(golden):
-    golden("flash_virgo_default", run_flash_attention(DesignKind.VIRGO).to_dict())
+@GEMM_KINDS
+def test_gemm_power_report_golden(golden, kind):
+    golden(f"gemm_{kind.value}_128_power", run_gemm(kind, 128).power.to_dict())
+
+
+@pytest.mark.parametrize(
+    "kind", [DesignKind.VIRGO, DesignKind.AMPERE], ids=lambda kind: kind.value
+)
+def test_flash_run_result_golden(golden, kind):
+    golden(f"flash_{kind.value}_default", run_flash_attention(kind).to_dict())
 
 
 def test_model_run_result_golden(golden):
