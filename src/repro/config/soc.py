@@ -152,6 +152,10 @@ class MatrixUnitConfig:
         """MAC operations in one tile-granular operation."""
         return self.tile_m * self.tile_n * self.tile_k
 
+    def tile_count(self, m: int, n: int, k: int) -> int:
+        """Tile operations that cover an (m, n, k) GEMM, partial tiles included."""
+        return -(-m // self.tile_m) * -(-n // self.tile_n) * -(-k // self.tile_k)
+
     @property
     def operand_bytes_per_tile(self) -> int:
         """Bytes of A and B operand data consumed by one tile operation."""

@@ -15,7 +15,6 @@ that (and its accuracy impact) as well.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
@@ -28,6 +27,7 @@ from repro.isa.instructions import OpClass
 from repro.isa.program import WarpProgram
 from repro.kernels.gemm.base import memoized_iteration
 from repro.kernels.gemm.instruction_streams import _fragment_loads
+from repro.kernels.gemm.kernel import tile_op_events
 from repro.kernels.gemm.schedule_loops import (
     FlashLoopSpec,
     FlashPipe,
@@ -44,7 +44,7 @@ from repro.kernels.masking import (
 from repro.memory.dma import DmaEngine
 from repro.memory.dram import DramChannel
 from repro.sim.stats import Counters
-from repro.simt.core import VortexCore
+from repro.simt.core import SIMT_OVERHEAD_RATIO, VortexCore, sweep_cost
 from repro.tensorcore.volta import VoltaTensorCore
 
 
@@ -280,7 +280,7 @@ class FlashAttentionResult:
 
 
 # --------------------------------------------------------------------------- #
-# Softmax cost model (shared by both mappings)
+# Softmax work (shared by both mappings)
 # --------------------------------------------------------------------------- #
 
 #: FP operations per score element for the online softmax with Taylor exp:
@@ -288,43 +288,6 @@ class FlashAttentionResult:
 #: reduction, probability write, running-max correction and the O-tile
 #: rescale that consumes one multiply-add per score element.
 SOFTMAX_FLOPS_PER_ELEMENT = 20
-
-#: Non-FPU instructions (loads/stores of S, P and O tiles, address updates,
-#: loop control) per FPU instruction in the softmax inner loop.
-SOFTMAX_OVERHEAD_INSTRUCTION_RATIO = 1.0
-
-
-def _softmax_cycles(design: DesignConfig, elements: int, cores_share: float = 1.0) -> int:
-    """Cycles for the SIMT cores to run softmax over ``elements`` scores."""
-    cluster = design.cluster
-    lanes = cluster.cores * cluster.core.lanes * cores_share
-    flops = elements * SOFTMAX_FLOPS_PER_ELEMENT
-    fpu_cycles = flops / lanes
-    issue_cycles = fpu_cycles * (1.0 + SOFTMAX_OVERHEAD_INSTRUCTION_RATIO)
-    return max(1, int(max(fpu_cycles, issue_cycles / design.cluster.core.issue_width)))
-
-
-def _softmax_counters(design: DesignConfig, elements: int) -> Counters:
-    """Softmax activity over ``elements`` scores; a partly used per-lane
-    instruction counts as one, so every count is whole."""
-    counters = Counters()
-    flops = elements * SOFTMAX_FLOPS_PER_ELEMENT
-    lanes = design.cluster.core.lanes
-    fpu_instructions = flops / lanes
-    overhead_instructions = fpu_instructions * SOFTMAX_OVERHEAD_INSTRUCTION_RATIO
-    counters.add("core.fpu.ops", flops)
-    counters.add(
-        "core.issue.instructions", math.ceil(fpu_instructions + overhead_instructions)
-    )
-    counters.add("core.alu.ops", math.ceil(overhead_instructions * lanes / 2))
-    counters.add("core.lsu.requests", math.ceil(overhead_instructions / 2))
-    counters.add(
-        "core.issue.rf_read_words", math.ceil(2 * (flops + overhead_instructions * lanes))
-    )
-    counters.add("core.writeback.rf_write_words", flops)
-    counters.add("smem.core.read_words", 3 * elements)
-    counters.add("smem.core.write_words", 2 * elements)
-    return counters
 
 
 # --------------------------------------------------------------------------- #
@@ -360,7 +323,11 @@ class VirgoFlashAttentionKernel:
         gemm2 = self.matrix_unit.operation_timing(bq, d, bkv)      # O += P V
         matrix_cycles = gemm1.total_cycles + gemm2.total_cycles
 
-        softmax_cycles = _softmax_cycles(self.design, bq * bkv)
+        # The softmax reads S and the running statistics and writes P and
+        # the rescaled O: three shared-memory words in and two out per score.
+        softmax_cycles, softmax_counters = sweep_cost(
+            self.design, bq * bkv, SOFTMAX_FLOPS_PER_ELEMENT, 3, 2
+        )
         kv_bytes = 2 * bkv * d * 4  # FP32 K and V tiles
         dma_cycles = self.dma.transfer_cycles(kv_bytes)
 
@@ -389,7 +356,7 @@ class VirgoFlashAttentionKernel:
         )
         schedule = execute_flash_loop(spec, full_expansion=full_expansion)
 
-        counters = self._counters(workload, gemm1, gemm2)
+        counters = self._counters(workload, gemm1, gemm2, softmax_counters)
         ideal = workload.gemm_macs / float(self.design.cluster.total_macs_per_cycle)
         return FlashAttentionResult(
             design=self.design,
@@ -402,7 +369,9 @@ class VirgoFlashAttentionKernel:
             schedule_stats=schedule.stats(),
         )
 
-    def _counters(self, workload: FlashAttentionWorkload, gemm1, gemm2) -> Counters:
+    def _counters(
+        self, workload: FlashAttentionWorkload, gemm1, gemm2, softmax: Counters
+    ) -> Counters:
         counters = Counters()
         iterations = workload.iterations
         bq, bkv, d = workload.block_q, workload.block_kv, workload.head_dim
@@ -429,7 +398,7 @@ class VirgoFlashAttentionKernel:
         per_iter.add("smem.dma.write_words", 2 * bkv * d)
         per_iter.add("sync.barrier_requests", self.design.cluster.cores)
         per_iter.add("sync.barriers_released", 1)
-        per_iter.merge(_softmax_counters(self.design, bq * bkv))
+        per_iter.merge(softmax)
 
         counters.merge(per_iter.scaled(iterations))
         return counters
@@ -512,7 +481,7 @@ class AmpereFlashAttentionKernel:
         for index in range(fpu_instructions):
             softmax_program.emit_class(OpClass.FPU, reg_reads=2, reg_writes=1)
             # Interleaved loads/addressing/loop control of the softmax loop.
-            if index % max(1, int(1.0 / max(SOFTMAX_OVERHEAD_INSTRUCTION_RATIO, 0.01))) == 0:
+            if index % max(1, int(1.0 / max(SIMT_OVERHEAD_RATIO, 0.01))) == 0:
                 softmax_program.emit_class(OpClass.ALU, reg_reads=2, reg_writes=1)
         # Score tile loads/stores between shared memory and registers.
         softmax_program.emit_class(
@@ -578,15 +547,9 @@ class AmpereFlashAttentionKernel:
     def _iteration_counters(
         self, bkv: int, d: int, core_counters: Counters, tile_ops_per_core: int
     ) -> Counters:
-        cluster = self.design.cluster
-        per_iter = Counters()
-        per_iter.merge(core_counters.scaled(cluster.cores))
-        tile_ops = tile_ops_per_core * cluster.cores
-        per_tile = Counters()
-        self.tensor_core.record_tile_events(per_tile)
-        per_iter.merge(per_tile.scaled(tile_ops))
-        per_iter.add("matrix_unit.pe.macs", tile_ops * self.design.matrix_unit.tile_macs)
-
+        per_iter = tile_op_events(
+            self.design, self.tensor_core, core_counters, tile_ops_per_core
+        )
         kv_bytes = 2 * bkv * d * 4
         per_iter.add("dma.bytes", kv_bytes)
         per_iter.add("dma.descriptors", 2)

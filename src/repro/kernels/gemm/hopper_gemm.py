@@ -17,39 +17,26 @@ tile is stored from the register file to global memory by SIMT stores.
 from __future__ import annotations
 
 from repro.config.soc import DesignConfig, IntegrationStyle
-from repro.kernels.gemm.base import (
-    GemmKernelResult,
-    GemmWorkload,
-    ideal_mac_cycles,
-    memoized_iteration,
-)
 from repro.kernels.gemm.instruction_streams import hopper_iteration_streams
-from repro.kernels.gemm.schedule_loops import GemmLoopSpec, execute_gemm_loop
-from repro.kernels.gemm.tiling import ThreadBlockTiling, tiling_for_design
-from repro.memory.dma import DmaEngine
-from repro.memory.dram import DramChannel
+from repro.kernels.gemm.kernel import REGISTER_FILE_LOOP, GemmKernel, tile_op_events
+from repro.kernels.gemm.tiling import ThreadBlockTiling
 from repro.sim.stats import Counters
-from repro.simt.core import VortexCore
 from repro.tensorcore.hopper import HopperTensorCore
 
 
-class OperandDecoupledGemmKernel:
+class OperandDecoupledGemmKernel(GemmKernel):
     """Tiled GEMM on the Hopper-style design."""
+
+    STYLES = (IntegrationStyle.OPERAND_DECOUPLED,)
+    MODEL = "gemm.operand_decoupled"
 
     #: Cycles of accumulator register-file read-modify-write exposed per tile
     #: operation (a 16x16 FP32 tile drained through the 8-lane writeback path).
     ACCUMULATOR_DRAIN_CYCLES = 32
 
     def __init__(self, design: DesignConfig) -> None:
-        if design.style is not IntegrationStyle.OPERAND_DECOUPLED:
-            raise ValueError("this kernel models the operand-decoupled design")
-        self.design = design
-        self.tensor_core = HopperTensorCore(
-            design.matrix_unit, design.cluster.shared_memory
-        )
-        self.core = VortexCore(design.cluster.core)
-        self.dram = DramChannel(design.soc.dram)
-        self.dma = DmaEngine(design.cluster.dma, self.dram)
+        super().__init__(design)
+        self.tensor_core = HopperTensorCore(design.matrix_unit, design.cluster.shared_memory)
 
     # ------------------------------------------------------------------ #
     # Steady-state iteration
@@ -77,25 +64,17 @@ class OperandDecoupledGemmKernel:
             tiling.input_bytes_per_iteration, include_latency=False
         )
 
-        counters = self._iteration_counters(streams, execution.counters, tiling)
-        instructions = streams.instructions_per_core() * self.design.cluster.cores
-        return compute_cycles, max(dma_cycles, dram_cycles), counters, instructions
-
-    def _iteration_counters(self, streams, core_counters: Counters, tiling) -> Counters:
-        counters = Counters()
-        counters.merge(core_counters.scaled(self.design.cluster.cores))
-        tile_ops = streams.tile_ops_per_core * self.design.cluster.cores
-        per_tile = Counters()
-        self.tensor_core.record_tile_events(per_tile)
-        counters.merge(per_tile.scaled(tile_ops))
-        counters.add("matrix_unit.pe.macs", tile_ops * self.design.matrix_unit.tile_macs)
+        counters = tile_op_events(
+            self.design, self.tensor_core, execution.counters, streams.tile_ops_per_core
+        )
         nbytes = tiling.input_bytes_per_iteration
         counters.add("l2.bytes", nbytes)
         counters.add("dram.bytes", nbytes)
         counters.add("dma.bytes", nbytes)
         counters.add("dma.descriptors", 2)
         counters.add("smem.dma.write_words", nbytes // 4)
-        return counters
+        instructions = streams.instructions_per_core() * self.design.cluster.cores
+        return compute_cycles, max(dma_cycles, dram_cycles), counters, instructions
 
     def _epilogue(self, tiling: ThreadBlockTiling):
         """Per-output-tile boundary work.
@@ -128,53 +107,12 @@ class OperandDecoupledGemmKernel:
         counters.add("dram.bytes", nbytes)
         return cycles, counters, store_instructions + init_instructions
 
-    # ------------------------------------------------------------------ #
-    # Whole-kernel simulation
-    # ------------------------------------------------------------------ #
-
-    def simulate(self, workload: GemmWorkload, full_expansion: bool = False) -> GemmKernelResult:
-        tiling = tiling_for_design(self.design, workload)
-        compute_cycles, dma_cycles, iter_counters, iter_instructions = memoized_iteration(
-            "gemm.operand_decoupled",
-            self.design,
-            tiling.iteration_shape,
-            lambda: self._iteration(tiling),
-        )
-        epilogue_cycles, epilogue_counters, epilogue_instructions = self._epilogue(tiling)
-
-        # Each cluster works on its share of the (M, N) output tiles; the
-        # slowest cluster's schedule determines the kernel runtime.  Loads
-        # double buffer (fetch while the compute two iterations back still
-        # occupies the other buffer half); the first load of a new output
-        # tile cannot be prefetched -- its panel addresses are only
-        # programmed after the previous tile's epilogue has retired.
-        spec = GemmLoopSpec(
-            cluster_tiles=tiling.output_tiles_per_cluster(self.design.soc.clusters),
-            k_iterations=tiling.k_iterations,
-            compute_resource="compute",
-            compute_cycles=compute_cycles,
-            load_cycles=dma_cycles,
-            epilogue_cycles=epilogue_cycles,
-            epilogue_resource="compute",
-            double_buffer_deps=True,
-            epilogue_advances_chain=True,
-        )
-        schedule = execute_gemm_loop(spec, full_expansion=full_expansion)
-
-        iterations = tiling.total_iterations
-        counters = iter_counters.scaled(iterations)
-        counters.merge(epilogue_counters.scaled(tiling.output_tiles))
-        instructions = iter_instructions * iterations + epilogue_instructions * tiling.output_tiles
-
-        return GemmKernelResult(
-            design=self.design,
-            workload=workload,
-            total_cycles=schedule.total_cycles,
-            ideal_mac_cycles=ideal_mac_cycles(self.design, workload),
-            counters=counters,
-            retired_instructions=instructions,
-            iteration_cycles=compute_cycles,
-            phase_cycles=schedule.kind_cycles,
-            resource_busy=schedule.resource_busy,
-            schedule_stats=schedule.stats(),
+    def _loop_wiring(self, compute_cycles: int, load_cycles: int):
+        """Loads double buffer (fetch while the compute two iterations back
+        still occupies the other buffer half); the first load of a new output
+        tile cannot be prefetched -- its panel addresses are only programmed
+        after the previous tile's epilogue has retired.
+        """
+        return dict(
+            REGISTER_FILE_LOOP, compute_cycles=compute_cycles, load_cycles=load_cycles
         )

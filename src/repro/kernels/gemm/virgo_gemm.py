@@ -16,39 +16,26 @@ output tile's first loads.
 from __future__ import annotations
 
 from repro.config.soc import DesignConfig, IntegrationStyle
-from repro.kernels.gemm.base import (
-    GemmKernelResult,
-    GemmWorkload,
-    ideal_mac_cycles,
-    memoized_iteration,
-)
-from repro.kernels.gemm.instruction_streams import virgo_iteration_streams
-from repro.kernels.gemm.schedule_loops import GemmLoopSpec, execute_gemm_loop
-from repro.kernels.gemm.tiling import ThreadBlockTiling, tiling_for_design
 from repro.core.gemmini import GemminiMatrixUnit
-from repro.memory.dma import DmaEngine
-from repro.memory.dram import DramChannel
+from repro.kernels.gemm.instruction_streams import virgo_iteration_streams
+from repro.kernels.gemm.kernel import GemmKernel
+from repro.kernels.gemm.tiling import ThreadBlockTiling
 from repro.sim.stats import Counters
-from repro.simt.core import VortexCore
 
 
-class VirgoGemmKernel:
+class VirgoGemmKernel(GemmKernel):
     """Tiled GEMM on the disaggregated Virgo design."""
+
+    STYLES = (IntegrationStyle.DISAGGREGATED,)
+    MODEL = "gemm.virgo"
 
     #: Per-iteration synchronization cost: the fence's final poll round-trip
     #: plus the cluster-wide barrier release.
     SYNC_OVERHEAD_CYCLES = 30
 
     def __init__(self, design: DesignConfig) -> None:
-        if design.style is not IntegrationStyle.DISAGGREGATED:
-            raise ValueError("this kernel models the disaggregated (Virgo) design")
-        self.design = design
-        self.matrix_unit = GemminiMatrixUnit(
-            design.matrix_unit, design.cluster.shared_memory
-        )
-        self.core = VortexCore(design.cluster.core)
-        self.dram = DramChannel(design.soc.dram)
-        self.dma = DmaEngine(design.cluster.dma, self.dram)
+        super().__init__(design)
+        self.matrix_unit = GemminiMatrixUnit(design.matrix_unit, design.cluster.shared_memory)
 
     # ------------------------------------------------------------------ #
     # Steady-state iteration
@@ -140,50 +127,14 @@ class VirgoGemmKernel:
         counters.add("core.issue.instructions", instructions)
         return cycles, counters, instructions
 
-    # ------------------------------------------------------------------ #
-    # Whole-kernel simulation
-    # ------------------------------------------------------------------ #
-
-    def simulate(self, workload: GemmWorkload, full_expansion: bool = False) -> GemmKernelResult:
-        tiling = tiling_for_design(self.design, workload)
-        compute_cycles, dma_cycles, iter_counters, iter_instructions = memoized_iteration(
-            "gemm.virgo",
-            self.design,
-            tiling.iteration_shape,
-            lambda: self._iteration(tiling),
-        )
-        epilogue_cycles, epilogue_counters, epilogue_instructions = self._epilogue(tiling)
-
-        # Each cluster works on its share of the (M, N) output tiles; the
-        # slowest cluster's schedule determines the kernel runtime.  The load
-        # of each tile's first K step waits for the previous compute (buffer
-        # reuse); the epilogue drains on the DMA without blocking the next
-        # tile's compute (it writes a different accumulator half).
-        spec = GemmLoopSpec(
-            cluster_tiles=tiling.output_tiles_per_cluster(self.design.soc.clusters),
-            k_iterations=tiling.k_iterations,
+    def _loop_wiring(self, compute_cycles: int, load_cycles: int):
+        """The load of each tile's first K step waits for the previous compute
+        (buffer reuse); the epilogue drains on the DMA without blocking the
+        next tile's compute (it writes a different accumulator half).
+        """
+        return dict(
             compute_resource="matrix",
             compute_cycles=compute_cycles,
-            load_cycles=dma_cycles,
-            epilogue_cycles=epilogue_cycles,
+            load_cycles=load_cycles,
             epilogue_resource="dma",
-        )
-        schedule = execute_gemm_loop(spec, full_expansion=full_expansion)
-
-        iterations = tiling.total_iterations
-        counters = iter_counters.scaled(iterations)
-        counters.merge(epilogue_counters.scaled(tiling.output_tiles))
-        instructions = iter_instructions * iterations + epilogue_instructions * tiling.output_tiles
-
-        return GemmKernelResult(
-            design=self.design,
-            workload=workload,
-            total_cycles=schedule.total_cycles,
-            ideal_mac_cycles=ideal_mac_cycles(self.design, workload),
-            counters=counters,
-            retired_instructions=instructions,
-            iteration_cycles=compute_cycles,
-            phase_cycles=schedule.kind_cycles,
-            resource_busy=schedule.resource_busy,
-            schedule_stats=schedule.stats(),
         )

@@ -23,36 +23,22 @@ captured.
 from __future__ import annotations
 
 from repro.config.soc import DesignConfig, IntegrationStyle
-from repro.kernels.gemm.base import (
-    GemmKernelResult,
-    GemmWorkload,
-    ideal_mac_cycles,
-    memoized_iteration,
-)
 from repro.kernels.gemm.instruction_streams import volta_iteration_streams
-from repro.kernels.gemm.schedule_loops import GemmLoopSpec, execute_gemm_loop
-from repro.kernels.gemm.tiling import ThreadBlockTiling, tiling_for_design
-from repro.memory.dma import DmaEngine, DmaDirection
-from repro.memory.dram import DramChannel
+from repro.kernels.gemm.kernel import REGISTER_FILE_LOOP, GemmKernel, tile_op_events
+from repro.kernels.gemm.tiling import ThreadBlockTiling
 from repro.sim.stats import Counters
-from repro.simt.core import VortexCore
 from repro.tensorcore.volta import VoltaTensorCore
 
 
-class TightlyCoupledGemmKernel:
+class TightlyCoupledGemmKernel(GemmKernel):
     """Tiled GEMM on the Volta-style or Ampere-style design."""
 
+    STYLES = (IntegrationStyle.TIGHTLY_COUPLED, IntegrationStyle.TIGHTLY_COUPLED_DMA)
+    MODEL = "gemm.tightly_coupled"
+
     def __init__(self, design: DesignConfig) -> None:
-        if design.style not in (
-            IntegrationStyle.TIGHTLY_COUPLED,
-            IntegrationStyle.TIGHTLY_COUPLED_DMA,
-        ):
-            raise ValueError("this kernel models the tightly-coupled designs")
-        self.design = design
-        self.has_dma = design.style is IntegrationStyle.TIGHTLY_COUPLED_DMA
+        super().__init__(design)
         self.tensor_core = VoltaTensorCore(design.matrix_unit)
-        self.core = VortexCore(design.cluster.core)
-        self.dram = DramChannel(design.soc.dram)
 
     # ------------------------------------------------------------------ #
     # Steady-state iteration
@@ -64,8 +50,9 @@ class TightlyCoupledGemmKernel:
         Reads the design and ``tiling.iteration_shape`` only, so
         :meth:`simulate` memoizes it by that shape.
         """
+        has_dma = self.design.has_dma
         streams = volta_iteration_streams(
-            self.design, tiling, self.tensor_core, include_copy=not self.has_dma
+            self.design, tiling, self.tensor_core, include_copy=not has_dma
         )
         programs = streams.programs_for_core()
         execution = self.core.execute(programs)
@@ -76,8 +63,8 @@ class TightlyCoupledGemmKernel:
         compute_cycles = execution.cycles
 
         # Data delivery for the *next* iteration.
-        if self.has_dma:
-            dma_cycles = self._dma_cycles(tiling.input_bytes_per_iteration)
+        if has_dma:
+            dma_cycles = self.dma.transfer_cycles(tiling.input_bytes_per_iteration)
         else:
             dma_cycles = 0  # the copy is inside the instruction streams
 
@@ -96,31 +83,14 @@ class TightlyCoupledGemmKernel:
         smem_cycles = -(-fragment_bytes // smem.peak_bytes_per_cycle)
         compute_cycles = max(compute_cycles, smem_cycles)
 
-        counters = self._iteration_counters(streams, execution.counters, tiling)
-        instructions = streams.instructions_per_core() * self.design.cluster.cores
-        return compute_cycles, dma_cycles, dram_cycles, counters, instructions
-
-    def _dma_cycles(self, nbytes: int) -> int:
-        dma = DmaEngine(self.design.cluster.dma, self.dram)
-        return dma.transfer_cycles(nbytes)
-
-    def _iteration_counters(
-        self, streams, core_counters: Counters, tiling: ThreadBlockTiling
-    ) -> Counters:
-        counters = Counters()
-        # Core-side events for every core in the cluster.
-        counters.merge(core_counters.scaled(self.design.cluster.cores))
-        # Matrix-unit events for every tile operation in the iteration.
-        tile_ops = streams.tile_ops_per_core * self.design.cluster.cores
-        per_tile = Counters()
-        self.tensor_core.record_tile_events(per_tile)
-        counters.merge(per_tile.scaled(tile_ops))
-        counters.add("matrix_unit.pe.macs", tile_ops * self.design.matrix_unit.tile_macs)
+        counters = tile_op_events(
+            self.design, self.tensor_core, execution.counters, streams.tile_ops_per_core
+        )
         # Data delivery traffic.
         nbytes = tiling.input_bytes_per_iteration
         counters.add("l2.bytes", nbytes)
         counters.add("dram.bytes", nbytes)
-        if self.has_dma:
+        if has_dma:
             counters.add("dma.bytes", nbytes)
             counters.add("dma.descriptors", 2)
             counters.add("smem.dma.write_words", nbytes // 4)
@@ -128,7 +98,8 @@ class TightlyCoupledGemmKernel:
             counters.add("l1.bytes", nbytes)
             counters.add("l1.requests", nbytes // 64)
             counters.add("smem.core.write_words", nbytes // 4)
-        return counters
+        instructions = streams.instructions_per_core() * self.design.cluster.cores
+        return compute_cycles, dma_cycles, dram_cycles, counters, instructions
 
     def _epilogue(self, tiling: ThreadBlockTiling):
         """Result write-back of one output tile (register file -> global).
@@ -157,64 +128,21 @@ class TightlyCoupledGemmKernel:
         counters.add("dram.bytes", nbytes)
         return cycles, counters, store_instructions + init_instructions
 
-    # ------------------------------------------------------------------ #
-    # Whole-kernel simulation
-    # ------------------------------------------------------------------ #
-
-    def simulate(self, workload: GemmWorkload, full_expansion: bool = False) -> GemmKernelResult:
-        tiling = tiling_for_design(self.design, workload)
-        (
-            compute_cycles,
-            dma_cycles,
-            dram_cycles,
-            iter_counters,
-            iter_instructions,
-        ) = memoized_iteration(
-            "gemm.tightly_coupled",
-            self.design,
-            tiling.iteration_shape,
-            lambda: self._iteration(tiling),
-        )
-        epilogue_cycles, epilogue_counters, epilogue_instructions = self._epilogue(tiling)
-
-        prologue = self._dma_cycles(tiling.input_bytes_per_iteration) if self.has_dma else max(
-            dram_cycles, compute_cycles // 4
-        )
-        # Each cluster works on its share of the (M, N) output tiles; the
-        # slowest cluster's schedule determines the kernel runtime.  With a
-        # DMA, the loads double buffer (fetch while the compute two
-        # iterations back still runs) and the first load of a new output
-        # tile waits for the previous tile's epilogue; without one the same
-        # warps copy the next tile, so the inter-iteration barrier exposes
-        # the global-memory streaming time inside the compute duration.
-        spec = GemmLoopSpec(
-            cluster_tiles=tiling.output_tiles_per_cluster(self.design.soc.clusters),
-            k_iterations=tiling.k_iterations,
-            compute_resource="compute",
-            compute_cycles=compute_cycles if self.has_dma else compute_cycles + dram_cycles,
-            load_cycles=max(dma_cycles, dram_cycles) if self.has_dma else None,
-            epilogue_cycles=epilogue_cycles,
-            epilogue_resource="compute",
-            double_buffer_deps=True,
-            epilogue_advances_chain=True,
-            first_compute_ready=prologue,
-        )
-        schedule = execute_gemm_loop(spec, full_expansion=full_expansion)
-
-        iterations = tiling.total_iterations
-        counters = iter_counters.scaled(iterations)
-        counters.merge(epilogue_counters.scaled(tiling.output_tiles))
-        instructions = iter_instructions * iterations + epilogue_instructions * tiling.output_tiles
-
-        return GemmKernelResult(
-            design=self.design,
-            workload=workload,
-            total_cycles=schedule.total_cycles,
-            ideal_mac_cycles=ideal_mac_cycles(self.design, workload),
-            counters=counters,
-            retired_instructions=instructions,
-            iteration_cycles=compute_cycles,
-            phase_cycles=schedule.kind_cycles,
-            resource_busy=schedule.resource_busy,
-            schedule_stats=schedule.stats(),
+    def _loop_wiring(self, compute_cycles: int, dma_cycles: int, dram_cycles: int):
+        """The :data:`REGISTER_FILE_LOOP` wiring.  With a DMA the first compute
+        waits for the first load.  Without one the same warps copy the next
+        tile, so the inter-iteration barrier exposes the global-memory
+        streaming time inside the compute duration.
+        """
+        if self.design.has_dma:
+            return dict(
+                REGISTER_FILE_LOOP,
+                compute_cycles=compute_cycles,
+                load_cycles=max(dma_cycles, dram_cycles),
+                first_compute_ready=dma_cycles,
+            )
+        return dict(
+            REGISTER_FILE_LOOP,
+            compute_cycles=compute_cycles + dram_cycles,
+            first_compute_ready=max(dram_cycles, compute_cycles // 4),
         )

@@ -162,10 +162,8 @@ def _streaming_demand(design: DesignConfig, cycles: int, workload: GemmWorkload)
     """Average shared-memory bytes/cycle the kernel's matrix unit consumes."""
     unit = design.matrix_unit
     matrix_unit = GemminiMatrixUnit(unit, design.cluster.shared_memory)
-    tiles_m = -(-workload.m // unit.tile_m)
-    tiles_n = -(-workload.n // unit.tile_n)
-    tiles_k = -(-workload.k // unit.tile_k)
-    total_bytes = tiles_m * tiles_n * tiles_k * matrix_unit.smem_read_bytes(
+    tiles = unit.tile_count(workload.m, workload.n, workload.k)
+    total_bytes = tiles * matrix_unit.smem_read_bytes(
         min(unit.tile_m, workload.m), min(unit.tile_n, workload.n), min(unit.tile_k, workload.k)
     )
     return total_bytes / float(max(1, cycles))

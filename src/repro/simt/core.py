@@ -17,10 +17,11 @@ paper's Figure 10 breakdown:
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.config.soc import CoreConfig
+from repro.config.soc import CoreConfig, DesignConfig
 from repro.isa.instructions import Instruction, OpClass
 from repro.isa.program import WarpProgram
 from repro.perf import design_fingerprint, memoized
@@ -177,3 +178,45 @@ def _events(instruction: Instruction, lanes: int) -> List[Tuple[str, int]]:
         events.append(("l1.requests", 1))
         events.append(("l1.bytes", instruction.bytes_accessed))
     return events
+
+
+#: Non-FPU instructions (loads, stores, addressing, loop control) per FPU
+#: instruction of a SIMT elementwise sweep.
+SIMT_OVERHEAD_RATIO = 1.0
+
+
+def sweep_cost(
+    design: DesignConfig,
+    elements: int,
+    flops_per_element: float,
+    smem_reads: int,
+    smem_writes: int,
+) -> Tuple[int, Counters]:
+    """Cycles and activity for the cluster's SIMT cores to sweep ``elements`` once.
+
+    Closed form: every element costs ``flops_per_element`` FPU operations,
+    spread over all lanes of all cores, plus :data:`SIMT_OVERHEAD_RATIO`
+    other instructions per FPU instruction; it reads ``smem_reads`` and
+    writes ``smem_writes`` shared-memory words.
+    """
+    cluster = design.cluster
+    lanes = cluster.core.lanes
+    flops = elements * flops_per_element
+    fpu_cycles = flops / (cluster.cores * lanes)
+    issue_cycles = fpu_cycles * (1.0 + SIMT_OVERHEAD_RATIO)
+    cycles = max(1, int(max(fpu_cycles, issue_cycles / cluster.core.issue_width)))
+
+    # Events are whole: a partly used FLOP or per-lane instruction counts as
+    # one.  The cycles above keep the unrounded rate.
+    counters = Counters()
+    per_lane = flops / lanes
+    overhead = per_lane * SIMT_OVERHEAD_RATIO
+    counters.add("core.fpu.ops", math.ceil(flops))
+    counters.add("core.issue.instructions", math.ceil(per_lane + overhead))
+    counters.add("core.alu.ops", math.ceil(overhead * lanes / 2))
+    counters.add("core.lsu.requests", math.ceil(overhead / 2))
+    counters.add("core.issue.rf_read_words", math.ceil(2 * (flops + overhead * lanes)))
+    counters.add("core.writeback.rf_write_words", math.ceil(flops))
+    counters.add("smem.core.read_words", smem_reads * elements)
+    counters.add("smem.core.write_words", smem_writes * elements)
+    return cycles, counters

@@ -146,9 +146,3 @@ class HopperTensorCore:
         counters.add("core.writeback.rf_write_words", accum_words)
         counters.add("matrix_unit.result_buffer_words", accum_words)
         counters.add("matrix_unit.control_events", 2)
-
-    def gemm_tile_count(self, m: int, n: int, k: int) -> int:
-        tiles_m = -(-m // self.config.tile_m)
-        tiles_n = -(-n // self.config.tile_n)
-        tiles_k = -(-k // self.config.tile_k)
-        return tiles_m * tiles_n * tiles_k

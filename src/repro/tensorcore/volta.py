@@ -114,10 +114,3 @@ class VoltaTensorCore:
         counters.add("matrix_unit.operand_buffer_words", operand_words)
         counters.add("matrix_unit.result_buffer_words", accum_words)
         counters.add("matrix_unit.control_events", self.hmma_sequence().instructions)
-
-    def gemm_tile_count(self, m: int, n: int, k: int) -> int:
-        """Tile operations needed for an (m, n, k) GEMM on this unit."""
-        tiles_m = -(-m // self.config.tile_m)
-        tiles_n = -(-n // self.config.tile_n)
-        tiles_k = -(-k // self.config.tile_k)
-        return tiles_m * tiles_n * tiles_k

@@ -58,7 +58,6 @@ enforces that it stays gone.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -78,6 +77,7 @@ from repro.obs.trace import UNITS_PROCESS
 from repro.perf import design_fingerprint, timing_cache
 from repro.runner import run_flash_attention, run_gemm
 from repro.sim.stats import Counters
+from repro.simt.core import sweep_cost
 from repro.workloads.graph import (
     AttentionLayer,
     ElementwiseLayer,
@@ -96,10 +96,6 @@ SIMT_RESOURCE = "simt"
 
 #: GEMMs below this MAC count ride the half-size unit in heterogeneous mode.
 HETERO_SMALL_GEMM_MACS = 1 << 24
-
-#: Non-FPU instruction overhead of SIMT elementwise loops (loads, stores,
-#: addressing, loop control) relative to FPU work, matching the softmax model.
-SIMT_OVERHEAD_RATIO = 1.0
 
 
 @dataclass(frozen=True)
@@ -161,36 +157,8 @@ def _simt_cost(
         "simt", design, {"elements": elements, "flops_per_element": flops_per_element}
     )
     return cache.get_or_compute(
-        key, lambda: _simt_cost_uncached(design, elements, flops_per_element)
+        key, lambda: sweep_cost(design, elements, flops_per_element, 1, 1)
     )
-
-
-def _simt_cost_uncached(
-    design: DesignConfig, elements: int, flops_per_element: float
-) -> Tuple[int, Counters]:
-    cluster = design.cluster
-    lanes = cluster.cores * cluster.core.lanes
-    flops = elements * flops_per_element
-    fpu_cycles = flops / lanes
-    issue_cycles = fpu_cycles * (1.0 + SIMT_OVERHEAD_RATIO)
-    cycles = max(1, int(max(fpu_cycles, issue_cycles / cluster.core.issue_width)))
-
-    # Events are whole: a partly used FLOP or per-lane instruction counts as
-    # one.  The cycles above keep the unrounded rate.
-    counters = Counters()
-    per_lane = flops / max(1, cluster.core.lanes)
-    overhead = per_lane * SIMT_OVERHEAD_RATIO
-    counters.add("core.fpu.ops", math.ceil(flops))
-    counters.add("core.issue.instructions", math.ceil(per_lane + overhead))
-    counters.add("core.alu.ops", math.ceil(overhead * cluster.core.lanes / 2))
-    counters.add("core.lsu.requests", math.ceil(overhead / 2))
-    counters.add(
-        "core.issue.rf_read_words", math.ceil(2 * (flops + overhead * cluster.core.lanes))
-    )
-    counters.add("core.writeback.rf_write_words", math.ceil(flops))
-    counters.add("smem.core.read_words", elements)
-    counters.add("smem.core.write_words", elements)
-    return cycles, counters
 
 
 def _lower_attention(

@@ -7,9 +7,9 @@ a stepper's -- is a Python ``int`` that no addition order can change.
 Properties here pin that down: pricing rejects a fractional count, the
 totals are ``int``s and their encodings floats, a batch's energy is the sum
 of its rows' in any order, an epoch and an episode run add exact multiples,
-and the sources of fractional counts (the SIMT cost model's and the flash
-softmax's per-lane counts, and the heterogeneous retry traffic) round up
-to whole events.
+and the sources of fractional counts (the SIMT sweep's per-lane counts,
+for elementwise kernels and the flash softmax alike, and the heterogeneous
+retry traffic) round up to whole events.
 """
 
 import dataclasses
@@ -20,10 +20,11 @@ from hypothesis import strategies as st
 
 from repro.config.presets import DesignKind, gemm_design_kinds, make_design
 from repro.energy.model import EnergyTable
-from repro.kernels.flash_attention import _softmax_counters
+from repro.kernels.flash_attention import SOFTMAX_FLOPS_PER_ELEMENT
 from repro.kernels.heterogeneous import simulate_heterogeneous
 from repro.perf import timing_cache
 from repro.sim.stats import Counters
+from repro.simt.core import sweep_cost
 from repro.workloads import (
     REQUEST_MODELS,
     RequestSpec,
@@ -31,7 +32,6 @@ from repro.workloads import (
     build_model,
     build_request_stream,
     build_stream_trace,
-    lowering,
     run_fleet,
     run_model,
     run_serving,
@@ -207,10 +207,10 @@ def _lanes(design, lanes):
 )
 def test_simt_cost_counts_are_whole(kind, lanes, elements, flops_per_element):
     design = _lanes(make_design(kind), lanes)
-    _, counters = lowering._simt_cost_uncached(design, elements, flops_per_element)
+    _, counters = sweep_cost(design, elements, flops_per_element, 1, 1)
     assert all(float(value).is_integer() for _, value in counters.items())
     assert counters["core.fpu.ops"] >= elements * flops_per_element
-    softmax = _softmax_counters(design, elements)
+    _, softmax = sweep_cost(design, elements, SOFTMAX_FLOPS_PER_ELEMENT, 3, 2)
     assert all(float(value).is_integer() for _, value in softmax.items())
 
 

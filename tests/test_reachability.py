@@ -137,8 +137,6 @@ def test_definition_allowlist_entries_have_reasons():
         "repro.sim.stats:Counters.as_dict",
         "repro.sim.taskgraph:ScheduleResult.finish_time",
         "repro.simt.core:VortexCore.execution_key",
-        "repro.tensorcore.hopper:HopperTensorCore.gemm_tile_count",
-        "repro.tensorcore.volta:VoltaTensorCore.gemm_tile_count",
         "repro.workloads.batch:fleet_sweep_jobs",
         "repro.workloads.batch:serving_sweep_jobs",
         "repro.workloads.models:poisson_stream_trace",

@@ -136,8 +136,10 @@ class TestVoltaTensorCore:
         assert counters["matrix_unit.operand_buffer_words"] > 0
 
     def test_gemm_tile_count(self, volta_design):
-        unit = self._unit(volta_design)
-        assert unit.gemm_tile_count(256, 256, 256) == 32 * 32 * 16
+        unit = volta_design.matrix_unit
+        assert unit.tile_count(256, 256, 256) == 32 * 32 * 16
+        # A partial tile in any dimension costs a whole tile operation.
+        assert unit.tile_count(257, 9, 17) == 33 * 2 * 2
 
 
 class TestHopperTensorCore:

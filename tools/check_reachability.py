@@ -110,12 +110,6 @@ DEFINITION_ALLOWLIST: Dict[str, str] = {
     "repro.simt.core:VortexCore.execution_key": (
         "test seam: tests/test_simt_memo.py checks the memo key's content on it"
     ),
-    "repro.tensorcore.hopper:HopperTensorCore.gemm_tile_count": (
-        "the tile-accounting item makes it the stream builders' tile count"
-    ),
-    "repro.tensorcore.volta:VoltaTensorCore.gemm_tile_count": (
-        "the tile-accounting item makes it the stream builders' tile count"
-    ),
     "repro.workloads.batch:fleet_sweep_jobs": "public API docs/fleet.md runs",
     "repro.workloads.batch:serving_sweep_jobs": "public API docs/serving.md names",
     "repro.workloads.models:poisson_stream_trace": (
