@@ -63,7 +63,6 @@ def volta_style(dtype: DataType = DataType.FP16) -> DesignConfig:
     """
     macs = 32 if dtype is DataType.FP16 else 16
     unit = MatrixUnitConfig(
-        style=IntegrationStyle.TIGHTLY_COUPLED,
         dtype=dtype,
         macs_per_cycle=macs,
         tile_m=8,
@@ -91,12 +90,7 @@ def volta_style(dtype: DataType = DataType.FP16) -> DesignConfig:
 def ampere_style(dtype: DataType = DataType.FP16) -> DesignConfig:
     """Volta-style tightly-coupled unit plus a cluster DMA engine."""
     base = volta_style(dtype)
-    unit = replace(base.matrix_unit, style=IntegrationStyle.TIGHTLY_COUPLED_DMA)
-    cluster = replace(
-        base.soc.cluster,
-        dma=DmaConfig(present=True),
-        matrix_unit=unit,
-    )
+    cluster = replace(base.soc.cluster, dma=DmaConfig(present=True))
     return DesignConfig(
         name="Ampere-style",
         style=IntegrationStyle.TIGHTLY_COUPLED_DMA,
@@ -113,7 +107,6 @@ def hopper_style(dtype: DataType = DataType.FP16) -> DesignConfig:
     """
     macs = 64 if dtype is DataType.FP16 else 32
     unit = MatrixUnitConfig(
-        style=IntegrationStyle.OPERAND_DECOUPLED,
         dtype=dtype,
         macs_per_cycle=macs,
         tile_m=16,
@@ -153,7 +146,6 @@ def virgo(dtype: DataType = DataType.FP16) -> DesignConfig:
         rows = cols = 8
         tile_m, tile_n, tile_k = 64, 64, 64
     unit = MatrixUnitConfig(
-        style=IntegrationStyle.DISAGGREGATED,
         dtype=dtype,
         macs_per_cycle=rows * cols,
         tile_m=tile_m,

@@ -111,7 +111,6 @@ class DmaConfig:
     present: bool = True
     bytes_per_cycle: float = 32.0
     program_latency: int = 20
-    max_outstanding: int = 4
 
 
 @dataclass(frozen=True)
@@ -122,7 +121,6 @@ class MatrixUnitConfig:
     per SIMT core; for Virgo a single instance exists per cluster.
     """
 
-    style: IntegrationStyle
     dtype: DataType = DataType.FP16
     macs_per_cycle: int = 32
     tile_m: int = 8
@@ -195,9 +193,7 @@ class ClusterConfig:
     core: CoreConfig = field(default_factory=CoreConfig)
     shared_memory: SharedMemoryConfig = field(default_factory=SharedMemoryConfig)
     dma: DmaConfig = field(default_factory=DmaConfig)
-    matrix_unit: MatrixUnitConfig = field(
-        default_factory=lambda: MatrixUnitConfig(style=IntegrationStyle.TIGHTLY_COUPLED)
-    )
+    matrix_unit: MatrixUnitConfig = field(default_factory=MatrixUnitConfig)
     # Number of matrix unit instances in the cluster.  For core-coupled
     # styles this equals ``cores``; for Virgo it is typically 1.
     matrix_units: int = 8

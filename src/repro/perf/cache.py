@@ -32,8 +32,10 @@ from repro.obs.phase import phase
 #: models, iteration outcomes and episode templates carry float energy
 #: rather than whole femtojoules; version 4 those whose episode templates
 #: name their per-request totals ``total_*`` rather than after the
-#: iteration outcome's fields.
-SCHEMA_VERSION = 4
+#: iteration outcome's fields; version 5 those keyed by design fingerprints
+#: that still cover the matrix unit's ``style`` and the DMA's
+#: ``max_outstanding``.
+SCHEMA_VERSION = 5
 
 #: Version of the snapshot *container* (the dict ``snapshot()`` returns and
 #: ``save_snapshot`` pickles).  Bump when the container shape changes, so an
