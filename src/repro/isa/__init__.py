@@ -11,18 +11,13 @@ from repro.isa.instructions import (
     Instruction,
     shared_instruction,
     latency_of,
-    is_memory,
-    is_matrix,
 )
-from repro.isa.program import InstructionStream, WarpProgram
+from repro.isa.program import WarpProgram
 
 __all__ = [
     "OpClass",
     "Instruction",
     "shared_instruction",
     "latency_of",
-    "is_memory",
-    "is_matrix",
-    "InstructionStream",
     "WarpProgram",
 ]

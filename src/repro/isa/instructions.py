@@ -67,37 +67,10 @@ _LATENCIES: Dict[OpClass, int] = {
     OpClass.NOP: 1,
 }
 
-_MEMORY_CLASSES = {
-    OpClass.LOAD_GLOBAL,
-    OpClass.STORE_GLOBAL,
-    OpClass.LOAD_SHARED,
-    OpClass.STORE_SHARED,
-    OpClass.MMIO_STORE,
-    OpClass.MMIO_POLL,
-    OpClass.DMA_PROGRAM,
-}
-
-_MATRIX_CLASSES = {
-    OpClass.HMMA_SET,
-    OpClass.HMMA_STEP,
-    OpClass.WGMMA_INIT,
-    OpClass.WGMMA_WAIT,
-}
-
 
 def latency_of(op_class: OpClass) -> int:
     """Nominal issue-to-writeback latency of ``op_class`` in cycles."""
     return _LATENCIES[op_class]
-
-
-def is_memory(op_class: OpClass) -> bool:
-    """True if the instruction occupies the load/store unit."""
-    return op_class in _MEMORY_CLASSES
-
-
-def is_matrix(op_class: OpClass) -> bool:
-    """True if the instruction drives a core-coupled matrix unit."""
-    return op_class in _MATRIX_CLASSES
 
 
 @dataclass(frozen=True)
@@ -129,14 +102,6 @@ class Instruction:
     @property
     def latency(self) -> int:
         return latency_of(self.op_class)
-
-    @property
-    def is_memory(self) -> bool:
-        return is_memory(self.op_class)
-
-    @property
-    def is_matrix(self) -> bool:
-        return is_matrix(self.op_class)
 
 
 @lru_cache(maxsize=1024, typed=True)

@@ -71,29 +71,3 @@ class WarpProgram:
                 total += instruction.bytes_accessed
         return total
 
-
-@dataclass
-class InstructionStream:
-    """A collection of warp programs plus replication information.
-
-    ``warps`` is the number of warps that each execute every program in
-    ``programs`` (collaborative execution of warps, Section 4.2), and
-    ``iterations`` is how many times the steady-state stream repeats.
-    """
-
-    programs: List[WarpProgram] = field(default_factory=list)
-    warps: int = 1
-    iterations: int = 1
-
-    def add(self, program: WarpProgram) -> "InstructionStream":
-        self.programs.append(program)
-        return self
-
-    def count_by_class(self) -> Dict[OpClass, int]:
-        """Dynamic instruction counts per class across all warps/iterations."""
-        counts: Dict[OpClass, int] = {}
-        for program in self.programs:
-            for op_class, count in program.count_by_class().items():
-                counts[op_class] = counts.get(op_class, 0) + count
-        scale = self.warps * self.iterations
-        return {op_class: count * scale for op_class, count in counts.items()}

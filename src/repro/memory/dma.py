@@ -37,10 +37,6 @@ class DmaTransfer:
     nbytes: int
     cycles: int
 
-    @property
-    def bytes_per_cycle(self) -> float:
-        return self.nbytes / self.cycles if self.cycles else 0.0
-
 
 class DmaEngine:
     """MMIO-programmed bulk copy engine shared by the cluster."""

@@ -130,6 +130,7 @@ def test_definition_allowlist_entries_have_reasons():
         "repro.energy.area:AreaModel.total_um2",
         "repro.energy.breakdown:EnergyBreakdown.total_fj",
         "repro.energy.model:EnergyTable.unknown_counters",
+        "repro.isa.program:WarpProgram.count_by_class",
         "repro.kernels.gemm.functional:gemm_functional",
         "repro.kernels.gemm.functional:reference_gemm",
         "repro.kernels.gemm.tiling:ThreadBlockTiling.fits_in_shared_memory",
@@ -215,4 +216,28 @@ def test_stale_definition_entries_are_rejected(src):
         "definition allowlist entry repro.pkg.used:gone names no definition "
         "in a module reached from repro.__main__",
         "definition allowlist entry repro.pkg.used:helper is used: drop the entry",
+    ]
+
+
+def test_mentions_inside_a_definitions_own_body_are_not_uses(src):
+    """A class named only in its own annotations and a function named only
+    in its own recursive call are unused.  A method that calls a namesake
+    on another class uses that namesake, not itself."""
+    (src / "repro" / "pkg" / "used.py").write_text(
+        "def helper():\n    return Program(), Stream([])\n\n\n"
+        "class Program:\n"
+        "    def count(self):\n        return 1\n\n\n"
+        "class Stream:\n"
+        "    def __init__(self, programs):\n        self.programs = programs\n\n"
+        "    def count(self):\n"
+        "        return sum(program.count() for program in self.programs)\n\n\n"
+        "class Node:\n"
+        "    def clone(self) -> 'Node':\n        return Node()\n\n\n"
+        "def countdown(n):\n    return countdown(n - 1) if n else 0\n"
+    )
+    assert check_reachability.find_problems(src, {"repro.pkg.unused": "kept"}, {}) == [
+        _unused("repro.pkg.used:Stream.count"),
+        _unused("repro.pkg.used:Node"),
+        _unused("repro.pkg.used:Node.clone"),
+        _unused("repro.pkg.used:countdown"),
     ]

@@ -13,8 +13,10 @@ Definitions.  In every reached module, each top-level function and class
 and each method of a top-level class must be used somewhere: its name
 appears as a name, as an attribute or as a string constant (for
 ``getattr``) in a module under ``src/repro`` (allowlisted modules included)
-or in a script under ``examples/``.  Import aliases, ``__all__`` entries
-and the definition's own ``def`` or ``class`` line are not uses.  Dunder
+or in a script under ``examples/``.  Import aliases, ``__all__`` entries,
+the definition's own ``def`` or ``class`` line and the mentions of its name
+inside its own body (a recursive call, a class's own annotations) are not
+uses.  Dunder
 names are exempt, and so are the modules on the module allowlist, which are
 not reached.  The check matches on names, not on what a name refers to:
 a name used anywhere counts as a use, so the check can miss dead code (a
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Dict, Iterator, List, Set, Tuple
 
@@ -95,6 +98,10 @@ DEFINITION_ALLOWLIST: Dict[str, str] = {
     ),
     "repro.kernels.gemm.functional:reference_gemm": (
         "numpy reference tests/test_gemm_kernels.py compares gemm_functional to"
+    ),
+    "repro.isa.program:WarpProgram.count_by_class": (
+        "tests/test_kernel_internals.py reads each stream's instruction mix "
+        "through it"
     ),
     "repro.kernels.gemm.tiling:ThreadBlockTiling.fits_in_shared_memory": (
         "tests/test_gemm_kernels.py checks every design's live tiling with it"
@@ -239,16 +246,16 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def _definitions(module: str, tree: ast.Module) -> Iterator[Tuple[str, str]]:
-    """(``module:Qualname``, name) of each definition the check covers."""
+def _definitions(module: str, tree: ast.Module) -> Iterator[Tuple[str, ast.AST]]:
+    """(``module:Qualname``, node) of each definition the check covers."""
     for node in tree.body:
         if not isinstance(node, _FUNCTIONS + (ast.ClassDef,)) or _is_dunder(node.name):
             continue
-        yield f"{module}:{node.name}", node.name
+        yield f"{module}:{node.name}", node
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(member, _FUNCTIONS) and not _is_dunder(member.name):
-                    yield f"{module}:{node.name}.{member.name}", member.name
+                    yield f"{module}:{node.name}.{member.name}", member
 
 
 def _binds_all(node: ast.AST) -> bool:
@@ -261,39 +268,41 @@ def _binds_all(node: ast.AST) -> bool:
     return any(isinstance(target, ast.Name) and target.id == "__all__" for target in targets)
 
 
-def _used_names(tree: ast.Module) -> Set[str]:
-    """Names, attributes and string constants in ``tree``, ``__all__`` aside."""
+def _mentions(tree: ast.AST) -> Counter:
+    """How often each name, attribute and string constant occurs in ``tree``,
+    ``__all__`` aside."""
     exports = {
         id(node)
         for statement in ast.walk(tree)
         if _binds_all(statement)
         for node in ast.walk(statement)
     }
-    used: Set[str] = set()
+    mentions: Counter = Counter()
     for node in ast.walk(tree):
         if id(node) in exports:
             continue
         if isinstance(node, ast.Name):
-            used.add(node.id)
+            mentions[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
+            mentions[node.attr] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            used.add(node.value)
-    return used
+            mentions[node.value] += 1
+    return mentions
 
 
 def _definition_uses(
     src: Path, trees: Dict[str, ast.Module], reached: Set[str]
 ) -> Dict[str, bool]:
-    """``module:Qualname`` -> used, for each definition in a reached module."""
+    """``module:Qualname`` -> used, for each definition in a reached module:
+    its name is mentioned somewhere outside its own body."""
     scripts = sorted((src.parent / "examples").rglob("*.py"))
-    used: Set[str] = set()
+    mentions: Counter = Counter()
     for tree in list(trees.values()) + [_parse(path) for path in scripts]:
-        used |= _used_names(tree)
+        mentions.update(_mentions(tree))
     return {
-        key: name in used
+        key: mentions[node.name] > _mentions(node)[node.name]
         for module in sorted(reached & set(trees))
-        for key, name in _definitions(module, trees[module])
+        for key, node in _definitions(module, trees[module])
     }
 
 
