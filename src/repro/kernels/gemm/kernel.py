@@ -10,7 +10,7 @@ instructions scaled to the whole GEMM.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Tuple, Union
 
 from repro.config.soc import DesignConfig, IntegrationStyle
 from repro.kernels.gemm.base import (
@@ -25,6 +25,8 @@ from repro.memory.dma import DmaEngine
 from repro.memory.dram import DramChannel
 from repro.sim.stats import Counters
 from repro.simt.core import VortexCore
+from repro.tensorcore.hopper import HopperTensorCore
+from repro.tensorcore.volta import VoltaTensorCore
 
 
 #: Loop wiring of the designs whose accumulators live in the register file:
@@ -94,7 +96,10 @@ class GemmKernel:
 
 
 def tile_op_events(
-    design: DesignConfig, tensor_core, core_counters: Counters, tile_ops_per_core: int
+    design: DesignConfig,
+    tensor_core: Union[VoltaTensorCore, HopperTensorCore],
+    core_counters: Counters,
+    tile_ops_per_core: int,
 ) -> Counters:
     """One iteration's events on a core-coupled design.
 
