@@ -18,8 +18,6 @@ from repro.config.soc import (
     CoreConfig,
     DataType,
     DesignConfig,
-    DmaConfig,
-    DramConfig,
     IntegrationStyle,
     MatrixUnitConfig,
     SharedMemoryConfig,
@@ -76,7 +74,6 @@ def volta_style(dtype: DataType = DataType.FP16) -> DesignConfig:
         cores=8,
         core=_base_core(),
         shared_memory=_base_shared_memory(subbanks=16),
-        dma=DmaConfig(present=False),
         matrix_unit=unit,
         matrix_units=8,
     )
@@ -89,12 +86,8 @@ def volta_style(dtype: DataType = DataType.FP16) -> DesignConfig:
 
 def ampere_style(dtype: DataType = DataType.FP16) -> DesignConfig:
     """Volta-style tightly-coupled unit plus a cluster DMA engine."""
-    base = volta_style(dtype)
-    cluster = replace(base.soc.cluster, dma=DmaConfig(present=True))
-    return DesignConfig(
-        name="Ampere-style",
-        style=IntegrationStyle.TIGHTLY_COUPLED_DMA,
-        soc=replace(base.soc, cluster=cluster),
+    return replace(
+        volta_style(dtype), name="Ampere-style", style=IntegrationStyle.TIGHTLY_COUPLED_DMA
     )
 
 
@@ -120,7 +113,6 @@ def hopper_style(dtype: DataType = DataType.FP16) -> DesignConfig:
         cores=4,
         core=_base_core(),
         shared_memory=_base_shared_memory(subbanks=8),
-        dma=DmaConfig(present=True),
         matrix_unit=unit,
         matrix_units=4,
     )
@@ -160,7 +152,6 @@ def virgo(dtype: DataType = DataType.FP16) -> DesignConfig:
         cores=8,
         core=_base_core(),
         shared_memory=_base_shared_memory(subbanks=8),
-        dma=DmaConfig(present=True),
         matrix_unit=unit,
         matrix_units=1,
     )

@@ -39,9 +39,6 @@ class RegisterFileConfig:
 
     int_bytes: int = 8 * 1024
     fp_bytes: int = 8 * 1024
-    read_ports: int = 3
-    write_ports: int = 1
-    banks: int = 4
 
     @property
     def total_bytes(self) -> int:
@@ -56,18 +53,13 @@ class RegisterFileConfig:
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """A set-associative cache's parameters (Table 2).
+    """A cache's capacity (Table 2).
 
-    No cache is simulated: the area model reads ``size_bytes``, and every
-    field feeds the design fingerprint.
+    No cache is simulated: the area model reads ``size_bytes``, its only
+    field, which also feeds the design fingerprint.
     """
 
     size_bytes: int
-    line_bytes: int = 64
-    ways: int = 4
-    hit_latency: int = 4
-    miss_penalty: int = 30
-    mshrs: int = 8
 
 
 @dataclass(frozen=True)
@@ -106,9 +98,12 @@ class SharedMemoryConfig:
 
 @dataclass(frozen=True)
 class DmaConfig:
-    """Cluster DMA engine for global <-> shared memory transfers."""
+    """Cluster DMA engine for global <-> shared memory transfers.
 
-    present: bool = True
+    Whether a design has one follows from its style
+    (:attr:`DesignConfig.has_dma`).
+    """
+
     bytes_per_cycle: float = 32.0
     program_latency: int = 20
 
@@ -176,10 +171,6 @@ class CoreConfig:
 
     warps: int = 8
     lanes: int = 8
-    alus_per_lane: int = 2
-    fpus_per_lane: int = 1
-    lsq_entries: int = 32
-    issue_width: int = 1
     register_file: RegisterFileConfig = field(default_factory=RegisterFileConfig)
     l1i: CacheConfig = field(default_factory=lambda: CacheConfig(size_bytes=16 * 1024))
     l1d: CacheConfig = field(default_factory=lambda: CacheConfig(size_bytes=16 * 1024))
@@ -209,9 +200,7 @@ class SoCConfig:
 
     clusters: int = 1
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
-    l2: CacheConfig = field(
-        default_factory=lambda: CacheConfig(size_bytes=512 * 1024, hit_latency=20, miss_penalty=80)
-    )
+    l2: CacheConfig = field(default_factory=lambda: CacheConfig(size_bytes=512 * 1024))
     dram: DramConfig = field(default_factory=DramConfig)
     clock_mhz: float = 400.0
 
@@ -280,5 +269,3 @@ class DesignConfig:
                     "core-coupled designs must have one matrix unit per core "
                     f"(got {cluster.matrix_units} units for {cluster.cores} cores)"
                 )
-        if self.style is IntegrationStyle.TIGHTLY_COUPLED and cluster.dma.present:
-            raise ValueError("Volta-style design must not instantiate a DMA engine")

@@ -196,7 +196,7 @@ class VirgoContext:
     def _issue_async(
         self, kind: str, resource: Resource, duration: int, description: str
     ) -> AsyncHandle:
-        start, end = resource.reserve(self.now, duration, label=description)
+        start, end = resource.reserve(self.now, duration)
         handle = AsyncHandle(kind=kind, start_cycle=start, end_cycle=end, description=description)
         self._pending.append(handle)
         # Issuing an asynchronous command costs the warp a couple of cycles.

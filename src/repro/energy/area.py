@@ -63,7 +63,7 @@ class AreaModel:
         )
         accum_area = cluster.matrix_units * SRAM_UM2_PER_KB * unit.accumulator_bytes / 1024.0
 
-        dma_area = UM2_PER_DMA if cluster.dma.present else 0.0
+        dma_area = UM2_PER_DMA if self.design.has_dma else 0.0
         other_area = UM2_MMIO_AND_SYNC if self.design.style is IntegrationStyle.DISAGGREGATED else 0.0
 
         return {

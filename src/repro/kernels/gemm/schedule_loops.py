@@ -50,6 +50,11 @@ __all__ = [
     "execute_flash_loop",
 ]
 
+#: The resource every load, the flash prologue and the flash epilogue occupy.
+_DMA = "dma"
+#: The resource of the flash loop's per-iteration sync step.
+_SYNC = "sync"
+
 #: Anchor names used by the compressed executor.
 _CHAIN = "chain"  # the serializing dependency chain (previous compute / store)
 _LOAD = "load"  # the most recent load's end time
@@ -59,7 +64,10 @@ _HIST2 = "hist2"  # second-most-recent compute end
 
 @dataclass(frozen=True)
 class GemmLoopSpec:
-    """Loop structure and per-operation costs of one tiled GEMM schedule."""
+    """Loop structure and per-operation costs of one tiled GEMM schedule.
+
+    Loads, when the loop has them, occupy the ``"dma"`` resource.
+    """
 
     cluster_tiles: int
     k_iterations: int
@@ -68,7 +76,6 @@ class GemmLoopSpec:
     epilogue_cycles: int
     epilogue_resource: str
     load_cycles: Optional[int] = None  # None = no explicit load operations
-    load_resource: str = "dma"
     #: Loads of iteration k > 0 wait for the compute two iterations back
     #: (register/shared-memory double buffering on the core-coupled designs).
     double_buffer_deps: bool = False
@@ -116,7 +123,7 @@ def execute_gemm_loop(spec: GemmLoopSpec, full_expansion: bool = False) -> GemmL
 def _execute_expanded(spec: GemmLoopSpec) -> GemmLoopSchedule:
     graph = OperationGraph()
     graph.add_resource(Resource(spec.compute_resource))
-    graph.add_resource(Resource(spec.load_resource))
+    graph.add_resource(Resource(_DMA))
 
     previous: Optional[str] = None
     history: List[str] = []
@@ -132,7 +139,7 @@ def _execute_expanded(spec: GemmLoopSpec) -> GemmLoopSchedule:
                 else:
                     load_deps = []
                 graph.add_operation(
-                    load_name, spec.load_resource, spec.load_cycles, deps=load_deps, kind="dma"
+                    load_name, _DMA, spec.load_cycles, deps=load_deps, kind="dma"
                 )
                 deps.append(load_name)
             name = f"compute.t{tile}.k{k}"
@@ -175,7 +182,7 @@ def _load_step(spec: GemmLoopSpec, first_k: bool) -> LoopStep:
     else:
         deps = ()
     return LoopStep(
-        resource=spec.load_resource,
+        resource=_DMA,
         duration=spec.load_cycles or 0,
         kind="dma",
         deps=deps,
@@ -212,8 +219,8 @@ def _execute_compressed(spec: GemmLoopSpec) -> GemmLoopSchedule:
     # Only register resources the loop actually occupies: an always-idle
     # component would sit at a zero delta and defeat the outer loop's
     # uniform-shift detection.
-    if has_loads or spec.epilogue_resource == spec.load_resource:
-        engine.add_resource(spec.load_resource)
+    if has_loads or spec.epilogue_resource == _DMA:
+        engine.add_resource(_DMA)
     steady_body = ([_load_step(spec, first_k=False)] if has_loads else []) + [_compute_step(spec)]
     epilogue = LoopStep(
         resource=spec.epilogue_resource,
@@ -239,7 +246,7 @@ def _execute_compressed(spec: GemmLoopSpec) -> GemmLoopSchedule:
         engine.run_outer(tile_body, spec.cluster_tiles - 1)
 
     resource_busy = dict(engine.busy)
-    resource_busy.setdefault(spec.load_resource, 0)  # mirror the expanded graph
+    resource_busy.setdefault(_DMA, 0)  # mirror the expanded graph
     return GemmLoopSchedule(
         total_cycles=engine.makespan,
         kind_cycles=dict(engine.kind_cycles),
@@ -297,7 +304,8 @@ class FlashLoopSpec:
     iteration, so each iteration is paced by its slowest pipe plus the sync
     cost.  ``prologue_cycles`` models the initial Q/K/V loads the first
     iteration waits on; ``epilogue_count`` stores of ``epilogue_cycles``
-    each drain the output tiles after the loop.
+    each drain the output tiles after the loop.  The sync step occupies the
+    ``"sync"`` resource, the prologue and the stores the ``"dma"`` one.
 
     ``trip_profile`` carries the masked iteration structure: the
     run-length-encoded per-Q-tile visited-KV-tile counts of *one head*
@@ -311,12 +319,9 @@ class FlashLoopSpec:
     iterations: int
     pipes: Tuple[FlashPipe, ...]
     sync_cycles: int = 0
-    sync_resource: str = "sync"
     prologue_cycles: int = 0
-    prologue_resource: str = "dma"
     epilogue_cycles: int = 0
     epilogue_count: int = 0
-    epilogue_resource: str = "dma"
     trip_profile: Tuple[FlashSegment, ...] = ()
     profile_repeats: int = 1
 
@@ -347,11 +352,9 @@ class FlashLoopSpec:
 
     def resources(self) -> Tuple[str, ...]:
         """Every resource the loop occupies, in deterministic order."""
-        names = [pipe.resource for pipe in self.pipes] + [self.sync_resource]
-        if self.prologue_cycles:
-            names.append(self.prologue_resource)
-        if self.epilogue_count:
-            names.append(self.epilogue_resource)
+        names = [pipe.resource for pipe in self.pipes] + [_SYNC]
+        if self.prologue_cycles or self.epilogue_count:
+            names.append(_DMA)
         return tuple(dict.fromkeys(names))
 
 
@@ -388,7 +391,7 @@ def _execute_flash_expanded(spec: FlashLoopSpec) -> GemmLoopSchedule:
     chain: Optional[str] = None
     if spec.prologue_cycles:
         graph.add_operation(
-            "prologue", spec.prologue_resource, spec.prologue_cycles, kind="prologue"
+            "prologue", _DMA, spec.prologue_cycles, kind="prologue"
         )
         chain = "prologue"
     index = 0
@@ -407,7 +410,7 @@ def _execute_flash_expanded(spec: FlashLoopSpec) -> GemmLoopSchedule:
                 pipe_names.append(name)
             sync_name = f"sync.i{index}"
             graph.add_operation(
-                sync_name, spec.sync_resource, spec.sync_cycles, deps=pipe_names,
+                sync_name, _SYNC, spec.sync_cycles, deps=pipe_names,
                 kind="sync",
             )
             chain = sync_name
@@ -416,7 +419,7 @@ def _execute_flash_expanded(spec: FlashLoopSpec) -> GemmLoopSchedule:
         name = f"epilogue.{index}"
         graph.add_operation(
             name,
-            spec.epilogue_resource,
+            _DMA,
             spec.epilogue_cycles,
             deps=[chain] if chain else [],
             kind="epilogue",
@@ -440,7 +443,7 @@ def _execute_flash_compressed(spec: FlashLoopSpec) -> GemmLoopSchedule:
     if spec.prologue_cycles:
         engine.execute(
             LoopStep(
-                resource=spec.prologue_resource,
+                resource=_DMA,
                 duration=spec.prologue_cycles,
                 kind="prologue",
                 sets=(_CHAIN,),
@@ -458,7 +461,7 @@ def _execute_flash_compressed(spec: FlashLoopSpec) -> GemmLoopSchedule:
     ]
     body.append(
         LoopStep(
-            resource=spec.sync_resource,
+            resource=_SYNC,
             duration=spec.sync_cycles,
             kind="sync",
             deps=tuple(_pipe_anchor(pipe.kind) for pipe in spec.pipes),
@@ -490,7 +493,7 @@ def _execute_flash_compressed(spec: FlashLoopSpec) -> GemmLoopSchedule:
         engine.run_loop(
             [
                 LoopStep(
-                    resource=spec.epilogue_resource,
+                    resource=_DMA,
                     duration=spec.epilogue_cycles,
                     kind="epilogue",
                     deps=(_CHAIN,),

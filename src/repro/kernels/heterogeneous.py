@@ -24,19 +24,19 @@ from repro.kernels.gemm.virgo_gemm import VirgoGemmKernel
 from repro.sim.stats import Counters
 
 
-def small_unit_config(base: MatrixUnitConfig, scale: int = 2) -> MatrixUnitConfig:
-    """A unit with a mesh ``scale``x smaller in each dimension than ``base``."""
-    rows = max(1, base.systolic_rows // scale)
-    cols = max(1, base.systolic_cols // scale)
+def small_unit_config(base: MatrixUnitConfig) -> MatrixUnitConfig:
+    """A unit with a mesh half the size of ``base``'s in each dimension."""
+    rows = max(1, base.systolic_rows // 2)
+    cols = max(1, base.systolic_cols // 2)
     return replace(
         base,
         systolic_rows=rows,
         systolic_cols=cols,
         macs_per_cycle=rows * cols,
-        tile_m=max(rows, base.tile_m // scale),
-        tile_n=max(cols, base.tile_n // scale),
-        tile_k=max(rows, base.tile_k // scale),
-        accumulator_bytes=max(8 * 1024, base.accumulator_bytes // scale),
+        tile_m=max(rows, base.tile_m // 2),
+        tile_n=max(cols, base.tile_n // 2),
+        tile_k=max(rows, base.tile_k // 2),
+        accumulator_bytes=max(8 * 1024, base.accumulator_bytes // 2),
     )
 
 
@@ -89,7 +89,7 @@ class HeterogeneousResult:
     def parallel_speedup(self) -> float:
         return self.serial_cycles / self.parallel_cycles if self.parallel_cycles else 0.0
 
-    def power_per_flop_increase(self, clock_mhz: float = 400.0) -> float:
+    def power_per_flop_increase(self) -> float:
         """Relative increase of (active power / FLOP rate) of parallel vs serial.
 
         Energy per FLOP is runtime-independent, so the ratio reduces to the

@@ -47,8 +47,6 @@ class DmaEngine:
         dram: DramChannel,
         shared_memory: Optional[BankedSharedMemory] = None,
     ) -> None:
-        if not config.present:
-            raise ValueError("cannot instantiate a DMA engine that the design omits")
         self.config = config
         self.dram = dram
         self.shared_memory = shared_memory

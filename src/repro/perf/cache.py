@@ -34,8 +34,10 @@ from repro.obs.phase import phase
 #: name their per-request totals ``total_*`` rather than after the
 #: iteration outcome's fields; version 5 those keyed by design fingerprints
 #: that still cover the matrix unit's ``style`` and the DMA's
-#: ``max_outstanding``.
-SCHEMA_VERSION = 5
+#: ``max_outstanding``; version 6 those whose design fingerprints still
+#: cover the unread core, register-file and cache fields and the DMA's
+#: ``present``, and whose SIMT execution keys still carry a scheduler kind.
+SCHEMA_VERSION = 6
 
 #: Version of the snapshot *container* (the dict ``snapshot()`` returns and
 #: ``save_snapshot`` pickles).  Bump when the container shape changes, so an

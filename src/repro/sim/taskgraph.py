@@ -112,8 +112,8 @@ class ScheduleResult:
 class OperationGraph:
     """A DAG of operations plus the resource pool they contend for."""
 
-    def __init__(self, resources: Optional[ResourcePool] = None) -> None:
-        self.resources = resources or ResourcePool()
+    def __init__(self) -> None:
+        self.resources = ResourcePool()
         self._operations: Dict[str, Operation] = {}
         self._order: List[str] = []
 
@@ -185,7 +185,7 @@ def schedule_graph(graph: OperationGraph) -> ScheduleResult:
         for dep in operation.deps:
             ready = max(ready, scheduled[dep].end)
         resource = graph.resources[operation.resource]
-        start, end = resource.reserve(ready, operation.duration, label=operation.name)
+        start, end = resource.reserve(ready, operation.duration)
         scheduled[operation.name] = ScheduledOperation(operation=operation, start=start, end=end)
 
     total = max((item.end for item in scheduled.values()), default=0)

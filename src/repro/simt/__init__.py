@@ -3,8 +3,8 @@
 The package provides two levels of modelling:
 
 * A cycle-level issue-stage simulator (:mod:`repro.simt.issue`) that replays
-  per-warp instruction streams through a round-robin or greedy-then-oldest
-  warp scheduler with structural and latency hazards.  Kernel models use it,
+  per-warp instruction streams through a round-robin warp scheduler with
+  structural and latency hazards.  Kernel models use it,
   through :class:`VortexCore`, to determine how many cycles a core needs to
   issue one steady-state iteration and which energy events it generates.
   There is one compiled path: a :class:`ProgramSet` decodes each distinct

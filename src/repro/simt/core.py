@@ -68,7 +68,7 @@ class CoreExecutionResult:
 
 
 #: Namespace of the core execution memo inside the timing cache: one entry
-#: per distinct (core config, scheduler, warp instruction sequences).
+#: per distinct (core config, warp instruction sequences).
 _EXECUTION_NAMESPACE = "simt.core_execution"
 
 
@@ -85,9 +85,9 @@ def _encode_instruction(instruction: Instruction) -> bytes:
 class VortexCore:
     """One Vortex SIMT core: issue timing + per-instruction energy events."""
 
-    def __init__(self, config: CoreConfig, scheduler: str = "round_robin") -> None:
+    def __init__(self, config: CoreConfig) -> None:
         self.config = config
-        self._issue_simulator = IssueSimulator(config, scheduler=scheduler)
+        self._issue_simulator = IssueSimulator(config)
 
     def execute(self, programs: Sequence[WarpProgram]) -> CoreExecutionResult:
         """Replay ``programs`` (one per active warp) and collect energy events.
@@ -109,10 +109,9 @@ class VortexCore:
     def execution_key(self, programs: Sequence[WarpProgram]) -> bytes:
         """Content digest of one :meth:`execute` input.
 
-        Covers the core config, the scheduler kind and, per warp in order,
-        each instruction's (op class, register reads, register writes,
-        bytes accessed) -- everything the issue model and the counters
-        read.  The program ``name`` is left out for the same reason as the
+        Covers the core config and, per warp in order, each instruction's
+        (op class, register reads, register writes, bytes accessed) --
+        everything the issue model and the counters read.  The program ``name`` is left out for the same reason as the
         instruction ``tag``: nothing in the simulation reads it.  The digest
         holds content only, never an ``id()``.
         """
@@ -127,8 +126,7 @@ class VortexCore:
             hashlib.sha256(b"".join(map(codes.__getitem__, stream))).digest()
             for stream in program_set.streams
         ]
-        core = f"{design_fingerprint(self.config)}:{self._issue_simulator.scheduler_kind}"
-        digest = hashlib.sha256(core.encode("ascii"))
+        digest = hashlib.sha256(design_fingerprint(self.config).encode("ascii"))
         for slot in program_set.warps:
             digest.update(digests[slot])
         return digest.digest()
@@ -204,7 +202,7 @@ def sweep_cost(
     flops = elements * flops_per_element
     fpu_cycles = flops / (cluster.cores * lanes)
     issue_cycles = fpu_cycles * (1.0 + SIMT_OVERHEAD_RATIO)
-    cycles = max(1, int(max(fpu_cycles, issue_cycles / cluster.core.issue_width)))
+    cycles = max(1, int(max(fpu_cycles, issue_cycles)))
 
     # Events are whole: a partly used FLOP or per-lane instruction counts as
     # one.  The cycles above keep the unrounded rate.

@@ -1,7 +1,7 @@
 """Cycle-level issue-stage simulator for one Vortex SIMT core.
 
-The simulator replays per-warp instruction streams through a warp scheduler,
-modelling the hazards that throttle core-coupled matrix units:
+The simulator replays per-warp instruction streams through a round-robin
+warp scheduler, modelling the hazards that throttle core-coupled matrix units:
 
 * **Issue bandwidth** -- one instruction per cycle per core (Vortex single
   issue).  Designs that need many instructions per tile (Volta/Ampere-style
@@ -25,7 +25,7 @@ blocking load; independent prefetches are emitted as non-blocking).
 Programs are first decoded into a :class:`ProgramSet`: each distinct
 ``Instruction`` object once, each distinct ``WarpProgram`` object once into
 a stream of indices.  The issue loop then steps plain integer lists (per
-warp: pc, blocked-until cycle, issued count; per unit: free-at cycle).
+warp: pc, blocked-until cycle; per unit: free-at cycle).
 """
 
 from __future__ import annotations
@@ -68,8 +68,6 @@ _UNIT_OCCUPANCY = {
 
 #: Execution units, in ``IssueResult.unit_busy_cycles`` order.
 _UNITS = ("alu", "fpu", "lsu", "tensor")
-
-_SCHEDULERS = ("round_robin", "gto")
 
 
 @dataclass
@@ -127,15 +125,8 @@ class ProgramSet:
 class IssueSimulator:
     """Replays warp programs through the issue stage of one SIMT core."""
 
-    def __init__(self, core: CoreConfig, scheduler: str = "round_robin") -> None:
-        if core.issue_width != 1:
-            raise ValueError(
-                f"CoreConfig.issue_width={core.issue_width}: the issue model is single-issue"
-            )
-        if scheduler not in _SCHEDULERS:
-            raise ValueError(f"unknown scheduler {scheduler!r}")
+    def __init__(self, core: CoreConfig) -> None:
         self.core = core
-        self.scheduler_kind = scheduler
 
     def simulate(
         self,
@@ -148,10 +139,9 @@ class IssueSimulator:
         program multiple times for warps that execute identical code), or
         is a :class:`ProgramSet` already decoded from them.
 
-        Each cycle the scheduler scans the eligible warps (instructions
-        left, not blocked): round-robin from the warp after the last one it
-        picked, GTO the last picked warp first, then by (issued count, warp
-        index).  A pick whose unit is still busy is a structural hazard: the
+        Each cycle the round-robin scheduler scans the eligible warps
+        (instructions left, not blocked) from the warp after the last one it
+        picked.  A pick whose unit is still busy is a structural hazard: the
         pick still moves the scheduler's pointer, and the scan goes on to
         the next eligible warp.  A cycle with no issuable warp is a stall.
         """
@@ -179,71 +169,41 @@ class IssueSimulator:
         ends = [len(stream) for stream in streams]
         pcs = [0] * count
         blocked = [0] * count
-        issued = [0] * count
         unit_free = [0] * len(_UNITS)
         unit_busy = [0] * len(_UNITS)
         issues = [0] * len(program_set.instructions)
         first_issued: List[int] = []
         live = sum(1 for end in ends if end)
-        gto = self.scheduler_kind == "gto"
         pointer = -1
         cycle = 0
         stall_cycles = 0
         while live:
             if cycle > max_cycles:
                 raise RuntimeError("issue simulation exceeded the cycle limit")
-            chosen = -1
-            if gto:
-                hazard = -1
-                if pointer >= 0:
-                    pc = pcs[pointer]
-                    if pc < ends[pointer] and blocked[pointer] <= cycle:
-                        code = streams[pointer][pc]
-                        unit = units[code]
-                        if unit < 0 or unit_free[unit] <= cycle:
-                            chosen = pointer
-                        else:
-                            hazard = pointer
-                if chosen < 0:
-                    eligible = sorted(
-                        (issued[warp], warp)
-                        for warp in range(count)
-                        if warp != hazard and pcs[warp] < ends[warp] and blocked[warp] <= cycle
-                    )
-                    for _, warp in eligible:
-                        pointer = warp
-                        code = streams[warp][pcs[warp]]
-                        unit = units[code]
-                        if unit < 0 or unit_free[unit] <= cycle:
-                            chosen = warp
-                            break
+            warp = pointer
+            for _ in range(count):
+                warp += 1
+                if warp == count:
+                    warp = 0
+                pc = pcs[warp]
+                if pc < ends[warp] and blocked[warp] <= cycle:
+                    pointer = warp
+                    code = streams[warp][pc]
+                    unit = units[code]
+                    if unit < 0 or unit_free[unit] <= cycle:
+                        break
             else:
-                warp = pointer
-                for _ in range(count):
-                    warp += 1
-                    if warp == count:
-                        warp = 0
-                    pc = pcs[warp]
-                    if pc < ends[warp] and blocked[warp] <= cycle:
-                        pointer = warp
-                        code = streams[warp][pc]
-                        unit = units[code]
-                        if unit < 0 or unit_free[unit] <= cycle:
-                            chosen = warp
-                            break
-            if chosen < 0:
                 stall_cycles += 1
                 cycle += 1
                 continue
 
-            # Issue ``code``, the chosen warp's next instruction.  The unit
+            # Issue ``code``, warp ``warp``'s next instruction.  The unit
             # was free, so it starts now; the warp was eligible, so a
             # blocking latency counts from now too.
-            pc = pcs[chosen] + 1
-            pcs[chosen] = pc
-            if pc == ends[chosen]:
+            pc += 1
+            pcs[warp] = pc
+            if pc == ends[warp]:
                 live -= 1
-            issued[chosen] += 1
             if not issues[code]:
                 first_issued.append(code)
             issues[code] += 1
@@ -252,7 +212,7 @@ class IssueSimulator:
                 unit_free[unit] = cycle + occupancies[code]
                 unit_busy[unit] += occupancies[code]
             if latencies[code]:
-                blocked[chosen] = cycle + latencies[code]
+                blocked[warp] = cycle + latencies[code]
             cycle += 1
 
         issued_by_class: Dict[OpClass, int] = {}
@@ -261,7 +221,7 @@ class IssueSimulator:
             issued_by_class[op_class] = issued_by_class.get(op_class, 0) + issues[code]
         return IssueResult(
             cycles=cycle,
-            instructions_issued=sum(issued),
+            instructions_issued=sum(issues),
             stall_cycles=stall_cycles,
             issued_by_class=issued_by_class,
             unit_busy_cycles=dict(zip(_UNITS, unit_busy)),

@@ -167,7 +167,6 @@ def max_tile_for_register_space(
     dtype: DataType,
     operands_in_register_file: bool,
     accumulator_in_register_file: bool,
-    square_k_factor: int = 2,
 ) -> Tuple[int, int, int]:
     """Largest square-ish (m, n, k) tile that fits in a warp's register slice.
 
@@ -175,10 +174,10 @@ def max_tile_for_register_space(
     of per-warp FP register space, a tightly-coupled unit fits two 8x16 FP16
     operands plus an 8x8 FP32 accumulator (tile 8x8x16); an operand-decoupled
     unit, which only keeps the accumulator in registers, fits a 16x16 FP32
-    accumulator (tile 16x16x32 with k = ``square_k_factor`` * m).
+    accumulator (tile 16x16x32 with k = 2 * m).
 
-    The search assumes m == n and k == square_k_factor * m, doubling m until
-    the footprint no longer fits.
+    The search assumes m == n and k == 2 * m, doubling m until the footprint
+    no longer fits.
     """
     if bytes_per_warp <= 0:
         raise ValueError("bytes_per_warp must be positive")
@@ -187,7 +186,7 @@ def max_tile_for_register_space(
     m = 1
     while m <= 1024:
         n = m
-        k = square_k_factor * m
+        k = 2 * m
         footprint = 0
         if operands_in_register_file:
             footprint += dtype.bytes * (m * k + k * n)

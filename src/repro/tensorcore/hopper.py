@@ -28,6 +28,10 @@ from repro.sim.stats import Counters
 from repro.tensorcore.dot_product_unit import DotProductUnit
 from repro.tensorcore.fragments import MatrixFragment
 
+#: Cycles until the access frontend's first operand fragment arrives from
+#: shared memory: the fill latency the run-ahead cannot hide.
+SMEM_FILL_LATENCY = 6
+
 
 @dataclass
 class WgmmaOperation:
@@ -50,15 +54,9 @@ class WgmmaOperation:
 class HopperTensorCore:
     """Per-core operand-decoupled matrix unit with an async interface."""
 
-    def __init__(
-        self,
-        config: MatrixUnitConfig,
-        shared_memory: SharedMemoryConfig,
-        smem_latency: int = 6,
-    ) -> None:
+    def __init__(self, config: MatrixUnitConfig, shared_memory: SharedMemoryConfig) -> None:
         self.config = config
         self.shared_memory = shared_memory
-        self.smem_latency = smem_latency
         self.dpu = DotProductUnit(macs_per_cycle=config.macs_per_cycle, dtype=config.dtype)
         self.tile_ops = 0
 
@@ -108,7 +106,7 @@ class HopperTensorCore:
         smem_cycles = max(1, -(-operand_bytes // bytes_per_cycle))
         # The frontend runs ahead: only the initial fill latency is exposed,
         # plus any shortfall if the shared memory cannot keep up with compute.
-        exposed = self.smem_latency + max(0, smem_cycles - compute)
+        exposed = SMEM_FILL_LATENCY + max(0, smem_cycles - compute)
         return WgmmaOperation(
             compute_cycles=compute,
             smem_read_cycles=smem_cycles,

@@ -42,12 +42,13 @@ class HmmaSequence:
     def matrix_unit_busy_cycles(self) -> int:
         return self.steps * self.cycles_per_step
 
-    def as_instructions(self, operand_reg_reads: int = 4, accum_reg_writes: int = 2) -> List[Instruction]:
-        """Expand into (shared) :class:`Instruction` objects for the issue simulator."""
+    def as_instructions(self) -> List[Instruction]:
+        """Expand into (shared) :class:`Instruction` objects for the issue simulator.
+
+        A step reads four operand registers and writes two accumulator ones.
+        """
         hmma_set = shared_instruction(OpClass.HMMA_SET, 1, 0, 0, "")
-        hmma_step = shared_instruction(
-            OpClass.HMMA_STEP, operand_reg_reads, accum_reg_writes, 0, ""
-        )
+        hmma_step = shared_instruction(OpClass.HMMA_STEP, 4, 2, 0, "")
         return [hmma_set] * self.sets + [hmma_step] * self.steps
 
 

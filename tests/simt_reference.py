@@ -3,10 +3,10 @@
 ``repro.simt`` runs one compiled path: each distinct instruction object is
 decoded once into plain ints and the issue loop steps integer lists.  This
 module keeps the straightforward model it replaced -- a ``WarpState`` per
-warp, scheduler objects that pick among them, a structural-hazard retry
-loop, and a tally that adds each issued instruction's events one counter at
-a time -- as the oracle the compiled path is checked against, field for
-field and in dict insertion order.  The timing and event tables are the
+warp, a round-robin scheduler object that picks among them, a
+structural-hazard retry loop, and a tally that adds each issued
+instruction's events one counter at a time -- as the oracle the compiled
+path is checked against, field for field and in dict insertion order.  The timing and event tables are the
 model's own, imported from ``repro.simt``; only the mechanics live here.
 """
 
@@ -85,36 +85,8 @@ class RoundRobinScheduler:
         return None
 
 
-class GreedyThenOldestScheduler:
-    """Keep issuing from the same warp while it is eligible, else pick the oldest.
-
-    "Oldest" is approximated by the warp that has issued the fewest
-    instructions so far, which matches the intent of prioritizing lagging
-    warps.
-    """
-
-    def __init__(self) -> None:
-        self._current: Optional[int] = None
-
-    def select(self, warps: Sequence[WarpState], cycle: int) -> Optional[WarpState]:
-        if self._current is not None:
-            warp = warps[self._current]
-            if warp.eligible(cycle):
-                return warp
-        candidates: List[WarpState] = [warp for warp in warps if warp.eligible(cycle)]
-        if not candidates:
-            return None
-        chosen = min(candidates, key=lambda warp: (warp.issued, warp.warp_id))
-        self._current = chosen.warp_id
-        return chosen
-
-
-SCHEDULERS = {"round_robin": RoundRobinScheduler, "gto": GreedyThenOldestScheduler}
-
-
 def reference_simulate(
     core: CoreConfig,
-    scheduler_kind: str,
     programs: Sequence[WarpProgram],
     max_cycles: int = 50_000_000,
 ) -> IssueResult:
@@ -130,7 +102,7 @@ def reference_simulate(
         WarpState(warp_id=index, program=list(program.instructions))
         for index, program in enumerate(programs)
     ]
-    scheduler = SCHEDULERS[scheduler_kind]()
+    scheduler = RoundRobinScheduler()
     unit_free_at: Dict[str, int] = {"alu": 0, "fpu": 0, "lsu": 0, "tensor": 0}
     unit_busy: Dict[str, int] = {"alu": 0, "fpu": 0, "lsu": 0, "tensor": 0}
     issued_by_class: Dict[OpClass, int] = {}

@@ -6,7 +6,6 @@ from repro.config.presets import DesignKind, all_designs, gemm_design_kinds, mak
 from repro.config.soc import (
     DataType,
     DesignConfig,
-    DmaConfig,
     IntegrationStyle,
     MatrixUnitConfig,
     RegisterFileConfig,
@@ -101,7 +100,6 @@ class TestPresets:
 
     def test_volta_has_no_dma(self, volta_design):
         assert not volta_design.has_dma
-        assert not volta_design.cluster.dma.present
 
     def test_ampere_has_dma(self, ampere_design):
         assert ampere_design.has_dma
@@ -165,14 +163,6 @@ class TestValidation:
     def test_validate_accepts_presets(self, all_design_configs):
         for design in all_design_configs.values():
             design.validate()
-
-    def test_volta_with_dma_rejected(self, volta_design):
-        from dataclasses import replace
-
-        bad_cluster = replace(volta_design.soc.cluster, dma=DmaConfig(present=True))
-        bad = replace(volta_design, soc=replace(volta_design.soc, cluster=bad_cluster))
-        with pytest.raises(ValueError):
-            bad.validate()
 
     def test_core_coupled_unit_count_mismatch_rejected(self, hopper_design):
         from dataclasses import replace

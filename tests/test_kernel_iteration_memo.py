@@ -208,9 +208,8 @@ def _perturbed(leaf, double):
 
 
 #: Leaves no kernel model accepts another value of: the integration style
-#: picks the model, the DMA's presence goes with the style, and the issue
-#: loop issues one instruction per cycle.
-FIXED_LEAVES = {"style", "present", "issue_width"}
+#: picks the model.
+FIXED_LEAVES = {"style"}
 DESIGN_LEAVES = [
     path
     for path in _leaf_paths(make_design(DesignKind.VOLTA))

@@ -205,10 +205,6 @@ class TestDmaEngine:
         dma.execute(DmaDirection.ACCUM_TO_GLOBAL, 1024, counters)
         assert counters["accum.read_words"] == 256
 
-    def test_missing_dma_rejected(self):
-        with pytest.raises(ValueError):
-            DmaEngine(DmaConfig(present=False), DramChannel(DramConfig()))
-
     def test_effective_bandwidth(self):
         dma = self._dma()
         transfer = dma.execute(DmaDirection.GLOBAL_TO_SHARED, 32 * 1024, Counters())

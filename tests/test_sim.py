@@ -68,52 +68,20 @@ class TestResource:
         resource = Resource("unit")
         assert resource.reserve(0, 10) == (0, 10)
         assert resource.reserve(0, 5) == (10, 15)
+        assert resource.busy_cycles == 15
 
     def test_respects_ready_time(self):
         resource = Resource("unit")
         assert resource.reserve(20, 5) == (20, 25)
 
-    def test_multiple_instances(self):
-        resource = Resource("unit", count=2)
-        assert resource.reserve(0, 10) == (0, 10)
-        assert resource.reserve(0, 10) == (0, 10)
-        assert resource.reserve(0, 10) == (10, 20)
-
-    def test_utilization(self):
-        resource = Resource("unit")
-        resource.reserve(0, 50)
-        assert resource.utilization(100) == pytest.approx(0.5)
-
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
             Resource("unit").reserve(0, -1)
 
-    def test_zero_instances_rejected(self):
-        with pytest.raises(ValueError, match="at least one instance"):
-            Resource("unit", count=0)
-
-    def test_utilization_of_empty_window_is_zero(self):
-        resource = Resource("unit")
-        resource.reserve(0, 10)
-        assert resource.utilization(0) == 0.0
-
-    def test_utilization_counts_every_instance(self):
-        resource = Resource("unit", count=2)
-        resource.reserve(0, 50)
-        assert resource.utilization(100) == pytest.approx(0.25)
-
-    def test_reset_frees_every_instance(self):
-        resource = Resource("unit", count=2, record_reservations=True)
-        resource.reserve(0, 10)
-        resource.reserve(0, 10)
-        resource.reset()
-        assert resource.busy_cycles == 0 and resource.reservations == []
-        assert resource.reserve(0, 4) == (0, 4)
-
     def test_repr_names_resource(self):
-        resource = Resource("dma", count=2)
+        resource = Resource("dma")
         resource.reserve(0, 3)
-        assert repr(resource) == "Resource('dma', count=2, busy=3)"
+        assert repr(resource) == "Resource('dma', busy=3)"
 
 
 class TestResourcePool:
@@ -128,16 +96,6 @@ class TestResourcePool:
         resource = pool.add(Resource("a"))
         assert "a" in pool
         assert pool["a"] is resource
-
-    def test_reset_resets_every_member(self):
-        pool = ResourcePool()
-        first = pool.add(Resource("a"))
-        second = pool.add(Resource("b"))
-        first.reserve(0, 5)
-        second.reserve(0, 7)
-        pool.reset()
-        assert first.busy_cycles == 0 and second.busy_cycles == 0
-        assert first.reserve(0, 1) == (0, 1)
 
 
 class TestOperationGraph:
@@ -212,22 +170,3 @@ class TestOperationGraph:
         graph.add_operation("b", "matrix", 20, kind="compute")
         result = graph.schedule()
         assert result.critical_kind_cycles() == {"dma": 10, "compute": 20}
-
-
-class TestReservationRecording:
-    def test_recording_is_opt_in(self):
-        resource = Resource("unit")
-        resource.reserve(0, 10, label="op")
-        assert resource.reservations == []
-        assert resource.busy_cycles == 10
-
-    def test_opt_in_records_intervals(self):
-        resource = Resource("unit", record_reservations=True)
-        resource.reserve(0, 10, label="a")
-        resource.reserve(0, 5, label="b")
-        assert [(r.start, r.end, r.label) for r in resource.reservations] == [
-            (0, 10, "a"),
-            (10, 15, "b"),
-        ]
-        assert [r.duration for r in resource.reservations] == [10, 5]
-

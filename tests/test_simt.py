@@ -1,4 +1,4 @@
-"""Tests for the SIMT core models: warps, schedulers, issue simulator, core events.
+"""Tests for the SIMT core models: warps, the scheduler, issue simulator, core events.
 
 The warp and scheduler classes are the reference model's
 (``tests/simt_reference.py``), the oracle of the compiled issue loop.
@@ -12,7 +12,7 @@ from repro.isa.program import WarpProgram
 from repro.simt.core import VortexCore
 from repro.simt.issue import IssueSimulator
 from repro.simt.occupancy import max_tile_for_register_space
-from simt_reference import GreedyThenOldestScheduler, RoundRobinScheduler, WarpState
+from simt_reference import RoundRobinScheduler, WarpState
 
 
 def _program(op_class, count, **kwargs):
@@ -68,14 +68,6 @@ class TestSchedulers:
             warp.block(100)
         assert RoundRobinScheduler().select(warps, 0) is None
 
-    def test_gto_sticks_to_current_warp(self):
-        warps = self._warps(3)
-        scheduler = GreedyThenOldestScheduler()
-        first = scheduler.select(warps, 0)
-        first.advance(0)
-        second = scheduler.select(warps, 1)
-        assert second.warp_id == first.warp_id
-
 
 class TestIssueSimulator:
     def test_single_warp_alu_throughput(self):
@@ -127,23 +119,6 @@ class TestIssueSimulator:
         result = IssueSimulator(CoreConfig()).simulate([program])
         assert result.issued_by_class[OpClass.ALU] == 3
         assert result.issued_by_class[OpClass.FPU] == 2
-
-    def test_dual_issue_rejected(self):
-        """The model issues one instruction per cycle; a wider core is refused."""
-        with pytest.raises(ValueError, match="issue_width"):
-            IssueSimulator(CoreConfig(issue_width=2))
-        with pytest.raises(ValueError, match="issue_width"):
-            VortexCore(CoreConfig(issue_width=2))
-
-    def test_unknown_scheduler_rejected(self):
-        with pytest.raises(ValueError):
-            IssueSimulator(CoreConfig(), scheduler="magic").simulate([_program(OpClass.ALU, 1)])
-
-    def test_gto_scheduler_works(self):
-        result = IssueSimulator(CoreConfig(), scheduler="gto").simulate(
-            [_program(OpClass.ALU, 10)] * 2
-        )
-        assert result.instructions_issued == 20
 
 
 class TestVortexCore:

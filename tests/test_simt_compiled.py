@@ -4,7 +4,7 @@
 per call (``ProgramSet``) and runs the issue loop on integer lists; the
 event tally adds each distinct instruction's events once, scaled by its
 count.  ``tests/simt_reference.py`` keeps the model it replaced: warp
-objects, scheduler objects and a per-instruction tally.  Every
+objects, a round-robin scheduler object and a per-instruction tally.  Every
 ``IssueResult`` field must match the reference, dict insertion order
 included, and so must the counters' items in order -- downstream folds
 follow first-seen key order.
@@ -32,7 +32,6 @@ from repro.simt.issue import IssueSimulator
 from repro.tensorcore.volta import VoltaTensorCore
 from simt_reference import reference_counters, reference_simulate
 
-SCHEDULERS = ("round_robin", "gto")
 CORE_CONFIGS = (CoreConfig(), CoreConfig(warps=4, lanes=16))
 
 instructions = st.builds(
@@ -81,13 +80,13 @@ def _issue_view(result):
     }
 
 
-def assert_matches_reference(config, scheduler, programs):
-    expected = reference_simulate(config, scheduler, programs)
-    issue = IssueSimulator(config, scheduler).simulate(programs)
+def assert_matches_reference(config, programs):
+    expected = reference_simulate(config, programs)
+    issue = IssueSimulator(config).simulate(programs)
     assert _issue_view(issue) == _issue_view(expected)
 
     with cache_disabled():
-        execution = VortexCore(config, scheduler).execute(programs)
+        execution = VortexCore(config).execute(programs)
     assert _issue_view(execution.issue) == _issue_view(expected)
     expected_counters = reference_counters(programs, config.lanes)
     assert list(execution.counters.items()) == list(expected_counters.items())
@@ -96,21 +95,20 @@ def assert_matches_reference(config, scheduler, programs):
 class TestRandomProgramSets:
     @settings(deadline=None, max_examples=150)
     @given(case=program_sets())
-    def test_both_schedulers_match_reference(self, case):
+    def test_round_robin_matches_reference(self, case):
         config, programs = case
-        for scheduler in SCHEDULERS:
-            assert_matches_reference(config, scheduler, programs)
+        assert_matches_reference(config, programs)
 
     @settings(deadline=None, max_examples=40)
-    @given(case=program_sets(), scheduler=st.sampled_from(SCHEDULERS))
-    def test_cycle_limit_matches_reference(self, case, scheduler):
+    @given(case=program_sets())
+    def test_cycle_limit_matches_reference(self, case):
         """Both raise exactly when the drain needs more than ``max_cycles + 1`` cycles."""
         config, programs = case
-        cycles = reference_simulate(config, scheduler, programs).cycles
-        simulator = IssueSimulator(config, scheduler)
+        cycles = reference_simulate(config, programs).cycles
+        simulator = IssueSimulator(config)
         if cycles >= 2:
             for run in (
-                lambda: reference_simulate(config, scheduler, programs, max_cycles=cycles - 2),
+                lambda: reference_simulate(config, programs, max_cycles=cycles - 2),
                 lambda: simulator.simulate(programs, max_cycles=cycles - 2),
             ):
                 with pytest.raises(RuntimeError, match="cycle limit"):
@@ -120,8 +118,7 @@ class TestRandomProgramSets:
     def test_empty_inputs_match_reference(self):
         config = CoreConfig()
         for programs in ([], [WarpProgram()], [WarpProgram(), WarpProgram()]):
-            for scheduler in SCHEDULERS:
-                assert_matches_reference(config, scheduler, programs)
+            assert_matches_reference(config, programs)
 
 
 #: Classes that contend for the tensor core, the FPU and the LSU, or block.
@@ -156,9 +153,9 @@ class TestSchedulerCorners:
             [OpClass.ALU, OpClass.HMMA_STEP],
             [OpClass.SFU, OpClass.HMMA_STEP, OpClass.SFU, OpClass.ALU],
         )
-        expected = reference_simulate(CoreConfig(), "round_robin", programs)
+        expected = reference_simulate(CoreConfig(), programs)
         assert (expected.cycles, expected.stall_cycles) == (11, 2)
-        assert_matches_reference(CoreConfig(), "round_robin", programs)
+        assert_matches_reference(CoreConfig(), programs)
 
     def test_seeded_contention_sweep(self):
         """Short, unit-contended programs make rejected picks and stalls common.
@@ -175,19 +172,18 @@ class TestSchedulerCorners:
                     for _ in range(rng.randint(2, 8))
                 )
             )
-            for scheduler in SCHEDULERS:
-                expected = reference_simulate(CoreConfig(), scheduler, programs)
-                actual = IssueSimulator(CoreConfig(), scheduler).simulate(programs)
-                assert _issue_view(actual) == _issue_view(expected)
+            expected = reference_simulate(CoreConfig(), programs)
+            actual = IssueSimulator(CoreConfig()).simulate(programs)
+            assert _issue_view(actual) == _issue_view(expected)
 
 
 def _recorded_program_sets(monkeypatch, run):
-    """Every (core config, scheduler, programs) ``VortexCore.execute`` receives."""
+    """Every (core config, programs) ``VortexCore.execute`` receives."""
     recorded = []
     original = VortexCore.execute
 
     def recording(self, programs):
-        recorded.append((self.config, self._issue_simulator.scheduler_kind, list(programs)))
+        recorded.append((self.config, list(programs)))
         return original(self, programs)
 
     monkeypatch.setattr(VortexCore, "execute", recording)
@@ -198,11 +194,10 @@ def _recorded_program_sets(monkeypatch, run):
 
 
 def _assert_recorded_match(recorded):
-    """Each recorded set matches the reference under both schedulers."""
+    """Each recorded set matches the reference."""
     assert recorded
-    for config, _, programs in recorded:
-        for scheduler in SCHEDULERS:
-            assert_matches_reference(config, scheduler, programs)
+    for config, programs in recorded:
+        assert_matches_reference(config, programs)
 
 
 DECODE_SHAPES = [GemmWorkload(m, 1024, 256) for m in (1, 8, 64)] + [GemmWorkload(256, 4096, 1024)]
@@ -236,7 +231,9 @@ class TestPinnedKeys:
 
     A changed encoding would orphan every ``--cache-dir`` snapshot (or,
     worse, collide) without a ``SCHEMA_VERSION`` bump; these digests were
-    computed by the per-instruction key the compiled path replaced.
+    computed by a per-instruction encoder written apart from the compiled
+    path, at ``SCHEMA_VERSION`` 6, when the key lost its scheduler term and
+    the core config its unread fields.
     """
 
     def test_volta_iteration_key(self):
@@ -246,7 +243,7 @@ class TestPinnedKeys:
             design, tiling, VoltaTensorCore(design.matrix_unit), include_copy=True
         )
         key = VortexCore(design.cluster.core).execution_key(streams.programs_for_core())
-        assert key.hex() == "1447bd70e4574b13a606f62826e93b09c5a1406ff8313519e226facf5ff897de"
+        assert key.hex() == "0124d44384216b746756820deaf437a826ba548ccd33a9f5fb0c1b305f6005cf"
 
     def test_mixed_set_with_repeated_objects(self):
         load = Instruction(OpClass.LOAD_SHARED, reg_reads=1, reg_writes=1, bytes_accessed=32, tag="a")
@@ -261,10 +258,10 @@ class TestPinnedKeys:
         )
         mixed = [p0, p1, p0, p1, p0]
         assert VortexCore(CoreConfig()).execution_key(mixed).hex() == (
-            "bcec4eec561d46da1d670b4183ea92823b52609e8d6f19a0a265bc2b593aefb5"
+            "ecb386e5b026fa67e9ccd1371a9c1701f22b7f33dd30f32001c3f88a47b4174d"
         )
-        assert VortexCore(CoreConfig(warps=8, lanes=16), "gto").execution_key(mixed).hex() == (
-            "e2ab4684c015774f67c1c45949e68fcfbb6b12501e406d0e3cb49b52514788a7"
+        assert VortexCore(CoreConfig(warps=8, lanes=16)).execution_key(mixed).hex() == (
+            "668b8f134b43b1a59092c4bdf7f6810dcebc85ef20bc0fb167dbec2f220a8b52"
         )
 
 

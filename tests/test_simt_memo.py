@@ -1,7 +1,7 @@
 """The SIMT core execution memo is invisible in every result.
 
 ``VortexCore.execute`` memoizes by content in a timing-cache namespace:
-the key digests the core config, the scheduler kind and each warp's
+the key digests the core config and each warp's
 (op class, register reads, register writes, bytes accessed) sequence.  The
 reference is a ``cache_disabled()`` run, which neither reads nor writes the
 memo.  A memoized execute on a cold cache, a warm cache and after
@@ -43,7 +43,6 @@ OP_CLASSES = (
     OpClass.ALU,
     OpClass.FPU,
 )
-SCHEDULERS = ("round_robin", "gto")
 CORE_CONFIGS = (CoreConfig(), CoreConfig(warps=8, lanes=16))
 #: The content fields of an instruction (everything but ``tag``).
 CONTENT_FIELDS = ("op_class", "reg_reads", "reg_writes", "bytes_accessed")
@@ -60,7 +59,7 @@ instructions = st.builds(
 
 @st.composite
 def program_sets(draw):
-    """(config, scheduler, programs): 1-8 warps over a small instruction pool.
+    """(config, programs): 1-8 warps over a small instruction pool.
 
     Each slot either reuses a pool object (shared, as ``emit(repeat=...)``
     does) or a fresh copy of it (distinct object, same content).
@@ -77,7 +76,7 @@ def program_sets(draw):
         )
         body = [dataclasses.replace(pool[i]) if fresh else pool[i] for i, fresh in slots]
         programs.append(WarpProgram(name=f"w{warp}", instructions=body))
-    return draw(st.sampled_from(CORE_CONFIGS)), draw(st.sampled_from(SCHEDULERS)), programs
+    return draw(st.sampled_from(CORE_CONFIGS)), programs
 
 
 def _items(value):
@@ -108,14 +107,14 @@ class TestExecuteDifferential:
     @settings(deadline=None, max_examples=60)
     @given(case=program_sets())
     def test_cold_warm_cleared_equal_disabled(self, case):
-        config, scheduler, programs = case
-        core = VortexCore(config, scheduler)
+        config, programs = case
+        core = VortexCore(config)
         timing_cache().clear()
         with cache_disabled():
             oracle = _view(core.execute(programs))
         assert len(_table()) == 0
         cold = core.execute(programs)
-        warm = VortexCore(config, scheduler).execute(programs)
+        warm = VortexCore(config).execute(programs)
         assert warm is cold
         assert len(_table()) == 1
         timing_cache().clear()
@@ -125,9 +124,9 @@ class TestExecuteDifferential:
     @settings(deadline=None, max_examples=40)
     @given(case=program_sets(), data=st.data())
     def test_key_ignores_tags_and_names_only(self, case, data):
-        config, scheduler, programs = case
+        config, programs = case
         timing_cache().clear()
-        core = VortexCore(config, scheduler)
+        core = VortexCore(config)
         key = core.execution_key(programs)
 
         renamed = [
@@ -155,11 +154,9 @@ class TestExecuteDifferential:
         mutated[warp].instructions[position] = dataclasses.replace(original, **{name: value})
         assert core.execution_key(mutated) != key
 
-        # Scheduler and core config.
-        other_scheduler = next(s for s in SCHEDULERS if s != scheduler)
+        # Core config.
         other_config = next(c for c in CORE_CONFIGS if c != config)
-        assert VortexCore(config, other_scheduler).execution_key(programs) != key
-        assert VortexCore(other_config, scheduler).execution_key(programs) != key
+        assert VortexCore(other_config).execution_key(programs) != key
 
         # Warp order, whenever it changes the content sequence.
         swapped = programs[::-1]
@@ -178,11 +175,10 @@ class TestExecuteDifferential:
 
     def test_distinct_inputs_get_distinct_entries(self):
         program = WarpProgram().emit_class(OpClass.LOAD_SHARED, repeat=3, bytes_accessed=32)
-        VortexCore(CORE_CONFIGS[0], "round_robin").execute([program])
-        VortexCore(CORE_CONFIGS[0], "gto").execute([program])
-        VortexCore(CORE_CONFIGS[1], "round_robin").execute([program])
-        VortexCore(CORE_CONFIGS[0], "round_robin").execute([program, program])
-        assert len(_table()) == 4
+        VortexCore(CORE_CONFIGS[0]).execute([program])
+        VortexCore(CORE_CONFIGS[1]).execute([program])
+        VortexCore(CORE_CONFIGS[0]).execute([program, program])
+        assert len(_table()) == 3
 
 
 def _gemm_view(result):
