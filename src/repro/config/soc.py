@@ -248,11 +248,6 @@ class DesignConfig:
     def has_dma(self) -> bool:
         return self.style is not IntegrationStyle.TIGHTLY_COUPLED
 
-    @property
-    def accumulator_in_register_file(self) -> bool:
-        """True when accumulator tiles live in the core register file."""
-        return self.style is not IntegrationStyle.DISAGGREGATED
-
     def validate(self) -> None:
         """Raise ``ValueError`` for internally inconsistent configurations."""
         cluster = self.soc.cluster

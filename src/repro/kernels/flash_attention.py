@@ -207,10 +207,6 @@ class FlashAttentionWorkload:
         """MACs of the two GEMMs (S = QK^T and O = PV) across all heads."""
         return 2 * self.heads * self.score_elements * self.head_dim
 
-    @property
-    def softmax_elements(self) -> int:
-        return self.heads * self.score_elements
-
     def head_trips(self) -> "list[int]":
         """Visited-KV-tile count per Q tile of one head."""
         if self.seq_lens:

@@ -97,14 +97,6 @@ class GemmKernelResult:
     def mac_utilization_percent(self) -> float:
         return 100.0 * self.mac_utilization
 
-    def summary(self) -> str:
-        return (
-            f"{self.design.name:<14s} GEMM {self.workload.name:>14s}: "
-            f"{self.total_cycles:>10d} cycles, "
-            f"{self.mac_utilization_percent:5.1f}% MAC utilization, "
-            f"{self.retired_instructions} instructions"
-        )
-
 
 def ideal_mac_cycles(design: DesignConfig, workload: GemmWorkload) -> float:
     """Cycles the SoC's MAC arrays would need at 100% utilization.

@@ -114,10 +114,6 @@ class EpochRecord:
     def decode_steps(self) -> int:
         return self.count * len(self.request_ids)
 
-    @property
-    def total_span(self) -> int:
-        return self.count * self.span_cycles
-
     def record_at(self, offset: int) -> IterationRecord:
         return IterationRecord(
             index=self.index + offset,

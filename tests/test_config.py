@@ -106,11 +106,9 @@ class TestPresets:
 
     def test_hopper_reads_operands_from_shared_memory(self, hopper_design):
         assert hopper_design.style is IntegrationStyle.OPERAND_DECOUPLED
-        assert hopper_design.accumulator_in_register_file
 
     def test_virgo_is_fully_disaggregated(self, virgo_design):
         assert virgo_design.style is IntegrationStyle.DISAGGREGATED
-        assert not virgo_design.accumulator_in_register_file
 
     def test_virgo_single_unit_per_cluster(self, virgo_design):
         assert virgo_design.cluster.matrix_units == 1

@@ -408,7 +408,6 @@ class TestIterationTimeline:
                             count=4, request_ids=["a", "b", "c"])
         assert epoch.batch == 3
         assert epoch.decode_steps == 12
-        assert epoch.total_span == 200
         records = list(epoch.records())
         assert [r.index for r in records] == [7, 8, 9, 10]
         assert [r.start_cycle for r in records] == [1000, 1050, 1100, 1150]

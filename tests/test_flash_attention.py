@@ -74,7 +74,8 @@ class TestWorkload:
         assert workload.iterations == 16 * 16
 
     def test_softmax_elements(self):
-        assert FlashAttentionWorkload(seq_len=256).softmax_elements == 256 * 256
+        workload = FlashAttentionWorkload(seq_len=256)
+        assert workload.heads * workload.score_elements == 256 * 256
 
     @pytest.mark.parametrize("fields, message", [
         ({"seq_len": 0}, "dimensions must be positive"),

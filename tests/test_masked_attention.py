@@ -283,7 +283,7 @@ def test_masked_schedule_differential(
             mask = np.ones((seq_len, seq_len), dtype=bool)
         elements = int(mask.sum())
         assert workload.gemm_macs == 2 * 3 * elements * workload.head_dim
-        assert workload.softmax_elements == 3 * elements
+        assert workload.heads * workload.score_elements == 3 * elements
 
 
 @given(

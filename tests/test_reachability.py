@@ -1,5 +1,5 @@
-"""Tests for ``tools/check_reachability.py``: every module and definition is on a
-``repro`` path."""
+"""Tests for ``tools/check_reachability.py``: every module, definition and config
+field is on a ``repro`` path."""
 
 import importlib.util
 from pathlib import Path
@@ -47,6 +47,15 @@ def src(tmp_path):
 def test_checkout_passes(capsys):
     assert check_reachability.main() == 0
     assert "OK" in capsys.readouterr().out
+
+
+def test_checkout_config_module_has_fields():
+    """The field rule skips a tree without the config module, so the
+    checkout must have it: a rename would switch the rule off."""
+    modules = check_reachability.discover(check_reachability.SRC)
+    tree = check_reachability._parse(modules[check_reachability.CONFIG_MODULE])
+    fields = [name for _, name in check_reachability._config_fields(tree)]
+    assert "size_bytes" in fields and "warps" in fields
 
 
 def test_allowlist_entries_have_reasons():
@@ -125,6 +134,7 @@ def _unused(key):
 
 def test_definition_allowlist_entries_have_reasons():
     assert set(check_reachability.DEFINITION_ALLOWLIST) == {
+        "repro.__main__:_Parser.error",
         "repro.analysis.serving:percentile",
         "repro.core.systolic_array:SystolicArray.ideal_tile_cycles",
         "repro.energy.area:AreaModel.total_um2",
@@ -138,6 +148,7 @@ def test_definition_allowlist_entries_have_reasons():
         "repro.sim.stats:Counters.as_dict",
         "repro.sim.taskgraph:ScheduleResult.finish_time",
         "repro.simt.core:VortexCore.execution_key",
+        "repro.workloads.batch:BatchReport.results",
         "repro.workloads.batch:fleet_sweep_jobs",
         "repro.workloads.batch:serving_sweep_jobs",
         "repro.workloads.models:poisson_stream_trace",
@@ -240,4 +251,62 @@ def test_mentions_inside_a_definitions_own_body_are_not_uses(src):
         _unused("repro.pkg.used:Node"),
         _unused("repro.pkg.used:Node.clone"),
         _unused("repro.pkg.used:countdown"),
+    ]
+
+
+def test_a_local_named_like_a_method_is_not_a_use(src):
+    """Code reaches a method only as ``obj.name`` or through ``getattr``: a
+    local or a parameter spelled like a method does not use it, while a
+    function stays used by its bare name."""
+    (src / "repro" / "pkg" / "used.py").write_text(
+        "def helper():\n    summary = Widget()\n    return summary, total(1)\n\n\n"
+        "def total(span):\n    return span\n\n\n"
+        "class Widget:\n"
+        "    def summary(self):\n        return 'w'\n\n"
+        "    def span(self):\n        return 0\n"
+    )
+    assert check_reachability.find_problems(src, {"repro.pkg.unused": "kept"}, {}) == [
+        _unused("repro.pkg.used:Widget.summary"),
+        _unused("repro.pkg.used:Widget.span"),
+    ]
+
+
+def _unread(field):
+    return (
+        f"repro.config.soc:{field} is read nowhere in src/repro or examples/: "
+        f"give it a reader or delete it"
+    )
+
+
+def test_config_field_read_nowhere_is_named(src):
+    """A config dataclass field set only by keyword is not read; one read as
+    an attribute or named by a string constant is.  An annotation in a
+    class that is not a dataclass is not a field."""
+    config = src / "repro" / "config"
+    config.mkdir()
+    (config / "__init__.py").write_text("")
+    (config / "soc.py").write_text(
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass(frozen=True)\n"
+        "class CoreConfig:\n"
+        "    warps: int = 8\n"
+        "    lanes: int = 8\n"
+        "    ports: int = 3\n\n\n"
+        "@dataclass\n"
+        "class CacheConfig:\n"
+        "    size_bytes: int\n"
+        "    ways: int = 4\n\n\n"
+        "class Plain:\n"
+        "    label: str = ''\n"
+    )
+    (src / "repro" / "__main__.py").write_text(
+        "from repro.pkg import helper\n"
+        "from repro.config.soc import CacheConfig, CoreConfig, Plain\n\n"
+        "helper()\n"
+        "core = CoreConfig(ports=2)\n"
+        "print(core.warps, getattr(core, 'lanes'), CacheConfig(1024, ways=2).size_bytes, Plain())\n"
+    )
+    assert check_reachability.find_problems(src, {"repro.pkg.unused": "kept"}, {}) == [
+        _unread("CoreConfig.ports"),
+        _unread("CacheConfig.ways"),
     ]

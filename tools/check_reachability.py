@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Reachability: every ``src/repro`` module and definition is on a ``python -m repro`` path.
+"""Reachability: every ``src/repro`` module, definition and config field is on a ``repro`` path.
 
 Modules.  Starts at ``repro.__main__`` and follows every import statement
 in the package, function-level imports included.  ``from pkg import name``,
@@ -10,24 +10,34 @@ also counts as reached when a module inside it is, since importing that
 module runs the package's ``__init__``; its re-exports are not followed then.
 
 Definitions.  In every reached module, each top-level function and class
-and each method of a top-level class must be used somewhere: its name
-appears as a name, as an attribute or as a string constant (for
-``getattr``) in a module under ``src/repro`` (allowlisted modules included)
-or in a script under ``examples/``.  Import aliases, ``__all__`` entries,
-the definition's own ``def`` or ``class`` line and the mentions of its name
-inside its own body (a recursive call, a class's own annotations) are not
-uses.  Dunder
-names are exempt, and so are the modules on the module allowlist, which are
-not reached.  The check matches on names, not on what a name refers to:
-a name used anywhere counts as a use, so the check can miss dead code (a
+and each method of a top-level class must be used somewhere in a module
+under ``src/repro`` (allowlisted modules included) or in a script under
+``examples/``.  A function or class is used where its name appears as a
+name, as an attribute read or as a string constant (for ``getattr``).  Code
+reaches a method or property only as ``obj.name`` or through ``getattr``,
+so a method is used only where its name appears as an attribute read or
+as a string constant; a bare name with its spelling is a local, a parameter or
+a function.  Import aliases, ``__all__`` entries, the definition's own
+``def`` or ``class`` line and the mentions of its name inside its own body
+(a recursive call, a class's own annotations) are not uses.  Dunder names
+are exempt, and so are the modules on the module allowlist, which are not
+reached.  The check matches on names, not on what a name refers to: a
+mention anywhere counts as a use, so the check can miss dead code (a
 method that shares its name with a live one passes) but never flags live
-code that is called by its name.
+code that is called by its name, a method's through an attribute.
+
+Config fields.  Each field of a dataclass in :data:`CONFIG_MODULE` must be
+read somewhere in ``src/repro`` or ``examples/``: its name appears as an
+attribute load or as a string constant.  A keyword argument that sets the
+field, or its own declaration, is not a read.  A field that no model reads
+has nothing to validate; like the definition check, this one matches on
+names, so a field passes when another object's attribute shares its name.
 
 The check fails on a module that is not reached or a definition that is not
-used, unless its allowlist below gives a reason, and on an allowlist entry
-that is stale: it names no module or definition, or what it names is reached
-or used.  So a component model stays on the timing path or leaves ``src/``
-with its tests.
+used, unless its allowlist below gives a reason; on a config field that is
+not read; and on an allowlist entry that is stale: it names no module or
+definition, or what it names is reached or used.  So a component model
+stays on the timing path or leaves ``src/`` with its tests.
 
 No third-party deps; runs standalone in the docs CI job:
 
@@ -45,6 +55,8 @@ from typing import Dict, Iterator, List, Set, Tuple
 SRC = Path(__file__).resolve().parents[1] / "src"
 PACKAGE = "repro"
 ENTRY = "repro.__main__"
+#: The module whose dataclass fields are the design tree's leaves.
+CONFIG_MODULE = "repro.config.soc"
 
 #: Modules ``python -m repro`` never imports, each with the reason it stays.
 ALLOWLIST: Dict[str, str] = {
@@ -74,6 +86,9 @@ ALLOWLIST: Dict[str, str] = {
 
 #: ``module:Qualname`` of definitions nothing names, each with the reason it stays.
 DEFINITION_ALLOWLIST: Dict[str, str] = {
+    "repro.__main__:_Parser.error": (
+        "argparse calls it on bad input; the override prints the one-line error"
+    ),
     "repro.analysis.serving:percentile": (
         "nearest-rank reference that tests/test_serving.py pins and compares "
         "the vectorized latency summary against"
@@ -116,6 +131,10 @@ DEFINITION_ALLOWLIST: Dict[str, str] = {
     ),
     "repro.simt.core:VortexCore.execution_key": (
         "test seam: tests/test_simt_memo.py checks the memo key's content on it"
+    ),
+    "repro.workloads.batch:BatchReport.results": (
+        "tests/test_batch_runner.py and tests/test_fleet.py compare sweep "
+        "outcomes through it (16 calls)"
     ),
     "repro.workloads.batch:fleet_sweep_jobs": "public API docs/fleet.md runs",
     "repro.workloads.batch:serving_sweep_jobs": "public API docs/serving.md names",
@@ -246,16 +265,34 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def _definitions(module: str, tree: ast.Module) -> Iterator[Tuple[str, ast.AST]]:
-    """(``module:Qualname``, node) of each definition the check covers."""
+def _definitions(module: str, tree: ast.Module) -> Iterator[Tuple[str, ast.AST, bool]]:
+    """(``module:Qualname``, node, is a method) of each definition the check covers."""
     for node in tree.body:
         if not isinstance(node, _FUNCTIONS + (ast.ClassDef,)) or _is_dunder(node.name):
             continue
-        yield f"{module}:{node.name}", node
+        yield f"{module}:{node.name}", node, False
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(member, _FUNCTIONS) and not _is_dunder(member.name):
-                    yield f"{module}:{node.name}.{member.name}", member
+                    yield f"{module}:{node.name}.{member.name}", member, True
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _config_fields(tree: ast.Module) -> Iterator[Tuple[str, str]]:
+    """(``Class.field``, field name) of each field of each dataclass in ``tree``."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            for member in node.body:
+                if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                    yield f"{node.name}.{member.target.id}", member.target.id
 
 
 def _binds_all(node: ast.AST) -> bool:
@@ -268,42 +305,56 @@ def _binds_all(node: ast.AST) -> bool:
     return any(isinstance(target, ast.Name) and target.id == "__all__" for target in targets)
 
 
-def _mentions(tree: ast.AST) -> Counter:
-    """How often each name, attribute and string constant occurs in ``tree``,
-    ``__all__`` aside."""
+def _mentions(tree: ast.AST) -> Tuple[Counter, Counter]:
+    """(names, reads): how often each name, and each attribute load or
+    string constant, occurs in ``tree``, ``__all__`` aside."""
     exports = {
         id(node)
         for statement in ast.walk(tree)
         if _binds_all(statement)
         for node in ast.walk(statement)
     }
-    mentions: Counter = Counter()
+    names: Counter = Counter()
+    reads: Counter = Counter()
     for node in ast.walk(tree):
         if id(node) in exports:
             continue
         if isinstance(node, ast.Name):
-            mentions[node.id] += 1
-        elif isinstance(node, ast.Attribute):
-            mentions[node.attr] += 1
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads[node.attr] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            mentions[node.value] += 1
-    return mentions
+            reads[node.value] += 1
+    return names, reads
+
+
+def _all_mentions(src: Path, trees: Dict[str, ast.Module]) -> Tuple[Counter, Counter]:
+    """:func:`_mentions` summed over ``src/repro`` and ``examples/``."""
+    scripts = sorted((src.parent / "examples").rglob("*.py"))
+    names: Counter = Counter()
+    reads: Counter = Counter()
+    for tree in list(trees.values()) + [_parse(path) for path in scripts]:
+        tree_names, tree_reads = _mentions(tree)
+        names.update(tree_names)
+        reads.update(tree_reads)
+    return names, reads
 
 
 def _definition_uses(
-    src: Path, trees: Dict[str, ast.Module], reached: Set[str]
+    trees: Dict[str, ast.Module], reached: Set[str], names: Counter, reads: Counter
 ) -> Dict[str, bool]:
     """``module:Qualname`` -> used, for each definition in a reached module:
-    its name is mentioned somewhere outside its own body."""
-    scripts = sorted((src.parent / "examples").rglob("*.py"))
-    mentions: Counter = Counter()
-    for tree in list(trees.values()) + [_parse(path) for path in scripts]:
-        mentions.update(_mentions(tree))
-    return {
-        key: mentions[node.name] > _mentions(node)[node.name]
-        for module in sorted(reached & set(trees))
-        for key, node in _definitions(module, trees[module])
-    }
+    its name is mentioned somewhere outside its own body, a method's only
+    as an attribute or a string."""
+    used = {}
+    for module in sorted(reached & set(trees)):
+        for key, node, is_method in _definitions(module, trees[module]):
+            own_names, own_reads = _mentions(node)
+            uses = reads[node.name] - own_reads[node.name]
+            if not is_method:
+                uses += names[node.name] - own_names[node.name]
+            used[key] = uses > 0
+    return used
 
 
 def find_problems(
@@ -323,7 +374,8 @@ def find_problems(
             problems.append(f"allowlist entry {name} names no module under {src}")
         elif name in reached:
             problems.append(f"allowlist entry {name} is reached from {ENTRY}: drop the entry")
-    used = _definition_uses(src, trees, reached)
+    names, reads = _all_mentions(src, trees)
+    used = _definition_uses(trees, reached, names, reads)
     problems += [
         f"{key} is named nowhere in src/{PACKAGE} or examples/: give it a "
         f"caller, delete it, or allowlist it with a reason"
@@ -338,6 +390,13 @@ def find_problems(
             )
         elif used[key]:
             problems.append(f"definition allowlist entry {key} is used: drop the entry")
+    if CONFIG_MODULE in trees:
+        problems += [
+            f"{CONFIG_MODULE}:{field} is read nowhere in src/{PACKAGE} or "
+            f"examples/: give it a reader or delete it"
+            for field, name in _config_fields(trees[CONFIG_MODULE])
+            if not reads[name]
+        ]
     return problems
 
 
