@@ -12,6 +12,8 @@ only BASE has as removed:
 * ``repro model --json`` over the model zoo x the four designs, plus
   heterogeneous Virgo;
 * the serve, fleet, gemm, flash and hetero runs the CI workflow makes;
+* the paper's tables 1-4 and figures 7-12 (``repro table``, ``repro
+  figure``): Table 2 prints the config tree, Figure 7 the area model;
 * the CI chaos serve and fleet runs with ``--trace-out``: each trace file
   is compared as JSON after the run's printed output, with the wall-clock
   ``phase`` spans dropped.
@@ -64,7 +66,8 @@ RTOL = 1e-9
 #: Surfaces compared at once; each runs one process per checkout.
 JOBS = 2
 
-#: The CI workflow's serve and fleet runs, with the other CLI smoke runs.
+#: The CI workflow's serve and fleet runs, with the other CLI smoke runs and
+#: every paper table and figure.
 CI_RUNS: Tuple[Tuple[str, ...], ...] = (
     ("gemm", "--all-designs", "--size", "256"),
     ("flash",),
@@ -87,6 +90,8 @@ CI_RUNS: Tuple[Tuple[str, ...], ...] = (
      "--no-failover", "--json"),
     ("serve", "--trace", "poisson-mixed", "--json"),
     ("model", "--batch", "--names", "gpt-decode,moe-decode", "--designs", "virgo,ampere"),
+    *(("table", "--number", str(number)) for number in range(1, 5)),
+    *(("figure", "--number", str(number)) for number in range(7, 13)),
 )
 
 #: The CI chaos serve and fleet runs, traced: each writes :data:`TRACE_FILE`.
