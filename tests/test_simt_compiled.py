@@ -232,8 +232,7 @@ class TestPinnedKeys:
     A changed encoding would orphan every ``--cache-dir`` snapshot (or,
     worse, collide) without a ``SCHEMA_VERSION`` bump; these digests were
     computed by a per-instruction encoder written apart from the compiled
-    path, at ``SCHEMA_VERSION`` 6, when the key lost its scheduler term and
-    the core config its unread fields.
+    path.
     """
 
     def test_volta_iteration_key(self):
