@@ -207,7 +207,6 @@ class IssueSimulator:
             if not issues[code]:
                 first_issued.append(code)
             issues[code] += 1
-            unit = units[code]
             if unit >= 0:
                 unit_free[unit] = cycle + occupancies[code]
                 unit_busy[unit] += occupancies[code]
