@@ -4,7 +4,7 @@ import pytest
 
 from repro.config.soc import IntegrationStyle, SoCConfig
 from repro.config.presets import DesignKind, make_design
-from repro.energy.area import AreaModel, soc_area_breakdown
+from repro.energy.area import UM2_MMIO_AND_SYNC, UM2_PER_DMA, AreaModel, soc_area_breakdown
 from repro.energy.breakdown import core_breakdown, matrix_unit_breakdown, soc_breakdown
 from repro.energy.model import EnergyEventSpec, EnergyTable
 from repro.energy.power import active_energy_uj, active_power_mw, make_power_report
@@ -197,6 +197,18 @@ class TestAreaModel:
         virgo_bd = soc_area_breakdown(make_design(DesignKind.VIRGO))
         assert volta["Accum Mem"] == 0
         assert virgo_bd["Accum Mem"] > 0
+
+    def test_dma_area_only_on_designs_with_dma(self):
+        """Only the Volta-style design lacks the DMA engine; Virgo adds MMIO and sync."""
+        dma_and_other = {
+            kind: soc_area_breakdown(make_design(kind))["DMA & Other"] for kind in DesignKind
+        }
+        assert dma_and_other == {
+            DesignKind.VOLTA: 0.0,
+            DesignKind.AMPERE: UM2_PER_DMA,
+            DesignKind.HOPPER: UM2_PER_DMA,
+            DesignKind.VIRGO: UM2_PER_DMA + UM2_MMIO_AND_SYNC,
+        }
 
     def test_l1_dominates_due_to_flop_arrays(self, volta_design):
         """The paper notes the flop-array L1 is a large area component."""

@@ -141,3 +141,27 @@ class TestFlashLoopSpec:
         assert compressed.kind_cycles == expanded.kind_cycles
         assert compressed.resource_busy == expanded.resource_busy
         assert compressed.executed_operations < expanded.executed_operations
+
+    def test_prologue_and_stores_occupy_dma_and_sync_its_own(self):
+        pipes = (
+            FlashPipe(kind="matrix", resource="matrix", cycles=70),
+            FlashPipe(kind="softmax", resource="simt", cycles=30),
+        )
+        spec = FlashLoopSpec(
+            iterations=100,
+            pipes=pipes,
+            sync_cycles=5,
+            prologue_cycles=11,
+            epilogue_cycles=3,
+            epilogue_count=4,
+        )
+        assert spec.resources() == ("matrix", "simt", "sync", "dma")
+        for full_expansion in (False, True):
+            busy = execute_flash_loop(spec, full_expansion=full_expansion).resource_busy
+            assert busy == {"matrix": 7000, "simt": 3000, "sync": 500, "dma": 11 + 4 * 3}
+        stores_only = FlashLoopSpec(
+            iterations=10, pipes=pipes[:1], sync_cycles=5, epilogue_cycles=3, epilogue_count=2
+        )
+        assert stores_only.resources() == ("matrix", "sync", "dma")
+        no_dma = FlashLoopSpec(iterations=10, pipes=pipes[:1], sync_cycles=5)
+        assert no_dma.resources() == ("matrix", "sync")

@@ -8,6 +8,7 @@ from repro.kernels.heterogeneous import (
     HeterogeneousResult,
     heterogeneous_summary,
     simulate_heterogeneous,
+    small_unit_config,
 )
 
 
@@ -21,6 +22,12 @@ class TestHeterogeneous:
         """A full 16x16 unit plus a half-size 8x8 unit share the cluster."""
         assert result.total_macs_per_cycle == 256 + 64
         assert result.small_macs_per_cycle == 64
+
+    def test_small_unit_halves_the_mesh_and_tiles(self):
+        small = small_unit_config(virgo().matrix_unit)
+        assert (small.systolic_rows, small.systolic_cols, small.macs_per_cycle) == (8, 8, 64)
+        assert (small.tile_m, small.tile_n, small.tile_k) == (64, 32, 64)
+        assert small.accumulator_bytes == 16 * 1024
 
     def test_parallel_faster_than_serial(self, result):
         assert result.parallel_cycles < result.serial_cycles

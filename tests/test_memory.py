@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config.soc import DmaConfig, DramConfig, SharedMemoryConfig
+from repro.kernels.gemm.volta_gemm import TightlyCoupledGemmKernel
 from repro.memory.dma import DmaDirection, DmaEngine
 from repro.memory.dram import DramChannel
 from repro.memory.interconnect import RequestBundle, SharedMemoryInterconnect
@@ -204,6 +205,10 @@ class TestDmaEngine:
         counters = Counters()
         dma.execute(DmaDirection.ACCUM_TO_GLOBAL, 1024, counters)
         assert counters["accum.read_words"] == 256
+
+    def test_only_a_design_with_dma_builds_an_engine(self, volta_design, ampere_design):
+        assert TightlyCoupledGemmKernel(volta_design).dma is None
+        assert isinstance(TightlyCoupledGemmKernel(ampere_design).dma, DmaEngine)
 
     def test_effective_bandwidth(self):
         dma = self._dma()

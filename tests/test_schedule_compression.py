@@ -16,6 +16,7 @@ import pytest
 from repro.config.presets import DesignKind
 from repro.config.soc import DataType
 from repro.kernels.gemm import GemmWorkload, simulate_gemm
+from repro.kernels.gemm.schedule_loops import GemmLoopSpec, execute_gemm_loop
 from repro.sim.steady_state import LoopStep, SteadyStateEngine
 
 ALL_DESIGNS = list(DesignKind)
@@ -91,6 +92,28 @@ class TestConstantOperationGraph:
         compressed = simulate_gemm(DesignKind.VIRGO, workload)
         expanded = simulate_gemm(DesignKind.VIRGO, workload, full_expansion=True)
         _results_match(compressed, expanded)
+
+
+class TestGemmLoopSpec:
+    def _spec(self, load_cycles=None):
+        return GemmLoopSpec(
+            cluster_tiles=3,
+            k_iterations=5,
+            compute_resource="matrix",
+            compute_cycles=10,
+            epilogue_cycles=4,
+            epilogue_resource="matrix",
+            load_cycles=load_cycles,
+        )
+
+    def test_loads_occupy_the_dma_resource(self):
+        """Both executors put the 3 x 5 loads on ``"dma"``, and report it idle without loads."""
+        for full_expansion in (False, True):
+            loaded = execute_gemm_loop(self._spec(load_cycles=7), full_expansion)
+            assert loaded.resource_busy == {"matrix": 3 * (5 * 10 + 4), "dma": 3 * 5 * 7}
+            assert loaded.kind_cycles["dma"] == 3 * 5 * 7
+            unloaded = execute_gemm_loop(self._spec(), full_expansion)
+            assert unloaded.resource_busy == {"matrix": 3 * (5 * 10 + 4), "dma": 0}
 
 
 class TestSteadyStateEngine:

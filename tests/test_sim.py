@@ -74,6 +74,19 @@ class TestResource:
         resource = Resource("unit")
         assert resource.reserve(20, 5) == (20, 25)
 
+    def test_an_idle_gap_is_not_backfilled(self):
+        """Grants are in request order: a later request never starts in an earlier gap."""
+        resource = Resource("unit")
+        assert resource.reserve(0, 10) == (0, 10)
+        assert resource.reserve(30, 5) == (30, 35)
+        assert resource.reserve(0, 5) == (35, 40)
+
+    def test_busy_cycles_leave_out_idle_gaps(self):
+        resource = Resource("unit")
+        resource.reserve(0, 10)
+        resource.reserve(30, 5)
+        assert resource.busy_cycles == 15
+
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
             Resource("unit").reserve(0, -1)
@@ -159,6 +172,32 @@ class TestOperationGraph:
         graph = self._graph()
         graph.add_operation("x", "dma", 10, ready_after=50)
         assert graph.schedule().total_cycles == 60
+
+    def test_start_is_the_later_of_ready_after_and_dependencies(self):
+        graph = self._graph()
+        graph.add_operation("load", "dma", 100)
+        graph.add_operation("early", "matrix", 10, deps=["load"], ready_after=40)
+        graph.add_operation("late", "dma", 10, deps=["load"], ready_after=250)
+        scheduled = graph.schedule().scheduled
+        assert (scheduled["early"].start, scheduled["early"].end) == (100, 110)
+        assert (scheduled["late"].start, scheduled["late"].end) == (250, 260)
+
+    def test_operation_waits_for_its_latest_dependency(self):
+        graph = self._graph()
+        graph.add_resource(Resource("simt"))
+        graph.add_operation("a", "dma", 10)
+        graph.add_operation("b", "matrix", 30)
+        graph.add_operation("c", "simt", 5, deps=["a", "b"])
+        graph.add_operation("d", "dma", 10, deps=["b", "a"])
+        scheduled = graph.schedule().scheduled
+        assert (scheduled["c"].start, scheduled["c"].end) == (30, 35)
+        assert (scheduled["d"].start, scheduled["d"].end) == (30, 40)
+
+    def test_resource_busy_reports_idle_resources(self):
+        graph = self._graph()
+        graph.add_operation("load", "dma", 10)
+        graph.add_operation("later", "dma", 5, ready_after=40)
+        assert graph.schedule().resource_busy == {"dma": 15, "matrix": 0}
 
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):

@@ -103,6 +103,23 @@ class TestIssueSimulator:
         result = IssueSimulator(CoreConfig()).simulate([_program(OpClass.ALU, 50)] * 4)
         assert result.instructions_issued <= result.cycles
 
+    def test_independent_warps_issue_one_instruction_per_cycle(self):
+        """Single issue: four hazard-free warps drain in exactly one cycle per instruction."""
+        result = IssueSimulator(CoreConfig()).simulate([_program(OpClass.ALU, 25)] * 4)
+        assert (result.cycles, result.instructions_issued, result.stall_cycles) == (100, 100, 0)
+
+    def test_round_robin_issues_from_the_next_warp(self):
+        """After warp 0 issues, warp 1 goes next, before warp 0's second instruction.
+
+        Issuing warp 0's SFU second would hold the FPU for two cycles and
+        stall warp 1's FPU instruction for one.
+        """
+        first = WarpProgram().emit_class(OpClass.ALU).emit_class(OpClass.SFU)
+        second = _program(OpClass.FPU, 1)
+        result = IssueSimulator(CoreConfig()).simulate([first, second])
+        assert list(result.issued_by_class) == [OpClass.ALU, OpClass.FPU, OpClass.SFU]
+        assert (result.cycles, result.stall_cycles) == (3, 0)
+
     def test_too_many_warps_rejected(self):
         core = CoreConfig(warps=2)
         with pytest.raises(ValueError):

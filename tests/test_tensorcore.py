@@ -8,7 +8,7 @@ from repro.isa.instructions import OpClass
 from repro.sim.stats import Counters
 from repro.tensorcore.dot_product_unit import DotProductUnit
 from repro.tensorcore.fragments import MatrixFragment, load_fragment
-from repro.tensorcore.hopper import HopperTensorCore
+from repro.tensorcore.hopper import SMEM_FILL_LATENCY, HopperTensorCore
 from repro.tensorcore.volta import VoltaTensorCore
 
 
@@ -126,6 +126,15 @@ class TestVoltaTensorCore:
         assert classes.count(OpClass.HMMA_SET) == 4
         assert classes.count(OpClass.HMMA_STEP) == 16
 
+    def test_hmma_register_operands(self, volta_design):
+        """A set reads one register; a step reads four operand and writes two accumulator ones."""
+        instructions = self._unit(volta_design).hmma_sequence().as_instructions()
+        operands = {
+            (instruction.op_class, instruction.reg_reads, instruction.reg_writes)
+            for instruction in instructions
+        }
+        assert operands == {(OpClass.HMMA_SET, 1, 0), (OpClass.HMMA_STEP, 4, 2)}
+
     def test_tile_events_include_register_file_traffic(self, volta_design):
         """Tightly-coupled: operands AND accumulators move through the RF."""
         unit = self._unit(volta_design)
@@ -173,6 +182,13 @@ class TestHopperTensorCore:
         assert operation.compute_cycles == 16 * 16 * 32 // 64
         # The exposed latency is much smaller than a serial fetch + compute.
         assert operation.total_cycles < operation.compute_cycles + operation.smem_read_cycles
+
+    def test_only_the_fill_latency_is_exposed(self, hopper_design):
+        """Shared memory keeps up (64 read cycles under 128 compute): no shortfall."""
+        operation = self._unit(hopper_design).tile_operation()
+        assert (operation.compute_cycles, operation.smem_read_cycles) == (128, 64)
+        assert operation.exposed_latency == SMEM_FILL_LATENCY == 6
+        assert operation.total_cycles == 128 + 6
 
     def test_async_instruction_interface(self, hopper_design):
         instructions = self._unit(hopper_design).instruction_sequence()
