@@ -15,19 +15,19 @@ that (and its accuracy impact) as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
 from repro.config.soc import DataType, DesignConfig, IntegrationStyle
-from repro.config.presets import DesignKind, ampere_style, make_design, virgo
+from repro.config.presets import DesignKind, make_design
 from repro.core.gemmini import GemminiMatrixUnit
 from repro.isa.instructions import OpClass
 from repro.isa.program import WarpProgram
-from repro.kernels.gemm.base import memoized_iteration
+from repro.kernels.gemm.base import KernelResult, memoized_iteration
 from repro.kernels.gemm.instruction_streams import _fragment_loads
-from repro.kernels.gemm.kernel import tile_op_events
+from repro.kernels.gemm.kernel import KernelModel, tile_op_events
 from repro.kernels.gemm.schedule_loops import (
     FlashLoopSpec,
     FlashPipe,
@@ -41,10 +41,8 @@ from repro.kernels.masking import (
     tile_trips_varlen,
     trip_segments,
 )
-from repro.memory.dma import DmaEngine
-from repro.memory.dram import DramChannel
 from repro.sim.stats import Counters
-from repro.simt.core import SIMT_OVERHEAD_RATIO, VortexCore, sweep_cost
+from repro.simt.core import SIMT_OVERHEAD_RATIO, sweep_cost
 from repro.tensorcore.volta import VoltaTensorCore
 
 
@@ -240,32 +238,10 @@ class FlashAttentionWorkload:
 
 
 @dataclass
-class FlashAttentionResult:
-    """Outcome of simulating FlashAttention-3 on one design.
+class FlashAttentionResult(KernelResult):
+    """Outcome of simulating FlashAttention-3 on one design."""
 
-    ``schedule_stats`` reports how the tile loop was scheduled (executed vs
-    extrapolated operations, see :mod:`repro.sim.steady_state`); it is
-    diagnostic only and never serialized.
-    """
-
-    design: DesignConfig
-    workload: FlashAttentionWorkload
-    total_cycles: int
-    ideal_mac_cycles: float
-    counters: Counters
     fence_poll_cycles_avg: float = 0.0
-    phase_cycles: Dict[str, int] = field(default_factory=dict)
-    schedule_stats: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def mac_utilization(self) -> float:
-        if self.total_cycles <= 0:
-            return 0.0
-        return min(1.0, self.ideal_mac_cycles / self.total_cycles)
-
-    @property
-    def mac_utilization_percent(self) -> float:
-        return 100.0 * self.mac_utilization
 
     @property
     def fence_overhead_fraction(self) -> float:
@@ -287,117 +263,155 @@ SOFTMAX_FLOPS_PER_ELEMENT = 20
 
 
 # --------------------------------------------------------------------------- #
-# Virgo mapping (Listing 1)
+# The tile loop (shared by both mappings)
 # --------------------------------------------------------------------------- #
 
 
-class VirgoFlashAttentionKernel:
-    """FlashAttention-3 mapped onto Virgo (GEMMs on the matrix unit, softmax on SIMT)."""
+def _kv_tile_bytes(block_kv: int, head_dim: int) -> int:
+    """Bytes of one FP32 K tile and one V tile."""
+    return 2 * block_kv * head_dim * 4
 
-    #: Average cycles the leader warp spends in the fence polling loop per
-    #: iteration (the paper measures ~260 cycles, 2.4% of runtime).
-    FENCE_POLL_CYCLES = 260
-    BARRIER_CYCLES = 24
 
-    def __init__(self, design: DesignConfig | None = None) -> None:
-        self.design = design or virgo(DataType.FP32)
-        if self.design.style is not IntegrationStyle.DISAGGREGATED:
-            raise ValueError("VirgoFlashAttentionKernel requires the disaggregated design")
-        self.matrix_unit = GemminiMatrixUnit(
-            self.design.matrix_unit, self.design.cluster.shared_memory
-        )
-        self.dram = DramChannel(self.design.soc.dram)
-        self.dma = DmaEngine(self.design.cluster.dma, self.dram)
+def _kv_tile_events(counters: Counters, block_kv: int, head_dim: int) -> None:
+    """Count the DMA of the next K and V tiles from DRAM into shared memory."""
+    nbytes = _kv_tile_bytes(block_kv, head_dim)
+    counters.add("dma.bytes", nbytes)
+    counters.add("dma.descriptors", 2)
+    counters.add("l2.bytes", nbytes)
+    counters.add("dram.bytes", nbytes)
+    counters.add("smem.dma.write_words", nbytes // 4)
+
+
+class FlashKernel(KernelModel):
+    """The fused (Q tile, KV tile) loop both mappings run.
+
+    A mapping supplies ``_iteration(block_q, block_kv, head_dim)``, the
+    cycles of its pipes and the event counters of one KV-tile iteration as
+    plain data, and ``_loop_wiring``, its pipes and synchronization.
+    :meth:`simulate` runs the rest once for both: the memoized iteration,
+    the next KV tile's DMA pipe, the first Q/K/V loads, the trip profile
+    repeated per head, and the counters scaled by the iterations.
+    """
+
+    #: Average cycles the leader warp spends polling a fence per iteration.
+    FENCE_POLL_CYCLES = 0
 
     def simulate(
         self, workload: FlashAttentionWorkload, full_expansion: bool = False
     ) -> FlashAttentionResult:
         bq, bkv, d = workload.block_q, workload.block_kv, workload.head_dim
-
-        # Per-iteration GEMM timings on the cluster matrix unit.
-        gemm1 = self.matrix_unit.operation_timing(bq, bkv, d)      # S = Q K^T
-        gemm2 = self.matrix_unit.operation_timing(bq, d, bkv)      # O += P V
-        matrix_cycles = gemm1.total_cycles + gemm2.total_cycles
-
-        # The softmax reads S and the running statistics and writes P and
-        # the rescaled O: three shared-memory words in and two out per score.
-        softmax_cycles, softmax_counters = sweep_cost(
-            self.design, bq * bkv, SOFTMAX_FLOPS_PER_ELEMENT, 3, 2
+        *cycles, per_iteration = memoized_iteration(
+            self.MODEL, self.design, (bq, bkv, d), lambda: self._iteration(bq, bkv, d)
         )
-        kv_bytes = 2 * bkv * d * 4  # FP32 K and V tiles
-        dma_cycles = self.dma.transfer_cycles(kv_bytes)
 
-        # Software pipeline: per iteration the matrix unit, the SIMT softmax
-        # and the next KV tile's DMA all run concurrently and re-synchronize
-        # at the fence + cluster barrier, so each iteration is paced by its
-        # slowest pipe plus the sync cost.  Masked workloads visit only the
-        # KV tiles their trip profile keeps.  The loop is scheduled through
-        # the steady-state engine (O(#segments), independent of ``heads x
-        # q_tiles x kv_tiles``) unless ``full_expansion`` asks for the
-        # materialized graph.
+        # Software pipeline: per iteration the mapping's pipes and the next
+        # KV tile's DMA run concurrently and re-synchronize, so each
+        # iteration is paced by its slowest pipe plus the sync cost.  Masked
+        # workloads visit only the KV tiles their trip profile keeps.  The
+        # loop is scheduled through the steady-state engine (O(#segments),
+        # independent of ``heads x q_tiles x kv_tiles``) unless
+        # ``full_expansion`` asks for the materialized graph.
+        wiring = self._loop_wiring(workload, *cycles)
+        wiring["pipes"] += (
+            FlashPipe(
+                kind="dma", resource="dma", cycles=self.dma.transfer_cycles(_kv_tile_bytes(bkv, d))
+            ),
+        )
         spec = FlashLoopSpec(
             iterations=workload.iterations,
-            pipes=(
-                FlashPipe(kind="matrix", resource="matrix", cycles=matrix_cycles),
-                FlashPipe(kind="softmax", resource="simt", cycles=softmax_cycles),
-                FlashPipe(kind="dma", resource="dma", cycles=dma_cycles),
-            ),
-            sync_cycles=self.FENCE_POLL_CYCLES + self.BARRIER_CYCLES,
-            # Prologue (first Q/K/V loads) and epilogue (per-Q-tile O store).
+            # The first Q, K and V tiles' loads.
             prologue_cycles=self.dma.transfer_cycles(3 * bq * d * 4),
-            epilogue_cycles=self.dma.transfer_cycles(bq * d * 4),
-            epilogue_count=workload.seq_len // bq,
             trip_profile=workload.flash_segments(),
             profile_repeats=workload.heads if workload.causal else 1,
+            **wiring,
         )
         schedule = execute_flash_loop(spec, full_expansion=full_expansion)
 
-        counters = self._counters(workload, gemm1, gemm2, softmax_counters)
         ideal = workload.gemm_macs / float(self.design.cluster.total_macs_per_cycle)
         return FlashAttentionResult(
             design=self.design,
             workload=workload,
             total_cycles=schedule.total_cycles,
             ideal_mac_cycles=ideal,
-            counters=counters,
+            counters=per_iteration.scaled(workload.iterations),
             fence_poll_cycles_avg=self.FENCE_POLL_CYCLES,
             phase_cycles=dict(schedule.kind_cycles),
             schedule_stats=schedule.stats(),
         )
 
-    def _counters(
-        self, workload: FlashAttentionWorkload, gemm1, gemm2, softmax: Counters
-    ) -> Counters:
-        counters = Counters()
-        iterations = workload.iterations
-        bq, bkv, d = workload.block_q, workload.block_kv, workload.head_dim
 
-        per_iter = Counters()
-        per_iter.add("matrix_unit.pe.macs", bq * bkv * d + bq * d * bkv)
+# --------------------------------------------------------------------------- #
+# Virgo mapping (Listing 1)
+# --------------------------------------------------------------------------- #
+
+
+class VirgoFlashAttentionKernel(FlashKernel):
+    """FlashAttention-3 mapped onto Virgo (GEMMs on the matrix unit, softmax on SIMT)."""
+
+    STYLES = (IntegrationStyle.DISAGGREGATED,)
+    MODEL = "flash.virgo"
+
+    #: The paper measures ~260 cycles of fence polling per iteration (2.4% of
+    #: runtime).
+    FENCE_POLL_CYCLES = 260
+    BARRIER_CYCLES = 24
+
+    def __init__(self, design: DesignConfig) -> None:
+        super().__init__(design)
+        self.matrix_unit = GemminiMatrixUnit(design.matrix_unit, design.cluster.shared_memory)
+
+    def _iteration(self, bq: int, bkv: int, d: int):
+        """Matrix-unit cycles, softmax cycles and event counters of one iteration.
+
+        Reads only the design and the three tile dims, the key
+        :meth:`simulate` memoizes it by.
+        """
+        gemm1 = self.matrix_unit.operation_timing(bq, bkv, d)      # S = Q K^T
+        gemm2 = self.matrix_unit.operation_timing(bq, d, bkv)      # O += P V
+        # The softmax reads S and the running statistics and writes P and
+        # the rescaled O: three shared-memory words in and two out per score.
+        softmax_cycles, softmax = sweep_cost(
+            self.design, bq * bkv, SOFTMAX_FLOPS_PER_ELEMENT, 3, 2
+        )
+
+        counters = Counters()
+        counters.add("matrix_unit.pe.macs", bq * bkv * d + bq * d * bkv)
         operand_words = (
             self.matrix_unit.smem_read_bytes(bq, bkv, d)
             + self.matrix_unit.smem_read_bytes(bq, d, bkv)
         ) // 4
-        per_iter.add("smem.matrix.read_words", operand_words)
-        per_iter.add("matrix_unit.smem_interface_words", operand_words)
-        per_iter.add("matrix_unit.control_events", 2)
-        per_iter.add("accum.write_words", bq * (bkv + d))
-        per_iter.add("accum.read_words", bq * d)
-        per_iter.add("mmio.stores", 12)
-        per_iter.add("mmio.commands", 2)
-        per_iter.add("mmio.loads", self.FENCE_POLL_CYCLES // 10)
-        per_iter.add("core.issue.instructions", 40)
-        per_iter.add("dma.bytes", 2 * bkv * d * 4)
-        per_iter.add("dma.descriptors", 2)
-        per_iter.add("l2.bytes", 2 * bkv * d * 4)
-        per_iter.add("dram.bytes", 2 * bkv * d * 4)
-        per_iter.add("smem.dma.write_words", 2 * bkv * d)
-        per_iter.add("sync.barrier_requests", self.design.cluster.cores)
-        per_iter.add("sync.barriers_released", 1)
-        per_iter.merge(softmax)
+        counters.add("smem.matrix.read_words", operand_words)
+        counters.add("matrix_unit.smem_interface_words", operand_words)
+        counters.add("matrix_unit.control_events", 2)
+        counters.add("accum.write_words", bq * (bkv + d))
+        counters.add("accum.read_words", bq * d)
+        counters.add("mmio.stores", 12)
+        counters.add("mmio.commands", 2)
+        counters.add("mmio.loads", self.FENCE_POLL_CYCLES // 10)
+        counters.add("core.issue.instructions", 40)
+        _kv_tile_events(counters, bkv, d)
+        counters.add("sync.barrier_requests", self.design.cluster.cores)
+        counters.add("sync.barriers_released", 1)
+        counters.merge(softmax)
+        return gemm1.total_cycles + gemm2.total_cycles, softmax_cycles, counters
 
-        counters.merge(per_iter.scaled(iterations))
-        return counters
+    def _loop_wiring(
+        self, workload: FlashAttentionWorkload, matrix_cycles: int, softmax_cycles: int
+    ):
+        """The matrix unit and the SIMT softmax run beside the DMA and meet at
+        the fence and cluster barrier; after the loop, each Q tile's O tile
+        is stored on the DMA.
+        """
+        bq, d = workload.block_q, workload.head_dim
+        return dict(
+            pipes=(
+                FlashPipe(kind="matrix", resource="matrix", cycles=matrix_cycles),
+                FlashPipe(kind="softmax", resource="simt", cycles=softmax_cycles),
+            ),
+            sync_cycles=self.FENCE_POLL_CYCLES + self.BARRIER_CYCLES,
+            epilogue_cycles=self.dma.transfer_cycles(bq * d * 4),
+            epilogue_count=workload.seq_len // bq,
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -405,7 +419,7 @@ class VirgoFlashAttentionKernel:
 # --------------------------------------------------------------------------- #
 
 
-class AmpereFlashAttentionKernel:
+class AmpereFlashAttentionKernel(FlashKernel):
     """FlashAttention-3 on the tightly-coupled Ampere-style baseline.
 
     The 8 warps of each core split into two groups of four; one group issues
@@ -415,16 +429,14 @@ class AmpereFlashAttentionKernel:
     achieved MAC utilization is far lower than Virgo's.
     """
 
+    STYLES = (IntegrationStyle.TIGHTLY_COUPLED_DMA,)
+    MODEL = "flash.ampere"
+
     BARRIER_CYCLES = 24
 
-    def __init__(self, design: DesignConfig | None = None) -> None:
-        self.design = design or ampere_style(DataType.FP32)
-        if self.design.style is not IntegrationStyle.TIGHTLY_COUPLED_DMA:
-            raise ValueError("AmpereFlashAttentionKernel requires the Ampere-style design")
-        self.tensor_core = VoltaTensorCore(self.design.matrix_unit)
-        self.core = VortexCore(self.design.cluster.core)
-        self.dram = DramChannel(self.design.soc.dram)
-        self.dma = DmaEngine(self.design.cluster.dma, self.dram)
+    def __init__(self, design: DesignConfig) -> None:
+        super().__init__(design)
+        self.tensor_core = VoltaTensorCore(design.matrix_unit)
 
     def _iteration(self, bq: int, bkv: int, d: int):
         """Core cycles and event counters of one KV-tile iteration.
@@ -435,7 +447,10 @@ class AmpereFlashAttentionKernel:
         """
         programs, tile_ops_per_core = self._iteration_programs(bq, bkv, d)
         execution = self.core.execute(programs)
-        counters = self._iteration_counters(bkv, d, execution.counters, tile_ops_per_core)
+        counters = tile_op_events(
+            self.design, self.tensor_core, execution.counters, tile_ops_per_core
+        )
+        _kv_tile_events(counters, bkv, d)
         return execution.cycles, counters
 
     def _iteration_programs(self, bq: int, bkv: int, d: int):
@@ -453,14 +468,10 @@ class AmpereFlashAttentionKernel:
         )
 
         sequence = self.tensor_core.hmma_sequence()
-        a_bytes = unit.tile_m * unit.tile_k * unit.dtype.bytes
-        b_bytes = unit.tile_k * unit.tile_n * unit.dtype.bytes
-
         gemm_program = WarpProgram(name="fa_gemm_warp")
         for _ in range(tile_ops_per_warp):
             gemm_program.emit_class(OpClass.ALU, repeat=4)
-            _fragment_loads(gemm_program, a_bytes, lanes)
-            _fragment_loads(gemm_program, b_bytes, lanes)
+            _fragment_loads(gemm_program, unit, lanes)
             for instruction in sequence.as_instructions():
                 gemm_program.emit(instruction)
             gemm_program.emit_class(OpClass.ALU, repeat=2)
@@ -498,61 +509,16 @@ class AmpereFlashAttentionKernel:
         programs[0] = WarpProgram(name="fa_gemm_leader").extend(gemm_program).extend(leader)
         return programs, tile_ops_per_warp * gemm_warps
 
-    def simulate(
-        self, workload: FlashAttentionWorkload, full_expansion: bool = False
-    ) -> FlashAttentionResult:
-        bq, bkv, d = workload.block_q, workload.block_kv, workload.head_dim
-        core_cycles, per_iteration = memoized_iteration(
-            "flash.ampere", self.design, (bq, bkv, d), lambda: self._iteration(bq, bkv, d)
-        )
-        kv_bytes = 2 * bkv * d * 4
-        dma_cycles = self.dma.transfer_cycles(kv_bytes)
-
-        # Ping-pong iteration: the warp-specialized core phase (GEMM + softmax
-        # groups, closed by the core barrier) overlaps only with the DMA of
-        # the next KV tile; the slower of the two paces the loop.  Masked
-        # workloads skip the KV tiles their trip profile rules out.
-        spec = FlashLoopSpec(
-            iterations=workload.iterations,
+    def _loop_wiring(self, workload: FlashAttentionWorkload, core_cycles: int):
+        """Ping-pong: the warp-specialized core phase (GEMM and softmax
+        groups, closed by the core barrier) overlaps only with the DMA of
+        the next KV tile; the slower of the two paces the loop.
+        """
+        return dict(
             pipes=(
-                FlashPipe(
-                    kind="core",
-                    resource="core",
-                    cycles=core_cycles + self.BARRIER_CYCLES,
-                ),
-                FlashPipe(kind="dma", resource="dma", cycles=dma_cycles),
-            ),
-            prologue_cycles=self.dma.transfer_cycles(3 * bq * d * 4),
-            trip_profile=workload.flash_segments(),
-            profile_repeats=workload.heads if workload.causal else 1,
+                FlashPipe(kind="core", resource="core", cycles=core_cycles + self.BARRIER_CYCLES),
+            )
         )
-        schedule = execute_flash_loop(spec, full_expansion=full_expansion)
-
-        counters = per_iteration.scaled(workload.iterations)
-        ideal = workload.gemm_macs / float(self.design.cluster.total_macs_per_cycle)
-        return FlashAttentionResult(
-            design=self.design,
-            workload=workload,
-            total_cycles=schedule.total_cycles,
-            ideal_mac_cycles=ideal,
-            counters=counters,
-            phase_cycles=dict(schedule.kind_cycles),
-            schedule_stats=schedule.stats(),
-        )
-
-    def _iteration_counters(
-        self, bkv: int, d: int, core_counters: Counters, tile_ops_per_core: int
-    ) -> Counters:
-        per_iter = tile_op_events(
-            self.design, self.tensor_core, core_counters, tile_ops_per_core
-        )
-        kv_bytes = 2 * bkv * d * 4
-        per_iter.add("dma.bytes", kv_bytes)
-        per_iter.add("dma.descriptors", 2)
-        per_iter.add("l2.bytes", kv_bytes)
-        per_iter.add("dram.bytes", kv_bytes)
-        per_iter.add("smem.dma.write_words", kv_bytes // 4)
-        return per_iter
 
 
 # --------------------------------------------------------------------------- #
@@ -573,15 +539,10 @@ def simulate_flash_attention(
     """
     workload = workload or FlashAttentionWorkload()
     if isinstance(design, DesignKind):
-        if design is DesignKind.VIRGO:
-            return VirgoFlashAttentionKernel().simulate(workload, full_expansion)
-        if design is DesignKind.AMPERE:
-            return AmpereFlashAttentionKernel().simulate(workload, full_expansion)
         design = make_design(design, DataType.FP32)
-    if design.style is IntegrationStyle.DISAGGREGATED:
-        return VirgoFlashAttentionKernel(design).simulate(workload, full_expansion)
-    if design.style is IntegrationStyle.TIGHTLY_COUPLED_DMA:
-        return AmpereFlashAttentionKernel(design).simulate(workload, full_expansion)
+    for mapping in (VirgoFlashAttentionKernel, AmpereFlashAttentionKernel):
+        if design.style in mapping.STYLES:
+            return mapping(design).simulate(workload, full_expansion)
     raise ValueError(
         "the paper evaluates FlashAttention-3 on the Virgo and Ampere-style designs only"
     )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Tuple, TypeVar
+from typing import Any, Callable, Dict, Tuple, TypeVar
 
 from repro.config.soc import DataType, DesignConfig
 from repro.perf import design_fingerprint, memoized
@@ -68,22 +68,23 @@ GEMM_SIZES = (256, 512, 1024)
 
 
 @dataclass
-class GemmKernelResult:
-    """Outcome of simulating one GEMM kernel on one design."""
+class KernelResult:
+    """Outcome of simulating one kernel on one design.
+
+    ``phase_cycles`` holds the busy cycles per operation kind and
+    ``schedule_stats`` the operation-graph size bookkeeping of the schedule
+    executor: ``executed_operations`` (materialized),
+    ``extrapolated_operations`` (covered by steady-state compression) and
+    their ``operation_count``.  Both are diagnostic and never serialized.
+    """
 
     design: DesignConfig
-    workload: GemmWorkload
+    #: The GemmWorkload or FlashAttentionWorkload simulated.
+    workload: Any
     total_cycles: int
     ideal_mac_cycles: float
     counters: Counters
-    retired_instructions: int = 0
-    iteration_cycles: int = 0
     phase_cycles: Dict[str, int] = field(default_factory=dict)
-    #: Busy cycles per scheduler resource ("matrix"/"compute", "dma").
-    resource_busy: Dict[str, int] = field(default_factory=dict)
-    #: Operation-graph size bookkeeping from the schedule executor:
-    #: ``executed_operations`` (materialized), ``extrapolated_operations``
-    #: (covered by steady-state compression) and their ``operation_count``.
     schedule_stats: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -96,6 +97,16 @@ class GemmKernelResult:
     @property
     def mac_utilization_percent(self) -> float:
         return 100.0 * self.mac_utilization
+
+
+@dataclass
+class GemmKernelResult(KernelResult):
+    """Outcome of simulating one GEMM kernel on one design."""
+
+    retired_instructions: int = 0
+    iteration_cycles: int = 0
+    #: Busy cycles per scheduler resource ("matrix"/"compute", "dma").
+    resource_busy: Dict[str, int] = field(default_factory=dict)
 
 
 def ideal_mac_cycles(design: DesignConfig, workload: GemmWorkload) -> float:

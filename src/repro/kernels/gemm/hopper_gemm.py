@@ -17,7 +17,7 @@ tile is stored from the register file to global memory by SIMT stores.
 from __future__ import annotations
 
 from repro.config.soc import DesignConfig, IntegrationStyle
-from repro.kernels.gemm.instruction_streams import hopper_iteration_streams
+from repro.kernels.gemm.instruction_streams import core_coupled_iteration_streams
 from repro.kernels.gemm.kernel import REGISTER_FILE_LOOP, GemmKernel, tile_op_events
 from repro.kernels.gemm.tiling import ThreadBlockTiling
 from repro.sim.stats import Counters
@@ -48,7 +48,9 @@ class OperandDecoupledGemmKernel(GemmKernel):
         Reads the design and ``tiling.iteration_shape`` only, so
         :meth:`simulate` memoizes it by that shape.
         """
-        streams = hopper_iteration_streams(self.design, tiling, self.tensor_core)
+        streams = core_coupled_iteration_streams(
+            self.design, tiling, self.tensor_core.instruction_sequence()
+        )
         execution = self.core.execute(streams.programs_for_core())
 
         # Matrix-unit occupancy per core: the per-core unit serializes the

@@ -10,13 +10,12 @@ comparison of Section 6.1.1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from repro.config.soc import DesignConfig, IntegrationStyle
-from repro.isa.instructions import OpClass
+from repro.config.soc import DesignConfig, IntegrationStyle, MatrixUnitConfig
+from repro.isa.instructions import Instruction, OpClass
 from repro.isa.program import WarpProgram
 from repro.kernels.gemm.tiling import ThreadBlockTiling
-from repro.tensorcore.volta import VoltaTensorCore
-from repro.tensorcore.hopper import HopperTensorCore
 
 
 @dataclass
@@ -50,7 +49,7 @@ class IterationStreams:
         return len(self.compute_warp) * self.warps_per_core + len(self.leader_extra)
 
 
-def _copy_loop(program: WarpProgram, nbytes_per_warp: int, blocking: bool) -> None:
+def _copy_loop(program: WarpProgram, nbytes_per_warp: int) -> None:
     """Global -> shared copy executed by one warp (no-DMA designs).
 
     Each step moves one 4-byte word per lane (32 bytes per warp instruction
@@ -68,33 +67,37 @@ def _copy_loop(program: WarpProgram, nbytes_per_warp: int, blocking: bool) -> No
         )
 
 
-def _fragment_loads(program: WarpProgram, fragment_bytes: int, lanes: int) -> None:
-    """Shared-memory -> register-file fragment loads for one operand.
+def _fragment_loads(program: WarpProgram, unit: MatrixUnitConfig, lanes: int) -> None:
+    """Shared-memory -> register-file loads of one tile's A and B fragments.
 
     Address generation is amortized: one add covers two loads (the second
     load uses an immediate offset from the same base register).
     """
-    bytes_per_instruction = 4 * lanes
-    loads = max(1, -(-fragment_bytes // bytes_per_instruction))
-    for index in range(loads):
-        if index % 2 == 0:
-            program.emit_class(OpClass.ALU, reg_reads=2, reg_writes=1)
-        program.emit_class(
-            OpClass.LOAD_SHARED, reg_reads=1, reg_writes=1, bytes_accessed=bytes_per_instruction
-        )
+    width = 4 * lanes  # bytes per load instruction
+    a_bytes = unit.tile_m * unit.tile_k * unit.dtype.bytes
+    b_bytes = unit.tile_k * unit.tile_n * unit.dtype.bytes
+    for fragment_bytes in (a_bytes, b_bytes):
+        for index in range(max(1, -(-fragment_bytes // width))):
+            if index % 2 == 0:
+                program.emit_class(OpClass.ALU, reg_reads=2, reg_writes=1)
+            program.emit_class(OpClass.LOAD_SHARED, reg_reads=1, reg_writes=1, bytes_accessed=width)
 
 
-def volta_iteration_streams(
+def core_coupled_iteration_streams(
     design: DesignConfig,
     tiling: ThreadBlockTiling,
-    tensor_core: VoltaTensorCore,
-    include_copy: bool,
+    tile_instructions: Sequence[Instruction],
 ) -> IterationStreams:
-    """Streams for the tightly-coupled designs (Volta-style, Ampere-style).
+    """Streams for the per-core tensor-core designs (Volta-, Ampere-, Hopper-style).
 
-    ``include_copy`` distinguishes Volta (SIMT-instruction data delivery)
-    from Ampere (DMA data delivery: the copy loop disappears and the leader
-    warp programs the DMA instead).
+    Each warp issues its share of the iteration's tile operations, each one
+    ``tile_instructions`` (the HMMA set/step sequence, or Hopper's initiate
+    and wait) between address and K-loop bookkeeping.  The tightly-coupled
+    designs first load both operand fragments into the register file; the
+    operand-decoupled unit reads them from shared memory itself, and its
+    accumulator read-modify-write rides on the wait instruction.  Without a
+    DMA the warps copy the next K tile themselves; with one, the leader warp
+    programs the DMA instead.
     """
     cluster = design.cluster
     unit = design.matrix_unit
@@ -105,73 +108,26 @@ def volta_iteration_streams(
     tile_ops_per_core = max(1, tile_ops_per_iteration // cluster.cores)
     tile_ops_per_warp = max(1, tile_ops_per_core // warps)
 
-    compute = WarpProgram(name="volta_compute")
-    sequence = tensor_core.hmma_sequence()
-    a_fragment_bytes = unit.tile_m * unit.tile_k * unit.dtype.bytes
-    b_fragment_bytes = unit.tile_k * unit.tile_n * unit.dtype.bytes
+    compute = WarpProgram(name="compute")
     for _ in range(tile_ops_per_warp):
         # Tile base address computation for A, B and the accumulator.
         compute.emit_class(OpClass.ALU, repeat=4, reg_reads=2, reg_writes=1)
-        _fragment_loads(compute, a_fragment_bytes, lanes)
-        _fragment_loads(compute, b_fragment_bytes, lanes)
-        for instruction in sequence.as_instructions():
+        if design.style is not IntegrationStyle.OPERAND_DECOUPLED:
+            _fragment_loads(compute, unit, lanes)
+        for instruction in tile_instructions:
             compute.emit(instruction)
         # K-loop bookkeeping.
         compute.emit_class(OpClass.ALU, repeat=2)
         compute.emit_class(OpClass.BRANCH, repeat=1, reg_reads=1, reg_writes=0)
 
-    if include_copy:
-        copy_bytes_per_warp = -(-tiling.input_bytes_per_iteration // (cluster.cores * warps))
-        _copy_loop(compute, copy_bytes_per_warp, blocking=True)
-
-    compute.emit_class(OpClass.VX_BAR, repeat=1, reg_reads=0, reg_writes=0)
-
-    leader = WarpProgram(name="volta_leader")
-    if not include_copy:
-        # Ampere-style: warp 0 programs the cluster DMA for the next K tile.
+    leader = WarpProgram(name="leader")
+    if design.has_dma:
+        # Warp 0 programs the cluster DMA for the next K tile.
         leader.emit_class(OpClass.DMA_PROGRAM, repeat=4, reg_reads=2, reg_writes=0)
         leader.emit_class(OpClass.ALU, repeat=2)
-
-    return IterationStreams(
-        compute_warp=compute,
-        leader_extra=leader,
-        tile_ops_per_core=tile_ops_per_core,
-        warps_per_core=warps,
-    )
-
-
-def hopper_iteration_streams(
-    design: DesignConfig,
-    tiling: ThreadBlockTiling,
-    tensor_core: HopperTensorCore,
-) -> IterationStreams:
-    """Streams for the operand-decoupled (Hopper-style) design.
-
-    The unit is driven by two instructions per tile operation (initiate and
-    wait); operands come straight from shared memory so no fragment loads
-    appear in the stream.  The accumulator tile still occupies the register
-    file; its read-modify-write traffic is attached to the wait instruction.
-    """
-    cluster = design.cluster
-    unit = design.matrix_unit
-    warps = cluster.core.warps
-
-    tile_ops_per_iteration = tiling.macs_per_iteration // unit.tile_macs
-    tile_ops_per_core = max(1, tile_ops_per_iteration // cluster.cores)
-    tile_ops_per_warp = max(1, tile_ops_per_core // warps)
-
-    compute = WarpProgram(name="hopper_compute")
-    for _ in range(tile_ops_per_warp):
-        compute.emit_class(OpClass.ALU, repeat=4, reg_reads=2, reg_writes=1)
-        for instruction in tensor_core.instruction_sequence():
-            compute.emit(instruction)
-        compute.emit_class(OpClass.ALU, repeat=2)
-        compute.emit_class(OpClass.BRANCH, repeat=1, reg_reads=1, reg_writes=0)
+    else:
+        _copy_loop(compute, -(-tiling.input_bytes_per_iteration // (cluster.cores * warps)))
     compute.emit_class(OpClass.VX_BAR, repeat=1, reg_reads=0, reg_writes=0)
-
-    leader = WarpProgram(name="hopper_leader")
-    leader.emit_class(OpClass.DMA_PROGRAM, repeat=4, reg_reads=2, reg_writes=0)
-    leader.emit_class(OpClass.ALU, repeat=2)
 
     return IterationStreams(
         compute_warp=compute,

@@ -2,10 +2,11 @@
 
 A style supplies three pieces: ``_iteration`` times one steady-state K
 iteration, ``_epilogue`` one output tile's write-back, and ``_loop_wiring``
-says how the loop overlaps loads, compute and epilogues.  :class:`GemmKernel`
-builds the components and runs the rest once for all styles: the tiling,
-the memoized iteration, the scheduled loop and the counters and
-instructions scaled to the whole GEMM.
+says how the loop overlaps loads, compute and epilogues.
+:class:`KernelModel` checks the style and builds the components, for the
+FlashAttention mappings too; :class:`GemmKernel` runs the rest once for all
+styles: the tiling, the memoized iteration, the scheduled loop and the
+counters and instructions scaled to the whole GEMM.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ REGISTER_FILE_LOOP = dict(
 )
 
 
-class GemmKernel:
-    """Construction and whole-kernel simulation shared by the GEMM styles."""
+class KernelModel:
+    """Construction shared by the GEMM styles and the FlashAttention mappings."""
 
     #: Integration styles the subclass models.
     STYLES: Tuple[IntegrationStyle, ...] = ()
@@ -56,6 +57,10 @@ class GemmKernel:
         self.core = VortexCore(design.cluster.core)
         self.dram = DramChannel(design.soc.dram)
         self.dma = DmaEngine(design.cluster.dma, self.dram) if design.has_dma else None
+
+
+class GemmKernel(KernelModel):
+    """Whole-kernel simulation shared by the GEMM styles."""
 
     def simulate(self, workload: GemmWorkload, full_expansion: bool = False) -> GemmKernelResult:
         tiling = tiling_for_design(self.design, workload)

@@ -23,7 +23,7 @@ captured.
 from __future__ import annotations
 
 from repro.config.soc import DesignConfig, IntegrationStyle
-from repro.kernels.gemm.instruction_streams import volta_iteration_streams
+from repro.kernels.gemm.instruction_streams import core_coupled_iteration_streams
 from repro.kernels.gemm.kernel import REGISTER_FILE_LOOP, GemmKernel, tile_op_events
 from repro.kernels.gemm.tiling import ThreadBlockTiling
 from repro.sim.stats import Counters
@@ -51,11 +51,10 @@ class TightlyCoupledGemmKernel(GemmKernel):
         :meth:`simulate` memoizes it by that shape.
         """
         has_dma = self.design.has_dma
-        streams = volta_iteration_streams(
-            self.design, tiling, self.tensor_core, include_copy=not has_dma
+        streams = core_coupled_iteration_streams(
+            self.design, tiling, self.tensor_core.hmma_sequence().as_instructions()
         )
-        programs = streams.programs_for_core()
-        execution = self.core.execute(programs)
+        execution = self.core.execute(streams.programs_for_core())
 
         # Per-core cycles: the issue simulator already serializes HMMA steps
         # on the core's tensor unit, so its cycle count covers both the

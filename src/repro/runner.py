@@ -9,8 +9,8 @@ counts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Union
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, Type, TypeVar, Union
 
 from repro.config.soc import DataType, DesignConfig
 from repro.config.presets import DesignKind, gemm_design_kinds, make_design
@@ -22,23 +22,22 @@ from repro.energy.breakdown import (
 )
 from repro.energy.model import EnergyTable
 from repro.energy.power import PowerReport, make_power_report
-from repro.kernels.flash_attention import (
-    FlashAttentionResult,
-    FlashAttentionWorkload,
-    simulate_flash_attention,
-)
-from repro.kernels.gemm import GemmKernelResult, GemmWorkload, simulate_gemm
+from repro.kernels.flash_attention import FlashAttentionWorkload, simulate_flash_attention
+from repro.kernels.gemm import GemmWorkload, simulate_gemm
+from repro.kernels.gemm.base import KernelResult
 from repro.obs import phase
 from repro.perf import timing_cache
 from repro.sim.stats import Counters
 
+R = TypeVar("R", bound="KernelRunResult")
+
 
 @dataclass
-class GemmRunResult:
-    """A GEMM kernel simulation bundled with its energy/power analysis."""
+class KernelRunResult:
+    """A kernel simulation bundled with its energy/power analysis."""
 
     design: DesignConfig
-    kernel: GemmKernelResult
+    kernel: KernelResult
     power: PowerReport
 
     @property
@@ -66,24 +65,29 @@ class GemmRunResult:
         return self.power.total_energy_uj
 
     @property
-    def retired_instructions(self) -> int:
-        return self.kernel.retired_instructions
-
-    @property
     def counters(self) -> Counters:
         return self.kernel.counters
 
     def soc_breakdown(self) -> EnergyBreakdown:
         return soc_breakdown(self.design.name, self.kernel.counters, self._table())
 
+    def _table(self) -> EnergyTable:
+        return EnergyTable.for_design(self.design.style)
+
+
+@dataclass
+class GemmRunResult(KernelRunResult):
+    """A GEMM kernel simulation bundled with its energy/power analysis."""
+
+    @property
+    def retired_instructions(self) -> int:
+        return self.kernel.retired_instructions
+
     def core_breakdown(self) -> EnergyBreakdown:
         return core_breakdown(self.design.name, self.kernel.counters, self._table())
 
     def matrix_unit_breakdown(self) -> EnergyBreakdown:
         return matrix_unit_breakdown(self.design.name, self.kernel.counters, self._table())
-
-    def _table(self) -> EnergyTable:
-        return EnergyTable.for_design(self.design.style)
 
     def to_dict(self) -> Dict[str, object]:
         """Canonical JSON-ready encoding, as the CLI prints it."""
@@ -101,36 +105,8 @@ class GemmRunResult:
 
 
 @dataclass
-class FlashAttentionRunResult:
+class FlashAttentionRunResult(KernelRunResult):
     """A FlashAttention-3 simulation bundled with its energy/power analysis."""
-
-    design: DesignConfig
-    kernel: FlashAttentionResult
-    power: PowerReport
-
-    @property
-    def design_name(self) -> str:
-        return self.design.name
-
-    @property
-    def total_cycles(self) -> int:
-        return self.kernel.total_cycles
-
-    @property
-    def mac_utilization_percent(self) -> float:
-        return self.kernel.mac_utilization_percent
-
-    @property
-    def active_power_mw(self) -> float:
-        return self.power.active_power_mw
-
-    @property
-    def active_energy_uj(self) -> float:
-        return self.power.total_energy_uj
-
-    def soc_breakdown(self) -> EnergyBreakdown:
-        table = EnergyTable.for_design(self.design.style)
-        return soc_breakdown(self.design.name, self.kernel.counters, table)
 
     def to_dict(self) -> Dict[str, object]:
         """Canonical JSON-ready encoding, as the CLI prints it."""
@@ -159,31 +135,55 @@ def _resolve(design: Union[DesignKind, DesignConfig], dtype: DataType) -> Design
     return design
 
 
+def _priced_run(
+    kind: str,
+    config: DesignConfig,
+    workload: object,
+    simulate: Callable[[], KernelResult],
+    result_type: Type[R],
+    /,
+    **phase_args: object,
+) -> R:
+    """Simulate one kernel, price its counters and cache the run.
+
+    The run is memoized in the process-wide timing cache (:mod:`repro.perf`)
+    keyed by ``kind``, the design and the workload content; repeated
+    invocations of the same shape return the same (shared, treat-as-immutable)
+    result object.
+    """
+
+    def compute() -> R:
+        with phase(f"simulate.{kind}", design=config.name, **phase_args):
+            kernel_result = simulate()
+            power = make_power_report(
+                config.name,
+                kernel_result.counters,
+                EnergyTable.for_design(config.style),
+                kernel_result.total_cycles,
+                config.soc,
+            )
+            return result_type(design=config, kernel=kernel_result, power=power)
+
+    cache = timing_cache()
+    return cache.get_or_compute(cache.key(kind, config, {"workload": workload}), compute)
+
+
 def run_gemm(
     design: Union[DesignKind, DesignConfig],
     size: Union[int, GemmWorkload],
     dtype: DataType = DataType.FP16,
 ) -> GemmRunResult:
-    """Simulate a GEMM and compute its power/energy on one design.
-
-    Results are memoized in the process-wide timing cache (:mod:`repro.perf`)
-    keyed by the design and workload content; repeated invocations of the
-    same shape return the same (shared, treat-as-immutable) result object.
-    """
+    """Simulate a GEMM and compute its power/energy on one design (memoized)."""
     config = _resolve(design, dtype)
     workload = size if isinstance(size, GemmWorkload) else GemmWorkload.square(size, dtype)
-
-    def compute() -> GemmRunResult:
-        with phase("simulate.gemm", design=config.name, workload=workload.name):
-            kernel_result = simulate_gemm(config, workload, dtype)
-            table = EnergyTable.for_design(config.style)
-            power = make_power_report(
-                config.name, kernel_result.counters, table, kernel_result.total_cycles, config.soc
-            )
-            return GemmRunResult(design=config, kernel=kernel_result, power=power)
-
-    cache = timing_cache()
-    return cache.get_or_compute(cache.key("gemm", config, {"workload": workload}), compute)
+    return _priced_run(
+        "gemm",
+        config,
+        workload,
+        lambda: simulate_gemm(config, workload, dtype),
+        GemmRunResult,
+        workload=workload.name,
+    )
 
 
 def run_all_gemm_designs(
@@ -200,27 +200,15 @@ def run_flash_attention(
     design: Union[DesignKind, DesignConfig],
     workload: FlashAttentionWorkload | None = None,
 ) -> FlashAttentionRunResult:
-    """Simulate FlashAttention-3 and compute power/energy (Virgo or Ampere-style).
-
-    Results are memoized in the process-wide timing cache (:mod:`repro.perf`);
-    see :func:`run_gemm`.
-    """
+    """Simulate FlashAttention-3 and compute power/energy (Virgo or Ampere-style, memoized)."""
     workload = workload or FlashAttentionWorkload()
-    config = make_design(design, DataType.FP32) if isinstance(design, DesignKind) else design
-
-    def compute() -> FlashAttentionRunResult:
-        with phase(
-            "simulate.flash",
-            design=config.name,
-            seq_len=workload.seq_len,
-            heads=workload.heads,
-        ):
-            kernel_result = simulate_flash_attention(config, workload)
-            table = EnergyTable.for_design(config.style)
-            power = make_power_report(
-                config.name, kernel_result.counters, table, kernel_result.total_cycles, config.soc
-            )
-            return FlashAttentionRunResult(design=config, kernel=kernel_result, power=power)
-
-    cache = timing_cache()
-    return cache.get_or_compute(cache.key("flash", config, {"workload": workload}), compute)
+    config = _resolve(design, DataType.FP32)
+    return _priced_run(
+        "flash",
+        config,
+        workload,
+        lambda: simulate_flash_attention(config, workload),
+        FlashAttentionRunResult,
+        seq_len=workload.seq_len,
+        heads=workload.heads,
+    )

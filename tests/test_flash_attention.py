@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.config.presets import DesignKind
+from repro.config.presets import DesignKind, make_design
+from repro.config.soc import DataType
 from repro.kernels.flash_attention import (
     AmpereFlashAttentionKernel,
     FlashAttentionWorkload,
@@ -144,9 +145,9 @@ class TestMappings:
         with pytest.raises(ValueError):
             simulate_flash_attention(DesignKind.VOLTA)
 
-    def test_custom_workload(self):
+    def test_custom_workload(self, virgo_fp32_design):
         workload = FlashAttentionWorkload(seq_len=256, head_dim=64)
-        result = VirgoFlashAttentionKernel().simulate(workload)
+        result = VirgoFlashAttentionKernel(virgo_fp32_design).simulate(workload)
         assert result.total_cycles > 0
         assert result.workload.iterations == 16
 
@@ -158,3 +159,23 @@ class TestMappings:
     def test_ampere_kernel_rejects_wrong_design(self, virgo_fp32_design):
         with pytest.raises(ValueError):
             AmpereFlashAttentionKernel(virgo_fp32_design)
+
+    @pytest.mark.parametrize(
+        "kind, kernel_class",
+        [
+            (DesignKind.VIRGO, VirgoFlashAttentionKernel),
+            (DesignKind.AMPERE, AmpereFlashAttentionKernel),
+        ],
+        ids=["virgo", "ampere"],
+    )
+    def test_kv_tiles_load_on_the_dma_every_iteration(self, kind, kernel_class):
+        """Both mappings run the one tile loop: each visited KV tile's K and V
+        loads occupy the DMA pipe once, beside the mapping's own pipes."""
+        kernel = kernel_class(make_design(kind, DataType.FP32))
+        workload = FlashAttentionWorkload(seq_len=512, heads=2, causal=True)
+        result = kernel.simulate(workload)
+        kv_bytes = 2 * workload.block_kv * workload.head_dim * 4
+        assert result.phase_cycles["dma"] == (
+            workload.iterations * kernel.dma.transfer_cycles(kv_bytes)
+        )
+        assert result.counters["dma.bytes"] == workload.iterations * kv_bytes

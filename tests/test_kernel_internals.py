@@ -13,9 +13,8 @@ from repro.kernels.gemm import (
     kernel_for_design,
 )
 from repro.kernels.gemm.instruction_streams import (
-    hopper_iteration_streams,
+    core_coupled_iteration_streams,
     virgo_iteration_streams,
-    volta_iteration_streams,
 )
 from repro.kernels.gemm.tiling import tiling_for_design
 from repro.tensorcore.hopper import HopperTensorCore
@@ -27,39 +26,47 @@ def workload():
     return GemmWorkload.square(512)
 
 
+def _volta_streams(design, tiling):
+    sequence = VoltaTensorCore(design.matrix_unit).hmma_sequence()
+    return core_coupled_iteration_streams(design, tiling, sequence.as_instructions())
+
+
+def _hopper_streams(design, tiling):
+    unit = HopperTensorCore(design.matrix_unit, design.cluster.shared_memory)
+    return core_coupled_iteration_streams(design, tiling, unit.instruction_sequence())
+
+
 class TestVoltaStreams:
-    def _streams(self, design, workload, include_copy):
-        tiling = tiling_for_design(design, workload)
-        tensor_core = VoltaTensorCore(design.matrix_unit)
-        return volta_iteration_streams(design, tiling, tensor_core, include_copy=include_copy)
+    def _streams(self, design, workload):
+        return _volta_streams(design, tiling_for_design(design, workload))
 
     def test_copy_loop_only_without_dma(self, volta_design, ampere_design, workload):
-        volta = self._streams(volta_design, workload, include_copy=True)
-        ampere = self._streams(ampere_design, workload, include_copy=False)
+        volta = self._streams(volta_design, workload)
+        ampere = self._streams(ampere_design, workload)
         volta_classes = volta.compute_warp.count_by_class()
         ampere_classes = ampere.compute_warp.count_by_class()
         assert volta_classes.get(OpClass.LOAD_GLOBAL, 0) > 0
         assert ampere_classes.get(OpClass.LOAD_GLOBAL, 0) == 0
 
     def test_ampere_leader_programs_dma(self, ampere_design, workload):
-        streams = self._streams(ampere_design, workload, include_copy=False)
+        streams = self._streams(ampere_design, workload)
         leader_classes = streams.leader_extra.count_by_class()
         assert leader_classes.get(OpClass.DMA_PROGRAM, 0) > 0
 
     def test_hmma_instructions_present(self, volta_design, workload):
-        streams = self._streams(volta_design, workload, include_copy=True)
+        streams = self._streams(volta_design, workload)
         classes = streams.compute_warp.count_by_class()
         # Two tile ops per warp, 16 steps each.
         assert classes[OpClass.HMMA_STEP] == 2 * 16
         assert classes[OpClass.HMMA_SET] == 2 * 4
 
     def test_barrier_terminates_iteration(self, volta_design, workload):
-        streams = self._streams(volta_design, workload, include_copy=True)
+        streams = self._streams(volta_design, workload)
         assert streams.compute_warp.instructions[-1].op_class is OpClass.VX_BAR
 
     def test_tile_ops_cover_cluster_share(self, volta_design, workload):
         tiling = tiling_for_design(volta_design, workload)
-        streams = self._streams(volta_design, workload, include_copy=True)
+        streams = self._streams(volta_design, workload)
         cluster_tile_ops = tiling.macs_per_iteration // volta_design.matrix_unit.tile_macs
         assert streams.tile_ops_per_core * volta_design.cluster.cores == cluster_tile_ops
 
@@ -67,8 +74,7 @@ class TestVoltaStreams:
 class TestHopperStreams:
     def test_two_instructions_per_tile_op(self, hopper_design, workload):
         tiling = tiling_for_design(hopper_design, workload)
-        unit = HopperTensorCore(hopper_design.matrix_unit, hopper_design.cluster.shared_memory)
-        streams = hopper_iteration_streams(hopper_design, tiling, unit)
+        streams = _hopper_streams(hopper_design, tiling)
         classes = streams.compute_warp.count_by_class()
         assert classes[OpClass.WGMMA_INIT] == classes[OpClass.WGMMA_WAIT]
         assert classes.get(OpClass.LOAD_SHARED, 0) == 0  # operands come from SMEM directly
@@ -76,14 +82,8 @@ class TestHopperStreams:
     def test_far_fewer_instructions_than_volta(self, volta_design, hopper_design, workload):
         volta_tiling = tiling_for_design(volta_design, workload)
         hopper_tiling = tiling_for_design(hopper_design, workload)
-        volta_streams = volta_iteration_streams(
-            volta_design, volta_tiling, VoltaTensorCore(volta_design.matrix_unit), True
-        )
-        hopper_streams = hopper_iteration_streams(
-            hopper_design,
-            hopper_tiling,
-            HopperTensorCore(hopper_design.matrix_unit, hopper_design.cluster.shared_memory),
-        )
+        volta_streams = _volta_streams(volta_design, volta_tiling)
+        hopper_streams = _hopper_streams(hopper_design, hopper_tiling)
         # Normalize by the MACs each iteration covers.
         volta_per_mac = (
             volta_streams.instructions_per_core()

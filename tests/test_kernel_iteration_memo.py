@@ -2,12 +2,12 @@
 
 Each kernel model memoizes its steady-state iteration in the
 ``kernels.iteration`` timing-cache namespace: the GEMM models by (model,
-design fingerprint, block_m, block_n, block_k, dtype), Ampere
-FlashAttention by (model, design fingerprint, block_q, block_kv, head_dim).
-The reference is a ``cache_disabled()`` run, which neither reads nor writes
-the memo.  Memoized runs on a cold cache, a warm cache and after ``clear()``
-must equal it: the canonical ``to_dict()``, the kernel fields and the
-counters item for item, in first-seen key order.
+design fingerprint, block_m, block_n, block_k, dtype), the Virgo and
+Ampere FlashAttention mappings by (model, design fingerprint, block_q,
+block_kv, head_dim).  The reference is a ``cache_disabled()`` run, which
+neither reads nor writes the memo.  Memoized runs on a cold cache, a warm
+cache and after ``clear()`` must equal it: the canonical ``to_dict()``, the
+kernel fields and the counters item for item, in first-seen key order.
 """
 
 import dataclasses
@@ -26,6 +26,7 @@ from repro.isa.program import WarpProgram
 from repro.kernels.flash_attention import (
     AmpereFlashAttentionKernel,
     FlashAttentionWorkload,
+    VirgoFlashAttentionKernel,
     simulate_flash_attention,
 )
 from repro.kernels.gemm import (
@@ -52,11 +53,13 @@ FLASH_WORKLOADS = [
     FlashAttentionWorkload(seq_len=4096, causal=True),
     FlashAttentionWorkload(seq_len=2048, block_q=32, head_dim=128),
 ]
+FLASH_KINDS = (DesignKind.VIRGO, DesignKind.AMPERE)
+FLASH_MAPPINGS = (VirgoFlashAttentionKernel, AmpereFlashAttentionKernel)
 ITERATION_MODELS = (
     TightlyCoupledGemmKernel,
     OperandDecoupledGemmKernel,
     VirgoGemmKernel,
-    AmpereFlashAttentionKernel,
+    *FLASH_MAPPINGS,
 )
 
 
@@ -153,6 +156,12 @@ class TestDifferential:
         _differential(lambda: [_flash_view(design, w) for w in FLASH_WORKLOADS])
         assert len(_table()) == 2  # default blocks, and the non-default one
 
+    def test_virgo_flash(self):
+        design = make_design(DesignKind.VIRGO, DataType.FP32)
+        _differential(lambda: [_flash_view(design, w) for w in FLASH_WORKLOADS])
+        assert len(_table()) == 2
+        assert {key[0] for key in _table()} == {"flash.virgo"}
+
     @pytest.mark.parametrize("kind", gemm_design_kinds(), ids=lambda k: k.value)
     def test_full_expansion(self, kind):
         design = make_design(kind, DataType.FP16)
@@ -162,10 +171,14 @@ class TestDifferential:
         )
 
     def test_flash_full_expansion(self):
-        design = make_design(DesignKind.AMPERE, DataType.FP32)
+        designs = [make_design(kind, DataType.FP32) for kind in FLASH_KINDS]
         workloads = FLASH_WORKLOADS[:1] + FLASH_WORKLOADS[2:]
         _differential(
-            lambda: [_flash_view(design, w, full_expansion=True) for w in workloads]
+            lambda: [
+                _flash_view(design, w, full_expansion=True)
+                for design in designs
+                for w in workloads
+            ]
         )
 
 
@@ -240,7 +253,8 @@ def _gemm_case(design, workload):
 
 
 def _flash_case(design, workload):
-    kernel = AmpereFlashAttentionKernel(design)
+    (mapping,) = [mapping for mapping in FLASH_MAPPINGS if design.style in mapping.STYLES]
+    kernel = mapping(design)
     shape = (workload.block_q, workload.block_kv, workload.head_dim)
     return (
         lambda: kernel.simulate(workload),
@@ -280,7 +294,7 @@ def gemm_perturbations(draw):
 
 @st.composite
 def flash_perturbations(draw):
-    design = make_design(DesignKind.AMPERE, DataType.FP32)
+    design = make_design(draw(st.sampled_from(FLASH_KINDS)), DataType.FP32)
     workload = FlashAttentionWorkload(seq_len=1024)
     target = draw(st.sampled_from(("design", "block_q", "block_kv", "head_dim", "seq_len")))
     if target == "design":
@@ -302,7 +316,7 @@ class TestKeyCompleteness:
             _gemm_case(design, workload), _gemm_case(other_design, other_workload)
         )
 
-    @settings(deadline=None, max_examples=60)
+    @settings(deadline=None, max_examples=100)
     @given(case=flash_perturbations())
     def test_flash_key_is_complete(self, case):
         design, workload, other_design, other_workload = case
@@ -318,8 +332,9 @@ class TestKeyCompleteness:
         }
         assert len(keys) == 1
 
-    def test_flash_masks_and_lengths_share_a_key(self):
-        design = make_design(DesignKind.AMPERE, DataType.FP32)
+    @pytest.mark.parametrize("kind", FLASH_KINDS, ids=lambda k: k.value)
+    def test_flash_masks_and_lengths_share_a_key(self, kind):
+        design = make_design(kind, DataType.FP32)
         keys = {
             _memo_key(lambda w=w: simulate_flash_attention(design, w))
             for w in FLASH_WORKLOADS[:3]

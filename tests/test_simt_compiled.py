@@ -23,7 +23,7 @@ from repro.isa.instructions import Instruction, OpClass
 from repro.isa.program import WarpProgram
 from repro.kernels.flash_attention import FlashAttentionWorkload
 from repro.kernels.gemm import GemmWorkload
-from repro.kernels.gemm.instruction_streams import volta_iteration_streams
+from repro.kernels.gemm.instruction_streams import core_coupled_iteration_streams
 from repro.kernels.gemm.tiling import tiling_for_design
 from repro.perf import cache_disabled
 from repro.runner import run_flash_attention, run_gemm
@@ -238,9 +238,8 @@ class TestPinnedKeys:
     def test_volta_iteration_key(self):
         design = make_design(DesignKind.VOLTA, DataType.FP16)
         tiling = tiling_for_design(design, GemmWorkload(256, 256, 256))
-        streams = volta_iteration_streams(
-            design, tiling, VoltaTensorCore(design.matrix_unit), include_copy=True
-        )
+        sequence = VoltaTensorCore(design.matrix_unit).hmma_sequence()
+        streams = core_coupled_iteration_streams(design, tiling, sequence.as_instructions())
         key = VortexCore(design.cluster.core).execution_key(streams.programs_for_core())
         assert key.hex() == "0124d44384216b746756820deaf437a826ba548ccd33a9f5fb0c1b305f6005cf"
 
