@@ -1,7 +1,7 @@
 """Event-based energy, active power, and area models (16 nm representative)."""
 
 from repro.energy.model import EnergyTable, EnergyEventSpec
-from repro.energy.power import PowerReport, active_power_mw, active_energy_uj
+from repro.energy.power import PowerReport
 from repro.energy.breakdown import (
     soc_breakdown,
     core_breakdown,
@@ -14,8 +14,6 @@ __all__ = [
     "EnergyTable",
     "EnergyEventSpec",
     "PowerReport",
-    "active_power_mw",
-    "active_energy_uj",
     "soc_breakdown",
     "core_breakdown",
     "matrix_unit_breakdown",

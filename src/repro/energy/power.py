@@ -55,7 +55,8 @@ class PowerReport:
     def active_power_mw(self) -> float:
         if self.cycles == 0:
             return 0.0
-        return _milliwatts(self.total_energy_fj, self.runtime_seconds)
+        # pJ / s = 1e-12 W; report mW.
+        return self.total_energy_fj / 1e3 / self.runtime_seconds * 1e-12 * 1e3
 
     def energy_by_component_uj(self) -> Dict[str, float]:
         return {key: value / 1e9 for key, value in self.energy_by_component_fj.items()}
@@ -70,30 +71,6 @@ class PowerReport:
             "active_energy_uj": self.total_energy_uj,
             "energy_by_component_uj": self.energy_by_component_uj(),
         }
-
-
-def _milliwatts(femtojoules: int, seconds: float) -> float:
-    """Average power in mW of ``femtojoules`` spent over ``seconds``."""
-    # pJ / s = 1e-12 W; report mW.
-    return femtojoules / 1e3 / seconds * 1e-12 * 1e3
-
-
-def active_energy_uj(counters: Counters, table: EnergyTable) -> float:
-    """Total active energy in microjoules for a counted event stream."""
-    return table.energy_femtojoules(counters) / 1e9
-
-
-def active_power_mw(
-    counters: Counters,
-    table: EnergyTable,
-    cycles: int,
-    soc: SoCConfig,
-) -> float:
-    """Active power in milliwatts for ``cycles`` of execution at the SoC clock."""
-    if cycles <= 0:
-        raise ValueError("cycles must be positive to compute power")
-    seconds = cycles / (soc.clock_mhz * 1e6)
-    return _milliwatts(table.energy_femtojoules(counters), seconds)
 
 
 def make_power_report(

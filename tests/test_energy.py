@@ -7,7 +7,7 @@ from repro.config.presets import DesignKind, make_design
 from repro.energy.area import UM2_MMIO_AND_SYNC, UM2_PER_DMA, AreaModel, soc_area_breakdown
 from repro.energy.breakdown import core_breakdown, matrix_unit_breakdown, soc_breakdown
 from repro.energy.model import EnergyEventSpec, EnergyTable
-from repro.energy.power import active_energy_uj, active_power_mw, make_power_report
+from repro.energy.power import make_power_report
 from repro.sim.stats import Counters
 
 
@@ -89,14 +89,16 @@ class TestPower:
         table = EnergyTable()
         counters = Counters({"core.issue.instructions": 1_000_000})
         soc = SoCConfig()
-        fast = active_power_mw(counters, table, cycles=1000, soc=soc)
-        slow = active_power_mw(counters, table, cycles=2000, soc=soc)
-        assert fast == pytest.approx(2 * slow)
+        fast = make_power_report("t", counters, table, cycles=1000, soc=soc)
+        slow = make_power_report("t", counters, table, cycles=2000, soc=soc)
+        assert fast.active_power_mw == pytest.approx(2 * slow.active_power_mw)
 
     def test_energy_independent_of_runtime(self):
         table = EnergyTable()
         counters = Counters({"core.issue.instructions": 1_000_000})
-        assert active_energy_uj(counters, table) == pytest.approx(7.0)
+        for cycles in (1000, 2000):
+            report = make_power_report("t", counters, table, cycles=cycles, soc=SoCConfig())
+            assert report.total_energy_uj == pytest.approx(7.0)
 
     def test_power_report_consistency(self):
         table = EnergyTable()
@@ -105,9 +107,12 @@ class TestPower:
         assert report.total_energy_fj == sum(report.energy_by_component_fj.values())
         assert report.active_power_mw > 0
 
-    def test_zero_cycles_rejected(self):
-        with pytest.raises(ValueError):
-            active_power_mw(Counters(), EnergyTable(), cycles=0, soc=SoCConfig())
+    def test_zero_cycles_report_no_power(self):
+        counters = Counters({"core.issue.instructions": 1_000_000})
+        report = make_power_report("t", counters, EnergyTable(), cycles=0, soc=SoCConfig())
+        assert report.active_power_mw == 0.0
+        assert report.to_dict()["active_power_mw"] == 0.0
+        assert report.total_energy_uj == pytest.approx(7.0)
 
 
 class TestBreakdowns:

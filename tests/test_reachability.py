@@ -194,6 +194,59 @@ def test_attribute_string_and_example_uses_count(src):
     assert check_reachability.find_problems(src, {"repro.pkg.unused": "kept"}, {}) == []
 
 
+def test_a_read_or_string_sharing_a_functions_name_is_not_a_use(src):
+    """A property read and a dict key spelled like a top-level function do
+    not use it: only a load where the function is visible, or ``getattr``,
+    does."""
+    (src / "repro" / "pkg" / "used.py").write_text(
+        "def helper():\n    return Report().energy_uj, {'power_mw': 1}\n\n\n"
+        "def energy_uj():\n    return 0\n\n\n"
+        "def power_mw():\n    return 0\n\n\n"
+        "class Report:\n"
+        "    @property\n    def energy_uj(self):\n        return 1\n"
+    )
+    assert check_reachability.find_problems(src, {"repro.pkg.unused": "kept"}, {}) == [
+        _unused("repro.pkg.used:energy_uj"),
+        _unused("repro.pkg.used:power_mw"),
+    ]
+
+
+def test_functions_are_used_through_imports_modules_and_getattr(src):
+    """A function loaded in its own module, by an alias or through a package
+    re-export, as an attribute of its imported module, or named to
+    ``getattr``, is used."""
+    (src / "repro" / "pkg" / "used.py").write_text(
+        "".join(
+            f"def {name}():\n    return 0\n\n\n"
+            for name in (
+                "via_own_module",
+                "via_reexport",
+                "via_module",
+                "via_dotted",
+                "via_getattr",
+                "via_example",
+            )
+        )
+        + "def helper():\n    return via_own_module()\n"
+    )
+    (src / "repro" / "pkg" / "__init__.py").write_text(
+        "from repro.pkg.used import helper, via_reexport\n"
+        "from repro.pkg.unused import spare\n"
+    )
+    (src / "repro" / "__main__.py").write_text(
+        "import repro.pkg.used\n"
+        "from repro.pkg import helper, used, via_reexport as again\n\n"
+        "helper()\nagain()\nused.via_module()\nrepro.pkg.used.via_dotted()\n"
+        "getattr(used, 'via_getattr')()\n"
+    )
+    examples = src.parent / "examples"
+    examples.mkdir()
+    (examples / "demo.py").write_text(
+        "from repro.pkg.used import via_example as run\n\nrun()\n"
+    )
+    assert check_reachability.find_problems(src, {"repro.pkg.unused": "kept"}, {}) == []
+
+
 def test_import_and_all_entry_are_not_uses(src):
     (src / "repro" / "pkg" / "used.py").write_text(
         "def helper():\n    pass\n\n\ndef extra():\n    pass\n"

@@ -12,19 +12,23 @@ module runs the package's ``__init__``; its re-exports are not followed then.
 Definitions.  In every reached module, each top-level function and class
 and each method of a top-level class must be used somewhere in a module
 under ``src/repro`` (allowlisted modules included) or in a script under
-``examples/``.  A function or class is used where its name appears as a
-name, as an attribute read or as a string constant (for ``getattr``).  Code
-reaches a method or property only as ``obj.name`` or through ``getattr``,
-so a method is used only where its name appears as an attribute read or
-as a string constant; a bare name with its spelling is a local, a parameter or
-a function.  Import aliases, ``__all__`` entries, the definition's own
-``def`` or ``class`` line and the mentions of its name inside its own body
-(a recursive call, a class's own annotations) are not uses.  Dunder names
-are exempt, and so are the modules on the module allowlist, which are not
-reached.  The check matches on names, not on what a name refers to: a
-mention anywhere counts as a use, so the check can miss dead code (a
-method that shares its name with a live one passes) but never flags live
-code that is called by its name, a method's through an attribute.
+``examples/``.  A top-level function or class is used where its name is
+loaded in its own module, or in a module that imports it (directly or
+through a package re-export) under its name or an alias, or as an
+attribute of a module it is defined in that the code imports as a module;
+or where its name is the string passed to ``getattr``.  So a property, a
+method or a dict key that shares a dead function's name does not hide it.
+Code reaches a method or property only as ``obj.name`` or through
+``getattr``, so a method is used only where its name appears as an
+attribute read or as a string constant; a bare name with its spelling is
+a local, a parameter or a function.  Import aliases, ``__all__`` entries,
+the definition's own ``def`` or ``class`` line and the mentions of its
+name inside its own body (a recursive call, a class's own annotations)
+are not uses.  Dunder names are exempt, and so are the modules on the
+module allowlist, which are not reached.  The method rule matches on
+names, not on what a name refers to, so it can miss a dead method that
+shares its name with a live one; neither rule flags live code that is
+called by its name, a method's through an attribute.
 
 Config fields.  Each field of a dataclass in :data:`CONFIG_MODULE` must be
 read somewhere in ``src/repro`` or ``examples/``: its name appears as an
@@ -195,21 +199,22 @@ def _reexports(
     return table
 
 
-def _defining_module(
+def _resolve(
     modules: Dict[str, Path],
     reexports: Dict[str, Dict[str, Tuple[str, str]]],
     module: str,
     name: str,
-) -> str:
-    """Resolve ``from module import name`` to the module that defines ``name``."""
+) -> Tuple[str, str]:
+    """Resolve ``from module import name`` to (the module that defines it,
+    its name there); the name is empty when it names a submodule."""
     for _ in range(len(modules)):  # bounded: a re-export cycle cannot hang the check
         if f"{module}.{name}" in modules:
-            return f"{module}.{name}"
+            return f"{module}.{name}", ""
         source = reexports.get(module, {}).get(name)
         if source is None or source[0] not in modules:
-            return module
+            return module, name
         module, name = source
-    return module
+    return module, name
 
 
 def _edges(
@@ -234,7 +239,7 @@ def _edges(
                 if alias.name == "*":
                     yield source
                 else:
-                    yield _defining_module(modules, reexports, source, alias.name)
+                    yield _resolve(modules, reexports, source, alias.name)[0]
 
 
 def _reached(modules: Dict[str, Path], trees: Dict[str, ast.Module]) -> Set[str]:
@@ -305,55 +310,130 @@ def _binds_all(node: ast.AST) -> bool:
     return any(isinstance(target, ast.Name) and target.id == "__all__" for target in targets)
 
 
-def _mentions(tree: ast.AST) -> Tuple[Counter, Counter]:
-    """(names, reads): how often each name, and each attribute load or
-    string constant, occurs in ``tree``, ``__all__`` aside."""
+def _reads(tree: ast.AST) -> Counter:
+    """How often each attribute load or string constant occurs in ``tree``,
+    ``__all__`` aside."""
     exports = {
         id(node)
         for statement in ast.walk(tree)
         if _binds_all(statement)
         for node in ast.walk(statement)
     }
-    names: Counter = Counter()
     reads: Counter = Counter()
     for node in ast.walk(tree):
         if id(node) in exports:
             continue
-        if isinstance(node, ast.Name):
-            names[node.id] += 1
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             reads[node.attr] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             reads[node.value] += 1
-    return names, reads
+    return reads
 
 
-def _all_mentions(src: Path, trees: Dict[str, ast.Module]) -> Tuple[Counter, Counter]:
-    """:func:`_mentions` summed over ``src/repro`` and ``examples/``."""
-    scripts = sorted((src.parent / "examples").rglob("*.py"))
-    names: Counter = Counter()
+def _imports(
+    module: str,
+    package: bool,
+    tree: ast.Module,
+    modules: Dict[str, Path],
+    reexports: Dict[str, Dict[str, Tuple[str, str]]],
+) -> Tuple[Dict[str, Tuple[str, str]], Dict[str, str]]:
+    """What ``tree`` imports from ``src/repro``: each local name bound to a
+    definition, as (defining module, name), and each local dotted name bound
+    to a module."""
+    names: Dict[str, Tuple[str, str]] = {}
+    aliases: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name in modules:
+                    aliases[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.ImportFrom):
+            source = _absolute(module, package, node)
+            if source not in modules:
+                continue
+            for alias in node.names:
+                target, name = _resolve(modules, reexports, source, alias.name)
+                if name:
+                    names[alias.asname or alias.name] = (target, name)
+                else:
+                    aliases[alias.asname or alias.name] = target
+    return names, aliases
+
+
+def _dotted(node: ast.AST) -> str:
+    """``a.b.c`` for a chain of attribute reads on a name, else empty."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return f"{base}.{node.attr}" if base else ""
+    return ""
+
+
+def _loads(module: str, tree: ast.AST, imports) -> Counter:
+    """(defining module, name) -> loads in ``tree`` of a top-level
+    definition; ``getattr``'s string arguments count under module ``""``."""
+    names, aliases = imports
+    loads: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loads[names.get(node.id, (module, node.id))] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            owner = aliases.get(_dotted(node.value))
+            if owner:
+                loads[(owner, node.attr)] += 1
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", "") == "getattr"
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str)
+        ):
+            loads[("", node.args[1].value)] += 1
+    return loads
+
+
+def _all_uses(
+    src: Path, modules: Dict[str, Path], trees: Dict[str, ast.Module]
+) -> Tuple[Counter, Counter, Dict[str, tuple]]:
+    """(reads, loads, imports per module) over ``src/repro`` and ``examples/``."""
+    reexports = _reexports(modules, trees)
+    scripts = {
+        f"examples/{path.name}": _parse(path)
+        for path in sorted((src.parent / "examples").rglob("*.py"))
+    }
     reads: Counter = Counter()
-    for tree in list(trees.values()) + [_parse(path) for path in scripts]:
-        tree_names, tree_reads = _mentions(tree)
-        names.update(tree_names)
-        reads.update(tree_reads)
-    return names, reads
+    loads: Counter = Counter()
+    imports = {}
+    for name, tree in {**trees, **scripts}.items():
+        package = name in modules and _is_package(modules[name])
+        imports[name] = _imports(name, package, tree, modules, reexports)
+        reads.update(_reads(tree))
+        loads.update(_loads(name, tree, imports[name]))
+    return reads, loads, imports
 
 
 def _definition_uses(
-    trees: Dict[str, ast.Module], reached: Set[str], names: Counter, reads: Counter
+    trees: Dict[str, ast.Module],
+    reached: Set[str],
+    uses: Tuple[Counter, Counter, Dict[str, tuple]],
 ) -> Dict[str, bool]:
     """``module:Qualname`` -> used, for each definition in a reached module:
-    its name is mentioned somewhere outside its own body, a method's only
-    as an attribute or a string."""
+    a top-level one loaded where it is visible or named to ``getattr``, a
+    method read as an attribute or named by a string, in either case
+    outside its own body."""
+    reads, loads, imports = uses
     used = {}
     for module in sorted(reached & set(trees)):
         for key, node, is_method in _definitions(module, trees[module]):
-            own_names, own_reads = _mentions(node)
-            uses = reads[node.name] - own_reads[node.name]
-            if not is_method:
-                uses += names[node.name] - own_names[node.name]
-            used[key] = uses > 0
+            if is_method:
+                count = reads[node.name] - _reads(node)[node.name]
+            else:
+                own = _loads(module, node, imports[module])
+                count = sum(
+                    loads[target] - own[target] for target in ((module, node.name), ("", node.name))
+                )
+            used[key] = count > 0
     return used
 
 
@@ -374,8 +454,8 @@ def find_problems(
             problems.append(f"allowlist entry {name} names no module under {src}")
         elif name in reached:
             problems.append(f"allowlist entry {name} is reached from {ENTRY}: drop the entry")
-    names, reads = _all_mentions(src, trees)
-    used = _definition_uses(trees, reached, names, reads)
+    uses = _all_uses(src, modules, trees)
+    used = _definition_uses(trees, reached, uses)
     problems += [
         f"{key} is named nowhere in src/{PACKAGE} or examples/: give it a "
         f"caller, delete it, or allowlist it with a reason"
@@ -395,7 +475,7 @@ def find_problems(
             f"{CONFIG_MODULE}:{field} is read nowhere in src/{PACKAGE} or "
             f"examples/: give it a reader or delete it"
             for field, name in _config_fields(trees[CONFIG_MODULE])
-            if not reads[name]
+            if not uses[0][name]
         ]
     return problems
 
