@@ -40,6 +40,19 @@ def small_unit_config(base: MatrixUnitConfig) -> MatrixUnitConfig:
     )
 
 
+def small_unit_stride(design: DesignConfig) -> int:
+    """Every ``stride``-th small job rides the half-size unit of ``design``.
+
+    The stride is the full unit's throughput over the small one's, plus one,
+    so both units draw down a pool of independent small jobs (MoE experts,
+    a decode batch's requests) concurrently: with the default 4x capacity
+    ratio, one job in five.
+    """
+    large = design.matrix_unit.macs_per_cycle
+    small = max(1, small_unit_config(design.matrix_unit).macs_per_cycle)
+    return max(2, round(large / small) + 1)
+
+
 def design_with_unit(base: DesignConfig, unit: MatrixUnitConfig) -> DesignConfig:
     cluster = replace(base.soc.cluster, matrix_unit=unit, matrix_units=1)
     return replace(base, soc=replace(base.soc, cluster=cluster))

@@ -71,7 +71,7 @@ from repro.kernels.flash_attention import (
     FlashAttentionWorkload,
 )
 from repro.kernels.gemm import GemmWorkload
-from repro.kernels.heterogeneous import design_with_unit, small_unit_config
+from repro.kernels.heterogeneous import design_with_unit, small_unit_config, small_unit_stride
 from repro.obs import MetricsRegistry, TraceRecorder, occupancy_percent, phase, trace_recorder
 from repro.obs.trace import UNITS_PROCESS
 from repro.perf import design_fingerprint, timing_cache
@@ -248,15 +248,13 @@ def _moe_expert_resource(
     Expert GEMMs are small and mutually independent, so instead of funnelling
     every small GEMM onto the half-size unit (the right call for a sequential
     chain, where it frees the big unit for the *next* large kernel), experts
-    are spread across both units in proportion to their throughput: with the
-    default 4x capacity ratio every fifth expert rides the small unit, so
-    both units finish their share at roughly the same time.
+    are spread across both units in proportion to their throughput
+    (:func:`small_unit_stride`), so both units finish their share at roughly
+    the same time.
     """
     if small_design is None or workload.macs >= HETERO_SMALL_GEMM_MACS:
         return MATRIX_RESOURCE
-    large_mpc = design.matrix_unit.macs_per_cycle
-    small_mpc = max(1, small_design.matrix_unit.macs_per_cycle)
-    stride = max(2, round(large_mpc / small_mpc) + 1)
+    stride = small_unit_stride(design)
     return SMALL_MATRIX_RESOURCE if index % stride == stride - 1 else MATRIX_RESOURCE
 
 

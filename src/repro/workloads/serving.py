@@ -72,7 +72,7 @@ import numpy as np
 from repro.config.presets import DesignKind, make_design
 from repro.config.soc import DataType, DesignConfig
 from repro.faults import FaultInjector, FaultPlan
-from repro.kernels.heterogeneous import small_unit_config
+from repro.kernels.heterogeneous import small_unit_stride
 from repro.workloads.control import (
     PolicyContext,
     SchedulingPolicy,
@@ -583,11 +583,7 @@ class ServingScheduler:
         # heuristic (every small GEMM onto the small unit) would funnel the
         # *entire* batch there -- in decode all GEMMs are small -- and leave
         # the big unit idle.
-        self._unit_stride = 0
-        if heterogeneous:
-            large_mpc = self.design.matrix_unit.macs_per_cycle
-            small_mpc = max(1, small_unit_config(self.design.matrix_unit).macs_per_cycle)
-            self._unit_stride = max(2, round(large_mpc / small_mpc) + 1)
+        self._unit_stride = small_unit_stride(self.design) if heterogeneous else 0
 
     def iteration_units(
         self,
