@@ -17,6 +17,11 @@ only BASE has as removed:
 * the CI chaos serve and fleet runs with ``--trace-out``: each trace file
   is compared as JSON after the run's printed output, with the wall-clock
   ``phase`` spans dropped.
+* :data:`SCRIPT_RUNS`, ``python -c`` programs that print the canonical
+  ``to_dict()`` and report of serve and fleet runs reaching fast paths no
+  CLI run does: epochs split by router events under each router policy, an
+  epoch bounded by injected faults, and the router parking or shedding
+  while every replica is down.
 
 An output that ends in a JSON document (after any prose) is compared as
 JSON; the prose before it, line by line.  A JSON object that gained or lost
@@ -92,6 +97,58 @@ CI_RUNS: Tuple[Tuple[str, ...], ...] = (
     ("model", "--batch", "--names", "gpt-decode,moe-decode", "--designs", "virgo,ampere"),
     *(("table", "--number", str(number)) for number in range(1, 5)),
     *(("figure", "--number", str(number)) for number in range(7, 13)),
+)
+
+
+def _script(run: str, report: str) -> str:
+    """A ``python -c`` program printing ``run``'s canonical ``to_dict()`` and
+    its ``report``."""
+    return (
+        "import json\n"
+        "from repro.analysis.fleet import fleet_report\n"
+        "from repro.analysis.serving import serving_latency_report\n"
+        "from repro.workloads.fleet import run_fleet\n"
+        "from repro.workloads.models import poisson_stream_trace\n"
+        "from repro.workloads.serving import run_serving\n"
+        f"result = {run}\n"
+        f"print(json.dumps({{'result': result.to_dict(), 'report': {report}(result)}}, indent=2))\n"
+    )
+
+
+CHAOS = "crash:0.6:400000,slow:0.5:2.5:300000,partition:0.4:250000"
+STREAM = "poisson_stream_trace({!r}, requests={}, mean_interarrival=2e6)"
+
+#: Serve and fleet fast paths no CLI run reaches, run through the API: a
+#: replica's epoch split by a router event under each router policy, an
+#: epoch bounded by injected faults, and the router parking or shedding while
+#: every replica is believed down.
+SCRIPT_RUNS: Tuple[Tuple[str, str], ...] = (
+    *(
+        (
+            f"fleet-chaos/{policy}",
+            _script(
+                f"run_fleet({STREAM.format('poisson-chaos', 200)}, 'trio-virgo', "
+                f"policy={policy!r}, faults={CHAOS!r}, fault_seed=11)",
+                "fleet_report",
+            ),
+        )
+        for policy in ("round-robin", "least-outstanding", "least-kv", "power-of-two")
+    ),
+    (
+        "serve-faulted-stream",
+        _script(
+            f"run_serving({STREAM.format('poisson-faulted', 300)}, "
+            "faults='spike:0.02:2.0,stall:0.02:50000', fault_seed=5)",
+            "serving_latency_report",
+        ),
+    ),
+    (
+        "fleet-all-down",
+        _script(
+            "run_fleet('bursty-slo', 'duo-virgo', faults='crash@0:1:5000000,crash@1:1:5000000')",
+            "fleet_report",
+        ),
+    ),
 )
 
 #: The CI chaos serve and fleet runs, traced: each writes :data:`TRACE_FILE`.
@@ -170,6 +227,8 @@ def surfaces(base: Path, head: Path) -> Iterator[Surface]:
     for argv in TRACED_RUNS:
         argv = (*argv, "--trace-out", TRACE_FILE)
         yield "cli:" + " ".join(argv), ["-m", "repro", *argv], None, BOTH
+    for name, code in SCRIPT_RUNS:
+        yield f"script:{name}", ["-c", code], None, BOTH
 
 
 def _output(checkout: Path, argv: Optional[List[str]], golden: Optional[str]) -> str:
