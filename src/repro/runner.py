@@ -129,32 +129,29 @@ def to_json(result, indent: int | None = 2) -> str:
     return json.dumps(result.to_dict(), indent=indent, sort_keys=True)
 
 
-def _resolve(design: Union[DesignKind, DesignConfig], dtype: DataType) -> DesignConfig:
-    if isinstance(design, DesignKind):
-        return make_design(design, dtype)
-    return design
-
-
 def _priced_run(
     kind: str,
-    config: DesignConfig,
+    design: Union[DesignKind, DesignConfig],
+    dtype: DataType,
     workload: object,
-    simulate: Callable[[], KernelResult],
     result_type: Type[R],
-    /,
-    **phase_args: object,
+    simulate: Callable[[DesignConfig], KernelResult],
+    phase_args: Callable[[], Dict[str, object]],
 ) -> R:
-    """Simulate one kernel, price its counters and cache the run.
+    """Simulate one kernel on ``design`` (a preset in ``dtype`` for a kind),
+    price its counters and cache the run.
 
     The run is memoized in the process-wide timing cache (:mod:`repro.perf`)
     keyed by ``kind``, the design and the workload content; repeated
     invocations of the same shape return the same (shared, treat-as-immutable)
-    result object.
+    result object.  Only a miss simulates, under the ``simulate.<kind>``
+    phase with the design name and ``phase_args()``.
     """
+    config = make_design(design, dtype) if isinstance(design, DesignKind) else design
 
     def compute() -> R:
-        with phase(f"simulate.{kind}", design=config.name, **phase_args):
-            kernel_result = simulate()
+        with phase(f"simulate.{kind}", design=config.name, **phase_args()):
+            kernel_result = simulate(config)
             power = make_power_report(
                 config.name,
                 kernel_result.counters,
@@ -174,15 +171,15 @@ def run_gemm(
     dtype: DataType = DataType.FP16,
 ) -> GemmRunResult:
     """Simulate a GEMM and compute its power/energy on one design (memoized)."""
-    config = _resolve(design, dtype)
     workload = size if isinstance(size, GemmWorkload) else GemmWorkload.square(size, dtype)
     return _priced_run(
         "gemm",
-        config,
+        design,
+        dtype,
         workload,
-        lambda: simulate_gemm(config, workload, dtype),
         GemmRunResult,
-        workload=workload.name,
+        lambda config: simulate_gemm(config, workload, dtype),
+        lambda: {"workload": workload.name},
     )
 
 
@@ -202,13 +199,12 @@ def run_flash_attention(
 ) -> FlashAttentionRunResult:
     """Simulate FlashAttention-3 and compute power/energy (Virgo or Ampere-style, memoized)."""
     workload = workload or FlashAttentionWorkload()
-    config = _resolve(design, DataType.FP32)
     return _priced_run(
         "flash",
-        config,
+        design,
+        DataType.FP32,
         workload,
-        lambda: simulate_flash_attention(config, workload),
         FlashAttentionRunResult,
-        seq_len=workload.seq_len,
-        heads=workload.heads,
+        lambda config: simulate_flash_attention(config, workload),
+        lambda: {"seq_len": workload.seq_len, "heads": workload.heads},
     )

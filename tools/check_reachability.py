@@ -416,13 +416,14 @@ def _all_uses(
 def _definition_uses(
     trees: Dict[str, ast.Module],
     reached: Set[str],
-    uses: Tuple[Counter, Counter, Dict[str, tuple]],
+    reads: Counter,
+    loads: Counter,
+    imports: Dict[str, tuple],
 ) -> Dict[str, bool]:
     """``module:Qualname`` -> used, for each definition in a reached module:
     a top-level one loaded where it is visible or named to ``getattr``, a
     method read as an attribute or named by a string, in either case
     outside its own body."""
-    reads, loads, imports = uses
     used = {}
     for module in sorted(reached & set(trees)):
         for key, node, is_method in _definitions(module, trees[module]):
@@ -454,8 +455,8 @@ def find_problems(
             problems.append(f"allowlist entry {name} names no module under {src}")
         elif name in reached:
             problems.append(f"allowlist entry {name} is reached from {ENTRY}: drop the entry")
-    uses = _all_uses(src, modules, trees)
-    used = _definition_uses(trees, reached, uses)
+    reads, loads, imports = _all_uses(src, modules, trees)
+    used = _definition_uses(trees, reached, reads, loads, imports)
     problems += [
         f"{key} is named nowhere in src/{PACKAGE} or examples/: give it a "
         f"caller, delete it, or allowlist it with a reason"
@@ -475,7 +476,7 @@ def find_problems(
             f"{CONFIG_MODULE}:{field} is read nowhere in src/{PACKAGE} or "
             f"examples/: give it a reader or delete it"
             for field, name in _config_fields(trees[CONFIG_MODULE])
-            if not uses[0][name]
+            if not reads[name]
         ]
     return problems
 
