@@ -59,7 +59,7 @@ enforces that it stays gone.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.config.presets import DesignKind, make_design
@@ -74,7 +74,7 @@ from repro.kernels.gemm import GemmWorkload
 from repro.kernels.heterogeneous import design_with_unit, small_unit_config, small_unit_stride
 from repro.obs import MetricsRegistry, TraceRecorder, occupancy_percent, phase, trace_recorder
 from repro.obs.trace import UNITS_PROCESS
-from repro.perf import design_fingerprint, timing_cache
+from repro.perf import design_fingerprint, memoized, timing_cache
 from repro.runner import run_flash_attention, run_gemm
 from repro.sim.stats import Counters
 from repro.simt.core import sweep_cost
@@ -142,6 +142,15 @@ def _supports_fused_attention(design: DesignConfig) -> bool:
         IntegrationStyle.DISAGGREGATED,
         IntegrationStyle.TIGHTLY_COUPLED_DMA,
     )
+
+
+def _small_design(design: DesignConfig, heterogeneous: bool) -> Optional[DesignConfig]:
+    """The half-size secondary unit's design when ``heterogeneous``, else None."""
+    if not heterogeneous:
+        return None
+    if design.style is not IntegrationStyle.DISAGGREGATED:
+        raise ValueError("heterogeneous lowering requires the disaggregated design")
+    return design_with_unit(design, small_unit_config(design.matrix_unit))
 
 
 def _simt_cost(
@@ -385,20 +394,18 @@ def lower_graph(
 
     Returns a dependency-ordered :class:`KernelSchedule`; layer dependencies
     become kernel dependencies between each layer's last kernel and its
-    consumers' first kernels.
+    consumers' first kernels.  A zero-cost layer lowers to no kernel and
+    passes all of its own dependencies on to its consumers.
     """
     config = make_design(design, dtype) if isinstance(design, DesignKind) else design
-    small_design: Optional[DesignConfig] = None
-    if heterogeneous:
-        if config.style is not IntegrationStyle.DISAGGREGATED:
-            raise ValueError("heterogeneous lowering requires the disaggregated design")
-        small_design = design_with_unit(config, small_unit_config(config.matrix_unit))
+    small_design = _small_design(config, heterogeneous)
 
     invocations: List[KernelInvocation] = []
-    last_kernel: Dict[str, str] = {}  # layer name -> its final kernel name
+    # Layer name -> the kernels its consumers wait on.
+    outputs: Dict[str, Tuple[str, ...]] = {}
 
     for layer in graph.layers():
-        deps = tuple(last_kernel[dep] for dep in layer.deps)
+        deps = tuple(kernel for dep in layer.deps for kernel in outputs[dep])
         shape = graph.input_shape_of(layer)
         phase = layer.phase or "default"
 
@@ -426,8 +433,8 @@ def lower_graph(
         elif isinstance(layer, (ElementwiseLayer, NormLayer)):
             if layer.flops_per_element <= 0:
                 # Zero-cost bookkeeping nodes (views/slices) lower to nothing;
-                # dependents inherit their dependencies.
-                last_kernel[layer.name] = deps[0] if deps else ""
+                # dependents inherit all of their dependencies.
+                outputs[layer.name] = deps
                 continue
             lowered = [
                 KernelInvocation(
@@ -445,7 +452,7 @@ def lower_graph(
             raise ValueError(f"no lowering rule for layer kind {layer.kind!r}")
 
         invocations.extend(lowered)
-        last_kernel[layer.name] = lowered[-1].name
+        outputs[layer.name] = (lowered[-1].name,)
 
     ideal = graph.total_macs() / float(config.soc.total_macs_per_cycle)
     return KernelSchedule(

@@ -312,6 +312,20 @@ class TestLowering:
         names = {inv.name for inv in schedule.invocations}
         assert not any("qkv_split" in name for name in names)
 
+    def test_a_zero_cost_join_passes_on_every_dependency(self):
+        """``act`` waits for both GEMMs through the zero-flop ``view`` join:
+        it used to wait for ``a`` alone and start at 28,144, under ``b``."""
+        graph = LayerGraph("join", TensorShape(batch=1, seq=64, features=256))
+        graph.add(LinearLayer(name="a", in_features=256, out_features=256))
+        graph.add(LinearLayer(name="b", in_features=256, out_features=256))
+        graph.add(ElementwiseLayer(name="view", deps=("a", "b"), flops_per_element=0.0))
+        graph.add(ElementwiseLayer(name="act", deps=("view",)))
+        schedule = lower_graph(graph, DesignKind.VIRGO)
+        assert [inv.name for inv in schedule.invocations] == ["a.gemm", "b.gemm", "act.simt"]
+        assert schedule.invocations[-1].deps == ("a.gemm", "b.gemm")
+        layers = {layer.layer: layer for layer in run_model(graph, DesignKind.VIRGO).layers}
+        assert (layers["a"].end, layers["b"].end, layers["act"].start) == (28_144, 56_288, 56_288)
+
     def test_heterogeneous_requires_disaggregated(self):
         with pytest.raises(ValueError, match="disaggregated"):
             lower_graph(build_model("gpt-decode"), DesignKind.AMPERE, heterogeneous=True)
