@@ -26,25 +26,25 @@ Independent MoE expert GEMMs are instead *spread* across the two units in
 proportion to their throughput (see :func:`_moe_expert_resource`), so both
 matrix units draw down the expert pool concurrently.
 
-Whole models and serving batches run on one executor.
-``compile_step_program`` resolves a schedule once into a plain-data
-:class:`StepProgram`: kernel cycles from the process-wide timing cache
-(:mod:`repro.perf`), probed once per distinct kernel, resources and
-dependencies as indices, per-layer MACs and energy in whole femtojoules,
-folded once per distinct layer, and the program's counter and energy
-totals.  One list-scheduling loop places programs on plain ints:
+Whole models and serving batches run on one executor.  A compile has two
+halves.  The design-free half (:class:`LoweredModel`) holds the kernels'
+names, kinds, phases, resources and dependencies as indices, each distinct
+kernel once and each layer's sequence of them; :func:`lowered_model`
+memoizes it in the :data:`LOWERED_MODELS` namespace per lowering key (spec,
+fused flag, small-unit stride, dtype, unit pin), so the designs that lower
+a model alike share it.  The per-design pass (:func:`compile_lowered`)
+probes the process-wide timing cache (:mod:`repro.perf`) once per distinct
+kernel, folds per-layer MACs and energy in whole femtojoules once per
+distinct layer, and builds a plain-data :class:`StepProgram`.  One
+list-scheduling loop places programs on plain ints:
 ``execute_step_programs`` a serving batch, ``run_model`` one model,
 assembled into a :class:`ModelRunResult`.  Both equal the
 ``OperationGraph`` executor they replaced exactly, traces included
 (``docs/perf-contract.md`` contract 7); ``tests/differential.py`` keeps
-that executor as the oracle.
-
-``run_model`` places each compiled model program once, into a plain-data
-:class:`PlacedModel`, and memoizes that in the timing cache's
-:data:`MODEL_PROGRAMS` namespace by (:class:`ModelSpec`, design
-fingerprint, ``heterogeneous``, dtype) (contract 11): a repeated (model,
-design) pair skips building, lowering, kernel probes and placement,
-credits the probes as timing-cache hits, and only assembles its result.
+that executor as the oracle.  ``run_model`` memoizes each placed program
+(:class:`PlacedModel`) in :data:`MODEL_PROGRAMS` by (:class:`ModelSpec`,
+design fingerprint, ``heterogeneous``, dtype) (contract 11): a repeated
+(model, design) pair only assembles its result.
 
 Causal masks are modelled *exactly*: fused flash kernels carry the mask
 fields (``causal``/``kv_len``/``window``/``seq_lens``) into
@@ -657,6 +657,84 @@ class StepProgram:
         return len(self.resources)
 
 
+class LoweredModel(NamedTuple):
+    """The design-free half of a compile, as plain data: no graph, schedule
+    or design (``docs/perf-contract.md`` contract 11)."""
+
+    model: str
+    heterogeneous: bool
+    #: The graph's matrix MACs (0 for a bare schedule, which brings its own
+    #: ideal cycles).
+    macs: int
+    #: Per kernel, as in :class:`StepProgram`, and the index of its distinct
+    #: kernel.
+    names: Tuple[str, ...]
+    kinds: Tuple[str, ...]
+    phases: Tuple[str, ...]
+    layer_of: Tuple[int, ...]
+    resources: Tuple[int, ...]
+    deps: Tuple[Tuple[int, ...], ...]
+    slots: Tuple[int, ...]
+    #: Per distinct kernel, in first-appearance order: its first invocation.
+    kernels: Tuple[KernelInvocation, ...]
+    #: Per layer: name, phase, members and the index of its distinct
+    #: sequence of slots.
+    layers: Tuple[Tuple[str, str, Tuple[int, ...], int], ...]
+    sequences: Tuple[Tuple[int, ...], ...]
+
+    def ideal_mac_cycles(self, design: DesignConfig) -> float:
+        return self.macs / float(design.soc.total_macs_per_cycle)
+
+
+def _design_free(schedule: KernelSchedule, macs: int) -> LoweredModel:
+    """The half of compiling ``schedule`` that no design changes.  A kernel
+    is identified by its kind, unit, workload and reported MACs, a SIMT
+    kernel by its elements and FLOPs per element; names are interned."""
+    invocations = schedule.invocations
+    slot_of: Dict[object, int] = {}
+    kernels: List[KernelInvocation] = []
+    index_of: Dict[str, int] = {}
+    layer_index: Dict[str, int] = {}
+    slots, deps, layer_of = [], [], []
+    members: List[List[int]] = []
+    for position, inv in enumerate(invocations):
+        if inv.kind == "gemm" or inv.kind == "flash":
+            key = (inv.kind, inv.resource, inv.workload, inv.reported_macs)
+        else:
+            key = (inv.kind, inv.elements, inv.flops_per_element)
+        try:
+            slot = slot_of.get(key)
+        except TypeError:  # an unhashable workload is a kernel of its own
+            key, slot = position, None
+        if slot is None:
+            slot = slot_of[key] = len(kernels)
+            kernels.append(inv)
+        slots.append(slot)
+        index_of[inv.name] = position
+        deps.append(tuple(index_of[dep] for dep in inv.deps if dep))
+        layer = layer_index.setdefault(inv.layer, len(members))
+        if layer == len(members):
+            members.append([])
+        layer_of.append(layer)
+        members[layer].append(position)
+    sequences: Dict[Tuple[int, ...], int] = {}
+    layers = tuple(
+        (sys.intern(name), invocations[indices[0]].phase, tuple(indices),
+         sequences.setdefault(tuple([slots[k] for k in indices]), len(sequences)))
+        for name, indices in zip(layer_index, members)
+    )
+    return LoweredModel(
+        schedule.model, schedule.heterogeneous, macs,
+        names=tuple([sys.intern(inv.name) for inv in invocations]),
+        kinds=tuple([inv.kind for inv in invocations]),
+        phases=tuple([inv.phase for inv in invocations]),
+        layer_of=tuple(layer_of),
+        resources=tuple([_RESOURCE_INDEX[inv.resource] for inv in invocations]),
+        deps=tuple(deps), slots=tuple(slots), kernels=tuple(kernels),
+        layers=layers, sequences=tuple(sequences),
+    )
+
+
 class _KernelRecord(NamedTuple):
     """One distinct kernel of a compile: what its timing-cache probe gave."""
 
@@ -669,16 +747,14 @@ class _KernelRecord(NamedTuple):
     macs: int
 
 
-def _probe_kernel(schedule: KernelSchedule, inv: KernelInvocation) -> _KernelRecord:
-    """Probe the timing cache for ``inv``: one lookup, as a record."""
-    design = schedule.design
+def _probe_kernel(
+    design: DesignConfig, small_design: Optional[DesignConfig], inv: KernelInvocation
+) -> _KernelRecord:
+    """Probe the timing cache for ``inv`` on ``design``, or on
+    ``small_design`` for a GEMM on the small unit: one lookup, as a record."""
     kernel, macs = None, 0
     if inv.kind == "gemm":
-        target = (
-            schedule.small_design
-            if inv.resource == SMALL_MATRIX_RESOURCE and schedule.small_design
-            else design
-        )
+        target = small_design if inv.resource == SMALL_MATRIX_RESOURCE and small_design else design
         kernel = run_gemm(target, inv.workload, inv.workload.dtype).kernel
         macs = inv.reported_macs if inv.reported_macs is not None else inv.workload.macs
     elif inv.kind == "flash":
@@ -722,73 +798,35 @@ def _fold_layer(kernels: Sequence[_KernelRecord], table: EnergyTable) -> _LayerF
     )
 
 
-def compile_step_program(schedule: KernelSchedule) -> StepProgram:
-    """Resolve ``schedule`` once, for repeated execution.
+def compile_lowered(
+    lowered: LoweredModel, design: DesignConfig, ideal_mac_cycles: float
+) -> StepProgram:
+    """The per-design half of a compile: ``lowered`` on ``design`` and, when
+    heterogeneous, its small unit.
 
-    A kernel is identified by its kind, unit, workload and reported MACs; a
-    SIMT kernel by its elements and FLOPs per element.  Each distinct kernel
-    probes the timing cache once, in first-appearance order, into a record
-    its repeats read, and one ``credit_hits`` call counts the repeats as the
-    hits their probes would have been.  A layer whose sequence of records
-    was seen before reuses that sequence's fold.  The program's totals add
-    each distinct fold times the layers that use it: counts and energy are
-    whole, so the order of the additions does not matter.
+    Each distinct kernel probes the timing cache once, in first-appearance
+    order, and one ``credit_hits`` call counts the repeats as the hits their
+    probes would have been.  Each distinct sequence of slots folds once; the
+    totals add each fold times its layers (whole counts and energy, so in
+    any order).
     """
-    invocations = schedule.invocations
-    slots: Dict[object, int] = {}
-    records: List[_KernelRecord] = []
-    index_of: Dict[str, int] = {}
-    layer_index: Dict[str, int] = {}
-    kernels, deps, layer_of = [], [], []
-    members: List[List[int]] = []
-    with phase("kernel_sim", model=schedule.model, kernels=len(invocations)):
-        for position, inv in enumerate(invocations):
-            if inv.kind == "gemm" or inv.kind == "flash":
-                key = (inv.kind, inv.resource, inv.workload, inv.reported_macs)
-            else:
-                key = (inv.kind, inv.elements, inv.flops_per_element)
-            try:
-                slot = slots.get(key)
-            except TypeError:  # an unhashable workload is a kernel of its own
-                key, slot = position, None
-            if slot is None:
-                slot = slots[key] = len(records)
-                records.append(_probe_kernel(schedule, inv))
-            kernels.append(slot)
-            index_of[inv.name] = position
-            deps.append(tuple(index_of[dep] for dep in inv.deps if dep))
-            layer = layer_index.setdefault(inv.layer, len(members))
-            if layer == len(members):
-                members.append([])
-            layer_of.append(layer)
-            members[layer].append(position)
-        timing_cache().credit_hits(len(invocations) - len(records))
-
-    # Fold each distinct sequence of records once, in first-appearance order.
-    table = EnergyTable.for_design(schedule.design.style)
-    fold_index: Dict[Tuple[int, ...], int] = {}
-    folds: List[_LayerFold] = []
-    uses: List[int] = []
+    small_design = _small_design(design, lowered.heterogeneous)
+    kernels = len(lowered.slots)
+    with phase("kernel_sim", model=lowered.model, kernels=kernels):
+        records = [_probe_kernel(design, small_design, inv) for inv in lowered.kernels]
+        timing_cache().credit_hits(kernels - len(records))
+    table = EnergyTable.for_design(design.style)
+    folds = [
+        _fold_layer([records[slot] for slot in sequence], table) for sequence in lowered.sequences
+    ]
+    uses = [0] * len(folds)
     layers = []
-    for name, indices in zip(layer_index, members):
-        sequence = tuple([kernels[k] for k in indices])
-        index = fold_index.get(sequence)
-        if index is None:
-            index = fold_index[sequence] = len(folds)
-            folds.append(_fold_layer([records[slot] for slot in sequence], table))
-            uses.append(0)
-        uses[index] += 1
-        fold = folds[index]
+    for name, first_phase, members, sequence in lowered.layers:
+        fold = folds[sequence]
+        uses[sequence] += 1
         layers.append(
-            ProgramLayer(
-                name=name,
-                phase=invocations[indices[0]].phase,
-                kinds=fold.kinds,
-                members=tuple(indices),
-                energy_fj=fold.energy_fj,
-                macs=fold.macs,
-                mac_utilization_percent=fold.mac_utilization_percent,
-            )
+            ProgramLayer(name, first_phase, fold.kinds, members, fold.energy_fj, fold.macs,
+                         fold.mac_utilization_percent)
         )
     # A repeated fold's keys were all seen at its first layer, so the folds
     # in first-appearance order give the keys in first-seen order.
@@ -796,24 +834,71 @@ def compile_step_program(schedule: KernelSchedule) -> StepProgram:
     for fold, count in zip(folds, uses):
         for key, value in fold.counters.items():
             counters[key] = counters.get(key, 0.0) + count * value
-    kernel_records = [records[slot] for slot in kernels]
+    kernel_records = [records[slot] for slot in lowered.slots]
     return StepProgram(
-        model=schedule.model,
-        heterogeneous=schedule.heterogeneous,
-        ideal_mac_cycles=schedule.ideal_mac_cycles,
-        names=tuple(inv.name for inv in invocations),
-        kinds=tuple(inv.kind for inv in invocations),
-        phases=tuple(inv.phase for inv in invocations),
-        layer_of=tuple(layer_of),
-        resources=tuple(_RESOURCE_INDEX[inv.resource] for inv in invocations),
+        model=lowered.model,
+        heterogeneous=lowered.heterogeneous,
+        ideal_mac_cycles=ideal_mac_cycles,
+        names=lowered.names,
+        kinds=lowered.kinds,
+        phases=lowered.phases,
+        layer_of=lowered.layer_of,
+        resources=lowered.resources,
         cycles=tuple(record.cycles for record in kernel_records),
         durations=tuple(record.duration for record in kernel_records),
-        deps=tuple(deps),
+        deps=lowered.deps,
         stats=tuple(record.stats for record in kernel_records),
         layers=tuple(layers),
         counters=counters,
         energy_fj=sum(fold.energy_fj * count for fold, count in zip(folds, uses)),
     )
+
+
+def compile_step_program(schedule: KernelSchedule) -> StepProgram:
+    """Resolve ``schedule`` once, for repeated execution."""
+    return compile_lowered(_design_free(schedule, 0), schedule.design, schedule.ideal_mac_cycles)
+
+
+def pin_matrix_unit(schedule: KernelSchedule, unit: str) -> KernelSchedule:
+    """``schedule`` with every matrix-unit GEMM on ``unit``."""
+    matrix_units = (MATRIX_RESOURCE, SMALL_MATRIX_RESOURCE)
+    return replace(schedule, invocations=[
+        replace(inv, resource=unit) if inv.kind == "gemm" and inv.resource in matrix_units else inv
+        for inv in schedule.invocations
+    ])
+
+
+#: Timing-cache namespace of design-free lowered models (contract 11).
+LOWERED_MODELS = "lowering.lowered_models"
+
+
+def lowered_model(
+    model: Union[ModelSpec, LayerGraph],
+    design: DesignConfig,
+    heterogeneous: bool,
+    dtype: DataType,
+    unit: Optional[str] = None,
+) -> LoweredModel:
+    """``model`` lowered for ``design``, design-free; ``unit`` pins its
+    GEMMs onto one matrix unit, as serving does.  A spec's lowering is
+    memoized in :data:`LOWERED_MODELS` by (spec, fused flag, small-unit
+    stride or None, dtype, unit), all of the design ``lower_graph`` reads; a
+    :class:`LayerGraph` lowers afresh."""
+
+    def lower() -> LoweredModel:
+        graph = model if isinstance(model, LayerGraph) else build_model(model)
+        schedule = lower_graph(graph, design, heterogeneous=heterogeneous, dtype=dtype)
+        if unit is not None:
+            schedule = pin_matrix_unit(schedule, unit)
+        return _design_free(schedule, graph.total_macs())
+
+    if isinstance(model, LayerGraph):
+        with phase("lower", model=model.name):
+            return lower()
+    fused = _supports_fused_attention(design)
+    stride = small_unit_stride(design) if heterogeneous else None
+    with phase("lower", model=model.family):
+        return memoized(LOWERED_MODELS, lambda: (model, fused, stride, dtype, unit), lower)
 
 
 def _place(
@@ -1022,14 +1107,12 @@ class PlacedModel:
         return len(self.resources)
 
 
-def _place_model(schedule: KernelSchedule) -> PlacedModel:
-    """Compile ``schedule`` and place it as one row at scale 1.0; aggregate
-    per layer, per phase, per kind and model-wide."""
-    program = compile_step_program(schedule)
+def _place_model(program: StepProgram, design: DesignConfig) -> PlacedModel:
+    """Place ``program`` as one row at scale 1.0; aggregate per layer, per
+    phase, per kind and model-wide, and price the counters with ``design``'s
+    table."""
     durations = program.durations
-    # Most kernel and layer names recur across models and designs
-    # ("block0.qkv.gemm"); interned, each is one object, pickled once.
-    names = tuple(map(sys.intern, program.names))
+    names = program.names
     with phase("list_schedule", model=program.model):
         (ends,), busy = _place([program], [durations])
         total_cycles = max(ends, default=0)
@@ -1050,7 +1133,7 @@ def _place_model(schedule: KernelSchedule) -> PlacedModel:
             cycles = layer_cycles[index]
             layers.append(
                 PlacedLayer(
-                    name=sys.intern(layer.name),
+                    name=layer.name,
                     phase=layer.phase,
                     kinds=layer.kinds,
                     kernels=tuple([names[k] for k in layer.members]),
@@ -1084,9 +1167,9 @@ def _place_model(schedule: KernelSchedule) -> PlacedModel:
             phase_energy_fj=phase_energy,
             kind_cycles=kind_cycles,
             counters=program.counters,
-            energy_by_component_fj=EnergyTable.for_design(
-                schedule.design.style
-            ).energy_by_component(program.counters),
+            energy_by_component_fj=EnergyTable.for_design(design.style).energy_by_component(
+                program.counters
+            ),
         )
 
 
@@ -1102,8 +1185,10 @@ def _model_program(
     A zoo name or :class:`ModelSpec` is kept in the :data:`MODEL_PROGRAMS`
     namespace under (spec, design fingerprint, ``heterogeneous``, dtype),
     and a hit credits the program's kernel probes as timing-cache hits.  A
-    :class:`LayerGraph` has no content key and compiles and places on every
-    call, as does everything while the cache is disabled.
+    miss compiles the model's lowering (:func:`lowered_model`, memoized per
+    lowering key) on the design.  A :class:`LayerGraph` has no content key
+    and lowers, compiles and places on every call, as does everything while
+    the cache is disabled.
     """
     cache = timing_cache()
     key = None
@@ -1115,10 +1200,9 @@ def _model_program(
             if placed is not None:
                 cache.credit_hits(len(placed))
                 return placed
-    graph = model if isinstance(model, LayerGraph) else build_model(model)
-    with phase("lower", model=graph.name):
-        schedule = lower_graph(graph, design, heterogeneous=heterogeneous, dtype=dtype)
-    placed = _place_model(schedule)
+    lowered = lowered_model(model, design, heterogeneous, dtype)
+    program = compile_lowered(lowered, design, lowered.ideal_mac_cycles(design))
+    placed = _place_model(program, design)
     if key is not None:
         cache.namespace(MODEL_PROGRAMS)[key] = placed
     return placed

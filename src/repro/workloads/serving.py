@@ -64,7 +64,7 @@ from __future__ import annotations
 import math
 from bisect import insort
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -100,10 +100,13 @@ from repro.workloads.lowering import (
     MATRIX_RESOURCE,
     SMALL_MATRIX_RESOURCE,
     KernelSchedule,
+    LoweredModel,
     StepProgram,
-    compile_step_program,
+    compile_lowered,
     execute_step_programs,
     lower_graph,
+    lowered_model,
+    pin_matrix_unit,
 )
 from repro.workloads.models import ModelSpec, build_model, resolve_trace, scaled_spec
 
@@ -342,9 +345,10 @@ class _InFlight:
 
 @dataclass
 class _Step:
-    """A lowered decode step and, once executed, its compiled program."""
+    """A decode step's design-free lowering and, once executed, its
+    compiled program."""
 
-    schedule: KernelSchedule
+    lowered: LoweredModel
     program: Optional[StepProgram] = None
 
 
@@ -541,11 +545,12 @@ def _serving_metrics(
 class ServingScheduler:
     """Iteration-level continuous batching on one design configuration.
 
-    The scheduler is reusable across traces; it memoizes lowered per-step
-    schedules per (request model, bucketed context, unit), each with the
+    The scheduler is reusable across traces; it keeps each step's
+    lowering per (request model, bucketed context, unit), each with the
     step program compiled from it on first execution, so a repeated step --
     and a repeated *request* with the same network -- costs neither
-    lowering nor kernel lookups.
+    lowering nor kernel lookups.  Lowerings come from the process-wide
+    lowering memo, so fleet replicas and later schedulers share them.
     """
 
     def __init__(
@@ -622,9 +627,9 @@ class ServingScheduler:
             return list(self._units)
         work = [
             (
-                self.step_schedule(
-                    state.request, context, MATRIX_RESOURCE
-                ).ideal_mac_cycles,
+                self._step(state.request, context, MATRIX_RESOURCE).lowered.ideal_mac_cycles(
+                    self.design
+                ),
                 state.request.request_id,
                 index,
             )
@@ -643,13 +648,18 @@ class ServingScheduler:
     def step_schedule(
         self, request: RequestSpec, context: int, unit: str = MATRIX_RESOURCE
     ) -> KernelSchedule:
-        """The (memoized) one-decode-step schedule at a bucketed context.
+        """The one-decode-step schedule at a bucketed context, lowered afresh
+        (runs read the step's memoized lowering, :meth:`_step`).
 
         ``unit`` pins every matrix-unit kernel of the step onto one matrix
         unit (requests, not kernels, are the parallelism grain in serving);
         flash/SIMT kernels are unaffected.
         """
-        return self._step(request, context, unit).schedule
+        spec = scaled_spec(request.model, phase="decode", context_len=context)
+        schedule = lower_graph(
+            build_model(spec), self.design, heterogeneous=self.heterogeneous, dtype=self.dtype
+        )
+        return pin_matrix_unit(schedule, unit) if self.heterogeneous else schedule
 
     def _step(self, request: RequestSpec, context: int, unit: str) -> _Step:
         # Keyed by the request's own model object: its hash is pinned, so a
@@ -658,25 +668,9 @@ class ServingScheduler:
         step = self._step_schedules.get(key)
         if step is None:
             spec = scaled_spec(request.model, phase="decode", context_len=context)
-            with phase("lower", model=request.model.family, context=context):
-                schedule = lower_graph(
-                    build_model(spec),
-                    self.design,
-                    heterogeneous=self.heterogeneous,
-                    dtype=self.dtype,
-                )
-            if self.heterogeneous:
-                schedule = replace(
-                    schedule,
-                    invocations=[
-                        replace(inv, resource=unit)
-                        if inv.kind == "gemm"
-                        and inv.resource in (MATRIX_RESOURCE, SMALL_MATRIX_RESOURCE)
-                        else inv
-                        for inv in schedule.invocations
-                    ],
-                )
-            step = self._step_schedules[key] = _Step(schedule)
+            pin = unit if self.heterogeneous else None
+            lowered = lowered_model(spec, self.design, self.heterogeneous, self.dtype, pin)
+            step = self._step_schedules[key] = _Step(lowered)
         return step
 
     def _step_programs(
@@ -703,7 +697,8 @@ class ServingScheduler:
             step = self._step(request, context, unit)
             program = step.program
             if program is None:
-                program = compile_step_program(step.schedule)
+                ideal = step.lowered.ideal_mac_cycles(self.design)
+                program = compile_lowered(step.lowered, self.design, ideal)
                 if generation is not None:
                     step.program = program
             else:

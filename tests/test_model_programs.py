@@ -21,7 +21,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from differential import (
@@ -34,6 +34,7 @@ from repro.config.presets import DesignKind, gemm_design_kinds, make_design
 from repro.config.soc import DataType, DesignConfig
 from repro.kernels.flash_attention import FlashAttentionWorkload
 from repro.kernels.gemm import GemmWorkload
+from repro.kernels.heterogeneous import small_unit_stride
 from repro.obs import TraceRecorder, tracing
 from repro.perf import SCHEMA_VERSION, cache_disabled, timing_cache
 from repro.sim.stats import Counters
@@ -47,13 +48,16 @@ from repro.workloads import (
     resolve_spec,
     run_model,
 )
+from repro.workloads.graph import LayerGraph
 from repro.workloads.lowering import (
+    LOWERED_MODELS,
     MODEL_PROGRAMS,
     PROGRAM_RESOURCES,
     KernelInvocation,
     KernelSchedule,
     compile_step_program,
     lower_graph,
+    lowered_model,
 )
 from repro.workloads.models import REQUEST_MODELS
 from test_kernel_iteration_memo import DESIGN_LEAVES, _get_leaf, _perturbed, _replace_leaf
@@ -228,7 +232,9 @@ def test_model_execution_folds_as_the_oracle_on_synthetic_schedules(schedule):
     with mock.patch.object(lowering, "_simt_cost", _fake_simt_cost):
         result, view = _view(
             lambda: lowering._model_result(
-                lowering._place_model(schedule), schedule.design, dict(stats)
+                lowering._place_model(compile_step_program(schedule), schedule.design),
+                schedule.design,
+                dict(stats),
             )
         )
         reference, reference_view = _view(lambda: execute_schedule(schedule))
@@ -267,12 +273,12 @@ SPEC_CHANGES = {
 }
 
 
-def _stored_key(case):
-    """The one memo key a run stores, read from the table."""
+def _stored_key(case, namespace=MODEL_PROGRAMS):
+    """The one memo key a run stores in ``namespace``, read from the table."""
     spec, design, heterogeneous, dtype = case
     timing_cache().clear()
     run_model(spec, design, heterogeneous=heterogeneous, dtype=dtype)
-    (key,) = _table().keys()
+    (key,) = timing_cache().namespace(namespace).keys()
     return key
 
 
@@ -284,14 +290,17 @@ def _disabled_view(case):
 
 
 @st.composite
-def perturbations(draw):
+def perturbations(draw, targets=("spec", "design", "kind", "heterogeneous", "dtype")):
+    """A run and the same run with one input changed: a spec field, a
+    design leaf, the whole design (another preset, so another style),
+    ``heterogeneous`` or the dtype."""
     spec = draw(st.sampled_from(SPECS))
     dtype = draw(st.sampled_from((DataType.FP16, DataType.FP32)))
     heterogeneous = draw(st.booleans())
     kind = DesignKind.VIRGO if heterogeneous else draw(st.sampled_from(gemm_design_kinds()))
     design = make_design(kind, dtype)
     base = (spec, design, heterogeneous, dtype)
-    target = draw(st.sampled_from(("spec", "design", "heterogeneous", "dtype")))
+    target = draw(st.sampled_from(targets))
     if target == "spec":
         name = draw(st.sampled_from(sorted(SPEC_CHANGES) + ["phase"]))
         if name == "phase":
@@ -305,6 +314,9 @@ def perturbations(draw):
         path = draw(st.sampled_from(DESIGN_LEAVES))
         leaf = _perturbed(_get_leaf(design, path), draw(st.booleans()))
         return base, (spec, _replace_leaf(design, path, leaf), heterogeneous, dtype)
+    if target == "kind":
+        other = make_design(draw(st.sampled_from(gemm_design_kinds())), dtype)
+        return (spec, design, False, dtype), (spec, other, False, dtype)
     if target == "heterogeneous":
         return (spec, make_design(DesignKind.VIRGO, dtype), False, dtype), (
             spec, make_design(DesignKind.VIRGO, dtype), True, dtype
@@ -321,6 +333,41 @@ def test_model_program_key_is_complete(case):
     if _stored_key(base) != _stored_key(perturbed):
         return
     assert _disabled_view(base) == _disabled_view(perturbed)
+
+
+def _disabled_lowering(case):
+    spec, design, heterogeneous, dtype = case
+    with cache_disabled():
+        return lowered_model(spec, design, heterogeneous, dtype)
+
+
+#: A prefill spec lowers its attention fused on Virgo and decomposed on Volta.
+FUSED_AND_NOT = (
+    (SPECS[1], make_design(DesignKind.VOLTA), False, DataType.FP16),
+    (SPECS[1], make_design(DesignKind.VIRGO), False, DataType.FP16),
+)
+
+
+@settings(deadline=None, max_examples=50)
+@given(case=perturbations(("design", "kind", "dtype")))
+@example(case=FUSED_AND_NOT)
+def test_lowering_key_is_complete(case):
+    """Either the stored lowering key changes, or the cache-disabled
+    lowering is identical: the key holds all of the design lowering reads."""
+    base, perturbed = case
+    if _stored_key(base, LOWERED_MODELS) != _stored_key(perturbed, LOWERED_MODELS):
+        return
+    assert _disabled_lowering(base) == _disabled_lowering(perturbed)
+
+
+def test_the_lowering_key_is_spec_fused_flag_stride_dtype_and_unit():
+    volta, virgo = make_design(DesignKind.VOLTA), make_design(DesignKind.VIRGO)
+    assert _stored_key((SPECS[1], volta, False, DataType.FP32), LOWERED_MODELS) == (
+        SPECS[1], False, None, DataType.FP32, None
+    )
+    assert _stored_key((SPECS[1], virgo, True, DataType.FP16), LOWERED_MODELS) == (
+        SPECS[1], True, small_unit_stride(virgo), DataType.FP16, None
+    )
 
 
 def test_the_key_is_spec_fingerprint_flag_and_dtype():
@@ -433,7 +480,7 @@ class TestLifecycle:
     def test_a_hit_neither_compiles_nor_places(self, monkeypatch):
         """A lap of the zoo x 4 designs places each pair once, a repeat none."""
         placements = _count_calls(monkeypatch, lowering, "_place")
-        compiles = _count_calls(monkeypatch, lowering, "compile_step_program")
+        compiles = _count_calls(monkeypatch, lowering, "compile_lowered")
         _zoo_lap()
         pairs = len(model_names()) * len(gemm_design_kinds())
         assert (len(placements), len(compiles)) == (pairs, pairs)
@@ -484,7 +531,7 @@ class TestLifecycle:
     def test_layer_graphs_compile_on_every_call(self, monkeypatch):
         graph = build_model("gpt-decode")
         run_model(graph)
-        compiles = _count_calls(monkeypatch, lowering, "compile_step_program")
+        compiles = _count_calls(monkeypatch, lowering, "compile_lowered")
         run_model(graph)
         assert len(compiles) == 1 and len(_table()) == 0
 
@@ -530,7 +577,7 @@ class TestLifecycle:
         timing_cache().clear()
         assert timing_cache().load(pickle.loads(written)) == 0
         assert (len(timing_cache()), len(_table())) == (0, 0)
-        compiles = _count_calls(monkeypatch, lowering, "compile_step_program")
+        compiles = _count_calls(monkeypatch, lowering, "compile_lowered")
         result, view = _view(lambda: run_model(spec, design))
         assert len(compiles) == 1 and len(_table()) == 1
         timing_cache().clear()
@@ -564,6 +611,125 @@ class TestLifecycle:
         result.metrics.counter("schedule.kernels").inc(5)
         again, view = _view(lambda: run_model("gpt-decode", "virgo"))
         assert (again.to_dict(), view) == expected
+
+
+# --------------------------------------------------------------------------- #
+# The lowering memo
+# --------------------------------------------------------------------------- #
+
+
+def _lowered():
+    return timing_cache().namespace(LOWERED_MODELS)
+
+
+#: One cache lifetime's sweep: the four designs, heterogeneous Virgo, and
+#: Volta in FP32, so designs share lowerings and dtypes must not.
+SWEEP = [(kind, False, DataType.FP16) for kind in gemm_design_kinds()] + [
+    (DesignKind.VIRGO, True, DataType.FP16),
+    (DesignKind.VOLTA, False, DataType.FP32),
+]
+
+
+def _sweep(run):
+    timing_cache().clear()
+    return [
+        _view(lambda n=name, k=kind, h=hetero, d=dtype: run(
+            n, make_design(k, d), heterogeneous=h, dtype=d
+        ))
+        for kind, hetero, dtype in SWEEP
+        for name in model_names()
+    ]
+
+
+def _lean(value):
+    """True if ``value`` holds no graph, schedule or design."""
+    if isinstance(value, (LayerGraph, KernelSchedule, DesignConfig, dict)):
+        return False
+    if dataclasses.is_dataclass(value):
+        return all(_lean(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, (tuple, list)):
+        return all(_lean(item) for item in value)
+    return True
+
+
+class TestLoweringMemo:
+    def test_a_sweep_lowers_each_model_once_per_lowering_key(self, monkeypatch):
+        """The zoo x 4 designs has two keys per spec (attention fused or
+        not), 22 distinct lowerings; heterogeneous Virgo adds one per spec."""
+        builds = _count_calls(monkeypatch, lowering, "build_model")
+        lowerings = _count_calls(monkeypatch, lowering, "lower_graph")
+        _zoo_lap()
+        specs = len(model_names())
+        assert len(builds) == len(lowerings) == len(_lowered()) == 2 * specs
+        assert len(set(_lowered().values())) == 22
+        for name in model_names():
+            run_model(name, make_design(DesignKind.VIRGO), heterogeneous=True)
+        assert len(lowerings) == len(_lowered()) == 3 * specs
+
+    def test_designs_sharing_a_lowering_match_the_oracle(self):
+        for (result, view), (reference, reference_view) in zip(
+            _sweep(run_model), _sweep(oracle_run_model)
+        ):
+            assert_byte_identical(result, reference)
+            assert view == reference_view
+
+    def test_clear_empties_the_table(self):
+        _run_mix()
+        assert len(_lowered()) == len(MIX)
+        timing_cache().clear()
+        assert len(_lowered()) == 0
+
+    def test_cache_disabled_neither_reads_nor_writes(self, monkeypatch):
+        with cache_disabled():
+            _run_mix()
+        assert len(_lowered()) == 0
+        _run_mix()
+        lowerings = _count_calls(monkeypatch, lowering, "lower_graph")
+        with cache_disabled():
+            _run_mix()
+        assert len(lowerings) == len(MIX) and len(_lowered()) == len(MIX)
+
+    def test_a_snapshot_carries_the_lowerings(self, monkeypatch):
+        expected = [(result.to_dict(), view[:2]) for result, view in _run_mix()]
+        snapshot = pickle.loads(pickle.dumps(timing_cache().snapshot()))
+        timing_cache().clear()
+        timing_cache().load(snapshot)
+        assert len(_lowered()) == len(MIX)
+        _table().clear()
+        calls = _count_calls(monkeypatch, lowering, "build_model"), _count_calls(
+            monkeypatch, lowering, "lower_graph"
+        )
+        replayed = [(result.to_dict(), view[:2]) for result, view in _run_mix()]
+        assert calls == ([], []) and replayed == expected
+
+    def test_values_hold_no_graph_schedule_or_design(self):
+        _zoo_lap()
+        _run_mix()
+        assert all(_lean(value) for value in _lowered().values())
+
+    def test_layer_graphs_lower_on_every_call(self, monkeypatch):
+        graph = build_model("gpt-decode")
+        lowerings = _count_calls(monkeypatch, lowering, "lower_graph")
+        run_model(graph)
+        run_model(graph)
+        assert len(lowerings) == 2 and len(_lowered()) == 0
+
+    def test_schedulers_share_step_lowerings(self, monkeypatch):
+        """A later scheduler, on another design with the same lowering key,
+        lowers nothing; a heterogeneous one pins its units in its own keys."""
+        request = RequestSpec(
+            request_id="r0", model=REQUEST_MODELS["gpt-request"], prompt_len=60, decode_steps=5
+        )
+        ServingScheduler("virgo").isolated_step_spans(request, 64)
+        lowerings = _count_calls(monkeypatch, lowering, "lower_graph")
+        scheduler = ServingScheduler("ampere")
+        spans = scheduler.isolated_step_spans(request, 64)
+        assert not lowerings
+        assert spans == oracle_isolated_step_spans(scheduler, request, 64)
+        keys = len(_lowered())
+        ServingScheduler("virgo", heterogeneous=True).isolated_step_spans(request, 64)
+        assert len(_lowered()) == 2 * keys
+        assert all(key[-1] in (None, "matrix") for key in _lowered())
 
 
 # --------------------------------------------------------------------------- #

@@ -151,8 +151,10 @@ def test_definition_allowlist_entries_have_reasons():
         "repro.workloads.batch:BatchReport.results",
         "repro.workloads.batch:fleet_sweep_jobs",
         "repro.workloads.batch:serving_sweep_jobs",
+        "repro.workloads.lowering:compile_step_program",
         "repro.workloads.models:poisson_stream_trace",
         "repro.workloads.serving:ServingScheduler.isolated_cycles",
+        "repro.workloads.serving:ServingScheduler.step_schedule",
     }
     assert all(reason.strip() for reason in check_reachability.DEFINITION_ALLOWLIST.values())
 

@@ -141,9 +141,18 @@ DEFINITION_ALLOWLIST: Dict[str, str] = {
         "outcomes through it (16 calls)"
     ),
     "repro.workloads.batch:fleet_sweep_jobs": "public API docs/fleet.md runs",
+    "repro.workloads.lowering:compile_step_program": (
+        "compiles a bare kernel schedule through the design-free half and the "
+        "per-design pass every run uses; tests/test_program_compile.py holds it "
+        "to the per-instance oracle compiler"
+    ),
     "repro.workloads.batch:serving_sweep_jobs": "public API docs/serving.md names",
     "repro.workloads.models:poisson_stream_trace": (
         "public API docs/serving.md runs and perfbench/suite.py calls"
+    ),
+    "repro.workloads.serving:ServingScheduler.step_schedule": (
+        "a step's kernel schedule, which the merged-schedule oracle in "
+        "tests/differential.py runs and perfbench wraps as serving.step_schedule"
     ),
     "repro.workloads.serving:ServingScheduler.isolated_cycles": (
         "isolated-latency bound that tests/test_serving.py and "

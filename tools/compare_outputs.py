@@ -21,7 +21,9 @@ only BASE has as removed:
   ``to_dict()`` and report of serve and fleet runs reaching fast paths no
   CLI run does: epochs split by router events under each router policy, an
   epoch bounded by injected faults, and the router parking or shedding
-  while every replica is down.
+  while every replica is down; and the ``to_dict()`` of runs sharing one
+  lowering across designs: the zoo on every design in one process, and a
+  mixed-design fleet.
 
 An output that ends in a JSON document (after any prose) is compared as
 JSON; the prose before it, line by line.  A JSON object that gained or lost
@@ -115,13 +117,37 @@ def _script(run: str, report: str) -> str:
     )
 
 
+def _model_sweep(models_outer: bool) -> str:
+    """A ``python -c`` program printing the ``to_dict()`` of every zoo model
+    on the four designs and on heterogeneous Virgo, all in one process."""
+    loops = (
+        "for name in model_names() for design, hetero in CONFIGS"
+        if models_outer
+        else "for design, hetero in CONFIGS for name in model_names()"
+    )
+    return (
+        "import json\n"
+        "from repro.workloads import model_names, run_model\n"
+        f"CONFIGS = [(design, False) for design in {DESIGNS!r}] + [('virgo', True)]\n"
+        "runs = {\n"
+        "    f'{name}/{design}' + ('-hetero' if hetero else ''):\n"
+        "        run_model(name, design, heterogeneous=hetero).to_dict()\n"
+        f"    {loops}\n"
+        "}\n"
+        "print(json.dumps(runs, indent=2))\n"
+    )
+
+
 CHAOS = "crash:0.6:400000,slow:0.5:2.5:300000,partition:0.4:250000"
 STREAM = "poisson_stream_trace({!r}, requests={}, mean_interarrival=2e6)"
 
 #: Serve and fleet fast paths no CLI run reaches, run through the API: a
 #: replica's epoch split by a router event under each router policy, an
 #: epoch bounded by injected faults, and the router parking or shedding while
-#: every replica is believed down.
+#: every replica is believed down.  Also runs that share a lowering across
+#: designs, which no one-run process can: the zoo on every design in one
+#: process, designs and then models in the outer loop, and a fleet whose
+#: replicas run on designs with different lowering keys.
 SCRIPT_RUNS: Tuple[Tuple[str, str], ...] = (
     *(
         (
@@ -149,6 +175,9 @@ SCRIPT_RUNS: Tuple[Tuple[str, str], ...] = (
             "fleet_report",
         ),
     ),
+    ("zoo-designs-outer", _model_sweep(models_outer=False)),
+    ("zoo-models-outer", _model_sweep(models_outer=True)),
+    ("fleet-mixed-quad", _script("run_fleet('bursty-slo', 'mixed-quad')", "fleet_report")),
 )
 
 #: The CI chaos serve and fleet runs, traced: each writes :data:`TRACE_FILE`.
