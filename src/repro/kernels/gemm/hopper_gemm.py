@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.config.soc import DesignConfig, IntegrationStyle
 from repro.kernels.gemm.instruction_streams import core_coupled_iteration_streams
-from repro.kernels.gemm.kernel import REGISTER_FILE_LOOP, GemmKernel, tile_op_events
+from repro.kernels.gemm.kernel import GemmKernel, tile_op_events
 from repro.kernels.gemm.tiling import ThreadBlockTiling
 from repro.sim.stats import Counters
 from repro.tensorcore.hopper import HopperTensorCore
@@ -115,6 +115,4 @@ class OperandDecoupledGemmKernel(GemmKernel):
         tile cannot be prefetched -- its panel addresses are only programmed
         after the previous tile's epilogue has retired.
         """
-        return dict(
-            REGISTER_FILE_LOOP, compute_cycles=compute_cycles, load_cycles=load_cycles
-        )
+        return dict(register_file=True, compute_cycles=compute_cycles, load_cycles=load_cycles)

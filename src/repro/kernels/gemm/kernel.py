@@ -2,7 +2,7 @@
 
 A style supplies three pieces: ``_iteration`` times one steady-state K
 iteration, ``_epilogue`` one output tile's write-back, and ``_loop_wiring``
-says how the loop overlaps loads, compute and epilogues.
+picks the loop's wiring (:class:`GemmLoopSpec`) and its operation costs.
 :class:`KernelModel` checks the style and builds the components, for the
 FlashAttention mappings too; :class:`GemmKernel` runs the rest once for all
 styles: the tiling, the memoized iteration, the scheduled loop and the
@@ -28,17 +28,6 @@ from repro.sim.stats import Counters
 from repro.simt.core import VortexCore
 from repro.tensorcore.hopper import HopperTensorCore
 from repro.tensorcore.volta import VoltaTensorCore
-
-
-#: Loop wiring of the designs whose accumulators live in the register file:
-#: the epilogue stores them with the compute warps and joins the serializing
-#: chain, and loads double buffer against the compute two iterations back.
-REGISTER_FILE_LOOP = dict(
-    compute_resource="compute",
-    epilogue_resource="compute",
-    double_buffer_deps=True,
-    epilogue_advances_chain=True,
-)
 
 
 class KernelModel:

@@ -1,32 +1,29 @@
 """Shared tile-loop scheduling for the kernel builders (GEMM and flash).
 
 The GEMM timing models walk the same loop nest -- output tiles, a K loop
-inside each tile, an epilogue per tile -- and differ only in which resources
-the operations occupy, their durations, and how double buffering wires the
-load dependencies.  :class:`GemmLoopSpec` captures those knobs.  The fused
-flash-attention kernels walk a different but equally periodic structure --
-a software-pipelined (Q tile, KV tile) loop whose concurrent pipes (matrix
-unit, SIMT softmax, DMA) re-synchronize at a fence + barrier every
-iteration -- captured by :class:`FlashLoopSpec`.  Masked kernels (causal,
-sliding window, varlen) do not visit every KV tile: their per-Q-tile trip
-counts arrive run-length-encoded as :class:`FlashSegment` runs
-(``trip_profile``), and both executors walk exactly that plan, so skipped
-tiles cost nothing while the schedule stays O(#segments).
+inside each tile, an epilogue per tile -- in one of two wirings, Virgo's
+disaggregated unit or the core-coupled register-file designs, captured by
+:class:`GemmLoopSpec`.  The fused flash-attention kernels walk a different
+but equally periodic structure -- a software-pipelined (Q tile, KV tile)
+loop whose concurrent pipes (matrix unit, SIMT softmax, DMA) re-synchronize
+at a fence + barrier every iteration -- captured by :class:`FlashLoopSpec`.
+Masked kernels (causal, sliding window, varlen) do not visit every KV tile:
+their per-Q-tile trip counts arrive run-length-encoded as
+:class:`FlashSegment` runs (``trip_profile``), and both executors walk
+exactly that plan, so skipped tiles cost nothing while the schedule stays
+O(#segments).
 
 :func:`execute_gemm_loop` / :func:`execute_flash_loop` turn a spec into the
-scheduled totals either by
+scheduled totals either in O(1) of the iteration counts (``cluster_tiles x
+k_iterations`` for GEMM, ``heads x q_tiles x kv_tiles`` for flash) -- the
+default -- or by **full expansion** (``full_expansion=True``): every
+operation is materialized on an :class:`repro.sim.taskgraph.OperationGraph`
+and list-scheduled.  A GEMM loop is two pipelined stages whose schedule has
+an exact closed form (:func:`_execute_closed_form`); the flash loop runs on
+:class:`repro.sim.steady_state.SteadyStateEngine`, which executes warm-up
+plus one steady-state period concretely and extrapolates the rest.
 
-* **steady-state compression** (the default): the loop nest runs on
-  :class:`repro.sim.steady_state.SteadyStateEngine`, which executes warm-up
-  plus one steady-state period concretely and extrapolates the rest, making
-  the cost independent of the iteration counts (``cluster_tiles x
-  k_iterations`` for GEMM, ``heads x q_tiles x kv_tiles`` for flash); or
-* **full expansion** (``full_expansion=True``): the historical behaviour --
-  every operation is materialized on an
-  :class:`repro.sim.taskgraph.OperationGraph` and list-scheduled.
-
-Both paths use the identical start-time arithmetic, so their results are
-bit-identical; the equivalence is enforced by
+Both paths give bit-identical results; the equivalence is enforced by
 ``tests/test_schedule_compression.py`` (GEMM) and
 ``tests/test_flash_compression.py`` (flash attention).
 """
@@ -54,36 +51,59 @@ __all__ = [
 _DMA = "dma"
 #: The resource of the flash loop's per-iteration sync step.
 _SYNC = "sync"
-
-#: Anchor names used by the compressed executor.
-_CHAIN = "chain"  # the serializing dependency chain (previous compute / store)
-_LOAD = "load"  # the most recent load's end time
-_HIST1 = "hist1"  # most recent compute end (compute history, not stores)
-_HIST2 = "hist2"  # second-most-recent compute end
+#: The flash loop's serializing dependency chain (the prologue, the last sync or store).
+_CHAIN = "chain"
 
 
 @dataclass(frozen=True)
 class GemmLoopSpec:
     """Loop structure and per-operation costs of one tiled GEMM schedule.
 
-    Loads, when the loop has them, occupy the ``"dma"`` resource.
+    ``cluster_tiles`` output tiles run one after another.  Each is a K loop
+    of ``k_iterations`` steps -- a load on ``"dma"`` (when ``load_cycles`` is
+    set), then a compute -- closed by one epilogue.  The first tile's first
+    compute starts no earlier than ``first_compute_ready``.
+    ``register_file`` picks the wiring:
+
+    * ``False``, Virgo's disaggregated unit: computes occupy ``"matrix"``,
+      loads stream back to back, each tile's first load waits for the
+      previous tile's last compute (buffer reuse), and the epilogue drains
+      the accumulators on ``"dma"``, where the next tile's loads queue
+      behind it.  This wiring needs loads.
+    * ``True``, the core-coupled designs that keep the accumulators in the
+      register file: computes and epilogues occupy ``"compute"``, the
+      epilogue joins the serializing chain (the next tile's first load and
+      compute wait for it), and the load of K step k > 0 waits for the
+      compute two steps back (double buffering).
     """
 
     cluster_tiles: int
     k_iterations: int
-    compute_resource: str
+    register_file: bool
     compute_cycles: int
     epilogue_cycles: int
-    epilogue_resource: str
     load_cycles: Optional[int] = None  # None = no explicit load operations
-    #: Loads of iteration k > 0 wait for the compute two iterations back
-    #: (register/shared-memory double buffering on the core-coupled designs).
-    double_buffer_deps: bool = False
-    #: The epilogue joins the serializing chain (the next tile's first load
-    #: and compute wait for it), as on the designs that store from the
-    #: register file.
-    epilogue_advances_chain: bool = False
     first_compute_ready: int = 0
+
+    def __post_init__(self) -> None:
+        if self.cluster_tiles < 1:
+            raise ValueError(f"a GEMM loop needs cluster_tiles >= 1, got {self.cluster_tiles}")
+        if self.k_iterations < 1:
+            raise ValueError(f"a GEMM loop needs k_iterations >= 1, got {self.k_iterations}")
+        for name in ("compute_cycles", "epilogue_cycles", "load_cycles", "first_compute_ready"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"GEMM loop {name} must be non-negative, got {value}")
+        if self.load_cycles is None and not self.register_file:
+            raise ValueError("the Virgo GEMM loop wiring needs load_cycles")
+
+    @property
+    def compute_resource(self) -> str:
+        return "compute" if self.register_file else "matrix"
+
+    @property
+    def epilogue_resource(self) -> str:
+        return self.compute_resource if self.register_file else _DMA
 
 
 @dataclass
@@ -112,11 +132,11 @@ def execute_gemm_loop(spec: GemmLoopSpec, full_expansion: bool = False) -> GemmL
     """Schedule the loop nest described by ``spec``."""
     if full_expansion:
         return _execute_expanded(spec)
-    return _execute_compressed(spec)
+    return _execute_closed_form(spec)
 
 
 # --------------------------------------------------------------------------- #
-# Full expansion: one graph node per operation (the historical path)
+# Full expansion: one graph node per operation (the oracle)
 # --------------------------------------------------------------------------- #
 
 
@@ -134,7 +154,7 @@ def _execute_expanded(spec: GemmLoopSpec) -> GemmLoopSchedule:
                 load_name = f"load.t{tile}.k{k}"
                 if k == 0 and previous is not None:
                     load_deps = [previous]
-                elif spec.double_buffer_deps and len(history) >= 2:
+                elif spec.register_file and len(history) >= 2:
                     load_deps = [history[-2]]
                 else:
                     load_deps = []
@@ -157,7 +177,7 @@ def _execute_expanded(spec: GemmLoopSpec) -> GemmLoopSchedule:
             store_name, spec.epilogue_resource, spec.epilogue_cycles,
             deps=[previous], kind="epilogue",
         )
-        if spec.epilogue_advances_chain:
+        if spec.register_file:
             previous = store_name
 
     schedule = graph.schedule()
@@ -170,89 +190,55 @@ def _execute_expanded(spec: GemmLoopSpec) -> GemmLoopSchedule:
 
 
 # --------------------------------------------------------------------------- #
-# Steady-state compression
+# Closed form
 # --------------------------------------------------------------------------- #
 
 
-def _load_step(spec: GemmLoopSpec, first_k: bool) -> LoopStep:
-    if first_k:
-        deps = (_CHAIN,)
-    elif spec.double_buffer_deps:
-        deps = (_HIST2,)
-    else:
-        deps = ()
-    return LoopStep(
-        resource=_DMA,
-        duration=spec.load_cycles or 0,
-        kind="dma",
-        deps=deps,
-        sets=(_LOAD,),
-    )
+def _execute_closed_form(spec: GemmLoopSpec) -> GemmLoopSchedule:
+    """The expanded schedule's totals, without materializing an operation.
 
+    Each tile starts when the previous tile's epilogue ends, so the makespan
+    is the first tile plus ``cluster_tiles - 1`` identical later tiles.
+    With ``first`` the earliest start of a tile's first compute, the tile's
+    last compute ends at the longest of three paths: the compute chain;
+    every load and then the last compute; and, on the double-buffered
+    register file, the first compute, the load two steps on, the later
+    loads and the last compute.  The tile ends one epilogue later.  Busy
+    and per-kind cycles are plain sums, keyed in the order the expanded
+    graph first meets them.  ``docs/perf-contract.md`` (contract 2) gives
+    the argument.
+    """
+    tiles, steps = spec.cluster_tiles, spec.k_iterations
+    compute, load, epilogue = spec.compute_cycles, spec.load_cycles, spec.epilogue_cycles
 
-def _compute_step(spec: GemmLoopSpec, ready_after: int = 0) -> LoopStep:
-    deps = ((_LOAD,) if spec.load_cycles is not None else ()) + (_CHAIN,)
-    if spec.double_buffer_deps:
-        return LoopStep(
-            resource=spec.compute_resource,
-            duration=spec.compute_cycles,
-            kind="compute",
-            deps=deps,
-            shifts=((_HIST2, _HIST1),),
-            sets=(_HIST1, _CHAIN),
-            ready_after=ready_after,
-        )
-    return LoopStep(
-        resource=spec.compute_resource,
-        duration=spec.compute_cycles,
-        kind="compute",
-        deps=deps,
-        sets=(_CHAIN,),
-        ready_after=ready_after,
-    )
+    def tile_cycles(first: int) -> int:
+        last = first + steps * compute
+        if load is not None:
+            last = max(last, steps * load + compute)
+            if spec.register_file and steps >= 2:
+                last = max(last, first + (steps - 2) * load + 2 * compute)
+        return last + epilogue
 
+    # A later tile's first compute waits for its first load; the first
+    # tile's also for ``first_compute_ready``.
+    later = 0 if load is None else load
+    first = max(later, spec.first_compute_ready)
 
-def _execute_compressed(spec: GemmLoopSpec) -> GemmLoopSchedule:
-    has_loads = spec.load_cycles is not None
-    engine = SteadyStateEngine()
-    engine.add_resource(spec.compute_resource)
-    # Only register resources the loop actually occupies: an always-idle
-    # component would sit at a zero delta and defeat the outer loop's
-    # uniform-shift detection.
-    if has_loads or spec.epilogue_resource == _DMA:
-        engine.add_resource(_DMA)
-    steady_body = ([_load_step(spec, first_k=False)] if has_loads else []) + [_compute_step(spec)]
-    epilogue = LoopStep(
-        resource=spec.epilogue_resource,
-        duration=spec.epilogue_cycles,
-        kind="epilogue",
-        deps=(_CHAIN,),
-        sets=(_CHAIN,) if spec.epilogue_advances_chain else (),
-    )
-
-    def tile_body(first_compute_ready: int = 0) -> None:
-        if has_loads:
-            engine.execute(_load_step(spec, first_k=True))
-        engine.execute(_compute_step(spec, ready_after=first_compute_ready))
-        if spec.k_iterations > 1:
-            engine.run_loop(steady_body, spec.k_iterations - 1)
-        engine.execute(epilogue)
-
-    # The first tile carries the warm-up irregularities (missing chain and
-    # history anchors, the prologue ready time); later tiles are identical
-    # and compress through the outer-loop shift detection.
-    tile_body(first_compute_ready=spec.first_compute_ready)
-    if spec.cluster_tiles > 1:
-        engine.run_outer(tile_body, spec.cluster_tiles - 1)
-
-    resource_busy = dict(engine.busy)
-    resource_busy.setdefault(_DMA, 0)  # mirror the expanded graph
+    kind_cycles: Dict[str, int] = {}
+    load_busy = 0
+    if load is not None:
+        load_busy = kind_cycles["dma"] = tiles * steps * load
+    compute_busy = kind_cycles["compute"] = tiles * steps * compute
+    epilogue_busy = kind_cycles["epilogue"] = tiles * epilogue
+    resource_busy = {spec.compute_resource: compute_busy, _DMA: load_busy}
+    resource_busy[spec.epilogue_resource] += epilogue_busy
+    operations_per_tile = steps * (1 if load is None else 2) + 1
     return GemmLoopSchedule(
-        total_cycles=engine.makespan,
-        kind_cycles=dict(engine.kind_cycles),
+        total_cycles=tile_cycles(first) + (tiles - 1) * tile_cycles(later),
+        kind_cycles=kind_cycles,
         resource_busy=resource_busy,
-        executed_operations=engine.executed_operations,
-        extrapolated_operations=engine.extrapolated_operations,
+        executed_operations=0,
+        extrapolated_operations=tiles * operations_per_tile,
     )
 
 

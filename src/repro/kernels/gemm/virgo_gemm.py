@@ -132,9 +132,4 @@ class VirgoGemmKernel(GemmKernel):
         (buffer reuse); the epilogue drains on the DMA without blocking the
         next tile's compute (it writes a different accumulator half).
         """
-        return dict(
-            compute_resource="matrix",
-            compute_cycles=compute_cycles,
-            load_cycles=load_cycles,
-            epilogue_resource="dma",
-        )
+        return dict(register_file=False, compute_cycles=compute_cycles, load_cycles=load_cycles)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from repro.config.soc import DesignConfig, IntegrationStyle
 from repro.kernels.gemm.instruction_streams import core_coupled_iteration_streams
-from repro.kernels.gemm.kernel import REGISTER_FILE_LOOP, GemmKernel, tile_op_events
+from repro.kernels.gemm.kernel import GemmKernel, tile_op_events
 from repro.kernels.gemm.tiling import ThreadBlockTiling
 from repro.sim.stats import Counters
 from repro.tensorcore.volta import VoltaTensorCore
@@ -128,20 +128,20 @@ class TightlyCoupledGemmKernel(GemmKernel):
         return cycles, counters, store_instructions + init_instructions
 
     def _loop_wiring(self, compute_cycles: int, dma_cycles: int, dram_cycles: int):
-        """The :data:`REGISTER_FILE_LOOP` wiring.  With a DMA the first compute
+        """The register-file wiring.  With a DMA the first compute
         waits for the first load.  Without one the same warps copy the next
         tile, so the inter-iteration barrier exposes the global-memory
         streaming time inside the compute duration.
         """
         if self.design.has_dma:
             return dict(
-                REGISTER_FILE_LOOP,
+                register_file=True,
                 compute_cycles=compute_cycles,
                 load_cycles=max(dma_cycles, dram_cycles),
                 first_compute_ready=dma_cycles,
             )
         return dict(
-            REGISTER_FILE_LOOP,
+            register_file=True,
             compute_cycles=compute_cycles + dram_cycles,
             first_compute_ready=max(dram_cycles, compute_cycles // 4),
         )

@@ -1,35 +1,38 @@
 """Steady-state compression for periodic operation schedules.
 
-The kernel builders emit operation graphs with a deeply repetitive shape: a
-warm-up prefix, a long run of identical loop iterations, and a drain.  List
-scheduling such a graph is O(iterations) even though the schedule becomes
-periodic after a handful of iterations.  This module provides an exact
-executor for that structure: it *runs* the warm-up and enough iterations to
-reach the periodic regime on the real scheduling arithmetic, then jumps over
-the remaining iterations analytically.
+The flash-attention kernels emit operation graphs with a deeply repetitive
+shape: a warm-up prefix, a long run of identical loop iterations, and a
+drain.  List scheduling such a graph is O(iterations) even though the
+schedule becomes periodic after a handful of iterations.  This module
+provides an exact executor for that structure: it *runs* the warm-up and
+enough iterations to reach the periodic regime on the real scheduling
+arithmetic, then jumps over the remaining iterations analytically.  (The
+GEMM tile loop needs none of this: its schedule has a closed form in
+:mod:`repro.kernels.gemm.schedule_loops`.)
 
 The arithmetic mirrors :mod:`repro.sim.taskgraph` exactly -- an operation
-starts at ``max(resource free, dependency ends, ready_after)`` -- so the
-compressed schedule is bit-identical to full list scheduling.  Two
-compression levels are used:
+starts at ``max(resource free, dependency ends)`` -- so the compressed
+schedule is bit-identical to full list scheduling.  Two compression levels
+are used:
 
 * :meth:`SteadyStateEngine.run_loop` compresses a run of identical bodies
-  (the K loop).  It detects a repeated per-component state delta, then
-  performs one symbolic pass that tracks, for every ``max`` decision, the
-  margin of the winning operand and its drift per iteration.  The minimum
-  margin/drift ratio bounds how many iterations the current linear regime
-  provably continues; that many iterations are applied as a closed-form
-  shift.  Regime changes (a lagging pipe catching up) simply resume concrete
-  execution, so the result is exact for any duration mix.
-* :meth:`SteadyStateEngine.run_outer` compresses the outer (tile) loop.  It
-  looks for a single transition where *every* state component advanced by
-  the same amount; because the scheduling recurrence is built from ``max``
-  and ``+``, a uniform shift of the whole state reproduces itself exactly
-  (max-plus shift invariance), so the remaining tiles can be applied in one
-  step.  Bodies may nest freely -- a ``run_outer`` body may itself call
-  ``run_loop`` *and* ``run_outer`` (the masked flash profile runs a
-  per-head segment walk under a per-head outer loop), since both only read
-  and advance the same engine state the invariance argument covers.
+  (a Q tile's KV loop).  It detects a repeated per-component state delta,
+  then performs one symbolic pass that tracks, for every ``max`` decision,
+  the margin of the winning operand and its drift per iteration.  The
+  minimum margin/drift ratio bounds how many iterations the current linear
+  regime provably continues; that many iterations are applied as a
+  closed-form shift.  Regime changes (a lagging pipe catching up) simply
+  resume concrete execution, so the result is exact for any duration mix.
+* :meth:`SteadyStateEngine.run_outer` compresses the outer (Q tile, head)
+  loops.  It looks for a single transition where *every* state component
+  advanced by the same amount; because the scheduling recurrence is built
+  from ``max`` and ``+``, a uniform shift of the whole state reproduces
+  itself exactly (max-plus shift invariance), so the remaining tiles can be
+  applied in one step.  Bodies may nest freely -- a ``run_outer`` body may
+  itself call ``run_loop`` *and* ``run_outer`` (the masked flash profile
+  runs a per-head segment walk under a per-head outer loop), since both
+  only read and advance the same engine state the invariance argument
+  covers.
 
 Busy cycles, per-kind cycles and operation counts advance by constants per
 iteration, so they extrapolate exactly alongside the state.
@@ -48,11 +51,10 @@ class LoopStep:
     """One constant-duration operation of a loop body.
 
     ``deps`` name *anchors* -- named end-times maintained by the engine
-    (e.g. the previous compute in the dependency chain).  A dependency on an
+    (e.g. the previous sync in the dependency chain).  A dependency on an
     anchor that has not been set yet is skipped, which models the warm-up
-    iterations where a predecessor does not exist.  ``shifts`` copy one
-    anchor into another before ``sets`` assign this operation's end time,
-    which expresses bounded history windows (``hist[-2]``) without lists.
+    iterations where a predecessor does not exist.  ``sets`` assign this
+    operation's end time to anchors.
     """
 
     resource: str
@@ -60,8 +62,6 @@ class LoopStep:
     kind: str = ""
     deps: Tuple[str, ...] = ()
     sets: Tuple[str, ...] = ()
-    shifts: Tuple[Tuple[str, str], ...] = ()
-    ready_after: int = 0
 
 
 _MAKESPAN = "!makespan"
@@ -91,20 +91,15 @@ class SteadyStateEngine:
         """Run one operation; returns its end cycle.
 
         Start-time arithmetic matches :func:`repro.sim.taskgraph.schedule_graph`:
-        ``max(resource free, dependency ends, ready_after)``.
+        ``max(resource free, dependency ends)``.
         """
         start = self.free[step.resource]
-        if step.ready_after > start:
-            start = step.ready_after
         for dep in step.deps:
             value = self.anchors.get(dep)
             if value is not None and value > start:
                 start = value
         end = start + step.duration
         self.free[step.resource] = end
-        for dst, src in step.shifts:
-            if src in self.anchors:
-                self.anchors[dst] = self.anchors[src]
         for name in step.sets:
             self.anchors[name] = end
         if end > self.makespan:
@@ -181,8 +176,6 @@ class SteadyStateEngine:
 
         for step in steps:
             candidates = [values[f"f:{step.resource}"]]
-            if step.ready_after:
-                candidates.append((step.ready_after, 0))
             for dep in step.deps:
                 dep_value = values.get(f"a:{dep}")
                 if dep_value is not None:
@@ -190,9 +183,6 @@ class SteadyStateEngine:
             start_value, start_rate = resolve_max(candidates)
             end = (start_value + step.duration, start_rate)
             values[f"f:{step.resource}"] = end
-            for dst, src in step.shifts:
-                if f"a:{src}" in values:
-                    values[f"a:{dst}"] = values[f"a:{src}"]
             for name in step.sets:
                 values[f"a:{name}"] = end
             values[_MAKESPAN] = resolve_max([values[_MAKESPAN], end])

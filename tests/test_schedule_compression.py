@@ -1,17 +1,20 @@
-"""Steady-state schedule compression must be bit-identical to full expansion.
+"""The GEMM tile loop's closed form must be bit-identical to full expansion.
 
 The GEMM kernel builders schedule their tile loops through
 ``repro.kernels.gemm.schedule_loops``, which either materializes every
-operation on the taskgraph (``full_expansion=True``, the historical path) or
-executes warm-up plus one steady-state period and extrapolates the rest.
-These tests enforce the central contract: the two paths agree exactly --
-total cycles, per-kind busy cycles, per-resource busy cycles, counters and
-instruction counts -- across designs, dtypes and awkward shapes, while the
-compressed path's materialized operation count stays constant no matter how
-large the problem grows.
+operation on the taskgraph (``full_expansion=True``, the oracle) or
+computes the schedule's totals in closed form.  These tests enforce the
+central contract: the two paths agree exactly -- total cycles, per-kind
+busy cycles, per-resource busy cycles, counters and instruction counts --
+across designs, dtypes, awkward shapes and random loop specs of both
+wirings, while the closed form materializes no operation however large the
+problem grows.  The steady-state engine the flash loop runs on keeps its
+own unit tests here.
 """
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.config.presets import DesignKind
 from repro.config.soc import DataType
@@ -78,8 +81,8 @@ class TestConstantOperationGraph:
         larger = simulate_gemm(design, GemmWorkload(m=8192, n=8192, k=8192))
         executed = large.schedule_stats["executed_operations"]
         assert executed == larger.schedule_stats["executed_operations"]
-        # Warm-up + one steady-state period + drain: a few dozen operations,
-        # not the hundreds of thousands the loop nest spans.
+        # The closed form materializes none of the hundreds of thousands of
+        # operations the loop nest spans.
         assert executed < 100
         assert large.schedule_stats["operation_count"] > 100_000
         assert larger.schedule_stats["extrapolated_operations"] > large.schedule_stats[
@@ -95,25 +98,87 @@ class TestConstantOperationGraph:
 
 
 class TestGemmLoopSpec:
-    def _spec(self, load_cycles=None):
-        return GemmLoopSpec(
-            cluster_tiles=3,
-            k_iterations=5,
-            compute_resource="matrix",
-            compute_cycles=10,
-            epilogue_cycles=4,
-            epilogue_resource="matrix",
-            load_cycles=load_cycles,
-        )
+    def _spec(self, load_cycles=None, **fields):
+        return GemmLoopSpec(**{
+            "cluster_tiles": 3,
+            "k_iterations": 5,
+            "register_file": True,
+            "compute_cycles": 10,
+            "epilogue_cycles": 4,
+            "load_cycles": load_cycles,
+            **fields,
+        })
 
     def test_loads_occupy_the_dma_resource(self):
         """Both executors put the 3 x 5 loads on ``"dma"``, and report it idle without loads."""
         for full_expansion in (False, True):
             loaded = execute_gemm_loop(self._spec(load_cycles=7), full_expansion)
-            assert loaded.resource_busy == {"matrix": 3 * (5 * 10 + 4), "dma": 3 * 5 * 7}
+            assert loaded.resource_busy == {"compute": 3 * (5 * 10 + 4), "dma": 3 * 5 * 7}
             assert loaded.kind_cycles["dma"] == 3 * 5 * 7
             unloaded = execute_gemm_loop(self._spec(), full_expansion)
-            assert unloaded.resource_busy == {"matrix": 3 * (5 * 10 + 4), "dma": 0}
+            assert unloaded.resource_busy == {"compute": 3 * (5 * 10 + 4), "dma": 0}
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"cluster_tiles": 0}, "cluster_tiles >= 1, got 0"),
+            ({"k_iterations": 0}, "k_iterations >= 1, got 0"),
+            ({"compute_cycles": -1}, "compute_cycles must be non-negative, got -1"),
+            ({"epilogue_cycles": -2}, "epilogue_cycles must be non-negative, got -2"),
+            ({"load_cycles": -3}, "load_cycles must be non-negative, got -3"),
+            ({"first_compute_ready": -4}, "first_compute_ready must be non-negative, got -4"),
+            ({"register_file": False}, "Virgo GEMM loop wiring needs load_cycles"),
+        ],
+        ids=["no-tiles", "no-k-steps", "negative-compute", "negative-epilogue",
+             "negative-load", "negative-first-compute", "virgo-without-loads"],
+    )
+    def test_rejects_a_loop_no_wiring_builds_in_one_line(self, fields, message):
+        with pytest.raises(ValueError, match=message) as error:
+            self._spec(**fields)
+        assert "\n" not in str(error.value)
+
+
+@st.composite
+def gemm_loop_specs(draw):
+    """A loop of either wiring, small enough (T x K <= 400) to expand."""
+    register_file = draw(st.booleans())
+    tiles = draw(st.integers(1, 40))
+    cycles = st.just(0) | st.integers(0, 3000)
+    has_loads = not register_file or draw(st.booleans())
+    return GemmLoopSpec(
+        cluster_tiles=tiles,
+        k_iterations=draw(st.integers(1, min(80, 400 // tiles))),
+        register_file=register_file,
+        compute_cycles=draw(cycles),
+        epilogue_cycles=draw(cycles),
+        load_cycles=draw(cycles) if has_loads else None,
+        first_compute_ready=draw(st.just(0) | st.integers(0, 20_000)),
+    )
+
+
+class TestClosedFormEqualsExpansion:
+    @settings(deadline=None, max_examples=300)
+    @given(spec=gemm_loop_specs())
+    # One K step, on both wirings.
+    @example(spec=GemmLoopSpec(4, 1, True, compute_cycles=10, epilogue_cycles=4, load_cycles=7))
+    @example(spec=GemmLoopSpec(4, 1, False, compute_cycles=10, epilogue_cycles=4, load_cycles=7))
+    # Loads slower than computes: every load, then the last compute.
+    @example(spec=GemmLoopSpec(3, 9, True, compute_cycles=10, epilogue_cycles=4, load_cycles=50))
+    @example(spec=GemmLoopSpec(3, 9, False, compute_cycles=10, epilogue_cycles=4, load_cycles=50))
+    # A late first compute, then the double-buffered loads behind it.
+    @example(spec=GemmLoopSpec(3, 9, True, compute_cycles=10, epilogue_cycles=4, load_cycles=50,
+                               first_compute_ready=300))
+    @example(spec=GemmLoopSpec(2, 6, True, compute_cycles=30, epilogue_cycles=0,
+                               first_compute_ready=20_000))
+    def test_closed_form_equals_full_expansion(self, spec):
+        closed = execute_gemm_loop(spec)
+        expanded = execute_gemm_loop(spec, full_expansion=True)
+        assert closed.total_cycles == expanded.total_cycles
+        # Same values in the same key order.
+        assert list(closed.kind_cycles.items()) == list(expanded.kind_cycles.items())
+        assert list(closed.resource_busy.items()) == list(expanded.resource_busy.items())
+        assert closed.operation_count == expanded.operation_count
+        assert closed.executed_operations == 0
 
 
 class TestSteadyStateEngine:
