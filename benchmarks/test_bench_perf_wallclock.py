@@ -7,9 +7,9 @@ tracks the *simulator's own* speed so performance regressions fail loudly:
   path (every layer re-simulating its kernels, the pre-cache behaviour) by
   a wide margin -- the acceptance bar is 5x, asserted here with headroom
   below the typically measured ratio so CI noise does not flake;
-* ``simulate_gemm`` with steady-state schedule compression must stay
-  effectively O(1) in the tile count: a 4096^3 GEMM materializes a
-  constant-size operation graph and beats full expansion by a wide margin;
+* ``simulate_gemm``, whose tile loop is scheduled in closed form, must
+  stay effectively O(1) in the tile count: a 4096^3 GEMM materializes no
+  operation graph and beats full expansion by a wide margin;
 * a *second* ``serve`` invocation -- a fresh cache warmed from the
   persistent snapshot, iterations replaying through the iteration memo --
   must beat the true cold path by >= 3x;
@@ -117,7 +117,7 @@ def test_bench_warm_cache_model_speedup(benchmark):
 
 
 def test_bench_schedule_compression_speedup(benchmark):
-    """simulate_gemm at 4096^3: steady-state compression vs full expansion."""
+    """simulate_gemm at 4096^3: the closed-form schedule vs full expansion."""
     workload = GemmWorkload(m=4096, n=4096, k=4096)
     expanded_time = _best_of(
         lambda: simulate_gemm(DesignKind.VIRGO, workload, full_expansion=True), rounds=1

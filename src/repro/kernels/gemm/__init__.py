@@ -72,7 +72,7 @@ def simulate_gemm(
     """Simulate a square (or explicit) GEMM on one design and return the result.
 
     ``full_expansion=True`` materializes every tile operation on the
-    operation graph instead of using steady-state schedule compression; the
+    operation graph instead of scheduling the tile loop in closed form; the
     two paths produce bit-identical results and differ only in cost.
     """
     if isinstance(design, DesignKind):

@@ -74,8 +74,9 @@ class KernelResult:
     ``phase_cycles`` holds the busy cycles per operation kind and
     ``schedule_stats`` the operation-graph size bookkeeping of the schedule
     executor: ``executed_operations`` (materialized),
-    ``extrapolated_operations`` (covered by steady-state compression) and
-    their ``operation_count``.  Both are diagnostic and never serialized.
+    ``extrapolated_operations`` (covered by the closed form or steady-state
+    compression) and their ``operation_count``.  Both are diagnostic and
+    never serialized.
     """
 
     design: DesignConfig

@@ -32,8 +32,8 @@ Pipeline
 
 Per-kernel timings flow through the process-wide timing cache
 (:mod:`repro.perf`; per-run hit/miss stats land in
-``ModelRunResult.timing_cache``) and, for GEMMs, through the steady-state
-compressed scheduler (``full_expansion=True`` on
+``ModelRunResult.timing_cache``) and, for GEMMs, through the closed-form
+tile-loop scheduler (``full_expansion=True`` on
 :func:`repro.kernels.gemm.simulate_gemm` keeps the expanded oracle path).
 ``docs/perf-contract.md`` states both contracts precisely.
 

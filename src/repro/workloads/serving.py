@@ -24,7 +24,7 @@ continuous batching over it:
    the iteration makespan and the loop repeats until the trace drains.
 
 Every per-kernel simulation flows through the process-wide timing cache and
-the steady-state-compressed kernel schedulers, lowered per-step schedules
+the O(1) kernel tile-loop schedulers, lowered per-step schedules
 and their compiled programs are memoized per (model, bucketed context,
 unit), and whole *iterations* are memoized process-wide by their batch
 composition -- the ordered (model, bucketed context, unit) sequence plus
